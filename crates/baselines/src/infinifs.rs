@@ -21,15 +21,15 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mantle_core::pathcache::{LeaseProbe, PathLeaseCache, PathLeaseConfig};
+use mantle_core::pathcache::{PathLeaseCache, PathLeaseConfig};
 use mantle_index::TopDirPathCache;
 use mantle_rpc::{RetryPolicy, SimNode};
 use mantle_sync::Semaphore;
 use mantle_tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions};
 use mantle_types::{
-    id::IdAllocator, AttrDelta, BulkLoad, DirAttrMeta, DirEntry, DirStat, InodeId, MetaError,
-    MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath, Result,
-    RetryClass, SimConfig, ROOT_ID, SCALED_DB_SHARDS,
+    id::IdAllocator, AttrDelta, BulkLoad, DirAttrMeta, DirEntry, DirStat, InodeId, LeasedPath,
+    MetaError, MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath,
+    Result, RetryClass, SimConfig, ROOT_ID, SCALED_DB_SHARDS,
 };
 
 /// InfiniFS deployment options.
@@ -88,11 +88,8 @@ pub struct InfiniFs {
     /// AM-Cache: full-path resolution cache (k = 0).
     amcache: TopDirPathCache,
     /// Client-side path-lease cache — the same cache Mantle's proxy gets
-    /// (Table-1 fairness). InfiniFS has no namespace-version metadata, so
-    /// an expired lease revalidates with a full speculative re-resolve.
+    /// (Table-1 fairness).
     pcache: PathLeaseCache,
-    /// Fault plan for the `LeaseExpire`/`StaleRead` probe faults.
-    pcache_faults: mantle_rpc::FaultSlot,
     ids: IdAllocator,
     clock: std::sync::atomic::AtomicU64,
 }
@@ -116,7 +113,6 @@ impl InfiniFs {
             rename_locks: Mutex::new(HashSet::new()),
             amcache: TopDirPathCache::new(0, opts.amcache),
             pcache: PathLeaseCache::new(PathLeaseConfig::from_env(), "infinifs"),
-            pcache_faults: mantle_rpc::FaultSlot::new(),
             ids: IdAllocator::new(),
             clock: std::sync::atomic::AtomicU64::new(1),
         })
@@ -132,7 +128,7 @@ impl InfiniFs {
     pub fn install_faults(&self, plan: Option<Arc<mantle_rpc::FaultPlan>>) {
         self.db.install_faults(plan.clone());
         self.coordinator.set_faults(plan.clone());
-        self.pcache_faults.install(plan);
+        self.pcache.install_faults(plan);
     }
 
     /// The client-side path-lease cache (statistics, test inspection).
@@ -154,78 +150,22 @@ impl InfiniFs {
             });
         }
         if self.pcache.enabled() {
-            return self.leased_resolve(path, stats);
+            // No namespace-version metadata here: a revalidation is a full
+            // speculative re-resolve whose pid is compared (version 0 on
+            // both sides), so leases save RPCs only while live.
+            let leased = |stats: &mut RequestCtx| {
+                self.speculative_resolve(path, stats)
+                    .map(|resolved| LeasedPath {
+                        resolved,
+                        version: 0,
+                        lease_ttl: self.pcache.config().lease_ttl,
+                    })
+            };
+            return self
+                .pcache
+                .resolve(path, "infinifs-proxy", stats, leased, leased);
         }
         self.speculative_resolve(path, stats)
-    }
-
-    /// Resolution through the path-lease cache. Without version metadata a
-    /// revalidation is a full speculative re-resolve whose pid is compared
-    /// against the cached one; leases here save RPCs only while live.
-    fn leased_resolve(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
-        let ttl = self.pcache.config().lease_ttl;
-        let force_expire = self
-            .pcache_faults
-            .get()
-            .is_some_and(|plan| plan.lease_expires("infinifs-proxy"));
-        let probe = self.pcache.probe(path, force_expire);
-        match probe {
-            LeaseProbe::Hit(lease) => {
-                stats.cache_hits += 1;
-                return Ok(ResolvedPath {
-                    id: lease.pid,
-                    permission: lease.permission,
-                });
-            }
-            LeaseProbe::NegativeHit => {
-                stats.cache_hits += 1;
-                return Err(MetaError::NotFound(path.to_string()));
-            }
-            _ => {}
-        }
-        let expired = match probe {
-            LeaseProbe::Expired(old) => Some(old),
-            _ => {
-                stats.cache_misses += 1;
-                None
-            }
-        };
-        let token = self.pcache.begin();
-        match self.speculative_resolve(path, stats) {
-            Ok(resolved) => {
-                let fresh = mantle_types::LeasedPath {
-                    resolved,
-                    version: 0,
-                    lease_ttl: ttl,
-                };
-                if let Some(old) = expired {
-                    let stale_read = self
-                        .pcache_faults
-                        .get()
-                        .is_some_and(|plan| plan.stale_read_fires("infinifs-proxy"));
-                    let matched = resolved.id == old.pid && !stale_read;
-                    let dropped = self.pcache.revalidated(path, matched, &fresh, token, stats);
-                    if matched {
-                        stats.cache_revalidations += 1;
-                    } else {
-                        stats.cache_invalidations += dropped as u32;
-                    }
-                } else {
-                    self.pcache.fill(path, &fresh, token, stats);
-                }
-                Ok(resolved)
-            }
-            Err(e @ MetaError::NotFound(_)) => {
-                if expired.is_some() {
-                    stats.cache_invalidations +=
-                        self.pcache.revalidated_gone(path, token, stats) as u32;
-                } else {
-                    self.pcache.fill_negative(path, token, stats);
-                }
-                Err(e)
-            }
-            Err(e) => Err(e),
-        }
     }
 
     /// Speculative parallel resolution with sequential fallback on
@@ -266,7 +206,10 @@ impl InfiniFs {
                 } else {
                     predict(&path.prefix(level))
                 };
-                rows.push(self.db.get_entry_batched(pred_parent, comps[level], stats));
+                rows.push(
+                    self.db
+                        .get_entry_batched(pred_parent, comps[level], stats)?,
+                );
             }
             issued += width;
         }
@@ -331,24 +274,27 @@ impl InfiniFs {
         dst: &MetaPath,
         stats: &mut RequestCtx,
     ) -> Result<()> {
-        self.coordinator.rpc(stats, || {
-            let mut locks = self.rename_locks.lock();
-            let conflict = locks.iter().any(|locked| {
-                locked.is_prefix_of(src)
-                    || src.is_prefix_of(locked)
-                    || locked.is_prefix_of(dst)
-                    || dst.is_prefix_of(locked)
-            });
-            if conflict {
-                return Err(MetaError::RenameLocked(src.to_string()));
-            }
-            locks.insert(src.clone());
-            Ok(())
-        })
+        self.coordinator
+            .try_rpc_named(stats, "coordinator_lock", || {
+                let mut locks = self.rename_locks.lock();
+                let conflict = locks.iter().any(|locked| {
+                    locked.is_prefix_of(src)
+                        || src.is_prefix_of(locked)
+                        || locked.is_prefix_of(dst)
+                        || dst.is_prefix_of(locked)
+                });
+                if conflict {
+                    return Err(MetaError::RenameLocked(src.to_string()));
+                }
+                locks.insert(src.clone());
+                Ok(())
+            })?
     }
 
+    /// Releases the rename lock. Must-deliver: the rename is already
+    /// decided, and a lost unlock would wedge the subtree forever.
     fn coordinator_unlock(&self, src: &MetaPath, stats: &mut RequestCtx) {
-        self.coordinator.rpc(stats, || {
+        mantle_rpc::deliver_named(stats, &self.coordinator, "coordinator_unlock", || {
             self.rename_locks.lock().remove(src);
         });
     }
@@ -418,7 +364,7 @@ impl MetadataService for InfiniFs {
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
             let (dir, _) = self.db.resolve_step(parent.id, &name, stats)?;
-            if !self.db.readdir(dir, stats).is_empty() {
+            if !self.db.readdir(dir, stats)?.is_empty() {
                 return Err(MetaError::NotEmpty(path.to_string()));
             }
             let now = self.now();
@@ -516,7 +462,7 @@ impl MetadataService for InfiniFs {
 
     fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        stats.time(Phase::Execute, |stats| Ok(self.db.readdir(dir.id, stats)))
+        stats.time(Phase::Execute, |stats| self.db.readdir(dir.id, stats))
     }
 
     fn list(
@@ -530,7 +476,7 @@ impl MetadataService for InfiniFs {
         // is a bounded engine range scan rather than the readdir fallback.
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            Ok(self.db.readdir_page(dir.id, start_after, limit, stats))
+            self.db.readdir_page(dir.id, start_after, limit, stats)
         })
     }
 

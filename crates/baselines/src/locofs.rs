@@ -437,7 +437,9 @@ impl LocoFs {
         f: impl FnOnce(&Arc<RaftReplica<LocoSm>>) -> Result<R>,
     ) -> Result<R> {
         let leader = self.leader()?;
-        leader.node().rpc(stats, || f(&leader))
+        leader
+            .node()
+            .try_rpc_named(stats, "dir_rpc", || f(&leader))?
     }
 
     /// Like [`Self::dir_rpc`], but additionally proposes `cmd` *after* the
@@ -449,7 +451,9 @@ impl LocoFs {
         f: impl FnOnce(&Arc<RaftReplica<LocoSm>>) -> Result<(R, LocoCmd)>,
     ) -> Result<R> {
         let leader = self.leader()?;
-        let (out, cmd) = leader.node().rpc(stats, || f(&leader))?;
+        let (out, cmd) = leader
+            .node()
+            .try_rpc_named(stats, "dir_rpc", || f(&leader))??;
         Self::propose(&leader, cmd)?;
         Ok(out)
     }
@@ -496,7 +500,7 @@ impl MetadataService for LocoFs {
             })?;
             // Cross-component check: an object of this name in the object
             // DB also blocks the mkdir.
-            if self.db.get_entry(pid, &name, stats).is_some() {
+            if self.db.get_entry(pid, &name, stats)?.is_some() {
                 return Err(MetaError::AlreadyExists(path.to_string()));
             }
             let leader = self.leader()?;
@@ -692,7 +696,7 @@ impl MetadataService for LocoFs {
             })
         })?;
         // Objects live in the object DB.
-        let objects = stats.time(Phase::Execute, |stats| self.db.readdir(dir, stats));
+        let objects = stats.time(Phase::Execute, |stats| self.db.readdir(dir, stats))?;
         entries.extend(objects.into_iter().filter(|e| e.kind == EntryKind::Object));
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         Ok(entries)

@@ -191,7 +191,7 @@ impl MetadataService for Tectonic {
             Ok::<_, MetaError>((id, parent, name))
         })?;
         stats.time(Phase::Execute, |stats| {
-            let children = self.db.readdir(dir, stats);
+            let children = self.db.readdir(dir, stats)?;
             if !children.is_empty() {
                 return Err(MetaError::NotEmpty(path.to_string()));
             }
@@ -285,7 +285,7 @@ impl MetadataService for Tectonic {
 
     fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        stats.time(Phase::Execute, |stats| Ok(self.db.readdir(dir.id, stats)))
+        stats.time(Phase::Execute, |stats| self.db.readdir(dir.id, stats))
     }
 
     fn list(
@@ -299,7 +299,7 @@ impl MetadataService for Tectonic {
         // range scan — not the default full-readdir-then-slice fallback.
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            Ok(self.db.readdir_page(dir.id, start_after, limit, stats))
+            self.db.readdir_page(dir.id, start_after, limit, stats)
         })
     }
 

@@ -17,7 +17,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use mantle_core::{MantleCluster, MantleConfig};
-use mantle_types::{clock, SimConfig};
+use mantle_types::{clock, RetryClass, SimConfig};
 use mantle_workloads::mdtest::{run, ConflictMode, MdOp, MdtestConfig};
 
 /// Set in the re-exec'd wall-clock child; switches `main` to "run the
@@ -85,7 +85,7 @@ fn run_suite() -> SuiteResult {
             completed: report.completed,
             failed: report.failed,
             rpcs: report.agg.rpcs,
-            txn_retries: report.agg.txn_retries,
+            txn_retries: report.agg.retry_count(RetryClass::Txn),
         });
     }
     SuiteResult {

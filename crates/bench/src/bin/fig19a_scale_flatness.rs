@@ -25,7 +25,7 @@ use serde::Serialize;
 use mantle_bench::report::fmt_ops;
 use mantle_bench::{Report, Scale, SystemUnderTest};
 use mantle_core::MantleConfig;
-use mantle_types::{MetaPath, MetadataService, PlacementConfig, RequestCtx, SimConfig};
+use mantle_types::{MetaPath, MetadataService, PlacementConfig, RequestCtx, RetryClass, SimConfig};
 use mantle_workloads::mdtest::{self, ConflictMode, Hotspot, MdOp, MdtestConfig};
 
 #[derive(Serialize)]
@@ -151,7 +151,7 @@ fn main() {
             let run = run_round(100 + chunk as u64, chunk_ops);
             completed += run.completed;
             failed += run.failed;
-            stale += run.agg.stale_route_retries;
+            stale += run.agg.retry_count(RetryClass::StaleRoute);
             wall += run.wall;
             let served: Vec<u64> = (0..db.n_shards()).map(shard_served).collect();
             let deltas: Vec<u64> = served
@@ -245,7 +245,7 @@ fn main() {
             shard_merges: c.shard_merges,
             range_migrations: c.range_migrations,
             rows_migrated: c.rows_migrated,
-            stale_route_retries: run.agg.stale_route_retries,
+            stale_route_retries: run.agg.retry_count(RetryClass::StaleRoute),
             failed: run.failed,
         };
         w.max_mean_busy_ratio = ratio; // context for the warmup row too

@@ -318,7 +318,9 @@ fn run_mixed(engine: EngineKind) -> MixedOutcome {
                 for _ in 0..MIX_SCANS {
                     let mut stats = RequestCtx::new();
                     let begin = clock::now();
-                    let entries = db.readdir(scan_pid, &mut stats);
+                    let entries = db
+                        .readdir(scan_pid, &mut stats)
+                        .expect("no fault plan installed");
                     stats.end();
                     hist.record(begin.elapsed().as_nanos() as u64);
                     agg.add(&stats);
@@ -369,7 +371,9 @@ fn run_mixed(engine: EngineKind) -> MixedOutcome {
     // leave identical readable state on both engines.
     let mut end_stats = RequestCtx::new();
     for &cpid in &creator_pids {
-        let entries = db.readdir(cpid, &mut end_stats);
+        let entries = db
+            .readdir(cpid, &mut end_stats)
+            .expect("no fault plan installed");
         checksum.fetch_add(digest(&entries), Ordering::Relaxed);
     }
 

@@ -2,7 +2,7 @@
 
 use serde::Serialize;
 
-use mantle_types::Phase;
+use mantle_types::{Phase, RetryClass};
 use mantle_workloads::mdtest::{self, ConflictMode, MdOp, MdtestConfig, MdtestReport};
 
 use crate::report::{fmt_ops, fmt_us};
@@ -68,8 +68,8 @@ impl OpRow {
             loop_detect_us: report.phase_micros(Phase::LoopDetect),
             execute_us: report.phase_micros(Phase::Execute),
             rpcs: report.agg.mean_rpcs(),
-            txn_retries: report.agg.txn_retries as f64 / n,
-            rename_retries: report.agg.rename_retries as f64 / n,
+            txn_retries: report.agg.retry_count(RetryClass::Txn) as f64 / n,
+            rename_retries: report.agg.retry_count(RetryClass::Rename) as f64 / n,
             failed: report.failed,
         }
     }

@@ -29,7 +29,7 @@ use mantle_types::{
 };
 
 use crate::data::DataService;
-use crate::pathcache::{LeaseProbe, PathCacheStats, PathLeaseCache, PathLeaseConfig};
+use crate::pathcache::{PathCacheStats, PathLeaseCache, PathLeaseConfig};
 
 /// Per-operation service counters (`service_ops_total{system,op}`), created
 /// once per cluster so the per-op cost is a single atomic increment.
@@ -153,9 +153,6 @@ pub struct MantleCluster {
     amcache: TopDirPathCache,
     /// Client-side path-lease cache (DESIGN.md §4.13).
     pcache: PathLeaseCache,
-    /// Fault plan driving the `LeaseExpire`/`StaleRead` probe faults; the
-    /// proxy has no `SimNode` of its own, so the cache gets its own slot.
-    pcache_faults: mantle_rpc::FaultSlot,
     ops: SvcMetrics,
 }
 
@@ -196,7 +193,6 @@ impl MantleCluster {
             root,
             amcache: TopDirPathCache::new(0, config.amcache),
             pcache: PathLeaseCache::new(config.pcache, "mantle"),
-            pcache_faults: mantle_rpc::FaultSlot::new(),
             ops: SvcMetrics::new("mantle"),
         })
     }
@@ -257,7 +253,7 @@ impl MantleCluster {
             // Persist in TafDB first (source of truth), then refresh the
             // IndexNode's access metadata.
             let key = entry_key(parent.id, &name);
-            let updated = match self.db.get_entry(parent.id, &name, stats) {
+            let updated = match self.db.get_entry(parent.id, &name, stats)? {
                 Some(Row::DirAccess { id, .. }) => {
                     self.db.raw_put(key, Row::DirAccess { id, permission });
                     true
@@ -324,7 +320,7 @@ impl MantleCluster {
         self.index.install_faults(Some(plan.clone()));
         self.db.install_faults(Some(plan.clone()));
         self.data.install_faults(Some(plan.clone()));
-        self.pcache_faults.install(Some(plan.clone()));
+        self.pcache.install_faults(Some(plan.clone()));
     }
 
     /// Removes a previously installed fault plan from every component.
@@ -332,7 +328,7 @@ impl MantleCluster {
         self.index.install_faults(None);
         self.db.install_faults(None);
         self.data.install_faults(None);
-        self.pcache_faults.install(None);
+        self.pcache.install_faults(None);
     }
 
     /// The client-side path-lease cache (statistics, test inspection).
@@ -349,7 +345,16 @@ impl MantleCluster {
     /// path-lease cache (DESIGN.md §4.13) or AM-Cache (Figure 20).
     fn cached_lookup(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
         if self.pcache.enabled() {
-            return self.leased_lookup(path, stats);
+            let ttl = self.pcache.config().lease_ttl;
+            return self.pcache.resolve(
+                path,
+                "proxy",
+                stats,
+                |stats| {
+                    self.with_failover(stats, |stats| self.index.lookup_leased(path, ttl, stats))
+                },
+                |stats| self.with_failover(stats, |stats| self.index.lease_check(path, ttl, stats)),
+            );
         }
         if let Some(prefix) = self.amcache.prefix_of(path) {
             if let Some(hit) = self.amcache.get(&prefix) {
@@ -373,77 +378,6 @@ impl MantleCluster {
             );
         }
         Ok(resolved)
-    }
-
-    /// Resolution through the path-lease cache: a live entry answers with
-    /// zero RPCs; an expired one is revalidated with a single version-check
-    /// RPC; a miss resolves fully and installs a lease. The `LeaseExpire`
-    /// fault demotes live hits and `StaleRead` vetoes matching
-    /// revalidations — both only *add* coherence work, never skip it.
-    fn leased_lookup(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
-        let ttl = self.pcache.config().lease_ttl;
-        let force_expire = self
-            .pcache_faults
-            .get()
-            .is_some_and(|plan| plan.lease_expires("proxy"));
-        match self.pcache.probe(path, force_expire) {
-            LeaseProbe::Hit(lease) => {
-                stats.cache_hits += 1;
-                Ok(ResolvedPath {
-                    id: lease.pid,
-                    permission: lease.permission,
-                })
-            }
-            LeaseProbe::NegativeHit => {
-                stats.cache_hits += 1;
-                Err(MetaError::NotFound(path.to_string()))
-            }
-            LeaseProbe::Expired(old) => {
-                let token = self.pcache.begin();
-                match self.with_failover(stats, |stats| self.index.lease_check(path, ttl, stats)) {
-                    Ok(fresh) => {
-                        let stale_read = self
-                            .pcache_faults
-                            .get()
-                            .is_some_and(|plan| plan.stale_read_fires("proxy"));
-                        let matched = fresh.resolved.id == old.pid
-                            && fresh.version == old.version
-                            && !stale_read;
-                        let dropped = self.pcache.revalidated(path, matched, &fresh, token, stats);
-                        if matched {
-                            stats.cache_revalidations += 1;
-                        } else {
-                            stats.cache_invalidations += dropped as u32;
-                        }
-                        Ok(fresh.resolved)
-                    }
-                    Err(e @ MetaError::NotFound(_)) => {
-                        // The directory is gone: the lease (and anything
-                        // cached beneath it) is dead.
-                        stats.cache_invalidations +=
-                            self.pcache.revalidated_gone(path, token, stats) as u32;
-                        Err(e)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            LeaseProbe::Miss | LeaseProbe::Disabled => {
-                stats.cache_misses += 1;
-                let token = self.pcache.begin();
-                match self.with_failover(stats, |stats| self.index.lookup_leased(path, ttl, stats))
-                {
-                    Ok(fresh) => {
-                        self.pcache.fill(path, &fresh, token, stats);
-                        Ok(fresh.resolved)
-                    }
-                    Err(e @ MetaError::NotFound(_)) => {
-                        self.pcache.fill_negative(path, token, stats);
-                        Err(e)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-        }
     }
 
     /// Resolves the parent directory of `path` and returns
@@ -648,7 +582,7 @@ impl MetadataService for MantleCluster {
             if !dir.permission.allows(Permission::READ) {
                 return Err(MetaError::PermissionDenied(path.to_string()));
             }
-            Ok(self.db.readdir(dir.id, stats))
+            self.db.readdir(dir.id, stats)
         })
     }
 
@@ -665,7 +599,7 @@ impl MetadataService for MantleCluster {
             if !dir.permission.allows(Permission::READ) {
                 return Err(MetaError::PermissionDenied(path.to_string()));
             }
-            Ok(self.db.readdir_page(dir.id, start_after, limit, stats))
+            self.db.readdir_page(dir.id, start_after, limit, stats)
         })
     }
 

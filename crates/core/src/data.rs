@@ -43,9 +43,7 @@ impl DataService {
         &self.nodes[i % self.nodes.len()]
     }
 
-    /// Installs (or clears) a fault plan on every data node. Data-path
-    /// RPCs use the infallible wrappers, so injected drops/timeouts are
-    /// absorbed as internal retries rather than surfaced to callers.
+    /// Installs (or clears) a fault plan on every data node.
     pub fn install_faults(&self, plan: Option<std::sync::Arc<mantle_rpc::FaultPlan>>) {
         for n in &self.nodes {
             n.set_faults(plan.clone());
@@ -53,38 +51,48 @@ impl DataService {
     }
 
     /// Writes an object of `size` bytes, returning its blob handle.
-    pub fn write(&self, size: u64, stats: &mut RequestCtx) -> u64 {
+    ///
+    /// # Errors
+    ///
+    /// Transport and admission errors of the data node's RPC (all
+    /// rejected before the write runs).
+    pub fn write(&self, size: u64, stats: &mut RequestCtx) -> Result<u64> {
         let blob = self.next_blob.fetch_add(1, Ordering::Relaxed);
-        self.node().rpc(stats, || {
+        self.node().try_rpc_named(stats, "data_write", || {
             mantle_rpc::device_access(&self.config);
             self.blobs.lock().insert(blob, size);
-        });
-        blob
+        })?;
+        Ok(blob)
     }
 
     /// Reads an object by blob handle, returning its size.
     ///
     /// # Errors
     ///
-    /// [`MetaError::NotFound`] for an unknown handle.
+    /// [`MetaError::NotFound`] for an unknown handle; transport and
+    /// admission errors of the data node's RPC.
     pub fn read(&self, blob: u64, stats: &mut RequestCtx) -> Result<u64> {
-        self.node().rpc(stats, || {
+        self.node().try_rpc_named(stats, "data_read", || {
             mantle_rpc::device_access(&self.config);
             self.blobs
                 .lock()
                 .get(&blob)
                 .copied()
                 .ok_or_else(|| MetaError::NotFound(format!("blob {blob}")))
-        })
+        })?
     }
 
     /// Deletes a blob. Unknown handles are ignored (idempotent GC-style
     /// deletion, as in real object stores).
-    pub fn delete(&self, blob: u64, stats: &mut RequestCtx) {
-        self.node().rpc(stats, || {
+    ///
+    /// # Errors
+    ///
+    /// Transport and admission errors of the data node's RPC.
+    pub fn delete(&self, blob: u64, stats: &mut RequestCtx) -> Result<()> {
+        self.node().try_rpc_named(stats, "data_delete", || {
             mantle_rpc::device_access(&self.config);
             self.blobs.lock().remove(&blob);
-        });
+        })
     }
 
     /// Registers a blob without paying simulated delays (bulk population).
@@ -113,9 +121,9 @@ mod tests {
     fn write_read_delete_cycle() {
         let data = DataService::new(SimConfig::instant(), 4);
         let mut stats = RequestCtx::new();
-        let blob = data.write(4096, &mut stats);
+        let blob = data.write(4096, &mut stats).unwrap();
         assert_eq!(data.read(blob, &mut stats).unwrap(), 4096);
-        data.delete(blob, &mut stats);
+        data.delete(blob, &mut stats).unwrap();
         assert!(matches!(
             data.read(blob, &mut stats),
             Err(MetaError::NotFound(_))

@@ -23,18 +23,24 @@
 //! charges, zero fault-roll consumption).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use mantle_rpc::{FaultPlan, FaultSlot};
 use mantle_sync::PrefixTree;
 use mantle_types::{
     clock::{self, SimInstant},
     InodeId,
     LeasedPath,
+    MetaError,
     MetaPath,
     OpStats,
     Permission,
+    RequestCtx,
+    ResolvedPath,
+    Result,
     RetryClass, //
 };
 
@@ -268,6 +274,9 @@ pub struct PathLeaseCache {
     config: PathLeaseConfig,
     inner: Mutex<Inner>,
     metrics: PathCacheMetrics,
+    /// Fault plan driving the `LeaseExpire`/`StaleRead` probe faults (a
+    /// proxy has no `SimNode` of its own to carry one).
+    faults: FaultSlot,
 }
 
 /// Obs handles, created once so the probe hot path stays cheap.
@@ -309,7 +318,14 @@ impl PathLeaseCache {
                 rejected_fills: 0,
             }),
             metrics: PathCacheMetrics::new(system),
+            faults: FaultSlot::new(),
         }
+    }
+
+    /// Installs (or, with `None`, clears) the plan behind the probe faults
+    /// of [`PathLeaseCache::resolve`].
+    pub fn install_faults(&self, plan: Option<Arc<FaultPlan>>) {
+        self.faults.install(plan);
     }
 
     /// The active configuration.
@@ -320,6 +336,88 @@ impl PathLeaseCache {
     /// Whether the cache participates in resolution at all.
     pub fn enabled(&self) -> bool {
         self.config.enabled
+    }
+
+    /// One resolution of `path` through the cache: a live entry answers
+    /// with zero RPCs; an expired one is checked with `revalidate` (one
+    /// version-check round for Mantle, a full re-resolve for InfiniFS) and
+    /// renewed when `(pid, version)` still match; a miss runs `resolve`
+    /// and installs a lease. `NotFound` verdicts are cached negatively.
+    /// Both closures run under a [`PathLeaseCache::begin`] token, so a
+    /// result that raced an invalidation is returned but not cached.
+    ///
+    /// `fault_site` names this proxy to the installed fault plan: the
+    /// `LeaseExpire` fault demotes live hits and `StaleRead` vetoes
+    /// matching revalidations — both only *add* coherence work, never skip
+    /// it.
+    pub fn resolve(
+        &self,
+        path: &MetaPath,
+        fault_site: &str,
+        ctx: &mut RequestCtx,
+        resolve: impl FnOnce(&mut RequestCtx) -> Result<LeasedPath>,
+        revalidate: impl FnOnce(&mut RequestCtx) -> Result<LeasedPath>,
+    ) -> Result<ResolvedPath> {
+        let force_expire = self
+            .faults
+            .get()
+            .is_some_and(|plan| plan.lease_expires(fault_site));
+        match self.probe(path, force_expire) {
+            LeaseProbe::Hit(lease) => {
+                ctx.cache_hits += 1;
+                Ok(ResolvedPath {
+                    id: lease.pid,
+                    permission: lease.permission,
+                })
+            }
+            LeaseProbe::NegativeHit => {
+                ctx.cache_hits += 1;
+                Err(MetaError::NotFound(path.to_string()))
+            }
+            LeaseProbe::Expired(old) => {
+                let token = self.begin();
+                match revalidate(ctx) {
+                    Ok(fresh) => {
+                        let stale_read = self
+                            .faults
+                            .get()
+                            .is_some_and(|plan| plan.stale_read_fires(fault_site));
+                        let matched = fresh.resolved.id == old.pid
+                            && fresh.version == old.version
+                            && !stale_read;
+                        let dropped = self.revalidated(path, matched, &fresh, token, ctx);
+                        if matched {
+                            ctx.cache_revalidations += 1;
+                        } else {
+                            ctx.cache_invalidations += dropped as u32;
+                        }
+                        Ok(fresh.resolved)
+                    }
+                    Err(e @ MetaError::NotFound(_)) => {
+                        // The directory is gone: the lease (and anything
+                        // cached beneath it) is dead.
+                        ctx.cache_invalidations += self.revalidated_gone(path, token, ctx) as u32;
+                        Err(e)
+                    }
+                    Err(e) => Err(e),
+                }
+            }
+            LeaseProbe::Miss | LeaseProbe::Disabled => {
+                ctx.cache_misses += 1;
+                let token = self.begin();
+                match resolve(ctx) {
+                    Ok(fresh) => {
+                        self.fill(path, &fresh, token, ctx);
+                        Ok(fresh.resolved)
+                    }
+                    Err(e @ MetaError::NotFound(_)) => {
+                        self.fill_negative(path, token, ctx);
+                        Err(e)
+                    }
+                    Err(e) => Err(e),
+                }
+            }
+        }
     }
 
     /// Probes the cache. `force_expire` (the `LeaseExpire` fault) demotes a

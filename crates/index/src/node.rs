@@ -365,7 +365,7 @@ impl IndexNode {
         // replication is I/O and does not occupy a core — the Raft
         // pipeline itself (bounded AppendEntries batches over the injected
         // network/fsync delays) is the write-throughput ceiling.
-        leader.node().rpc_named(stats, "index_propose", || ());
+        leader.node().try_rpc_named(stats, "index_propose", || ())?;
         leader.propose(cmd).map_err(Self::map_raft)?;
         Ok(())
     }

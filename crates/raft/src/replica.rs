@@ -7,11 +7,11 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use mantle_obs::{Counter, Gauge, HistogramMetric};
-use mantle_rpc::SimNode;
+use mantle_rpc::{faults, SimNode};
 use mantle_store::GroupCommitWal;
 use mantle_types::clock::{self, TimeCategory};
 use mantle_types::snapshot::{frame, unframe};
-use mantle_types::{RequestCtx, SimConfig};
+use mantle_types::{MetaError, RequestCtx, SimConfig};
 
 /// Group-shared role-change signal: bumped whenever any replica's role (or
 /// liveness) changes, so waiters like [`crate::RaftGroup::await_leader`]
@@ -683,6 +683,7 @@ impl<SM: StateMachine> RaftReplica<SM> {
             }
         }
         const NO_LEADER: u64 = u64::MAX;
+        let mut expired = false;
         let ci = self.read_batcher.query(|| {
             let leader = (0..self.group_size)
                 .filter(|i| *i != self.id)
@@ -690,12 +691,32 @@ impl<SM: StateMachine> RaftReplica<SM> {
                 .find(|p| p.is_leader());
             match leader {
                 Some(l) if self.edge_cut(&l) => NO_LEADER,
-                Some(l) => l.node.rpc_named(stats, "read_index", || l.commit_index()),
+                Some(l) => {
+                    // The query travels follower -> leader, whoever the
+                    // client thread driving it is.
+                    let _from = l.node.faults().map(|_| faults::as_node(self.node.name()));
+                    match l
+                        .node
+                        .try_rpc_named(stats, "read_index", || l.commit_index())
+                    {
+                        Ok(ci) => ci,
+                        Err(e) => {
+                            expired = matches!(e, MetaError::DeadlineExceeded(_));
+                            NO_LEADER
+                        }
+                    }
+                }
                 None => NO_LEADER,
             }
         });
         if ci == NO_LEADER {
-            return Err(RaftError::Unavailable);
+            // Readers that joined this batch see `Unavailable` and retry;
+            // only the batch leader's own deadline aborts its own read.
+            return Err(if expired {
+                RaftError::DeadlineExceeded
+            } else {
+                RaftError::Unavailable
+            });
         }
 
         let mut g = self.inner.lock();

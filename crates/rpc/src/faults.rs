@@ -413,9 +413,9 @@ impl FaultPlan {
 
     // ---- transport faults ----------------------------------------------
 
-    /// Full fault decision for one RPC attempt `caller -> node`, used by
-    /// the fallible `SimNode::try_rpc_*` paths: topology (partition, node
-    /// down) is enforced, then the probabilistic drop/timeout/spike rolls.
+    /// Full fault decision for one RPC attempt `caller -> node`, consulted
+    /// by every `SimNode` RPC: topology (partition, node down) is enforced,
+    /// then the probabilistic drop/timeout/spike rolls.
     pub fn rpc_fault(&self, caller: &str, node: &str, op: &str) -> Option<RpcFault> {
         if self.topology_active.load(Ordering::Relaxed) {
             let topo = self.topology.read();
@@ -441,12 +441,9 @@ impl FaultPlan {
         self.probabilistic_rpc_fault(node, op)
     }
 
-    /// Probabilistic-only decision (drop/timeout/spike), used by the
-    /// infallible `SimNode::rpc*` wrappers, which absorb faults with an
-    /// internal bounded retry and therefore must not observe unbounded
-    /// topology faults. Services that can surface errors use
-    /// [`FaultPlan::rpc_fault`] via `try_rpc_*` instead.
-    pub fn probabilistic_rpc_fault(&self, node: &str, op: &str) -> Option<RpcFault> {
+    /// The probabilistic half of [`FaultPlan::rpc_fault`]: the
+    /// drop/timeout/spike rolls for one attempt against `node`.
+    fn probabilistic_rpc_fault(&self, node: &str, op: &str) -> Option<RpcFault> {
         let p = &self.profile;
         if self
             .roll(FaultKind::RpcDrop, node, p.rpc_drop_prob)

@@ -22,7 +22,10 @@ pub mod retry;
 
 pub use faults::{splitmix64, FaultEvent, FaultKind, FaultPlan, FaultProfile, FaultSlot, RpcFault};
 pub use node::{NodeSnapshot, SimNode};
-pub use retry::{classify_failover, classify_rename, classify_txn, Pacing, RetryPolicy};
+pub use retry::{
+    classify_failover, classify_rename, classify_txn, deliver_batched, deliver_named, Pacing,
+    RetryPolicy,
+};
 
 use std::time::Duration;
 

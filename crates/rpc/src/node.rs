@@ -6,7 +6,7 @@ use std::sync::Arc;
 use mantle_obs::{trace, Counter, Gauge, HistogramMetric};
 use mantle_sync::Semaphore;
 use mantle_types::clock::{self, TimeCategory};
-use mantle_types::{MetaError, OpStats, RequestCtx, RetryClass, SimConfig};
+use mantle_types::{MetaError, RequestCtx, SimConfig};
 
 use crate::faults::{self, FaultPlan, FaultSlot, RpcFault};
 
@@ -48,10 +48,11 @@ impl NodeMetrics {
 
 /// One simulated server.
 ///
-/// A node is addressed by in-process method calls; [`SimNode::rpc`] makes a
-/// call look like a remote request (network round trip + admission queue +
-/// service time), while [`SimNode::execute`] models node-local work (no
-/// network, but still bounded by the node's capacity).
+/// A node is addressed by in-process method calls;
+/// [`SimNode::try_rpc_named`] makes a call look like a remote request
+/// (network round trip + admission queue + service time), while
+/// [`SimNode::execute`] models node-local work (no network, but still
+/// bounded by the node's capacity).
 pub struct SimNode {
     name: String,
     config: SimConfig,
@@ -111,41 +112,46 @@ impl SimNode {
         &self.config
     }
 
-    /// Executes `f` as a *remote* request against this node: injects one
-    /// network round trip, waits for an execution permit, charges the
-    /// service time, and records the RPC in `stats`.
-    pub fn rpc<R>(&self, ctx: &mut RequestCtx, f: impl FnOnce() -> R) -> R {
-        self.rpc_named(ctx, "rpc", f)
-    }
-
-    /// [`SimNode::rpc`] with an operation name recorded on the trace span.
+    /// Executes `f` as a *remote* request against this node: one network
+    /// round trip, admission control, an execution permit and the service
+    /// time, with the RPC recorded in `ctx` and as a trace span named `op`.
     ///
-    /// Infallible: probabilistic transport faults (drops/timeouts/spikes)
-    /// from an installed [`FaultPlan`] are absorbed by an internal bounded
-    /// re-send loop — each lost request burns its wait, re-counts as an
-    /// RPC, and bumps `stats.transient_retries`. Topology faults
-    /// (partitions, crashed nodes) are only enforced on the fallible
-    /// [`SimNode::try_rpc_named`] path, which services with an error
-    /// channel use — as are admission sheds and deadline aborts, which
-    /// need an error channel too.
-    pub fn rpc_named<R>(&self, ctx: &mut RequestCtx, op: &str, f: impl FnOnce() -> R) -> R {
-        ctx.rpc();
-        self.metrics.rpcs.inc();
-        let _span = trace::rpc_span(op, &self.name);
-        self.absorb_transport_faults(ctx, op);
-        trace::note_injected_on_current(self.config.rtt().as_nanos() as u64);
-        crate::net_round_trip(&self.config);
-        self.execute(f)
-    }
-
-    /// Fallible [`SimNode::rpc_named`]: consults the installed
-    /// [`FaultPlan`] (topology *and* probabilistic faults) and surfaces an
-    /// injected fault as [`MetaError::Transient`] **before** `f` executes,
-    /// so a caller retry never duplicates work (request-loss semantics).
+    /// The installed [`FaultPlan`] is consulted first (topology *and*
+    /// probabilistic faults) and an injected fault surfaces as
+    /// [`MetaError::Transient`] **before** `f` executes, so a caller retry
+    /// never duplicates work (request-loss semantics). Admission sheds
+    /// ([`MetaError::Overloaded`]) and expired deadlines
+    /// ([`MetaError::DeadlineExceeded`]) likewise reject before any service
+    /// time is charged.
     pub fn try_rpc_named<R>(
         &self,
         ctx: &mut RequestCtx,
         op: &str,
+        f: impl FnOnce() -> R,
+    ) -> Result<R, MetaError> {
+        self.call(ctx, op, true, f)
+    }
+
+    /// [`SimNode::try_rpc_named`] for one leg of a batch whose network
+    /// round trip the caller pays once for all legs: recorded in `ctx` and
+    /// on the trace, but injects no network delay of its own.
+    pub fn try_rpc_batched<R>(
+        &self,
+        ctx: &mut RequestCtx,
+        op: &str,
+        f: impl FnOnce() -> R,
+    ) -> Result<R, MetaError> {
+        self.call(ctx, op, false, f)
+    }
+
+    /// The one request path behind both public names; `own_round_trip`
+    /// selects whether this request injects its own network round trip.
+    #[inline]
+    fn call<R>(
+        &self,
+        ctx: &mut RequestCtx,
+        op: &str,
+        own_round_trip: bool,
         f: impl FnOnce() -> R,
     ) -> Result<R, MetaError> {
         ctx.rpc();
@@ -176,60 +182,9 @@ impl SimNode {
                 }
             }
         }
-        trace::note_injected_on_current(self.config.rtt().as_nanos() as u64);
-        crate::net_round_trip(&self.config);
-        self.admit(ctx, op)?;
-        Ok(self.execute(f))
-    }
-
-    /// Executes `f` as a *remote* request whose network round trip is shared
-    /// with other requests in the same batch (the caller pays the round trip
-    /// once): records the RPC in `stats` and on the trace, but injects no
-    /// network delay of its own. Absorbs probabilistic faults like
-    /// [`SimNode::rpc_named`].
-    pub fn rpc_batched<R>(&self, ctx: &mut RequestCtx, op: &str, f: impl FnOnce() -> R) -> R {
-        ctx.rpc();
-        self.metrics.rpcs.inc();
-        let _span = trace::rpc_span(op, &self.name);
-        self.absorb_transport_faults(ctx, op);
-        self.execute(f)
-    }
-
-    /// Fallible [`SimNode::rpc_batched`] with full fault-plan enforcement;
-    /// see [`SimNode::try_rpc_named`].
-    pub fn try_rpc_batched<R>(
-        &self,
-        ctx: &mut RequestCtx,
-        op: &str,
-        f: impl FnOnce() -> R,
-    ) -> Result<R, MetaError> {
-        ctx.rpc();
-        self.metrics.rpcs.inc();
-        let _span = trace::rpc_span(op, &self.name);
-        if let Some(fault) = self.decide_fault(op) {
-            match fault {
-                RpcFault::Deny { kind, wait } => {
-                    mantle_obs::flight::annotate_with(|| {
-                        format!(
-                            "fault:deny kind={} node={} op={op}",
-                            kind.label(),
-                            self.name
-                        )
-                    });
-                    crate::inject_delay_as(TimeCategory::Fault, wait);
-                    return Err(MetaError::Transient {
-                        kind: kind.label().to_string(),
-                        at: self.name.clone(),
-                    });
-                }
-                RpcFault::Spike { extra } => {
-                    mantle_obs::flight::annotate_with(|| {
-                        format!("fault:spike node={} op={op}", self.name)
-                    });
-                    trace::note_injected_on_current(extra.as_nanos() as u64);
-                    crate::inject_delay_as(TimeCategory::Fault, extra);
-                }
-            }
+        if own_round_trip {
+            trace::note_injected_on_current(self.config.rtt().as_nanos() as u64);
+            crate::net_round_trip(&self.config);
         }
         self.admit(ctx, op)?;
         Ok(self.execute(f))
@@ -242,38 +197,7 @@ impl SimNode {
         plan.rpc_fault(&faults::current_caller(), &self.name, op)
     }
 
-    /// Re-send loop for the infallible `rpc*` wrappers: burns the wait of
-    /// each dropped/timed-out request and retries until the plan lets one
-    /// through (bounded as a hang backstop; probabilities are < 1).
-    fn absorb_transport_faults(&self, stats: &mut OpStats, op: &str) {
-        let Some(plan) = self.faults.get() else {
-            return;
-        };
-        for _ in 0..10_000 {
-            match plan.probabilistic_rpc_fault(&self.name, op) {
-                None => return,
-                Some(RpcFault::Spike { extra }) => {
-                    mantle_obs::flight::annotate_with(|| {
-                        format!("fault:spike node={} op={op}", self.name)
-                    });
-                    trace::note_injected_on_current(extra.as_nanos() as u64);
-                    crate::inject_delay_as(TimeCategory::Fault, extra);
-                    return;
-                }
-                Some(RpcFault::Deny { wait, .. }) => {
-                    mantle_obs::flight::annotate_with(|| {
-                        format!("fault:resend node={} op={op}", self.name)
-                    });
-                    stats.note_retry(RetryClass::Transient);
-                    stats.rpc();
-                    self.metrics.rpcs.inc();
-                    crate::inject_delay_as(TimeCategory::Fault, wait);
-                }
-            }
-        }
-    }
-
-    /// Admission control for the fallible RPC paths, in DESIGN.md §4.14
+    /// Admission control for every RPC, in DESIGN.md §4.14
     /// order: bounded-queue shed check, then deadline check, both *before*
     /// any service time is charged.
     ///
@@ -447,6 +371,7 @@ pub struct NodeSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mantle_types::OpStats;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -454,8 +379,8 @@ mod tests {
     fn rpc_counts_and_serves() {
         let node = SimNode::new("db0", usize::MAX, SimConfig::instant());
         let mut stats = RequestCtx::new();
-        let out = node.rpc(&mut stats, || 7);
-        assert_eq!(out, 7);
+        let out = node.try_rpc_named(&mut stats, "seven", || 7);
+        assert_eq!(out, Ok(7));
         assert_eq!(stats.rpcs, 1);
         assert_eq!(node.snapshot().served, 1);
     }
@@ -477,7 +402,7 @@ mod tests {
         let node = SimNode::new("db0", usize::MAX, config);
         let mut stats = RequestCtx::new();
         let t0 = clock::now();
-        node.rpc(&mut stats, || ());
+        node.try_rpc_named(&mut stats, "ping", || ()).unwrap();
         assert!(t0.elapsed() >= Duration::from_micros(2_000));
         if clock::is_virtual() {
             // Exactly one round trip, nothing else, no jitter.
@@ -492,8 +417,8 @@ mod tests {
         let node = SimNode::new("db0", usize::MAX, config);
         let mut stats = RequestCtx::new();
         let t0 = clock::now();
-        let out = node.rpc_batched(&mut stats, "get_entry", || 3);
-        assert_eq!(out, 3);
+        let out = node.try_rpc_batched(&mut stats, "get_entry", || 3);
+        assert_eq!(out, Ok(3));
         assert_eq!(stats.rpcs, 1);
         assert!(
             t0.elapsed() < Duration::from_micros(50_000),
@@ -506,8 +431,9 @@ mod tests {
         let node = SimNode::new("db7", usize::MAX, SimConfig::instant());
         let mut stats = RequestCtx::new();
         let guard = mantle_obs::trace::start_forced("test_op").expect("trace starts");
-        node.rpc_named(&mut stats, "ping", || ());
-        node.rpc_batched(&mut stats, "ping_batched", || ());
+        node.try_rpc_named(&mut stats, "ping", || ()).unwrap();
+        node.try_rpc_batched(&mut stats, "ping_batched", || ())
+            .unwrap();
         let trace = guard.finish();
         assert_eq!(trace.rpc_count(), 2);
         assert!(trace

@@ -20,6 +20,11 @@
 //!   [`splitmix64`](crate::faults::splitmix64) mixer as a pure function of
 //!   `(salt, attempt)`; all built-in curves default to zero jitter so
 //!   virtual-clock latency pins hold exactly.
+//!
+//! Beside it live [`deliver_named`] / [`deliver_batched`], the one
+//! must-deliver send under the two RPC names: messages that
+//! carry a decision already made are re-sent until served instead of
+//! surfacing an error the sender could do nothing with.
 
 use std::time::Duration;
 
@@ -27,6 +32,7 @@ use mantle_types::clock::{self, TimeCategory};
 use mantle_types::{MetaError, RequestCtx, Result, RetryClass};
 
 use crate::faults::splitmix64;
+use crate::node::SimNode;
 
 /// How the engine waits out a backoff, mirroring the pacing rules of the
 /// loops it replaced. The distinction matters because the virtual clock
@@ -247,6 +253,70 @@ impl RetryPolicy {
     }
 }
 
+/// Re-sends after which [`deliver_named`] stops waiting for the network (about
+/// five seconds of failover-paced real time, far past any injected partition).
+const MAX_RESENDS: u32 = 1_000;
+
+/// Must-deliver send, for messages that carry a decision already made (2PC
+/// commit/abort, a rename-coordinator unlock): the sender cannot give up,
+/// so a request lost to an injected fault or shed by admission is re-sent
+/// until it is served. Each re-send books one more RPC and one
+/// [`RetryClass::Transient`] retry on `ctx` and is paced like
+/// [`RetryPolicy::failover`], so a partition has real time to heal. The
+/// op's deadline and offered-arrival stamp describe the client's request,
+/// not this message, and are lifted for the delivery.
+///
+/// Bounded as a hang backstop: the simulation has no recovery protocol for
+/// a participant that never becomes reachable, so after `MAX_RESENDS` the
+/// work runs on `node` without a network leg rather than leaking locks.
+///
+/// This is the [`SimNode::try_rpc_named`] form (each send pays its own
+/// round trip); [`deliver_batched`] is the [`SimNode::try_rpc_batched`] one.
+pub fn deliver_named<R>(ctx: &mut RequestCtx, node: &SimNode, op: &str, f: impl FnMut() -> R) -> R {
+    deliver(ctx, node, op, f, |ctx, f| node.try_rpc_named(ctx, op, f))
+}
+
+/// [`deliver_named`] for one leg of a batch whose round trip the caller
+/// pays once for all legs.
+pub fn deliver_batched<R>(
+    ctx: &mut RequestCtx,
+    node: &SimNode,
+    op: &str,
+    f: impl FnMut() -> R,
+) -> R {
+    deliver(ctx, node, op, f, |ctx, f| node.try_rpc_batched(ctx, op, f))
+}
+
+fn deliver<R, F: FnMut() -> R>(
+    ctx: &mut RequestCtx,
+    node: &SimNode,
+    op: &str,
+    mut f: F,
+    send: impl Fn(&mut RequestCtx, &mut F) -> Result<R>,
+) -> R {
+    let deadline = ctx.deadline.take();
+    let arrival = ctx.arrival_nanos.take();
+    let pacing = RetryPolicy::failover(MAX_RESENDS);
+    let mut resends = 0;
+    let out = loop {
+        match send(ctx, &mut f) {
+            Ok(out) => break out,
+            Err(_) if resends < MAX_RESENDS => {
+                resends += 1;
+                ctx.note_retry(RetryClass::Transient);
+                mantle_obs::flight::annotate_with(|| {
+                    format!("fault:resend node={} op={op}", node.name())
+                });
+                pacing.pause(resends);
+            }
+            Err(_) => break node.execute(&mut f),
+        }
+    };
+    ctx.deadline = deadline;
+    ctx.arrival_nanos = arrival;
+    out
+}
+
 /// Classifier for the failover loop: unavailability, transient transport
 /// faults, stale routes and admission sheds are absorbed; everything else
 /// surfaces.
@@ -350,7 +420,7 @@ mod tests {
         );
         assert_eq!(out.unwrap(), 7);
         assert_eq!(attempts, 3);
-        assert_eq!(ctx.txn_retries(), 3);
+        assert_eq!(ctx.retry_count(RetryClass::Txn), 3);
     }
 
     #[test]
@@ -411,6 +481,30 @@ mod tests {
         );
         assert!(matches!(out, Err(MetaError::NotFound(_))));
         assert_eq!(attempts, 0);
+    }
+
+    #[test]
+    fn deliver_resends_until_served_and_ignores_the_deadline() {
+        use crate::faults::{FaultPlan, FaultProfile};
+        use mantle_types::SimConfig;
+
+        let node = SimNode::new("deliver0", usize::MAX, SimConfig::instant());
+        let mut profile = FaultProfile::zeroed();
+        profile.rpc_drop_prob = 0.7;
+        node.set_faults(Some(FaultPlan::new(1, profile)));
+
+        // An expired deadline would abort an ordinary request in admission.
+        let mut ctx = RequestCtx::new().with_deadline(clock::now());
+        let mut ran = 0;
+        for i in 0..20 {
+            deliver_batched(&mut ctx, &node, "commit", || ran += 1);
+            assert_eq!(ran, i + 1, "delivered work must run exactly once");
+        }
+        let resends = ctx.retry_count(RetryClass::Transient);
+        assert!(resends > 0, "the drop storm never fired");
+        assert_eq!(ctx.rpcs, 20 + resends, "one RPC booked per (re-)send");
+        assert!(ctx.deadline.is_some(), "the op's deadline is restored");
+        assert_eq!(node.snapshot().deadline_aborts, 0);
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! Single-node ordered storage engine.
+//! Per-shard transaction plumbing: row keys, row locks and commit
+//! durability.
 //!
-//! Each TafDB shard (and each baseline's metadata table) sits on one
-//! [`KvStore`]: an ordered map over composite [`RowKey`]s
-//! `(pid, name, ts)`. The key layout is exactly Figure 2's/Figure 8's
-//! schema: metadata tables are primary-keyed by parent directory id and
-//! entry name, and delta records extend the key with the transaction
-//! timestamp `ts` (the base attribute row has `ts = 0`).
+//! Rows themselves live behind `mantle_engine::StorageEngine`; this crate
+//! holds what every engine and every shard shares:
 //!
-//! The engine deliberately separates three concerns:
-//!
-//! * [`KvStore`] — the ordered data itself (get/put/delete/range scans);
+//! * [`RowKey`] — the composite `(pid, name, ts)` primary key of Figure
+//!   2's/Figure 8's schema: metadata tables are keyed by parent directory
+//!   id and entry name, and delta records extend the key with the
+//!   transaction timestamp `ts` (the base attribute row has `ts = 0`);
 //! * [`LockManager`] — transaction row locks with *no-wait* conflict
 //!   handling: a conflicting lock acquisition fails immediately and the
 //!   transaction aborts and retries, which is the abort/retry behaviour the
@@ -18,10 +16,10 @@
 //!   one injected fsync, and the batching can be disabled to reproduce the
 //!   un-amortized baseline.
 
-pub mod kv;
+pub mod key;
 pub mod locks;
 pub mod wal;
 
-pub use kv::{KvStore, RowKey};
+pub use key::RowKey;
 pub use locks::{LockManager, LockMode};
 pub use wal::GroupCommitWal;

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::kv::RowKey;
+use crate::key::RowKey;
 use mantle_types::TxnId;
 
 /// Lock mode for a row.

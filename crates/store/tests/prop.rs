@@ -1,87 +1,13 @@
-//! Property tests: KvStore against a BTreeMap model; LockManager
-//! compatibility matrix.
+//! Property test: the LockManager compatibility matrix.
 
 use std::collections::BTreeMap;
 
-use mantle_store::{KvStore, LockManager, LockMode, RowKey};
+use mantle_store::{LockManager, LockMode, RowKey};
 use mantle_types::{InodeId, TxnId};
 use proptest::prelude::*;
 
-fn arb_key() -> impl Strategy<Value = RowKey> {
-    (
-        0u64..6,
-        prop::sample::select(vec!["a", "b", "/_ATTR", "c"]),
-        0u64..4,
-    )
-        .prop_map(|(pid, name, ts)| RowKey {
-            pid: InodeId(pid),
-            name: name.into(),
-            ts: TxnId(ts),
-        })
-}
-
-#[derive(Clone, Debug)]
-enum Op {
-    Put(RowKey, u32),
-    PutIfAbsent(RowKey, u32),
-    Delete(RowKey),
-    ScanDir(u64),
-    ScanVersions(u64, &'static str),
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (arb_key(), any::<u32>()).prop_map(|(k, v)| Op::Put(k, v)),
-        (arb_key(), any::<u32>()).prop_map(|(k, v)| Op::PutIfAbsent(k, v)),
-        arb_key().prop_map(Op::Delete),
-        (0u64..6).prop_map(Op::ScanDir),
-        ((0u64..6), prop::sample::select(vec!["a", "/_ATTR"]))
-            .prop_map(|(p, n)| Op::ScanVersions(p, n)),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn kv_store_matches_btreemap_model(ops in prop::collection::vec(arb_op(), 1..80)) {
-        let store: KvStore<u32> = KvStore::new();
-        let mut model: BTreeMap<RowKey, u32> = BTreeMap::new();
-        for op in ops {
-            match op {
-                Op::Put(k, v) => {
-                    prop_assert_eq!(store.put(k.clone(), v), model.insert(k, v));
-                }
-                Op::PutIfAbsent(k, v) => {
-                    let fresh = store.put_if_absent(k.clone(), v);
-                    prop_assert_eq!(fresh, !model.contains_key(&k));
-                    model.entry(k).or_insert(v);
-                }
-                Op::Delete(k) => {
-                    prop_assert_eq!(store.delete(&k), model.remove(&k));
-                }
-                Op::ScanDir(pid) => {
-                    let got = store.scan_dir(InodeId(pid), "", usize::MAX);
-                    let want: Vec<(RowKey, u32)> = model
-                        .iter()
-                        .filter(|(k, _)| k.pid == InodeId(pid))
-                        .map(|(k, v)| (k.clone(), *v))
-                        .collect();
-                    prop_assert_eq!(got, want);
-                }
-                Op::ScanVersions(pid, name) => {
-                    let got = store.scan_versions(InodeId(pid), name);
-                    let want: Vec<(RowKey, u32)> = model
-                        .iter()
-                        .filter(|(k, _)| k.pid == InodeId(pid) && k.name.as_ref() == name)
-                        .map(|(k, v)| (k.clone(), *v))
-                        .collect();
-                    prop_assert_eq!(got, want);
-                }
-            }
-            prop_assert_eq!(store.len(), model.len());
-        }
-    }
 
     /// The lock manager's compatibility matrix: shared/shared compatible,
     /// anything with exclusive incompatible — across arbitrary interleaved

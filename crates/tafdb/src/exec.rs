@@ -458,7 +458,9 @@ impl TafDb {
                 stats.rpc();
                 mantle_rpc::net_round_trip(&self.config);
             }
-            shard.node.rpc_batched(stats, "txn_commit", || {
+            // Must-deliver: the decision is made, so a lost or shed commit
+            // message is re-sent until the participant applies it.
+            mantle_rpc::deliver_batched(stats, &shard.node, "txn_commit", || {
                 for w in &sp.writes {
                     self.apply_write(sp.shard, w);
                 }
@@ -489,7 +491,7 @@ impl TafDb {
         mantle_rpc::net_round_trip(&self.config);
         for sp in shards {
             let shard = &self.shards[sp.shard];
-            shard.node.rpc_batched(stats, "txn_abort", || {
+            mantle_rpc::deliver_batched(stats, &shard.node, "txn_abort", || {
                 shard.locks.unlock_all(&sp.locks, txn);
                 for (s, k) in &sp.remote_locks {
                     self.shards[*s].locks.unlock(k, txn);

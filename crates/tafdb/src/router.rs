@@ -89,59 +89,14 @@ impl TafDb {
 
     // --- reads (one RPC to the owning shard) -------------------------------
 
-    /// Reads the entry row of `name` under `pid`.
-    pub fn get_entry(&self, pid: InodeId, name: &str, stats: &mut RequestCtx) -> Option<Row> {
-        let key = entry_key(pid, name);
-        let place = place_of(&key);
-        loop {
-            let (owner, _) = self.route(place);
-            let shard = &self.shards[owner];
-            let row = shard
-                .node
-                .rpc_named(stats, "get_entry", || shard.engine.get(&key));
-            // Owner unchanged ⇒ the shard was authoritative for the whole
-            // read (map swaps precede source-row deletion).
-            if self.map.read().owner(place) == owner {
-                return row;
-            }
-            self.note_stale(stats);
-        }
-    }
-
-    /// Entry read that does *not* inject a network round trip — for callers
-    /// modelling a parallel fan-out where one injected round trip covers a
-    /// whole batch of concurrently issued queries (InfiniFS's speculative
-    /// resolution). The RPC is still counted and still consumes shard-node
-    /// capacity.
-    pub fn get_entry_batched(
+    /// The one entry-read loop: one RPC to the owning shard (with its own
+    /// round trip, or as one leg of a caller-paid fan-out), re-routed while
+    /// the shard map moves underneath it.
+    fn read_entry(
         &self,
         pid: InodeId,
         name: &str,
-        stats: &mut RequestCtx,
-    ) -> Option<Row> {
-        let key = entry_key(pid, name);
-        let place = place_of(&key);
-        loop {
-            let (owner, _) = self.route(place);
-            let shard = &self.shards[owner];
-            let row = shard
-                .node
-                .rpc_batched(stats, "get_entry", || shard.engine.get(&key));
-            if self.map.read().owner(place) == owner {
-                return row;
-            }
-            self.note_stale(stats);
-        }
-    }
-
-    /// Fallible entry read: surfaces injected transport faults (partitions,
-    /// drops, timeouts) as [`MetaError::Transient`] instead of absorbing
-    /// them. The error-returning read paths build on this so chaos tests
-    /// can observe a partitioned shard.
-    fn try_get_entry(
-        &self,
-        pid: InodeId,
-        name: &str,
+        own_round_trip: bool,
         stats: &mut RequestCtx,
     ) -> Result<Option<Row>> {
         let key = entry_key(pid, name);
@@ -149,14 +104,49 @@ impl TafDb {
         loop {
             let (owner, _) = self.route(place);
             let shard = &self.shards[owner];
-            let row = shard
-                .node
-                .try_rpc_named(stats, "get_entry", || shard.engine.get(&key))?;
+            let get = || shard.engine.get(&key);
+            let row = if own_round_trip {
+                shard.node.try_rpc_named(stats, "get_entry", get)?
+            } else {
+                shard.node.try_rpc_batched(stats, "get_entry", get)?
+            };
+            // Owner unchanged ⇒ the shard was authoritative for the whole
+            // read (map swaps precede source-row deletion).
             if self.map.read().owner(place) == owner {
                 return Ok(row);
             }
             self.note_stale(stats);
         }
+    }
+
+    /// Reads the entry row of `name` under `pid`.
+    ///
+    /// # Errors
+    ///
+    /// [`MetaError::Transient`] on an injected transport fault,
+    /// [`MetaError::Overloaded`] / [`MetaError::DeadlineExceeded`] from the
+    /// shard's admission control.
+    pub fn get_entry(
+        &self,
+        pid: InodeId,
+        name: &str,
+        stats: &mut RequestCtx,
+    ) -> Result<Option<Row>> {
+        self.read_entry(pid, name, true, stats)
+    }
+
+    /// [`TafDb::get_entry`] without a network round trip of its own — for
+    /// callers modelling a parallel fan-out where one injected round trip
+    /// covers a whole batch of concurrently issued queries (InfiniFS's
+    /// speculative resolution). The RPC is still counted and still consumes
+    /// shard-node capacity.
+    pub fn get_entry_batched(
+        &self,
+        pid: InodeId,
+        name: &str,
+        stats: &mut RequestCtx,
+    ) -> Result<Option<Row>> {
+        self.read_entry(pid, name, false, stats)
     }
 
     /// One step of level-by-level path resolution: child directory id and
@@ -173,7 +163,7 @@ impl TafDb {
         name: &str,
         stats: &mut RequestCtx,
     ) -> Result<(InodeId, Permission)> {
-        match self.try_get_entry(pid, name, stats)? {
+        match self.get_entry(pid, name, stats)? {
             Some(Row::DirAccess { id, permission }) => Ok((id, permission)),
             Some(_) => Err(MetaError::NotADirectory(name.to_string())),
             None => Err(MetaError::NotFound(name.to_string())),
@@ -192,7 +182,7 @@ impl TafDb {
         name: &str,
         stats: &mut RequestCtx,
     ) -> Result<ObjectMeta> {
-        match self.try_get_entry(pid, name, stats)? {
+        match self.get_entry(pid, name, stats)? {
             Some(Row::Object(o)) => Ok(o),
             Some(_) => Err(MetaError::IsADirectory(name.to_string())),
             None => Err(MetaError::NotFound(name.to_string())),
@@ -274,7 +264,7 @@ impl TafDb {
 
     /// One shard's contribution to a page listing: up to `limit + 1`
     /// matching entries (the sentinel extra reveals truncation), via a
-    /// bounded engine range scan.
+    /// bounded engine range scan. Saturating, so `usize::MAX` means "all".
     fn scan_page(
         &self,
         shard: &Shard,
@@ -283,7 +273,9 @@ impl TafDb {
         limit: usize,
     ) -> Vec<DirEntry> {
         let from = start_after.unwrap_or("");
-        let rows = mantle_engine::scan_dir(&*shard.engine, pid, from, limit + 3);
+        // +3: the attribute row, an entry equal to `start_after`, and the
+        // truncation sentinel may all occupy scan slots.
+        let rows = mantle_engine::scan_dir(&*shard.engine, pid, from, limit.saturating_add(3));
         self.metrics.range_scan_rows.add(rows.len() as u64);
         rows.into_iter()
             .filter(|(k, _)| {
@@ -302,7 +294,7 @@ impl TafDb {
                 }),
                 _ => None,
             })
-            .take(limit + 1)
+            .take(limit.saturating_add(1))
             .collect()
     }
 
@@ -310,13 +302,19 @@ impl TafDb {
     /// strictly after `start_after` — a bounded range scan on the ordered
     /// shard engine (the backing of the COSS `LIST` API). The second return
     /// is whether more entries follow. Split regions merge per-owner pages.
+    ///
+    /// # Errors
+    ///
+    /// [`MetaError::Transient`] on an injected transport fault,
+    /// [`MetaError::Overloaded`] / [`MetaError::DeadlineExceeded`] from a
+    /// shard's admission control.
     pub fn readdir_page(
         &self,
         pid: InodeId,
         start_after: Option<&str>,
         limit: usize,
         stats: &mut RequestCtx,
-    ) -> (Vec<DirEntry>, bool) {
+    ) -> Result<(Vec<DirEntry>, bool)> {
         let (rs, re) = dir_region(pid);
         let mut attempt = 0;
         loop {
@@ -325,17 +323,17 @@ impl TafDb {
             let owners = m.owners_of(rs, re);
             let mut rows: Vec<DirEntry> = if owners.len() == 1 {
                 let shard = &self.shards[owners[0]];
-                shard
-                    .node
-                    .rpc(stats, || self.scan_page(shard, pid, start_after, limit))
+                shard.node.try_rpc_named(stats, "readdir", || {
+                    self.scan_page(shard, pid, start_after, limit)
+                })?
             } else {
                 mantle_rpc::net_round_trip(&self.config);
                 let mut all = Vec::new();
                 for &o in &owners {
                     let shard = &self.shards[o];
-                    let mut part = shard.node.rpc_batched(stats, "readdir", || {
+                    let mut part = shard.node.try_rpc_batched(stats, "readdir", || {
                         self.scan_page(shard, pid, start_after, limit)
-                    });
+                    })?;
                     all.append(&mut part);
                 }
                 // Each owner returned its first `limit + 1` matches, so the
@@ -346,63 +344,22 @@ impl TafDb {
             let truncated = rows.len() > limit;
             rows.truncate(limit);
             if self.map.read().epoch() == m.epoch() || attempt >= READ_ROUTE_RETRIES {
-                return (rows, truncated);
+                return Ok((rows, truncated));
             }
             attempt += 1;
             self.note_stale(stats);
         }
     }
 
-    /// Lists the direct children of `pid` (split regions merge per-owner
-    /// scans; entries stay in name order). On the MVCC engine the unbounded
-    /// scan walks a pinned snapshot without holding the shard's write path
-    /// back (DESIGN.md §4.12).
-    pub fn readdir(&self, pid: InodeId, stats: &mut RequestCtx) -> Vec<DirEntry> {
-        let (rs, re) = dir_region(pid);
-        let mut attempt = 0;
-        loop {
-            let m = self.shard_map();
-            m.record_hit(rs);
-            let owners = m.owners_of(rs, re);
-            let scan = |shard: &Shard| -> Vec<DirEntry> {
-                let rows = mantle_engine::scan_dir(&*shard.engine, pid, "", usize::MAX);
-                self.metrics.range_scan_rows.add(rows.len() as u64);
-                rows.into_iter()
-                    .filter(|(k, _)| k.name.as_ref() != ATTR_ROW_NAME)
-                    .filter_map(|(k, row)| match row {
-                        Row::DirAccess { id, .. } => Some(DirEntry {
-                            name: k.name.to_string(),
-                            kind: EntryKind::Dir,
-                            id,
-                        }),
-                        Row::Object(o) => Some(DirEntry {
-                            name: k.name.to_string(),
-                            kind: EntryKind::Object,
-                            id: o.id,
-                        }),
-                        _ => None,
-                    })
-                    .collect()
-            };
-            let rows: Vec<DirEntry> = if owners.len() == 1 {
-                let shard = &self.shards[owners[0]];
-                shard.node.rpc(stats, || scan(shard))
-            } else {
-                mantle_rpc::net_round_trip(&self.config);
-                let mut all = Vec::new();
-                for &o in &owners {
-                    let shard = &self.shards[o];
-                    let mut part = shard.node.rpc_batched(stats, "readdir", || scan(shard));
-                    all.append(&mut part);
-                }
-                all.sort_by(|a, b| a.name.cmp(&b.name));
-                all
-            };
-            if self.map.read().epoch() == m.epoch() || attempt >= READ_ROUTE_RETRIES {
-                return rows;
-            }
-            attempt += 1;
-            self.note_stale(stats);
-        }
+    /// Lists every direct child of `pid`, in name order: the unbounded
+    /// page. On the MVCC engine the scan walks a pinned snapshot without
+    /// holding the shard's write path back (DESIGN.md §4.12).
+    ///
+    /// # Errors
+    ///
+    /// As [`TafDb::readdir_page`].
+    pub fn readdir(&self, pid: InodeId, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
+        self.readdir_page(pid, None, usize::MAX, stats)
+            .map(|(rows, _)| rows)
     }
 }

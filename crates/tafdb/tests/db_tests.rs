@@ -128,6 +128,83 @@ fn cross_shard_txn_uses_two_phase_commit() {
     assert_eq!(db.dir_stat(b, &mut stats).unwrap().entries, 1);
 }
 
+/// Phase 2 is must-deliver: commit messages lost to a drop storm or
+/// stopped by a partition are re-sent until every participant applied its
+/// writes exactly once and released its locks.
+#[test]
+fn lost_commit_messages_are_resent_until_applied_exactly_once() {
+    use mantle_rpc::{FaultPlan, FaultProfile};
+    use mantle_types::RetryClass;
+
+    let db = db_with(TafDbOptions {
+        delta_records: false,
+        ..TafDbOptions::default()
+    });
+    let a = InodeId(2);
+    let b = (3..100)
+        .map(InodeId)
+        .find(|x| db.shard_of(*x) != db.shard_of(a))
+        .expect("some id maps to a different shard");
+    db.raw_put(attr_key(a), Row::DirAttr(DirAttrMeta::new(0, 0)));
+    db.raw_put(attr_key(b), Row::DirAttr(DirAttrMeta::new(0, 0)));
+    let bump = |dir| TxnOp::AttrUpdate {
+        dir,
+        delta: AttrDelta {
+            nlink: 0,
+            entries: 1,
+            mtime: 5,
+        },
+    };
+    let ops = [bump(a), bump(b)];
+
+    // Drop storm: half of all requests to every shard are lost.
+    let mut profile = FaultProfile::zeroed();
+    profile.rpc_drop_prob = 0.5;
+    let plan = FaultPlan::new(3, profile);
+    db.install_faults(Some(plan.clone()));
+    const TXNS: u64 = 20;
+    let mut stats = RequestCtx::new();
+    for _ in 0..TXNS {
+        db.execute(&ops, &mut stats).unwrap();
+    }
+    assert!(
+        stats.retry_count(RetryClass::Transient) > 0,
+        "the storm never hit a commit message"
+    );
+
+    // Partition: the decision is made while both participants are cut off;
+    // commit waits for the heal instead of delivering through the cut.
+    db.install_faults(Some(FaultPlan::new(4, FaultProfile::zeroed())));
+    let plan = db.shard_node(0).faults().expect("plan installed");
+    let prepared = db.prepare(db.begin(), &ops, &mut stats).unwrap();
+    plan.partition("client", "tafdb*");
+    let mut commit_stats = RequestCtx::new();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            plan.heal_all();
+        });
+        db.commit(prepared, &mut commit_stats);
+    });
+    assert!(
+        commit_stats.retry_count(RetryClass::Transient) > 0,
+        "commit was delivered through the partition"
+    );
+    db.install_faults(None);
+
+    // Exactly once, everywhere.
+    let total = TXNS as i64 + 1;
+    assert_eq!(db.dir_stat(a, &mut stats).unwrap().entries, total);
+    assert_eq!(db.dir_stat(b, &mut stats).unwrap().entries, total);
+    assert_eq!(db.counters().txns_committed, TXNS + 1);
+
+    // Every lock released: with no-wait locks and no retries allowed, a
+    // leaked lock would surface as a conflict.
+    let mut strict = RequestCtx::new().with_budget(0);
+    db.execute(&ops, &mut strict).unwrap();
+    assert_eq!(strict.total_retries(), 0);
+}
+
 #[test]
 fn single_shard_txn_is_one_rpc() {
     let db = db();
@@ -344,6 +421,7 @@ fn readdir_lists_children_and_skips_attr_rows() {
     );
     let mut names: Vec<String> = db
         .readdir(ROOT_ID, &mut stats)
+        .unwrap()
         .into_iter()
         .map(|e| e.name)
         .collect();

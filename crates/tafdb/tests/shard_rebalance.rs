@@ -111,11 +111,11 @@ fn verify_exactly_once(db: &TafDb, dir: InodeId, acked: &HashSet<String>) {
     let mut stats = RequestCtx::new();
     for name in acked {
         assert!(
-            db.get_entry(dir, name, &mut stats).is_some(),
+            db.get_entry(dir, name, &mut stats).unwrap().is_some(),
             "acked create of {name} lost"
         );
     }
-    let listed = db.readdir(dir, &mut stats);
+    let listed = db.readdir(dir, &mut stats).unwrap();
     let mut seen = HashSet::new();
     for e in &listed {
         assert!(seen.insert(e.name.clone()), "row {} duplicated", e.name);
@@ -325,7 +325,7 @@ fn migration_abort_drops_staged_engine_state_on_both_engines() {
             create(&db, dir, &format!("e{i}")).unwrap();
         }
         let mut stats = RequestCtx::new();
-        let listing_before = db.readdir(dir, &mut stats);
+        let listing_before = db.readdir(dir, &mut stats).unwrap();
         assert_eq!(listing_before.len(), 40);
 
         let (rs, _) = dir_region(dir);
@@ -376,13 +376,13 @@ fn migration_abort_drops_staged_engine_state_on_both_engines() {
         );
 
         // The source stayed authoritative throughout.
-        assert_eq!(db.readdir(dir, &mut stats), listing_before);
+        assert_eq!(db.readdir(dir, &mut stats).unwrap(), listing_before);
 
         // The crash is spent: a clean retry migrates for real.
         let moved = db.migrate_range(rs, tgt).expect("clean retry");
         assert!(moved > 0, "{}: retry moved no rows", engine.name());
         assert_eq!(db.shard_map().owner(rs), tgt);
-        assert_eq!(db.readdir(dir, &mut stats), listing_before);
+        assert_eq!(db.readdir(dir, &mut stats).unwrap(), listing_before);
         // Post-commit the *source* ran its GC too: no residue there either.
         assert_eq!(
             db.shard_rows_in_place_range(src, mr_start, mr_end),

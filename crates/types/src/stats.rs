@@ -47,10 +47,9 @@ impl Phase {
 
 /// Why an operation retried (or had work rejected) at some layer.
 ///
-/// One labelled counter map replaces the disjoint `txn_retries` /
-/// `rename_retries` / `transient_retries` / `stale_route_retries` /
-/// `rejected_fills` fields that had accreted on [`OpStats`]; the retry
-/// policy engine (`mantle-rpc`) keys its backoff curves off the same enum.
+/// [`OpStats`] and [`OpStatsAgg`] each keep one counter per class, read
+/// through `retry_count(class)`; the retry policy engine (`mantle-rpc`)
+/// keys its backoff curves off the same enum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RetryClass {
     /// Transaction abort (write-write or lock conflict).
@@ -120,7 +119,7 @@ pub struct OpStats {
     phase_nanos: [u64; 3],
     /// RPC round trips issued (proxy <-> metadata servers).
     pub rpcs: u32,
-    /// Retries by [`RetryClass`] (see the derived accessors).
+    /// Retries by [`RetryClass`] (see [`OpStats::retry_count`]).
     retries: [u32; RetryClass::COUNT],
     /// TopDirPathCache (or AM-Cache / path-lease-cache) hits.
     pub cache_hits: u32,
@@ -210,46 +209,7 @@ impl OpStats {
         self.retries[class.idx()]
     }
 
-    /// Transaction aborts that led to a retry (derived accessor).
-    pub fn txn_retries(&self) -> u32 {
-        self.retry_count(RetryClass::Txn)
-    }
-
-    /// Rename-lock conflicts that led to a retry (derived accessor).
-    pub fn rename_retries(&self) -> u32 {
-        self.retry_count(RetryClass::Rename)
-    }
-
-    /// Transient transport faults absorbed by a retry loop (derived
-    /// accessor).
-    pub fn transient_retries(&self) -> u32 {
-        self.retry_count(RetryClass::Transient)
-    }
-
-    /// Stale shard-map rejections absorbed by a map refresh + retry
-    /// (derived accessor).
-    pub fn stale_route_retries(&self) -> u32 {
-        self.retry_count(RetryClass::StaleRoute)
-    }
-
-    /// Unavailability windows absorbed by the failover loop (derived
-    /// accessor).
-    pub fn unavailable_retries(&self) -> u32 {
-        self.retry_count(RetryClass::Unavailable)
-    }
-
-    /// Admission-queue sheds absorbed by a retry (derived accessor).
-    pub fn overload_retries(&self) -> u32 {
-        self.retry_count(RetryClass::Overload)
-    }
-
-    /// Path-cache fills/revalidations rejected by the lease protocol
-    /// (derived accessor).
-    pub fn rejected_fills(&self) -> u32 {
-        self.retry_count(RetryClass::RejectedFill)
-    }
-
-    /// Retries recorded across every class (derived accessor).
+    /// Retries recorded across every class.
     pub fn total_retries(&self) -> u32 {
         self.retries.iter().sum()
     }
@@ -284,10 +244,6 @@ impl OpStats {
 }
 
 /// Aggregate of many operations' [`OpStats`], used by the figure harnesses.
-///
-/// The per-class retry counts stay flattened into named fields here so the
-/// serialized benchmark rows (and the perf-gate baselines derived from
-/// them) keep their schema.
 #[derive(Clone, Debug, Default)]
 pub struct OpStatsAgg {
     /// Number of operations aggregated.
@@ -296,18 +252,8 @@ pub struct OpStatsAgg {
     pub phase_nanos: [u64; 3],
     /// Sum of RPC counts.
     pub rpcs: u64,
-    /// Sum of transaction retries.
-    pub txn_retries: u64,
-    /// Sum of rename retries.
-    pub rename_retries: u64,
-    /// Sum of transient-fault retries.
-    pub transient_retries: u64,
-    /// Sum of stale-route retries.
-    pub stale_route_retries: u64,
-    /// Sum of admission-shed retries.
-    pub overload_retries: u64,
-    /// Sum of rejected path-cache fills.
-    pub rejected_fills: u64,
+    /// Sum of retries by [`RetryClass`].
+    retries: [u64; RetryClass::COUNT],
     /// Sum of cache hits.
     pub cache_hits: u64,
     /// Sum of cache misses.
@@ -326,12 +272,9 @@ impl OpStatsAgg {
             self.phase_nanos[i] += s.phase_nanos(*p);
         }
         self.rpcs += s.rpcs as u64;
-        self.txn_retries += s.txn_retries() as u64;
-        self.rename_retries += s.rename_retries() as u64;
-        self.transient_retries += s.transient_retries() as u64;
-        self.stale_route_retries += s.stale_route_retries() as u64;
-        self.overload_retries += s.overload_retries() as u64;
-        self.rejected_fills += s.rejected_fills() as u64;
+        for (sum, n) in self.retries.iter_mut().zip(s.retries) {
+            *sum += n as u64;
+        }
         self.cache_hits += s.cache_hits as u64;
         self.cache_misses += s.cache_misses as u64;
         self.cache_revalidations += s.cache_revalidations as u64;
@@ -345,16 +288,18 @@ impl OpStatsAgg {
             self.phase_nanos[i] += other.phase_nanos[i];
         }
         self.rpcs += other.rpcs;
-        self.txn_retries += other.txn_retries;
-        self.rename_retries += other.rename_retries;
-        self.transient_retries += other.transient_retries;
-        self.stale_route_retries += other.stale_route_retries;
-        self.overload_retries += other.overload_retries;
-        self.rejected_fills += other.rejected_fills;
+        for (sum, n) in self.retries.iter_mut().zip(other.retries) {
+            *sum += n;
+        }
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_revalidations += other.cache_revalidations;
         self.cache_invalidations += other.cache_invalidations;
+    }
+
+    /// Sum of retries recorded for `class`.
+    pub fn retry_count(&self, class: RetryClass) -> u64 {
+        self.retries[class.idx()]
     }
 
     /// Mean nanoseconds per op charged to `phase`.
@@ -424,10 +369,10 @@ mod tests {
         s.note_retry(RetryClass::Txn);
         s.note_retry(RetryClass::Txn);
         s.note_retry(RetryClass::StaleRoute);
-        assert_eq!(s.txn_retries(), 2);
-        assert_eq!(s.stale_route_retries(), 1);
-        assert_eq!(s.rename_retries(), 0);
         assert_eq!(s.retry_count(RetryClass::Txn), 2);
+        assert_eq!(s.retry_count(RetryClass::StaleRoute), 1);
+        assert_eq!(s.retry_count(RetryClass::Rename), 0);
+        assert_eq!(s.total_retries(), 3);
         for c in RetryClass::ALL {
             assert!(!c.label().is_empty());
         }
@@ -444,8 +389,8 @@ mod tests {
         b.note_retry(RetryClass::Overload);
         a.absorb(&b);
         assert_eq!(a.rpcs, 2);
-        assert_eq!(a.txn_retries(), 2);
-        assert_eq!(a.overload_retries(), 1);
+        assert_eq!(a.retry_count(RetryClass::Txn), 2);
+        assert_eq!(a.retry_count(RetryClass::Overload), 1);
     }
 
     #[test]
@@ -467,15 +412,18 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_flattens_retry_classes() {
+    fn aggregation_sums_retry_classes() {
         let mut s = OpStats::new();
         s.note_retry(RetryClass::Transient);
         s.note_retry(RetryClass::RejectedFill);
         let mut agg = OpStatsAgg::default();
         agg.add(&s);
-        assert_eq!(agg.transient_retries, 1);
-        assert_eq!(agg.rejected_fills, 1);
-        assert_eq!(agg.txn_retries, 0);
+        let mut other = OpStatsAgg::default();
+        other.add(&s);
+        agg.merge(&other);
+        assert_eq!(agg.retry_count(RetryClass::Transient), 2);
+        assert_eq!(agg.retry_count(RetryClass::RejectedFill), 2);
+        assert_eq!(agg.retry_count(RetryClass::Txn), 0);
     }
 
     #[test]

@@ -49,6 +49,14 @@ impl Recorder {
             }
         }
     }
+
+    /// Counts a failed step that has no latency row of its own (the
+    /// data-plane writes riding along with a timed metadata op).
+    fn check<R, E>(&self, result: Result<R, E>) {
+        if result.is_err() {
+            self.failed.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Interactive Spark analytics (§3.2, §6.2): each query spawns tasks that
@@ -127,7 +135,7 @@ pub fn run_analytics<S: MetadataService + BulkLoad + ?Sized + Sync>(
                         let path = tmp.child(&format!("part{part}"));
                         recorder.time("create", || svc.create(&path, config.part_size, &mut stats));
                         if let Some(data) = data {
-                            data.write(config.part_size, &mut stats);
+                            recorder.check(data.write(config.part_size, &mut stats));
                         }
                     }
                     // 3. Atomic commit: rename into the shared output dir.
@@ -235,7 +243,7 @@ pub fn run_audio<S: MetadataService + BulkLoad + ?Sized + Sync>(
                             svc.create(&seg, config.segment_size, &mut stats)
                         });
                         if let Some(data) = data {
-                            data.write(config.segment_size, &mut stats);
+                            recorder.check(data.write(config.segment_size, &mut stats));
                         }
                     }
                 }

@@ -71,7 +71,7 @@ fn main() -> Result<()> {
     println!(
         "total: {} RPCs, {} txn retries across the session",
         stats.rpcs,
-        stats.txn_retries()
+        stats.retry_count(RetryClass::Txn)
     );
     Ok(())
 }

@@ -69,7 +69,7 @@ fn main() {
                     "[{:?}, {} rpc, {} retries]",
                     started.elapsed(),
                     stats.rpcs,
-                    stats.txn_retries() + stats.rename_retries()
+                    stats.retry_count(RetryClass::Txn) + stats.retry_count(RetryClass::Rename)
                 );
             }
             Ok(None) => {}

@@ -203,7 +203,7 @@ fn zeroed_profile_injects_nothing() {
     );
 
     assert!(plan.events().is_empty(), "zeroed profile injected a fault");
-    assert_eq!(stats.transient_retries(), 0);
+    assert_eq!(stats.retry_count(RetryClass::Transient), 0);
 }
 
 /// Builds a quiet TafDB whose only fault-roll consumer is the test thread:
@@ -359,6 +359,35 @@ fn rename_under_partition_is_atomic() {
     assert!(svc.lookup(&p("/a/d"), &mut stats).is_err());
     assert_eq!(svc.dirstat(&p("/a"), &mut stats).unwrap().attrs.entries, 0);
     assert_eq!(svc.dirstat(&p("/b"), &mut stats).unwrap().attrs.entries, 1);
+}
+
+/// Directory scans sit on the same request path as point reads: a
+/// `client → tafdb*` partition fails them with a retryable `Transient`
+/// instead of serving through the cut, and they recover once it heals.
+#[test]
+fn partitioned_shards_fail_scans_until_healed() {
+    let cluster = chaos_cluster();
+    let svc = cluster.service();
+    let mut stats = RequestCtx::new();
+    svc.mkdir(&p("/cut"), &mut stats).unwrap();
+    svc.create(&p("/cut/o"), 1, &mut stats).unwrap();
+
+    let plan = FaultPlan::new(9, FaultProfile::zeroed());
+    cluster.install_faults(&plan);
+    plan.partition("client", "tafdb*");
+    let mut ctx = RequestCtx::new();
+    assert!(matches!(
+        svc.readdir(&p("/cut"), &mut ctx),
+        Err(MetaError::Transient { .. })
+    ));
+    assert!(matches!(
+        svc.list(&p("/cut"), None, 10, &mut ctx),
+        Err(MetaError::Transient { .. })
+    ));
+
+    plan.heal_all();
+    assert_eq!(svc.readdir(&p("/cut"), &mut ctx).unwrap().len(), 1);
+    cluster.clear_faults();
 }
 
 /// The fault plane also covers the baselines: a storm over InfiniFS-style

@@ -11,6 +11,8 @@
 //! * `simnode_deadline_aborts_total` accounts every abort exactly once —
 //!   including aborts decided on the Raft read path (a follower refusing to
 //!   issue a ReadIndex round for an already-expired request),
+//! * every RPC site is covered: directory scans (`list`, `readdir`) and the
+//!   IndexNode propose admit through the same check as point reads,
 //! * retry engines never retry past an expired deadline,
 //! * the whole experiment is deterministic under the virtual clock.
 
@@ -18,6 +20,7 @@ use std::time::Duration;
 
 use mantle::core::{MantleCluster, MantleConfig};
 use mantle::prelude::*;
+use mantle::types::InodeId;
 
 fn cluster(follower_reads: bool) -> std::sync::Arc<MantleCluster> {
     let mut config = MantleConfig::with_sim(SimConfig::default(), 4);
@@ -155,5 +158,60 @@ fn raft_read_path_accounts_expired_deadlines() {
     assert!(
         deciders >= 2,
         "aborts concentrated on one replica: {per_node:?}"
+    );
+}
+
+#[test]
+fn expired_deadline_aborts_scans_and_proposes_server_side() {
+    // A warm path lease resolves `/scan` with zero RPCs, so the TafDB scan
+    // is the first server an already-expired request reaches.
+    let mut config = MantleConfig::with_sim(SimConfig::default(), 4);
+    config.index.follower_reads = false;
+    config.pcache = mantle::core::PathLeaseConfig::enabled();
+    let cluster = MantleCluster::with_config(config);
+    let svc = cluster.service();
+    let dir = MetaPath::parse("/scan").unwrap();
+    let id = svc.mkdir(&dir, &mut RequestCtx::new()).unwrap();
+    svc.create(&dir.child("o"), 1, &mut RequestCtx::new())
+        .unwrap();
+    svc.lookup(&dir, &mut RequestCtx::new()).unwrap();
+    assert_eq!(admission_counters(&cluster).1, 0);
+
+    let expired = || RequestCtx::new().with_deadline_in(Duration::ZERO);
+    let mut aborts = 0;
+    let mut check = |what: &str, res: Result<()>, ctx: &RequestCtx| {
+        assert!(
+            matches!(res, Err(MetaError::DeadlineExceeded(_))),
+            "expired {what} must abort server-side, got {res:?}"
+        );
+        assert_eq!(ctx.rpcs, 1, "{what}: the aborting hop is the only RPC");
+        assert_eq!(ctx.total_retries(), 0, "{what}: no retry past a deadline");
+        aborts += 1;
+        let (shed, seen, _) = admission_counters(&cluster);
+        assert_eq!(
+            (shed, seen),
+            (0, aborts),
+            "{what}: exactly one accounted abort"
+        );
+    };
+
+    let mut ctx = expired();
+    let res = svc.list(&dir, None, 10, &mut ctx).map(|_| ());
+    check("list", res, &ctx);
+
+    let mut ctx = expired();
+    let res = svc.readdir(&dir, &mut ctx).map(|_| ());
+    check("readdir", res, &ctx);
+
+    // mkdir's last hop: the IndexNode propose admits on the leader.
+    let mut ctx = expired();
+    let res = cluster
+        .index()
+        .insert_dir(id, "sub", InodeId(9_999), Permission::ALL, &mut ctx);
+    check("index propose", res, &ctx);
+    assert!(
+        svc.lookup(&dir.child("sub"), &mut RequestCtx::new())
+            .is_err(),
+        "an aborted propose must not replicate"
     );
 }

@@ -1,6 +1,8 @@
 //! The COSS LIST API: paged listing with continuation, across systems.
 
-use mantle::baselines::tectonic::{Tectonic, TectonicOptions};
+use mantle::baselines::infinifs::InfiniFsOptions;
+use mantle::baselines::locofs::LocoFsOptions;
+use mantle::baselines::tectonic::TectonicOptions;
 use mantle::prelude::*;
 use mantle::types::{BulkLoad, EntryKind};
 
@@ -98,4 +100,40 @@ fn empty_directory_lists_empty() {
     let (page, truncated) = cluster.list(&p("/bucket"), None, 10, &mut stats).unwrap();
     assert!(page.is_empty());
     assert!(!truncated);
+}
+
+#[test]
+fn unbounded_limit_returns_the_whole_directory_on_every_system() {
+    // `limit + sentinel` must saturate, not overflow: `usize::MAX` is the
+    // "no bound" page, identical on the scan overrides and the LocoFS
+    // default implementation.
+    fn whole<S: MetadataService + BulkLoad>(svc: &S) {
+        fill(svc, 5);
+        let (page, truncated) = svc
+            .list(&p("/bucket"), None, usize::MAX, &mut RequestCtx::new())
+            .unwrap();
+        let names: Vec<&str> = page.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["e000", "e001", "e002", "e003", "e004"],
+            "{}",
+            svc.name()
+        );
+        assert!(!truncated, "{}", svc.name());
+        let (tail, truncated) = svc
+            .list(
+                &p("/bucket"),
+                Some("e002"),
+                usize::MAX,
+                &mut RequestCtx::new(),
+            )
+            .unwrap();
+        assert_eq!(tail.len(), 2, "{}", svc.name());
+        assert!(!truncated, "{}", svc.name());
+    }
+    let sim = SimConfig::instant();
+    whole(&*MantleCluster::build(sim, 4));
+    whole(&*Tectonic::new(sim, TectonicOptions::default()));
+    whole(&*InfiniFs::new(sim, InfiniFsOptions::default()));
+    whole(&*LocoFs::new(sim, LocoFsOptions::default()));
 }

@@ -29,6 +29,9 @@ fn overload_config(queue_cap: usize) -> MantleConfig {
     // Leader-only reads keep the RPC schedule a pure function of the
     // workload (the perf-gate determinism idiom).
     config.index.follower_reads = false;
+    // The offered load must reach the index node: a warm path lease would
+    // answer lookups client-side (MANTLE_PATH_CACHE=on in the CI matrix).
+    config.pcache.enabled = false;
     config
 }
 

@@ -1,5 +1,6 @@
-# Mirror of the justfile for environments without `just`.
-# `make verify` = format check + clippy (warnings are errors) + tests.
+# Developer entry points. `make verify` is the full pre-merge gate (format
+# check + clippy with warnings as errors + tests); CI
+# (.github/workflows/ci.yml) runs the same three steps.
 
 .PHONY: verify fmt-check clippy test fmt smoke chaos chaos-sweep perf-gate
 
@@ -30,17 +31,22 @@ smoke:
 	done; \
 	echo "smoke OK: $$(ls results/*.json | wc -l) result files parse"
 
-# The CI perf-regression gate, locally (refresh the baseline with
-# MANTLE_PERF_UPDATE_BASELINE=1 make perf-gate).
+# The CI perf-regression gate, locally: seed-pinned virtual-clock mdtest
+# suite vs ci/perf_baseline.json (>10% latency or RPC regression fails).
+# Refresh the baseline after an intentional model change with
+#   MANTLE_PERF_UPDATE_BASELINE=1 make perf-gate
 perf-gate:
 	cargo run --release -p mantle-bench --bin perf_gate
 
-# Re-run one chaos seed with tracing + fault timeline: make chaos SEED=17
+# Re-run one chaos seed with full tracing and the fault timeline printed —
+# the local repro loop for a red nightly chaos seed: make chaos SEED=17
 SEED ?= 0
 chaos:
 	MANTLE_FAULT_SEED=$(SEED) MANTLE_TRACE_SAMPLE=1 MANTLE_CHAOS_TIMELINE=1 \
 		cargo test -q --test chaos -- --nocapture
 
+# The full nightly sweep, locally (0..31 base storm, 32..47 snapshot
+# storm, 48..63 lease storm).
 chaos-sweep:
 	@failed=""; for seed in $$(seq 0 63); do \
 		echo "== chaos seed $$seed =="; \

@@ -1,6 +1,6 @@
 //! The InfiniFS baseline: speculative parallel path resolution, CFS-style
 //! relaxed directory modifications, a rename coordinator, and the optional
-//! AM-Cache (§3.3, §6.1).
+//! proxy-side path-lease cache standing in for AM-Cache (§3.3, §6.1).
 //!
 //! Directory ids are *predicted*: a directory's id is a hash of its full
 //! path, so the proxy can issue the lookups of every level concurrently
@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::relaxed::Relaxed;
 use mantle_core::pathcache::{PathLeaseCache, PathLeaseConfig};
-use mantle_index::TopDirPathCache;
 use mantle_rpc::{RetryPolicy, SimNode};
 use mantle_sync::Semaphore;
 use mantle_tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions};
@@ -43,8 +43,6 @@ pub struct InfiniFsOptions {
     pub resolver_pool: usize,
     /// Maximum speculative queries a single resolution issues per round.
     pub max_parallel: usize,
-    /// Enable the AM-Cache proxy-side metadata cache (Figure 20).
-    pub amcache: bool,
     /// Proxy-level retries for rename lock conflicts.
     pub rename_retries: u32,
 }
@@ -55,7 +53,6 @@ impl Default for InfiniFsOptions {
             db_shards: SCALED_DB_SHARDS,
             resolver_pool: 96,
             max_parallel: 16,
-            amcache: false,
             rename_retries: 10_000,
         }
     }
@@ -85,18 +82,27 @@ pub struct InfiniFs {
     coordinator: SimNode,
     /// Rename coordinator lock table: source paths of in-flight renames.
     rename_locks: Mutex<HashSet<MetaPath>>,
-    /// AM-Cache: full-path resolution cache (k = 0).
-    amcache: TopDirPathCache,
     /// Client-side path-lease cache — the same cache Mantle's proxy gets
-    /// (Table-1 fairness).
+    /// (Table-1 fairness; Figure 20's proxy-side metadata cache).
     pcache: PathLeaseCache,
     ids: IdAllocator,
     clock: std::sync::atomic::AtomicU64,
 }
 
 impl InfiniFs {
-    /// Builds an InfiniFS-style service.
+    /// Builds an InfiniFS-style service whose path-lease cache follows
+    /// `MANTLE_PATH_CACHE`, like Mantle's default configuration.
     pub fn new(sim: SimConfig, opts: InfiniFsOptions) -> Arc<Self> {
+        Self::with_path_cache(sim, opts, PathLeaseConfig::from_env())
+    }
+
+    /// [`InfiniFs::new`] with an explicit path-lease cache configuration
+    /// (Figure 20's cache-on/off legs).
+    pub fn with_path_cache(
+        sim: SimConfig,
+        opts: InfiniFsOptions,
+        pcache: PathLeaseConfig,
+    ) -> Arc<Self> {
         let db_opts = TafDbOptions {
             n_shards: opts.db_shards,
             // No delta records: rename transactions conflict in place, the
@@ -111,8 +117,7 @@ impl InfiniFs {
             pool: Semaphore::new(opts.resolver_pool),
             coordinator: SimNode::new("infinifs-coord", sim.index_node_permits, sim),
             rename_locks: Mutex::new(HashSet::new()),
-            amcache: TopDirPathCache::new(0, opts.amcache),
-            pcache: PathLeaseCache::new(PathLeaseConfig::from_env(), "infinifs"),
+            pcache: PathLeaseCache::new(pcache, "infinifs"),
             ids: IdAllocator::new(),
             clock: std::sync::atomic::AtomicU64::new(1),
         })
@@ -136,9 +141,13 @@ impl InfiniFs {
         &self.pcache
     }
 
-    fn now(&self) -> u64 {
-        self.clock
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    /// The shared relaxed-consistency operations over this system's table.
+    fn relaxed(&self) -> Relaxed<'_> {
+        Relaxed {
+            db: &self.db,
+            ids: &self.ids,
+            clock: &self.clock,
+        }
     }
 
     /// Path resolution, optionally short-circuited by the path-lease cache.
@@ -171,17 +180,6 @@ impl InfiniFs {
     /// Speculative parallel resolution with sequential fallback on
     /// misprediction.
     fn speculative_resolve(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
-        if let Some(prefix) = self.amcache.prefix_of(path) {
-            if let Some(hit) = self.amcache.get(&prefix) {
-                stats.cache_hits += 1;
-                return Ok(ResolvedPath {
-                    id: hit.pid,
-                    permission: hit.permission,
-                });
-            }
-            stats.cache_misses += 1;
-        }
-
         let comps: Vec<&str> = path.components().collect();
         let depth = comps.len();
 
@@ -242,13 +240,6 @@ impl InfiniFs {
             permission = permission.intersect(perm);
         }
 
-        if let Some(prefix) = self.amcache.prefix_of(path) {
-            self.amcache.try_fill(
-                prefix,
-                mantle_index::cache::CachedPrefix { pid, permission },
-                || true,
-            );
-        }
         Ok(ResolvedPath {
             id: pid,
             permission,
@@ -316,7 +307,7 @@ impl MetadataService for InfiniFs {
                 return Err(MetaError::PermissionDenied(path.to_string()));
             }
             let mut id = predict(path);
-            let now = self.now();
+            let now = self.relaxed().now();
             // CFS two-transaction strategy: (1) the new directory's own
             // attribute row, single shard; (2) the entry under the parent
             // plus the parent-attribute bump, single shard, serialized by
@@ -367,7 +358,7 @@ impl MetadataService for InfiniFs {
             if !self.db.readdir(dir, stats)?.is_empty() {
                 return Err(MetaError::NotEmpty(path.to_string()));
             }
-            let now = self.now();
+            let now = self.relaxed().now();
             self.db.delete_row(entry_key(parent.id, &name), stats)?;
             self.db.delete_row(attr_key(dir), stats)?;
             self.db.update_attr_latched(
@@ -379,7 +370,6 @@ impl MetadataService for InfiniFs {
                 },
                 stats,
             )?;
-            self.amcache.invalidate_subtree(path);
             stats.cache_invalidations += self.pcache.invalidate_subtree(path) as u32;
             Ok(())
         })
@@ -387,55 +377,12 @@ impl MetadataService for InfiniFs {
 
     fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            if !parent.permission.allows(Permission::WRITE) {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
-            let id = self.ids.alloc();
-            let now = self.now();
-            self.db.insert_row(
-                entry_key(parent.id, &name),
-                Row::Object(ObjectMeta {
-                    pid: parent.id,
-                    name: name.clone(),
-                    id,
-                    size,
-                    blob: 0,
-                    ctime: now,
-                    permission: Permission::ALL,
-                }),
-                stats,
-            )?;
-            self.db.update_attr_latched(
-                parent.id,
-                AttrDelta {
-                    nlink: 0,
-                    entries: 1,
-                    mtime: now,
-                },
-                stats,
-            )?;
-            Ok(id)
-        })
+        self.relaxed().create(path, parent, name, size, stats)
     }
 
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            self.db.get_object(parent.id, &name, stats)?;
-            let now = self.now();
-            self.db.delete_row(entry_key(parent.id, &name), stats)?;
-            self.db.update_attr_latched(
-                parent.id,
-                AttrDelta {
-                    nlink: 0,
-                    entries: -1,
-                    mtime: now,
-                },
-                stats,
-            )?;
-            Ok(())
-        })
+        self.relaxed().delete(parent, &name, stats)
     }
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
@@ -450,19 +397,12 @@ impl MetadataService for InfiniFs {
 
     fn dirstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<DirStat> {
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            let attrs = self.db.dir_stat(dir.id, stats)?;
-            Ok(DirStat {
-                id: dir.id,
-                attrs,
-                permission: dir.permission,
-            })
-        })
+        self.relaxed().dirstat(dir, stats)
     }
 
     fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        stats.time(Phase::Execute, |stats| self.db.readdir(dir.id, stats))
+        self.relaxed().readdir(dir, stats)
     }
 
     fn list(
@@ -472,12 +412,8 @@ impl MetadataService for InfiniFs {
         limit: usize,
         stats: &mut RequestCtx,
     ) -> Result<(Vec<DirEntry>, bool)> {
-        // InfiniFS stores entries in the ordered shard store too, so paging
-        // is a bounded engine range scan rather than the readdir fallback.
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            self.db.readdir_page(dir.id, start_after, limit, stats)
-        })
+        self.relaxed().list(dir, start_after, limit, stats)
     }
 
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
@@ -500,7 +436,7 @@ impl MetadataService for InfiniFs {
         // on its own servers; conflicts abort and retry). Only
         // `RenameLocked` re-arms the lock attempt — everything else
         // (including conflicts from the metadata transaction below) aborts.
-        RetryPolicy::rename(self.opts.rename_retries, self.config.rtt_micros == 0).run(
+        RetryPolicy::rename(self.opts.rename_retries).run(
             stats,
             |e| matches!(e, MetaError::RenameLocked(_)).then_some(RetryClass::Rename),
             |_, _| {},
@@ -513,7 +449,7 @@ impl MetadataService for InfiniFs {
 
         let out = stats.time(Phase::Execute, |stats| {
             let (src_id, src_perm) = self.db.resolve_step(src_parent.id, &src_name, stats)?;
-            let now = self.now();
+            let now = self.relaxed().now();
             let mut ops = vec![
                 mantle_tafdb::TxnOp::Delete {
                     key: entry_key(src_parent.id, &src_name),
@@ -556,7 +492,6 @@ impl MetadataService for InfiniFs {
             // Distributed transaction with in-place attribute updates: the
             // no-wait conflicts under dirrename-s retry inside execute().
             self.db.execute(&ops, stats)?;
-            self.amcache.invalidate_subtree(src);
             stats.cache_invalidations += self.pcache.invalidate_subtree(src) as u32;
             stats.cache_invalidations += self.pcache.invalidate_subtree(dst) as u32;
             Ok(())
@@ -580,7 +515,7 @@ impl BulkLoad for InfiniFs {
                 None => {
                     // Directory ids must match the speculative prediction.
                     let id = predict(&current);
-                    let now = self.now();
+                    let now = self.relaxed().now();
                     self.db.raw_put(
                         entry_key(pid, comp),
                         Row::DirAccess {
@@ -607,30 +542,9 @@ impl BulkLoad for InfiniFs {
 
     fn bulk_object(&self, path: &MetaPath, size: u64) {
         let parent = path.parent().expect("objects cannot be the root");
-        let name = path.name().expect("non-root");
         let pid = self.bulk_dir(&parent);
-        let id = self.ids.alloc();
-        let now = self.now();
-        self.db.raw_put(
-            entry_key(pid, name),
-            Row::Object(ObjectMeta {
-                pid,
-                name: name.to_string(),
-                id,
-                size,
-                blob: 0,
-                ctime: now,
-                permission: Permission::ALL,
-            }),
-        );
-        if let Some(Row::DirAttr(mut attrs)) = self.db.raw_get(&attr_key(pid)) {
-            attrs.apply_delta(&AttrDelta {
-                nlink: 0,
-                entries: 1,
-                mtime: now,
-            });
-            self.db.raw_put(attr_key(pid), Row::DirAttr(attrs));
-        }
+        self.relaxed()
+            .bulk_object(pid, path.name().expect("non-root"), size);
     }
 }
 
@@ -721,27 +635,20 @@ mod tests {
     }
 
     #[test]
-    fn amcache_hits_skip_rpcs() {
-        let opts = InfiniFsOptions {
-            amcache: true,
-            ..InfiniFsOptions::default()
-        };
-        let f = InfiniFs::new(SimConfig::instant(), opts);
+    fn path_lease_hits_skip_rpcs() {
+        let f = InfiniFs::with_path_cache(
+            SimConfig::instant(),
+            InfiniFsOptions::default(),
+            PathLeaseConfig::enabled(),
+        );
         f.bulk_dir(&p("/a/b/c"));
         let mut s1 = RequestCtx::new();
         f.lookup(&p("/a/b/c"), &mut s1).unwrap();
-        // With MANTLE_PATH_CACHE=on the path-lease cache records its own
-        // miss before the AM-Cache does, so the cold lookup counts two.
-        let expected_misses = if PathLeaseConfig::from_env().enabled {
-            2
-        } else {
-            1
-        };
-        assert_eq!(s1.cache_misses, expected_misses);
+        assert_eq!(s1.cache_misses, 1);
         assert_eq!(s1.rpcs, 3);
         let mut s2 = RequestCtx::new();
         f.lookup(&p("/a/b/c"), &mut s2).unwrap();
         assert_eq!(s2.cache_hits, 1);
-        assert_eq!(s2.rpcs, 0, "AM-Cache hit should bypass all metadata RPCs");
+        assert_eq!(s2.rpcs, 0, "a live lease should bypass all metadata RPCs");
     }
 }

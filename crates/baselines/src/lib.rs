@@ -13,8 +13,8 @@
 //!   hash-predicted directory ids, a bounded resolver pool (whose
 //!   oversubscription under high concurrency reproduces the 7.4-RTT
 //!   effect, §3.3), CFS-style relaxed single-shard directory modifications,
-//!   a dedicated rename coordinator, and an optional proxy-side AM-Cache
-//!   (Figure 20).
+//!   a dedicated rename coordinator, and an optional proxy-side path-lease
+//!   cache (Figure 20).
 //! * [`locofs::LocoFs`] — the tiered design: *all* directory metadata on a
 //!   single Raft-replicated directory server that resolves full paths
 //!   locally, object metadata in the sharded DB, with object creation
@@ -27,6 +27,7 @@
 
 pub mod infinifs;
 pub mod locofs;
+mod relaxed;
 pub mod tectonic;
 
 pub use infinifs::{InfiniFs, InfiniFsOptions};

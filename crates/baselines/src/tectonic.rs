@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use crate::relaxed::Relaxed;
 use mantle_tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions};
 use mantle_types::{
     id::IdAllocator, AttrDelta, BulkLoad, DirAttrMeta, DirEntry, DirStat, InodeId, MetaError,
@@ -78,9 +79,13 @@ impl Tectonic {
         self.db.install_faults(plan);
     }
 
-    fn now(&self) -> u64 {
-        self.clock
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    /// The shared relaxed-consistency operations over this system's table.
+    fn relaxed(&self) -> Relaxed<'_> {
+        Relaxed {
+            db: &self.db,
+            ids: &self.ids,
+            clock: &self.clock,
+        }
     }
 
     /// Level-by-level traversal: one RPC per component (the dotted arrows
@@ -131,7 +136,7 @@ impl MetadataService for Tectonic {
                 return Err(MetaError::PermissionDenied(path.to_string()));
             }
             let id = self.ids.alloc();
-            let now = self.now();
+            let now = self.relaxed().now();
             if self.transactional {
                 // The original DBtable service: one distributed transaction
                 // spanning the parent's shard and the new directory's shard
@@ -195,7 +200,7 @@ impl MetadataService for Tectonic {
             if !children.is_empty() {
                 return Err(MetaError::NotEmpty(path.to_string()));
             }
-            let now = self.now();
+            let now = self.relaxed().now();
             self.db.delete_row(entry_key(parent.id, &name), stats)?;
             self.db.delete_row(attr_key(dir), stats)?;
             self.db.update_attr_latched(
@@ -213,55 +218,12 @@ impl MetadataService for Tectonic {
 
     fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            if !parent.permission.allows(Permission::WRITE) {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
-            let id = self.ids.alloc();
-            let now = self.now();
-            self.db.insert_row(
-                entry_key(parent.id, &name),
-                Row::Object(ObjectMeta {
-                    pid: parent.id,
-                    name: name.clone(),
-                    id,
-                    size,
-                    blob: 0,
-                    ctime: now,
-                    permission: Permission::ALL,
-                }),
-                stats,
-            )?;
-            self.db.update_attr_latched(
-                parent.id,
-                AttrDelta {
-                    nlink: 0,
-                    entries: 1,
-                    mtime: now,
-                },
-                stats,
-            )?;
-            Ok(id)
-        })
+        self.relaxed().create(path, parent, name, size, stats)
     }
 
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            self.db.get_object(parent.id, &name, stats)?;
-            let now = self.now();
-            self.db.delete_row(entry_key(parent.id, &name), stats)?;
-            self.db.update_attr_latched(
-                parent.id,
-                AttrDelta {
-                    nlink: 0,
-                    entries: -1,
-                    mtime: now,
-                },
-                stats,
-            )?;
-            Ok(())
-        })
+        self.relaxed().delete(parent, &name, stats)
     }
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
@@ -273,19 +235,12 @@ impl MetadataService for Tectonic {
 
     fn dirstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<DirStat> {
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            let attrs = self.db.dir_stat(dir.id, stats)?;
-            Ok(DirStat {
-                id: dir.id,
-                attrs,
-                permission: dir.permission,
-            })
-        })
+        self.relaxed().dirstat(dir, stats)
     }
 
     fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        stats.time(Phase::Execute, |stats| self.db.readdir(dir.id, stats))
+        self.relaxed().readdir(dir, stats)
     }
 
     fn list(
@@ -295,12 +250,8 @@ impl MetadataService for Tectonic {
         limit: usize,
         stats: &mut RequestCtx,
     ) -> Result<(Vec<DirEntry>, bool)> {
-        // Tectonic's shard store is ordered, so a page is a bounded engine
-        // range scan — not the default full-readdir-then-slice fallback.
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            self.db.readdir_page(dir.id, start_after, limit, stats)
-        })
+        self.relaxed().list(dir, start_after, limit, stats)
     }
 
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
@@ -322,7 +273,7 @@ impl MetadataService for Tectonic {
         })?;
         stats.time(Phase::Execute, |stats| {
             let (src_id, src_perm) = self.db.resolve_step(src_parent.id, &src_name, stats)?;
-            let now = self.now();
+            let now = self.relaxed().now();
             if self.transactional {
                 let mut ops = vec![
                     mantle_tafdb::TxnOp::Delete {
@@ -423,7 +374,7 @@ impl BulkLoad for Tectonic {
                 Some(_) => panic!("bulk_dir crosses an object in {path}"),
                 None => {
                     let id = self.ids.alloc();
-                    let now = self.now();
+                    let now = self.relaxed().now();
                     self.db.raw_put(
                         entry_key(pid, comp),
                         Row::DirAccess {
@@ -450,30 +401,9 @@ impl BulkLoad for Tectonic {
 
     fn bulk_object(&self, path: &MetaPath, size: u64) {
         let parent = path.parent().expect("objects cannot be the root");
-        let name = path.name().expect("non-root");
         let pid = self.bulk_dir(&parent);
-        let id = self.ids.alloc();
-        let now = self.now();
-        self.db.raw_put(
-            entry_key(pid, name),
-            Row::Object(ObjectMeta {
-                pid,
-                name: name.to_string(),
-                id,
-                size,
-                blob: 0,
-                ctime: now,
-                permission: Permission::ALL,
-            }),
-        );
-        if let Some(Row::DirAttr(mut attrs)) = self.db.raw_get(&attr_key(pid)) {
-            attrs.apply_delta(&AttrDelta {
-                nlink: 0,
-                entries: 1,
-                mtime: now,
-            });
-            self.db.raw_put(attr_key(pid), Row::DirAttr(attrs));
-        }
+        self.relaxed()
+            .bulk_object(pid, path.name().expect("non-root"), size);
     }
 }
 

@@ -90,11 +90,11 @@ impl SystemUnderTest {
         }
     }
 
-    /// Builds InfiniFS with explicit options (Figure 20's AM-Cache run).
-    pub fn infinifs(sim: SimConfig, opts: InfiniFsOptions) -> Self {
+    /// Wraps a custom-configured InfiniFS (Figure 20's cache-on/off legs).
+    pub fn infinifs_custom(svc: Arc<InfiniFs>) -> Self {
         SystemUnderTest {
             kind: SystemKind::InfiniFs,
-            svc: InfiniFs::new(sim, opts),
+            svc,
             mantle: None,
         }
     }

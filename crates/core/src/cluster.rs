@@ -4,8 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mantle_index::cache::CachedPrefix;
-use mantle_index::{IndexNode, IndexOptions, TopDirPathCache};
+use mantle_index::{IndexNode, IndexOptions};
 use mantle_rpc::{classify_failover, classify_rename, RetryPolicy};
 use mantle_tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
@@ -101,11 +100,9 @@ pub struct MantleConfig {
     pub rename_retries: u32,
     /// Proxy-level retries for transient unavailability (leader failover).
     pub unavailable_retries: u32,
-    /// Equip the proxy with an AM-Cache-style full-path metadata cache
-    /// (the Figure 20 experiment; off in Mantle's normal configuration).
-    pub amcache: bool,
-    /// Client-side path-lease cache (DESIGN.md §4.13). Defaults from the
-    /// `MANTLE_PATH_CACHE*` environment — off unless opted in, which keeps
+    /// Client-side path-lease cache (DESIGN.md §4.13; also the proxy-side
+    /// metadata cache of the Figure 20 experiment). Defaults from the
+    /// `MANTLE_PATH_CACHE` environment — off unless opted in, which keeps
     /// the cache-off latency pins byte-identical.
     pub pcache: PathLeaseConfig,
 }
@@ -119,7 +116,6 @@ impl Default for MantleConfig {
             data_nodes: 4,
             rename_retries: 10_000,
             unavailable_retries: 600,
-            amcache: false,
             pcache: PathLeaseConfig::from_env(),
         }
     }
@@ -149,8 +145,6 @@ pub struct MantleCluster {
     /// This namespace's root directory id (distinct per namespace when a
     /// region shares one TafDB across namespaces, §7.1).
     root: InodeId,
-    /// Proxy-side AM-Cache (Figure 20): full-path resolutions, k = 0.
-    amcache: TopDirPathCache,
     /// Client-side path-lease cache (DESIGN.md §4.13).
     pcache: PathLeaseCache,
     ops: SvcMetrics,
@@ -191,7 +185,6 @@ impl MantleCluster {
             ids,
             clock: AtomicU64::new(1),
             root,
-            amcache: TopDirPathCache::new(0, config.amcache),
             pcache: PathLeaseCache::new(config.pcache, "mantle"),
             ops: SvcMetrics::new("mantle"),
         })
@@ -267,7 +260,6 @@ impl MantleCluster {
                 self.index
                     .set_permission(parent.id, &name, permission, path, stats)
             })?;
-            self.amcache.invalidate_subtree(path);
             // Aggregated permissions changed for everything underneath.
             stats.cache_invalidations += self.pcache.invalidate_subtree(path) as u32;
             Ok(())
@@ -293,9 +285,8 @@ impl MantleCluster {
     ) -> Result<R> {
         // StaleRoute: the DB's shard map moved under the op; the retry
         // re-routes against the refreshed snapshot. The engine books the
-        // per-class retry stat and paces (modeled backoff plus real pacing
-        // under the virtual clock, since leader re-election runs on the
-        // real-time control plane).
+        // per-class retry stat and paces (modeled backoff plus real pacing,
+        // since leader re-election runs on the real-time control plane).
         RetryPolicy::failover(self.config.unavailable_retries).run(
             stats,
             classify_failover,
@@ -342,7 +333,7 @@ impl MantleCluster {
     }
 
     /// One path resolution, optionally short-circuited by the proxy-side
-    /// path-lease cache (DESIGN.md §4.13) or AM-Cache (Figure 20).
+    /// path-lease cache (DESIGN.md §4.13).
     fn cached_lookup(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
         if self.pcache.enabled() {
             let ttl = self.pcache.config().lease_ttl;
@@ -356,28 +347,7 @@ impl MantleCluster {
                 |stats| self.with_failover(stats, |stats| self.index.lease_check(path, ttl, stats)),
             );
         }
-        if let Some(prefix) = self.amcache.prefix_of(path) {
-            if let Some(hit) = self.amcache.get(&prefix) {
-                stats.cache_hits += 1;
-                mantle_obs::counter("amcache_hits_total", &[]).inc();
-                return Ok(ResolvedPath {
-                    id: hit.pid,
-                    permission: hit.permission,
-                });
-            }
-        }
-        let resolved = self.with_failover(stats, |stats| self.index.lookup(path, stats))?;
-        if let Some(prefix) = self.amcache.prefix_of(path) {
-            self.amcache.try_fill(
-                prefix,
-                CachedPrefix {
-                    pid: resolved.id,
-                    permission: resolved.permission,
-                },
-                || true,
-            );
-        }
-        Ok(resolved)
+        self.with_failover(stats, |stats| self.index.lookup(path, stats))
     }
 
     /// Resolves the parent directory of `path` and returns
@@ -484,7 +454,6 @@ impl MetadataService for MantleCluster {
             self.with_failover(stats, |stats| {
                 self.index.remove_dir(parent.id, &name, path, stats)
             })?;
-            self.amcache.invalidate_subtree(path);
             stats.cache_invalidations += self.pcache.invalidate_subtree(path) as u32;
             Ok(())
         })
@@ -611,7 +580,7 @@ impl MetadataService for MantleCluster {
         // The engine's rename pacing charges the modeled backoff to this
         // client's timeline and yields so the conflicting client can release
         // the lock in real time (or plain yields when RTT is zero).
-        RetryPolicy::rename(self.config.rename_retries, self.config.sim.rtt_micros == 0).run(
+        RetryPolicy::rename(self.config.rename_retries).run(
             stats,
             classify_rename,
             |_, e| {
@@ -760,7 +729,6 @@ impl MantleCluster {
                     self.with_failover(stats, |stats| {
                         self.index.rename_commit(&grant, src, dst, uuid, stats)
                     })?;
-                    self.amcache.invalidate_subtree(src);
                     // Both subtrees: sources go stale, and the destination
                     // side may hold negative verdicts for paths that exist
                     // now that the subtree moved in.

@@ -1,10 +1,10 @@
 //! Critical-path attribution: where an operation's time actually went.
 //!
 //! Every advance of the simulated timeline passes through
-//! [`mantle_types::clock::sleep_as`] / `fold_real`, each of which charges a
-//! [`TimeCategory`] in the per-thread ledger. A [`PhaseAttribution`] is the
+//! [`mantle_types::clock::sleep_as`], which charges a [`TimeCategory`] in
+//! the per-thread ledger. A [`PhaseAttribution`] is the
 //! ledger *delta* across a region of interest — an operation, a trace, a
-//! single span — so under the virtual clock the per-phase nanoseconds sum
+//! single span — so the per-phase nanoseconds sum
 //! **exactly** to the region's end-to-end latency (the property the
 //! acceptance tests pin to within 1%).
 //!
@@ -202,9 +202,7 @@ mod tests {
         assert_eq!(attr.count(TimeCategory::Rtt), 2);
         assert_eq!(attr.nanos(TimeCategory::Rtt), 400_000);
         assert_eq!(attr.nanos(TimeCategory::Fsync), 100_000);
-        if clock::is_virtual() {
-            assert_eq!(attr.total_nanos(), t0.elapsed().as_nanos() as u64);
-        }
+        assert_eq!(attr.total_nanos(), t0.elapsed().as_nanos() as u64);
         assert!(attr.render().contains("80% rtt"), "{}", attr.render());
         assert_eq!(attr.canonical(), "rtt=400000/2 fsync=100000/1");
     }

@@ -59,8 +59,7 @@ pub struct Span {
     pub kind: SpanKind,
     /// Start offset from the trace start, in nanoseconds.
     pub start_nanos: u64,
-    /// Simulated duration, in nanoseconds (wall-clock under
-    /// `MANTLE_WALL_CLOCK=1`).
+    /// Simulated duration, in nanoseconds.
     pub dur_nanos: u64,
     /// Time spent waiting for a service permit (queueing), in nanoseconds.
     pub queue_nanos: u64,

@@ -366,50 +366,45 @@ mod tests {
     }
 
     #[test]
-    fn log_batching_reduces_fsyncs() {
-        // Compare fsync counts with and without batching under concurrency.
-        let run = |batching: bool| -> (u64, u64) {
-            let mut config = SimConfig::instant();
-            config.fsync_micros = 500;
-            let nodes = (0..3)
+    fn log_batching_shares_one_fsync_per_append_batch() {
+        // Staged interleaving: cut the leader -> learner edge, commit `N`
+        // entries on the voters, heal. The learner then receives all `N`
+        // in a single AppendEntries batch, so its fsync count shows the
+        // batching rule exactly. Returns (leader fsyncs, learner fsyncs
+        // for the catch-up batch).
+        const N: u64 = 8;
+        let run = |log_batching: bool| -> (u64, u64) {
+            let config = SimConfig::instant();
+            let nodes = (0..4)
                 .map(|i| Arc::new(SimNode::new(format!("raft{i}"), usize::MAX, config)))
                 .collect();
             let opts = RaftOptions {
-                log_batching: batching,
+                log_batching,
                 heartbeat_interval: Duration::from_millis(5),
+                // No election may disturb the staging: a new leader's
+                // barrier entry would reach the learner as a second batch.
+                election_timeout_min: Duration::from_secs(10),
+                election_timeout_max: Duration::from_secs(20),
                 ..RaftOptions::default()
             };
+            assert!(N as usize <= opts.max_batch);
             let group = RaftGroup::new(config, opts, nodes, 3, |_| RecordingSm::new());
+            let plan = mantle_rpc::FaultPlan::new(0, mantle_rpc::FaultProfile::zeroed());
+            group.install_faults(Some(plan.clone()));
             let leader = group.leader().unwrap();
-            std::thread::scope(|s| {
-                for t in 0..8 {
-                    let leader = &leader;
-                    s.spawn(move || {
-                        for i in 0..10 {
-                            leader.propose(t * 100 + i).unwrap();
-                        }
-                    });
-                }
-            });
-            (leader.wal_fsyncs(), 80)
+            let learner = group.replica(3);
+            // Index 1 is the term-start barrier.
+            assert!(learner.wait_for_applied(1, Duration::from_secs(5)));
+            let before = learner.wal_fsyncs();
+            plan.partition(leader.node().name(), learner.node().name());
+            for i in 0..N {
+                leader.propose(i).unwrap();
+            }
+            plan.heal_all();
+            assert!(learner.wait_for_applied(1 + N, Duration::from_secs(5)));
+            (leader.wal_fsyncs(), learner.wal_fsyncs() - before)
         };
-        let (batched, total) = run(true);
-        let (unbatched, _) = run(false);
-        assert_eq!(unbatched, total);
-        if mantle_types::clock::is_virtual() {
-            // Group commit amortizes fsyncs that overlap in *wall* time;
-            // under the virtual clock injected fsyncs are instant, so
-            // overlap (and thus the strict win) is not guaranteed. The
-            // MANTLE_WALL_CLOCK=1 smoke run covers the strict assertion.
-            assert!(
-                batched <= unbatched,
-                "batched={batched} must never exceed unbatched={unbatched}"
-            );
-        } else {
-            assert!(
-                batched < unbatched,
-                "batched={batched} should be < unbatched={unbatched}"
-            );
-        }
+        assert_eq!(run(false), (N, N));
+        assert_eq!(run(true), (N, 1));
     }
 }

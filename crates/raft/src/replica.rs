@@ -605,10 +605,9 @@ impl<SM: StateMachine> RaftReplica<SM> {
                 return match g.log.term_at(my_index) {
                     Some(t) if t == my_term => {
                         // Quorum replication happens on replicator threads;
-                        // under virtual time the proposer's own timeline
-                        // would not see that round trip, so the modeled
-                        // commit cost is folded in here (no-op under the
-                        // wall clock, where the condvar wait was real).
+                        // the proposer's own timeline would not see that
+                        // round trip, so the modeled commit cost is folded
+                        // in here.
                         if self.n_voters > 1 {
                             // Attribute the folded commit cost to this
                             // replica in any active trace, so critical-path
@@ -619,7 +618,7 @@ impl<SM: StateMachine> RaftReplica<SM> {
                                 self.node.name(),
                                 mantle_obs::trace::SpanKind::Local,
                             );
-                            clock::fold_model(TimeCategory::Commit, self.config.rtt());
+                            clock::sleep_as(TimeCategory::Commit, self.config.rtt());
                         }
                         Ok(my_index)
                     }

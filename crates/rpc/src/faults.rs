@@ -21,7 +21,7 @@
 //! global metrics registry and (for probabilistic/durability/txn faults)
 //! appends a [`FaultEvent`] to the plan's bounded event log, which is what
 //! the chaos determinism test compares across runs and what
-//! `just chaos SEED=…` prints as the fault timeline.
+//! `make chaos SEED=…` prints as the fault timeline.
 //!
 //! Plans are installed per instance (each `SimNode`/WAL holds a
 //! [`FaultSlot`]), never process-globally, so concurrent tests cannot
@@ -979,7 +979,7 @@ fn install_panic_reporter() {
                     .unwrap_or_else(|_| "<unserializable>".to_string());
                 eprintln!(
                     "\n== SimFaults: panic under active fault plan ==\n\
-                     reproduce with: MANTLE_FAULT_SEED={} just chaos\n\
+                     reproduce with: make chaos SEED={}\n\
                      seed   : {}\nprofile: {}\nevents : {} injected ({} dropped)\n",
                     plan.seed(),
                     plan.seed(),

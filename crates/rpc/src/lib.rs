@@ -34,9 +34,7 @@ use mantle_types::SimConfig;
 
 /// Advances simulated time by `d` (categorized as
 /// [`TimeCategory::Other`]), skipping the charge entirely for zero
-/// durations (the unit-test configuration). Under the default virtual
-/// clock this costs no wall time; with `MANTLE_WALL_CLOCK=1` it really
-/// sleeps.
+/// durations (the unit-test configuration). Costs no wall time.
 #[inline]
 pub fn inject_delay(d: Duration) {
     if !d.is_zero() {
@@ -44,35 +42,28 @@ pub fn inject_delay(d: Duration) {
     }
 }
 
-/// Like [`inject_delay`] but attributed to an explicit [`TimeCategory`]
-/// so the per-thread ledger can reproduce Table 1's closed-form latency
-/// decomposition. Zero durations are still *counted* (an RPC with a zero
-/// RTT is still an RPC) but advance no time.
-#[inline]
-pub fn inject_delay_as(cat: TimeCategory, d: Duration) {
-    clock::sleep_as(cat, d);
-}
-
-/// Injects one network round trip.
+/// Injects one network round trip. Like the other categorized charges
+/// below, a zero duration is still *counted* in the per-thread ledger (an
+/// RPC with a zero RTT is still an RPC) but advances no time.
 #[inline]
 pub fn net_round_trip(config: &SimConfig) {
-    inject_delay_as(TimeCategory::Rtt, config.rtt());
+    clock::sleep_as(TimeCategory::Rtt, config.rtt());
 }
 
 /// Injects one log/WAL fsync.
 #[inline]
 pub fn fsync(config: &SimConfig) {
-    inject_delay_as(TimeCategory::Fsync, config.fsync());
+    clock::sleep_as(TimeCategory::Fsync, config.fsync());
 }
 
 /// Injects one storage-device (SSD) access.
 #[inline]
 pub fn device_access(config: &SimConfig) {
-    inject_delay_as(TimeCategory::Device, config.device());
+    clock::sleep_as(TimeCategory::Device, config.device());
 }
 
 /// Injects one unit of per-request CPU service time on a node.
 #[inline]
 pub fn service_time(config: &SimConfig) {
-    inject_delay_as(TimeCategory::Service, config.service());
+    clock::sleep_as(TimeCategory::Service, config.service());
 }

@@ -34,34 +34,22 @@ use mantle_types::{MetaError, RequestCtx, Result, RetryClass};
 use crate::faults::splitmix64;
 use crate::node::SimNode;
 
-/// How the engine waits out a backoff, mirroring the pacing rules of the
-/// loops it replaced. The distinction matters because the virtual clock
-/// charges modeled waits instantly while conflicting clients make progress
-/// in *real* time.
+/// How the engine waits out a backoff. The distinction matters because
+/// the virtual clock charges modeled waits instantly while the thing being
+/// waited out makes progress in *real* time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pacing {
-    /// Charge the backoff to the simulated timeline; under the virtual
-    /// clock additionally sleep for real, because the thing being waited
-    /// out (leader re-election) runs on the real-time control plane.
-    /// (`with_failover`.)
+    /// Charge the backoff to the simulated timeline, then sleep it for
+    /// real, because the thing being waited out (leader re-election) runs
+    /// on the real-time control plane. (`with_failover`.)
     ChargeAndPaceReal,
-    /// Virtual clock: charge the backoff, then yield so the conflicting
-    /// client can release its lock in real time. Wall clock: yield when
-    /// the substrate is zero-delay, else a plain real sleep. (Rename
-    /// same-UUID loops.)
-    ChargeOrSleep {
-        /// Whether the substrate runs with zero injected delays
-        /// (`rtt_micros == 0`), where sleeping would only slow tests.
-        zero_delay: bool,
-    },
-    /// Zero-delay substrate: just yield. Otherwise charge/sleep via the
-    /// clock. (TafDB transaction conflicts.)
-    SleepUnlessZeroDelay {
-        /// See [`Pacing::ChargeOrSleep::zero_delay`].
-        zero_delay: bool,
-    },
-    /// Yield only; no simulated time is charged (the retry re-routes
-    /// against a refreshed in-memory shard map). (Stale-route rereads.)
+    /// Charge the backoff, then yield so the conflicting client can
+    /// release its lock in real time. (Rename same-UUID loops; TafDB
+    /// transaction conflicts on a substrate with injected delays.)
+    ChargeAndYield,
+    /// Yield only; no simulated time is charged. (Stale-route rereads,
+    /// which re-route against a refreshed in-memory shard map; TafDB
+    /// transaction conflicts on a zero-delay substrate.)
     YieldOnly,
 }
 
@@ -104,7 +92,7 @@ impl RetryPolicy {
 
     /// The rename-lock curve: 100 µs doubling, capped at 3 ms, yielding to
     /// the conflicting client (the dirrename same-UUID loops).
-    pub fn rename(max_attempts: u32, zero_delay: bool) -> Self {
+    pub fn rename(max_attempts: u32) -> Self {
         RetryPolicy {
             max_attempts,
             base_micros: 50,
@@ -112,12 +100,13 @@ impl RetryPolicy {
             cap_micros: 3_000,
             jitter_micros: 0,
             jitter_salt: 0,
-            pacing: Pacing::ChargeOrSleep { zero_delay },
+            pacing: Pacing::ChargeAndYield,
         }
     }
 
     /// The transaction-conflict curve: 100 µs doubling, capped at 3 ms;
-    /// pure yield on a zero-delay substrate (TafDB execute loop).
+    /// pure yield on a zero-delay substrate (`rtt_micros == 0`), whose
+    /// latency pins must not see backoff (TafDB execute loop).
     pub fn txn(max_attempts: u32, zero_delay: bool) -> Self {
         RetryPolicy {
             max_attempts,
@@ -126,7 +115,11 @@ impl RetryPolicy {
             cap_micros: 3_000,
             jitter_micros: 0,
             jitter_salt: 0,
-            pacing: Pacing::SleepUnlessZeroDelay { zero_delay },
+            pacing: if zero_delay {
+                Pacing::YieldOnly
+            } else {
+                Pacing::ChargeAndYield
+            },
         }
     }
 
@@ -169,32 +162,14 @@ impl RetryPolicy {
         match self.pacing {
             Pacing::ChargeAndPaceReal => {
                 clock::sleep_as(TimeCategory::Backoff, backoff);
-                if clock::is_virtual() {
-                    // The modeled backoff above was instant, but leader
-                    // re-election runs on the real-time control plane;
-                    // pace the retry loop against it.
-                    std::thread::sleep(backoff);
-                }
+                // The modeled backoff above was instant, but leader
+                // re-election runs on the real-time control plane; pace
+                // the retry loop against it.
+                std::thread::sleep(backoff);
             }
-            Pacing::ChargeOrSleep { zero_delay } => {
-                if clock::is_virtual() {
-                    // Charge the modeled backoff to this client's timeline
-                    // (instant), then yield so the conflicting client can
-                    // release the lock in real time.
-                    clock::sleep_as(TimeCategory::Backoff, backoff);
-                    std::thread::yield_now();
-                } else if zero_delay {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(backoff);
-                }
-            }
-            Pacing::SleepUnlessZeroDelay { zero_delay } => {
-                if zero_delay {
-                    std::thread::yield_now();
-                } else {
-                    clock::sleep_as(TimeCategory::Backoff, backoff);
-                }
+            Pacing::ChargeAndYield => {
+                clock::sleep_as(TimeCategory::Backoff, backoff);
+                std::thread::yield_now();
             }
             Pacing::YieldOnly => std::thread::yield_now(),
         }
@@ -367,7 +342,7 @@ mod tests {
         assert_eq!(f.backoff(6), Duration::from_micros(5_000));
         assert_eq!(f.backoff(100), Duration::from_micros(5_000));
 
-        let r = RetryPolicy::rename(10_000, false);
+        let r = RetryPolicy::rename(10_000);
         // (50 << min(a, 6)).min(3000) µs
         assert_eq!(r.backoff(1), Duration::from_micros(100));
         assert_eq!(r.backoff(5), Duration::from_micros(1_600));

@@ -304,7 +304,6 @@ impl GroupCommitWal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn ungrouped_wal_fsyncs_every_append() {
@@ -316,39 +315,37 @@ mod tests {
         assert_eq!(wal.appends(), 10);
     }
 
+    /// Parks `n` appenders behind a flush staged as in flight, releases
+    /// them together and returns the fsyncs their appends cost.
+    fn fsyncs_for_appends_joining_one_flush(group_commit: bool, n: u64) -> u64 {
+        let wal = GroupCommitWal::new(SimConfig::instant(), group_commit);
+        wal.state.lock().flushing = true;
+        std::thread::scope(|s| {
+            for _ in 0..n {
+                s.spawn(|| wal.append());
+            }
+            if group_commit {
+                // An appender holds the state lock from its enqueue until
+                // its condvar wait, so once all `n` are enqueued all are
+                // parked behind the staged flush.
+                let mut state = wal.state.lock();
+                while state.enqueued < n {
+                    drop(state);
+                    std::thread::yield_now();
+                    state = wal.state.lock();
+                }
+                state.flushing = false;
+                wal.cv.notify_all();
+            }
+        });
+        assert_eq!(wal.appends(), n);
+        wal.fsyncs()
+    }
+
     #[test]
-    fn grouped_wal_amortizes_fsyncs() {
-        let mut config = SimConfig::instant();
-        config.fsync_micros = 2_000;
-        let wal = Arc::new(GroupCommitWal::new(config, true));
-        let handles: Vec<_> = (0..16)
-            .map(|_| {
-                let wal = wal.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..5 {
-                        wal.append();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(wal.appends(), 80);
-        if mantle_types::clock::is_virtual() {
-            // Batching exploits *wall-time* overlap between appenders;
-            // virtual-clock fsyncs are instant, so the flush window is
-            // too narrow to guarantee sharing. The MANTLE_WALL_CLOCK=1
-            // smoke run covers the strict amortization assertion.
-            assert!(wal.fsyncs() <= 80);
-        } else {
-            assert!(
-                wal.fsyncs() < 80,
-                "group commit must batch: {} fsyncs for 80 appends",
-                wal.fsyncs()
-            );
-        }
-        assert!(wal.fsyncs() >= 1);
+    fn appends_that_join_during_a_flush_share_one_fsync() {
+        assert_eq!(fsyncs_for_appends_joining_one_flush(true, 16), 1);
+        assert_eq!(fsyncs_for_appends_joining_one_flush(false, 16), 16);
     }
 
     #[test]

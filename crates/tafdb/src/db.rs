@@ -212,8 +212,16 @@ impl TafDb {
         let handle = std::thread::Builder::new()
             .name("tafdb-compactor".into())
             .spawn(move || {
+                // Parked, not slept, so that `Drop` can wake it: a long
+                // interval must not stall shutdown.
+                let mut next = Instant::now() + interval;
                 while !shutdown.load(Ordering::Acquire) {
-                    std::thread::sleep(interval);
+                    let now = Instant::now();
+                    if now < next {
+                        std::thread::park_timeout(next - now);
+                        continue;
+                    }
+                    next = now + interval;
                     let Some(db) = weak.upgrade() else { return };
                     db.compact_once();
                 }
@@ -414,6 +422,7 @@ impl Drop for TafDb {
                 // final drop happens on one of them, joining would
                 // self-deadlock.
                 if h.thread().id() != std::thread::current().id() {
+                    h.thread().unpark();
                     let _ = h.join();
                 }
             }

@@ -4,6 +4,7 @@
 //! owner proves the value was authoritative), absorbing races with a
 //! `StaleRoute` bounce-and-retry.
 
+use std::ops::Bound;
 use std::sync::Arc;
 
 use mantle_store::RowKey;
@@ -272,30 +273,49 @@ impl TafDb {
         start_after: Option<&str>,
         limit: usize,
     ) -> Vec<DirEntry> {
-        let from = start_after.unwrap_or("");
+        let want = limit.saturating_add(1);
         // +3: the attribute row, an entry equal to `start_after`, and the
         // truncation sentinel may all occupy scan slots.
-        let rows = mantle_engine::scan_dir(&*shard.engine, pid, from, limit.saturating_add(3));
-        self.metrics.range_scan_rows.add(rows.len() as u64);
-        rows.into_iter()
-            .filter(|(k, _)| {
-                k.name.as_ref() != ATTR_ROW_NAME && start_after.is_none_or(|a| k.name.as_ref() > a)
-            })
-            .filter_map(|(k, row)| match row {
-                Row::DirAccess { id, .. } => Some(DirEntry {
-                    name: k.name.to_string(),
-                    kind: EntryKind::Dir,
-                    id,
-                }),
-                Row::Object(o) => Some(DirEntry {
-                    name: k.name.to_string(),
-                    kind: EntryKind::Object,
-                    id: o.id,
-                }),
-                _ => None,
-            })
-            .take(limit.saturating_add(1))
-            .collect()
+        let budget = limit.saturating_add(3);
+        let mut lo = Bound::Included(RowKey::base(pid, start_after.unwrap_or("")));
+        let mut page = Vec::new();
+        loop {
+            let rows = shard
+                .engine
+                .scan_range(lo, mantle_engine::dir_upper_bound(pid), budget);
+            self.metrics.range_scan_rows.add(rows.len() as u64);
+            let more = rows.len() == budget;
+            let last = rows.last().map(|(k, _)| k.clone());
+            page.reserve(rows.len().min(want - page.len()));
+            page.extend(
+                rows.into_iter()
+                    .filter(|(k, _)| {
+                        k.name.as_ref() != ATTR_ROW_NAME
+                            && start_after.is_none_or(|a| k.name.as_ref() > a)
+                    })
+                    .filter_map(|(k, row)| match row {
+                        Row::DirAccess { id, .. } => Some(DirEntry {
+                            name: k.name.to_string(),
+                            kind: EntryKind::Dir,
+                            id,
+                        }),
+                        Row::Object(o) => Some(DirEntry {
+                            name: k.name.to_string(),
+                            kind: EntryKind::Object,
+                            id: o.id,
+                        }),
+                        _ => None,
+                    })
+                    .take(want - page.len()),
+            );
+            // A hot directory's uncompacted delta records sort right after
+            // its attribute row and eat scan slots too: resume past what
+            // this scan covered until the page is full.
+            match last {
+                Some(k) if more && page.len() < want => lo = Bound::Excluded(k),
+                _ => return page,
+            }
+        }
     }
 
     /// Paged child listing: up to `limit` entries of `pid` with names

@@ -221,116 +221,127 @@ fn single_shard_txn_is_one_rpc() {
     assert_eq!(stats.rpcs, 1);
 }
 
+const BUMP_ROOT: TxnOp = TxnOp::AttrUpdate {
+    dir: ROOT_ID,
+    delta: AttrDelta {
+        nlink: 0,
+        entries: 1,
+        mtime: 1,
+    },
+};
+
+/// Staged contention on the root attribute row: a prepared transaction
+/// holds the row's (shared) lock, so a contending `AttrUpdate` — which
+/// wants it exclusively — aborts on every cold attempt. Returns the db,
+/// the still-prepared holder, the contender's outcome and its ctx.
+fn contend_on_held_attr_row(
+    delta_records: bool,
+) -> (
+    Arc<TafDb>,
+    mantle_tafdb::Prepared,
+    Result<mantle_types::TxnId, MetaError>,
+    RequestCtx,
+) {
+    let db = db_with(TafDbOptions {
+        delta_records,
+        delta_abort_threshold: 2,
+        max_txn_retries: 10,
+        // The abort window and the compactor run on real time; keep both
+        // out of the staging.
+        hot_window: std::time::Duration::from_secs(3600),
+        compact_interval: std::time::Duration::from_secs(3600),
+        ..TafDbOptions::default()
+    });
+    let mut holder_ctx = RequestCtx::new();
+    let holder = db
+        .prepare(
+            db.begin(),
+            &[TxnOp::ExpectExists {
+                key: attr_key(ROOT_ID),
+            }],
+            &mut holder_ctx,
+        )
+        .unwrap();
+    let mut ctx = RequestCtx::new();
+    let outcome = db.execute(&[BUMP_ROOT], &mut ctx);
+    (db, holder, outcome, ctx)
+}
+
 #[test]
 fn contention_activates_delta_records_and_compaction_folds() {
-    let opts = TafDbOptions {
-        delta_abort_threshold: 2,
-        ..TafDbOptions::default()
-    };
-    // A non-zero fsync keeps row locks held across the commit flush so the
-    // no-wait conflicts the paper describes actually materialize.
-    let mut config = SimConfig::instant();
-    config.fsync_micros = 100;
-    let db = TafDb::new(config, opts);
-    if mantle_types::clock::is_virtual() {
-        // Virtual-clock fsyncs are instant, so no lock-hold window exists
-        // for the conflicts that trip the abort-rate heuristic. Force the
-        // directory hot so the delta-record machinery itself is exercised;
-        // the MANTLE_WALL_CLOCK=1 smoke run covers organic activation.
-        db.force_hot(ROOT_ID);
-    }
+    use mantle_types::RetryClass;
 
-    // Hammer the root attr row from many threads; the first conflicts abort
-    // and retry, then delta mode kicks in and appends become conflict-free.
-    let threads = 8;
-    let per_thread = 50;
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let db = &db;
-            s.spawn(move || {
-                let mut stats = RequestCtx::new();
-                for _ in 0..per_thread {
-                    let ops = vec![TxnOp::AttrUpdate {
-                        dir: ROOT_ID,
-                        delta: AttrDelta {
-                            nlink: 1,
-                            entries: 1,
-                            mtime: 1,
-                        },
-                    }];
-                    db.execute(&ops, &mut stats).unwrap();
-                }
-            });
-        }
-    });
+    let (db, holder, outcome, ctx) = contend_on_held_attr_row(true);
+    // Exactly `delta_abort_threshold` cold attempts abort; that turns the
+    // directory hot, and the next attempt commits as a delta record under
+    // the lock that is still held.
+    outcome.unwrap();
+    assert_eq!(ctx.retry_count(RetryClass::Txn), 2);
     let counters = db.counters();
-    assert!(
-        counters.delta_appends > 0,
-        "sustained contention must activate delta records: {counters:?}"
-    );
+    assert_eq!(counters.txns_aborted, 2);
+    assert_eq!(counters.delta_appends, 1);
+    assert_eq!(counters.inplace_updates, 0);
+    assert_eq!(db.pending_deltas(ROOT_ID), 1);
 
-    // dirstat merges base + outstanding deltas: the count must be exact
-    // regardless of compaction progress.
+    // Hot mode persists: further updates append without a single abort.
     let mut stats = RequestCtx::new();
-    let attrs = db.dir_stat(ROOT_ID, &mut stats).unwrap();
-    assert_eq!(attrs.entries, (threads * per_thread) as i64);
+    for _ in 0..5 {
+        db.execute(&[BUMP_ROOT], &mut stats).unwrap();
+    }
+    assert_eq!(stats.total_retries(), 0);
+    assert_eq!(db.counters().delta_appends, 6);
+    db.commit(holder, &mut stats);
+
+    // dirstat merges base + outstanding deltas: the count is exact
+    // regardless of compaction progress.
+    assert_eq!(db.dir_stat(ROOT_ID, &mut stats).unwrap().entries, 6);
 
     // After an explicit fold, no deltas remain and the stat is unchanged.
     db.compact_once();
     assert_eq!(db.pending_deltas(ROOT_ID), 0);
-    let attrs = db.dir_stat(ROOT_ID, &mut stats).unwrap();
-    assert_eq!(attrs.entries, (threads * per_thread) as i64);
-    assert!(db.counters().compactions > 0);
+    assert_eq!(db.dir_stat(ROOT_ID, &mut stats).unwrap().entries, 6);
+    assert_eq!(db.counters().compactions, 1);
 }
 
 #[test]
-fn delta_disabled_still_correct_but_aborts_more() {
-    let run = |delta: bool| -> (u64, i64) {
-        let opts = TafDbOptions {
-            delta_records: delta,
+fn delta_disabled_keeps_conflicting_but_stays_correct() {
+    use mantle_types::RetryClass;
+
+    // Same staging, delta records off: the contender never leaves the cold
+    // path, so it conflicts on every attempt until its retries run out.
+    let (db, holder, outcome, ctx) = contend_on_held_attr_row(false);
+    assert_eq!(outcome, Err(MetaError::TxnConflict { retries: 10 }));
+    assert_eq!(ctx.retry_count(RetryClass::Txn), 10);
+    let counters = db.counters();
+    assert_eq!(counters.txns_aborted, 11);
+    assert_eq!(counters.delta_appends, 0);
+
+    // Once the holder lets go the same update goes through, in place.
+    let mut stats = RequestCtx::new();
+    db.commit(holder, &mut stats);
+    db.execute(&[BUMP_ROOT], &mut stats).unwrap();
+    assert_eq!(stats.total_retries(), 0);
+    assert_eq!(db.counters().inplace_updates, 1);
+
+    // Concurrent updaters stay exact with or without delta records.
+    for delta_records in [true, false] {
+        let db = db_with(TafDbOptions {
+            delta_records,
             delta_abort_threshold: 2,
             ..TafDbOptions::default()
-        };
-        let mut config = SimConfig::instant();
-        config.fsync_micros = 100;
-        let db = TafDb::new(config, opts);
+        });
         std::thread::scope(|s| {
             for _ in 0..8 {
-                let db = &db;
-                s.spawn(move || {
+                s.spawn(|| {
                     let mut stats = RequestCtx::new();
                     for _ in 0..30 {
-                        let ops = vec![TxnOp::AttrUpdate {
-                            dir: ROOT_ID,
-                            delta: AttrDelta {
-                                nlink: 0,
-                                entries: 1,
-                                mtime: 1,
-                            },
-                        }];
-                        db.execute(&ops, &mut stats).unwrap();
+                        db.execute(&[BUMP_ROOT], &mut stats).unwrap();
                     }
                 });
             }
         });
         let mut stats = RequestCtx::new();
-        let entries = db.dir_stat(ROOT_ID, &mut stats).unwrap().entries;
-        (db.counters().txns_aborted, entries)
-    };
-    let (aborts_with, entries_with) = run(true);
-    let (aborts_without, entries_without) = run(false);
-    assert_eq!(entries_with, 240);
-    assert_eq!(entries_without, 240);
-    // The abort dynamics depend on real lock-hold windows during the commit
-    // fsync; under the virtual clock fsyncs are instant and neither run
-    // conflicts, so only correctness (above) is asserted. The
-    // MANTLE_WALL_CLOCK=1 smoke run covers the contention comparison.
-    if !mantle_types::clock::is_virtual() {
-        // Both runs abort during the ramp-up, but only the delta run stops.
-        assert!(
-            aborts_without > aborts_with,
-            "delta records should cut aborts: with={aborts_with} without={aborts_without}"
-        );
+        assert_eq!(db.dir_stat(ROOT_ID, &mut stats).unwrap().entries, 240);
     }
 }
 

@@ -1,74 +1,29 @@
-//! Pluggable simulation clock: wall time vs per-thread virtual time.
+//! The simulation clock: per-thread virtual time.
 //!
 //! Every latency claim in the paper is a claim about RPC counts times an
-//! injected round trip (Table 1, Figures 12–17). The original harness paid
-//! those injected delays with real `std::thread::sleep` and measured them
-//! with `Instant::now()`, so a 200 µs simulated RTT cost 200 µs of wall
-//! time and histograms absorbed scheduler jitter. This module decouples
-//! *simulated* time from *wall* time:
-//!
-//! * [`ClockMode::Wall`] — exact status-quo behaviour: `sleep` really
-//!   sleeps, `now` reads the OS monotonic clock. Selected with
-//!   `MANTLE_WALL_CLOCK=1`; required for real-hardware runs.
-//! * [`ClockMode::Virtual`] (default) — per-thread logical time. `sleep(d)`
-//!   advances a thread-local offset instantly; `now()` returns that offset
-//!   as a [`SimInstant`]. Modeled delays therefore cost zero wall time and
-//!   latency reports become deterministic functions of the RPC/fsync
-//!   model. Real compute that the model *should* see (e.g. measured
-//!   permit-wait on a saturated `SimNode`) is folded in explicitly via
-//!   [`fold_real`].
+//! injected round trip (Table 1, Figures 12–17), so modeled delays are
+//! never slept on real time: [`sleep_as`] advances a thread-local offset
+//! instantly and [`now`] returns that offset as a [`SimInstant`]. Modeled
+//! delays cost zero wall time and latency reports are deterministic
+//! functions of the RPC/fsync model.
 //!
 //! Virtual time is deliberately **per-thread**: each simulated client
 //! carries its own timeline, which is exactly the quantity the per-op
 //! latency figures plot. Cross-thread coordination (raft heartbeats,
 //! background compaction, condvar waits) stays on real time — those are
-//! liveness mechanisms, not modeled latency — and any modeled cost a
-//! client would have observed from another thread's work is folded into
-//! the client's timeline at the wait site via [`fold_model`].
+//! liveness mechanisms, not modeled latency. Whatever a client should
+//! observe from such a wait is added to its timeline at the wait site: a
+//! measured real wait (permit acquisition on a saturated `SimNode`) with
+//! [`fold_real_wait`], the modeled cost of another thread's work (the
+//! quorum round trip a raft client waited out on a condvar) with a plain
+//! [`sleep_as`].
 //!
 //! Each thread additionally keeps a per-[`TimeCategory`] `(count, nanos)`
 //! ledger so tests can assert the closed-form decomposition of an
 //! operation's latency (`rpc_count × rtt + fsync_count × fsync`) exactly.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-/// Which clock the process is running under. Chosen once from the
-/// environment; every thread sees the same mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClockMode {
-    /// Real time: `sleep` blocks, `now` reads the OS monotonic clock.
-    Wall,
-    /// Per-thread logical time: `sleep` advances an offset instantly.
-    Virtual,
-}
-
-fn wall_base() -> Instant {
-    static BASE: OnceLock<Instant> = OnceLock::new();
-    *BASE.get_or_init(Instant::now)
-}
-
-/// The active [`ClockMode`], resolved once per process from
-/// `MANTLE_WALL_CLOCK` (`1`/`true`/`yes` selects [`ClockMode::Wall`];
-/// anything else — including unset — selects [`ClockMode::Virtual`]).
-pub fn mode() -> ClockMode {
-    static MODE: OnceLock<ClockMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("MANTLE_WALL_CLOCK") {
-        Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("yes") => {
-            // Pin the wall base now so `SimInstant`s taken later in the
-            // process stay small and saturating arithmetic behaves.
-            let _ = wall_base();
-            ClockMode::Wall
-        }
-        _ => ClockMode::Virtual,
-    })
-}
-
-/// True when the process runs under the (default) virtual clock.
-pub fn is_virtual() -> bool {
-    mode() == ClockMode::Virtual
-}
 
 /// What a span of simulated time was spent on. Used for the per-thread
 /// ledger that backs the Table-1 closed-form fidelity tests.
@@ -176,9 +131,7 @@ thread_local! {
     };
 }
 
-/// A point on the simulated timeline. Under [`ClockMode::Wall`] this is
-/// nanoseconds since a process-wide base `Instant`; under
-/// [`ClockMode::Virtual`] it is the calling thread's logical offset.
+/// A point on the simulated timeline: the calling thread's logical offset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimInstant {
     nanos: u64,
@@ -223,44 +176,23 @@ impl std::ops::Sub<SimInstant> for SimInstant {
 
 /// The current point on the simulated timeline for the calling thread.
 pub fn now() -> SimInstant {
-    match mode() {
-        ClockMode::Wall => SimInstant {
-            nanos: wall_base().elapsed().as_nanos() as u64,
-        },
-        ClockMode::Virtual => SimInstant {
-            nanos: THREAD_CLOCK.with(|c| c.borrow().offset_nanos),
-        },
+    SimInstant {
+        nanos: THREAD_CLOCK.with(|c| c.borrow().offset_nanos),
     }
 }
 
-fn charge(cat: TimeCategory, nanos: u64) {
+/// Advance the calling thread's simulated time by `d`, attributed to
+/// `cat`. Costs no real time; a zero-duration sleep is still counted in
+/// the ledger.
+pub fn sleep_as(cat: TimeCategory, d: Duration) {
+    let nanos = d.as_nanos() as u64;
     THREAD_CLOCK.with(|c| {
         let mut c = c.borrow_mut();
         let e = &mut c.stats.entries[cat as usize];
         e.0 += 1;
         e.1 += nanos;
+        c.offset_nanos = c.offset_nanos.saturating_add(nanos);
     });
-}
-
-/// Advance simulated time by `d`, attributed to `cat`. Under the wall
-/// clock this really sleeps; under the virtual clock it advances the
-/// calling thread's offset instantly. Zero-duration sleeps are counted in
-/// the ledger but cost nothing in either mode.
-pub fn sleep_as(cat: TimeCategory, d: Duration) {
-    let nanos = d.as_nanos() as u64;
-    charge(cat, nanos);
-    if nanos == 0 {
-        return;
-    }
-    match mode() {
-        ClockMode::Wall => std::thread::sleep(d),
-        ClockMode::Virtual => {
-            THREAD_CLOCK.with(|c| {
-                let mut c = c.borrow_mut();
-                c.offset_nanos = c.offset_nanos.saturating_add(nanos);
-            });
-        }
-    }
 }
 
 /// [`sleep_as`] with [`TimeCategory::Other`].
@@ -268,59 +200,16 @@ pub fn sleep(d: Duration) {
     sleep_as(TimeCategory::Other, d);
 }
 
-/// Stopwatch over the *real* monotonic clock, for the few sites that
-/// measure an actual cross-thread wait (e.g. `SimNode` permit acquisition)
-/// and then fold it into the simulated timeline. Keeping the measurement
-/// inside this module means no data-path crate touches
-/// `std::time::Instant` directly, so wall and virtual mode cannot diverge
-/// on how real waits are captured.
-#[derive(Clone, Copy, Debug)]
-pub struct RealStopwatch(Instant);
-
-impl RealStopwatch {
-    /// Real time elapsed since [`real_stopwatch`] was called.
-    pub fn elapsed(&self) -> Duration {
-        self.0.elapsed()
-    }
-
-    /// Folds the elapsed real time into the simulated timeline under
-    /// `cat` (see [`fold_real`]) and returns the measured duration.
-    pub fn fold(self, cat: TimeCategory) -> Duration {
-        let d = self.elapsed();
-        fold_real(cat, d);
-        d
-    }
-}
-
-/// Starts a [`RealStopwatch`] at the current real time.
-pub fn real_stopwatch() -> RealStopwatch {
-    RealStopwatch(Instant::now())
-}
-
-/// Fold *measured real* time into the simulated timeline — e.g. the wall
-/// time a request actually waited for a `SimNode` permit. Under the wall
-/// clock the wait already happened, so only the ledger is updated; under
-/// the virtual clock the thread's offset advances by the measured amount.
-pub fn fold_real(cat: TimeCategory, d: Duration) {
-    let nanos = d.as_nanos() as u64;
-    charge(cat, nanos);
-    if mode() == ClockMode::Virtual {
-        THREAD_CLOCK.with(|c| {
-            let mut c = c.borrow_mut();
-            c.offset_nanos = c.offset_nanos.saturating_add(nanos);
-        });
-    }
-}
-
-/// Fold a *modeled* cost into the virtual timeline at a cross-thread wait
-/// site (e.g. a raft client thread that blocked on a condvar while
-/// replicator threads paid the quorum round trip on their own timelines).
-/// Under the wall clock this is a no-op — the real wait already occurred.
-pub fn fold_model(cat: TimeCategory, d: Duration) {
-    if mode() == ClockMode::Wall {
-        return;
-    }
-    fold_real(cat, d);
+/// Runs `wait` — a real cross-thread block, e.g. a `SimNode` permit
+/// acquire — and folds the real time it took into the calling thread's
+/// timeline under `cat`; returns its result and the measured duration.
+/// Living here keeps `std::time::Instant` out of every data-path crate.
+pub fn fold_real_wait<R>(cat: TimeCategory, wait: impl FnOnce() -> R) -> (R, Duration) {
+    let start = Instant::now();
+    let out = wait();
+    let waited = start.elapsed();
+    sleep_as(cat, waited);
+    (out, waited)
 }
 
 /// Snapshot of the calling thread's per-category ledger.
@@ -328,15 +217,13 @@ pub fn thread_time_stats() -> TimeStats {
     THREAD_CLOCK.with(|c| c.borrow().stats)
 }
 
-/// Reset the calling thread's ledger (and, under the virtual clock, its
-/// offset). Tests use this to isolate the cost of a single operation.
+/// Reset the calling thread's ledger and offset. Tests use this to
+/// isolate the cost of a single operation.
 pub fn reset_thread_clock() {
     THREAD_CLOCK.with(|c| {
         let mut c = c.borrow_mut();
         c.stats = TimeStats::default();
-        if mode() == ClockMode::Virtual {
-            c.offset_nanos = 0;
-        }
+        c.offset_nanos = 0;
     });
 }
 
@@ -350,12 +237,7 @@ mod tests {
         let t0 = now();
         sleep_as(TimeCategory::Rtt, Duration::from_micros(200));
         sleep_as(TimeCategory::Fsync, Duration::from_micros(100));
-        let elapsed = t0.elapsed();
-        if is_virtual() {
-            assert_eq!(elapsed, Duration::from_micros(300));
-        } else {
-            assert!(elapsed >= Duration::from_micros(300));
-        }
+        assert_eq!(t0.elapsed(), Duration::from_micros(300));
         let stats = thread_time_stats();
         assert_eq!(stats.count(TimeCategory::Rtt), 1);
         assert_eq!(stats.nanos(TimeCategory::Rtt), 200_000);
@@ -374,26 +256,22 @@ mod tests {
         })
         .join()
         .unwrap();
-        if is_virtual() {
-            assert!(here.as_nanos() >= 5_000_000);
-            assert_eq!(there, SimInstant::ZERO);
-        } else {
-            // Wall mode shares one timeline; the spawned thread reads later.
-            assert!(there >= here);
-        }
+        assert_eq!(here.as_nanos(), 5_000_000);
+        assert_eq!(there, SimInstant::ZERO);
     }
 
     #[test]
-    fn fold_model_is_noop_under_wall() {
+    fn fold_real_wait_charges_what_the_wait_took() {
         reset_thread_clock();
         let t0 = now();
-        fold_model(TimeCategory::Commit, Duration::from_millis(1));
-        if is_virtual() {
-            assert_eq!(t0.elapsed(), Duration::from_millis(1));
-            assert_eq!(thread_time_stats().count(TimeCategory::Commit), 1);
-        } else {
-            assert_eq!(thread_time_stats().count(TimeCategory::Commit), 0);
-        }
+        let (out, waited) = fold_real_wait(TimeCategory::Queue, || 7);
+        assert_eq!(out, 7);
+        assert_eq!(t0.elapsed(), waited);
+        assert_eq!(thread_time_stats().count(TimeCategory::Queue), 1);
+        assert_eq!(
+            thread_time_stats().nanos(TimeCategory::Queue),
+            waited.as_nanos() as u64
+        );
     }
 
     #[test]

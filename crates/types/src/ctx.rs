@@ -258,11 +258,7 @@ mod tests {
         });
         clock::sleep(Duration::from_millis(1));
         ctx.stats.end();
-        assert!(ctx.stats.phase_nanos(Phase::Execute) >= 2_000_000);
-        assert!(ctx.stats.phase_nanos(Phase::Lookup) >= 1_000_000);
-        if clock::is_virtual() {
-            assert_eq!(ctx.stats.phase_nanos(Phase::Execute), 2_000_000);
-            assert_eq!(ctx.stats.phase_nanos(Phase::Lookup), 1_000_000);
-        }
+        assert_eq!(ctx.stats.phase_nanos(Phase::Execute), 2_000_000);
+        assert_eq!(ctx.stats.phase_nanos(Phase::Lookup), 1_000_000);
     }
 }

@@ -17,7 +17,7 @@
 //! * [`hist::Histogram`] — log-bucketed latency histogram for the CDF
 //!   figures.
 //! * [`SimConfig`] — timing constants of the simulated substrate.
-//! * [`clock`] — the pluggable wall/virtual simulation clock every
+//! * [`clock`] — the per-thread virtual simulation clock every
 //!   injected delay and timestamp flows through.
 //! * [`service::MetadataService`] — the operation set every evaluated system
 //!   (Mantle, Tectonic, InfiniFS, LocoFS) implements.
@@ -35,7 +35,7 @@ pub mod service;
 pub mod snapshot;
 pub mod stats;
 
-pub use clock::{ClockMode, SimInstant, TimeCategory, TimeStats};
+pub use clock::{SimInstant, TimeCategory, TimeStats};
 pub use config::{PlacementConfig, SimConfig, SCALED_DB_SHARDS};
 pub use ctx::{PriorityClass, RequestCtx};
 pub use error::{MetaError, Result};

@@ -14,7 +14,7 @@ use crate::record::{DirEntry, DirStat, ObjectMeta, ResolvedPath};
 
 /// A hierarchical metadata service as seen from the COSS proxy layer.
 ///
-/// Every method takes a [`RequestCtx`]; implementations charge wall time
+/// Every method takes a [`RequestCtx`]; implementations charge simulated time
 /// to the appropriate [`crate::Phase`] on its embedded stats recorder,
 /// count RPCs, honour the propagated deadline and draw on its retry
 /// budget, so the harnesses can regenerate the paper's latency breakdowns

@@ -15,8 +15,7 @@ use mantle_types::{BulkLoad, MetaPath, MetadataService, RequestCtx};
 #[derive(Debug)]
 pub struct AppReport {
     /// End-to-end completion time (the Figure 10 metric): the longest
-    /// per-worker simulated timeline (wall time under
-    /// `MANTLE_WALL_CLOCK=1`).
+    /// per-worker simulated timeline.
     pub completion: Duration,
     /// Per-operation latency histograms (nanoseconds) for the CDFs of
     /// Figure 11 ("mkdir", "dirrename", "objstat", "create").
@@ -110,7 +109,7 @@ pub fn run_analytics<S: MetadataService + BulkLoad + ?Sized + Sync>(
     let total_tasks = config.queries * config.tasks_per_query;
 
     // Completion time is the longest per-worker timeline (per-thread
-    // virtual clocks; one shared OS clock under MANTLE_WALL_CLOCK=1).
+    // virtual clocks).
     let makespan_nanos = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for _ in 0..config.threads {

@@ -145,7 +145,7 @@ pub struct MdtestReport {
     /// ([`MetaError::DeadlineExceeded`]).
     pub deadline_aborted: u64,
     /// Simulated makespan of the measured section: the longest per-thread
-    /// timeline (wall-clock duration under `MANTLE_WALL_CLOCK=1`).
+    /// timeline.
     pub wall: std::time::Duration,
     /// Aggregate operation statistics (phases, RPCs, retries).
     pub agg: OpStatsAgg,
@@ -412,10 +412,9 @@ pub fn run<S: MetadataService + BulkLoad + ?Sized + Sync>(
                                 }
                                 _ => {}
                             }
-                            if std::env::var_os("MANTLE_DEBUG_ERRORS").is_some() {
-                                eprintln!("mdtest {} failed: {e}", config.op.label());
+                            if failed.fetch_add(1, Ordering::Relaxed) == 0 {
+                                eprintln!("mdtest {} first failure: {e}", config.op.label());
                             }
-                            failed.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
@@ -423,10 +422,8 @@ pub fn run<S: MetadataService + BulkLoad + ?Sized + Sync>(
                 m.0.merge(&agg);
                 m.1.merge(&hist);
                 drop(m);
-                // The makespan is the longest per-thread timeline. Under the
-                // virtual clock each worker carries its own logical clock;
-                // under the wall clock every elapsed() reads the same OS
-                // clock and this reduces to the classic last-finisher time.
+                // The makespan is the longest per-thread timeline: each
+                // worker carries its own logical clock.
                 let elapsed = thread_start.elapsed();
                 let mut w = wall.lock();
                 *w = (*w).max(elapsed);

@@ -20,7 +20,7 @@
 //! small fixed set for plain `cargo test`. On failure the panic reporter
 //! prints the seed + profile, and `MANTLE_CHAOS_BUNDLE_DIR` captures a
 //! repro bundle. Set `MANTLE_CHAOS_TIMELINE=1` to dump the fault timeline
-//! of every storm run (`just chaos SEED=n`).
+//! of every storm run (`make chaos SEED=n`).
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -70,11 +70,6 @@ fn mkdir_chain(
 
 #[test]
 fn mid_chain_abort_stops_downstream_rpcs_and_accounts_once() {
-    assert!(
-        mantle::types::clock::is_virtual(),
-        "deadline determinism requires the virtual clock; unset MANTLE_WALL_CLOCK"
-    );
-
     // Uncontended twin: the same op with no deadline, on an identical
     // fresh cluster, fixes the full RPC chain length.
     let free = cluster(false);

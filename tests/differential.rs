@@ -310,13 +310,11 @@ fn infinifs_matches_model() {
 }
 
 #[test]
-fn infinifs_with_amcache_matches_model() {
-    let svc = InfiniFs::new(
+fn infinifs_with_path_cache_matches_model() {
+    let svc = InfiniFs::with_path_cache(
         SimConfig::instant(),
-        InfiniFsOptions {
-            amcache: true,
-            ..InfiniFsOptions::default()
-        },
+        InfiniFsOptions::default(),
+        mantle::core::PathLeaseConfig::enabled(),
     );
     run_differential(&*svc, 107);
 }

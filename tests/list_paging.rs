@@ -53,6 +53,42 @@ fn pagination_covers_everything_exactly_once() {
 }
 
 #[test]
+fn hot_directory_with_pending_deltas_still_fills_its_first_page() {
+    // Uncompacted delta records sort right after the attribute row and
+    // used to eat the first page's scan slots.
+    const LIMIT: usize = 10;
+    for engine in [
+        mantle::tafdb::EngineKind::Btree,
+        mantle::tafdb::EngineKind::Mvcc,
+    ] {
+        let mut config = MantleConfig::with_sim(SimConfig::instant(), 4);
+        config.db.engine = engine;
+        // No background fold: the deltas must still be pending at the list.
+        config.db.compact_interval = std::time::Duration::from_secs(3600);
+        let cluster = MantleCluster::with_config(config);
+        fill(&*cluster, LIMIT + 10);
+        let mut stats = RequestCtx::new();
+        let bucket = cluster.lookup(&p("/bucket"), &mut stats).unwrap().id;
+        cluster.db().force_hot(bucket);
+        for i in 0..6 {
+            cluster
+                .create(&p(&format!("/bucket/z{i}")), 1, &mut stats)
+                .unwrap();
+        }
+        assert!(cluster.db().pending_deltas(bucket) >= 4, "{engine:?}");
+
+        let (page, truncated) = cluster
+            .list(&p("/bucket"), None, LIMIT, &mut stats)
+            .unwrap();
+        assert_eq!(page.len(), LIMIT, "{engine:?}: first page is full");
+        assert!(truncated, "{engine:?}");
+        let mut expected: Vec<String> = (0..LIMIT + 10).map(|i| format!("e{i:03}")).collect();
+        expected.extend((0..6).map(|i| format!("z{i}")));
+        assert_eq!(drain_pages(&*cluster, LIMIT), expected, "{engine:?}");
+    }
+}
+
+#[test]
 fn page_entries_carry_kinds() {
     let cluster = MantleCluster::build(SimConfig::instant(), 4);
     fill(&*cluster, 10);

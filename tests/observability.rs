@@ -249,9 +249,6 @@ fn flight_run(seed: u64) -> (String, String) {
 /// different seed diverges.
 #[test]
 fn flight_recorder_is_deterministic_under_identical_seeds() {
-    if !clock::is_virtual() {
-        return; // latencies are model-defined only on the virtual clock
-    }
     let first = flight_run(11);
     let second = flight_run(11);
     assert!(
@@ -273,9 +270,6 @@ fn flight_recorder_is_deterministic_under_identical_seeds() {
 /// valid Prometheus text mid-run.
 #[test]
 fn chaos_sweep_attributes_slow_ops_and_serves_live_metrics() {
-    if !clock::is_virtual() {
-        return;
-    }
     let server = mantle::obs::http::serve("127.0.0.1:0").expect("bind scrape endpoint");
     let mut captured = 0u64;
     for seed in 0..8u64 {

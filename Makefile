@@ -2,7 +2,7 @@
 # check + clippy with warnings as errors + tests); CI
 # (.github/workflows/ci.yml) runs the same three steps.
 
-.PHONY: verify fmt-check clippy test fmt smoke chaos chaos-sweep perf-gate
+.PHONY: verify fmt-check clippy test fmt smoke chaos chaos-sweep perf-gate bench-pair
 
 verify: fmt-check clippy test
 
@@ -37,6 +37,13 @@ smoke:
 #   MANTLE_PERF_UPDATE_BASELINE=1 make perf-gate
 perf-gate:
 	cargo run --release -p mantle-bench --bin perf_gate
+
+# The repo benchmark (benchmark/README.md), this checkout against a parent
+# revision in alternating pairs, then `compare`: make bench-pair PARENT=HEAD~1
+PARENT ?= HEAD~1
+PAIRS ?= 10
+bench-pair:
+	ci/bench_pair.sh $(PARENT) $(PAIRS)
 
 # Re-run one chaos seed with full tracing and the fault timeline printed —
 # the local repro loop for a red nightly chaos seed: make chaos SEED=17

@@ -245,8 +245,8 @@ impl MantleCluster {
         stats.time(Phase::Execute, |stats| {
             // Persist in TafDB first (source of truth), then refresh the
             // IndexNode's access metadata.
-            let key = entry_key(parent.id, &name);
-            let updated = match self.db.get_entry(parent.id, &name, stats)? {
+            let key = entry_key(parent.id, name);
+            let updated = match self.db.get_entry(parent.id, name, stats)? {
                 Some(Row::DirAccess { id, .. }) => {
                     self.db.raw_put(key, Row::DirAccess { id, permission });
                     true
@@ -258,7 +258,7 @@ impl MantleCluster {
             }
             self.with_failover(stats, |stats| {
                 self.index
-                    .set_permission(parent.id, &name, permission, path, stats)
+                    .set_permission(parent.id, name, permission, path, stats)
             })?;
             // Aggregated permissions changed for everything underneath.
             stats.cache_invalidations += self.pcache.invalidate_subtree(path) as u32;
@@ -352,15 +352,15 @@ impl MantleCluster {
 
     /// Resolves the parent directory of `path` and returns
     /// `(parent, leaf name)`.
-    fn resolve_parent(
+    fn resolve_parent<'p>(
         &self,
-        path: &MetaPath,
+        path: &'p MetaPath,
         stats: &mut RequestCtx,
-    ) -> Result<(ResolvedPath, String)> {
+    ) -> Result<(ResolvedPath, &'p str)> {
         let parent = path
             .parent()
             .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
-        let name = path.name().expect("non-root path").to_string();
+        let name = path.name().expect("non-root path");
         let resolved = self.cached_lookup(&parent, stats)?;
         Ok((resolved, name))
     }
@@ -387,7 +387,7 @@ impl MetadataService for MantleCluster {
             let now = self.now();
             let ops = [
                 TxnOp::InsertUnique {
-                    key: entry_key(parent.id, &name),
+                    key: entry_key(parent.id, name),
                     row: Row::DirAccess {
                         id,
                         permission: Permission::ALL,
@@ -411,7 +411,7 @@ impl MetadataService for MantleCluster {
             // updates all metadata while IndexNode refreshes access data").
             self.with_failover(stats, |stats| {
                 self.index
-                    .insert_dir(parent.id, &name, id, Permission::ALL, stats)
+                    .insert_dir(parent.id, name, id, Permission::ALL, stats)
             })?;
             // Scrub any cached NotFound verdict for the new directory.
             self.pcache.invalidate_exact(path);
@@ -439,7 +439,7 @@ impl MetadataService for MantleCluster {
                 },
                 TxnOp::ExpectEmptyDir { dir: dir.id },
                 TxnOp::Delete {
-                    key: entry_key(parent.id, &name),
+                    key: entry_key(parent.id, name),
                 },
                 TxnOp::AttrUpdate {
                     dir: parent.id,
@@ -452,7 +452,7 @@ impl MetadataService for MantleCluster {
             ];
             self.db.execute(&ops, stats)?;
             self.with_failover(stats, |stats| {
-                self.index.remove_dir(parent.id, &name, path, stats)
+                self.index.remove_dir(parent.id, name, path, stats)
             })?;
             stats.cache_invalidations += self.pcache.invalidate_subtree(path) as u32;
             Ok(())
@@ -470,10 +470,10 @@ impl MetadataService for MantleCluster {
             let now = self.now();
             let ops = [
                 TxnOp::InsertUnique {
-                    key: entry_key(parent.id, &name),
+                    key: entry_key(parent.id, name),
                     row: Row::Object(ObjectMeta {
                         pid: parent.id,
-                        name: name.clone(),
+                        name: name.to_string(),
                         id,
                         size,
                         blob: 0,
@@ -500,11 +500,11 @@ impl MetadataService for MantleCluster {
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
             // Type check (an object, not a directory) before deleting.
-            self.db.get_object(parent.id, &name, stats)?;
+            self.db.get_object(parent.id, name, stats)?;
             let now = self.now();
             let ops = [
                 TxnOp::Delete {
-                    key: entry_key(parent.id, &name),
+                    key: entry_key(parent.id, name),
                 },
                 TxnOp::AttrUpdate {
                     dir: parent.id,
@@ -527,7 +527,7 @@ impl MetadataService for MantleCluster {
             if !parent.permission.allows(Permission::READ) {
                 return Err(MetaError::PermissionDenied(path.to_string()));
             }
-            self.db.get_object(parent.id, &name, stats)
+            self.db.get_object(parent.id, name, stats)
         })
     }
 
@@ -599,12 +599,10 @@ impl MetadataService for MantleCluster {
 impl mantle_types::BulkLoad for MantleCluster {
     fn bulk_dir(&self, path: &MetaPath) -> InodeId {
         let mut pid = self.root;
-        let mut current = MetaPath::root();
-        for comp in path.components() {
-            current = current.child(comp);
+        for (depth, comp) in path.components().enumerate() {
             match self.db.raw_get(&entry_key(pid, comp)) {
                 Some(Row::DirAccess { id, .. }) => pid = id,
-                Some(_) => panic!("bulk_dir crosses an object at {current}"),
+                Some(_) => panic!("bulk_dir crosses an object at {}", path.prefix(depth + 1)),
                 None => {
                     let id = self.ids.alloc();
                     let now = self.now();

@@ -118,6 +118,9 @@ impl TopDirPathCache {
             self.rejected_fills.fetch_add(1, Ordering::Relaxed);
             return false;
         }
+        // The caller's prefix is usually a view of the path it resolved;
+        // the key must not keep that path's leaf components alive.
+        let prefix = prefix.compact();
         let mut map = self.map.write();
         if map.insert(prefix.clone(), value).is_none() {
             self.bytes
@@ -154,9 +157,14 @@ impl TopDirPathCache {
     }
 
     fn entry_bytes(prefix: &MetaPath) -> usize {
-        // Path components + hash-map slot + cached value; an estimate for
-        // the Figure 18 memory axis.
-        prefix.components().map(|c| c.len() + 16).sum::<usize>() + 48
+        // What one entry keeps: the key's text (`/` + name per component)
+        // in a buffer of its own with its two reference counts, and a
+        // hash-map slot holding the key (buffer pointer, visible length,
+        // depth) and the cached value. The Figure 18 memory axis.
+        let text = prefix.components().map(|c| 1 + c.len()).sum::<usize>();
+        let buffer_header = 2 * std::mem::size_of::<usize>();
+        let slot = std::mem::size_of::<(MetaPath, CachedPrefix)>();
+        text + buffer_header + slot
     }
 
     /// Statistics snapshot.
@@ -252,5 +260,23 @@ mod tests {
         assert_eq!(c.stats().bytes, 0);
         assert_eq!(c.stats().entries, 0);
         assert!(full > 0);
+
+        // A prefix filled from a view of a resolved path is stored (and
+        // accounted) at its own size: the leaf components die with the
+        // caller's path.
+        let resolved = p("/dir0/a/b/c/some-long-leaf-name");
+        let view = resolved.truncate_leaf(4).unwrap();
+        c.try_fill(view.clone(), v(1), || true);
+        assert_eq!(
+            c.stats().bytes,
+            TopDirPathCache::entry_bytes(&p("/dir0")),
+            "accounting describes the stored key, not the caller's buffer"
+        );
+        assert!(!view.is_compact());
+        assert!(
+            c.map.read().keys().all(MetaPath::is_compact),
+            "a cached prefix must not keep the resolved path's leaf alive"
+        );
+        assert!(c.get(&p("/dir0")).is_some());
     }
 }

@@ -182,12 +182,9 @@ impl IndexSm {
         // Step 1: scan the RemovalList (lock-free when empty).
         let conflict = self.removal.conflicts_with(path);
         let version = self.removal.version();
-        let cacheable = self.cache.prefix_of(path).is_some();
-        let prefix = if conflict {
-            None
-        } else {
-            self.cache.prefix_of(path)
-        };
+        let prefix = self.cache.prefix_of(path);
+        let cacheable = prefix.is_some();
+        let prefix = prefix.filter(|_| !conflict);
 
         // Step 2: probe TopDirPathCache with the truncated prefix.
         if let Some(ref prefix) = prefix {

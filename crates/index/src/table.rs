@@ -1,9 +1,10 @@
 //! The IndexTable: `(pid, dirname) → (id, permission, lock bit)` (Figure 6).
 
+use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -25,7 +26,94 @@ pub struct IndexEntry {
     pub version: u64,
 }
 
-type Key = (InodeId, Arc<str>);
+/// What a key is compared and hashed by: `(pid, name)` and their hash
+/// under the table's hasher, computed once per operation.
+///
+/// Stored keys own their name and probes borrow it; the maps are searched
+/// through this trait (`Key: Borrow<dyn KeyParts>`), so a probe builds no
+/// owned key.
+trait KeyParts {
+    fn parts(&self) -> (u64, InodeId, &str);
+}
+
+struct Key {
+    hash: u64,
+    pid: InodeId,
+    name: Box<str>,
+}
+
+struct Probe<'a> {
+    hash: u64,
+    pid: InodeId,
+    name: &'a str,
+}
+
+impl KeyParts for Key {
+    fn parts(&self) -> (u64, InodeId, &str) {
+        (self.hash, self.pid, &self.name)
+    }
+}
+
+impl KeyParts for Probe<'_> {
+    fn parts(&self) -> (u64, InodeId, &str) {
+        (self.hash, self.pid, self.name)
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
+
+impl Hash for dyn KeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.parts().0);
+    }
+}
+
+// `Borrow` requires a key and its borrowed form to agree.
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Hands the map the hash its key already carries.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("IndexTable keys hash as one u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Stripe = RwLock<HashMap<Key, IndexEntry, BuildHasherDefault<Prehashed>>>;
 
 /// A striped concurrent hash index over directory access metadata.
 ///
@@ -33,9 +121,11 @@ type Key = (InodeId, Arc<str>);
 /// exclusive lock on one stripe. 64 stripes keep reader contention
 /// negligible at lookup rates.
 pub struct IndexTable {
-    stripes: Vec<RwLock<HashMap<Key, IndexEntry>>>,
+    stripes: Vec<Stripe>,
     mask: usize,
     len: AtomicUsize,
+    /// Randomly keyed: directory names come from clients.
+    hasher: RandomState,
 }
 
 impl Default for IndexTable {
@@ -49,33 +139,39 @@ impl IndexTable {
     pub fn new() -> Self {
         let n = 64;
         IndexTable {
-            stripes: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
+            stripes: (0..n).map(|_| Stripe::default()).collect(),
             mask: n - 1,
             len: AtomicUsize::new(0),
+            hasher: RandomState::new(),
         }
     }
 
-    fn stripe(&self, pid: InodeId, name: &str) -> &RwLock<HashMap<Key, IndexEntry>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        pid.hash(&mut h);
-        name.hash(&mut h);
-        &self.stripes[(h.finish() as usize) & self.mask]
+    /// Hashes `(pid, name)` once; the hash picks the stripe and is the
+    /// stripe map's hash as well.
+    fn locate<'a>(&self, pid: InodeId, name: &'a str) -> (&Stripe, Probe<'a>) {
+        let hash = self.hasher.hash_one((pid, name));
+        // The map indexes by the low bits and tags by the top seven; the
+        // stripe takes bits from between, so keys of one stripe still
+        // spread over its map.
+        let stripe = &self.stripes[(hash >> 32) as usize & self.mask];
+        (stripe, Probe { hash, pid, name })
     }
 
     /// Reads the entry of `name` under `pid`.
     pub fn get(&self, pid: InodeId, name: &str) -> Option<IndexEntry> {
-        self.stripe(pid, name)
-            .read()
-            .get(&(pid, Arc::from(name)) as &Key)
-            .cloned()
+        let (stripe, probe) = self.locate(pid, name);
+        stripe.read().get(&probe as &dyn KeyParts).cloned()
     }
 
     /// Inserts or replaces an entry.
     pub fn insert(&self, pid: InodeId, name: &str, entry: IndexEntry) {
-        let prev = self
-            .stripe(pid, name)
-            .write()
-            .insert((pid, Arc::from(name)), entry);
+        let (stripe, Probe { hash, .. }) = self.locate(pid, name);
+        let key = Key {
+            hash,
+            pid,
+            name: name.into(),
+        };
+        let prev = stripe.write().insert(key, entry);
         if prev.is_none() {
             self.len.fetch_add(1, Ordering::Relaxed);
         }
@@ -83,43 +179,38 @@ impl IndexTable {
 
     /// Removes an entry, returning it.
     pub fn remove(&self, pid: InodeId, name: &str) -> Option<IndexEntry> {
-        let removed = self
-            .stripe(pid, name)
-            .write()
-            .remove(&(pid, Arc::from(name)) as &Key);
+        let (stripe, probe) = self.locate(pid, name);
+        let removed = stripe.write().remove(&probe as &dyn KeyParts);
         if removed.is_some() {
             self.len.fetch_sub(1, Ordering::Relaxed);
         }
         removed
     }
 
+    /// Updates an entry in place, returning what `f` returns; `None` when
+    /// absent.
+    fn update_with<R>(
+        &self,
+        pid: InodeId,
+        name: &str,
+        f: impl FnOnce(&mut IndexEntry) -> R,
+    ) -> Option<R> {
+        let (stripe, probe) = self.locate(pid, name);
+        let mut map = stripe.write();
+        map.get_mut(&probe as &dyn KeyParts).map(f)
+    }
+
     /// Updates an entry in place; returns `false` when absent.
     pub fn update(&self, pid: InodeId, name: &str, f: impl FnOnce(&mut IndexEntry)) -> bool {
-        let mut stripe = self.stripe(pid, name).write();
-        match stripe.get_mut(&(pid, Arc::from(name)) as &Key) {
-            Some(e) => {
-                f(e);
-                true
-            }
-            None => false,
-        }
+        self.update_with(pid, name, f).is_some()
     }
 
     /// Sets the rename lock bit if it is clear or already held by `uuid`
     /// (idempotent re-entry after proxy failover, §5.3). Returns whether the
     /// lock is now held by `uuid`.
     pub fn try_lock(&self, pid: InodeId, name: &str, uuid: ClientUuid) -> bool {
-        let mut stripe = self.stripe(pid, name).write();
-        match stripe.get_mut(&(pid, Arc::from(name)) as &Key) {
-            Some(e) => match e.lock {
-                None => {
-                    e.lock = Some(uuid);
-                    true
-                }
-                Some(holder) => holder == uuid,
-            },
-            None => false,
-        }
+        self.update_with(pid, name, |e| *e.lock.get_or_insert(uuid) == uuid)
+            .unwrap_or(false)
     }
 
     /// Clears the lock bit if held by `uuid`.
@@ -139,14 +230,14 @@ impl IndexTable {
     /// Every entry, sorted by `(pid, name)` — the deterministic iteration
     /// order snapshot serialization requires (two replicas that applied the
     /// same log prefix must produce byte-identical images).
-    pub fn sorted_entries(&self) -> Vec<(InodeId, Arc<str>, IndexEntry)> {
-        let mut all: Vec<(InodeId, Arc<str>, IndexEntry)> = self
+    pub fn sorted_entries(&self) -> Vec<(InodeId, Box<str>, IndexEntry)> {
+        let mut all: Vec<(InodeId, Box<str>, IndexEntry)> = self
             .stripes
             .iter()
             .flat_map(|s| {
                 s.read()
                     .iter()
-                    .map(|((pid, name), e)| (*pid, Arc::clone(name), e.clone()))
+                    .map(|(key, e)| (key.pid, key.name.clone(), e.clone()))
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -202,6 +293,32 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.remove(ROOT_ID, "a").unwrap().id, InodeId(6));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn probes_find_what_was_inserted_across_map_growth() {
+        // Growing a stripe's map re-places every key by the hash the key
+        // carries; a probe must compute the same one.
+        let t = IndexTable::new();
+        let names: Vec<String> = (0..10_000).map(|i| format!("d{i}")).collect();
+        for (i, name) in names.iter().enumerate() {
+            t.insert(InodeId(i as u64 % 7), name, entry(i as u64));
+        }
+        assert_eq!(t.len(), names.len());
+        for (i, name) in names.iter().enumerate() {
+            let pid = InodeId(i as u64 % 7);
+            assert_eq!(t.get(pid, name).unwrap().id, InodeId(i as u64));
+            // Same name under another parent, and a name it is a prefix of.
+            assert!(t.get(InodeId(7), name).is_none());
+            assert!(t.get(pid, &format!("{name}x")).is_none());
+        }
+        for (i, name) in names.iter().enumerate().step_by(2) {
+            assert!(t.remove(InodeId(i as u64 % 7), name).is_some());
+        }
+        assert_eq!(t.len(), names.len() / 2);
+        assert!(t.get(InodeId(0), "d0").is_none());
+        assert!(t.update(InodeId(1), "d1", |e| e.version = 9));
+        assert_eq!(t.get(InodeId(1), "d1").unwrap().version, 9);
     }
 
     #[test]

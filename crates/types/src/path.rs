@@ -5,32 +5,89 @@
 //! (§5.1.1), and the Invalidator needs prefix tests (§5.1.2), so [`MetaPath`]
 //! exposes those operations directly.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 
 use crate::error::{MetaError, Result};
 
 /// A normalized, absolute path inside a namespace.
 ///
-/// Components are stored individually; the root is the empty component list.
-/// Component strings are reference-counted so that cloning paths (which the
-/// proxy and caches do constantly) does not copy string data.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// The normalized text (`/a/b/c`; the root is the empty string) is stored
+/// once in a reference-counted buffer, and a path is a *visible prefix* of
+/// that buffer: [`parent`], [`prefix`], [`truncate_leaf`] and `clone` share
+/// the buffer and allocate nothing. Three invariants follow from that
+/// (DESIGN.md §4.15):
+///
+/// * equality and hashing are over the visible bytes only, so a prefix view
+///   and an independently parsed equal path are the same map key;
+/// * ordering is component-wise (`/a/b` < `/a-x`), not byte-wise over the
+///   buffer (`-` sorts below `/`);
+/// * a view keeps its whole buffer alive — long-lived holders of a prefix
+///   copy it out with [`compact`].
+///
+/// [`parent`]: MetaPath::parent
+/// [`prefix`]: MetaPath::prefix
+/// [`truncate_leaf`]: MetaPath::truncate_leaf
+/// [`compact`]: MetaPath::compact
+#[derive(Clone)]
 pub struct MetaPath {
-    components: Vec<Arc<str>>,
+    /// Normalized text of this path or of a path underneath it.
+    buf: Arc<str>,
+    /// Visible bytes: `buf[..len]` is this path. Always 0 or the end of a
+    /// component.
+    len: usize,
+    /// Components in `buf[..len]`.
+    depth: usize,
+}
+
+/// The separator as a predicate: components are a few bytes long, and for
+/// those scanning characters is several times cheaper than the `char`
+/// pattern's one `memchr` call per component.
+fn is_separator(c: char) -> bool {
+    c == '/'
+}
+
+/// Rejects the names no component may have: `.`/`..`, and the reserved
+/// attribute-row name (§5.2.1 reserves `/_ATTR` as a key; the slash-less
+/// form is refused so user names can never collide with attribute/delta
+/// row keys).
+fn check_name(name: &str) -> std::result::Result<(), &'static str> {
+    if name == "." || name == ".." {
+        Err("dot component")
+    } else if name == crate::record::ATTR_ROW_NAME.trim_start_matches('/') {
+        Err("reserved name")
+    } else {
+        Ok(())
+    }
+}
+
+/// Rejects what can never be a component: what [`check_name`] does, the
+/// empty string and anything holding a separator (`parse` cannot produce
+/// those two by splitting; a caller of `child` can pass them).
+fn check_component(name: &str) -> std::result::Result<(), &'static str> {
+    if name.is_empty() {
+        Err("empty component")
+    } else if name.contains(is_separator) {
+        Err("separator in component")
+    } else {
+        check_name(name)
+    }
 }
 
 impl MetaPath {
     /// The root path `/`.
     pub fn root() -> Self {
         MetaPath {
-            components: Vec::new(),
+            buf: Arc::from(""),
+            len: 0,
+            depth: 0,
         }
     }
 
-    /// Parses an absolute path, normalizing redundant slashes.
+    /// Parses an absolute path, normalizing redundant slashes. Already
+    /// normalized input costs one allocation.
     ///
     /// # Errors
     ///
@@ -38,69 +95,78 @@ impl MetaPath {
     /// components produced by `.`/`..`, or components containing the
     /// reserved attribute-row name `/_ATTR` (§5.2.1 reserves it as a key).
     pub fn parse(s: &str) -> Result<Self> {
-        if !s.starts_with('/') {
+        let Some(rest) = s.strip_prefix('/') else {
             return Err(MetaError::InvalidPath(format!("not absolute: {s:?}")));
+        };
+        let parts = || rest.split(is_separator).filter(|part| !part.is_empty());
+        let mut depth = 0;
+        let mut len = 0;
+        for part in parts() {
+            check_name(part).map_err(|why| MetaError::InvalidPath(format!("{why} in {s:?}")))?;
+            depth += 1;
+            len += 1 + part.len();
         }
-        let mut components = Vec::new();
-        for part in s.split('/') {
-            if part.is_empty() {
-                continue;
-            }
-            if part == "." || part == ".." {
-                return Err(MetaError::InvalidPath(format!("dot component in {s:?}")));
-            }
-            // `/_ATTR` itself can never appear as a component (it contains
-            // the separator); reject the slash-less form too so user names
-            // can never collide with attribute/delta row keys.
-            if part == crate::record::ATTR_ROW_NAME.trim_start_matches('/') {
-                return Err(MetaError::InvalidPath(format!("reserved name in {s:?}")));
-            }
-            components.push(Arc::<str>::from(part));
-        }
-        Ok(MetaPath { components })
+        // Every empty part (`//`, a trailing slash, the bare root) is a
+        // separator the normalized text does not have.
+        let buf = if len == s.len() {
+            Arc::from(s)
+        } else {
+            Arc::from(parts().flat_map(|part| ["/", part]).collect::<String>())
+        };
+        Ok(MetaPath { buf, len, depth })
     }
 
-    /// Builds a path from pre-validated components.
-    pub fn from_components(components: Vec<Arc<str>>) -> Self {
-        MetaPath { components }
+    /// The visible normalized text; empty for the root.
+    #[inline]
+    fn as_str(&self) -> &str {
+        &self.buf[..self.len]
+    }
+
+    /// The first `len` bytes (`depth` components) of this path, sharing
+    /// its buffer.
+    fn view(&self, len: usize, depth: usize) -> MetaPath {
+        MetaPath {
+            buf: Arc::clone(&self.buf),
+            len,
+            depth,
+        }
     }
 
     /// Number of components; the root has depth 0.
     #[inline]
     pub fn depth(&self) -> usize {
-        self.components.len()
+        self.depth
     }
 
     /// Whether this is the root path.
     #[inline]
     pub fn is_root(&self) -> bool {
-        self.components.is_empty()
+        self.len == 0
     }
 
     /// The final component, if any.
     pub fn name(&self) -> Option<&str> {
-        self.components.last().map(|c| c.as_ref())
+        let text = self.as_str();
+        text.rfind(is_separator).map(|slash| &text[slash + 1..])
     }
 
     /// The parent path; `None` for the root.
     pub fn parent(&self) -> Option<MetaPath> {
-        if self.is_root() {
-            return None;
-        }
-        Some(MetaPath {
-            components: self.components[..self.components.len() - 1].to_vec(),
-        })
+        let slash = self.as_str().rfind(is_separator)?;
+        Some(self.view(slash, self.depth - 1))
     }
 
     /// Iterates over the components from the root downwards.
     pub fn components(&self) -> impl Iterator<Item = &str> + '_ {
-        self.components.iter().map(|c| c.as_ref())
+        // The text before the leading separator is not a component.
+        self.as_str().split(is_separator).skip(1)
     }
 
     /// The first `n` components as a path (the whole path if `n >= depth`).
     pub fn prefix(&self, n: usize) -> MetaPath {
-        MetaPath {
-            components: self.components[..n.min(self.components.len())].to_vec(),
+        match self.as_str().match_indices(is_separator).nth(n) {
+            Some((slash, _)) => self.view(slash, n),
+            None => self.clone(),
         }
     }
 
@@ -109,32 +175,66 @@ impl MetaPath {
     /// `/A/C`. Returns `None` when the path is not deeper than `k` (such
     /// paths are never cached).
     pub fn truncate_leaf(&self, k: usize) -> Option<MetaPath> {
-        if self.components.len() <= k {
+        if self.depth <= k {
             return None;
         }
-        Some(self.prefix(self.components.len() - k))
+        let len = match k {
+            0 => self.len,
+            _ => self.as_str().rmatch_indices(is_separator).nth(k - 1)?.0,
+        };
+        Some(self.view(len, self.depth - k))
+    }
+
+    /// Whether this path's buffer holds nothing beyond it (it is not a
+    /// view of a longer path).
+    pub fn is_compact(&self) -> bool {
+        self.len == self.buf.len()
+    }
+
+    /// This path in a buffer of exactly its own size: `self` when it
+    /// already is one, a copy when it is a view of a longer path. What a
+    /// long-lived holder (a cache key) stores, so that it does not keep the
+    /// components below it alive.
+    pub fn compact(&self) -> MetaPath {
+        if self.is_compact() {
+            return self.clone();
+        }
+        MetaPath {
+            buf: Arc::from(self.as_str()),
+            ..*self
+        }
     }
 
     /// Whether `self` is a (non-strict) prefix of `other`.
     pub fn is_prefix_of(&self, other: &MetaPath) -> bool {
-        self.components.len() <= other.components.len()
-            && self
-                .components
-                .iter()
-                .zip(&other.components)
-                .all(|(a, b)| a == b)
+        // Matching bytes must end on a component boundary of `other`:
+        // `/ab` is not under `/a`.
+        other
+            .as_str()
+            .strip_prefix(self.as_str())
+            .is_some_and(|below| below.is_empty() || below.starts_with('/'))
     }
 
     /// Whether `self` is a *strict* ancestor of `other`.
     pub fn is_ancestor_of(&self, other: &MetaPath) -> bool {
-        self.components.len() < other.components.len() && self.is_prefix_of(other)
+        self.len < other.len && self.is_prefix_of(other)
     }
 
     /// Appends a component, returning the child path.
+    ///
+    /// # Panics
+    ///
+    /// When `name` is not a component [`parse`](MetaPath::parse) would
+    /// accept: empty, containing `/`, `.`, `..`, or the reserved `_ATTR`.
     pub fn child(&self, name: &str) -> MetaPath {
-        let mut components = self.components.clone();
-        components.push(Arc::<str>::from(name));
-        MetaPath { components }
+        if let Err(why) = check_component(name) {
+            panic!("MetaPath::child({name:?}): {why}");
+        }
+        MetaPath {
+            buf: Arc::from([self.as_str(), "/", name].concat()),
+            len: self.len + 1 + name.len(),
+            depth: self.depth + 1,
+        }
     }
 
     /// Depth of the least common ancestor of two paths.
@@ -142,9 +242,8 @@ impl MetaPath {
     /// Loop detection for `dirrename` walks from the LCA towards the
     /// destination (§5.2.2, Figure 9 step 6).
     pub fn lca_depth(&self, other: &MetaPath) -> usize {
-        self.components
-            .iter()
-            .zip(&other.components)
+        self.components()
+            .zip(other.components())
             .take_while(|(a, b)| a == b)
             .count()
     }
@@ -157,21 +256,44 @@ impl MetaPath {
         if !src.is_prefix_of(self) {
             return None;
         }
-        let mut components = dst.components.clone();
-        components.extend_from_slice(&self.components[src.components.len()..]);
-        Some(MetaPath { components })
+        let below = &self.as_str()[src.len..];
+        Some(MetaPath {
+            buf: Arc::from([dst.as_str(), below].concat()),
+            len: dst.len + below.len(),
+            depth: dst.depth + self.depth - src.depth,
+        })
+    }
+}
+
+impl PartialEq for MetaPath {
+    fn eq(&self, other: &MetaPath) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for MetaPath {}
+
+impl Hash for MetaPath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl Ord for MetaPath {
+    fn cmp(&self, other: &MetaPath) -> Ordering {
+        self.components().cmp(other.components())
+    }
+}
+
+impl PartialOrd for MetaPath {
+    fn partial_cmp(&self, other: &MetaPath) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
 impl fmt::Display for MetaPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_root() {
-            return write!(f, "/");
-        }
-        for c in &self.components {
-            write!(f, "/{c}")?;
-        }
-        Ok(())
+        f.write_str(if self.is_root() { "/" } else { self.as_str() })
     }
 }
 
@@ -260,5 +382,100 @@ mod tests {
     fn child_extends_path() {
         assert_eq!(MetaPath::root().child("A"), p("/A"));
         assert_eq!(p("/A").child("B").depth(), 2);
+        // Names parse accepts, child accepts: dots and the reserved word
+        // are only refused as a whole component.
+        assert_eq!(p("/A").child("..."), p("/A/..."));
+        assert_eq!(p("/A").child("_ATTRS"), p("/A/_ATTRS"));
+    }
+
+    fn child_panics(name: &str) -> bool {
+        std::panic::catch_unwind(|| p("/A").child(name)).is_err()
+    }
+
+    #[test]
+    fn child_rejects_empty_name() {
+        assert!(child_panics(""));
+    }
+
+    #[test]
+    fn child_rejects_separator() {
+        // Depth +1 that displays and re-parses as depth +2.
+        assert!(child_panics("b/c"));
+        // A leaf whose entry key would be the parent's attribute-row key.
+        assert!(child_panics("/_ATTR"));
+        assert!(child_panics("/"));
+    }
+
+    #[test]
+    fn child_rejects_dot() {
+        assert!(child_panics("."));
+    }
+
+    #[test]
+    fn child_rejects_dot_dot() {
+        assert!(child_panics(".."));
+    }
+
+    #[test]
+    fn child_rejects_reserved_name() {
+        assert!(child_panics("_ATTR"));
+    }
+
+    fn hash_of(path: &MetaPath) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        path.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn views_equal_and_hash_like_parsed_paths() {
+        let full = p("/A/C/E/G/H");
+        for view in [
+            full.parent().unwrap().parent().unwrap().parent().unwrap(),
+            full.prefix(2),
+            full.truncate_leaf(3).unwrap(),
+        ] {
+            assert_eq!(view, p("/A/C"));
+            assert_eq!(hash_of(&view), hash_of(&p("/A/C")));
+            assert_eq!(view.to_string(), "/A/C");
+            assert_eq!(view.depth(), 2);
+            assert_eq!(view.name(), Some("C"));
+            assert_eq!(view.components().collect::<Vec<_>>(), ["A", "C"]);
+        }
+        assert_eq!(full.prefix(0), MetaPath::root());
+        assert_eq!(hash_of(&full.prefix(0)), hash_of(&MetaPath::root()));
+        assert_eq!(full.prefix(0).to_string(), "/");
+        assert_eq!(full.prefix(9), full);
+        assert_eq!(full.truncate_leaf(0).unwrap(), full);
+    }
+
+    #[test]
+    fn order_is_component_wise() {
+        // Byte-wise over the text, `/a-x` < `/a/b` because `-` < `/`.
+        assert!(p("/a/b") < p("/a-x"));
+        assert!(p("/a") < p("/a/b"));
+        assert!(MetaPath::root() < p("/a"));
+        assert_eq!(p("/a/b/c").prefix(2).cmp(&p("/a/b")), Ordering::Equal);
+    }
+
+    #[test]
+    fn prefix_test_respects_component_boundaries() {
+        assert!(!p("/a").is_prefix_of(&p("/ab")));
+        assert!(!p("/a").is_ancestor_of(&p("/ab/c")));
+        assert!(p("/a/b/c").prefix(1).is_ancestor_of(&p("/a/b")));
+    }
+
+    #[test]
+    fn compact_drops_the_hidden_tail() {
+        let full = p("/A/C/E/G/H");
+        let view = full.truncate_leaf(3).unwrap();
+        assert!(Arc::ptr_eq(&view.buf, &full.buf));
+        assert!(!view.is_compact());
+        let compact = view.compact();
+        assert_eq!(compact, view);
+        assert_eq!(&*compact.buf, "/A/C");
+        // Already right-sized: shared, not copied.
+        assert!(full.is_compact());
+        assert!(Arc::ptr_eq(&full.compact().buf, &full.buf));
     }
 }

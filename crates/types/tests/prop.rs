@@ -1,15 +1,91 @@
 //! Property tests over paths, permissions and histograms.
 
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
 use mantle_types::hist::Histogram;
 use mantle_types::{MetaPath, Permission};
 use proptest::prelude::*;
 
-fn arb_path() -> impl Strategy<Value = MetaPath> {
-    prop::collection::vec("[a-z]{1,6}", 0..8).prop_map(|comps| {
-        MetaPath::parse(&format!("/{}", comps.join("/"))).expect("valid components")
-    })
+/// Component names: bytes that sort below `/` (space, `+`, `-`, `.`),
+/// names that are byte prefixes of one another, multi-byte names, and
+/// near misses of the refused components. Few enough that two draws often
+/// share a prefix.
+fn arb_names(max: usize) -> impl Strategy<Value = Vec<String>> {
+    let names = [
+        "a", "b", "ab", "a-x", "a b", "a+", "-", "+", " ", ".a", "a.", "...", "0", "é", "日本",
+        "_ATTRx",
+    ];
+    prop::collection::vec(
+        prop::sample::select(names.map(String::from).to_vec()),
+        0..max,
+    )
 }
 
+/// `names` as path text, each component led by one to three slashes, with
+/// or without trailing ones.
+fn arb_text(max: usize) -> impl Strategy<Value = (Vec<String>, String)> {
+    (
+        arb_names(max),
+        prop::collection::vec(1usize..4, max..max + 1),
+        0usize..3,
+    )
+        .prop_map(|(names, slashes, trailing)| {
+            let mut text: String = names
+                .iter()
+                .zip(&slashes)
+                .map(|(name, n)| "/".repeat(*n) + name)
+                .collect();
+            if names.is_empty() || trailing > 0 {
+                text += &"/".repeat(trailing.max(1));
+            }
+            (names, text)
+        })
+}
+
+fn arb_path() -> impl Strategy<Value = MetaPath> {
+    arb_text(8).prop_map(|(_, text)| MetaPath::parse(&text).expect("valid components"))
+}
+
+fn parse_names(names: &[String]) -> MetaPath {
+    MetaPath::parse(&format!("/{}", names.join("/"))).expect("valid components")
+}
+
+/// The path `names`, as a view over the buffer of the longer path
+/// `names + tail`, reached one of three ways.
+fn view_of(names: &[String], tail: &[String], how: usize) -> MetaPath {
+    let full = parse_names(&[names, tail].concat());
+    match how % 3 {
+        0 => full.prefix(names.len()),
+        1 if !names.is_empty() => full
+            .truncate_leaf(tail.len())
+            .expect("deeper than the tail"),
+        _ => (0..tail.len()).fold(full, |p, _| p.parent().expect("deeper than the tail")),
+    }
+}
+
+fn hash_of(path: &MetaPath) -> u64 {
+    let mut h = DefaultHasher::new();
+    path.hash(&mut h);
+    h.finish()
+}
+
+/// Checks `path` against the component list it must stand for.
+fn check_against_model(path: &MetaPath, model: &[String]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(path.components().collect::<Vec<_>>(), model);
+    prop_assert_eq!(path.depth(), model.len());
+    prop_assert_eq!(path.is_root(), model.is_empty());
+    prop_assert_eq!(path.name(), model.last().map(String::as_str));
+    prop_assert_eq!(path.to_string(), format!("/{}", model.join("/")));
+    let parsed = parse_names(model);
+    prop_assert_eq!(path, &parsed);
+    prop_assert_eq!(hash_of(path), hash_of(&parsed));
+    prop_assert_eq!(path.cmp(&parsed), Ordering::Equal);
+    prop_assert_eq!(&path.compact(), &parsed);
+    prop_assert!(path.compact().is_compact());
+    Ok(())
+}
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -64,6 +140,88 @@ proptest! {
         prop_assert_eq!(moved.depth(), dst.depth() + suffix.depth());
         let back = moved.rebase(&dst, &base).expect("dst is a prefix");
         prop_assert_eq!(back, path);
+    }
+
+    /// `parse` normalizes to the component list, whatever the slashes.
+    #[test]
+    fn model_parse(case in arb_text(8)) {
+        let (names, text) = case;
+        check_against_model(&MetaPath::parse(&text).unwrap(), &names)?;
+    }
+
+    /// `prefix`, `truncate_leaf` and `parent` agree with slicing the
+    /// component list, and every view equals, hashes like and orders like
+    /// the same path parsed into a buffer of its own.
+    #[test]
+    fn model_views(names in arb_names(8), n in 0usize..10, k in 0usize..10, how in 0usize..3) {
+        let path = parse_names(&names);
+        check_against_model(&path.prefix(n), &names[..n.min(names.len())])?;
+        match path.truncate_leaf(k) {
+            Some(cut) => {
+                prop_assert!(names.len() > k);
+                check_against_model(&cut, &names[..names.len() - k])?;
+            }
+            None => prop_assert!(names.len() <= k),
+        }
+        match path.parent() {
+            Some(parent) => check_against_model(&parent, &names[..names.len() - 1])?,
+            None => prop_assert!(names.is_empty()),
+        }
+        // Views of views.
+        let cut = n.min(names.len());
+        let view = view_of(&names[..cut], &names[cut..], how);
+        check_against_model(&view, &names[..cut])?;
+        check_against_model(&view.prefix(k), &names[..k.min(cut)])?;
+    }
+
+    /// `child` pushes a component and `rebase` swaps a prefix, on views as
+    /// on whole paths.
+    #[test]
+    fn model_child_rebase(base in arb_names(4), below in arb_names(4), dst in arb_names(4),
+                          tail in arb_names(3), how in 0usize..3) {
+        let whole = [base.clone(), below.clone()].concat();
+        let path = view_of(&whole, &tail, how);
+        let src = view_of(&base, &tail, how + 1);
+        let dst_path = view_of(&dst, &below, how + 2);
+
+        let mut grown = src.clone();
+        for name in &below {
+            grown = grown.child(name);
+        }
+        check_against_model(&grown, &whole)?;
+
+        let moved = path.rebase(&src, &dst_path).expect("src is a prefix");
+        check_against_model(&moved, &[dst.clone(), below.clone()].concat())?;
+        // Not under `src`: no rebase.
+        let other = parse_names(&dst);
+        prop_assert_eq!(other.rebase(&src, &path).is_some(), dst.starts_with(&base));
+    }
+
+    /// The relations between two paths are those of their component
+    /// lists: prefix tests, LCA depth, component-wise order, and equal
+    /// paths hash equal whatever buffers they are views of.
+    #[test]
+    fn model_relations(base in arb_names(4), below_a in arb_names(4), below_b in arb_names(4),
+                       tail in arb_names(3), how in 0usize..3) {
+        let (names_a, names_b) = ([base.clone(), below_a].concat(), [base, below_b].concat());
+        let a = view_of(&names_a, &tail, how);
+        let b = parse_names(&names_b);
+
+        prop_assert_eq!(a.is_prefix_of(&b), names_b.starts_with(&names_a));
+        prop_assert_eq!(b.is_prefix_of(&a), names_a.starts_with(&names_b));
+        prop_assert_eq!(
+            a.is_ancestor_of(&b),
+            names_b.starts_with(&names_a) && names_a.len() < names_b.len()
+        );
+        let common = names_a.iter().zip(&names_b).take_while(|(x, y)| x == y).count();
+        prop_assert_eq!(a.lca_depth(&b), common);
+        prop_assert_eq!(b.lca_depth(&a), common);
+        prop_assert_eq!(a.cmp(&b), names_a.cmp(&names_b));
+        prop_assert_eq!(a.partial_cmp(&b), Some(names_a.cmp(&names_b)));
+        prop_assert_eq!(a == b, names_a == names_b);
+        if a == b {
+            prop_assert_eq!(hash_of(&a), hash_of(&b));
+        }
     }
 
     /// Permission aggregation is monotone: adding masks never grants more.

@@ -24,7 +24,7 @@ smoke:
 	@set -e; for src in crates/bench/src/bin/fig*.rs crates/bench/src/bin/table*.rs; do \
 		bin=$$(basename "$$src" .rs); \
 		echo "== $$bin =="; \
-		MANTLE_SMOKE=1 cargo run --release -q -p mantle-bench --bin "$$bin"; \
+		MANTLE_SCALE=smoke cargo run --release -q -p mantle-bench --bin "$$bin"; \
 	done; \
 	for f in results/*.json; do \
 		python3 -m json.tool "$$f" > /dev/null || { echo "unparseable: $$f"; exit 1; }; \
@@ -34,9 +34,9 @@ smoke:
 # The CI perf-regression gate, locally: seed-pinned virtual-clock mdtest
 # suite vs ci/perf_baseline.json (>10% latency or RPC regression fails).
 # Refresh the baseline after an intentional model change with
-#   MANTLE_PERF_UPDATE_BASELINE=1 make perf-gate
+#   make perf-gate UPDATE=1
 perf-gate:
-	cargo run --release -p mantle-bench --bin perf_gate
+	cargo run --release -p mantle-bench --bin perf_gate $(if $(UPDATE),-- --update-baseline)
 
 # The repo benchmark (benchmark/README.md), this checkout against a parent
 # revision in alternating pairs, then `compare`: make bench-pair PARENT=HEAD~1
@@ -45,11 +45,11 @@ PAIRS ?= 10
 bench-pair:
 	ci/bench_pair.sh $(PARENT) $(PAIRS)
 
-# Re-run one chaos seed with full tracing and the fault timeline printed —
+# Re-run one chaos seed with full tracing and the fault timeline shown —
 # the local repro loop for a red nightly chaos seed: make chaos SEED=17
 SEED ?= 0
 chaos:
-	MANTLE_FAULT_SEED=$(SEED) MANTLE_TRACE_SAMPLE=1 MANTLE_CHAOS_TIMELINE=1 \
+	MANTLE_FAULT_SEED=$(SEED) MANTLE_TRACE_SAMPLE=1 \
 		cargo test -q --test chaos -- --nocapture
 
 # The full nightly sweep, locally (0..31 base storm, 32..47 snapshot

@@ -23,6 +23,7 @@ use parking_lot::Mutex;
 
 use crate::relaxed::Relaxed;
 use mantle_core::pathcache::{PathLeaseCache, PathLeaseConfig};
+use mantle_core::MantleConfig;
 use mantle_rpc::{RetryPolicy, SimNode};
 use mantle_sync::Semaphore;
 use mantle_tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions};
@@ -93,7 +94,7 @@ impl InfiniFs {
     /// Builds an InfiniFS-style service whose path-lease cache follows
     /// `MANTLE_PATH_CACHE`, like Mantle's default configuration.
     pub fn new(sim: SimConfig, opts: InfiniFsOptions) -> Arc<Self> {
-        Self::with_path_cache(sim, opts, PathLeaseConfig::from_env())
+        Self::with_path_cache(sim, opts, MantleConfig::default().pcache)
     }
 
     /// [`InfiniFs::new`] with an explicit path-lease cache configuration

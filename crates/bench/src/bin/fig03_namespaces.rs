@@ -7,7 +7,7 @@
 use serde::Serialize;
 
 use mantle_bench::{Report, Scale, SystemKind, SystemUnderTest};
-use mantle_types::SimConfig;
+use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::{NamespaceHandle, NamespaceSpec};
 
 #[derive(Serialize)]
@@ -26,7 +26,7 @@ struct Row {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from(EnvConfig::get().scale);
     let mut report = Report::new("fig03", "characteristics of five real-world namespaces");
     report.line(format!(
         "{:<5} {:>12} {:>9} {:>8} {:>7} {:>8} {:>11} {:>10} {:>9} {:>9}",

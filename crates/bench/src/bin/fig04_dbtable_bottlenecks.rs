@@ -8,7 +8,7 @@
 use mantle_baselines::{Tectonic, TectonicOptions};
 use mantle_bench::runner::{measure, OpRow};
 use mantle_bench::{Report, Scale, SystemKind, SystemUnderTest};
-use mantle_types::SimConfig;
+use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::{ConflictMode, MdOp};
 
 /// Figure 4 characterizes Baidu's original DBtable service, which uses full
@@ -26,7 +26,7 @@ fn dbtable(sim: SimConfig) -> SystemUnderTest {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from(EnvConfig::get().scale);
     let sim = SimConfig::default();
     let mut report = Report::new(
         "fig04",

@@ -7,7 +7,7 @@ use mantle_baselines::{Tectonic, TectonicOptions};
 use mantle_bench::report::fmt_us;
 use mantle_bench::{Report, Scale, SystemKind, SystemUnderTest};
 use mantle_core::DataService;
-use mantle_types::SimConfig;
+use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::apps::{run_analytics, run_audio};
 use mantle_workloads::{AnalyticsConfig, AudioConfig};
 
@@ -45,7 +45,7 @@ fn systems(sim: mantle_types::SimConfig) -> Vec<(&'static str, SystemUnderTest)>
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from(EnvConfig::get().scale);
     let sim = SimConfig::default();
     let mut report = Report::new("fig10", "application completion time (Analytics, Audio)");
 

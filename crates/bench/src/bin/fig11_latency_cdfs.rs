@@ -7,7 +7,7 @@ use serde::Serialize;
 use mantle_bench::report::fmt_us;
 use mantle_bench::{Report, Scale, SystemKind, SystemUnderTest};
 use mantle_types::hist::Histogram;
-use mantle_types::SimConfig;
+use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::apps::{run_analytics, run_audio};
 use mantle_workloads::{AnalyticsConfig, AudioConfig};
 
@@ -54,7 +54,7 @@ fn summarize(
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from(EnvConfig::get().scale);
     let sim = SimConfig::default();
     let mut report = Report::new(
         "fig11",

@@ -1,15 +1,19 @@
-//! Figure 12: throughput of object operations and directory read
+//! Figures 12 and 13: throughput, and latency breakdown (lookup /
+//! loop-detection / execution), of object operations and directory read
 //! operations (create, delete, objstat, dirstat) across the four systems.
+//! One measurement, written as `results/fig12.json` and `fig13.json`.
 //!
-//! Expected ordering (worst → best): Tectonic, InfiniFS, LocoFS, Mantle.
+//! Expected throughput ordering (worst → best): Tectonic, InfiniFS, LocoFS,
+//! Mantle, which should also show the lowest lookup share at every
+//! operation.
 
 use mantle_bench::runner::measure;
 use mantle_bench::{Report, Scale, SystemKind, SystemUnderTest};
-use mantle_types::SimConfig;
+use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::{ConflictMode, MdOp};
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from(EnvConfig::get().scale);
     // CPU-faithful envelope (DESIGN.md §1): per-level resolution CPU at the
     // paper's measured magnitude, with a scaled-down core budget, so the
     // central-node saturation that orders these curves (LocoFS's directory
@@ -20,7 +24,8 @@ fn main() {
         index_level_micros: 25,
         ..SimConfig::default()
     };
-    let mut report = Report::new("fig12", "object + directory read operation throughput");
+    let mut report = Report::new("fig12", "object + directory read operation throughput")
+        .also_as("fig13", "latency breakdown of read operations");
     for op in [MdOp::Create, MdOp::Delete, MdOp::ObjStat, MdOp::DirStat] {
         report.line(format!("-- {} --", op.label()));
         for kind in SystemKind::ALL {

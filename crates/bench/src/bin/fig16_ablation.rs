@@ -9,7 +9,7 @@ use serde::Serialize;
 use mantle_bench::runner::measure;
 use mantle_bench::{Report, Scale, SystemUnderTest};
 use mantle_core::MantleConfig;
-use mantle_types::SimConfig;
+use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::{ConflictMode, MdOp};
 
 #[derive(Serialize)]
@@ -35,7 +35,7 @@ fn variant(sim: SimConfig, stage: usize) -> MantleConfig {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from(EnvConfig::get().scale);
     // CPU-faithful envelope: the path cache and follower reads save
     // IndexNode CPU; with the default (latency-oriented) per-level cost of
     // 2 µs their effect would vanish under the host's own noise.

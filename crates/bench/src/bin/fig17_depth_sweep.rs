@@ -10,7 +10,7 @@ use serde::Serialize;
 use mantle_bench::report::fmt_us;
 use mantle_bench::runner::measure_at;
 use mantle_bench::{Report, Scale, SystemKind, SystemUnderTest};
-use mantle_types::SimConfig;
+use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::{ConflictMode, MdOp};
 
 #[derive(Serialize)]
@@ -24,7 +24,7 @@ struct Row {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from(EnvConfig::get().scale);
     let sim = SimConfig::default();
     let mut report = Report::new("fig17", "path-resolution latency vs directory depth");
     for kind in SystemKind::ALL {

@@ -15,7 +15,7 @@ use mantle_bench::report::fmt_us;
 use mantle_bench::{Report, Scale, SystemUnderTest};
 use mantle_core::MantleConfig;
 use mantle_types::hist::Histogram;
-use mantle_types::{MetadataService, RequestCtx, SimConfig};
+use mantle_types::{EnvConfig, MetadataService, RequestCtx, SimConfig};
 use mantle_workloads::{NamespaceHandle, NamespaceSpec};
 
 #[derive(Serialize)]
@@ -31,7 +31,7 @@ struct Row {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from(EnvConfig::get().scale);
     // CPU-faithful envelope: the paper's IndexNode spends ~100 µs of CPU on
     // a full 10-level resolution (500 K lookups/s on 64 cores, §7.2). The
     // default substrate under-charges per-level CPU (2 µs) to keep

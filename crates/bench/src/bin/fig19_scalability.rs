@@ -12,7 +12,7 @@ use mantle_bench::report::fmt_ops;
 use mantle_bench::runner::measure_at;
 use mantle_bench::{Report, Scale, SystemUnderTest};
 use mantle_core::MantleConfig;
-use mantle_types::SimConfig;
+use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::{ConflictMode, MdOp, NamespaceHandle, NamespaceSpec};
 
 #[derive(Serialize)]
@@ -30,7 +30,7 @@ struct ThreadRow {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from(EnvConfig::get().scale);
     let sim = SimConfig::default();
     let mut report = Report::new(
         "fig19",

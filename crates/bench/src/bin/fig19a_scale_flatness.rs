@@ -25,7 +25,9 @@ use serde::Serialize;
 use mantle_bench::report::fmt_ops;
 use mantle_bench::{Report, Scale, SystemUnderTest};
 use mantle_core::MantleConfig;
-use mantle_types::{MetaPath, MetadataService, PlacementConfig, RequestCtx, RetryClass, SimConfig};
+use mantle_types::{
+    EnvConfig, MetaPath, MetadataService, PlacementConfig, RequestCtx, RetryClass, SimConfig,
+};
 use mantle_workloads::mdtest::{self, ConflictMode, Hotspot, MdOp, MdtestConfig};
 
 #[derive(Serialize)]
@@ -53,7 +55,7 @@ fn hot_parent(depth: usize, k: usize) -> MetaPath {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from(EnvConfig::get().scale);
     let sim = SimConfig::default();
     let hotspot = Hotspot {
         parents: 16,
@@ -216,19 +218,6 @@ fn main() {
             .zip(served_before)
             .map(|(s, before)| s.saturating_sub(before) * service_nanos)
             .collect();
-        if std::env::var("FIG19A_DEBUG").is_ok() {
-            eprintln!("[{mode}] busy deltas: {busy:?}");
-            let m = db.shard_map();
-            for r in m.ranges() {
-                eprintln!(
-                    "  range {:#018x}..{:#018x} shard {} hits {}",
-                    r.start,
-                    r.end,
-                    r.shard,
-                    r.hits()
-                );
-            }
-        }
         let mean = busy.iter().sum::<u64>() as f64 / busy.len().max(1) as f64;
         let ratio = if mean > 0.0 {
             *busy.iter().max().unwrap() as f64 / mean

@@ -18,7 +18,7 @@ use mantle_baselines::{InfiniFs, InfiniFsOptions};
 use mantle_bench::report::fmt_us;
 use mantle_bench::{Report, Scale, SystemUnderTest};
 use mantle_core::{MantleConfig, PathLeaseConfig};
-use mantle_types::SimConfig;
+use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::apps::{run_analytics, run_audio};
 use mantle_workloads::{AnalyticsConfig, AudioConfig};
 
@@ -54,7 +54,7 @@ fn build(system: &'static str, cache: bool, sim: SimConfig) -> SystemUnderTest {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from(EnvConfig::get().scale);
     let sim = SimConfig::default();
     let mut report = Report::new("fig20", "impact of adding metadata caching (AM-Cache)");
     for system in ["infinifs", "mantle"] {

@@ -9,7 +9,7 @@
 //!
 //! The baseline is intentionally a committed artifact: a PR that changes
 //! the modeled cost of an operation must also refresh the baseline (run
-//! with `MANTLE_PERF_UPDATE_BASELINE=1`) so the regression is visible in
+//! with `--update-baseline`) so the regression is visible in
 //! review rather than absorbed silently. See README "CI".
 
 use std::io::Write as _;
@@ -22,7 +22,7 @@ use mantle_core::{MantleCluster, MantleConfig, PathLeaseConfig};
 use mantle_tafdb::{dir_region, entry_key, EngineKind, Row, TafDb, TafDbOptions};
 use mantle_types::hist::Histogram;
 use mantle_types::stats::OpStatsAgg;
-use mantle_types::{clock, InodeId, Permission, RequestCtx, SimConfig};
+use mantle_types::{clock, EnvConfig, InodeId, Permission, RequestCtx, SimConfig};
 use mantle_workloads::mdtest::{run, ConflictMode, MdOp, MdtestConfig, OpenLoop};
 
 /// Committed baseline, resolved relative to the repo root.
@@ -381,7 +381,9 @@ fn run_mixed(engine: EngineKind) -> MixedOutcome {
             completed: completed.load(Ordering::Relaxed),
             failed: failed.load(Ordering::Relaxed),
             rpcs: agg.rpcs,
-            mean_us: agg.mean_total_micros(),
+            // The raw TafDB calls open no `Phase`, so the aggregate's phase
+            // mean is zero; the histogram has the end-to-end latency.
+            mean_us: hist.mean() / 1_000.0,
             p99_us: hist.quantile(0.99) as f64 / 1_000.0,
             shed: 0,
         },
@@ -496,6 +498,16 @@ fn run_overload() -> GateRow {
 }
 
 fn main() {
+    EnvConfig::get();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let update_baseline = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--update-baseline" => true,
+        _ => {
+            eprintln!("usage: perf_gate [--update-baseline]");
+            std::process::exit(2);
+        }
+    };
     println!("=== perf_gate: virtual-clock perf-regression gate ===");
 
     // Two passes: the virtual clock must make the measurement reproducible
@@ -596,7 +608,7 @@ fn main() {
         ..over_a.clone()
     });
 
-    if std::env::var_os("MANTLE_PERF_UPDATE_BASELINE").is_some_and(|v| v != "0") {
+    if update_baseline {
         let payload = serde_json::json!({
             "tolerance": TOLERANCE,
             "rows": rows,
@@ -609,7 +621,7 @@ fn main() {
     let text = std::fs::read_to_string(BASELINE_PATH).unwrap_or_else(|e| {
         panic!(
             "cannot read {BASELINE_PATH}: {e}\n(first run? create it with \
-             MANTLE_PERF_UPDATE_BASELINE=1)"
+             --update-baseline)"
         )
     });
     let baseline: serde_json::Value = serde_json::from_str(&text).expect("baseline json");
@@ -631,7 +643,7 @@ fn main() {
             .unwrap_or_else(|| {
                 panic!(
                     "baseline has no row for {} x{} — refresh it with \
-                     MANTLE_PERF_UPDATE_BASELINE=1",
+                     --update-baseline",
                     row.op, row.threads
                 )
             });
@@ -680,7 +692,7 @@ fn main() {
         failures.dedup();
         eprintln!(
             "perf gate FAILED: {} regressed beyond {:.0}% — if intentional, \
-             refresh ci/perf_baseline.json with MANTLE_PERF_UPDATE_BASELINE=1 \
+             refresh ci/perf_baseline.json with `make perf-gate UPDATE=1` \
              and justify in the PR",
             failures.join(", "),
             TOLERANCE * 100.0

@@ -8,10 +8,9 @@
 //!
 //! Every harness prints a paper-style table and writes machine-readable
 //! rows to `results/<figure>.json`. The environment variable `MANTLE_SCALE`
-//! selects the run size: `quick` (default; minutes on a laptop core) or
-//! `full` (closer to the paper's thread counts; slower).
-//!
-//! Criterion micro-benchmarks live in `benches/`.
+//! selects the run size: `quick` (default; minutes on a laptop core),
+//! `full` (closer to the paper's thread counts; slower) or `smoke`
+//! (seconds; CI).
 
 pub mod report;
 pub mod runner;

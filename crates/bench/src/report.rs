@@ -3,12 +3,14 @@
 use std::io::Write;
 use std::path::PathBuf;
 
+use mantle_types::EnvConfig;
 use serde::Serialize;
 
 /// Collects printable rows and persists them to `results/<name>.json`.
 pub struct Report {
-    name: &'static str,
-    title: &'static str,
+    /// `(name, title)` of every figure the rows are persisted as; the
+    /// first names the run's metrics and slow-op artifacts.
+    figures: Vec<(&'static str, &'static str)>,
     rows: Vec<serde_json::Value>,
     /// Live scrape endpoint held for the duration of the run (with
     /// `MANTLE_OBS_ADDR` set); [`Report::finish`] stops it explicitly,
@@ -18,18 +20,24 @@ pub struct Report {
 
 impl Report {
     /// Starts a report for one figure/table. This is every harness's entry
-    /// point, so it also arms the flight recorder (opt out with
-    /// `MANTLE_FLIGHT=0`) and starts the scrape endpoint when
-    /// `MANTLE_OBS_ADDR` is set.
+    /// point, so it also arms the flight recorder and starts the scrape
+    /// endpoint when `MANTLE_OBS_ADDR` is set.
     pub fn new(name: &'static str, title: &'static str) -> Self {
         println!("=== {name}: {title} ===");
-        mantle_obs::flight::arm_from_env();
+        mantle_obs::flight::global().arm();
         Report {
-            name,
-            title,
+            figures: vec![(name, title)],
             rows: Vec::new(),
             obs_server: mantle_obs::http::serve_if_configured(),
         }
+    }
+
+    /// Persists the same rows as a second figure too: a throughput figure
+    /// and its latency breakdown are two readings of one measurement.
+    pub fn also_as(mut self, name: &'static str, title: &'static str) -> Self {
+        println!("=== {name}: {title} ===");
+        self.figures.push((name, title));
+        self
     }
 
     /// Records one result row (also used for the JSON dump).
@@ -44,7 +52,7 @@ impl Report {
     }
 
     /// Writes `results/<name>.json` and prints the path. With
-    /// `MANTLE_METRICS=1` a snapshot of the global metrics registry is also
+    /// `MANTLE_METRICS=on` a snapshot of the global metrics registry is also
     /// persisted to `results/<name>.metrics.json` (see DESIGN.md
     /// §Observability).
     pub fn finish(mut self) {
@@ -54,18 +62,21 @@ impl Report {
             self.stop_obs_server();
             return;
         }
-        let path = dir.join(format!("{}.json", self.name));
-        let payload = serde_json::json!({
-            "figure": self.name,
-            "title": self.title,
-            "rows": self.rows,
-        });
-        match write_json(&path, &payload) {
-            Ok(()) => println!("[results written to {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+        for (name, title) in &self.figures {
+            let path = dir.join(format!("{name}.json"));
+            let payload = serde_json::json!({
+                "figure": name,
+                "title": title,
+                "rows": self.rows,
+            });
+            match write_json(&path, &payload) {
+                Ok(()) => println!("[results written to {}]", path.display()),
+                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+            }
         }
-        if std::env::var_os("MANTLE_METRICS").is_some_and(|v| v != "0") {
-            let mpath = dir.join(format!("{}.metrics.json", self.name));
+        let name = self.figures[0].0;
+        if EnvConfig::get().metrics {
+            let mpath = dir.join(format!("{name}.metrics.json"));
             let snapshot = serde_json::to_value(mantle_obs::snapshot()).expect("snapshot");
             match write_json(&mpath, &snapshot) {
                 Ok(()) => println!("[metrics written to {}]", mpath.display()),
@@ -75,7 +86,7 @@ impl Report {
         // Any force-captured slow ops ride along as a post-mortem artifact.
         let recorder = mantle_obs::flight::global();
         if recorder.slow_captured_total() > 0 {
-            let spath = dir.join(format!("{}.slow.json", self.name));
+            let spath = dir.join(format!("{name}.slow.json"));
             let payload = serde_json::json!({
                 "captured_total": recorder.slow_captured_total(),
                 "dropped_total": recorder.slow_dropped_total(),

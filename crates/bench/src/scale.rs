@@ -2,8 +2,10 @@
 //!
 //! The paper drives 512–2048 mdtest clients from 32 machines; this
 //! reproduction runs everything on one machine, so harnesses scale thread
-//! counts and op counts down while keeping ratios intact. `MANTLE_SCALE=full`
-//! selects the larger preset.
+//! counts and op counts down while keeping ratios intact. `MANTLE_SCALE`
+//! names the preset (README.md "Environment").
+
+use mantle_types::ScalePreset;
 
 /// Harness run sizes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,16 +67,14 @@ impl Scale {
             app_tasks: 8,
         }
     }
+}
 
-    /// Reads `MANTLE_SCALE` (`quick`/`full`), defaulting to quick.
-    /// `MANTLE_SMOKE=1` overrides everything with the smoke preset.
-    pub fn from_env() -> Self {
-        if std::env::var("MANTLE_SMOKE").as_deref() == Ok("1") {
-            return Scale::smoke();
-        }
-        match std::env::var("MANTLE_SCALE").as_deref() {
-            Ok("full") => Scale::full(),
-            _ => Scale::quick(),
+impl From<ScalePreset> for Scale {
+    fn from(preset: ScalePreset) -> Self {
+        match preset {
+            ScalePreset::Quick => Scale::quick(),
+            ScalePreset::Full => Scale::full(),
+            ScalePreset::Smoke => Scale::smoke(),
         }
     }
 }

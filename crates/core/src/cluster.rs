@@ -14,6 +14,7 @@ use mantle_types::{
     DirAttrMeta,
     DirEntry,
     DirStat,
+    EnvConfig,
     InodeId,
     MetaError,
     MetaPath,
@@ -101,9 +102,9 @@ pub struct MantleConfig {
     /// Proxy-level retries for transient unavailability (leader failover).
     pub unavailable_retries: u32,
     /// Client-side path-lease cache (DESIGN.md §4.13; also the proxy-side
-    /// metadata cache of the Figure 20 experiment). Defaults from the
-    /// `MANTLE_PATH_CACHE` environment — off unless opted in, which keeps
-    /// the cache-off latency pins byte-identical.
+    /// metadata cache of the Figure 20 experiment). On by default iff
+    /// `EnvConfig::path_cache` (`MANTLE_PATH_CACHE`) — off unless opted in,
+    /// which keeps the cache-off latency pins byte-identical.
     pub pcache: PathLeaseConfig,
 }
 
@@ -116,7 +117,10 @@ impl Default for MantleConfig {
             data_nodes: 4,
             rename_retries: 10_000,
             unavailable_retries: 600,
-            pcache: PathLeaseConfig::from_env(),
+            pcache: PathLeaseConfig {
+                enabled: EnvConfig::get().path_cache,
+                ..PathLeaseConfig::default()
+            },
         }
     }
 }

@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use mantle_rpc::{FaultPlan, FaultSlot};
+use mantle_rpc::{FaultKind, FaultPlan, FaultSlot};
 use mantle_sync::PrefixTree;
 use mantle_types::{
     clock::{self, SimInstant},
@@ -71,18 +71,6 @@ impl Default for PathLeaseConfig {
 }
 
 impl PathLeaseConfig {
-    /// The default bounds, enabled iff `MANTLE_PATH_CACHE` says so
-    /// (`on`/`1`/`true`; default off).
-    pub fn from_env() -> Self {
-        let enabled = std::env::var("MANTLE_PATH_CACHE").is_ok_and(|v| {
-            v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true")
-        });
-        PathLeaseConfig {
-            enabled,
-            ..PathLeaseConfig::default()
-        }
-    }
-
     /// An enabled configuration with the default bounds (tests).
     pub fn enabled() -> Self {
         PathLeaseConfig {
@@ -347,7 +335,7 @@ impl PathLeaseCache {
         let force_expire = self
             .faults
             .get()
-            .is_some_and(|plan| plan.lease_expires(fault_site));
+            .is_some_and(|plan| plan.fires(FaultKind::LeaseExpire, fault_site));
         match self.probe(path, force_expire) {
             LeaseProbe::Hit(lease) => {
                 ctx.cache_hits += 1;
@@ -367,7 +355,7 @@ impl PathLeaseCache {
                         let stale_read = self
                             .faults
                             .get()
-                            .is_some_and(|plan| plan.stale_read_fires(fault_site));
+                            .is_some_and(|plan| plan.fires(FaultKind::StaleRead, fault_site));
                         let matched = fresh.resolved.id == old.pid
                             && fresh.version == old.version
                             && !stale_read;

@@ -29,7 +29,7 @@ use std::ops::Bound;
 
 use mantle_store::RowKey;
 use mantle_types::snapshot::{frame, unframe, SnapshotReader, SnapshotWriter};
-use mantle_types::{InodeId, TxnId};
+use mantle_types::{EngineName, InodeId, TxnId};
 
 pub mod btree;
 pub mod mvcc;
@@ -280,16 +280,16 @@ pub enum EngineKind {
     Mvcc,
 }
 
-impl EngineKind {
-    /// Reads the `MANTLE_ENGINE` environment knob; unset or unrecognised
-    /// values select [`EngineKind::Btree`].
-    pub fn from_env() -> Self {
-        match std::env::var("MANTLE_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("mvcc") => EngineKind::Mvcc,
-            _ => EngineKind::Btree,
+impl From<EngineName> for EngineKind {
+    fn from(name: EngineName) -> Self {
+        match name {
+            EngineName::Btree => EngineKind::Btree,
+            EngineName::Mvcc => EngineKind::Mvcc,
         }
     }
+}
 
+impl EngineKind {
     /// Builds an engine of this kind.
     pub fn build<V: EngineValue>(self) -> std::sync::Arc<dyn StorageEngine<V>> {
         match self {
@@ -461,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_kind_env_selection() {
+    fn engine_kind_names() {
         assert_eq!(EngineKind::Btree.name(), "btree");
         assert_eq!(EngineKind::Mvcc.name(), "mvcc");
         assert_eq!(EngineKind::Btree.build::<u64>().name(), "btree");

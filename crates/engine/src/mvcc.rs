@@ -14,7 +14,7 @@
 //!    sequence `s` and register it. Writers publish their sequence under
 //!    the same mutex *before* computing the prune floor, so a version
 //!    readable at any registered (or future) pin is never reclaimed.
-//! 2. Chunked walk: take the shared latch, visit up to [`CHUNK`] keys
+//! 2. Chunked walk: take the shared latch, visit up to `CHUNK` keys
 //!    resolving each chain at `s` (newest version with `seq <= s`),
 //!    release, resume strictly after the last visited key.
 //! 3. `unpin(s)`: deregister; the next write prunes what `s` kept alive.

@@ -37,22 +37,18 @@ use crate::critpath::{self, PhaseAttribution, N_PHASES};
 use crate::metrics::{Counter, HistogramMetric};
 use crate::trace::{self, Trace, TraceGuard};
 
-/// Tuning knobs for a [`FlightRecorder`]. [`FlightConfig::from_env`] reads
-/// the `MANTLE_SLOW_*` environment variables; [`Default`] is the same with
-/// an empty environment.
+/// Tuning knobs for a [`FlightRecorder`].
 #[derive(Clone, Debug)]
 pub struct FlightConfig {
     /// Slow-op events retained in the bounded ring (oldest evicted, with
     /// drop accounting).
     pub slow_capacity: usize,
-    /// `k` in the adaptive threshold `trailing_p99 × k`
-    /// (`MANTLE_SLOW_K`).
+    /// `k` in the adaptive threshold `trailing_p99 × k`.
     pub threshold_mult: f64,
     /// Lower bound on the adaptive threshold, so a uniformly fast op type
-    /// does not flag noise (`MANTLE_SLOW_FLOOR_NANOS`).
+    /// does not flag noise.
     pub floor_nanos: u64,
-    /// Fixed threshold overriding the adaptive one entirely
-    /// (`MANTLE_SLOW_THRESHOLD_NANOS`).
+    /// Fixed threshold overriding the adaptive one entirely.
     pub fixed_threshold_nanos: Option<u64>,
     /// Ops observed per `(system, op)` before the adaptive threshold arms
     /// (until then nothing is flagged — a trailing p99 of 3 samples is
@@ -84,28 +80,6 @@ impl Default for FlightConfig {
             max_annotations: 32,
         }
     }
-}
-
-impl FlightConfig {
-    /// Default config with `MANTLE_SLOW_K`, `MANTLE_SLOW_FLOOR_NANOS` and
-    /// `MANTLE_SLOW_THRESHOLD_NANOS` applied on top.
-    pub fn from_env() -> Self {
-        let mut cfg = FlightConfig::default();
-        if let Some(k) = env_parse::<f64>("MANTLE_SLOW_K") {
-            if k > 0.0 {
-                cfg.threshold_mult = k;
-            }
-        }
-        if let Some(floor) = env_parse::<u64>("MANTLE_SLOW_FLOOR_NANOS") {
-            cfg.floor_nanos = floor;
-        }
-        cfg.fixed_threshold_nanos = env_parse::<u64>("MANTLE_SLOW_THRESHOLD_NANOS");
-        cfg
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok().and_then(|s| s.parse().ok())
 }
 
 /// One force-captured slow operation.
@@ -340,11 +314,6 @@ impl FlightRecorder {
         self.armed.store(true, Ordering::Relaxed);
     }
 
-    /// Stops capturing (in-flight scopes still complete).
-    pub fn disarm(&self) {
-        self.armed.store(false, Ordering::Relaxed);
-    }
-
     /// Clears all trailing state, the slow ring, per-node attribution and
     /// the capture sequence — the determinism tests call this between runs.
     pub fn reset(&self) {
@@ -514,28 +483,11 @@ impl FlightRecorder {
     }
 }
 
-/// The process-global recorder (disarmed until [`arm_from_env`] or
-/// [`FlightRecorder::arm`]).
+/// The process-global recorder, disarmed until [`FlightRecorder::arm`]:
+/// harness entry points and the CLI arm it once at startup.
 pub fn global() -> &'static Arc<FlightRecorder> {
     static GLOBAL: OnceLock<Arc<FlightRecorder>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(FlightRecorder::new(FlightConfig::from_env())))
-}
-
-/// Arms the global recorder from the environment: armed by default (the
-/// recorder is meant to be always-on in harnesses and the CLI), disarmed
-/// only by `MANTLE_FLIGHT=0`/`false`. Returns whether it ended up armed.
-/// Harness entry points and the CLI call this once at startup.
-pub fn arm_from_env() -> bool {
-    let off = matches!(
-        std::env::var("MANTLE_FLIGHT").ok().as_deref(),
-        Some("0") | Some("false") | Some("no")
-    );
-    if off {
-        global().disarm();
-    } else {
-        global().arm();
-    }
-    !off
+    GLOBAL.get_or_init(|| Arc::new(FlightRecorder::new(FlightConfig::default())))
 }
 
 /// In-flight per-op context for the current thread.

@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use mantle_types::EnvConfig;
 use serde::Serialize;
 
 use crate::flight::{self, SlowOp};
@@ -96,11 +97,8 @@ pub fn serve(addr: &str) -> std::io::Result<ObsServer> {
 /// reported to stderr and swallowed — observability must never take down
 /// the workload it observes.
 pub fn serve_if_configured() -> Option<ObsServer> {
-    let addr = std::env::var("MANTLE_OBS_ADDR").ok()?;
-    if addr.is_empty() {
-        return None;
-    }
-    match serve(&addr) {
+    let addr = EnvConfig::get().obs_addr.as_ref()?;
+    match serve(addr) {
         Ok(server) => {
             eprintln!(
                 "mantle-obs: serving /metrics on http://{}",

@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use mantle_types::clock::{self, SimInstant, TimeStats};
+use mantle_types::EnvConfig;
 use parking_lot::Mutex;
 use serde::Serialize;
 
@@ -214,19 +215,13 @@ struct Collector {
 
 fn collector() -> &'static Collector {
     static COLLECTOR: OnceLock<Collector> = OnceLock::new();
-    COLLECTOR.get_or_init(|| {
-        let rate = std::env::var("MANTLE_TRACE_SAMPLE")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .unwrap_or(0.01);
-        Collector {
-            next_trace_id: AtomicU64::new(1),
-            interval: AtomicU64::new(rate_to_interval(rate)),
-            started: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::with_capacity(RING_CAPACITY)),
-            dropped: AtomicU64::new(0),
-            dropped_metric: crate::metrics::counter("obs_traces_dropped_total", &[]),
-        }
+    COLLECTOR.get_or_init(|| Collector {
+        next_trace_id: AtomicU64::new(1),
+        interval: AtomicU64::new(rate_to_interval(EnvConfig::get().trace_sample)),
+        started: AtomicU64::new(0),
+        ring: Mutex::new(VecDeque::with_capacity(RING_CAPACITY)),
+        dropped: AtomicU64::new(0),
+        dropped_metric: crate::metrics::counter("obs_traces_dropped_total", &[]),
     })
 }
 
@@ -241,7 +236,7 @@ fn rate_to_interval(rate: f64) -> u64 {
 }
 
 /// Sets the sampling rate (`0.0` = off, `1.0` = every operation). The
-/// default is 1%, or whatever `MANTLE_TRACE_SAMPLE` specified at startup.
+/// default is `EnvConfig::trace_sample` (`MANTLE_TRACE_SAMPLE`; 1% if unset).
 pub fn set_sample_rate(rate: f64) {
     collector()
         .interval

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use mantle_obs::{Counter, Gauge, HistogramMetric};
-use mantle_rpc::{faults, SimNode};
+use mantle_rpc::{faults, FaultKind, SimNode};
 use mantle_store::GroupCommitWal;
 use mantle_types::clock::{self, TimeCategory};
 use mantle_types::snapshot::{frame, unframe};
@@ -1353,7 +1353,7 @@ impl<SM: StateMachine> RaftReplica<SM> {
         if self
             .node
             .faults()
-            .is_some_and(|p| p.snapshot_write_fails(self.node.name()))
+            .is_some_and(|p| p.fires(FaultKind::SnapshotWrite, self.node.name()))
         {
             // Crash mid-write: only a prefix of the frame reached disk.
             let torn = framed[..framed.len() / 2].to_vec();
@@ -1415,7 +1415,7 @@ impl<SM: StateMachine> RaftReplica<SM> {
         let faulted = self
             .node
             .faults()
-            .is_some_and(|p| p.snapshot_install_fails(self.node.name()));
+            .is_some_and(|p| p.fires(FaultKind::SnapshotInstall, self.node.name()));
         let image = if faulted { None } else { unframe(&data) };
         let Some(image) = image else {
             self.metrics.snapshot_aborts.inc();

@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
+use mantle_types::EnvConfig;
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize;
 
@@ -100,6 +101,20 @@ impl FaultKind {
             FaultKind::SnapshotInstall => "snap_install",
             FaultKind::LeaseExpire => "lease_expire",
             FaultKind::StaleRead => "stale_read",
+        }
+    }
+
+    /// The `detail` a [`FaultPlan::fires`] event carries when the fault
+    /// was rolled rather than forced.
+    fn rolled_detail(self) -> &'static str {
+        match self {
+            FaultKind::TxnPrepare | FaultKind::SplitPrepare => "prepare",
+            FaultKind::TxnCommit | FaultKind::SplitCommit => "commit",
+            FaultKind::SnapshotWrite => "write",
+            FaultKind::SnapshotInstall => "install",
+            FaultKind::LeaseExpire => "probe",
+            FaultKind::StaleRead => "revalidate",
+            _ => "rolled",
         }
     }
 
@@ -172,6 +187,26 @@ pub struct FaultProfile {
 }
 
 impl FaultProfile {
+    /// Probability that one visit of a `kind` site fails. Topology faults
+    /// (`Partition`, `NodeDown`) are never rolled.
+    fn prob(&self, kind: FaultKind) -> f64 {
+        match kind {
+            FaultKind::RpcDrop => self.rpc_drop_prob,
+            FaultKind::RpcTimeout => self.rpc_timeout_prob,
+            FaultKind::RpcSpike => self.rpc_spike_prob,
+            FaultKind::Partition | FaultKind::NodeDown => 0.0,
+            FaultKind::WalFsync => self.wal_fsync_fail_prob,
+            FaultKind::TxnPrepare => self.txn_prepare_fail_prob,
+            FaultKind::TxnCommit => self.txn_commit_hiccup_prob,
+            FaultKind::SplitPrepare => self.split_prepare_fail_prob,
+            FaultKind::SplitCommit => self.split_commit_fail_prob,
+            FaultKind::SnapshotWrite => self.snapshot_write_fail_prob,
+            FaultKind::SnapshotInstall => self.snapshot_install_fail_prob,
+            FaultKind::LeaseExpire => self.lease_expire_prob,
+            FaultKind::StaleRead => self.stale_read_prob,
+        }
+    }
+
     /// A profile that injects nothing — the acceptance-criterion baseline:
     /// installing `FaultPlan::new(seed, FaultProfile::zeroed())` must leave
     /// figure-harness throughput unchanged.
@@ -304,16 +339,8 @@ struct Topology {
 struct PlanState {
     /// Per-`(kind, site)` decision counters backing the deterministic rolls.
     rolls: HashMap<(u64, String), u64>,
-    /// WAL scopes with forced fsync failures still pending.
-    forced_fsync: HashMap<String, u32>,
-    /// Migration sites with forced prepare failures still pending.
-    forced_split_prepare: HashMap<String, u32>,
-    /// Migration sites with forced commit failures still pending.
-    forced_split_commit: HashMap<String, u32>,
-    /// Nodes with forced snapshot-write failures still pending.
-    forced_snapshot_write: HashMap<String, u32>,
-    /// Nodes with forced snapshot-install failures still pending.
-    forced_snapshot_install: HashMap<String, u32>,
+    /// Forced failures still pending per `(kind, site)`.
+    forced: HashMap<(FaultKind, String), u32>,
     /// Registered crash/restart hooks per node name.
     hooks: HashMap<String, (NodeHook, NodeHook)>,
     events: Vec<FaultEvent>,
@@ -598,276 +625,53 @@ impl FaultPlan {
         self.topology_active.load(Ordering::Relaxed) && self.topology.read().down.contains(name)
     }
 
-    // ---- durability faults ---------------------------------------------
+    // ---- site faults ---------------------------------------------------
 
-    /// Forces the next `n` fsyncs on WAL `scope` to fail, ahead of any
-    /// probabilistic rolls. Used by the WAL recovery test.
-    pub fn force_fsync_failure(&self, scope: &str, n: u32) {
-        self.state
+    /// Forces the next `n` visits of the `kind` site `site` to fail, ahead
+    /// of any probabilistic roll.
+    pub fn force(&self, kind: FaultKind, site: &str, n: u32) {
+        *self
+            .state
             .lock()
-            .forced_fsync
-            .entry(scope.to_string())
-            .and_modify(|c| *c += n)
-            .or_insert(n);
-        self.record(FaultKind::WalFsync, scope, format!("force n={n}"));
+            .forced
+            .entry((kind, site.to_string()))
+            .or_insert(0) += n;
+        self.record(kind, site, format!("force n={n}"));
     }
 
-    /// Decides whether this fsync on WAL `scope` fails.
-    pub fn wal_fsync_fails(&self, scope: &str) -> bool {
-        {
+    /// Decides whether this visit of the `kind` site `site` fails: a
+    /// pending [`FaultPlan::force`] first, else a roll against the
+    /// profile's probability for `kind`. What failing means is the call
+    /// site's business (DESIGN.md §4.9 lists the sites): a WAL scope's
+    /// fsync, a shard's 2PC prepare or commit hiccup, a migration's prepare
+    /// marker or commit point, a node's snapshot write or install, a
+    /// path-lease probe or revalidation.
+    pub fn fires(&self, kind: FaultKind, site: &str) -> bool {
+        let forced = {
             let mut st = self.state.lock();
-            if let Some(c) = st.forced_fsync.get_mut(scope) {
-                if *c > 0 {
-                    *c -= 1;
-                    drop(st);
-                    self.record(FaultKind::WalFsync, scope, "forced".to_string());
-                    return true;
+            // The key is only built once something was ever forced.
+            let left = if st.forced.is_empty() {
+                None
+            } else {
+                st.forced.get_mut(&(kind, site.to_string()))
+            };
+            match left {
+                Some(left) if *left > 0 => {
+                    *left -= 1;
+                    true
                 }
+                _ => false,
             }
-        }
-        if self
-            .roll(FaultKind::WalFsync, scope, self.profile.wal_fsync_fail_prob)
-            .is_some()
-        {
-            self.record(FaultKind::WalFsync, scope, "rolled".to_string());
-            return true;
-        }
-        false
-    }
-
-    // ---- transaction faults --------------------------------------------
-
-    /// Decides whether the 2PC prepare at `site` fails. The coordinator
-    /// must release locks and surface `Transient` (safe to retry: nothing
-    /// committed).
-    pub fn txn_prepare_fails(&self, site: &str) -> bool {
-        if self
-            .roll(
-                FaultKind::TxnPrepare,
-                site,
-                self.profile.txn_prepare_fail_prob,
-            )
-            .is_some()
-        {
-            self.record(FaultKind::TxnPrepare, site, "prepare".to_string());
-            return true;
-        }
-        false
-    }
-
-    /// Decides whether the 2PC commit at `site` hiccups. The commit
-    /// decision is already durable, so the participant retries internally
-    /// (one extra round trip); the transaction still commits exactly once.
-    pub fn txn_commit_hiccups(&self, site: &str) -> bool {
-        if self
-            .roll(
-                FaultKind::TxnCommit,
-                site,
-                self.profile.txn_commit_hiccup_prob,
-            )
-            .is_some()
-        {
-            self.record(FaultKind::TxnCommit, site, "commit".to_string());
-            return true;
-        }
-        false
-    }
-
-    // ---- shard-migration faults ----------------------------------------
-
-    /// Forces the next `n` migration prepares at `site` to fail, ahead of
-    /// any probabilistic rolls. Used by the split-crash chaos test.
-    pub fn force_split_prepare_failure(&self, site: &str, n: u32) {
-        self.state
-            .lock()
-            .forced_split_prepare
-            .entry(site.to_string())
-            .and_modify(|c| *c += n)
-            .or_insert(n);
-        self.record(FaultKind::SplitPrepare, site, format!("force n={n}"));
-    }
-
-    /// Forces the next `n` migration commits at `site` to fail.
-    pub fn force_split_commit_failure(&self, site: &str, n: u32) {
-        self.state
-            .lock()
-            .forced_split_commit
-            .entry(site.to_string())
-            .and_modify(|c| *c += n)
-            .or_insert(n);
-        self.record(FaultKind::SplitCommit, site, format!("force n={n}"));
-    }
-
-    /// Decides whether the migration prepare at `site` fails. The
-    /// controller aborts cleanly: the marker is rolled back and no row has
-    /// left the source shard.
-    pub fn split_prepare_fails(&self, site: &str) -> bool {
-        {
-            let mut st = self.state.lock();
-            if let Some(c) = st.forced_split_prepare.get_mut(site) {
-                if *c > 0 {
-                    *c -= 1;
-                    drop(st);
-                    self.record(FaultKind::SplitPrepare, site, "forced".to_string());
-                    return true;
-                }
-            }
-        }
-        if self
-            .roll(
-                FaultKind::SplitPrepare,
-                site,
-                self.profile.split_prepare_fail_prob,
-            )
-            .is_some()
-        {
-            self.record(FaultKind::SplitPrepare, site, "prepare".to_string());
-            return true;
-        }
-        false
-    }
-
-    /// Decides whether the migration commit at `site` fails. Rows are
-    /// already copied to the target but the map swap has not published, so
-    /// the controller deletes the copies and the source stays authoritative.
-    pub fn split_commit_fails(&self, site: &str) -> bool {
-        {
-            let mut st = self.state.lock();
-            if let Some(c) = st.forced_split_commit.get_mut(site) {
-                if *c > 0 {
-                    *c -= 1;
-                    drop(st);
-                    self.record(FaultKind::SplitCommit, site, "forced".to_string());
-                    return true;
-                }
-            }
-        }
-        if self
-            .roll(
-                FaultKind::SplitCommit,
-                site,
-                self.profile.split_commit_fail_prob,
-            )
-            .is_some()
-        {
-            self.record(FaultKind::SplitCommit, site, "commit".to_string());
-            return true;
-        }
-        false
-    }
-
-    // ---- raft snapshot faults -------------------------------------------
-
-    /// Forces the next `n` snapshot writes at `site` (a node name) to crash
-    /// partway, leaving a torn image. Used by the torn-snapshot chaos test.
-    pub fn force_snapshot_write_failure(&self, site: &str, n: u32) {
-        self.state
-            .lock()
-            .forced_snapshot_write
-            .entry(site.to_string())
-            .and_modify(|c| *c += n)
-            .or_insert(n);
-        self.record(FaultKind::SnapshotWrite, site, format!("force n={n}"));
-    }
-
-    /// Forces the next `n` snapshot installs at `site` to crash before the
-    /// image is applied.
-    pub fn force_snapshot_install_failure(&self, site: &str, n: u32) {
-        self.state
-            .lock()
-            .forced_snapshot_install
-            .entry(site.to_string())
-            .and_modify(|c| *c += n)
-            .or_insert(n);
-        self.record(FaultKind::SnapshotInstall, site, format!("force n={n}"));
-    }
-
-    /// Decides whether the snapshot write at `site` crashes partway. The
-    /// replica keeps its previous snapshot authoritative and the log keeps
-    /// its prefix — same discard-on-abort discipline as shard migration.
-    pub fn snapshot_write_fails(&self, site: &str) -> bool {
-        {
-            let mut st = self.state.lock();
-            if let Some(c) = st.forced_snapshot_write.get_mut(site) {
-                if *c > 0 {
-                    *c -= 1;
-                    drop(st);
-                    self.record(FaultKind::SnapshotWrite, site, "forced".to_string());
-                    return true;
-                }
-            }
-        }
-        if self
-            .roll(
-                FaultKind::SnapshotWrite,
-                site,
-                self.profile.snapshot_write_fail_prob,
-            )
-            .is_some()
-        {
-            self.record(FaultKind::SnapshotWrite, site, "write".to_string());
-            return true;
-        }
-        false
-    }
-
-    // ---- path-lease faults ----------------------------------------------
-
-    /// Decides whether a still-valid path-lease probed at `site` is treated
-    /// as expired. The cache then revalidates with a version-check RPC —
-    /// strictly extra work, never a skipped coherence step.
-    pub fn lease_expires(&self, site: &str) -> bool {
-        if self
-            .roll(FaultKind::LeaseExpire, site, self.profile.lease_expire_prob)
-            .is_some()
-        {
-            self.record(FaultKind::LeaseExpire, site, "probe".to_string());
-            return true;
-        }
-        false
-    }
-
-    /// Decides whether a successful path-lease revalidation at `site` is
-    /// forced to report staleness. The cache drops the cached subtree and
-    /// re-resolves from the authority.
-    pub fn stale_read_fires(&self, site: &str) -> bool {
-        if self
-            .roll(FaultKind::StaleRead, site, self.profile.stale_read_prob)
-            .is_some()
-        {
-            self.record(FaultKind::StaleRead, site, "revalidate".to_string());
-            return true;
-        }
-        false
-    }
-
-    /// Decides whether the snapshot install at `site` crashes before the
-    /// image is applied. The pre-install state stays authoritative and the
-    /// leader retries the transfer.
-    pub fn snapshot_install_fails(&self, site: &str) -> bool {
-        {
-            let mut st = self.state.lock();
-            if let Some(c) = st.forced_snapshot_install.get_mut(site) {
-                if *c > 0 {
-                    *c -= 1;
-                    drop(st);
-                    self.record(FaultKind::SnapshotInstall, site, "forced".to_string());
-                    return true;
-                }
-            }
-        }
-        if self
-            .roll(
-                FaultKind::SnapshotInstall,
-                site,
-                self.profile.snapshot_install_fail_prob,
-            )
-            .is_some()
-        {
-            self.record(FaultKind::SnapshotInstall, site, "install".to_string());
-            return true;
-        }
-        false
+        };
+        let detail = if forced {
+            "forced"
+        } else if self.roll(kind, site, self.profile.prob(kind)).is_some() {
+            kind.rolled_detail()
+        } else {
+            return false;
+        };
+        self.record(kind, site, detail.to_string());
+        true
     }
 
     // ---- event log ------------------------------------------------------
@@ -987,8 +791,8 @@ fn install_panic_reporter() {
                     plan.events().len(),
                     plan.events_dropped(),
                 );
-                if let Ok(dir) = std::env::var("MANTLE_CHAOS_BUNDLE_DIR") {
-                    let dir = std::path::Path::new(&dir).join(format!("seed-{}", plan.seed()));
+                if let Some(dir) = &EnvConfig::get().chaos_bundle_dir {
+                    let dir = dir.join(format!("seed-{}", plan.seed()));
                     match plan.write_repro_bundle(&dir) {
                         Ok(()) => eprintln!("repro bundle written to {}", dir.display()),
                         Err(e) => eprintln!("failed to write repro bundle: {e}"),
@@ -998,11 +802,6 @@ fn install_panic_reporter() {
             prev(info);
         }));
     });
-}
-
-/// Reads `MANTLE_FAULT_SEED` (decimal) if set and parseable.
-pub fn seed_from_env() -> Option<u64> {
-    std::env::var("MANTLE_FAULT_SEED").ok()?.parse().ok()
 }
 
 // ---- caller identity ----------------------------------------------------
@@ -1116,11 +915,19 @@ mod tests {
         let plan = FaultPlan::new(3, FaultProfile::zeroed());
         for _ in 0..100 {
             assert!(plan.probabilistic_rpc_fault("n", "op").is_none());
-            assert!(!plan.wal_fsync_fails("wal"));
-            assert!(!plan.txn_prepare_fails("s0"));
-            assert!(!plan.txn_commit_hiccups("s0"));
-            assert!(!plan.split_prepare_fails("s0"));
-            assert!(!plan.split_commit_fails("s0"));
+            for kind in [
+                FaultKind::WalFsync,
+                FaultKind::TxnPrepare,
+                FaultKind::TxnCommit,
+                FaultKind::SplitPrepare,
+                FaultKind::SplitCommit,
+                FaultKind::SnapshotWrite,
+                FaultKind::SnapshotInstall,
+                FaultKind::LeaseExpire,
+                FaultKind::StaleRead,
+            ] {
+                assert!(!plan.fires(kind, "s0"));
+            }
         }
         assert!(plan.events().is_empty());
         assert!(plan.state.lock().rolls.is_empty());
@@ -1182,23 +989,23 @@ mod tests {
     #[test]
     fn forced_fsync_failures_consume() {
         let plan = FaultPlan::new(0, FaultProfile::zeroed());
-        plan.force_fsync_failure("wal", 2);
-        assert!(plan.wal_fsync_fails("wal"));
-        assert!(plan.wal_fsync_fails("wal"));
-        assert!(!plan.wal_fsync_fails("wal"));
-        assert!(!plan.wal_fsync_fails("other"));
+        plan.force(FaultKind::WalFsync, "wal", 2);
+        assert!(plan.fires(FaultKind::WalFsync, "wal"));
+        assert!(plan.fires(FaultKind::WalFsync, "wal"));
+        assert!(!plan.fires(FaultKind::WalFsync, "wal"));
+        assert!(!plan.fires(FaultKind::WalFsync, "other"));
     }
 
     #[test]
     fn forced_split_failures_consume() {
         let plan = FaultPlan::new(0, FaultProfile::zeroed());
-        plan.force_split_prepare_failure("tafdb0", 1);
-        plan.force_split_commit_failure("tafdb0", 1);
-        assert!(plan.split_prepare_fails("tafdb0"));
-        assert!(!plan.split_prepare_fails("tafdb0"));
-        assert!(plan.split_commit_fails("tafdb0"));
-        assert!(!plan.split_commit_fails("tafdb0"));
-        assert!(!plan.split_prepare_fails("other"));
+        plan.force(FaultKind::SplitPrepare, "tafdb0", 1);
+        plan.force(FaultKind::SplitCommit, "tafdb0", 1);
+        assert!(plan.fires(FaultKind::SplitPrepare, "tafdb0"));
+        assert!(!plan.fires(FaultKind::SplitPrepare, "tafdb0"));
+        assert!(plan.fires(FaultKind::SplitCommit, "tafdb0"));
+        assert!(!plan.fires(FaultKind::SplitCommit, "tafdb0"));
+        assert!(!plan.fires(FaultKind::SplitPrepare, "other"));
     }
 
     #[test]
@@ -1215,7 +1022,7 @@ mod tests {
     #[test]
     fn timeline_mentions_seed_and_events() {
         let plan = FaultPlan::new(42, FaultProfile::zeroed());
-        plan.force_fsync_failure("tafdb", 1);
+        plan.force(FaultKind::WalFsync, "tafdb", 1);
         let tl = plan.timeline();
         assert!(tl.contains("seed=42"));
         assert!(tl.contains("wal_fsync"));

@@ -271,7 +271,7 @@ impl SimNode {
 
     /// Records a server-side deadline abort decided by this node and returns
     /// the error to propagate. Exposed so layers that abort outside
-    /// [`SimNode::admit`] (e.g. the Raft read path refusing to issue a
+    /// `SimNode::admit` (e.g. the Raft read path refusing to issue a
     /// ReadIndex query for an already-expired request) keep
     /// `simnode_deadline_aborts_total` authoritative for every abort.
     pub fn note_deadline_abort(&self, op: &str) -> MetaError {

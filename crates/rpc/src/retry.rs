@@ -17,7 +17,7 @@
 //! * **deadline awareness** — an op whose propagated deadline has expired
 //!   stops retrying immediately instead of burning backoff;
 //! * **deterministic jitter** — optional, drawn from the fault plane's
-//!   [`splitmix64`](crate::faults::splitmix64) mixer as a pure function of
+//!   [`splitmix64`] mixer as a pure function of
 //!   `(salt, attempt)`; all built-in curves default to zero jitter so
 //!   virtual-clock latency pins hold exactly.
 //!

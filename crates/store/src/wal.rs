@@ -14,7 +14,7 @@ use std::sync::Arc;
 use mantle_obs::{Counter, HistogramMetric};
 use parking_lot::{Condvar, Mutex};
 
-use mantle_rpc::faults::{FaultPlan, FaultSlot};
+use mantle_rpc::faults::{FaultKind, FaultPlan, FaultSlot};
 use mantle_types::{MetaError, SimConfig};
 
 /// WAL metric handles, labeled by the owning subsystem (`scope="raft"`,
@@ -167,7 +167,7 @@ impl GroupCommitWal {
     fn fsync_retrying(&self) {
         for _ in 0..10_000 {
             if let Some(plan) = self.faults.get() {
-                if plan.wal_fsync_fails(&self.scope) {
+                if plan.fires(FaultKind::WalFsync, &self.scope) {
                     self.metrics.fsync_retries.inc();
                     mantle_obs::flight::annotate_with(|| {
                         format!("wal:fsync_retry scope={}", self.scope)
@@ -188,7 +188,7 @@ impl GroupCommitWal {
         let failed = self
             .faults
             .get()
-            .map(|plan| plan.wal_fsync_fails(&self.scope))
+            .map(|plan| plan.fires(FaultKind::WalFsync, &self.scope))
             .unwrap_or(false);
         if failed {
             mantle_obs::flight::annotate_with(|| format!("wal:fsync_torn scope={}", self.scope));
@@ -363,7 +363,7 @@ mod tests {
         use mantle_rpc::faults::{FaultPlan, FaultProfile};
         let wal = GroupCommitWal::new_scoped(SimConfig::instant(), false, "waltest_absorb");
         let plan = FaultPlan::new(1, FaultProfile::zeroed());
-        plan.force_fsync_failure("waltest_absorb", 3);
+        plan.force(FaultKind::WalFsync, "waltest_absorb", 3);
         wal.set_faults(Some(plan));
         // Plain append retries through the failures and still acknowledges.
         wal.append();
@@ -379,7 +379,7 @@ mod tests {
         wal.set_faults(Some(plan.clone()));
 
         assert_eq!(wal.append_record(100), Ok(0));
-        plan.force_fsync_failure("waltest_torn", 1);
+        plan.force(FaultKind::WalFsync, "waltest_torn", 1);
         assert!(matches!(
             wal.append_record(200),
             Err(MetaError::Transient { .. })
@@ -391,7 +391,7 @@ mod tests {
         assert_eq!(wal.recover(), 0, "no torn tail after a successful append");
 
         // Crash with a torn record still in the tail.
-        plan.force_fsync_failure("waltest_torn", 1);
+        plan.force(FaultKind::WalFsync, "waltest_torn", 1);
         assert!(wal.append_record(400).is_err());
         assert_eq!(wal.recover(), 1, "torn tail dropped by recovery");
         assert_eq!(wal.durable_records(), vec![100, 300]);
@@ -420,7 +420,7 @@ mod tests {
         // A torn checkpoint is no acknowledgment: recovery must not
         // truncate on it.
         wal.append_record(4).unwrap();
-        plan.force_fsync_failure("waltest_ckpt", 1);
+        plan.force(FaultKind::WalFsync, "waltest_ckpt", 1);
         assert!(wal.append_checkpoint(4).is_err());
         assert_eq!(wal.recover(), 1);
         assert_eq!(wal.durable_records(), vec![3, 4]);

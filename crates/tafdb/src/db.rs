@@ -1,14 +1,14 @@
 //! The database core: options, counters, shard construction, and direct
 //! (population/test) access. TafDB is layered (DESIGN.md §4.12):
 //!
-//! - [`crate::shard`] — the per-shard runtime: a pluggable
+//! - `crate::shard` — the per-shard runtime: a pluggable
 //!   [`mantle_engine::StorageEngine`] plus row locks, latches, the
 //!   group-commit WAL, checkpoint/restore, and contention tracking;
-//! - [`crate::router`] — epoch-versioned [`ShardMap`] routing, the
+//! - `crate::router` — epoch-versioned [`ShardMap`] routing, the
 //!   `StaleRoute` bounce, and every read path;
-//! - [`crate::exec`] — transaction grouping, the single-shard fast path,
+//! - `crate::exec` — transaction grouping, the single-shard fast path,
 //!   and two-phase commit;
-//! - [`crate::migrate`] — the placement plane: splits, merges, online
+//! - `crate::migrate` — the placement plane: splits, merges, online
 //!   range migration over checkpoint images, and the controller tick.
 
 use std::collections::{HashMap, HashSet};
@@ -26,6 +26,7 @@ use mantle_sync::LatchTable;
 use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{
     DirAttrMeta,
+    EnvConfig,
     InodeId,
     PlacementConfig,
     SimConfig,
@@ -74,7 +75,7 @@ impl Default for TafDbOptions {
     fn default() -> Self {
         TafDbOptions {
             n_shards: SCALED_DB_SHARDS,
-            engine: EngineKind::from_env(),
+            engine: EnvConfig::get().engine.into(),
             delta_records: true,
             delta_abort_threshold: 3,
             hot_window: Duration::from_millis(100),

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::Ordering;
 
-use mantle_rpc::{classify_txn, RetryPolicy};
+use mantle_rpc::{classify_txn, FaultKind, RetryPolicy};
 use mantle_store::{LockMode, RowKey};
 use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{AttrDelta, InodeId, MetaError, RequestCtx, Result, RetryClass, TxnId};
@@ -183,7 +183,7 @@ impl TafDb {
             // and surfacing a retryable Transient is always safe.
             let result = if plan
                 .as_ref()
-                .is_some_and(|p| p.txn_prepare_fails(shard.node.name()))
+                .is_some_and(|p| p.fires(FaultKind::TxnPrepare, shard.node.name()))
             {
                 Err(MetaError::Transient {
                     kind: "txn_prepare".to_string(),
@@ -448,7 +448,7 @@ impl TafDb {
             let shard = &self.shards[sp.shard];
             if plan
                 .as_ref()
-                .is_some_and(|p| p.txn_commit_hiccups(shard.node.name()))
+                .is_some_and(|p| p.fires(FaultKind::TxnCommit, shard.node.name()))
             {
                 // The commit decision is already durable: the participant
                 // missed the first delivery and the coordinator re-sends —

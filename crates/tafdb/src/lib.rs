@@ -28,13 +28,12 @@
 //!   default `btree` engine preserves the historical reader-writer-locked
 //!   structure, while the `mvcc` engine serves `readdir`/`list`/`dirstat`
 //!   scans from pinned copy-on-write snapshots so they never block (or are
-//!   blocked by) the write path. Select via `MANTLE_ENGINE` or
-//!   [`TafDbOptions::engine`].
+//!   blocked by) the write path. Select via [`TafDbOptions::engine`]
+//!   (whose default follows `MANTLE_ENGINE`).
 //!
 //! The implementation is layered accordingly: [`db`] (core + options),
-//! [`shard`](crate::shard) (per-shard runtime), [`router`](crate::router)
-//! (map routing + reads), [`exec`](crate::exec) (transactions), and
-//! [`migrate`](crate::migrate) (placement plane).
+//! `shard` (per-shard runtime), `router` (map routing + reads), `exec`
+//! (transactions), and `migrate` (placement plane).
 
 pub mod db;
 mod exec;

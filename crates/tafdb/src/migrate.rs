@@ -17,6 +17,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use mantle_engine::WriteOp;
+use mantle_rpc::FaultKind;
 use mantle_store::RowKey;
 use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{InodeId, MetaError, Result, TxnId};
@@ -178,7 +179,7 @@ impl TafDb {
         let plan = self.faults.get();
         if plan
             .as_ref()
-            .is_some_and(|p| p.split_prepare_fails(src.node.name()))
+            .is_some_and(|p| p.fires(FaultKind::SplitPrepare, src.node.name()))
         {
             clear();
             return Err(MetaError::Transient {
@@ -221,7 +222,7 @@ impl TafDb {
 
         if plan
             .as_ref()
-            .is_some_and(|p| p.split_commit_fails(src.node.name()))
+            .is_some_and(|p| p.fires(FaultKind::SplitCommit, src.node.name()))
         {
             // Abort: discard the staged target copies and let the target
             // engine retire whatever versions staging created; the map

@@ -17,7 +17,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use mantle_engine::{update_versions, StorageEngine, WriteOp};
-use mantle_rpc::SimNode;
+use mantle_rpc::{FaultKind, SimNode};
 use mantle_store::{GroupCommitWal, LockManager, RowKey};
 use mantle_sync::LatchTable;
 use mantle_types::record::ATTR_ROW_NAME;
@@ -408,7 +408,7 @@ impl TafDb {
         if self
             .faults
             .get()
-            .is_some_and(|p| p.snapshot_write_fails(shard.node.name()))
+            .is_some_and(|p| p.fires(FaultKind::SnapshotWrite, shard.node.name()))
         {
             self.metrics.checkpoint_aborts.inc();
             mantle_obs::flight::annotate_with(|| {

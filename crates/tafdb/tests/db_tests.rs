@@ -606,7 +606,7 @@ fn checkpoint_restore_round_trips_shard_state() {
 
 #[test]
 fn aborted_checkpoint_leaves_previous_one_authoritative() {
-    use mantle_rpc::faults::{FaultPlan, FaultProfile};
+    use mantle_rpc::faults::{FaultKind, FaultPlan, FaultProfile};
 
     let db = db_with(TafDbOptions {
         n_shards: 1,
@@ -642,7 +642,7 @@ fn aborted_checkpoint_leaves_previous_one_authoritative() {
     // The next checkpoint crashes mid-write: it must not replace the good
     // image, so restore falls back to the v1 state.
     let plan = FaultPlan::new(7, FaultProfile::zeroed());
-    plan.force_snapshot_write_failure("tafdb0", 1);
+    plan.force(FaultKind::SnapshotWrite, "tafdb0", 1);
     db.install_faults(Some(plan));
     let (_, failed) = db.checkpoint_all();
     assert_eq!(failed, vec![0]);

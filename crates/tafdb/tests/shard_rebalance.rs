@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use proptest::prelude::*;
 
-use mantle_rpc::faults::{FaultPlan, FaultProfile};
+use mantle_rpc::faults::{FaultKind, FaultPlan, FaultProfile};
 use mantle_tafdb::shardmap::DIR_REGION_SPAN;
 use mantle_tafdb::{
     attr_key, dir_region, entry_key, place_of, EngineKind, Row, ShardMap, TafDb, TafDbOptions,
@@ -236,9 +236,9 @@ fn split_crash_chaos_loses_and_duplicates_nothing() {
                 // Crash the migration at alternating hooks: the copy must
                 // be discarded and the source stay authoritative.
                 if (seed + round) % 2 == 0 {
-                    plan.force_split_prepare_failure(&site, 1);
+                    plan.force(FaultKind::SplitPrepare, &site, 1);
                 } else {
-                    plan.force_split_commit_failure(&site, 1);
+                    plan.force(FaultKind::SplitCommit, &site, 1);
                 }
                 match db.migrate_range(place, tgt) {
                     Err(MetaError::Transient { kind, .. }) => {
@@ -340,7 +340,7 @@ fn migration_abort_drops_staged_engine_state_on_both_engines() {
 
         let plan = FaultPlan::new(3, FaultProfile::zeroed());
         db.install_faults(Some(plan.clone()));
-        plan.force_split_commit_failure(&format!("tafdb{src}"), 1);
+        plan.force(FaultKind::SplitCommit, &format!("tafdb{src}"), 1);
         match db.migrate_range(rs, tgt) {
             Err(MetaError::Transient { kind, .. }) => assert_eq!(
                 kind,

@@ -11,7 +11,7 @@
 //! * an optional **deadline** on the simulation clock, propagated to
 //!   servers so they can abort server-side instead of burning service time
 //!   on a request the client has already given up on,
-//! * a **retry budget** decremented by the [`RetryPolicy`] engine
+//! * a **retry budget** decremented by the `RetryPolicy` engine
 //!   (`mantle-rpc`) so one op cannot retry without bound across layers,
 //! * a **priority class** for queue/shed decisions,
 //! * an optional **offered-arrival stamp** used by open-loop drivers so the
@@ -24,7 +24,6 @@
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::clock::{self, SimInstant};
@@ -59,18 +58,6 @@ impl PriorityClass {
 
 static NEXT_OP_ID: AtomicU64 = AtomicU64::new(1);
 
-/// `MANTLE_DEFAULT_DEADLINE_MS`, parsed once. `None` (the default) means
-/// requests carry no deadline unless one is set explicitly.
-fn default_deadline_ms() -> Option<u64> {
-    static CACHE: OnceLock<Option<u64>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("MANTLE_DEFAULT_DEADLINE_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|ms| *ms > 0)
-    })
-}
-
 /// Per-operation request context (see module docs).
 #[derive(Clone, Debug)]
 pub struct RequestCtx {
@@ -101,15 +88,12 @@ impl Default for RequestCtx {
 }
 
 impl RequestCtx {
-    /// A fresh context: unique op id, deadline from
-    /// `MANTLE_DEFAULT_DEADLINE_MS` (none if unset), effectively unbounded
+    /// A fresh context: unique op id, no deadline, effectively unbounded
     /// retry budget, interactive priority, empty stats.
     pub fn new() -> Self {
-        let op_id = NEXT_OP_ID.fetch_add(1, Ordering::Relaxed);
-        let deadline = default_deadline_ms().map(|ms| clock::now() + Duration::from_millis(ms));
         RequestCtx {
-            op_id,
-            deadline,
+            op_id: NEXT_OP_ID.fetch_add(1, Ordering::Relaxed),
+            deadline: None,
             retry_budget: u32::MAX,
             priority: PriorityClass::Interactive,
             arrival_nanos: None,
@@ -215,7 +199,6 @@ mod tests {
 
     #[test]
     fn no_deadline_by_default() {
-        // MANTLE_DEFAULT_DEADLINE_MS is not set in the test environment.
         let ctx = RequestCtx::new();
         assert!(ctx.deadline.is_none());
         assert!(!ctx.deadline_expired());

@@ -36,7 +36,9 @@ pub mod snapshot;
 pub mod stats;
 
 pub use clock::{SimInstant, TimeCategory, TimeStats};
-pub use config::{PlacementConfig, SimConfig, SCALED_DB_SHARDS};
+pub use config::{
+    EngineName, EnvConfig, PlacementConfig, ScalePreset, SimConfig, SCALED_DB_SHARDS,
+};
 pub use ctx::{PriorityClass, RequestCtx};
 pub use error::{MetaError, Result};
 pub use id::{ClientUuid, InodeId, TxnId, ROOT_ID, ROOT_PARENT_ID};

@@ -139,10 +139,10 @@ pub struct MdtestReport {
     /// Failed operations (must be zero in healthy runs; in overload runs
     /// every failure should be a shed or a deadline abort).
     pub failed: u64,
-    /// Failures shed by a bounded admission queue ([`MetaError::Overloaded`]).
+    /// Failures shed by a bounded admission queue (`MetaError::Overloaded`).
     pub shed: u64,
     /// Failures aborted server-side on an expired deadline
-    /// ([`MetaError::DeadlineExceeded`]).
+    /// (`MetaError::DeadlineExceeded`).
     pub deadline_aborted: u64,
     /// Simulated makespan of the measured section: the longest per-thread
     /// timeline.

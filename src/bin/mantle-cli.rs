@@ -12,7 +12,7 @@
 use std::io::{BufRead, Write};
 
 use mantle::prelude::*;
-use mantle::types::EntryKind;
+use mantle::types::{EntryKind, EnvConfig};
 use mantle::workloads::{NamespaceHandle, NamespaceSpec};
 
 /// Commands the flight recorder wraps (metadata ops against the service);
@@ -23,12 +23,14 @@ const RECORDED_COMMANDS: [&str; 8] = [
 ];
 
 fn main() {
+    // A rejected MANTLE_* variable ends the process here, before any work.
+    EnvConfig::get();
     // Real datacenter-ish timings so latencies printed per command are
     // meaningful; population commands bypass them.
     let cluster = MantleCluster::build(SimConfig::default(), 8);
-    // Always-on flight recorder (opt out with MANTLE_FLIGHT=0); live scrape
-    // endpoint when MANTLE_OBS_ADDR is set.
-    mantle::obs::flight::arm_from_env();
+    // Always-on flight recorder; live scrape endpoint when MANTLE_OBS_ADDR
+    // is set.
+    mantle::obs::flight::global().arm();
     let _obs_server = mantle::obs::http::serve_if_configured();
     println!("mantle-cli — simulated Mantle deployment (8 TafDB shards, 3 IndexNode replicas)");
     println!("type `help` for commands");
@@ -244,6 +246,10 @@ fn run_command(
                     "  {}: queue_cap={} shed={} deadline_aborts={}\n",
                     s.name, s.queue_cap, s.shed, s.deadline_aborts
                 ));
+            }
+            out.push_str("environment (effective):\n");
+            for line in EnvConfig::get().to_string().lines() {
+                out.push_str(&format!("  {line}\n"));
             }
             out.push_str("--- metrics registry (Prometheus text) ---\n");
             out.push_str(&mantle::obs::snapshot().to_prometheus_text());

@@ -19,17 +19,17 @@
 //! with the path-lease cache forced on) and defaults to a
 //! small fixed set for plain `cargo test`. On failure the panic reporter
 //! prints the seed + profile, and `MANTLE_CHAOS_BUNDLE_DIR` captures a
-//! repro bundle. Set `MANTLE_CHAOS_TIMELINE=1` to dump the fault timeline
-//! of every storm run (`make chaos SEED=n`).
+//! repro bundle. Every storm run writes its fault timeline to (captured)
+//! stderr; `make chaos SEED=n` runs with `--nocapture` and shows it.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use mantle::prelude::*;
-use mantle::rpc::faults;
+use mantle::rpc::{faults, FaultKind};
 use mantle::store::GroupCommitWal;
 use mantle::tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions, TxnOp};
-use mantle::types::{AttrDelta, DirAttrMeta, InodeId, Permission as Perm, ROOT_ID};
+use mantle::types::{AttrDelta, DirAttrMeta, EnvConfig, InodeId, Permission as Perm, ROOT_ID};
 
 fn p(s: &str) -> MetaPath {
     MetaPath::parse(s).unwrap()
@@ -38,7 +38,7 @@ fn p(s: &str) -> MetaPath {
 /// Seeds exercised by this process: the CI matrix pins one via
 /// `MANTLE_FAULT_SEED`; plain `cargo test` sweeps a fixed default set.
 fn seeds_under_test() -> Vec<u64> {
-    match faults::seed_from_env() {
+    match EnvConfig::get().fault_seed {
         Some(seed) => vec![seed],
         None => vec![0, 1, 2],
     }
@@ -173,9 +173,7 @@ fn chaos_storm_preserves_acknowledged_namespace() {
             !plan.events().is_empty(),
             "seed {seed}: the storm never injected a fault"
         );
-        if std::env::var("MANTLE_CHAOS_TIMELINE").is_ok() {
-            eprintln!("{}", plan.timeline());
-        }
+        eprintln!("{}", plan.timeline());
         cluster.clear_faults();
     }
 }
@@ -510,7 +508,7 @@ mod snapshot_chaos {
             assert!(follower.snapshots_taken() >= 1, "seed {seed}");
 
             // The follower's *next* snapshot write tears mid-file.
-            plan.force_snapshot_write_failure(&format!("{prefix}1"), 1);
+            plan.force(FaultKind::SnapshotWrite, &format!("{prefix}1"), 1);
             let mut last = 0;
             for i in 300..600u64 {
                 last = leader.propose(seed.wrapping_mul(1_000_003) ^ i).unwrap();
@@ -566,7 +564,7 @@ mod snapshot_chaos {
             assert!(leader.snapshot_index() > 100 + 32, "seed {seed}");
 
             // The first install attempt dies on the receiver mid-restore.
-            plan.force_snapshot_install_failure(&format!("{prefix}2"), 1);
+            plan.force(FaultKind::SnapshotInstall, &format!("{prefix}2"), 1);
             g.recover(2);
             assert!(
                 lagger.wait_for_applied(last, Duration::from_secs(10)),

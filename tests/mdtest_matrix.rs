@@ -55,7 +55,7 @@ fn matrix<S: MetadataService + BulkLoad + Sync>(
             // resolution cost; the opt-in path-lease cache (DESIGN.md
             // §4.13) exists precisely to beat them, so they only hold
             // while it is off.
-            if !mantle::core::PathLeaseConfig::from_env().enabled {
+            if !mantle::types::EnvConfig::get().path_cache {
                 assert!(
                     report.agg.mean_rpcs() >= expected_min_rpcs,
                     "{}: lookup rpcs {} < {expected_min_rpcs}",

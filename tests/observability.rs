@@ -6,7 +6,7 @@
 //! this binary, so assertions are on non-zero/delta values, never exact
 //! totals.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use mantle::baselines::{InfiniFs, InfiniFsOptions};
 use mantle::obs::flight::{self, FlightConfig, FlightRecorder};
@@ -16,6 +16,11 @@ use mantle::tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions, TxnOp};
 use mantle::types::clock;
 use mantle::types::{AttrDelta, DirAttrMeta, InodeId, Permission as Perm, ROOT_ID};
 use mantle::workloads::mdtest::{self, ConflictMode, MdOp, MdtestConfig};
+
+/// The trace sample rate is process-global, and two tests zero it for their
+/// timing loops: overlapped, one's restore re-enables sampling under the
+/// other. Both hold this for as long as they need the rate at zero.
+static SAMPLE_RATE: Mutex<()> = Mutex::new(());
 
 /// Builds `/d0/d1/.../d{depth-1}` on `svc` and returns the leaf path.
 fn deep_path<S: MetadataService + ?Sized>(svc: &S, depth: usize) -> MetaPath {
@@ -76,6 +81,7 @@ fn trace_records_table1_rpc_counts() {
 /// default 200us RTT = 10us per op).
 #[test]
 fn instrumentation_primitives_are_cheap() {
+    let _rate = SAMPLE_RATE.lock().unwrap_or_else(PoisonError::into_inner);
     trace::set_sample_rate(0.0);
     let counter = mantle::obs::counter("overhead_test_total", &[("node", "n0")]);
     let gauge = mantle::obs::gauge("overhead_test_depth", &[("node", "n0")]);
@@ -367,6 +373,7 @@ fn chaos_sweep_attributes_slow_ops_and_serves_live_metrics() {
 /// records) plus a hot-path annotation stays under the 10us/op budget.
 #[test]
 fn flight_recorder_overhead_is_cheap() {
+    let _rate = SAMPLE_RATE.lock().unwrap_or_else(PoisonError::into_inner);
     trace::set_sample_rate(0.0);
     let recorder = Arc::new(FlightRecorder::new(FlightConfig::default()));
     let _guard = flight::install_thread_recorder(recorder.clone());

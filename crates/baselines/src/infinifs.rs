@@ -22,6 +22,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::relaxed::Relaxed;
+use mantle_core::cluster::SvcMetrics;
 use mantle_core::pathcache::{PathLeaseCache, PathLeaseConfig};
 use mantle_core::MantleConfig;
 use mantle_rpc::{RetryPolicy, SimNode};
@@ -88,6 +89,10 @@ pub struct InfiniFs {
     pcache: PathLeaseCache,
     ids: IdAllocator,
     clock: std::sync::atomic::AtomicU64,
+    ops: SvcMetrics,
+    /// `infinifs_mispredictions_total` — speculative levels that fell back
+    /// to a sequential step (renamed ancestor).
+    mispredictions: mantle_obs::Counter,
 }
 
 impl InfiniFs {
@@ -121,6 +126,8 @@ impl InfiniFs {
             pcache: PathLeaseCache::new(pcache, "infinifs"),
             ids: IdAllocator::new(),
             clock: std::sync::atomic::AtomicU64::new(1),
+            ops: SvcMetrics::new("infinifs"),
+            mispredictions: mantle_obs::counter("infinifs_mispredictions_total", &[]),
         })
     }
 
@@ -233,7 +240,7 @@ impl InfiniFs {
                 }
             } else {
                 // Misprediction (renamed ancestor): sequential fallback.
-                mantle_obs::counter("infinifs_mispredictions_total", &[]).inc();
+                self.mispredictions.inc();
                 mantle_obs::flight::annotate_with(|| format!("infinifs:mispredict level={level}"));
                 self.db.resolve_step(pid, comps[level], stats)?
             };
@@ -298,10 +305,12 @@ impl MetadataService for InfiniFs {
     }
 
     fn lookup(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
+        self.ops.lookup.inc();
         stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))
     }
 
     fn mkdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<InodeId> {
+        self.ops.mkdir.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
             if !parent.permission.allows(Permission::WRITE) {
@@ -353,6 +362,7 @@ impl MetadataService for InfiniFs {
     }
 
     fn rmdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
+        self.ops.rmdir.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
             let (dir, _) = self.db.resolve_step(parent.id, &name, stats)?;
@@ -377,16 +387,19 @@ impl MetadataService for InfiniFs {
     }
 
     fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {
+        self.ops.create.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         self.relaxed().create(path, parent, name, size, stats)
     }
 
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
+        self.ops.delete.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         self.relaxed().delete(parent, &name, stats)
     }
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
+        self.ops.objstat.inc();
         // InfiniFS "bypasses the execution phase for objstat, handling it
         // in the lookup phase" (§6.3): the final level rides the same
         // speculative fan-out.
@@ -397,11 +410,13 @@ impl MetadataService for InfiniFs {
     }
 
     fn dirstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<DirStat> {
+        self.ops.dirstat.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
         self.relaxed().dirstat(dir, stats)
     }
 
     fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
+        self.ops.readdir.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
         self.relaxed().readdir(dir, stats)
     }
@@ -413,11 +428,13 @@ impl MetadataService for InfiniFs {
         limit: usize,
         stats: &mut RequestCtx,
     ) -> Result<(Vec<DirEntry>, bool)> {
+        self.ops.list.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
         self.relaxed().list(dir, start_after, limit, stats)
     }
 
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
+        self.ops.rename_dir.inc();
         if src.is_root() || dst.is_root() {
             return Err(MetaError::InvalidRename("root cannot be renamed".into()));
         }

@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use mantle_core::cluster::SvcMetrics;
 use mantle_index::{IndexEntry, IndexTable};
 use mantle_raft::{RaftGroup, RaftOptions, RaftReplica, StateMachine};
 use mantle_rpc::SimNode;
@@ -381,6 +382,7 @@ pub struct LocoFs {
     db: Arc<TafDb>,
     ids: IdAllocator,
     clock: std::sync::atomic::AtomicU64,
+    ops: SvcMetrics,
 }
 
 impl LocoFs {
@@ -408,6 +410,7 @@ impl LocoFs {
             db: TafDb::new(sim, db_opts),
             ids: IdAllocator::new(),
             clock: std::sync::atomic::AtomicU64::new(1),
+            ops: SvcMetrics::new("locofs"),
         })
     }
 
@@ -472,12 +475,14 @@ impl MetadataService for LocoFs {
     }
 
     fn lookup(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
+        self.ops.lookup.inc();
         stats.time(Phase::Lookup, |stats| {
             self.dir_rpc(stats, |l| l.state_machine().resolve(path))
         })
     }
 
     fn mkdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<InodeId> {
+        self.ops.mkdir.inc();
         let parent = path
             .parent()
             .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
@@ -518,6 +523,7 @@ impl MetadataService for LocoFs {
     }
 
     fn rmdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
+        self.ops.rmdir.inc();
         let parent = path
             .parent()
             .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
@@ -551,6 +557,7 @@ impl MetadataService for LocoFs {
     }
 
     fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {
+        self.ops.create.inc();
         let parent = path
             .parent()
             .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
@@ -604,6 +611,7 @@ impl MetadataService for LocoFs {
     }
 
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
+        self.ops.delete.inc();
         let parent = path
             .parent()
             .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
@@ -633,6 +641,7 @@ impl MetadataService for LocoFs {
     }
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
+        self.ops.objstat.inc();
         let parent = path
             .parent()
             .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
@@ -647,6 +656,7 @@ impl MetadataService for LocoFs {
     }
 
     fn dirstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<DirStat> {
+        self.ops.dirstat.inc();
         // Resolution happens inside the directory-server visit — LocoFS
         // "resolves paths during the execution phase for directory
         // operations" (§6.3).
@@ -674,6 +684,7 @@ impl MetadataService for LocoFs {
     // the object DB, so there is no single ordered store to range-scan —
     // the merge below is the real cost of its layout.
     fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
+        self.ops.readdir.inc();
         let (dir, mut entries) = stats.time(Phase::Execute, |stats| {
             self.dir_rpc(stats, |l| {
                 let sm = l.state_machine();
@@ -703,6 +714,7 @@ impl MetadataService for LocoFs {
     }
 
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
+        self.ops.rename_dir.inc();
         if src.is_root() || dst.is_root() {
             return Err(MetaError::InvalidRename("root cannot be renamed".into()));
         }

@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use crate::relaxed::Relaxed;
+use mantle_core::cluster::SvcMetrics;
 use mantle_tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions};
 use mantle_types::{
     id::IdAllocator, AttrDelta, BulkLoad, DirAttrMeta, DirEntry, DirStat, InodeId, MetaError,
@@ -48,6 +49,7 @@ pub struct Tectonic {
     transactional: bool,
     ids: IdAllocator,
     clock: std::sync::atomic::AtomicU64,
+    ops: SvcMetrics,
 }
 
 impl Tectonic {
@@ -65,6 +67,7 @@ impl Tectonic {
             transactional: opts.transactional,
             ids: IdAllocator::new(),
             clock: std::sync::atomic::AtomicU64::new(1),
+            ops: SvcMetrics::new("tectonic"),
         })
     }
 
@@ -126,10 +129,12 @@ impl MetadataService for Tectonic {
     }
 
     fn lookup(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
+        self.ops.lookup.inc();
         stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))
     }
 
     fn mkdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<InodeId> {
+        self.ops.mkdir.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
             if !parent.permission.allows(Permission::WRITE) {
@@ -190,6 +195,7 @@ impl MetadataService for Tectonic {
     }
 
     fn rmdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
+        self.ops.rmdir.inc();
         let (dir, parent, name) = stats.time(Phase::Lookup, |stats| {
             let (parent, name) = self.resolve_parent(path, stats)?;
             let (id, _) = self.db.resolve_step(parent.id, &name, stats)?;
@@ -217,16 +223,19 @@ impl MetadataService for Tectonic {
     }
 
     fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {
+        self.ops.create.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         self.relaxed().create(path, parent, name, size, stats)
     }
 
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
+        self.ops.delete.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         self.relaxed().delete(parent, &name, stats)
     }
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
+        self.ops.objstat.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
             self.db.get_object(parent.id, &name, stats)
@@ -234,11 +243,13 @@ impl MetadataService for Tectonic {
     }
 
     fn dirstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<DirStat> {
+        self.ops.dirstat.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
         self.relaxed().dirstat(dir, stats)
     }
 
     fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
+        self.ops.readdir.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
         self.relaxed().readdir(dir, stats)
     }
@@ -250,11 +261,13 @@ impl MetadataService for Tectonic {
         limit: usize,
         stats: &mut RequestCtx,
     ) -> Result<(Vec<DirEntry>, bool)> {
+        self.ops.list.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
         self.relaxed().list(dir, start_after, limit, stats)
     }
 
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
+        self.ops.rename_dir.inc();
         if src.is_root() || dst.is_root() {
             return Err(MetaError::InvalidRename("root cannot be renamed".into()));
         }

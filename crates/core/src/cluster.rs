@@ -31,20 +31,22 @@ use mantle_types::{
 use crate::data::DataService;
 use crate::pathcache::{PathCacheStats, PathLeaseCache, PathLeaseConfig};
 
-/// Per-operation service counters (`service_ops_total{system,op}`), created
-/// once per cluster so the per-op cost is a single atomic increment.
+/// Per-operation service counters (`service_ops_total{system,op}`): each
+/// system's front-end counts an op once, on entry, into the handle named
+/// after the [`MetadataService`] method. Created once per service so the
+/// per-op cost is a single atomic increment.
 pub struct SvcMetrics {
-    lookup: mantle_obs::Counter,
-    mkdir: mantle_obs::Counter,
-    rmdir: mantle_obs::Counter,
-    create: mantle_obs::Counter,
-    delete: mantle_obs::Counter,
-    objstat: mantle_obs::Counter,
-    dirstat: mantle_obs::Counter,
-    readdir: mantle_obs::Counter,
-    list: mantle_obs::Counter,
-    rename: mantle_obs::Counter,
-    setattr: mantle_obs::Counter,
+    pub lookup: mantle_obs::Counter,
+    pub mkdir: mantle_obs::Counter,
+    pub rmdir: mantle_obs::Counter,
+    pub create: mantle_obs::Counter,
+    pub delete: mantle_obs::Counter,
+    pub objstat: mantle_obs::Counter,
+    pub dirstat: mantle_obs::Counter,
+    pub readdir: mantle_obs::Counter,
+    pub list: mantle_obs::Counter,
+    pub rename_dir: mantle_obs::Counter,
+    pub setattr: mantle_obs::Counter,
 }
 
 impl SvcMetrics {
@@ -62,26 +64,8 @@ impl SvcMetrics {
             dirstat: op("dirstat"),
             readdir: op("readdir"),
             list: op("list"),
-            rename: op("rename_dir"),
+            rename_dir: op("rename_dir"),
             setattr: op("setattr"),
-        }
-    }
-
-    /// The counter for `op` (a [`MetadataService`] method name).
-    pub fn op(&self, op: &str) -> &mantle_obs::Counter {
-        match op {
-            "lookup" => &self.lookup,
-            "mkdir" => &self.mkdir,
-            "rmdir" => &self.rmdir,
-            "create" => &self.create,
-            "delete" => &self.delete,
-            "objstat" => &self.objstat,
-            "dirstat" => &self.dirstat,
-            "readdir" => &self.readdir,
-            "list" => &self.list,
-            "rename_dir" => &self.rename,
-            "setattr" => &self.setattr,
-            other => panic!("unknown service op {other:?}"),
         }
     }
 }
@@ -228,11 +212,6 @@ impl MantleCluster {
     /// The cluster configuration.
     pub fn config(&self) -> &MantleConfig {
         &self.config
-    }
-
-    /// The inode allocator (used by the populator).
-    pub(crate) fn ids(&self) -> &IdAllocator {
-        &self.ids
     }
 
     /// Changes a directory's permission mask: replicated through the
@@ -577,7 +556,7 @@ impl MetadataService for MantleCluster {
     }
 
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
-        self.ops.rename.inc();
+        self.ops.rename_dir.inc();
         // Each retry of the whole operation keeps the same client UUID so a
         // lock left by an earlier (failed) attempt is re-entered (§5.3).
         let uuid = ClientUuid::generate();

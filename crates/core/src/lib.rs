@@ -23,17 +23,16 @@
 //! | `dirrename`| merged into loop detection on IndexNode (Figure 9), then TafDB txn + IndexNode commit |
 //!
 //! The crate also provides the [`data::DataService`] used by the
-//! application-level experiments (Figure 10b) and a [`populate::Populator`]
-//! that bulk-loads synthetic namespaces without paying simulated delays.
+//! application-level experiments (Figure 10b); namespaces are bulk-loaded
+//! without simulated delays through `MantleCluster`'s
+//! [`mantle_types::BulkLoad`] implementation.
 
 pub mod cluster;
 pub mod data;
 pub mod pathcache;
-pub mod populate;
 pub mod region;
 
 pub use cluster::{MantleCluster, MantleConfig};
 pub use data::DataService;
 pub use pathcache::{PathLeaseCache, PathLeaseConfig};
-pub use populate::Populator;
 pub use region::MantleRegion;

@@ -1,6 +1,6 @@
 //! Client-side path-lease cache (DESIGN.md §4.13).
 //!
-//! A bounded LRU of `path → (pid, permission, ns_version)` consulted by the
+//! A bounded LRU of `path → (pid, permission, version)` consulted by the
 //! proxy *before* any IndexNode/TafDB resolution, so warm lookups cost zero
 //! round trips. Coherence is layered:
 //!
@@ -8,7 +8,8 @@
 //!   drops the affected subtree right after its commit, mirroring the
 //!   AM-Cache sites. A client never observes its own rename stale.
 //! * **Versioned leases** — every entry carries the leaf's namespace
-//!   version (bumped on the replicated commit path of rename/chmod) and an
+//!   version (`IndexEntry::version`, bumped when the IndexNode applies a
+//!   rename commit or a chmod) and an
 //!   expiry stamped on the simulated clock. An expired entry is not
 //!   dropped: it is *revalidated* with a single version-check RPC that
 //!   re-resolves the full path server-side. A matching `(pid, version)`
@@ -157,10 +158,6 @@ struct Inner {
     /// mutation that already ran its synchronous invalidation (the same
     /// race the server-side cache closes with its RemovalList timestamp).
     epoch: u64,
-    hits: u64,
-    misses: u64,
-    revalidations: u64,
-    invalidations: u64,
     evictions: u64,
     rejected_fills: u64,
 }
@@ -223,7 +220,6 @@ impl Inner {
         }
         let n = stale.len();
         if n > 0 {
-            self.invalidations += n as u64;
             metrics.invalidations.add(n as u64);
         }
         n
@@ -253,7 +249,9 @@ pub struct PathLeaseCache {
     faults: FaultSlot,
 }
 
-/// Obs handles, created once so the probe hot path stays cheap.
+/// The `path_cache_*_total{system}` handles, created once so the probe hot
+/// path stays cheap; their own cells are what [`PathLeaseCache::stats`]
+/// reports for this cache.
 struct PathCacheMetrics {
     hits: mantle_obs::Counter,
     misses: mantle_obs::Counter,
@@ -284,10 +282,6 @@ impl PathLeaseCache {
                 tree: PrefixTree::new(),
                 next_seq: 0,
                 epoch: 0,
-                hits: 0,
-                misses: 0,
-                revalidations: 0,
-                invalidations: 0,
                 evictions: 0,
                 rejected_fills: 0,
             }),
@@ -404,7 +398,6 @@ impl PathLeaseCache {
         let now = clock::now();
         let mut inner = self.inner.lock();
         let Some(entry) = inner.map.get(path) else {
-            inner.misses += 1;
             self.metrics.misses.inc();
             return LeaseProbe::Miss;
         };
@@ -417,14 +410,12 @@ impl PathLeaseCache {
                 // Expired absence is not worth a revalidation RPC: drop it
                 // and let the full resolve refresh the verdict.
                 inner.remove(path);
-                inner.misses += 1;
                 self.metrics.misses.inc();
                 return LeaseProbe::Miss;
             }
         };
         match probe {
             LeaseProbe::Hit(_) | LeaseProbe::NegativeHit => {
-                inner.hits += 1;
                 self.metrics.hits.inc();
                 inner.touch(path);
             }
@@ -503,7 +494,6 @@ impl PathLeaseCache {
         let expires = clock::now() + fresh.lease_ttl;
         let mut inner = self.inner.lock();
         if matched {
-            inner.revalidations += 1;
             self.metrics.revalidations.inc();
             if inner.epoch != token {
                 inner.reject_fill(stats);
@@ -587,7 +577,6 @@ impl PathLeaseCache {
         inner.epoch += 1;
         let removed = inner.remove(path);
         if removed {
-            inner.invalidations += 1;
             self.metrics.invalidations.inc();
         }
         removed
@@ -598,10 +587,10 @@ impl PathLeaseCache {
         let inner = self.inner.lock();
         PathCacheStats {
             entries: inner.map.len(),
-            hits: inner.hits,
-            misses: inner.misses,
-            revalidations: inner.revalidations,
-            invalidations: inner.invalidations,
+            hits: self.metrics.hits.get(),
+            misses: self.metrics.misses.get(),
+            revalidations: self.metrics.revalidations.get(),
+            invalidations: self.metrics.invalidations.get(),
             evictions: inner.evictions,
             rejected_fills: inner.rejected_fills,
         }

@@ -1,4 +1,4 @@
-//! TopDirPathCache (§5.1.1) and its Invalidator bookkeeping (§5.1.2).
+//! TopDirPathCache (§5.1.1) and its invalidation bookkeeping (§5.1.2).
 //!
 //! The cache maps a *truncated path prefix* (the final `k` levels removed)
 //! to the prefix directory's id and the aggregated permission along the
@@ -8,8 +8,11 @@
 //! Coherence protocol (the "conventional timestamp mechanism" of §5.1.2):
 //! a lookup snapshots the RemovalList version before resolving and the
 //! cache only accepts the fill if no directory modification was recorded
-//! in between; the check and the insert happen under the same fill lock the
-//! Invalidator holds while evicting, closing the race completely.
+//! in between; the check and the insert happen under the same fill lock an
+//! invalidation holds while evicting, closing the race completely. §5.1.2's
+//! Invalidator is the Raft apply path here: every `IndexSm::apply` arm that
+//! can stale a cached prefix calls [`TopDirPathCache::invalidate_subtree`]
+//! itself, before it lifts its RemovalList entry — no background thread.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -53,9 +56,11 @@ pub struct TopDirPathCache {
     /// Serializes fills against invalidation (lookups never take this).
     fill_lock: Mutex<()>,
     bytes: AtomicUsize,
-    fills: AtomicU64,
+    /// `index_cache_fills_total`; this cache's own cell is `stats().fills`.
+    fills: mantle_obs::Counter,
     rejected_fills: AtomicU64,
-    invalidated: AtomicU64,
+    /// `index_cache_evictions_total`; own cell is `stats().invalidated`.
+    invalidated: mantle_obs::Counter,
 }
 
 impl TopDirPathCache {
@@ -69,9 +74,9 @@ impl TopDirPathCache {
             tree: PrefixTree::new(),
             fill_lock: Mutex::new(()),
             bytes: AtomicUsize::new(0),
-            fills: AtomicU64::new(0),
+            fills: mantle_obs::counter("index_cache_fills_total", &[]),
             rejected_fills: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
+            invalidated: mantle_obs::counter("index_cache_evictions_total", &[]),
         }
     }
 
@@ -127,8 +132,7 @@ impl TopDirPathCache {
                 .fetch_add(Self::entry_bytes(&prefix), Ordering::Relaxed);
             self.tree.insert(&prefix);
         }
-        self.fills.fetch_add(1, Ordering::Relaxed);
-        mantle_obs::counter("index_cache_fills_total", &[]).inc();
+        self.fills.inc();
         true
     }
 
@@ -150,9 +154,7 @@ impl TopDirPathCache {
                     .fetch_sub(Self::entry_bytes(p), Ordering::Relaxed);
             }
         }
-        self.invalidated
-            .fetch_add(stale.len() as u64, Ordering::Relaxed);
-        mantle_obs::counter("index_cache_evictions_total", &[]).add(stale.len() as u64);
+        self.invalidated.add(stale.len() as u64);
         stale.len()
     }
 
@@ -172,9 +174,9 @@ impl TopDirPathCache {
         CacheStats {
             entries: self.map.read().len(),
             bytes: self.bytes.load(Ordering::Relaxed),
-            fills: self.fills.load(Ordering::Relaxed),
+            fills: self.fills.get(),
             rejected_fills: self.rejected_fills.load(Ordering::Relaxed),
-            invalidated: self.invalidated.load(Ordering::Relaxed),
+            invalidated: self.invalidated.get(),
         }
     }
 }

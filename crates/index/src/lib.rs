@@ -11,10 +11,13 @@
 //!   are truncated `k` levels above the leaf and only the prefix resolution
 //!   is cached, because "most directory rename operations occur near the
 //!   leaf nodes";
-//! * the **Invalidator** (§5.1.2) — a background thread per replica that
-//!   polls the [`mantle_sync::RemovalList`], range-queries the
-//!   [`mantle_sync::PrefixTree`] and evicts stale cache entries, while
-//!   in-flight lookups bypass the cache for affected prefixes;
+//! * the **Invalidator** (§5.1.2) — here the Raft apply path, not a
+//!   thread: `RenameCommit`, `SetPermission` and `RemoveDir` range-query the
+//!   [`mantle_sync::PrefixTree`] and evict the stale cache entries inline in
+//!   [`sm::IndexSm`]'s `apply`, before the modification's
+//!   [`mantle_sync::RemovalList`] entry is lifted; while an entry is listed,
+//!   lookups of affected paths bypass the cache and their fills are
+//!   rejected, so nothing is left for a poller to find;
 //! * **Raft-replicated updates** with follower/learner lookups (§5.1.3):
 //!   every IndexTable mutation is a Raft command; followers serve lookups
 //!   after a batched ReadIndex, and invalidation information rides the

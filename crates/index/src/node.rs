@@ -1,7 +1,7 @@
-//! The IndexNode service facade: Raft group + Invalidator threads + the
-//! proxy-facing single-RPC operations.
+//! The IndexNode service facade: the Raft group and the proxy-facing
+//! single-RPC operations.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,8 +34,6 @@ pub struct IndexOptions {
     pub learners: usize,
     /// Raft tuning (log batching etc.).
     pub raft: RaftOptions,
-    /// Invalidator poll period (§5.1.2's background thread).
-    pub invalidator_poll: Duration,
     /// The namespace root's directory id (distinct per namespace when
     /// several namespaces share one TafDB, §7.1).
     pub root: InodeId,
@@ -50,7 +48,6 @@ impl Default for IndexOptions {
             voters: 3,
             learners: 0,
             raft: RaftOptions::default(),
-            invalidator_poll: Duration::from_millis(1),
             root: mantle_types::ROOT_ID,
         }
     }
@@ -70,8 +67,7 @@ pub struct RenameGrant {
     pub dst_pid: InodeId,
 }
 
-/// A per-namespace IndexNode: a Raft group of [`IndexSm`] replicas plus the
-/// background Invalidators.
+/// A per-namespace IndexNode: a Raft group of [`IndexSm`] replicas.
 pub struct IndexNode {
     group: RaftGroup<IndexSm>,
     opts: IndexOptions,
@@ -84,8 +80,6 @@ pub struct IndexNode {
     pending_renames: Mutex<std::collections::HashMap<(InodeId, Arc<str>), ClientUuid>>,
     /// Round-robin cursor for follower reads.
     rr: AtomicUsize,
-    shutdown: Arc<AtomicBool>,
-    invalidators: Mutex<Vec<std::thread::JoinHandle<()>>>,
     metrics: IndexMetrics,
 }
 
@@ -114,8 +108,7 @@ impl IndexMetrics {
 }
 
 impl IndexNode {
-    /// Builds the replication group (`voters + learners` simulated servers)
-    /// and starts one Invalidator thread per replica.
+    /// Builds the replication group (`voters + learners` simulated servers).
     pub fn new(config: SimConfig, opts: IndexOptions) -> Self {
         let nodes: Vec<Arc<SimNode>> = (0..opts.voters + opts.learners)
             .map(|i| {
@@ -130,48 +123,11 @@ impl IndexNode {
             IndexSm::with_root(config, opts.k, opts.path_cache, opts.root)
         });
 
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let invalidators = group
-            .replicas()
-            .iter()
-            .map(|r| {
-                let replica = Arc::clone(r);
-                let stop = Arc::clone(&shutdown);
-                let poll = opts.invalidator_poll;
-                std::thread::Builder::new()
-                    .name(format!("invalidator-{}", replica.id()))
-                    .spawn(move || {
-                        // Version-gated drain: each recorded modification is
-                        // invalidated once. Re-scanning unchanged entries
-                        // every poll would burn CPU for nothing — a covered
-                        // path cannot regain cache entries (the fill-time
-                        // version check rejects it) until it leaves the
-                        // RemovalList.
-                        let mut drained_version = 0u64;
-                        while !stop.load(Ordering::Acquire) {
-                            std::thread::sleep(poll);
-                            let sm = replica.state_machine();
-                            let version = sm.removal.version();
-                            if version == drained_version || sm.removal.is_empty() {
-                                continue;
-                            }
-                            for path in sm.removal.snapshot() {
-                                sm.cache.invalidate_subtree(&path);
-                            }
-                            drained_version = version;
-                        }
-                    })
-                    .expect("spawn invalidator")
-            })
-            .collect();
-
         IndexNode {
             group,
             opts,
             pending_renames: Mutex::new(std::collections::HashMap::new()),
             rr: AtomicUsize::new(0),
-            shutdown,
-            invalidators: Mutex::new(invalidators),
             metrics: IndexMetrics::new(),
         }
     }
@@ -279,9 +235,12 @@ impl IndexNode {
         stats: &mut RequestCtx,
     ) -> Result<(ResolvedPath, u64)> {
         let replica = self.pick_read_replica()?;
+        // On every replica, the leader included: a leader that has not yet
+        // applied its term-start barrier refuses, and `with_failover`
+        // retries. A serving leader answers from one lock, no RPC.
+        replica.read_index(stats).map_err(Self::map_raft)?;
         if !replica.is_leader() {
             self.metrics.follower_reads.inc();
-            replica.read_index(stats).map_err(Self::map_raft)?;
         }
         let outcome: ResolveOutcome = replica
             .node()
@@ -573,14 +532,5 @@ impl IndexNode {
             .iter()
             .map(|r| r.state_machine().cache.stats())
             .collect()
-    }
-}
-
-impl Drop for IndexNode {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        for h in self.invalidators.lock().drain(..) {
-            let _ = h.join();
-        }
     }
 }

@@ -179,9 +179,26 @@ impl IndexSm {
                 leaf_version: 0,
             };
         }
-        // Step 1: scan the RemovalList (lock-free when empty).
-        let conflict = self.removal.conflicts_with(path);
+        let seen = self.observe_removals(path);
+        self.resolve_observed(path, seen)
+    }
+
+    /// Step 1 of [`IndexSm::resolve`]: what the lookup sees of the
+    /// RemovalList before it resolves — `(version, conflict)`, lock-free
+    /// when the list is empty. The version is loaded *first*: a
+    /// modification recorded after it fails the fill's version check, one
+    /// recorded before it is seen by this scan or has already invalidated.
+    /// (Scan first and a `RenamePrepare` landing between the two loads
+    /// would pass the version check once its commit lifted the entry.)
+    fn observe_removals(&self, path: &MetaPath) -> (u64, bool) {
         let version = self.removal.version();
+        (version, self.removal.conflicts_with(path))
+    }
+
+    /// Steps 2–3 of [`IndexSm::resolve`] for a non-root `path`, under the
+    /// observation [`IndexSm::observe_removals`] took.
+    fn resolve_observed(&self, path: &MetaPath, seen: (u64, bool)) -> ResolveOutcome {
+        let (version, conflict) = seen;
         let prefix = self.cache.prefix_of(path);
         let cacheable = prefix.is_some();
         let prefix = prefix.filter(|_| !conflict);
@@ -587,6 +604,60 @@ mod tests {
     }
 
     #[test]
+    fn fill_is_rejected_when_a_rename_lands_after_the_observation() {
+        let sm = sm(3, true);
+        sm.apply(
+            0,
+            &IndexCmd::InsertDir {
+                pid: InodeId(4),
+                name: Arc::from("x"),
+                id: InodeId(7),
+                permission: Permission::ALL,
+            },
+        );
+        let path = p("/a/b/c/d/e");
+        // A lookup observes the RemovalList, then a whole rename (prepare
+        // and commit) applies before the lookup walks and fills.
+        let seen = sm.observe_removals(&path);
+        let uuid = ClientUuid(5);
+        sm.apply(
+            0,
+            &IndexCmd::RenamePrepare {
+                src_pid: InodeId(4),
+                src_name: Arc::from("x"),
+                uuid,
+                src_path: p("/a/b/c/x"),
+            },
+        );
+        sm.apply(
+            0,
+            &IndexCmd::RenameCommit {
+                src_pid: InodeId(4),
+                src_name: Arc::from("x"),
+                dst_pid: ROOT_ID,
+                dst_name: Arc::from("moved"),
+                uuid,
+                src_path: p("/a/b/c/x"),
+            },
+        );
+        assert!(sm.removal.is_empty(), "the commit lifted its entry");
+        let out = sm.resolve_observed(&path, seen);
+        assert_eq!(out.result.unwrap().id, InodeId(6));
+        let stats = sm.cache.stats();
+        assert_eq!(
+            (stats.rejected_fills, stats.fills, stats.entries),
+            (1, 0, 0)
+        );
+        assert!(matches!(
+            sm.resolve(&p("/a/b/c/x")).result,
+            Err(MetaError::NotFound(_))
+        ));
+        // A lookup that observes after the rename fills as usual.
+        sm.resolve(&path);
+        assert_eq!(sm.cache.stats().fills, 1);
+    }
+
+    #[test]
     fn rename_moves_edge_and_invalidates() {
         let sm = sm(2, true);
         // Cache a prefix under the soon-to-move directory.
@@ -623,6 +694,8 @@ mod tests {
             Err(MetaError::NotFound(_))
         ));
         assert_eq!(sm.resolve(&p("/moved/d/e")).result.unwrap().id, InodeId(6));
+        // The moved directory's leases must revalidate: its version moved.
+        assert_eq!(sm.resolve(&p("/moved")).leaf_version, 2);
         assert!(!sm.table.is_locked(ROOT_ID, "moved"));
         assert!(sm.removal.is_empty());
         // The successful lookup of the new location refilled the cache.

@@ -33,7 +33,7 @@ use mantle_types::hist::Histogram;
 use parking_lot::Mutex;
 use serde::Serialize;
 
-use crate::critpath::{self, PhaseAttribution, N_PHASES};
+use crate::critpath;
 use crate::metrics::{Counter, HistogramMetric};
 use crate::trace::{self, Trace, TraceGuard};
 
@@ -109,7 +109,7 @@ pub struct SlowOp {
     pub annotations_elided: u32,
     /// Per-phase attribution of the whole op; under the virtual clock its
     /// total equals `latency_nanos` exactly.
-    pub phases: PhaseAttribution,
+    pub phases: TimeStats,
     /// The full force-captured trace (`None` only when an enclosing trace
     /// already owned the thread's trace slot).
     pub trace: Option<Trace>,
@@ -167,9 +167,9 @@ pub struct ExplainReport {
     /// Slow ops captured for this pair.
     pub slow: u64,
     /// Attribution over every observed op.
-    pub total: PhaseAttribution,
+    pub total: TimeStats,
     /// Attribution over the trailing windows only (recent behaviour).
-    pub recent: PhaseAttribution,
+    pub recent: TimeStats,
 }
 
 impl ExplainReport {
@@ -216,15 +216,16 @@ fn fmt_nanos(n: u64) -> String {
 /// Per-`(system, op)` trailing state.
 struct OpTypeState {
     hist: Histogram,
-    total: PhaseAttribution,
-    window: PhaseAttribution,
+    total: TimeStats,
+    window: TimeStats,
     window_ops: u64,
-    windows: VecDeque<PhaseAttribution>,
+    windows: VecDeque<TimeStats>,
     /// `u64::MAX` while warming up (nothing flags).
     threshold: u64,
-    slow: u64,
-    slow_counter: Counter,
-    phase_hists: [HistogramMetric; N_PHASES],
+    /// `obs_slow_ops_total{system,op}`; this state's own cell is the
+    /// pair's slow count since the last [`FlightRecorder::reset`].
+    slow: Counter,
+    phase_hists: [HistogramMetric; TimeCategory::ALL.len()],
 }
 
 impl OpTypeState {
@@ -237,21 +238,17 @@ impl OpTypeState {
         });
         OpTypeState {
             hist: Histogram::new(),
-            total: PhaseAttribution::default(),
-            window: PhaseAttribution::default(),
+            total: TimeStats::default(),
+            window: TimeStats::default(),
             window_ops: 0,
             windows: VecDeque::new(),
             threshold: u64::MAX,
-            slow: 0,
-            slow_counter: crate::metrics::counter(
-                "obs_slow_ops_total",
-                &[("system", system), ("op", op)],
-            ),
+            slow: crate::metrics::counter("obs_slow_ops_total", &[("system", system), ("op", op)]),
             phase_hists,
         }
     }
 
-    fn recent(&self) -> PhaseAttribution {
+    fn recent(&self) -> TimeStats {
         let mut out = self.window;
         for w in &self.windows {
             out.add(w);
@@ -266,7 +263,7 @@ struct ObservedOp {
     op: String,
     path_depth: u32,
     latency_nanos: u64,
-    phases: PhaseAttribution,
+    phases: TimeStats,
     annotations: Vec<String>,
     annotations_elided: u32,
     trace: Option<Trace>,
@@ -285,8 +282,7 @@ pub struct FlightRecorder {
     states: Mutex<HashMap<(String, String), OpTypeState>>,
     slow: Mutex<VecDeque<SlowOp>>,
     slow_dropped: AtomicU64,
-    slow_captured: AtomicU64,
-    node_phases: Mutex<BTreeMap<String, PhaseAttribution>>,
+    node_phases: Mutex<BTreeMap<String, TimeStats>>,
 }
 
 impl FlightRecorder {
@@ -299,7 +295,6 @@ impl FlightRecorder {
             states: Mutex::new(HashMap::new()),
             slow: Mutex::new(VecDeque::new()),
             slow_dropped: AtomicU64::new(0),
-            slow_captured: AtomicU64::new(0),
             node_phases: Mutex::new(BTreeMap::new()),
         }
     }
@@ -322,7 +317,6 @@ impl FlightRecorder {
         self.node_phases.lock().clear();
         self.seq.store(0, Ordering::Relaxed);
         self.slow_dropped.store(0, Ordering::Relaxed);
-        self.slow_captured.store(0, Ordering::Relaxed);
     }
 
     /// Clones up to `n` of the most recent slow-op events, newest last.
@@ -348,7 +342,7 @@ impl FlightRecorder {
     /// Slow ops captured since creation (or [`FlightRecorder::reset`]),
     /// including any evicted from the ring.
     pub fn slow_captured_total(&self) -> u64 {
-        self.slow_captured.load(Ordering::Relaxed)
+        self.seq.load(Ordering::Relaxed)
     }
 
     /// Slow ops evicted unread from the full ring.
@@ -359,7 +353,7 @@ impl FlightRecorder {
     /// Cumulative exclusive per-node phase attribution across every
     /// captured trace, sorted by node name. The placement controller reads
     /// this to tell a fsync-bound shard from a queue-bound one.
-    pub fn node_phases(&self) -> Vec<(String, PhaseAttribution)> {
+    pub fn node_phases(&self) -> Vec<(String, TimeStats)> {
         self.node_phases
             .lock()
             .iter()
@@ -392,7 +386,7 @@ impl FlightRecorder {
                     p99_nanos: st.hist.quantile(0.99),
                     max_nanos: st.hist.max(),
                     threshold_nanos: (st.threshold != u64::MAX).then_some(st.threshold),
-                    slow: st.slow,
+                    slow: st.slow.get(),
                     total: st.total,
                     recent: st.recent(),
                 }
@@ -431,7 +425,7 @@ impl FlightRecorder {
             }
             let full = st.window;
             st.windows.push_back(full);
-            st.window = PhaseAttribution::default();
+            st.window = TimeStats::default();
             st.window_ops = 0;
         }
         for (i, cat) in TimeCategory::ALL.iter().enumerate() {
@@ -453,11 +447,9 @@ impl FlightRecorder {
         if !is_slow {
             return;
         }
-        st.slow += 1;
-        st.slow_counter.inc();
+        st.slow.inc();
         drop(states);
 
-        self.slow_captured.fetch_add(1, Ordering::Relaxed);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let event = SlowOp {
             seq,
@@ -621,7 +613,7 @@ impl Drop for FlightScope {
         // same virtual instant the latency is measured at.
         let trace = ctx.guard.map(TraceGuard::finish);
         let latency_nanos = ctx.started.elapsed().as_nanos() as u64;
-        let phases = PhaseAttribution::from_delta(&ctx.ledger0, &clock::thread_time_stats());
+        let phases = clock::thread_time_stats().saturating_sub(&ctx.ledger0);
         ctx.recorder.observe(ObservedOp {
             system: ctx.system,
             op: ctx.op,

@@ -208,7 +208,7 @@ struct TracesPage {
 #[derive(Serialize)]
 struct NodeAttribution {
     node: String,
-    phases: crate::critpath::PhaseAttribution,
+    phases: mantle_types::clock::TimeStats,
 }
 
 #[derive(Serialize)]

@@ -34,7 +34,6 @@ pub mod http;
 pub mod metrics;
 pub mod trace;
 
-pub use critpath::PhaseAttribution;
 pub use flight::{FlightConfig, FlightRecorder, SlowOp};
 pub use metrics::{
     counter, gauge, histogram, snapshot, Counter, Gauge, HistogramMetric, MetricsSnapshot, Registry,

@@ -8,6 +8,12 @@
 //! path is a single atomic RMW — cheap enough to leave enabled during the
 //! figure harnesses (see the overhead test in `tests/observability.rs`).
 //!
+//! A [`Counter`] is the one count of an event: every handle
+//! [`Registry::counter`] returns owns a cell of its own, so `handle.get()`
+//! is what *that* holder counted (what `TafDb::counters()` or
+//! `SimNode::snapshot()` report), and the registry series is the sum of
+//! its cells. Gauges and histograms stay shared by name.
+//!
 //! Per-node scoping uses labels, Prometheus-style:
 //! `simnode_served_total{node="tafdb3"}`. [`Registry::snapshot`] freezes
 //! every metric into a [`MetricsSnapshot`] that renders as Prometheus
@@ -15,7 +21,7 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use mantle_types::hist::Histogram;
@@ -26,28 +32,70 @@ use serde::Serialize;
 /// acquisition contention low when many nodes register at once.
 const SHARDS: usize = 16;
 
-/// A monotonically increasing counter.
+/// A monotonically increasing counter: one cell of a registry series. A
+/// clone shares its cell; a second [`Registry::counter`] call for the same
+/// series gets a cell of its own.
 #[derive(Clone, Default)]
 pub struct Counter {
-    value: Arc<AtomicU64>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
+        self.cell.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value.
+    /// What this handle (and its clones) counted.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.cell.load(Ordering::Relaxed)
+    }
+}
+
+/// The registry side of one counter series: the cells of its live handles
+/// plus what dropped handles had counted, so the series never goes back.
+#[derive(Default)]
+struct CounterSeries {
+    cells: Vec<Arc<AtomicU64>>,
+    retired: u64,
+}
+
+impl CounterSeries {
+    /// The series' value. Cells whose every handle is gone are folded into
+    /// `retired` on the way.
+    fn total(&mut self) -> u64 {
+        let (mut live, retired) = (0, &mut self.retired);
+        self.cells.retain(|cell| {
+            let held = Arc::strong_count(cell) > 1;
+            if held {
+                live += cell.load(Ordering::Relaxed);
+            } else {
+                // Only the registry holds this cell and no `Weak` exists,
+                // so its value is final. The fence pairs with the `Release`
+                // decrement of the last handle's drop: that holder's
+                // increments happen before this load.
+                fence(Ordering::Acquire);
+                *retired += cell.load(Ordering::Relaxed);
+            }
+            held
+        });
+        self.retired + live
+    }
+
+    fn attach(&mut self) -> Counter {
+        // For its pruning: handles made and dropped per event (by-name
+        // `counter(..).inc()`) must not pile cells up.
+        self.total();
+        let counter = Counter::default();
+        self.cells.push(Arc::clone(&counter.cell));
+        counter
     }
 }
 
@@ -117,7 +165,7 @@ struct MetricKey {
 }
 
 enum Metric {
-    Counter(Counter),
+    Counter(CounterSeries),
     Gauge(Gauge),
     Histogram(HistogramMetric),
 }
@@ -150,55 +198,55 @@ impl Registry {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    /// Returns the counter `name{labels}`, creating it on first use.
-    ///
-    /// Panics if the same key was previously registered with a different
-    /// metric type — a naming bug worth failing loudly on.
-    pub fn counter(&self, name: &'static str, labels: &[(&str, &str)]) -> Counter {
+    /// Looks `name{labels}` up, creating it with `make` on first use, and
+    /// returns what `pick` takes from it. `pick` declining means the key was
+    /// registered with another metric type — a naming bug worth a panic.
+    fn get_or_create<H>(
+        &self,
+        name: &'static str,
+        labels: &[(&str, &str)],
+        make: fn() -> Metric,
+        pick: fn(&mut Metric) -> Option<H>,
+    ) -> H {
         let key = MetricKey {
             name,
             labels: owned_labels(labels),
         };
         let mut shard = self.shard(&key).lock();
-        match shard
-            .entry(key)
-            .or_insert_with(|| Metric::Counter(Counter::default()))
-        {
-            Metric::Counter(c) => c.clone(),
-            _ => panic!("metric {name} already registered with a different type"),
-        }
+        pick(shard.entry(key).or_insert_with(make))
+            .unwrap_or_else(|| panic!("metric {name} already registered with a different type"))
+    }
+
+    /// Returns a new handle on the counter series `name{labels}`, creating
+    /// the series on first use. The handle counts into a cell of its own;
+    /// the series reports the sum over every handle ever returned.
+    ///
+    /// Panics (as do [`Registry::gauge`] and [`Registry::histogram`]) if the
+    /// same key was registered earlier with a different metric type.
+    pub fn counter(&self, name: &'static str, labels: &[(&str, &str)]) -> Counter {
+        let make = || Metric::Counter(CounterSeries::default());
+        self.get_or_create(name, labels, make, |m| match m {
+            Metric::Counter(series) => Some(series.attach()),
+            _ => None,
+        })
     }
 
     /// Returns the gauge `name{labels}`, creating it on first use.
     pub fn gauge(&self, name: &'static str, labels: &[(&str, &str)]) -> Gauge {
-        let key = MetricKey {
-            name,
-            labels: owned_labels(labels),
-        };
-        let mut shard = self.shard(&key).lock();
-        match shard
-            .entry(key)
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            _ => panic!("metric {name} already registered with a different type"),
-        }
+        let make = || Metric::Gauge(Gauge::default());
+        self.get_or_create(name, labels, make, |m| match m {
+            Metric::Gauge(g) => Some(g.clone()),
+            _ => None,
+        })
     }
 
     /// Returns the histogram `name{labels}`, creating it on first use.
     pub fn histogram(&self, name: &'static str, labels: &[(&str, &str)]) -> HistogramMetric {
-        let key = MetricKey {
-            name,
-            labels: owned_labels(labels),
-        };
-        let mut shard = self.shard(&key).lock();
-        match shard
-            .entry(key)
-            .or_insert_with(|| Metric::Histogram(HistogramMetric::default()))
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => panic!("metric {name} already registered with a different type"),
-        }
+        let make = || Metric::Histogram(HistogramMetric::default());
+        self.get_or_create(name, labels, make, |m| match m {
+            Metric::Histogram(h) => Some(h.clone()),
+            _ => None,
+        })
     }
 
     /// Freezes every registered metric into a serializable snapshot,
@@ -208,14 +256,14 @@ impl Registry {
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
         for shard in &self.shards {
-            for (key, metric) in shard.lock().iter() {
+            for (key, metric) in shard.lock().iter_mut() {
                 let name = key.name.to_string();
                 let labels = key.labels.clone();
                 match metric {
-                    Metric::Counter(c) => counters.push(CounterSample {
+                    Metric::Counter(series) => counters.push(CounterSample {
                         name,
                         labels,
-                        value: c.get(),
+                        value: series.total(),
                     }),
                     Metric::Gauge(g) => gauges.push(GaugeSample {
                         name,
@@ -399,15 +447,6 @@ impl MetricsSnapshot {
             .map(|h| h.count)
             .sum()
     }
-
-    /// Maximum value of a gauge across every label set (`None` if absent).
-    pub fn gauge_max(&self, name: &str) -> Option<i64> {
-        self.gauges
-            .iter()
-            .filter(|g| g.name == name)
-            .map(|g| g.value)
-            .max()
-    }
 }
 
 /// The process-wide registry every subsystem reports into.
@@ -441,18 +480,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn handles_are_get_or_create() {
+    fn handles_count_alone_and_the_series_is_their_sum() {
         let r = Registry::new();
         let a = r.counter("x_total", &[("node", "n0")]);
         let b = r.counter("x_total", &[("node", "n0")]);
         a.inc();
         b.add(2);
-        assert_eq!(a.get(), 3);
+        assert_eq!((a.get(), b.get()), (1, 2));
         let other = r.counter("x_total", &[("node", "n1")]);
         other.inc();
         let snap = r.snapshot();
+        assert_eq!(snap.counters.len(), 2, "one series per label set");
+        assert_eq!(snap.counters[0].value, 3);
         assert_eq!(snap.counter_total("x_total"), 4);
-        assert_eq!(snap.counters.len(), 2);
+    }
+
+    #[test]
+    fn a_dropped_handle_keeps_its_count_in_the_series() {
+        let r = Registry::new();
+        let kept = r.counter("y_total", &[]);
+        kept.inc();
+        r.counter("y_total", &[]).add(5);
+        assert_eq!(r.snapshot().counter_total("y_total"), 6);
+        // A later handle starts from zero; the series does not go back.
+        let late = r.counter("y_total", &[]);
+        assert_eq!(late.get(), 0);
+        late.inc();
+        drop(kept);
+        assert_eq!(r.snapshot().counter_total("y_total"), 7);
+        assert_eq!(r.snapshot().counter_total("y_total"), 7);
+    }
+
+    #[test]
+    fn a_clone_shares_its_cell() {
+        let r = Registry::new();
+        let a = r.counter("z_total", &[]);
+        let b = a.clone();
+        a.inc();
+        b.inc();
+        assert_eq!((a.get(), b.get()), (2, 2));
+        drop(a);
+        // The clone keeps the cell live: still counted once, still counting.
+        b.inc();
+        assert_eq!(r.snapshot().counter_total("z_total"), 3);
     }
 
     #[test]

@@ -24,7 +24,6 @@ use mantle_types::EnvConfig;
 use parking_lot::Mutex;
 use serde::Serialize;
 
-use crate::critpath::PhaseAttribution;
 use crate::metrics::Counter;
 
 /// Spans kept per trace before truncation; bounds worst-case memory for a
@@ -68,7 +67,7 @@ pub struct Span {
     pub injected_nanos: u64,
     /// Per-phase ledger delta across the span (inclusive of children; see
     /// [`crate::critpath::per_node`] for exclusive attribution).
-    pub phases: PhaseAttribution,
+    pub phases: TimeStats,
 }
 
 /// A finished trace: the span tree of one operation.
@@ -85,7 +84,7 @@ pub struct Trace {
     /// Per-phase attribution of the whole operation (the thread ledger's
     /// delta from trace start to commit). Under the virtual clock its
     /// total equals [`Trace::total_nanos`] exactly.
-    pub phases: PhaseAttribution,
+    pub phases: TimeStats,
 }
 
 impl Trace {
@@ -207,10 +206,9 @@ struct Collector {
     interval: AtomicU64,
     started: AtomicU64,
     ring: Mutex<VecDeque<Trace>>,
-    /// Traces evicted from the full ring before anyone read them.
-    dropped: AtomicU64,
-    /// `obs_traces_dropped_total` — the same eviction count, exported.
-    dropped_metric: Counter,
+    /// `obs_traces_dropped_total` — traces evicted from the full ring
+    /// before anyone read them.
+    dropped: Counter,
 }
 
 fn collector() -> &'static Collector {
@@ -220,8 +218,7 @@ fn collector() -> &'static Collector {
         interval: AtomicU64::new(rate_to_interval(EnvConfig::get().trace_sample)),
         started: AtomicU64::new(0),
         ring: Mutex::new(VecDeque::with_capacity(RING_CAPACITY)),
-        dropped: AtomicU64::new(0),
-        dropped_metric: crate::metrics::counter("obs_traces_dropped_total", &[]),
+        dropped: crate::metrics::counter("obs_traces_dropped_total", &[]),
     })
 }
 
@@ -320,7 +317,7 @@ fn start_inner(op: &str, ring_on_commit: bool) -> Option<TraceGuard> {
             dur_nanos: 0,
             queue_nanos: 0,
             injected_nanos: 0,
-            phases: PhaseAttribution::default(),
+            phases: TimeStats::default(),
         });
         trace.stack.push(0);
         *active = Some(trace);
@@ -363,7 +360,7 @@ impl Drop for TraceGuard {
 fn commit(ring_on_commit: bool) -> Option<Trace> {
     let finished = ACTIVE.with(|cell| cell.borrow_mut().take())?;
     let elapsed = finished.epoch.elapsed().as_nanos() as u64;
-    let phases = PhaseAttribution::from_delta(&finished.ledger0, &clock::thread_time_stats());
+    let phases = clock::thread_time_stats().saturating_sub(&finished.ledger0);
     let mut spans = finished.spans;
     if let Some(root) = spans.first_mut() {
         root.dur_nanos = elapsed;
@@ -387,8 +384,7 @@ fn ring_push(trace: Trace) {
     let mut ring = c.ring.lock();
     if ring.len() == RING_CAPACITY {
         ring.pop_front();
-        c.dropped.fetch_add(1, Ordering::Relaxed);
-        c.dropped_metric.inc();
+        c.dropped.inc();
     }
     ring.push_back(trace);
 }
@@ -414,7 +410,7 @@ pub fn peek_recent(n: usize) -> Vec<Trace> {
 /// Traces evicted unread from the full ring since process start (also
 /// exported as `obs_traces_dropped_total`).
 pub fn dropped_total() -> u64 {
-    collector().dropped.load(Ordering::Relaxed)
+    collector().dropped.get()
 }
 
 /// Opens a span under the current trace. Returns `None` (with zero cost
@@ -440,7 +436,7 @@ pub fn span(op: &str, node: &str, kind: SpanKind) -> Option<SpanScope> {
             dur_nanos: 0,
             queue_nanos: 0,
             injected_nanos: 0,
-            phases: PhaseAttribution::default(),
+            phases: TimeStats::default(),
         });
         active.stack.push(id);
         Some(SpanScope {
@@ -511,7 +507,7 @@ impl SpanScope {
 impl Drop for SpanScope {
     fn drop(&mut self) {
         let elapsed = self.started.elapsed().as_nanos() as u64;
-        let phases = PhaseAttribution::from_delta(&self.ledger0, &clock::thread_time_stats());
+        let phases = clock::thread_time_stats().saturating_sub(&self.ledger0);
         ACTIVE.with(|cell| {
             if let Some(active) = cell.borrow_mut().as_mut() {
                 if let Some(span) = active.spans.get_mut(self.id as usize) {

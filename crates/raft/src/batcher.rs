@@ -3,9 +3,11 @@
 //! §5.1.3: "To minimize the overhead imposed on the leader, queries for the
 //! commitIndex are batched." Concurrent follower-side readers coalesce into
 //! one leader round trip: the first reader becomes the batch leader and
-//! performs the query; readers that arrive while it is in flight share its
-//! result. Any commitIndex fetched *after* a reader arrived is a valid
-//! linearization point for that reader, so sharing is safe.
+//! performs the query; readers that arrive while it is in flight wait for
+//! it and share the *next* one. A commitIndex is a valid linearization
+//! point for a reader only if it was read after the reader arrived — and a
+//! fetch already in flight may have read its value before that, so its
+//! result is never handed to a later arrival.
 
 use parking_lot::{Condvar, Mutex};
 
@@ -32,16 +34,17 @@ impl CommitIndexBatcher {
         Self::default()
     }
 
-    /// Returns a commit index fetched at-or-after the caller's arrival,
-    /// using `fetch` to perform the actual leader query. `fetch` may be
-    /// called by this thread (batch leader) or skipped entirely (joined an
-    /// in-flight batch... in which case the *next* completed fetch is used).
+    /// Returns a commit index fetched after the caller's arrival, using
+    /// `fetch` to perform the actual leader query. `fetch` is called by
+    /// this thread when it becomes a batch leader, and skipped when another
+    /// reader's fetch that *started* after this arrival completes first.
     pub fn query(&self, fetch: impl FnOnce() -> u64) -> u64 {
         let mut state = self.state.lock();
-        let arrival_gen = state.generation;
+        // The first fetch to start from now on is the first one valid for
+        // us; one already in flight will complete as `generation + 1`.
+        let valid_from = state.generation + 1 + u64::from(state.fetching);
         loop {
-            // A fetch completed after we arrived: its value is valid for us.
-            if state.generation > arrival_gen {
+            if state.generation >= valid_from {
                 return state.last_value;
             }
             if !state.fetching {
@@ -71,6 +74,29 @@ mod tests {
         let b = CommitIndexBatcher::new();
         assert_eq!(b.query(|| 42), 42);
         assert_eq!(b.query(|| 43), 43);
+    }
+
+    #[test]
+    fn a_fetch_in_flight_is_not_shared_with_a_later_arrival() {
+        let b = Arc::new(CommitIndexBatcher::new());
+        // Staged: a fetch is in flight and has already read the value 1.
+        b.state.lock().fetching = true;
+        let late = {
+            let b = b.clone();
+            std::thread::spawn(move || b.query(|| 2))
+        };
+        // Give the late reader time to arrive behind the staged fetch. The
+        // pause only gives a wrong batcher the chance to hand out 1; the
+        // assertion holds on any schedule for a right one.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        {
+            let mut state = b.state.lock();
+            state.fetching = false;
+            state.generation += 1;
+            state.last_value = 1;
+            b.cv.notify_all();
+        }
+        assert_eq!(late.join().unwrap(), 2, "the reader ran a fetch of its own");
     }
 
     #[test]

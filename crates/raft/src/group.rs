@@ -13,7 +13,8 @@ use crate::replica::{RaftError, RaftOptions, RaftReplica, RoleWatch, StateMachin
 
 /// A Raft group of `n_voters` voting replicas followed by learners.
 ///
-/// Replica 0 is bootstrapped as the initial leader. Background threads
+/// Replica 0 is bootstrapped as the initial leader, and [`RaftGroup::new`]
+/// returns once it leads. Background threads
 /// (appliers + election tickers, plus per-peer replicators while leading)
 /// are owned by the group and joined on drop.
 pub struct RaftGroup<SM: StateMachine> {
@@ -79,12 +80,18 @@ impl<SM: StateMachine> RaftGroup<SM> {
         }
         replicas[0].bootstrap_leader();
 
-        RaftGroup {
+        let group = RaftGroup {
             replicas,
             n_voters,
             threads: Mutex::new(threads),
             role_watch,
-        }
+        };
+        // A leader counts once its term-start barrier is applied; hand the
+        // group out with `leader()` already answering.
+        group
+            .await_leader(Duration::from_secs(30))
+            .expect("bootstrap leader applies its term-start barrier");
+        group
     }
 
     /// All replicas (voters first, then learners).
@@ -102,7 +109,8 @@ impl<SM: StateMachine> RaftGroup<SM> {
         self.n_voters
     }
 
-    /// The current leader, if any replica claims leadership.
+    /// The current leader, if a replica leads and has applied its
+    /// term-start barrier ([`RaftReplica::is_leader`]).
     pub fn leader(&self) -> Option<Arc<RaftReplica<SM>>> {
         self.replicas.iter().find(|r| r.is_leader()).cloned()
     }

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use mantle_obs::{Counter, Gauge, HistogramMetric};
 use mantle_rpc::{faults, FaultKind, SimNode};
@@ -301,10 +301,6 @@ pub struct RaftReplica<SM: StateMachine> {
     torn_snap: Mutex<Option<Arc<Vec<u8>>>>,
     /// InstallSnapshot RPCs sent while leading.
     installs_sent: AtomicU64,
-    /// Snapshots successfully installed on this replica.
-    installs_applied: AtomicU64,
-    /// Snapshots captured locally by the apply thread.
-    snapshots_taken: AtomicU64,
 }
 
 impl<SM: StateMachine> RaftReplica<SM> {
@@ -369,8 +365,6 @@ impl<SM: StateMachine> RaftReplica<SM> {
             }),
             torn_snap: Mutex::new(None),
             installs_sent: AtomicU64::new(0),
-            installs_applied: AtomicU64::new(0),
-            snapshots_taken: AtomicU64::new(0),
         })
     }
 
@@ -415,9 +409,22 @@ impl<SM: StateMachine> RaftReplica<SM> {
         self.inner.lock().term
     }
 
-    /// Whether this replica currently leads.
+    /// Whether this replica currently leads *and* may serve reads (see
+    /// [`RaftReplica::read_index`]): a freshly elected leader does not count
+    /// until its term-start barrier is applied.
     pub fn is_leader(&self) -> bool {
-        self.alive() && self.inner.lock().role == Role::Leader
+        self.alive() && Self::leads(&self.inner.lock())
+    }
+
+    /// The one read-serving predicate: leader, and the last applied entry is
+    /// of its own term. The first entry of a term is the barrier
+    /// [`RaftReplica::become_leader`] appends; once it is applied, so is
+    /// every entry a predecessor acknowledged, and every later entry of the
+    /// term is applied here before it is acknowledged. Until then the state
+    /// machine may lack acknowledged writes, so the replica neither serves
+    /// reads nor answers to [`crate::RaftGroup::leader`].
+    fn leads(g: &Inner<SM::Command>) -> bool {
+        g.role == Role::Leader && g.log.term_at(g.last_applied) == Some(g.term)
     }
 
     /// Whether the replica is up.
@@ -462,7 +469,7 @@ impl<SM: StateMachine> RaftReplica<SM> {
 
     /// Snapshots this replica has captured.
     pub fn snapshots_taken(&self) -> u64 {
-        self.snapshots_taken.load(Ordering::Relaxed)
+        self.metrics.snapshots.get()
     }
 
     /// InstallSnapshot RPCs this replica has sent while leading.
@@ -472,7 +479,7 @@ impl<SM: StateMachine> RaftReplica<SM> {
 
     /// Snapshots successfully installed on this replica.
     pub fn snapshot_installs_applied(&self) -> u64 {
-        self.installs_applied.load(Ordering::Relaxed)
+        self.metrics.installs.get()
     }
 
     // --- failure injection ------------------------------------------------
@@ -660,26 +667,35 @@ impl<SM: StateMachine> RaftReplica<SM> {
 
     /// ReadIndex (§5.1.3): obtains a linearization-safe commit index and
     /// waits until the local apply index reaches it. On the leader this is
-    /// the local commit index; on followers/learners the leader is queried
-    /// (batched) at the cost of one RPC for the batch leader.
+    /// the local commit index (one lock, no RPC, no simulated time); on
+    /// followers/learners the leader is queried (batched) at the cost of one
+    /// RPC for the batch leader.
     ///
     /// # Errors
     ///
-    /// [`RaftError::Unavailable`] when no leader is reachable or this
-    /// replica dies while waiting.
+    /// [`RaftError::Unavailable`] when no leader is reachable, when this
+    /// replica leads but has not yet applied its term-start barrier (its
+    /// state machine may lack writes its predecessor acknowledged), or when
+    /// it dies while waiting.
     pub fn read_index(&self, stats: &mut RequestCtx) -> Result<u64, RaftError> {
         if !self.alive() {
             return Err(RaftError::Unavailable);
         }
-        if stats.deadline_expired() {
-            self.node.note_deadline_abort("read_index");
-            return Err(RaftError::DeadlineExceeded);
-        }
         {
             let g = self.inner.lock();
             if g.role == Role::Leader {
-                return Ok(g.commit_index);
+                if !Self::leads(&g) {
+                    return Err(RaftError::Unavailable);
+                }
+                let ci = g.commit_index;
+                return self.await_applied(g, ci);
             }
+        }
+        // Only a follower has a query to refuse; a request that reaches the
+        // leader expired is aborted by the admission of its own RPC.
+        if stats.deadline_expired() {
+            self.node.note_deadline_abort("read_index");
+            return Err(RaftError::DeadlineExceeded);
         }
         const NO_LEADER: u64 = u64::MAX;
         let mut expired = false;
@@ -718,7 +734,15 @@ impl<SM: StateMachine> RaftReplica<SM> {
             });
         }
 
-        let mut g = self.inner.lock();
+        self.await_applied(self.inner.lock(), ci)
+    }
+
+    /// Blocks (real time only) until this replica has applied `ci`.
+    fn await_applied(
+        &self,
+        mut g: MutexGuard<'_, Inner<SM::Command>>,
+        ci: u64,
+    ) -> Result<u64, RaftError> {
         while g.last_applied < ci {
             if !self.alive() {
                 return Err(RaftError::Unavailable);
@@ -1305,8 +1329,14 @@ impl<SM: StateMachine> RaftReplica<SM> {
                         continue;
                     }
                     debug_assert_eq!(g.last_applied + 1, batch[0].0);
+                    let led = Self::leads(&g);
                     g.last_applied = last;
                     self.apply_cv.notify_all();
+                    if !led && Self::leads(&g) {
+                        // The term-start barrier is applied: this leader
+                        // now answers to `leader()` / `await_leader`.
+                        self.role_watch.notify();
+                    }
                     let (applied, log_bytes) = (g.last_applied, g.log.bytes());
                     self.metrics.log_bytes.set(log_bytes as i64);
                     drop(g);
@@ -1398,7 +1428,6 @@ impl<SM: StateMachine> RaftReplica<SM> {
         let log_bytes = g.log.bytes();
         drop(g);
         self.metrics.snapshots.inc();
-        self.snapshots_taken.fetch_add(1, Ordering::Relaxed);
         self.metrics.log_bytes.set(log_bytes as i64);
         mantle_obs::flight::annotate_with(|| {
             format!(
@@ -1463,7 +1492,6 @@ impl<SM: StateMachine> RaftReplica<SM> {
         }
         *self.torn_snap.lock() = None;
         g.install_seq += 1;
-        self.installs_applied.fetch_add(1, Ordering::Relaxed);
         self.metrics.installs.inc();
         self.metrics.log_bytes.set(g.log.bytes() as i64);
         self.apply_cv.notify_all();

@@ -11,7 +11,8 @@ use mantle_types::{MetaError, RequestCtx, SimConfig};
 use crate::faults::{self, FaultPlan, FaultSlot, RpcFault};
 
 /// Per-node metric handles, created once at [`SimNode::new`] so the hot path
-/// is a handful of atomic ops.
+/// is a handful of atomic ops. The counters are this node's only counts:
+/// [`SimNode::snapshot`] reads the handles' own cells.
 struct NodeMetrics {
     /// `simnode_rpcs_total{node=...}` — remote requests entering this node.
     rpcs: Counter,
@@ -57,7 +58,6 @@ pub struct SimNode {
     name: String,
     config: SimConfig,
     capacity: Semaphore,
-    served: AtomicU64,
     busy_nanos: AtomicU64,
     in_queue: AtomicI64,
     /// Modeled single-server busy-until time (nanos on the simulation
@@ -65,8 +65,6 @@ pub struct SimNode {
     /// forward by one service time, so the backlog ahead of an arrival is
     /// `(next_free - arrival) / service`. Untouched when `queue_cap == 0`.
     vq_next_free: AtomicU64,
-    shed: AtomicU64,
-    deadline_aborts: AtomicU64,
     metrics: NodeMetrics,
     faults: FaultSlot,
 }
@@ -80,12 +78,9 @@ impl SimNode {
             name,
             config,
             capacity: Semaphore::new(permits),
-            served: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
             in_queue: AtomicI64::new(0),
             vq_next_free: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            deadline_aborts: AtomicU64::new(0),
             metrics,
             faults: FaultSlot::new(),
         }
@@ -228,7 +223,6 @@ impl SimNode {
                 .checked_div(service)
                 .unwrap_or(0);
             if backlog >= cap as u64 {
-                self.shed.fetch_add(1, Ordering::Relaxed);
                 self.metrics.shed.inc();
                 mantle_obs::flight::annotate_with(|| {
                     format!("admission:shed node={} op={op}", self.name)
@@ -275,7 +269,6 @@ impl SimNode {
     /// ReadIndex query for an already-expired request) keep
     /// `simnode_deadline_aborts_total` authoritative for every abort.
     pub fn note_deadline_abort(&self, op: &str) -> MetaError {
-        self.deadline_aborts.fetch_add(1, Ordering::Relaxed);
         self.metrics.deadline_aborts.inc();
         mantle_obs::flight::annotate_with(|| {
             format!("admission:deadline_abort node={} op={op}", self.name)
@@ -311,7 +304,6 @@ impl SimNode {
         let out = f();
         self.in_queue.fetch_sub(1, Ordering::Relaxed);
         self.metrics.queue_depth.add(-1);
-        self.served.fetch_add(1, Ordering::Relaxed);
         self.metrics.served.inc();
         self.busy_nanos
             .fetch_add(sim_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -322,12 +314,12 @@ impl SimNode {
     pub fn snapshot(&self) -> NodeSnapshot {
         NodeSnapshot {
             name: self.name.clone(),
-            served: self.served.load(Ordering::Relaxed),
+            served: self.metrics.served.get(),
             busy_nanos: self.busy_nanos.load(Ordering::Relaxed),
             permits: self.capacity.capacity(),
             queue_cap: self.config.queue_cap,
-            shed: self.shed.load(Ordering::Relaxed),
-            deadline_aborts: self.deadline_aborts.load(Ordering::Relaxed),
+            shed: self.metrics.shed.get(),
+            deadline_aborts: self.metrics.deadline_aborts.get(),
         }
     }
 }
@@ -338,7 +330,7 @@ impl std::fmt::Debug for SimNode {
             f,
             "SimNode({}, served={})",
             self.name,
-            self.served.load(Ordering::Relaxed)
+            self.metrics.served.get()
         )
     }
 }

@@ -8,7 +8,6 @@
 //! IndexNode's Raft log (§5.2.3, "batched Raft submissions"); TafDB shards
 //! use it for transaction durability.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mantle_obs::{Counter, HistogramMetric};
@@ -79,8 +78,6 @@ pub struct GroupCommitWal {
     config: SimConfig,
     group_commit: bool,
     scope: String,
-    fsyncs: AtomicU64,
-    appends: AtomicU64,
     metrics: WalMetrics,
     faults: FaultSlot,
     records: Mutex<RecordLog>,
@@ -102,8 +99,6 @@ impl GroupCommitWal {
             config,
             group_commit,
             scope: scope.to_string(),
-            fsyncs: AtomicU64::new(0),
-            appends: AtomicU64::new(0),
             metrics: WalMetrics::new(scope),
             faults: FaultSlot::new(),
             records: Mutex::new(RecordLog::default()),
@@ -118,10 +113,8 @@ impl GroupCommitWal {
 
     /// Appends one record and returns once it is durable.
     pub fn append(&self) {
-        self.appends.fetch_add(1, Ordering::Relaxed);
         self.metrics.appends.inc();
         if !self.group_commit {
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
             self.metrics.fsyncs.inc();
             self.metrics.batch.record(1);
             self.fsync_retrying();
@@ -142,7 +135,6 @@ impl GroupCommitWal {
                 let batch = flush_to - state.flushed;
                 drop(state);
 
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
                 self.metrics.fsyncs.inc();
                 self.metrics.batch.record(batch);
                 self.fsync_retrying();
@@ -223,7 +215,6 @@ impl GroupCommitWal {
     }
 
     fn push_record(&self, payload: u64, checkpoint: bool) -> Result<u64, MetaError> {
-        self.appends.fetch_add(1, Ordering::Relaxed);
         self.metrics.appends.inc();
         let mut log = self.records.lock();
         // After a failed fsync the writer re-seeks to the durable frontier
@@ -235,7 +226,6 @@ impl GroupCommitWal {
             payload,
             checkpoint,
         });
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
         self.metrics.fsyncs.inc();
         if !self.fsync_once() {
             // Torn: the bytes may be on disk, but no ack was given and the
@@ -290,14 +280,14 @@ impl GroupCommitWal {
             .map(|r| r.payload)
     }
 
-    /// Number of physical fsyncs performed.
+    /// Number of physical fsyncs this WAL performed.
     pub fn fsyncs(&self) -> u64 {
-        self.fsyncs.load(Ordering::Relaxed)
+        self.metrics.fsyncs.get()
     }
 
-    /// Number of records appended.
+    /// Number of records appended to this WAL.
     pub fn appends(&self) -> u64 {
-        self.appends.load(Ordering::Relaxed)
+        self.metrics.appends.get()
     }
 }
 

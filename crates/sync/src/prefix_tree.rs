@@ -1,6 +1,6 @@
 //! The PrefixTree: a concurrent tree over path components (§5.1.2).
 //!
-//! TopDirPathCache is a hash table and cannot range-scan, so the Invalidator
+//! TopDirPathCache is a hash table and cannot range-scan, so the cache
 //! keeps this tree as a mirror of every cached path. Invalidating a
 //! directory becomes a subtree detach: `remove_subtree("/a/b")` unhooks the
 //! branch in O(depth) and returns every cached path underneath it so the

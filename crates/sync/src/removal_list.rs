@@ -5,8 +5,9 @@
 //! here. Every lookup first scans the list for recorded paths that are
 //! prefixes of the requested path; if one is found the lookup bypasses the
 //! TopDirPathCache and resolves through the IndexTable, avoiding stale
-//! cached results. The background Invalidator drains the list, removing
-//! affected cache entries.
+//! cached results. The modification itself evicts the affected cache
+//! entries when it applies, and only then removes its path from the list
+//! (the Raft apply path is §5.1.2's Invalidator; there is no drain thread).
 //!
 //! The list is "empty most of the time" (paper's words), so the hot path is
 //! a single relaxed atomic load. A version counter implements the
@@ -90,7 +91,7 @@ impl RemovalList {
         self.paths.read().iter().any(|p| p.is_prefix_of(path))
     }
 
-    /// Snapshot of all recorded paths (used by the Invalidator drain).
+    /// Snapshot of all recorded paths (state-machine snapshot / restore).
     pub fn snapshot(&self) -> Vec<MetaPath> {
         self.paths.read().clone()
     }

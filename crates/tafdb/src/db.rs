@@ -129,26 +129,8 @@ pub struct TafDb {
     shutdown: Arc<AtomicBool>,
     compactor: Mutex<Option<std::thread::JoinHandle<()>>>,
     controller: Mutex<Option<std::thread::JoinHandle<()>>>,
-    pub(crate) txns_committed: AtomicU64,
-    pub(crate) txns_aborted: AtomicU64,
-    pub(crate) delta_appends: AtomicU64,
-    pub(crate) inplace_updates: AtomicU64,
-    pub(crate) compactions: AtomicU64,
-    pub(crate) latched_updates: AtomicU64,
-    pub(crate) shard_splits: AtomicU64,
-    pub(crate) shard_merges: AtomicU64,
-    pub(crate) range_migrations: AtomicU64,
-    pub(crate) rows_migrated: AtomicU64,
-    pub(crate) stale_routes: AtomicU64,
     pub(crate) metrics: DbMetrics,
     pub(crate) faults: FaultSlot,
-    /// Monotonic per-directory namespace versions (DESIGN.md §4.13): bumped
-    /// whenever a committed write touches the directory's access row —
-    /// rename (delete src + put dst), rmdir/delete, and chmod all land here
-    /// via [`TafDb::apply_write`] or the direct write paths. The versioned
-    /// path-lease protocol uses this as the durable authority that cached
-    /// `(pid, version)` pairs are validated against.
-    pub(crate) ns_versions: Mutex<HashMap<InodeId, u64>>,
 }
 
 impl TafDb {
@@ -175,7 +157,6 @@ impl TafDb {
                 hot: Mutex::new(HashMap::new()),
                 in_flight: AtomicU64::new(0),
                 mig_active: AtomicBool::new(false),
-                mig_range: Mutex::new(None),
                 snap: Mutex::new(None),
             })
             .collect();
@@ -190,20 +171,8 @@ impl TafDb {
             shutdown: Arc::new(AtomicBool::new(false)),
             compactor: Mutex::new(None),
             controller: Mutex::new(None),
-            txns_committed: AtomicU64::new(0),
-            txns_aborted: AtomicU64::new(0),
-            delta_appends: AtomicU64::new(0),
-            inplace_updates: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            latched_updates: AtomicU64::new(0),
-            shard_splits: AtomicU64::new(0),
-            shard_merges: AtomicU64::new(0),
-            range_migrations: AtomicU64::new(0),
-            rows_migrated: AtomicU64::new(0),
-            stale_routes: AtomicU64::new(0),
             metrics: DbMetrics::new(opts.n_shards),
             faults: FaultSlot::new(),
-            ns_versions: Mutex::new(HashMap::new()),
         });
         db.raw_put(attr_key(ROOT_ID), Row::DirAttr(DirAttrMeta::new(0, 0)));
 
@@ -312,20 +281,22 @@ impl TafDb {
         self.faults.install(plan);
     }
 
-    /// Counter snapshot.
+    /// What *this* database counted (the `tafdb_*_total` registry series
+    /// sum over every database in the process).
     pub fn counters(&self) -> DbCounters {
+        let m = &self.metrics;
         DbCounters {
-            txns_committed: self.txns_committed.load(Ordering::Relaxed),
-            txns_aborted: self.txns_aborted.load(Ordering::Relaxed),
-            delta_appends: self.delta_appends.load(Ordering::Relaxed),
-            inplace_updates: self.inplace_updates.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            latched_updates: self.latched_updates.load(Ordering::Relaxed),
-            shard_splits: self.shard_splits.load(Ordering::Relaxed),
-            shard_merges: self.shard_merges.load(Ordering::Relaxed),
-            range_migrations: self.range_migrations.load(Ordering::Relaxed),
-            rows_migrated: self.rows_migrated.load(Ordering::Relaxed),
-            stale_routes: self.stale_routes.load(Ordering::Relaxed),
+            txns_committed: m.txns_committed.get(),
+            txns_aborted: m.txns_aborted.get(),
+            delta_appends: m.delta_appends.get(),
+            inplace_updates: m.inplace_updates.get(),
+            compactions: m.compactions.get(),
+            latched_updates: m.latched_updates.get(),
+            shard_splits: m.shard_splits.get(),
+            shard_merges: m.shard_merges.get(),
+            range_migrations: m.range_migrations.get(),
+            rows_migrated: m.rows_migrated.get(),
+            stale_routes: m.stale_routes.get(),
         }
     }
 
@@ -336,30 +307,11 @@ impl TafDb {
 
     // --- direct (population / test) access --------------------------------
 
-    /// Writes a row directly, bypassing RPC, locking and the WAL. Used only
-    /// for bulk namespace population before an experiment (and by the
-    /// non-transactional `setattr` path, which is why it still bumps the
-    /// directory's namespace version).
+    /// Writes a row directly, bypassing RPC, locking and the WAL. Used for
+    /// bulk namespace population before an experiment and by the
+    /// non-transactional `setattr` path.
     pub fn raw_put(&self, key: RowKey, row: Row) {
-        if let Row::DirAccess { id, .. } = &row {
-            self.bump_ns_version(*id);
-        }
         self.shards[self.owner_of(&key)].engine.put(key, row);
-    }
-
-    /// The current namespace version of directory `dir` (0 until its access
-    /// row is first written). Monotonic: every committed rename/delete/chmod
-    /// touching the directory's access row bumps it exactly once per write.
-    pub fn ns_version(&self, dir: InodeId) -> u64 {
-        self.ns_versions.lock().get(&dir).copied().unwrap_or(0)
-    }
-
-    /// Bumps and returns `dir`'s namespace version.
-    pub(crate) fn bump_ns_version(&self, dir: InodeId) -> u64 {
-        let mut map = self.ns_versions.lock();
-        let v = map.entry(dir).or_insert(0);
-        *v += 1;
-        *v
     }
 
     /// Reads a row directly (tests/diagnostics).

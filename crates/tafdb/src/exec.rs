@@ -202,7 +202,6 @@ impl TafDb {
                 Ok(sp) => prepared.push(sp),
                 Err(e) => {
                     self.release_prepared(&prepared, txn, stats);
-                    self.txns_aborted.fetch_add(1, Ordering::Relaxed);
                     self.metrics.txns_aborted.inc();
                     return Err(e);
                 }
@@ -473,14 +472,12 @@ impl TafDb {
                 }
             });
         }
-        self.txns_committed.fetch_add(1, Ordering::Relaxed);
         self.metrics.txns_committed.inc();
     }
 
     /// Aborts a prepared transaction, releasing every acquired lock.
     pub fn abort(&self, prepared: Prepared, stats: &mut RequestCtx) {
         self.release_prepared(&prepared.shards, prepared.txn, stats);
-        self.txns_aborted.fetch_add(1, Ordering::Relaxed);
         self.metrics.txns_aborted.inc();
     }
 
@@ -513,7 +510,6 @@ impl TafDb {
             let sp = match self.prepare_on_shard(*shard_idx, txn, epoch, ops) {
                 Ok(sp) => sp,
                 Err(e) => {
-                    self.txns_aborted.fetch_add(1, Ordering::Relaxed);
                     self.metrics.txns_aborted.inc();
                     return Err(e);
                 }
@@ -528,7 +524,6 @@ impl TafDb {
             for (s, k) in &sp.remote_locks {
                 self.shards[*s].locks.unlock(k, txn);
             }
-            self.txns_committed.fetch_add(1, Ordering::Relaxed);
             self.metrics.txns_committed.inc();
             Ok(txn)
         })?

@@ -1,10 +1,11 @@
-//! TafDB's obs-registry mirror of [`crate::DbCounters`].
+//! TafDB's counters: the handles behind [`crate::DbCounters`] and the
+//! `tafdb_*` registry series.
 
 use mantle_obs::{Counter, Gauge};
 
-/// Database-wide obs counters, mirroring [`crate::DbCounters`] into the
-/// global metrics registry plus the rates the internal counters lack
-/// (lock conflicts, checkpoints, engine range-scan volume).
+/// The database's only counts. [`crate::TafDb::counters`] reads the first
+/// eleven handles' own cells; the rest (lock conflicts, checkpoints, engine
+/// range-scan volume) are read through the registry only.
 pub(crate) struct DbMetrics {
     pub(crate) txns_committed: Counter,
     pub(crate) txns_aborted: Counter,

@@ -51,7 +51,6 @@ impl TafDb {
             }
         };
         if changed {
-            self.shard_splits.fetch_add(1, Ordering::Relaxed);
             self.metrics.shard_splits.inc();
         }
         changed
@@ -85,7 +84,6 @@ impl TafDb {
             }
         };
         if cut_count > 0 {
-            self.shard_splits.fetch_add(cut_count, Ordering::Relaxed);
             self.metrics.shard_splits.add(cut_count);
         }
         cut_count > 0
@@ -108,7 +106,6 @@ impl TafDb {
             }
         };
         if merged {
-            self.shard_merges.fetch_add(1, Ordering::Relaxed);
             self.metrics.shard_merges.inc();
         }
         merged
@@ -168,13 +165,9 @@ impl TafDb {
             )
         });
         // Raise the marker: new writes on the source bounce with StaleRoute.
-        *src.mig_range.lock() = Some((start, end));
         src.mig_active.store(true, Ordering::Release);
         src.wal.append(); // durable migration intent
-        let clear = || {
-            src.mig_active.store(false, Ordering::Release);
-            *src.mig_range.lock() = None;
-        };
+        let clear = || src.mig_active.store(false, Ordering::Release);
 
         let plan = self.faults.get();
         if plan
@@ -283,10 +276,7 @@ impl TafDb {
         src.engine.gc();
         clear();
 
-        self.range_migrations.fetch_add(1, Ordering::Relaxed);
         self.metrics.range_migrations.inc();
-        self.rows_migrated
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
         self.metrics.rows_migrated.add(keys.len() as u64);
         Ok(keys.len())
     }

@@ -81,8 +81,6 @@ impl TafDb {
     /// `on_retry` hook uses this because the engine books the per-op stat
     /// itself.
     pub(crate) fn note_stale_effects(&self) {
-        self.stale_routes
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.metrics.stale_routes.inc();
         mantle_obs::flight::annotate("tafdb:stale_route");
         std::thread::yield_now();

@@ -24,14 +24,6 @@ pub enum Row {
 }
 
 impl Row {
-    /// The directory id carried by a `DirAccess` row.
-    pub fn as_dir_access(&self) -> Option<(InodeId, Permission)> {
-        match self {
-            Row::DirAccess { id, permission } => Some((*id, *permission)),
-            _ => None,
-        }
-    }
-
     /// The attribute payload of a `DirAttr` row.
     pub fn as_dir_attr(&self) -> Option<&DirAttrMeta> {
         match self {
@@ -217,12 +209,10 @@ mod tests {
             id: InodeId(3),
             permission: Permission::ALL,
         };
-        assert_eq!(access.as_dir_access(), Some((InodeId(3), Permission::ALL)));
         assert!(access.as_dir_attr().is_none());
         assert!(access.as_object().is_none());
 
         let attr = Row::DirAttr(DirAttrMeta::new(1, 0));
         assert!(attr.as_dir_attr().is_some());
-        assert!(attr.as_dir_access().is_none());
     }
 }

@@ -59,8 +59,6 @@ pub(crate) struct Shard {
     /// Fast flag: a range migration off this shard is in progress; writes
     /// bounce with `StaleRoute` until it completes or aborts.
     pub(crate) mig_active: AtomicBool,
-    /// The inclusive placement range being migrated (diagnostics).
-    pub(crate) mig_range: Mutex<Option<(u64, u64)>>,
     /// Latest known-good checkpoint image (framed; DESIGN.md §4.11). Only
     /// replaced by a fully written, WAL-acknowledged successor.
     pub(crate) snap: Mutex<Option<Arc<Vec<u8>>>>,
@@ -138,9 +136,6 @@ impl TafDb {
                 if !shard.engine.put_if_absent(key.clone(), row.clone()) {
                     return Err(MetaError::AlreadyExists(key.name.to_string()));
                 }
-                if let Row::DirAccess { id, .. } = &row {
-                    self.bump_ns_version(*id);
-                }
                 shard.wal.append();
                 Ok(())
             })?;
@@ -165,13 +160,8 @@ impl TafDb {
             let out = shard.node.try_rpc_named(stats, "delete_row", || {
                 let _g = InFlight::enter(&shard.in_flight);
                 self.check_route(owner, place, epoch)?;
-                let removed_dir = shard.engine.get(&key).and_then(|r| r.as_dir_access());
-                let existed = Self::delete_with_deltas(shard, &key);
-                if !existed {
+                if !Self::delete_with_deltas(shard, &key) {
                     return Err(MetaError::NotFound(key.name.to_string()));
-                }
-                if let Some((id, _)) = removed_dir {
-                    self.bump_ns_version(id);
                 }
                 shard.wal.append();
                 Ok(())
@@ -215,7 +205,6 @@ impl TafDb {
                     return Err(MetaError::NotFound(format!("dir {dir}")));
                 }
                 shard.wal.append();
-                self.latched_updates.fetch_add(1, Ordering::Relaxed);
                 self.metrics.latched_updates.inc();
                 Ok(())
             })?;
@@ -232,21 +221,9 @@ impl TafDb {
         let shard = &self.shards[shard_idx];
         match w {
             WriteCmd::Put(key, row) => {
-                // Namespace-version bump (DESIGN.md §4.13): a committed
-                // write of a directory's access row — rename's dst insert,
-                // chmod's permission rewrite — advances that directory's
-                // monotonic version at exactly commit-apply time.
-                if let Row::DirAccess { id, .. } = row {
-                    self.bump_ns_version(*id);
-                }
                 shard.engine.put(key.clone(), row.clone());
             }
             WriteCmd::Delete(key) => {
-                // rename's src removal and rmdir both land here; read the
-                // dying access row first to learn which directory moves.
-                if let Some(Row::DirAccess { id, .. }) = shard.engine.get(key) {
-                    self.bump_ns_version(id);
-                }
                 Self::delete_with_deltas(shard, key);
             }
             WriteCmd::MergeAttr(key, delta) => {
@@ -258,13 +235,11 @@ impl TafDb {
                     }
                     other => (other.cloned(), true),
                 });
-                self.inplace_updates.fetch_add(1, Ordering::Relaxed);
                 self.metrics.inplace_updates.inc();
             }
             WriteCmd::AppendDelta(dir, ts, delta) => {
                 shard.engine.put(delta_key(*dir, *ts), Row::Delta(*delta));
                 shard.delta_dirs.lock().insert(*dir);
-                self.delta_appends.fetch_add(1, Ordering::Relaxed);
                 self.metrics.delta_appends.inc();
             }
             WriteCmd::PurgeDeltas(dir) => {
@@ -367,7 +342,6 @@ impl TafDb {
                     }
                 });
                 if folded > 0 {
-                    self.compactions.fetch_add(1, Ordering::Relaxed);
                     self.metrics.compactions.inc();
                 }
                 // Deregister only if no deltas snuck in after the fold.

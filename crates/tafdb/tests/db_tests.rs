@@ -661,3 +661,28 @@ fn restore_without_checkpoint_is_refused() {
     });
     assert!(!db.restore_shard(0));
 }
+
+#[test]
+fn two_databases_count_alone_and_the_registry_series_sums_them() {
+    let put = |db: &TafDb, name: &str| {
+        let ops = [TxnOp::Put {
+            key: entry_key(ROOT_ID, name),
+            row: Row::DirAttr(DirAttrMeta::new(1, 0)),
+        }];
+        db.execute(&ops, &mut RequestCtx::new()).unwrap();
+    };
+    let series = || mantle_obs::snapshot().counter_total("tafdb_txns_committed_total");
+    let before = series();
+    let (a, b) = (db(), db());
+    put(&a, "x");
+    put(&a, "y");
+    put(&b, "z");
+    assert_eq!(a.counters().txns_committed, 2);
+    assert_eq!(b.counters().txns_committed, 1);
+    // The series is process-wide (other tests' databases commit too) and
+    // keeps what a dropped database counted.
+    assert!(series() >= before + 3);
+    drop(a);
+    assert!(series() >= before + 3);
+    assert_eq!(b.counters().txns_committed, 1);
+}

@@ -25,6 +25,8 @@
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
+use serde::{Serialize, Value};
+
 /// What a span of simulated time was spent on. Used for the per-thread
 /// ledger that backs the Table-1 closed-form fidelity tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,7 +85,11 @@ impl TimeCategory {
     }
 }
 
-/// Per-thread `(count, nanos)` ledger, indexed by [`TimeCategory`].
+/// The `(count, nanos)` ledger of simulated time, indexed by
+/// [`TimeCategory`]: each thread keeps one that only grows, and the ledger
+/// of a region — an operation, a trace, one span — is the difference of two
+/// snapshots ([`TimeStats::saturating_sub`]), so a region's categories sum
+/// **exactly** to its end-to-end latency.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimeStats {
     entries: [(u64, u64); N_CATEGORIES],
@@ -105,17 +111,102 @@ impl TimeStats {
         self.entries.iter().map(|e| e.1).sum()
     }
 
-    /// Per-category `(count, nanos)` growth since `earlier` (saturating, so
-    /// a ledger reset between the two snapshots yields zeros rather than
-    /// wrapping). This is how per-operation attribution is extracted from
-    /// the monotonically growing thread ledger.
-    pub fn delta_since(&self, earlier: &TimeStats) -> TimeStats {
-        let mut out = TimeStats::default();
-        for (i, e) in out.entries.iter_mut().enumerate() {
-            e.0 = self.entries[i].0.saturating_sub(earlier.entries[i].0);
-            e.1 = self.entries[i].1.saturating_sub(earlier.entries[i].1);
+    /// True when nothing was charged.
+    pub fn is_empty(&self) -> bool {
+        self.entries.iter().all(|e| *e == (0, 0))
+    }
+
+    /// Folds another ledger in (aggregation across ops / windows / spans).
+    pub fn add(&mut self, other: &TimeStats) {
+        for (e, o) in self.entries.iter_mut().zip(&other.entries) {
+            e.0 += o.0;
+            e.1 += o.1;
+        }
+    }
+
+    /// `self - other` per category, clamped at zero: the growth of a thread
+    /// ledger since an `other` snapshot taken earlier (a ledger reset in
+    /// between yields zeros rather than wrapping), or a span's ledger less
+    /// its children's.
+    pub fn saturating_sub(&self, other: &TimeStats) -> TimeStats {
+        let mut out = *self;
+        for (e, o) in out.entries.iter_mut().zip(&other.entries) {
+            e.0 = e.0.saturating_sub(o.0);
+            e.1 = e.1.saturating_sub(o.1);
         }
         out
+    }
+
+    /// The categories something was charged under, in ledger order.
+    fn charged(&self) -> impl Iterator<Item = (TimeCategory, u64, u64)> + '_ {
+        TimeCategory::ALL
+            .iter()
+            .zip(&self.entries)
+            .filter(|(_, e)| **e != (0, 0))
+            .map(|(cat, e)| (*cat, e.0, e.1))
+    }
+
+    /// Categories sorted by time spent, descending, zero ones omitted.
+    pub fn ranked(&self) -> Vec<(TimeCategory, u64)> {
+        let mut v: Vec<(TimeCategory, u64)> = self
+            .charged()
+            .filter(|(_, _, nanos)| *nanos > 0)
+            .map(|(cat, _, nanos)| (cat, nanos))
+            .collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.label().cmp(b.0.label())));
+        v
+    }
+
+    /// Human summary: `"62% fsync, 21% queue, 17% rtt"` (categories under
+    /// 1% folded into a trailing `…`). An empty ledger renders as `"idle"`.
+    pub fn render(&self) -> String {
+        let total = self.total_nanos();
+        if total == 0 {
+            return "idle".to_string();
+        }
+        let mut parts = Vec::new();
+        let mut folded = false;
+        for (cat, nanos) in self.ranked() {
+            let pct = nanos as f64 * 100.0 / total as f64;
+            if pct >= 1.0 {
+                parts.push(format!("{:.0}% {}", pct, cat.label()));
+            } else {
+                folded = true;
+            }
+        }
+        if folded {
+            parts.push("…".to_string());
+        }
+        parts.join(", ")
+    }
+
+    /// Canonical machine form, `category=nanos/count` pairs in ledger order
+    /// with zero categories omitted — byte-stable across identical seeded
+    /// runs (the determinism tests compare these strings).
+    pub fn canonical(&self) -> String {
+        let parts: Vec<String> = self
+            .charged()
+            .map(|(cat, count, nanos)| format!("{}={nanos}/{count}", cat.label()))
+            .collect();
+        parts.join(" ")
+    }
+}
+
+impl Serialize for TimeStats {
+    /// Serializes as a map `label → {nanos, count}`, zero categories
+    /// omitted.
+    fn to_json(&self) -> Value {
+        Value::Object(
+            self.charged()
+                .map(|(cat, count, nanos)| {
+                    let entry = vec![
+                        ("nanos".to_string(), Value::U64(nanos)),
+                        ("count".to_string(), Value::U64(count)),
+                    ];
+                    (cat.label().to_string(), Value::Object(entry))
+                })
+                .collect(),
+        )
     }
 }
 
@@ -272,6 +363,50 @@ mod tests {
             thread_time_stats().nanos(TimeCategory::Queue),
             waited.as_nanos() as u64
         );
+    }
+
+    #[test]
+    fn region_ledger_sums_to_elapsed_virtual_time() {
+        let before = thread_time_stats();
+        let t0 = now();
+        sleep_as(TimeCategory::Rtt, Duration::from_micros(200));
+        sleep_as(TimeCategory::Fsync, Duration::from_micros(100));
+        sleep_as(TimeCategory::Rtt, Duration::from_micros(200));
+        let region = thread_time_stats().saturating_sub(&before);
+        assert_eq!(region.count(TimeCategory::Rtt), 2);
+        assert_eq!(region.nanos(TimeCategory::Rtt), 400_000);
+        assert_eq!(region.nanos(TimeCategory::Fsync), 100_000);
+        assert_eq!(region.total_nanos(), t0.elapsed().as_nanos() as u64);
+        assert!(region.render().contains("80% rtt"), "{}", region.render());
+        assert_eq!(region.canonical(), "rtt=400000/2 fsync=100000/1");
+    }
+
+    #[test]
+    fn add_sub_and_ranked() {
+        let mut a = TimeStats::default();
+        let mut b = TimeStats::default();
+        a.entries[0] = (1, 100);
+        b.entries[0] = (2, 50);
+        b.entries[1] = (1, 500);
+        a.add(&b);
+        assert_eq!(a.nanos(TimeCategory::Rtt), 150);
+        assert_eq!(a.ranked()[0].0, TimeCategory::Fsync);
+        let c = a.saturating_sub(&b);
+        assert_eq!(c.nanos(TimeCategory::Rtt), 100);
+        assert_eq!(c.nanos(TimeCategory::Fsync), 0);
+        assert!(TimeStats::default().is_empty());
+        assert_eq!(TimeStats::default().render(), "idle");
+    }
+
+    #[test]
+    fn serializes_as_labelled_map() {
+        let mut a = TimeStats::default();
+        a.entries[1] = (3, 900);
+        let v = a.to_json();
+        let fsync = v.get("fsync").expect("fsync present");
+        assert_eq!(fsync.get("nanos").and_then(Value::as_u64), Some(900));
+        assert_eq!(fsync.get("count").and_then(Value::as_u64), Some(3));
+        assert!(v.get("rtt").is_none(), "zero categories omitted");
     }
 
     #[test]

@@ -313,10 +313,6 @@ pub fn run<S: MetadataService + BulkLoad + ?Sized + Sync>(
                 };
                 let mut agg = OpStatsAgg::default();
                 let mut hist = Histogram::new();
-                let ops_counter = mantle_obs::counter(
-                    "service_ops_total",
-                    &[("system", svc.name()), ("op", config.op.label())],
-                );
                 barrier.wait();
                 let thread_start = clock::now();
                 let base_nanos = thread_start.as_nanos();
@@ -400,7 +396,6 @@ pub fn run<S: MetadataService + BulkLoad + ?Sized + Sync>(
                         Ok(()) => {
                             hist.record(begin.elapsed().as_nanos() as u64);
                             agg.add(&stats);
-                            ops_counter.inc();
                         }
                         Err(e) => {
                             match &e {

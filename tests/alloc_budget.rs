@@ -1,8 +1,9 @@
-//! Allocation budget of the read path.
+//! Allocation budget of the read path, and of one object create + delete.
 //!
 //! One normalized-path parse is one allocation, and resolution adds none:
 //! prefixes are views of the parsed buffer and `IndexTable` probes borrow
-//! their key. What remains per op is the TafDB read (row key, owned reply).
+//! their key. What remains per read is the TafDB read (row key, owned
+//! reply); a write adds its transaction (keys, rows, lock set, WAL).
 //! The counts are exact, so the budgets hold on any host; `benchmark/`
 //! reports the same numbers as `allocs_per_op` and `core.op.*_allocs`.
 
@@ -63,15 +64,18 @@ static ALLOCATOR: Counting = Counting;
 const DIR: &str = "/d0/d1/d2/d3/d4/d5/d6/d7/d8";
 const OBJECT: &str = "/d0/d1/d2/d3/d4/d5/d6/d7/d8/obj";
 
-/// A default cluster (follower reads on) holding one depth-9 directory
-/// with one object in it.
+/// A default cluster (follower reads on, btree engine whatever the
+/// environment says: the budgets are that engine's) holding one depth-9
+/// directory with one object in it.
 fn cluster(pcache: PathLeaseConfig) -> std::sync::Arc<MantleCluster> {
     // A sampled trace allocates its spans; the budget is the unsampled op.
     mantle::obs::set_sample_rate(0.0);
-    let cluster = MantleCluster::with_config(MantleConfig {
+    let mut config = MantleConfig {
         pcache,
         ..MantleConfig::default()
-    });
+    };
+    config.db.engine = mantle::tafdb::EngineKind::Btree;
+    let cluster = MantleCluster::with_config(config);
     cluster.bulk_object(&MetaPath::parse(OBJECT).unwrap(), 7);
     cluster
 }
@@ -87,7 +91,7 @@ fn worst_allocs<R>(text: &str, op: impl Fn(&MetaPath, &mut RequestCtx) -> Result
         let reply = op(&path, &mut ctx);
         ctx.end();
         let allocs = COUNT.with(Cell::get) - before;
-        reply.expect("read of a loaded path");
+        reply.expect("op on a loaded path");
         allocs
     };
     for _ in 0..64 {
@@ -123,4 +127,19 @@ fn path_lease_hit_budget() {
     let allocs = worst_allocs(DIR, |p, ctx| c.lookup(p, ctx));
     assert!(allocs <= 2, "parse + leased lookup: {allocs} allocations");
     assert!(c.path_cache_stats().hits >= 256, "the lookups were hits");
+}
+
+#[test]
+fn create_delete_pair_budget() {
+    let c = cluster(PathLeaseConfig::default());
+    let sibling = format!("{DIR}/tmp");
+    let allocs = worst_allocs(&sibling, |p, ctx| {
+        c.create(p, 7, ctx)?;
+        c.delete(p, ctx)
+    });
+    // A committed delete reads no row back to learn what it removed.
+    assert!(
+        allocs <= 22,
+        "parse + create + delete: {allocs} allocations"
+    );
 }

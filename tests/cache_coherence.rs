@@ -1,9 +1,8 @@
 //! Coherence contract of the client-side path-lease cache (DESIGN.md
 //! §4.13): deterministic hit/miss accounting under the virtual clock,
 //! linearizable rename-then-stat under partition storms, negative-entry
-//! expiry, namespace-version monotonicity in TafDB, and a model-checked
-//! guarantee that no interleaving of fills and invalidations ever serves
-//! a stale pid after its invalidation point.
+//! expiry, and a model-checked guarantee that no interleaving of fills and
+//! invalidations ever serves a stale pid after its invalidation point.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -218,34 +217,6 @@ fn negative_entries_expire_and_creation_scrubs() {
     assert!(svc.lookup(&p("/n/late"), &mut stats).is_err());
     svc.mkdir(&p("/n/late"), &mut stats).unwrap();
     assert!(svc.lookup(&p("/n/late"), &mut stats).is_ok());
-}
-
-/// TafDB's per-directory namespace version: monotonic, bumped by every
-/// committed mutation of the directory's access row, untouched by reads.
-#[test]
-fn tafdb_ns_version_is_monotonic() {
-    let cluster = cached_cluster(PathLeaseConfig::enabled());
-    let svc = cluster.service();
-    let mut stats = RequestCtx::new();
-    svc.mkdir(&p("/v"), &mut stats).unwrap();
-    let dir = svc.lookup(&p("/v"), &mut stats).unwrap().id;
-    let db = cluster.db();
-
-    let v0 = db.ns_version(dir);
-    assert!(v0 >= 1, "mkdir must stamp the directory's first version");
-
-    // Reads do not bump.
-    svc.dirstat(&p("/v"), &mut stats).unwrap();
-    svc.readdir(&p("/v"), &mut stats).unwrap();
-    assert_eq!(db.ns_version(dir), v0);
-
-    // A rename of the directory bumps its version on the commit path.
-    svc.rename_dir(&p("/v"), &p("/w"), &mut stats).unwrap();
-    let v1 = db.ns_version(dir);
-    assert!(v1 > v0, "rename commit must bump ns_version ({v0} -> {v1})");
-    svc.rename_dir(&p("/w"), &p("/v"), &mut stats).unwrap();
-    let v2 = db.ns_version(dir);
-    assert!(v2 > v1, "second rename must bump again ({v1} -> {v2})");
 }
 
 // --- model check: no stale pid after its invalidation point ----------------

@@ -90,6 +90,7 @@ pub struct InfiniFs {
     ids: IdAllocator,
     clock: std::sync::atomic::AtomicU64,
     ops: SvcMetrics,
+    list_ops: mantle_obs::Counter,
     /// `infinifs_mispredictions_total` — speculative levels that fell back
     /// to a sequential step (renamed ancestor).
     mispredictions: mantle_obs::Counter,
@@ -127,6 +128,7 @@ impl InfiniFs {
             ids: IdAllocator::new(),
             clock: std::sync::atomic::AtomicU64::new(1),
             ops: SvcMetrics::new("infinifs"),
+            list_ops: SvcMetrics::op("infinifs", "list"),
             mispredictions: mantle_obs::counter("infinifs_mispredictions_total", &[]),
         })
     }
@@ -428,7 +430,7 @@ impl MetadataService for InfiniFs {
         limit: usize,
         stats: &mut RequestCtx,
     ) -> Result<(Vec<DirEntry>, bool)> {
-        self.ops.list.inc();
+        self.list_ops.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
         self.relaxed().list(dir, start_after, limit, stats)
     }

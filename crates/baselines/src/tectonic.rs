@@ -50,6 +50,7 @@ pub struct Tectonic {
     ids: IdAllocator,
     clock: std::sync::atomic::AtomicU64,
     ops: SvcMetrics,
+    list_ops: mantle_obs::Counter,
 }
 
 impl Tectonic {
@@ -68,6 +69,7 @@ impl Tectonic {
             ids: IdAllocator::new(),
             clock: std::sync::atomic::AtomicU64::new(1),
             ops: SvcMetrics::new("tectonic"),
+            list_ops: SvcMetrics::op("tectonic", "list"),
         })
     }
 
@@ -261,7 +263,7 @@ impl MetadataService for Tectonic {
         limit: usize,
         stats: &mut RequestCtx,
     ) -> Result<(Vec<DirEntry>, bool)> {
-        self.ops.list.inc();
+        self.list_ops.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
         self.relaxed().list(dir, start_after, limit, stats)
     }

@@ -34,7 +34,10 @@ use crate::pathcache::{PathCacheStats, PathLeaseCache, PathLeaseConfig};
 /// Per-operation service counters (`service_ops_total{system,op}`): each
 /// system's front-end counts an op once, on entry, into the handle named
 /// after the [`MetadataService`] method. Created once per service so the
-/// per-op cost is a single atomic increment.
+/// per-op cost is a single atomic increment. These nine every system
+/// serves; `list` and Mantle's `setattr` are held, from [`SvcMetrics::op`],
+/// by the systems that serve them under that name, so no system registers
+/// a series it never counts.
 pub struct SvcMetrics {
     pub lookup: mantle_obs::Counter,
     pub mkdir: mantle_obs::Counter,
@@ -44,16 +47,13 @@ pub struct SvcMetrics {
     pub objstat: mantle_obs::Counter,
     pub dirstat: mantle_obs::Counter,
     pub readdir: mantle_obs::Counter,
-    pub list: mantle_obs::Counter,
     pub rename_dir: mantle_obs::Counter,
-    pub setattr: mantle_obs::Counter,
 }
 
 impl SvcMetrics {
     /// Creates the counter set for `system` (the service's `name()`).
     pub fn new(system: &str) -> Self {
-        let op =
-            |o: &str| mantle_obs::counter("service_ops_total", &[("system", system), ("op", o)]);
+        let op = |o| Self::op(system, o);
         SvcMetrics {
             lookup: op("lookup"),
             mkdir: op("mkdir"),
@@ -63,10 +63,13 @@ impl SvcMetrics {
             objstat: op("objstat"),
             dirstat: op("dirstat"),
             readdir: op("readdir"),
-            list: op("list"),
             rename_dir: op("rename_dir"),
-            setattr: op("setattr"),
         }
+    }
+
+    /// The handle of `service_ops_total{system,op}`.
+    pub fn op(system: &str, op: &str) -> mantle_obs::Counter {
+        mantle_obs::counter("service_ops_total", &[("system", system), ("op", op)])
     }
 }
 
@@ -136,6 +139,8 @@ pub struct MantleCluster {
     /// Client-side path-lease cache (DESIGN.md §4.13).
     pcache: PathLeaseCache,
     ops: SvcMetrics,
+    list_ops: mantle_obs::Counter,
+    setattr_ops: mantle_obs::Counter,
 }
 
 impl MantleCluster {
@@ -175,6 +180,8 @@ impl MantleCluster {
             root,
             pcache: PathLeaseCache::new(config.pcache, "mantle"),
             ops: SvcMetrics::new("mantle"),
+            list_ops: SvcMetrics::op("mantle", "list"),
+            setattr_ops: SvcMetrics::op("mantle", "setattr"),
         })
     }
 
@@ -223,7 +230,7 @@ impl MantleCluster {
         permission: Permission,
         stats: &mut RequestCtx,
     ) -> Result<()> {
-        self.ops.setattr.inc();
+        self.setattr_ops.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
             // Persist in TafDB first (source of truth), then refresh the
@@ -545,7 +552,7 @@ impl MetadataService for MantleCluster {
         limit: usize,
         stats: &mut RequestCtx,
     ) -> Result<(Vec<DirEntry>, bool)> {
-        self.ops.list.inc();
+        self.list_ops.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.cached_lookup(path, stats))?;
         stats.time(Phase::Execute, |stats| {
             if !dir.permission.allows(Permission::READ) {

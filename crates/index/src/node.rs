@@ -132,11 +132,6 @@ impl IndexNode {
         }
     }
 
-    /// The configured options.
-    pub fn options(&self) -> &IndexOptions {
-        &self.opts
-    }
-
     /// The underlying Raft group (failure injection, inspection).
     pub fn group(&self) -> &RaftGroup<IndexSm> {
         &self.group
@@ -235,11 +230,11 @@ impl IndexNode {
         stats: &mut RequestCtx,
     ) -> Result<(ResolvedPath, u64)> {
         let replica = self.pick_read_replica()?;
-        // On every replica, the leader included: a leader that has not yet
-        // applied its term-start barrier refuses, and `with_failover`
-        // retries. A serving leader answers from one lock, no RPC.
-        replica.read_index(stats).map_err(Self::map_raft)?;
+        // A serving leader answers from one lock, no RPC. A follower waits
+        // for the leader's commit index; a leader that has not yet applied
+        // its term-start barrier refuses, which `with_failover` retries.
         if !replica.is_leader() {
+            replica.read_index(stats).map_err(Self::map_raft)?;
             self.metrics.follower_reads.inc();
         }
         let outcome: ResolveOutcome = replica

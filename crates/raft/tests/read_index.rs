@@ -16,23 +16,48 @@ use mantle_types::{RequestCtx, SimConfig};
 
 const BARRIER: u64 = u64::MAX;
 const NODES: [&str; 3] = ["ri0", "ri1", "ri2"];
+/// Entries the old leader acknowledges before it crashes.
+const ACKED: u64 = 8;
 
 /// When armed, the next leader to take office is cut off from every peer
 /// at the instant it builds its barrier entry — after it won the vote,
 /// before its replicators exist — so that barrier cannot commit.
 static ISOLATE_NEXT_LEADER: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
 static ISOLATED: AtomicBool = AtomicBool::new(false);
+/// Opens the gate of [`CountSm::gated`]; set when the test body ends,
+/// however it ends, so a failed assertion does not leave an apply thread
+/// waiting.
+static RELEASE: AtomicBool = AtomicBool::new(false);
+
+struct ReleaseOnDrop;
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        RELEASE.store(true, Ordering::SeqCst);
+    }
+}
 
 /// Counts applied commands.
-struct CountSm(AtomicU64);
+struct CountSm {
+    applied: AtomicU64,
+    /// Holds the last acknowledged entry back until [`RELEASE`]: the
+    /// replica that will lead next must not have applied it when it takes
+    /// office, whether or not one of the old leader's heartbeats told it
+    /// the entry is committed.
+    gated: bool,
+}
 
 impl StateMachine for CountSm {
     type Command = u64;
 
     fn apply(&self, _index: u64, cmd: &u64) {
-        if *cmd != BARRIER {
-            self.0.fetch_add(1, Ordering::SeqCst);
+        if *cmd == BARRIER {
+            return;
         }
+        while self.gated && *cmd == ACKED - 1 && !RELEASE.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.applied.fetch_add(1, Ordering::SeqCst);
     }
 
     fn barrier() -> u64 {
@@ -49,33 +74,38 @@ impl StateMachine for CountSm {
 
     fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        w.u64(self.0.load(Ordering::SeqCst));
+        w.u64(self.applied.load(Ordering::SeqCst));
         w.finish()
     }
 
     fn restore(&self, image: &[u8]) {
-        self.0
+        self.applied
             .store(SnapshotReader::new(image).u64(), Ordering::SeqCst);
     }
 }
 
 #[test]
 fn fresh_leader_refuses_reads_until_its_barrier_is_applied() {
-    const ACKED: u64 = 8;
     let config = SimConfig::instant();
     let nodes = NODES
         .iter()
         .map(|name| Arc::new(SimNode::new(*name, usize::MAX, config)))
         .collect();
-    // A heartbeat far longer than the test's own steps: no follower learns
-    // the commit of the last acknowledged entry before the crash.
+    // A heartbeat far longer than the test's own steps: as a rule no
+    // follower learns the commit of the last acknowledged entry before the
+    // crash. (The gate on replica 1 covers the heartbeat that does fire
+    // between that entry's acknowledgement and the cut.)
     let opts = RaftOptions {
         heartbeat_interval: Duration::from_millis(300),
         election_timeout_min: Duration::from_millis(600),
         election_timeout_max: Duration::from_millis(900),
         ..RaftOptions::default()
     };
-    let group = RaftGroup::new(config, opts, nodes, 3, |_| CountSm(AtomicU64::new(0)));
+    let group = RaftGroup::new(config, opts, nodes, 3, |id| CountSm {
+        applied: AtomicU64::new(0),
+        gated: id == 1,
+    });
+    let release = ReleaseOnDrop;
     let plan = FaultPlan::new(0, FaultProfile::zeroed());
     group.install_faults(Some(plan.clone()));
 
@@ -102,7 +132,7 @@ fn fresh_leader_refuses_reads_until_its_barrier_is_applied() {
     let fresh = group.replica(1);
     assert_eq!(fresh.role(), Role::Leader);
     assert!(
-        fresh.state_machine().0.load(Ordering::SeqCst) < ACKED,
+        fresh.state_machine().applied.load(Ordering::SeqCst) < ACKED,
         "staging: the new leader has not applied every acknowledged entry"
     );
     let mut ctx = RequestCtx::new();
@@ -113,10 +143,11 @@ fn fresh_leader_refuses_reads_until_its_barrier_is_applied() {
 
     // Healed, some leader's barrier commits; whoever then answers as
     // leader serves every acknowledged entry.
+    drop(release);
     plan.heal_all();
     let leader = group
         .await_leader(Duration::from_secs(20))
         .expect("a leader after the heal");
     leader.read_index(&mut ctx).expect("a serving leader reads");
-    assert_eq!(leader.state_machine().0.load(Ordering::SeqCst), ACKED);
+    assert_eq!(leader.state_machine().applied.load(Ordering::SeqCst), ACKED);
 }

@@ -235,11 +235,6 @@ impl TafDb {
         &self.config
     }
 
-    /// The database's options.
-    pub fn options(&self) -> &TafDbOptions {
-        &self.opts
-    }
-
     /// Name of the storage engine backing the shards ("btree", "mvcc").
     pub fn engine_name(&self) -> &'static str {
         self.opts.engine.name()

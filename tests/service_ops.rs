@@ -61,4 +61,8 @@ fn one_op_moves_its_series_by_exactly_one_on_every_system() {
         one_op_counts_once(&*InfiniFs::new(sim, InfiniFsOptions::default()), op, label);
         one_op_counts_once(&*LocoFs::new(sim, LocoFsOptions::default()), op, label);
     }
+    // A system registers only the ops it serves under their own name.
+    let has = |system, op| service_ops(system).iter().any(|(o, _)| o == op);
+    assert!(has("mantle", "setattr") && !has("tectonic", "setattr"));
+    assert!(has("tectonic", "list") && !has("locofs", "list"));
 }

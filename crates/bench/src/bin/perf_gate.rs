@@ -269,7 +269,7 @@ fn run_mixed(engine: EngineKind) -> MixedOutcome {
 
     let scan_pid = InodeId(1);
     let (rs, re) = dir_region(scan_pid);
-    let owners = map.owners_of(rs, re);
+    let owners: Vec<usize> = map.owners_of(rs, re).collect();
     assert_eq!(owners.len(), 1, "scan dir region must be unsplit");
     let target = owners[0];
     // Private creator directories routed to the scan directory's shard.
@@ -277,7 +277,7 @@ fn run_mixed(engine: EngineKind) -> MixedOutcome {
     let mut pid = scan_pid.0 + 1;
     while creator_pids.len() < MIX_THREADS {
         let (s, e) = dir_region(InodeId(pid));
-        if map.owners_of(s, e) == [target] {
+        if map.owners_of(s, e).eq([target]) {
             creator_pids.push(InodeId(pid));
         }
         pid += 1;

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mantle_index::{IndexNode, IndexOptions};
 use mantle_rpc::{classify_failover, classify_rename, RetryPolicy};
-use mantle_tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions, TxnOp};
+use mantle_tafdb::{attr_key, attr_view, entry_key, entry_view, Row, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
     id::IdAllocator,
     AttrDelta,
@@ -235,10 +235,12 @@ impl MantleCluster {
         stats.time(Phase::Execute, |stats| {
             // Persist in TafDB first (source of truth), then refresh the
             // IndexNode's access metadata.
-            let key = entry_key(parent.id, name);
             let updated = match self.db.get_entry(parent.id, name, stats)? {
                 Some(Row::DirAccess { id, .. }) => {
-                    self.db.raw_put(key, Row::DirAccess { id, permission });
+                    self.db.raw_put(
+                        entry_key(parent.id, name),
+                        Row::DirAccess { id, permission },
+                    );
                     true
                 }
                 _ => false,
@@ -590,7 +592,7 @@ impl mantle_types::BulkLoad for MantleCluster {
     fn bulk_dir(&self, path: &MetaPath) -> InodeId {
         let mut pid = self.root;
         for (depth, comp) in path.components().enumerate() {
-            match self.db.raw_get(&entry_key(pid, comp)) {
+            match self.db.raw_get(&entry_view(pid, comp)) {
                 Some(Row::DirAccess { id, .. }) => pid = id,
                 Some(_) => panic!("bulk_dir crosses an object at {}", path.prefix(depth + 1)),
                 None => {
@@ -605,7 +607,7 @@ impl mantle_types::BulkLoad for MantleCluster {
                     );
                     self.db
                         .raw_put(attr_key(id), Row::DirAttr(DirAttrMeta::new(now, 0)));
-                    if let Some(Row::DirAttr(mut attrs)) = self.db.raw_get(&attr_key(pid)) {
+                    if let Some(Row::DirAttr(mut attrs)) = self.db.raw_get(&attr_view(pid)) {
                         attrs.apply_delta(&AttrDelta {
                             nlink: 1,
                             entries: 1,
@@ -640,7 +642,7 @@ impl mantle_types::BulkLoad for MantleCluster {
                 permission: Permission::ALL,
             }),
         );
-        if let Some(Row::DirAttr(mut attrs)) = self.db.raw_get(&attr_key(pid)) {
+        if let Some(Row::DirAttr(mut attrs)) = self.db.raw_get(&attr_view(pid)) {
             attrs.apply_delta(&AttrDelta {
                 nlink: 0,
                 entries: 1,

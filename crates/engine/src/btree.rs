@@ -7,14 +7,13 @@
 //! removes). The only addition is lock-wait accounting on the slow path.
 
 use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::time::Instant;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use mantle_store::RowKey;
+use mantle_store::{KeyParts, RowKey};
 
-use crate::{EngineValue, RangeFn, StorageEngine, UpdateFn, WaitCounters, WriteOp};
+use crate::{EngineValue, KeyBound, RangeFn, StorageEngine, UpdateFn, WaitCounters, WriteOp};
 
 /// Reader-writer-locked B-tree engine (the `MANTLE_ENGINE=btree` default).
 pub struct BTreeEngine<V> {
@@ -63,11 +62,11 @@ impl<V: EngineValue> StorageEngine<V> for BTreeEngine<V> {
         "btree"
     }
 
-    fn get(&self, key: &RowKey) -> Option<V> {
+    fn get(&self, key: &dyn KeyParts) -> Option<V> {
         self.read().get(key).cloned()
     }
 
-    fn contains(&self, key: &RowKey) -> bool {
+    fn contains(&self, key: &dyn KeyParts) -> bool {
         self.read().contains_key(key)
     }
 
@@ -84,22 +83,31 @@ impl<V: EngineValue> StorageEngine<V> for BTreeEngine<V> {
         true
     }
 
-    fn delete(&self, key: &RowKey) -> bool {
+    fn delete(&self, key: &dyn KeyParts) -> bool {
         self.write().remove(key).is_some()
     }
 
-    fn update(&self, key: &RowKey, f: &mut UpdateFn<'_, V>) -> bool {
+    fn update(&self, key: &dyn KeyParts, f: &mut UpdateFn<'_, V>) -> bool {
         let mut map = self.write();
-        let (next, out) = f(map.get(key));
-        match next {
-            Some(v) => {
-                map.insert(key.clone(), v);
+        match map.get_mut(key) {
+            Some(slot) => {
+                let (next, out) = f(Some(slot));
+                match next {
+                    Some(v) => *slot = v,
+                    None => {
+                        map.remove(key);
+                    }
+                }
+                out
             }
             None => {
-                map.remove(key);
+                let (next, out) = f(None);
+                if let Some(v) = next {
+                    map.insert(key.to_key(), v);
+                }
+                out
             }
         }
-        out
     }
 
     fn apply(&self, batch: Vec<WriteOp<V>>) {
@@ -116,18 +124,18 @@ impl<V: EngineValue> StorageEngine<V> for BTreeEngine<V> {
         }
     }
 
-    fn scan_range(&self, lo: Bound<RowKey>, hi: Bound<RowKey>, limit: usize) -> Vec<(RowKey, V)> {
+    fn scan_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, limit: usize) -> Vec<(RowKey, V)> {
         self.read()
-            .range((lo, hi))
+            .range::<dyn KeyParts, _>((lo, hi))
             .take(limit)
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
     }
 
-    fn update_range(&self, lo: Bound<RowKey>, hi: Bound<RowKey>, f: &mut RangeFn<'_, V>) {
+    fn update_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut RangeFn<'_, V>) {
         let mut map = self.write();
         let rows: Vec<(RowKey, V)> = map
-            .range((lo, hi))
+            .range::<dyn KeyParts, _>((lo, hi))
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         for op in f(&rows) {

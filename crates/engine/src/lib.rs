@@ -27,7 +27,7 @@
 
 use std::ops::Bound;
 
-use mantle_store::RowKey;
+use mantle_store::{KeyParts, RowKey, RowKeyView};
 use mantle_types::snapshot::{frame, unframe, SnapshotReader, SnapshotWriter};
 use mantle_types::{EngineName, InodeId, TxnId};
 
@@ -63,8 +63,16 @@ pub type UpdateFn<'a, V> = dyn FnMut(Option<&V>) -> (Option<V>, bool) + 'a;
 /// live row in the bounds, returns the mutations to apply atomically.
 pub type RangeFn<'a, V> = dyn FnMut(&[(RowKey, V)]) -> Vec<WriteOp<V>> + 'a;
 
+/// A scan bound: a borrowed key, so bounding a scan builds none.
+pub type KeyBound<'a> = Bound<&'a dyn KeyParts>;
+
 /// An ordered key-value storage engine: point reads and writes, atomic
 /// batches, bounded range scans, and checkpoint/restore byte images.
+///
+/// Probes and scan bounds take the key as [`KeyParts`] — `&RowKey` and
+/// `&RowKeyView` both coerce — and the engines search their trees through
+/// `RowKey: Borrow<dyn KeyParts>`; only what is *stored* is an owned
+/// [`RowKey`] (DESIGN.md §4.12).
 ///
 /// Thread safety: every method is `&self`; implementations synchronise
 /// internally. Transaction-level isolation (row locks, 2PC) lives above
@@ -75,10 +83,10 @@ pub trait StorageEngine<V: EngineValue>: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Reads the row at `key`.
-    fn get(&self, key: &RowKey) -> Option<V>;
+    fn get(&self, key: &dyn KeyParts) -> Option<V>;
 
     /// Whether a row exists at `key`.
-    fn contains(&self, key: &RowKey) -> bool {
+    fn contains(&self, key: &dyn KeyParts) -> bool {
         self.get(key).is_some()
     }
 
@@ -90,12 +98,13 @@ pub trait StorageEngine<V: EngineValue>: Send + Sync {
     fn put_if_absent(&self, key: RowKey, value: V) -> bool;
 
     /// Removes a row; returns whether it existed.
-    fn delete(&self, key: &RowKey) -> bool;
+    fn delete(&self, key: &dyn KeyParts) -> bool;
 
     /// Atomic read-modify-write of one row. `f` sees the current value and
     /// returns `(next value — None deletes, caller result)`; the caller
-    /// result is returned.
-    fn update(&self, key: &RowKey, f: &mut UpdateFn<'_, V>) -> bool;
+    /// result is returned. An owned key is made only when `f` creates the
+    /// row.
+    fn update(&self, key: &dyn KeyParts, f: &mut UpdateFn<'_, V>) -> bool;
 
     /// Applies puts and deletes as one atomic batch: a concurrent scan
     /// sees all of the batch or none of it.
@@ -103,13 +112,13 @@ pub trait StorageEngine<V: EngineValue>: Send + Sync {
 
     /// Up to `limit` live rows with keys in the given bounds, in key
     /// order, from one consistent point-in-time view.
-    fn scan_range(&self, lo: Bound<RowKey>, hi: Bound<RowKey>, limit: usize) -> Vec<(RowKey, V)>;
+    fn scan_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, limit: usize) -> Vec<(RowKey, V)>;
 
     /// Atomic range transform: `f` sees every live row in the bounds (key
     /// order) and returns mutations applied atomically with the read —
     /// the engine-neutral form of "fold these delta records into the base
     /// row invisibly to concurrent scans".
-    fn update_range(&self, lo: Bound<RowKey>, hi: Bound<RowKey>, f: &mut RangeFn<'_, V>);
+    fn update_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut RangeFn<'_, V>);
 
     /// Every live row in key order — one consistent snapshot.
     fn export_rows(&self) -> Vec<(RowKey, V)> {
@@ -223,9 +232,15 @@ pub fn read_key(r: &mut SnapshotReader<'_>) -> RowKey {
     RowKey::delta(pid, &name, ts)
 }
 
-/// Exclusive upper bound covering every key of directory `pid`.
-pub fn dir_upper_bound(pid: InodeId) -> Bound<RowKey> {
-    Bound::Excluded(RowKey::base(InodeId(pid.0 + 1), ""))
+/// The first key of directory `pid`'s successor: the exclusive upper bound
+/// of every key of `pid`.
+pub fn dir_end(pid: InodeId) -> RowKeyView<'static> {
+    RowKeyView::base(InodeId(pid.0 + 1), "")
+}
+
+/// The last key of the `(pid, name, *)` version range.
+pub fn versions_end(pid: InodeId, name: &str) -> RowKeyView<'_> {
+    RowKeyView::delta(pid, name, TxnId(u64::MAX))
 }
 
 /// All rows of directory `pid` with names in `[name_from, ..)`, capped at
@@ -237,8 +252,8 @@ pub fn scan_dir<V: EngineValue>(
     limit: usize,
 ) -> Vec<(RowKey, V)> {
     engine.scan_range(
-        Bound::Included(RowKey::base(pid, name_from)),
-        dir_upper_bound(pid),
+        Bound::Included(&RowKeyView::base(pid, name_from)),
+        Bound::Excluded(&dir_end(pid)),
         limit,
     )
 }
@@ -251,8 +266,8 @@ pub fn scan_versions<V: EngineValue>(
     name: &str,
 ) -> Vec<(RowKey, V)> {
     engine.scan_range(
-        Bound::Included(RowKey::base(pid, name)),
-        Bound::Included(RowKey::delta(pid, name, TxnId(u64::MAX))),
+        Bound::Included(&RowKeyView::base(pid, name)),
+        Bound::Included(&versions_end(pid, name)),
         usize::MAX,
     )
 }
@@ -265,8 +280,8 @@ pub fn update_versions<V: EngineValue>(
     f: &mut RangeFn<'_, V>,
 ) {
     engine.update_range(
-        Bound::Included(RowKey::base(pid, name)),
-        Bound::Included(RowKey::delta(pid, name, TxnId(u64::MAX))),
+        Bound::Included(&RowKeyView::base(pid, name)),
+        Bound::Included(&versions_end(pid, name)),
         f,
     );
 }

@@ -35,9 +35,9 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use mantle_store::RowKey;
+use mantle_store::{KeyParts, RowKey};
 
-use crate::{EngineValue, RangeFn, StorageEngine, UpdateFn, WaitCounters, WriteOp};
+use crate::{EngineValue, KeyBound, RangeFn, StorageEngine, UpdateFn, WaitCounters, WriteOp};
 
 /// Keys visited per latch hold during a snapshot scan. Large enough to
 /// keep reacquisition overhead negligible on big directories, small
@@ -176,13 +176,17 @@ impl<V> MvccEngine<V> {
         pins.keys().next().copied().unwrap_or(u64::MAX).min(seq)
     }
 
-    /// Appends one version, maintaining the live/version counters.
-    fn append(inner: &mut Inner<V>, key: &RowKey, value: Option<V>) {
+    /// Appends one version, maintaining the live/version counters. An
+    /// owned key is made only for a key without a chain.
+    fn append(inner: &mut Inner<V>, key: &dyn KeyParts, value: Option<V>) {
         let seq = inner.seq;
-        let chain = inner
-            .map
-            .entry(key.clone())
-            .or_insert(Chain { vs: Vec::new() });
+        let chain = match inner.map.get_mut(key) {
+            Some(chain) => chain,
+            None => inner
+                .map
+                .entry(key.to_key())
+                .or_insert(Chain { vs: Vec::new() }),
+        };
         let was_live = chain.head().is_some();
         let is_live = value.is_some();
         chain.vs.push((seq, value));
@@ -195,7 +199,11 @@ impl<V> MvccEngine<V> {
     }
 
     /// Prunes the chains of `touched` with the current floor.
-    fn prune_touched(&self, inner: &mut Inner<V>, touched: &[RowKey]) {
+    fn prune_touched<'k>(
+        &self,
+        inner: &mut Inner<V>,
+        touched: impl IntoIterator<Item = &'k dyn KeyParts>,
+    ) {
         let floor = self.publish_floor(inner.seq);
         for key in touched {
             if let Some(chain) = inner.map.get_mut(key) {
@@ -206,6 +214,33 @@ impl<V> MvccEngine<V> {
             }
         }
     }
+
+    /// Whether `key`'s chain head is a live value.
+    fn is_live(inner: &Inner<V>, key: &dyn KeyParts) -> bool {
+        inner.map.get(key).is_some_and(|c| c.head().is_some())
+    }
+
+    /// Applies `ops` in order as one write, then prunes what they touched
+    /// (the shared tail of `apply` and `update_range`).
+    fn apply_ops(&self, inner: &mut Inner<V>, ops: Vec<WriteOp<V>>) {
+        let mut touched = Vec::with_capacity(ops.len());
+        for op in ops {
+            inner.seq += 1;
+            match op {
+                WriteOp::Put(k, v) => {
+                    Self::append(inner, &k, Some(v));
+                    touched.push(k);
+                }
+                WriteOp::Delete(k) => {
+                    if Self::is_live(inner, &k) {
+                        Self::append(inner, &k, None);
+                    }
+                    touched.push(k);
+                }
+            }
+        }
+        self.prune_touched(inner, touched.iter().map(|k| k as &dyn KeyParts));
+    }
 }
 
 impl<V: EngineValue> StorageEngine<V> for MvccEngine<V> {
@@ -213,90 +248,80 @@ impl<V: EngineValue> StorageEngine<V> for MvccEngine<V> {
         "mvcc"
     }
 
-    fn get(&self, key: &RowKey) -> Option<V> {
+    fn get(&self, key: &dyn KeyParts) -> Option<V> {
         self.read().map.get(key).and_then(|c| c.head().cloned())
     }
 
-    fn contains(&self, key: &RowKey) -> bool {
-        self.read().map.get(key).is_some_and(|c| c.head().is_some())
+    fn contains(&self, key: &dyn KeyParts) -> bool {
+        Self::is_live(&self.read(), key)
     }
 
     fn put(&self, key: RowKey, value: V) -> Option<V> {
         let mut inner = self.write();
-        let prev = inner.map.get(&key).and_then(|c| c.head().cloned());
+        let prev = inner
+            .map
+            .get(&key as &dyn KeyParts)
+            .and_then(|c| c.head().cloned());
         inner.seq += 1;
         Self::append(&mut inner, &key, Some(value));
-        self.prune_touched(&mut inner, std::slice::from_ref(&key));
+        self.prune_touched(&mut inner, [&key as &dyn KeyParts]);
         prev
     }
 
     fn put_if_absent(&self, key: RowKey, value: V) -> bool {
         let mut inner = self.write();
-        if inner.map.get(&key).is_some_and(|c| c.head().is_some()) {
+        if Self::is_live(&inner, &key) {
             return false;
         }
         inner.seq += 1;
         Self::append(&mut inner, &key, Some(value));
-        self.prune_touched(&mut inner, std::slice::from_ref(&key));
+        self.prune_touched(&mut inner, [&key as &dyn KeyParts]);
         true
     }
 
-    fn delete(&self, key: &RowKey) -> bool {
+    fn delete(&self, key: &dyn KeyParts) -> bool {
         let mut inner = self.write();
-        if inner.map.get(key).is_none_or(|c| c.head().is_none()) {
+        if !Self::is_live(&inner, key) {
             return false;
         }
         inner.seq += 1;
         Self::append(&mut inner, key, None);
-        self.prune_touched(&mut inner, std::slice::from_ref(key));
+        self.prune_touched(&mut inner, [key]);
         true
     }
 
-    fn update(&self, key: &RowKey, f: &mut UpdateFn<'_, V>) -> bool {
+    fn update(&self, key: &dyn KeyParts, f: &mut UpdateFn<'_, V>) -> bool {
         let mut inner = self.write();
         let (next, out) = f(inner.map.get(key).and_then(|c| c.head()));
-        let was_live = inner.map.get(key).is_some_and(|c| c.head().is_some());
-        if next.is_some() || was_live {
+        if next.is_some() || Self::is_live(&inner, key) {
             inner.seq += 1;
             Self::append(&mut inner, key, next);
-            self.prune_touched(&mut inner, std::slice::from_ref(key));
+            self.prune_touched(&mut inner, [key]);
         }
         out
     }
 
     fn apply(&self, batch: Vec<WriteOp<V>>) {
-        let mut inner = self.write();
-        let mut touched = Vec::with_capacity(batch.len());
-        for op in batch {
-            inner.seq += 1;
-            match op {
-                WriteOp::Put(k, v) => {
-                    Self::append(&mut inner, &k, Some(v));
-                    touched.push(k);
-                }
-                WriteOp::Delete(k) => {
-                    if inner.map.get(&k).is_some_and(|c| c.head().is_some()) {
-                        Self::append(&mut inner, &k, None);
-                    }
-                    touched.push(k);
-                }
-            }
-        }
-        self.prune_touched(&mut inner, &touched);
+        self.apply_ops(&mut self.write(), batch);
     }
 
-    fn scan_range(&self, lo: Bound<RowKey>, hi: Bound<RowKey>, limit: usize) -> Vec<(RowKey, V)> {
+    fn scan_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, limit: usize) -> Vec<(RowKey, V)> {
         if limit == 0 {
             return Vec::new();
         }
         let snap = self.pin();
         let mut out = Vec::new();
-        let mut cursor = lo;
+        // The last key of the previous chunk; the next resumes after it.
+        let mut resume: Option<RowKey> = None;
         'chunks: loop {
             let g = self.read();
+            let cursor = match &resume {
+                Some(k) => Bound::Excluded(k as &dyn KeyParts),
+                None => lo,
+            };
             let mut walked = 0usize;
-            let mut resume: Option<RowKey> = None;
-            for (k, chain) in g.map.range((cursor.clone(), hi.clone())) {
+            let mut last = None;
+            for (k, chain) in g.map.range::<dyn KeyParts, _>((cursor, hi)) {
                 if let Some(v) = chain.read_at(snap) {
                     out.push((k.clone(), v.clone()));
                     if out.len() >= limit {
@@ -305,13 +330,13 @@ impl<V: EngineValue> StorageEngine<V> for MvccEngine<V> {
                 }
                 walked += 1;
                 if walked == CHUNK {
-                    resume = Some(k.clone());
+                    last = Some(k.clone());
                     break;
                 }
             }
             drop(g);
-            match resume {
-                Some(k) => cursor = Bound::Excluded(k),
+            match last {
+                Some(k) => resume = Some(k),
                 None => break,
             }
         }
@@ -319,31 +344,14 @@ impl<V: EngineValue> StorageEngine<V> for MvccEngine<V> {
         out
     }
 
-    fn update_range(&self, lo: Bound<RowKey>, hi: Bound<RowKey>, f: &mut RangeFn<'_, V>) {
+    fn update_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut RangeFn<'_, V>) {
         let mut inner = self.write();
         let rows: Vec<(RowKey, V)> = inner
             .map
-            .range((lo, hi))
+            .range::<dyn KeyParts, _>((lo, hi))
             .filter_map(|(k, c)| c.head().map(|v| (k.clone(), v.clone())))
             .collect();
-        let ops = f(&rows);
-        let mut touched = Vec::with_capacity(ops.len());
-        for op in ops {
-            inner.seq += 1;
-            match op {
-                WriteOp::Put(k, v) => {
-                    Self::append(&mut inner, &k, Some(v));
-                    touched.push(k);
-                }
-                WriteOp::Delete(k) => {
-                    if inner.map.get(&k).is_some_and(|c| c.head().is_some()) {
-                        Self::append(&mut inner, &k, None);
-                    }
-                    touched.push(k);
-                }
-            }
-        }
-        self.prune_touched(&mut inner, &touched);
+        self.apply_ops(&mut inner, f(&rows));
     }
 
     fn replace_all(&self, rows: Vec<(RowKey, V)>) {

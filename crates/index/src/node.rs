@@ -76,8 +76,9 @@ pub struct IndexNode {
     /// renames cannot validate against each other's pre-lock state), while
     /// the Raft propose itself proceeds concurrently — without this split,
     /// every rename in the namespace would serialize behind one
-    /// replication round trip.
-    pending_renames: Mutex<std::collections::HashMap<(InodeId, Arc<str>), ClientUuid>>,
+    /// replication round trip. A list, probed by `&str`: it holds only the
+    /// renames in flight at this instant.
+    pending_renames: Mutex<Vec<(InodeId, Arc<str>, ClientUuid)>>,
     /// Round-robin cursor for follower reads.
     rr: AtomicUsize,
     metrics: IndexMetrics,
@@ -126,7 +127,7 @@ impl IndexNode {
         IndexNode {
             group,
             opts,
-            pending_renames: Mutex::new(std::collections::HashMap::new()),
+            pending_renames: Mutex::new(Vec::new()),
             rr: AtomicUsize::new(0),
             metrics: IndexMetrics::new(),
         }
@@ -349,7 +350,8 @@ impl IndexNode {
             return Err(MetaError::InvalidRename("source equals destination".into()));
         }
         let leader = self.leader()?;
-        let src_name = src.name().expect("non-root");
+        // Owned once: the reservation and the replicated command share it.
+        let src_name: Arc<str> = Arc::from(src.name().expect("non-root"));
         let grant = leader
             .node()
             .try_rpc_named(stats, "rename_prepare", || -> Result<RenameGrant> {
@@ -386,15 +388,15 @@ impl IndexNode {
                             .and_then(|e| e.lock)
                             .is_some_and(|h| h != uuid);
                         let reserved = pending
-                            .get(&(pid, Arc::from(name)))
-                            .is_some_and(|h| *h != uuid);
+                            .iter()
+                            .any(|(p, n, h)| *p == pid && **n == *name && *h != uuid);
                         replicated || reserved
                     };
 
-                    let Some(src_entry) = sm.table.get(src_parent_res.id, src_name) else {
+                    let Some(src_entry) = sm.table.get(src_parent_res.id, &src_name) else {
                         return Err(MetaError::NotFound(src.to_string()));
                     };
-                    if locked_by_other(src_parent_res.id, src_name) {
+                    if locked_by_other(src_parent_res.id, &src_name) {
                         return Err(MetaError::RenameLocked(src.to_string()));
                     }
 
@@ -422,7 +424,14 @@ impl IndexNode {
                         pid = entry.id;
                     }
 
-                    pending.insert((src_parent_res.id, Arc::from(src_name)), uuid);
+                    // Anyone else's reservation was refused above, so one found
+                    // here is this request's own, re-entered.
+                    let reserved = |(p, n, _): &(InodeId, Arc<str>, ClientUuid)| {
+                        *p == src_parent_res.id && *n == src_name
+                    };
+                    if !pending.iter().any(reserved) {
+                        pending.push((src_parent_res.id, src_name.clone(), uuid));
+                    }
                     Ok(RenameGrant {
                         src_pid: src_parent_res.id,
                         src_id: src_entry.id,
@@ -438,13 +447,13 @@ impl IndexNode {
         // bit in every replica's IndexTable.
         let proposed = leader.propose(IndexCmd::RenamePrepare {
             src_pid: grant.src_pid,
-            src_name: Arc::from(src_name),
+            src_name: src_name.clone(),
             uuid,
             src_path: src.clone(),
         });
         self.pending_renames
             .lock()
-            .remove(&(grant.src_pid, Arc::from(src_name)));
+            .retain(|(p, n, _)| !(*p == grant.src_pid && *n == src_name));
         proposed.map_err(Self::map_raft)?;
         Ok(grant)
     }

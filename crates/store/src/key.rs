@@ -1,7 +1,10 @@
 //! The composite row key shared by the lock manager and the storage engines.
 
-use std::sync::Arc;
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
+use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{InodeId, TxnId};
 
 /// Composite primary key of a metadata row: `(pid, name, ts)`.
@@ -24,19 +27,138 @@ pub struct RowKey {
 impl RowKey {
     /// A base (non-delta) row key.
     pub fn base(pid: InodeId, name: &str) -> Self {
-        RowKey {
-            pid,
-            name: Arc::from(name),
-            ts: TxnId::BASE,
-        }
+        RowKey::delta(pid, name, TxnId::BASE)
     }
 
     /// A delta-record key.
     pub fn delta(pid: InodeId, name: &str, ts: TxnId) -> Self {
+        RowKeyView::delta(pid, name, ts).to_key()
+    }
+}
+
+/// A [`RowKey`] that borrows its name: what probes, unlocks, scan bounds
+/// and placement are computed from, so none of them builds an owned key.
+///
+/// Field order is the key's, so the derived `Ord`, `Eq` and `Hash` agree
+/// with `RowKey`'s — the contract `Borrow` demands of the maps searched
+/// through [`KeyParts`] (`crates/store/tests/prop.rs` holds it).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct RowKeyView<'a> {
+    /// Parent directory id.
+    pub pid: InodeId,
+    /// Entry name.
+    pub name: &'a str,
+    /// Transaction timestamp; zero for base rows.
+    pub ts: TxnId,
+}
+
+impl<'a> RowKeyView<'a> {
+    /// A base (non-delta) row key view.
+    pub fn base(pid: InodeId, name: &'a str) -> Self {
+        RowKeyView::delta(pid, name, TxnId::BASE)
+    }
+
+    /// A delta-record key view.
+    pub fn delta(pid: InodeId, name: &'a str, ts: TxnId) -> Self {
+        RowKeyView { pid, name, ts }
+    }
+}
+
+/// What a row key is compared, hashed and placed by. Stored keys own their
+/// name and probes borrow it; the engines' trees and the lock table are
+/// searched through this trait (`RowKey: Borrow<dyn KeyParts>`), and
+/// `&RowKey` and `&RowKeyView` both coerce to `&dyn KeyParts`.
+pub trait KeyParts {
+    /// The key's parts, borrowed.
+    fn view(&self) -> RowKeyView<'_>;
+
+    /// The owned key, for where one is *stored* (an engine row, a lock-table
+    /// entry, a caller's transaction op): a clone when `self` already is
+    /// one.
+    fn to_key(&self) -> RowKey {
+        let RowKeyView { pid, name, ts } = self.view();
         RowKey {
             pid,
-            name: Arc::from(name),
+            name: intern_name(name),
             ts,
         }
+    }
+}
+
+/// The owned form of a key's name. This is the one place `mantle_store`
+/// knows the schema's reserved attribute-row name: every owned `/_ATTR` key
+/// of the process — built by the schema, decoded from a checkpoint image or
+/// entered into a lock table from a view — shares one `Arc<str>`, so making
+/// one is a refcount, not a copy. Any other name is copied.
+fn intern_name(name: &str) -> Arc<str> {
+    static ATTR_NAME: OnceLock<Arc<str>> = OnceLock::new();
+    if name == ATTR_ROW_NAME {
+        ATTR_NAME.get_or_init(|| Arc::from(ATTR_ROW_NAME)).clone()
+    } else {
+        Arc::from(name)
+    }
+}
+
+// `#[inline]` from here down: these run once per key a tree descent or a
+// hash probe passes, from other crates' monomorphized searches. Left as
+// opaque calls (the workspace builds without LTO) they cost the bulk
+// loader a third of its time; inlined, the stored side's `view` resolves
+// statically and one indirect call per comparison remains, the probe's.
+impl KeyParts for RowKey {
+    #[inline]
+    fn view(&self) -> RowKeyView<'_> {
+        RowKeyView {
+            pid: self.pid,
+            name: &self.name,
+            ts: self.ts,
+        }
+    }
+
+    fn to_key(&self) -> RowKey {
+        self.clone()
+    }
+}
+
+impl KeyParts for RowKeyView<'_> {
+    #[inline]
+    fn view(&self) -> RowKeyView<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for RowKey {
+    #[inline]
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
+
+impl PartialOrd for dyn KeyParts + '_ {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyParts + '_ {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.view().cmp(&other.view())
+    }
+}
+
+impl Hash for dyn KeyParts + '_ {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state);
     }
 }

@@ -8,6 +8,9 @@
 //!   2's/Figure 8's schema: metadata tables are keyed by parent directory
 //!   id and entry name, and delta records extend the key with the
 //!   transaction timestamp `ts` (the base attribute row has `ts = 0`);
+//!   [`RowKeyView`] is the same key with a borrowed name, and
+//!   [`KeyParts`] is what both are probed, ordered and hashed through, so
+//!   lookups, unlocks and scan bounds build no owned key;
 //! * [`LockManager`] — transaction row locks with *no-wait* conflict
 //!   handling: a conflicting lock acquisition fails immediately and the
 //!   transaction aborts and retries, which is the abort/retry behaviour the
@@ -20,6 +23,6 @@ pub mod key;
 pub mod locks;
 pub mod wal;
 
-pub use key::RowKey;
+pub use key::{KeyParts, RowKey, RowKeyView};
 pub use locks::{LockManager, LockMode};
 pub use wal::GroupCommitWal;

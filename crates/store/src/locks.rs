@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::key::RowKey;
+use crate::key::{KeyParts, RowKey};
 use mantle_types::TxnId;
 
 /// Lock mode for a row.
@@ -48,14 +48,15 @@ impl LockManager {
         }
     }
 
-    fn stripe(&self, key: &RowKey) -> &Mutex<HashMap<RowKey, Entry>> {
+    fn stripe(&self, key: &dyn KeyParts) -> &Mutex<HashMap<RowKey, Entry>> {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.stripes[(h.finish() as usize) & self.mask]
     }
 
-    /// Attempts to lock `key` for `txn` in `mode`.
+    /// Attempts to lock `key` for `txn` in `mode`. The table is probed by
+    /// the key's parts; an owned key is made only for a new entry.
     ///
     /// Re-entrant: a transaction already holding the row in a compatible or
     /// stronger mode succeeds (shared→exclusive upgrade succeeds only when
@@ -65,7 +66,7 @@ impl LockManager {
     ///
     /// Returns the conflicting owner on failure; the caller is expected to
     /// abort and retry (no-wait).
-    pub fn try_lock(&self, key: &RowKey, txn: TxnId, mode: LockMode) -> Result<(), TxnId> {
+    pub fn try_lock(&self, key: &dyn KeyParts, txn: TxnId, mode: LockMode) -> Result<(), TxnId> {
         let mut map = self.stripe(key).lock();
         match map.get_mut(key) {
             None => {
@@ -73,7 +74,7 @@ impl LockManager {
                     LockMode::Shared => Entry::Shared(vec![txn]),
                     LockMode::Exclusive => Entry::Exclusive(txn),
                 };
-                map.insert(key.clone(), entry);
+                map.insert(key.to_key(), entry);
                 Ok(())
             }
             Some(Entry::Exclusive(owner)) => {
@@ -104,7 +105,7 @@ impl LockManager {
 
     /// Releases `txn`'s hold on `key` (all modes). Unknown keys are ignored
     /// (release is idempotent, simplifying abort paths).
-    pub fn unlock(&self, key: &RowKey, txn: TxnId) {
+    pub fn unlock(&self, key: &dyn KeyParts, txn: TxnId) {
         let mut map = self.stripe(key).lock();
         match map.get_mut(key) {
             Some(Entry::Exclusive(owner)) if *owner == txn => {
@@ -120,15 +121,8 @@ impl LockManager {
         }
     }
 
-    /// Releases a whole lock set (commit/abort epilogue).
-    pub fn unlock_all(&self, keys: &[RowKey], txn: TxnId) {
-        for key in keys {
-            self.unlock(key, txn);
-        }
-    }
-
     /// Whether any transaction holds `key` (test/diagnostic helper).
-    pub fn is_locked(&self, key: &RowKey) -> bool {
+    pub fn is_locked(&self, key: &dyn KeyParts) -> bool {
         self.stripe(key).lock().contains_key(key)
     }
 
@@ -199,8 +193,9 @@ impl LockSet {
     }
 
     fn release_inner(&mut self) {
-        let held = std::mem::take(&mut self.held);
-        self.manager.unlock_all(&held, self.txn);
+        for key in std::mem::take(&mut self.held) {
+            self.manager.unlock(&key, self.txn);
+        }
     }
 }
 

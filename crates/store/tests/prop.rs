@@ -1,10 +1,29 @@
-//! Property test: the LockManager compatibility matrix.
+//! Property tests: the LockManager compatibility matrix, and a borrowed
+//! key view ordering, comparing and hashing exactly like its owned key.
 
 use std::collections::BTreeMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
-use mantle_store::{LockManager, LockMode, RowKey};
+use mantle_store::{KeyParts, LockManager, LockMode, RowKey, RowKeyView};
 use mantle_types::{InodeId, TxnId};
 use proptest::prelude::*;
+
+/// Parts of a key from the corners of the order: the empty name, names
+/// that sort before `/_ATTR`, a prefix pair, a multi-byte name; the base
+/// timestamp, the first delta and the last.
+fn arb_parts() -> impl Strategy<Value = (u64, &'static str, u64)> {
+    (
+        prop::sample::select(vec![0, 1, 2, u64::MAX]),
+        prop::sample::select(vec!["", "-x", "/_ATTR", "a", "ab", "é"]),
+        prop::sample::select(vec![0, 1, u64::MAX]),
+    )
+}
+
+fn hash_of(key: &(impl Hash + ?Sized)) -> u64 {
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    h.finish()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -56,5 +75,25 @@ proptest! {
                 held.insert((key_id, txn), stored);
             }
         }
+    }
+
+    /// The `Borrow` contract of the maps probed through `KeyParts`: two
+    /// views order, compare and hash as their two owned keys do, and a key
+    /// equals its own view. (Swap `pid` and `name` in `RowKeyView`'s field
+    /// order and the first assertion fails.)
+    #[test]
+    fn a_view_orders_compares_and_hashes_like_its_key(a in arb_parts(), b in arb_parts()) {
+        let view = |(pid, name, ts)| RowKeyView::delta(InodeId(pid), name, TxnId(ts));
+        let (va, vb) = (view(a), view(b));
+        let (ka, kb) = (va.to_key(), vb.to_key());
+        let (da, db): (&dyn KeyParts, &dyn KeyParts) = (&va, &vb);
+        prop_assert_eq!(da.cmp(db), ka.cmp(&kb));
+        prop_assert_eq!(da == db, ka == kb);
+        prop_assert_eq!(hash_of(da), hash_of(&ka));
+        // Stored key against probing view, the pairing a lookup makes.
+        let stored: &dyn KeyParts = &ka;
+        prop_assert_eq!(stored.cmp(db), ka.cmp(&kb));
+        prop_assert_eq!(stored.cmp(da), std::cmp::Ordering::Equal);
+        prop_assert_eq!(ka.view(), va);
     }
 }

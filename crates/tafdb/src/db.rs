@@ -21,7 +21,7 @@ use parking_lot::{Mutex, RwLock};
 use mantle_engine::EngineKind;
 use mantle_rpc::faults::{FaultPlan, FaultSlot};
 use mantle_rpc::SimNode;
-use mantle_store::{GroupCommitWal, LockManager, RowKey};
+use mantle_store::{GroupCommitWal, KeyParts, LockManager, RowKey};
 use mantle_sync::LatchTable;
 use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{
@@ -36,7 +36,7 @@ use mantle_types::{
 };
 
 use crate::metrics::DbMetrics;
-use crate::schema::{attr_key, Row};
+use crate::schema::{attr_key, attr_view, Row};
 use crate::shard::Shard;
 use crate::shardmap::{place_of, ShardMap};
 
@@ -310,7 +310,7 @@ impl TafDb {
     }
 
     /// Reads a row directly (tests/diagnostics).
-    pub fn raw_get(&self, key: &RowKey) -> Option<Row> {
+    pub fn raw_get(&self, key: &dyn KeyParts) -> Option<Row> {
         self.shards[self.owner_of(key)].engine.get(key)
     }
 
@@ -326,7 +326,7 @@ impl TafDb {
     /// on the current base-attribute owner; callers racing migrations
     /// should re-force periodically.
     pub fn force_hot(&self, dir: InodeId) {
-        let shard = &self.shards[self.owner_of(&attr_key(dir))];
+        let shard = &self.shards[self.owner_of(&attr_view(dir))];
         let mut hot = shard.hot.lock();
         let state = hot.entry(dir).or_default();
         state.hot_until = Some(Instant::now() + self.opts.hot_ttl);

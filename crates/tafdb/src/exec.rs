@@ -1,5 +1,7 @@
-//! The transaction plane: routing ops into per-shard groups, the
-//! single-RPC fast path, and two-phase commit with no-wait row locks.
+//! The transaction plane: routing ops into per-shard runs of steps
+//! (`crate::plan`), the single-RPC fast path, and two-phase commit with
+//! no-wait row locks. The plan copies nothing out of the ops: what a step
+//! locks, writes and releases is read back from the op it names.
 //!
 //! Transactions snapshot the shard map once, route against the snapshot,
 //! and validate `epoch` at every participant's prepare; a mismatch (or an
@@ -7,32 +9,47 @@
 //! [`MetaError::StaleRoute`], which the [`TafDb::execute`] retry loop
 //! absorbs by re-snapshotting.
 
+use std::ops::Bound;
 use std::sync::atomic::Ordering;
 
+use mantle_engine::{dir_end, versions_end, KeyBound};
 use mantle_rpc::{classify_txn, FaultKind, RetryPolicy};
-use mantle_store::{LockMode, RowKey};
+use mantle_store::{KeyParts, LockMode, RowKeyView};
 use mantle_types::record::ATTR_ROW_NAME;
-use mantle_types::{AttrDelta, InodeId, MetaError, RequestCtx, Result, RetryClass, TxnId};
+use mantle_types::{InodeId, MetaError, RequestCtx, Result, RetryClass, TxnId};
 
 use crate::db::TafDb;
-use crate::schema::{attr_key, delta_key};
-use crate::shard::InFlight;
+use crate::plan::{Extras, How, Step, Steps};
+use crate::schema::{attr_view, delta_key, delta_view, Row};
+use crate::shard::{InFlight, Shard};
 use crate::shardmap::{dir_region, place_of, ShardMap};
-use crate::txn::{Prepared, ShardPrepared, TxnOp, WriteCmd};
+use crate::txn::{Prepared, TxnOp};
 
-/// An op already routed to one shard (the unit [`TafDb::prepare_on_shard`]
-/// executes). The hot/cold decision for `AttrUpdate` is made once, at
-/// routing time, so the TTL-refresh dynamics of `is_hot` match the
-/// pre-placement behaviour exactly.
-pub(crate) enum ShardOp<'a> {
-    /// A transaction op executing on its owner shard.
-    Op(&'a TxnOp),
-    /// Hot-directory attribute update: append a delta record locally, with
-    /// a shared fence lock on the base attribute row at its owner.
-    HotAttr { dir: InodeId, delta: AttrDelta },
-    /// rmdir companion for non-base region owners: retire this shard's
-    /// delta records of `dir`.
-    Purge(InodeId),
+/// One attempt of a transaction: its timestamp and the caller's ops, which
+/// every phase reads through the plan's steps.
+struct Attempt<'a> {
+    txn: TxnId,
+    ops: &'a [TxnOp],
+}
+
+fn conflict() -> MetaError {
+    MetaError::TxnConflict { retries: 0 }
+}
+
+/// Whether directory `dir` has a live child on `shard`: the first row on
+/// either side of its `(dir, "/_ATTR", *)` version range answers, so a
+/// refused rmdir reads at most two rows however large the directory.
+/// (Both sides: `-x`, `.y` or ` z` sort *before* `/_ATTR`.)
+fn has_children(shard: &Shard, dir: InodeId) -> bool {
+    let any_in =
+        |lo: KeyBound<'_>, hi: KeyBound<'_>| !shard.engine.scan_range(lo, hi, 1).is_empty();
+    any_in(
+        Bound::Included(&RowKeyView::base(dir, "")),
+        Bound::Excluded(&attr_view(dir)),
+    ) || any_in(
+        Bound::Excluded(&versions_end(dir, ATTR_ROW_NAME)),
+        Bound::Excluded(&dir_end(dir)),
+    )
 }
 
 impl TafDb {
@@ -58,16 +75,21 @@ impl TafDb {
                 }
             },
             |stats| {
-                let txn = self.begin();
+                let t = Attempt {
+                    txn: self.begin(),
+                    ops,
+                };
                 let m = self.shard_map();
-                let groups = self.group_ops(&m, txn, ops);
-                if groups.len() == 1 {
-                    self.execute_single_shard(txn, m.epoch(), &groups[0], stats)
-                } else {
-                    let p = self.prepare_groups(txn, m.epoch(), &groups, stats)?;
-                    self.commit(p, stats);
-                    Ok(txn)
+                let steps = self.route_ops(&m, &t);
+                let mut groups = steps.groups();
+                match (groups.next(), groups.next()) {
+                    (Some(only), None) => self.execute_single_shard(&t, m.epoch(), only, stats)?,
+                    _ => {
+                        let extras = self.prepare_steps(&t, m.epoch(), &steps, stats)?;
+                        self.commit_steps(&t, &steps, &extras, stats);
+                    }
                 }
+                Ok(t.txn)
             },
         );
         match outcome {
@@ -76,66 +98,50 @@ impl TafDb {
         }
     }
 
-    /// Routes `ops` against map snapshot `m` into per-shard groups,
-    /// preserving op order within each shard (first-touch group order).
-    /// Also decides hot/cold for `AttrUpdate` (once per attempt) and
-    /// expands region-wide ops (`ExpectEmptyDir`, attr-row `Delete`) to
-    /// every owner of the directory's region.
-    fn group_ops<'a>(
-        &self,
-        m: &ShardMap,
-        txn: TxnId,
-        ops: &'a [TxnOp],
-    ) -> Vec<(usize, Vec<ShardOp<'a>>)> {
-        let mut groups: Vec<(usize, Vec<ShardOp<'a>>)> = Vec::new();
-        fn push<'a>(groups: &mut Vec<(usize, Vec<ShardOp<'a>>)>, shard: usize, sop: ShardOp<'a>) {
-            match groups.iter_mut().find(|(s, _)| *s == shard) {
-                Some((_, v)) => v.push(sop),
-                None => groups.push((shard, vec![sop])),
-            }
-        }
-        for op in ops {
-            match op {
-                TxnOp::AttrUpdate { dir, delta } => {
-                    let base_place = place_of(&attr_key(*dir));
+    /// Routes `t.ops` against map snapshot `m` into the plan's steps,
+    /// preserving op order within each shard (first-touch shard order).
+    /// Also decides hot/cold for `AttrUpdate` (once per attempt, so the
+    /// TTL-refresh dynamics of `is_hot` match the pre-placement behaviour
+    /// exactly) and expands region-wide ops (`ExpectEmptyDir`, attr-row
+    /// `Delete`) to every owner of the directory's region.
+    fn route_ops(&self, m: &ShardMap, t: &Attempt<'_>) -> Steps {
+        let mut steps = Steps::new();
+        for (op, txn_op) in t.ops.iter().enumerate() {
+            let mut push = |shard, how| steps.push(Step { shard, op, how });
+            match txn_op {
+                TxnOp::AttrUpdate { dir, .. } => {
+                    let base_place = place_of(&attr_view(*dir));
                     let base_owner = m.owner(base_place);
                     if self.opts.delta_records && self.shards[base_owner].is_hot(*dir, &self.opts) {
                         // Hot: the delta record routes by its (unique) txn
                         // timestamp, spreading a hot directory's appends
                         // across a split region.
-                        let dplace = place_of(&delta_key(*dir, txn));
+                        let dplace = place_of(&delta_view(*dir, t.txn));
                         m.record_hit(dplace);
-                        push(
-                            &mut groups,
-                            m.owner(dplace),
-                            ShardOp::HotAttr {
-                                dir: *dir,
-                                delta: *delta,
-                            },
-                        );
+                        push(m.owner(dplace), How::Hot);
                     } else {
                         m.record_hit(base_place);
-                        push(&mut groups, base_owner, ShardOp::Op(op));
+                        push(base_owner, How::Plain);
                     }
                 }
                 TxnOp::Delete { key } if key.name.as_ref() == ATTR_ROW_NAME => {
                     let place = place_of(key);
                     m.record_hit(place);
                     let owner = m.owner(place);
-                    push(&mut groups, owner, ShardOp::Op(op));
+                    push(owner, How::Plain);
                     // Delta records of the dying directory may live on other
                     // region owners; each purges its own.
                     let (rs, re) = dir_region(key.pid);
                     for o in m.owners_of(rs, re) {
                         if o != owner {
-                            push(&mut groups, o, ShardOp::Purge(key.pid));
+                            push(o, How::Purge);
                         }
                     }
                 }
                 TxnOp::ExpectEmptyDir { dir } => {
                     let (rs, re) = dir_region(*dir);
                     for o in m.owners_of(rs, re) {
-                        push(&mut groups, o, ShardOp::Op(op));
+                        push(o, How::Plain);
                     }
                 }
                 TxnOp::InsertUnique { key, .. }
@@ -144,11 +150,11 @@ impl TafDb {
                 | TxnOp::ExpectExists { key } => {
                     let place = place_of(key);
                     m.record_hit(place);
-                    push(&mut groups, m.owner(place), ShardOp::Op(op));
+                    push(m.owner(place), How::Plain);
                 }
             }
         }
-        groups
+        steps
     }
 
     /// Prepare phase of 2PC: validates `ops` and acquires their row locks on
@@ -161,23 +167,30 @@ impl TafDb {
     /// [`MetaError::StaleRoute`] a shard-map change since `txn` routed.
     pub fn prepare(&self, txn: TxnId, ops: &[TxnOp], stats: &mut RequestCtx) -> Result<Prepared> {
         let m = self.shard_map();
-        let groups = self.group_ops(&m, txn, ops);
-        self.prepare_groups(txn, m.epoch(), &groups, stats)
+        let t = Attempt { txn, ops };
+        let steps = self.route_ops(&m, &t);
+        let extras = self.prepare_steps(&t, m.epoch(), &steps, stats)?;
+        Ok(Prepared {
+            txn,
+            ops: ops.to_vec(),
+            steps,
+            extras,
+        })
     }
 
-    fn prepare_groups(
+    fn prepare_steps(
         &self,
-        txn: TxnId,
+        t: &Attempt<'_>,
         epoch: u64,
-        groups: &[(usize, Vec<ShardOp<'_>>)],
+        steps: &Steps,
         stats: &mut RequestCtx,
-    ) -> Result<Prepared> {
+    ) -> Result<Extras> {
         // One fan-out round trip covers the parallel per-shard prepares.
         mantle_rpc::net_round_trip(&self.config);
         let plan = self.faults.get();
-        let mut prepared = Vec::with_capacity(groups.len());
-        for (shard_idx, shard_ops) in groups {
-            let shard = &self.shards[*shard_idx];
+        let mut extras = Extras::default();
+        for (n_prepared, group) in steps.groups().enumerate() {
+            let shard = &self.shards[group[0].shard];
             // An injected participant failure during prepare: nothing was
             // committed anywhere, so releasing the locks acquired so far
             // and surfacing a retryable Transient is always safe.
@@ -194,33 +207,31 @@ impl TafDb {
                 shard
                     .node
                     .try_rpc_batched(stats, "txn_prepare", || {
-                        self.prepare_on_shard(*shard_idx, txn, epoch, shard_ops)
+                        self.prepare_on_shard(t, epoch, group, &mut extras)
                     })
                     .and_then(|r| r)
             };
-            match result {
-                Ok(sp) => prepared.push(sp),
-                Err(e) => {
-                    self.release_prepared(&prepared, txn, stats);
-                    self.metrics.txns_aborted.inc();
-                    return Err(e);
-                }
+            if let Err(e) = result {
+                self.release_groups(t, steps.groups().take(n_prepared), &extras, stats);
+                self.metrics.txns_aborted.inc();
+                return Err(e);
             }
         }
-        Ok(Prepared {
-            txn,
-            shards: prepared,
-        })
+        Ok(extras)
     }
 
+    /// Validates one shard's steps and takes their row locks, in order. On
+    /// a failure at step `i` the locks of steps `0..=i` are released again
+    /// (release is idempotent, so a step that failed before or between its
+    /// own acquisitions needs no case of its own).
     fn prepare_on_shard(
         &self,
-        shard_idx: usize,
-        txn: TxnId,
+        t: &Attempt<'_>,
         epoch: u64,
-        ops: &[ShardOp<'_>],
-    ) -> Result<ShardPrepared> {
-        let shard = &self.shards[shard_idx];
+        group: &[Step],
+        extras: &mut Extras,
+    ) -> Result<()> {
+        let shard = &self.shards[group[0].shard];
         // The in-flight window spans validation through lock acquisition;
         // once locks are held, migration quiescence waits on them instead.
         let _g = InFlight::enter(&shard.in_flight);
@@ -233,218 +244,214 @@ impl TafDb {
                 });
             }
         }
-        let mut locks: Vec<RowKey> = Vec::new();
-        let mut remote_locks: Vec<(usize, RowKey)> = Vec::new();
-        let mut writes: Vec<WriteCmd> = Vec::new();
-
-        let fail = |locks: &[RowKey], remote: &[(usize, RowKey)], err: MetaError| -> MetaError {
-            shard.locks.unlock_all(locks, txn);
-            for (s, k) in remote {
-                self.shards[*s].locks.unlock(k, txn);
-            }
-            if matches!(err, MetaError::TxnConflict { .. }) {
-                self.metrics.lock_conflicts.inc();
-                mantle_obs::flight::annotate("tafdb:txn_conflict");
-            }
-            err
-        };
-
-        for sop in ops {
-            match sop {
-                ShardOp::Op(op) => match op {
-                    TxnOp::InsertUnique { key, row } => {
-                        if shard.locks.try_lock(key, txn, LockMode::Exclusive).is_err() {
-                            return Err(fail(
-                                &locks,
-                                &remote_locks,
-                                MetaError::TxnConflict { retries: 0 },
-                            ));
-                        }
-                        locks.push(key.clone());
-                        if shard.engine.contains(key) {
-                            return Err(fail(
-                                &locks,
-                                &remote_locks,
-                                MetaError::AlreadyExists(key.name.to_string()),
-                            ));
-                        }
-                        writes.push(WriteCmd::Put(key.clone(), row.clone()));
-                    }
-                    TxnOp::Put { key, row } => {
-                        if shard.locks.try_lock(key, txn, LockMode::Exclusive).is_err() {
-                            return Err(fail(
-                                &locks,
-                                &remote_locks,
-                                MetaError::TxnConflict { retries: 0 },
-                            ));
-                        }
-                        locks.push(key.clone());
-                        writes.push(WriteCmd::Put(key.clone(), row.clone()));
-                    }
-                    TxnOp::Delete { key } => {
-                        if shard.locks.try_lock(key, txn, LockMode::Exclusive).is_err() {
-                            if key.name.as_ref() == ATTR_ROW_NAME {
-                                shard.record_abort(key.pid, &self.opts);
-                            }
-                            return Err(fail(
-                                &locks,
-                                &remote_locks,
-                                MetaError::TxnConflict { retries: 0 },
-                            ));
-                        }
-                        locks.push(key.clone());
-                        if !shard.engine.contains(key) {
-                            return Err(fail(
-                                &locks,
-                                &remote_locks,
-                                MetaError::NotFound(key.name.to_string()),
-                            ));
-                        }
-                        writes.push(WriteCmd::Delete(key.clone()));
-                    }
-                    TxnOp::ExpectExists { key } => {
-                        if shard.locks.try_lock(key, txn, LockMode::Shared).is_err() {
-                            return Err(fail(
-                                &locks,
-                                &remote_locks,
-                                MetaError::TxnConflict { retries: 0 },
-                            ));
-                        }
-                        locks.push(key.clone());
-                        if !shard.engine.contains(key) {
-                            return Err(fail(
-                                &locks,
-                                &remote_locks,
-                                MetaError::NotFound(key.name.to_string()),
-                            ));
-                        }
-                    }
-                    TxnOp::ExpectEmptyDir { dir } => {
-                        // Region-expanded: every owner checks its own slice.
-                        let has_children =
-                            mantle_engine::scan_dir(&*shard.engine, *dir, "", usize::MAX)
-                                .iter()
-                                .any(|(k, _)| k.name.as_ref() != ATTR_ROW_NAME);
-                        if has_children {
-                            return Err(fail(
-                                &locks,
-                                &remote_locks,
-                                MetaError::NotEmpty(format!("dir {dir}")),
-                            ));
-                        }
-                    }
-                    TxnOp::AttrUpdate { dir, delta } => {
-                        // Cold path (group_ops already peeled off hot ones):
-                        // exclusive lock + in-place merge at the base owner.
-                        let key = attr_key(*dir);
-                        if shard
-                            .locks
-                            .try_lock(&key, txn, LockMode::Exclusive)
-                            .is_err()
-                        {
-                            shard.record_abort(*dir, &self.opts);
-                            return Err(fail(
-                                &locks,
-                                &remote_locks,
-                                MetaError::TxnConflict { retries: 0 },
-                            ));
-                        }
-                        locks.push(key.clone());
-                        if !shard.engine.contains(&key) {
-                            return Err(fail(
-                                &locks,
-                                &remote_locks,
-                                MetaError::NotFound(format!("dir {dir}")),
-                            ));
-                        }
-                        writes.push(WriteCmd::MergeAttr(key, *delta));
-                    }
-                },
-                ShardOp::HotAttr { dir, delta } => {
-                    // Exclusive lock on the (unique-ts) delta key: conflict-
-                    // free, but it makes the in-flight append visible to
-                    // migration quiescence on this shard.
-                    let dkey = delta_key(*dir, txn);
-                    if shard
-                        .locks
-                        .try_lock(&dkey, txn, LockMode::Exclusive)
-                        .is_err()
-                    {
-                        return Err(fail(
-                            &locks,
-                            &remote_locks,
-                            MetaError::TxnConflict { retries: 0 },
-                        ));
-                    }
-                    locks.push(dkey);
-                    // Fence: a shared lock on the base attribute row at its
-                    // owner, so rmdir's exclusive lock excludes in-flight
-                    // appends. Modeled as a lock service colocated with the
-                    // base row — no extra RPC (and on an unsplit region it
-                    // IS the local lock manager, the historical hot path).
-                    let akey = attr_key(*dir);
-                    let base_owner = self.map.read().owner(place_of(&akey));
-                    let base = &self.shards[base_owner];
-                    if base.locks.try_lock(&akey, txn, LockMode::Shared).is_err() {
-                        return Err(fail(
-                            &locks,
-                            &remote_locks,
-                            MetaError::TxnConflict { retries: 0 },
-                        ));
-                    }
-                    if base_owner == shard_idx {
-                        locks.push(akey.clone());
-                    } else {
-                        remote_locks.push((base_owner, akey.clone()));
-                    }
-                    if !base.engine.contains(&akey) {
-                        return Err(fail(
-                            &locks,
-                            &remote_locks,
-                            MetaError::NotFound(format!("dir {dir}")),
-                        ));
-                    }
-                    writes.push(WriteCmd::AppendDelta(*dir, txn, *delta));
+        for (i, step) in group.iter().enumerate() {
+            if let Err(err) = self.prepare_step(t, *step, extras) {
+                self.unlock_steps(t, &group[..=i], extras);
+                if matches!(err, MetaError::TxnConflict { .. }) {
+                    self.metrics.lock_conflicts.inc();
+                    mantle_obs::flight::annotate("tafdb:txn_conflict");
                 }
-                ShardOp::Purge(dir) => {
-                    // Lock every local delta record of the dying directory;
-                    // the base owner's exclusive attr lock (same txn) blocks
-                    // new appends, so the set is stable through commit.
-                    let local: Vec<RowKey> =
-                        mantle_engine::scan_versions(&*shard.engine, *dir, ATTR_ROW_NAME)
-                            .into_iter()
-                            .filter(|(k, _)| k.ts != TxnId::BASE)
-                            .map(|(k, _)| k)
-                            .collect();
-                    for k in local {
-                        if shard.locks.try_lock(&k, txn, LockMode::Exclusive).is_err() {
-                            return Err(fail(
-                                &locks,
-                                &remote_locks,
-                                MetaError::TxnConflict { retries: 0 },
-                            ));
-                        }
-                        locks.push(k);
-                    }
-                    writes.push(WriteCmd::PurgeDeltas(*dir));
-                }
+                return Err(err);
             }
         }
-        Ok(ShardPrepared {
-            shard: shard_idx,
-            locks,
-            remote_locks,
-            writes,
-        })
+        Ok(())
+    }
+
+    fn prepare_step(&self, t: &Attempt<'_>, step: Step, extras: &mut Extras) -> Result<()> {
+        let shard = &self.shards[step.shard];
+        let lock = |key: &dyn KeyParts, mode| {
+            shard
+                .locks
+                .try_lock(key, t.txn, mode)
+                .map_err(|_| conflict())
+        };
+        match (step.how, &t.ops[step.op]) {
+            (How::Plain, TxnOp::InsertUnique { key, .. }) => {
+                lock(key, LockMode::Exclusive)?;
+                if shard.engine.contains(key) {
+                    return Err(MetaError::AlreadyExists(key.name.to_string()));
+                }
+            }
+            (How::Plain, TxnOp::Put { key, .. }) => lock(key, LockMode::Exclusive)?,
+            (How::Plain, TxnOp::Delete { key }) => {
+                if let Err(e) = lock(key, LockMode::Exclusive) {
+                    if key.name.as_ref() == ATTR_ROW_NAME {
+                        shard.record_abort(key.pid, &self.opts);
+                    }
+                    return Err(e);
+                }
+                if !shard.engine.contains(key) {
+                    return Err(MetaError::NotFound(key.name.to_string()));
+                }
+            }
+            (How::Plain, TxnOp::ExpectExists { key }) => {
+                lock(key, LockMode::Shared)?;
+                if !shard.engine.contains(key) {
+                    return Err(MetaError::NotFound(key.name.to_string()));
+                }
+            }
+            (How::Plain, TxnOp::ExpectEmptyDir { dir }) => {
+                // Region-expanded: every owner checks its own slice.
+                if has_children(shard, *dir) {
+                    return Err(MetaError::NotEmpty(format!("dir {dir}")));
+                }
+            }
+            (How::Plain, TxnOp::AttrUpdate { dir, .. }) => {
+                // Cold path (route_ops already peeled off hot ones):
+                // exclusive lock + in-place merge at the base owner.
+                let key = attr_view(*dir);
+                if let Err(e) = lock(&key, LockMode::Exclusive) {
+                    shard.record_abort(*dir, &self.opts);
+                    return Err(e);
+                }
+                if !shard.engine.contains(&key) {
+                    return Err(MetaError::NotFound(format!("dir {dir}")));
+                }
+            }
+            (How::Hot, TxnOp::AttrUpdate { dir, .. }) => {
+                // Exclusive lock on the (unique-ts) delta key: conflict-
+                // free, but it makes the in-flight append visible to
+                // migration quiescence on this shard.
+                lock(&delta_view(*dir, t.txn), LockMode::Exclusive)?;
+                // Fence: a shared lock on the base attribute row at its
+                // owner, so rmdir's exclusive lock excludes in-flight
+                // appends. Modeled as a lock service colocated with the
+                // base row — no extra RPC (and on an unsplit region it
+                // IS the local lock manager, the historical hot path).
+                let akey = attr_view(*dir);
+                let base_owner = self.map.read().owner(place_of(&akey));
+                let base = &self.shards[base_owner];
+                base.locks
+                    .try_lock(&akey, t.txn, LockMode::Shared)
+                    .map_err(|_| conflict())?;
+                if base_owner != step.shard {
+                    extras.remote_fences.push((step.shard, base_owner, *dir));
+                }
+                if !base.engine.contains(&akey) {
+                    return Err(MetaError::NotFound(format!("dir {dir}")));
+                }
+            }
+            (How::Purge, TxnOp::Delete { key }) => {
+                // Lock every local delta record of the dying directory;
+                // the base owner's exclusive attr lock (same txn) blocks
+                // new appends, so the set is stable through commit.
+                let local = mantle_engine::scan_versions(&*shard.engine, key.pid, ATTR_ROW_NAME);
+                for (k, _) in local {
+                    if k.ts != TxnId::BASE {
+                        lock(&k, LockMode::Exclusive)?;
+                        extras.purged.push((step.shard, k));
+                    }
+                }
+            }
+            (how, op) => unreachable!("route_ops never routes {op:?} as {how:?}"),
+        }
+        Ok(())
+    }
+
+    /// Releases what `steps` (one shard's, or a prefix of them) hold for
+    /// `t.txn`: the row each step's op names, and whatever `extras`
+    /// recorded for the shard.
+    fn unlock_steps(&self, t: &Attempt<'_>, steps: &[Step], extras: &Extras) {
+        let Some(first) = steps.first() else { return };
+        let shard = &self.shards[first.shard];
+        let unlock = |key: &dyn KeyParts| shard.locks.unlock(key, t.txn);
+        for step in steps {
+            match (step.how, &t.ops[step.op]) {
+                (How::Purge, _) | (_, TxnOp::ExpectEmptyDir { .. }) => {}
+                (How::Hot, TxnOp::AttrUpdate { dir, .. }) => {
+                    unlock(&delta_view(*dir, t.txn));
+                    // The fence, when the base row lives here; when it does
+                    // not, `extras` has it and this finds nothing to release.
+                    unlock(&attr_view(*dir));
+                }
+                (_, TxnOp::AttrUpdate { dir, .. }) => unlock(&attr_view(*dir)),
+                (
+                    _,
+                    TxnOp::InsertUnique { key, .. }
+                    | TxnOp::Put { key, .. }
+                    | TxnOp::Delete { key }
+                    | TxnOp::ExpectExists { key },
+                ) => unlock(key),
+            }
+        }
+        for (_, at, dir) in extras.remote_fences.iter().filter(|f| f.0 == first.shard) {
+            self.shards[*at].locks.unlock(&attr_view(*dir), t.txn);
+        }
+        for (_, key) in extras.purged.iter().filter(|p| p.0 == first.shard) {
+            unlock(key);
+        }
+    }
+
+    /// Applies one prepared step's write to its shard's engine; returns
+    /// whether it wrote (a check-only step does not, and a group of them
+    /// logs nothing).
+    fn apply_step(&self, t: &Attempt<'_>, step: Step) -> bool {
+        let shard = &self.shards[step.shard];
+        match (step.how, &t.ops[step.op]) {
+            (How::Plain, TxnOp::InsertUnique { key, row } | TxnOp::Put { key, row }) => {
+                shard.engine.put(key.clone(), row.clone());
+            }
+            (How::Plain, TxnOp::Delete { key }) => {
+                Self::delete_with_deltas(shard, key);
+            }
+            (How::Plain, TxnOp::AttrUpdate { dir, delta }) => {
+                // In place: the row is exclusively locked from prepare
+                // through commit.
+                shard.engine.update(&attr_view(*dir), &mut |cur| match cur {
+                    Some(Row::DirAttr(a)) => {
+                        let mut merged = a.clone();
+                        merged.apply_delta(delta);
+                        (Some(Row::DirAttr(merged)), true)
+                    }
+                    other => (other.cloned(), true),
+                });
+                self.metrics.inplace_updates.inc();
+            }
+            (How::Hot, TxnOp::AttrUpdate { dir, delta }) => {
+                shard.engine.put(delta_key(*dir, t.txn), Row::Delta(*delta));
+                shard.delta_dirs.lock().insert(*dir);
+                self.metrics.delta_appends.inc();
+            }
+            (How::Purge, TxnOp::Delete { key }) => Self::purge_deltas(shard, key.pid),
+            _ => return false,
+        }
+        true
+    }
+
+    /// The participant's side of a commit: applies its steps' writes, logs
+    /// them and releases its locks.
+    fn commit_group(&self, t: &Attempt<'_>, group: &[Step], extras: &Extras) {
+        let mut wrote = false;
+        for step in group {
+            wrote |= self.apply_step(t, *step);
+        }
+        if wrote {
+            self.shards[group[0].shard].wal.append();
+        }
+        self.unlock_steps(t, group, extras);
     }
 
     /// Commit phase of 2PC: applies planned writes, makes them durable, and
     /// releases locks (one parallel RPC fan-out).
     pub fn commit(&self, prepared: Prepared, stats: &mut RequestCtx) {
+        let t = Attempt {
+            txn: prepared.txn,
+            ops: &prepared.ops,
+        };
+        self.commit_steps(&t, &prepared.steps, &prepared.extras, stats);
+    }
+
+    fn commit_steps(
+        &self,
+        t: &Attempt<'_>,
+        steps: &Steps,
+        extras: &Extras,
+        stats: &mut RequestCtx,
+    ) {
         mantle_rpc::net_round_trip(&self.config);
         let plan = self.faults.get();
-        for sp in &prepared.shards {
-            let shard = &self.shards[sp.shard];
+        for group in steps.groups() {
+            let shard = &self.shards[group[0].shard];
             if plan
                 .as_ref()
                 .is_some_and(|p| p.fires(FaultKind::TxnCommit, shard.node.name()))
@@ -460,16 +467,7 @@ impl TafDb {
             // Must-deliver: the decision is made, so a lost or shed commit
             // message is re-sent until the participant applies it.
             mantle_rpc::deliver_batched(stats, &shard.node, "txn_commit", || {
-                for w in &sp.writes {
-                    self.apply_write(sp.shard, w);
-                }
-                if !sp.writes.is_empty() {
-                    shard.wal.append();
-                }
-                shard.locks.unlock_all(&sp.locks, prepared.txn);
-                for (s, k) in &sp.remote_locks {
-                    self.shards[*s].locks.unlock(k, prepared.txn);
-                }
+                self.commit_group(t, group, extras)
             });
         }
         self.metrics.txns_committed.inc();
@@ -477,55 +475,119 @@ impl TafDb {
 
     /// Aborts a prepared transaction, releasing every acquired lock.
     pub fn abort(&self, prepared: Prepared, stats: &mut RequestCtx) {
-        self.release_prepared(&prepared.shards, prepared.txn, stats);
+        let t = Attempt {
+            txn: prepared.txn,
+            ops: &prepared.ops,
+        };
+        self.release_groups(&t, prepared.steps.groups(), &prepared.extras, stats);
         self.metrics.txns_aborted.inc();
     }
 
-    fn release_prepared(&self, shards: &[ShardPrepared], txn: TxnId, stats: &mut RequestCtx) {
-        if shards.is_empty() {
+    fn release_groups<'s>(
+        &self,
+        t: &Attempt<'_>,
+        groups: impl Iterator<Item = &'s [Step]>,
+        extras: &Extras,
+        stats: &mut RequestCtx,
+    ) {
+        let mut groups = groups.peekable();
+        if groups.peek().is_none() {
             return;
         }
         mantle_rpc::net_round_trip(&self.config);
-        for sp in shards {
-            let shard = &self.shards[sp.shard];
+        for group in groups {
+            let shard = &self.shards[group[0].shard];
             mantle_rpc::deliver_batched(stats, &shard.node, "txn_abort", || {
-                shard.locks.unlock_all(&sp.locks, txn);
-                for (s, k) in &sp.remote_locks {
-                    self.shards[*s].locks.unlock(k, txn);
-                }
+                self.unlock_steps(t, group, extras)
             });
         }
     }
 
     fn execute_single_shard(
         &self,
-        txn: TxnId,
+        t: &Attempt<'_>,
         epoch: u64,
-        group: &(usize, Vec<ShardOp<'_>>),
+        group: &[Step],
         stats: &mut RequestCtx,
-    ) -> Result<TxnId> {
-        let (shard_idx, ops) = group;
-        let shard = &self.shards[*shard_idx];
+    ) -> Result<()> {
+        let shard = &self.shards[group[0].shard];
         shard.node.try_rpc_named(stats, "txn_1shard", || {
-            let sp = match self.prepare_on_shard(*shard_idx, txn, epoch, ops) {
-                Ok(sp) => sp,
-                Err(e) => {
-                    self.metrics.txns_aborted.inc();
-                    return Err(e);
-                }
-            };
-            for w in &sp.writes {
-                self.apply_write(*shard_idx, w);
+            let mut extras = Extras::default();
+            if let Err(e) = self.prepare_on_shard(t, epoch, group, &mut extras) {
+                self.metrics.txns_aborted.inc();
+                return Err(e);
             }
-            if !sp.writes.is_empty() {
-                shard.wal.append();
-            }
-            shard.locks.unlock_all(&sp.locks, txn);
-            for (s, k) in &sp.remote_locks {
-                self.shards[*s].locks.unlock(k, txn);
-            }
+            self.commit_group(t, group, &extras);
             self.metrics.txns_committed.inc();
-            Ok(txn)
+            Ok(())
         })?
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{entry_key, TafDbOptions};
+    use mantle_types::{Permission, SimConfig};
+
+    /// What a failed prepare releases is re-derived from its steps: a
+    /// three-op transaction whose *second* lock conflicts must leave its
+    /// first lock free and the holder's alone. Staged twice: the contended
+    /// row on the first op's shard (the participant undoes steps `0..=1`
+    /// itself) and on another (the coordinator aborts the prepared group).
+    #[test]
+    fn a_conflict_on_the_second_lock_leaves_no_lock_with_the_loser() {
+        let db = TafDb::new(
+            SimConfig::instant(),
+            TafDbOptions {
+                max_txn_retries: 0,
+                ..TafDbOptions::default()
+            },
+        );
+        let row = Row::DirAccess {
+            id: InodeId(9),
+            permission: Permission::ALL,
+        };
+        let put = |dir: InodeId, name: &str| TxnOp::Put {
+            key: entry_key(dir, name),
+            row: row.clone(),
+        };
+        let any_lock = || db.shards.iter().any(|s| s.locks.any_held(|_| true));
+        let here = InodeId(2);
+        let elsewhere = (3..100)
+            .map(InodeId)
+            .find(|d| db.shard_of(*d) != db.shard_of(here))
+            .expect("some id maps to a different shard");
+        for contended in [here, elsewhere] {
+            let mut ctx = RequestCtx::new();
+            let holder = db
+                .prepare(db.begin(), &[put(contended, "held")], &mut ctx)
+                .unwrap();
+            let loser = [
+                put(here, "first"),
+                put(contended, "held"),
+                put(here, "third"),
+            ];
+            assert!(matches!(
+                db.execute(&loser, &mut ctx),
+                Err(MetaError::TxnConflict { .. })
+            ));
+            assert!(any_lock(), "the loser's undo released the holder's lock");
+            db.commit(holder, &mut ctx);
+            assert!(!any_lock(), "the loser still holds a lock");
+            assert!(db.raw_get(&entry_key(here, "first")).is_none());
+        }
+
+        // A step refused *after* it took its own lock gives that back too.
+        db.raw_put(entry_key(here, "taken"), row.clone());
+        let dup = TxnOp::InsertUnique {
+            key: entry_key(here, "taken"),
+            row: row.clone(),
+        };
+        assert!(matches!(
+            db.execute(&[put(here, "first"), dup], &mut RequestCtx::new()),
+            Err(MetaError::AlreadyExists(_))
+        ));
+        assert!(!any_lock(), "a refused insert kept its lock");
     }
 }

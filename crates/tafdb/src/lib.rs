@@ -32,13 +32,15 @@
 //!   (whose default follows `MANTLE_ENGINE`).
 //!
 //! The implementation is layered accordingly: [`db`] (core + options),
-//! `shard` (per-shard runtime), `router` (map routing + reads), `exec`
-//! (transactions), and `migrate` (placement plane).
+//! `shard` (per-shard runtime), `router` (map routing + reads), `plan`
+//! and `exec` (a transaction's routed steps, and running them), and
+//! `migrate` (placement plane).
 
 pub mod db;
 mod exec;
 mod metrics;
 mod migrate;
+mod plan;
 mod router;
 pub mod schema;
 mod shard;
@@ -47,6 +49,6 @@ pub mod txn;
 
 pub use db::{DbCounters, TafDb, TafDbOptions};
 pub use mantle_engine::EngineKind;
-pub use schema::{attr_key, entry_key, Row};
+pub use schema::{attr_key, attr_view, entry_key, entry_view, Row};
 pub use shardmap::{dir_region, place_of, ShardMap};
 pub use txn::{Prepared, TxnOp};

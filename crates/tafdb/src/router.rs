@@ -7,7 +7,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use mantle_store::RowKey;
+use mantle_store::{KeyParts, RowKey};
 use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{
     AttrDelta, DirAttrMeta, DirEntry, EntryKind, InodeId, MetaError, ObjectMeta, Permission,
@@ -15,7 +15,7 @@ use mantle_types::{
 };
 
 use crate::db::TafDb;
-use crate::schema::{attr_key, entry_key, Row};
+use crate::schema::{attr_view, entry_view, Row};
 use crate::shard::Shard;
 use crate::shardmap::{dir_region, place_of, ShardMap};
 
@@ -39,7 +39,7 @@ impl TafDb {
         self.map.read().owner(dir_region(pid).0)
     }
 
-    pub(crate) fn owner_of(&self, key: &RowKey) -> usize {
+    pub(crate) fn owner_of(&self, key: &dyn KeyParts) -> usize {
         self.map.read().owner(place_of(key))
     }
 
@@ -98,7 +98,7 @@ impl TafDb {
         own_round_trip: bool,
         stats: &mut RequestCtx,
     ) -> Result<Option<Row>> {
-        let key = entry_key(pid, name);
+        let key = entry_view(pid, name);
         let place = place_of(&key);
         loop {
             let (owner, _) = self.route(place);
@@ -189,26 +189,26 @@ impl TafDb {
     }
 
     /// Folds a `scan_versions` result (possibly assembled from several
-    /// region owners) into merged directory attributes.
+    /// region owners) into merged directory attributes, in one pass: the
+    /// deltas fold into one, applied to the base row wherever in an
+    /// assembled list that turned up.
     fn merge_attr_rows(dir: InodeId, rows: Vec<(RowKey, Row)>) -> Result<DirAttrMeta> {
         let mut attrs: Option<DirAttrMeta> = None;
-        let mut deltas: Vec<AttrDelta> = Vec::new();
+        let mut pending = AttrDelta::default();
         for (key, row) in rows {
             match row {
                 Row::DirAttr(a) => {
                     debug_assert_eq!(key.ts, TxnId::BASE);
                     attrs = Some(a);
                 }
-                Row::Delta(d) => deltas.push(d),
+                Row::Delta(d) => pending.merge(&d),
                 _ => {}
             }
         }
         let Some(mut attrs) = attrs else {
             return Err(MetaError::NotFound(format!("dir {dir}")));
         };
-        for d in &deltas {
-            attrs.apply_delta(d);
-        }
+        attrs.apply_delta(&pending);
         Ok(attrs)
     }
 
@@ -228,15 +228,16 @@ impl TafDb {
     ///
     /// [`MetaError::NotFound`] when the directory has no attribute row.
     pub fn dir_stat(&self, dir: InodeId, stats: &mut RequestCtx) -> Result<DirAttrMeta> {
-        let aplace = place_of(&attr_key(dir));
+        let aplace = place_of(&attr_view(dir));
         let (rs, re) = dir_region(dir);
         let mut attempt = 0;
         loop {
             let m = self.shard_map();
             m.record_hit(aplace);
-            let owners = m.owners_of(rs, re);
-            let merged = if owners.len() == 1 {
-                let shard = &self.shards[owners[0]];
+            let mut owners = m.owners_of(rs, re);
+            let sole = owners.next().filter(|_| owners.next().is_none());
+            let merged = if let Some(owner) = sole {
+                let shard = &self.shards[owner];
                 shard.node.try_rpc_named(stats, "dir_stat", || {
                     Self::merge_attr_rows(dir, self.scan_attr_rows(shard, dir))
                 })?
@@ -244,7 +245,7 @@ impl TafDb {
                 // One fan-out round trip covers the parallel per-owner scans.
                 mantle_rpc::net_round_trip(&self.config);
                 let mut rows = Vec::new();
-                for &o in &owners {
+                for o in m.owners_of(rs, re) {
                     let shard = &self.shards[o];
                     let mut part = shard
                         .node
@@ -275,12 +276,19 @@ impl TafDb {
         // +3: the attribute row, an entry equal to `start_after`, and the
         // truncation sentinel may all occupy scan slots.
         let budget = limit.saturating_add(3);
-        let mut lo = Bound::Included(RowKey::base(pid, start_after.unwrap_or("")));
+        let first = entry_view(pid, start_after.unwrap_or(""));
+        // The last key a full scan returned; the next resumes after it.
+        let mut resume: Option<RowKey> = None;
         let mut page = Vec::new();
         loop {
-            let rows = shard
-                .engine
-                .scan_range(lo, mantle_engine::dir_upper_bound(pid), budget);
+            let lo = match &resume {
+                Some(k) => Bound::Excluded(k as &dyn KeyParts),
+                None => Bound::Included(&first as &dyn KeyParts),
+            };
+            let rows =
+                shard
+                    .engine
+                    .scan_range(lo, Bound::Excluded(&mantle_engine::dir_end(pid)), budget);
             self.metrics.range_scan_rows.add(rows.len() as u64);
             let more = rows.len() == budget;
             let last = rows.last().map(|(k, _)| k.clone());
@@ -310,7 +318,7 @@ impl TafDb {
             // its attribute row and eat scan slots too: resume past what
             // this scan covered until the page is full.
             match last {
-                Some(k) if more && page.len() < want => lo = Bound::Excluded(k),
+                Some(k) if more && page.len() < want => resume = Some(k),
                 _ => return page,
             }
         }
@@ -338,16 +346,17 @@ impl TafDb {
         loop {
             let m = self.shard_map();
             m.record_hit(rs);
-            let owners = m.owners_of(rs, re);
-            let mut rows: Vec<DirEntry> = if owners.len() == 1 {
-                let shard = &self.shards[owners[0]];
+            let mut owners = m.owners_of(rs, re);
+            let sole = owners.next().filter(|_| owners.next().is_none());
+            let mut rows: Vec<DirEntry> = if let Some(owner) = sole {
+                let shard = &self.shards[owner];
                 shard.node.try_rpc_named(stats, "readdir", || {
                     self.scan_page(shard, pid, start_after, limit)
                 })?
             } else {
                 mantle_rpc::net_round_trip(&self.config);
                 let mut all = Vec::new();
-                for &o in &owners {
+                for o in m.owners_of(rs, re) {
                     let shard = &self.shards[o];
                     let mut part = shard.node.try_rpc_batched(stats, "readdir", || {
                         self.scan_page(shard, pid, start_after, limit)

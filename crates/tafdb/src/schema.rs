@@ -1,6 +1,6 @@
 //! The MetaTable schema (Figure 2 / Figure 8).
 
-use mantle_store::RowKey;
+use mantle_store::{KeyParts, RowKey, RowKeyView};
 use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{AttrDelta, DirAttrMeta, InodeId, ObjectMeta, Permission, TxnId};
 
@@ -43,17 +43,34 @@ impl Row {
 
 /// Key of the entry row of `name` under directory `pid`.
 pub fn entry_key(pid: InodeId, name: &str) -> RowKey {
-    RowKey::base(pid, name)
+    entry_view(pid, name).to_key()
 }
 
 /// Key of the attribute row of directory `dir`.
 pub fn attr_key(dir: InodeId) -> RowKey {
-    RowKey::base(dir, ATTR_ROW_NAME)
+    attr_view(dir).to_key()
 }
 
 /// Key of a delta record of directory `dir` stamped by transaction `ts`.
 pub fn delta_key(dir: InodeId, ts: TxnId) -> RowKey {
-    RowKey::delta(dir, ATTR_ROW_NAME, ts)
+    delta_view(dir, ts).to_key()
+}
+
+/// [`entry_key`] borrowed: what a probe, an unlock or a placement takes.
+/// The owned forms are for keys that get *stored* — an engine row, a
+/// lock-table entry, a caller's [`crate::TxnOp`].
+pub fn entry_view(pid: InodeId, name: &str) -> RowKeyView<'_> {
+    RowKeyView::base(pid, name)
+}
+
+/// [`attr_key`] borrowed.
+pub fn attr_view(dir: InodeId) -> RowKeyView<'static> {
+    RowKeyView::base(dir, ATTR_ROW_NAME)
+}
+
+/// [`delta_key`] borrowed.
+pub fn delta_view(dir: InodeId, ts: TxnId) -> RowKeyView<'static> {
+    RowKeyView::delta(dir, ATTR_ROW_NAME, ts)
 }
 
 /// [`Row`]'s checkpoint-image codec (DESIGN.md §4.11): a tag byte plus

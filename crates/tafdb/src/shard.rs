@@ -24,9 +24,8 @@ use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{AttrDelta, InodeId, MetaError, RequestCtx, Result, TxnId};
 
 use crate::db::{TafDb, TafDbOptions};
-use crate::schema::{attr_key, delta_key, Row};
+use crate::schema::{attr_key, attr_view, Row};
 use crate::shardmap::place_of;
-use crate::txn::WriteCmd;
 
 // Contention tracking is cross-thread shared state, so it stays on wall
 // time: per-thread virtual timestamps from different writers are not
@@ -185,7 +184,7 @@ impl TafDb {
         delta: AttrDelta,
         stats: &mut RequestCtx,
     ) -> Result<()> {
-        let place = place_of(&attr_key(dir));
+        let place = place_of(&attr_view(dir));
         loop {
             let (owner, epoch) = self.route(place);
             let shard = &self.shards[owner];
@@ -193,7 +192,7 @@ impl TafDb {
                 let _g = InFlight::enter(&shard.in_flight);
                 self.check_route(owner, place, epoch)?;
                 let _latch = shard.latches.exclusive(&dir.raw());
-                let found = shard.engine.update(&attr_key(dir), &mut |cur| match cur {
+                let found = shard.engine.update(&attr_view(dir), &mut |cur| match cur {
                     Some(Row::DirAttr(a)) => {
                         let mut merged = a.clone();
                         merged.apply_delta(&delta);
@@ -217,43 +216,20 @@ impl TafDb {
 
     // --- engine-facing write plumbing --------------------------------------
 
-    pub(crate) fn apply_write(&self, shard_idx: usize, w: &WriteCmd) {
-        let shard = &self.shards[shard_idx];
-        match w {
-            WriteCmd::Put(key, row) => {
-                shard.engine.put(key.clone(), row.clone());
-            }
-            WriteCmd::Delete(key) => {
-                Self::delete_with_deltas(shard, key);
-            }
-            WriteCmd::MergeAttr(key, delta) => {
-                shard.engine.update(key, &mut |cur| match cur {
-                    Some(Row::DirAttr(a)) => {
-                        let mut merged = a.clone();
-                        merged.apply_delta(delta);
-                        (Some(Row::DirAttr(merged)), true)
-                    }
-                    other => (other.cloned(), true),
-                });
-                self.metrics.inplace_updates.inc();
-            }
-            WriteCmd::AppendDelta(dir, ts, delta) => {
-                shard.engine.put(delta_key(*dir, *ts), Row::Delta(*delta));
-                shard.delta_dirs.lock().insert(*dir);
-                self.metrics.delta_appends.inc();
-            }
-            WriteCmd::PurgeDeltas(dir) => {
-                shard.delta_dirs.lock().remove(dir);
-                // Atomic range transform: a concurrent dirstat scan never
-                // sees a partially purged delta set.
-                update_versions(&*shard.engine, *dir, ATTR_ROW_NAME, &mut |rows| {
-                    rows.iter()
-                        .filter(|(k, _)| k.ts != TxnId::BASE)
-                        .map(|(k, _)| WriteOp::Delete(k.clone()))
-                        .collect()
-                });
-            }
-        }
+    /// Deletes every delta record of `dir` stored on `shard` — the rmdir
+    /// companion run by region owners other than the one holding the base
+    /// attribute row (whose [`TafDb::delete_with_deltas`] retires its local
+    /// deltas itself).
+    pub(crate) fn purge_deltas(shard: &Shard, dir: InodeId) {
+        shard.delta_dirs.lock().remove(&dir);
+        // Atomic range transform: a concurrent dirstat scan never sees a
+        // partially purged delta set.
+        update_versions(&*shard.engine, dir, ATTR_ROW_NAME, &mut |rows| {
+            rows.iter()
+                .filter(|(k, _)| k.ts != TxnId::BASE)
+                .map(|(k, _)| WriteOp::Delete(k.clone()))
+                .collect()
+        });
     }
 
     /// Deletes `key`; when it is an attribute row, its directory's delta
@@ -290,7 +266,7 @@ impl TafDb {
             }
             let dirs: Vec<InodeId> = shard.delta_dirs.lock().iter().copied().collect();
             for dir in dirs {
-                let owns_base = self.map.read().owner(place_of(&attr_key(dir))) == shard_idx;
+                let owns_base = self.map.read().owner(place_of(&attr_view(dir))) == shard_idx;
                 // Shared latch: deletion of the directory is excluded while
                 // folding, but concurrent delta appends proceed.
                 let _latch = shard.latches.shared(&dir.raw());
@@ -331,9 +307,7 @@ impl TafDb {
                         }
                         let mut sum = deltas[0].1;
                         for (_, d) in &deltas[1..] {
-                            sum.nlink += d.nlink;
-                            sum.entries += d.entries;
-                            sum.mtime = sum.mtime.max(d.mtime);
+                            sum.merge(d);
                         }
                         folded = deltas.len() - 1;
                         let mut ops = vec![WriteOp::Put(deltas[0].0.clone(), Row::Delta(sum))];

@@ -29,7 +29,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mantle_store::RowKey;
+use mantle_store::KeyParts;
 use mantle_types::{InodeId, TxnId};
 
 /// Width of one directory region in the placement space.
@@ -67,10 +67,11 @@ pub fn dir_region(pid: InodeId) -> (u64, u64) {
 /// The placement key of a row. Derivable from the key alone, so migration
 /// can decide row ownership without any side lookup: base rows place by
 /// `(pid, name)`, delta records spread by their transaction timestamp.
-pub fn place_of(key: &RowKey) -> u64 {
+pub fn place_of(key: &dyn KeyParts) -> u64 {
+    let key = key.view();
     let hi = fib32(key.pid.0) << 32;
     let lo = if key.ts == TxnId::BASE {
-        name32(&key.name)
+        name32(key.name)
     } else {
         spread32(key.ts.0)
     };
@@ -216,17 +217,15 @@ impl ShardMap {
     }
 
     /// Distinct shards owning any part of `[start, end]`, in range order.
-    pub fn owners_of(&self, start: u64, end: u64) -> Vec<usize> {
-        let mut owners = Vec::new();
-        let mut i = self.range_index(start);
-        while i < self.ranges.len() && self.ranges[i].start <= end {
-            let s = self.ranges[i].shard;
-            if !owners.contains(&s) {
-                owners.push(s);
-            }
-            i += 1;
-        }
-        owners
+    /// Builds nothing: a region spans a handful of ranges (one, until it is
+    /// split), so "already yielded" is a look back over the ranges passed.
+    pub fn owners_of(&self, start: u64, end: u64) -> impl Iterator<Item = usize> + '_ {
+        let from = &self.ranges[self.range_index(start)..];
+        let covering = &from[..from.iter().take_while(|r| r.start <= end).count()];
+        covering.iter().enumerate().filter_map(move |(i, r)| {
+            let seen = covering[..i].iter().any(|p| p.shard == r.shard);
+            (!seen).then_some(r.shard)
+        })
     }
 
     /// Whether `[start, end]` is owned by more than one shard.
@@ -349,6 +348,7 @@ impl ShardMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mantle_store::RowKey;
 
     #[test]
     fn uniform_is_total_and_region_aligned() {
@@ -368,7 +368,7 @@ mod tests {
         for pid in 0..500u64 {
             let (s, e) = dir_region(InodeId(pid));
             assert_eq!(m.owner(s), m.owner(e), "pid {pid} region spans shards");
-            assert_eq!(m.owners_of(s, e).len(), 1);
+            assert!(m.owners_of(s, e).eq([m.owner(s)]));
             assert!(!m.is_split(s, e));
         }
     }

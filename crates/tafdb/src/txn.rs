@@ -3,6 +3,7 @@
 use mantle_store::RowKey;
 use mantle_types::{AttrDelta, InodeId, TxnId};
 
+use crate::plan::{Extras, Steps};
 use crate::schema::Row;
 
 /// A logical operation inside a TafDB transaction.
@@ -70,46 +71,19 @@ impl TxnOp {
     }
 }
 
-/// A concrete write planned during prepare, applied at commit.
-#[derive(Clone, Debug)]
-pub(crate) enum WriteCmd {
-    Put(RowKey, Row),
-    /// Delete `key`; when it is an attribute row, also delete the
-    /// directory's delta records (under the compaction latch).
-    Delete(RowKey),
-    /// Merge `delta` into the base attribute row (in-place mode; the row is
-    /// exclusively locked from prepare through commit).
-    MergeAttr(RowKey, AttrDelta),
-    /// Append a delta record (hot-directory mode).
-    AppendDelta(InodeId, TxnId, AttrDelta),
-    /// Delete every delta record of `dir` stored on the executing shard —
-    /// the rmdir companion op sent to region owners other than the one
-    /// holding the base attribute row (the base owner's `Delete` retires
-    /// its local deltas itself).
-    PurgeDeltas(InodeId),
-}
-
-/// Per-shard prepared state.
-#[derive(Debug)]
-pub(crate) struct ShardPrepared {
-    pub shard: usize,
-    pub locks: Vec<RowKey>,
-    /// Locks held on *other* shards' lock managers on this group's behalf:
-    /// the hot-append fence on the base attribute row lives at the base
-    /// owner even when the delta record routes elsewhere. Modeled as a
-    /// colocated lock service, so acquiring one costs no extra RPC.
-    pub remote_locks: Vec<(usize, RowKey)>,
-    pub writes: Vec<WriteCmd>,
-}
-
-/// A successfully prepared transaction, ready to commit or abort.
+/// A successfully prepared transaction, ready to commit or abort: the ops,
+/// their routed steps, and the few locks the steps cannot name again.
 ///
 /// Dropping a `Prepared` without committing leaks its row locks; always
 /// pass it back to [`crate::TafDb::commit`] or [`crate::TafDb::abort`].
 #[derive(Debug)]
 pub struct Prepared {
     pub(crate) txn: TxnId,
-    pub(crate) shards: Vec<ShardPrepared>,
+    /// A copy of the caller's ops: this staged form outlives the call that
+    /// prepared it. [`crate::TafDb::execute`] borrows the ops instead.
+    pub(crate) ops: Vec<TxnOp>,
+    pub(crate) steps: Steps,
+    pub(crate) extras: Extras,
 }
 
 impl Prepared {
@@ -120,6 +94,6 @@ impl Prepared {
 
     /// Number of shards participating (2PC fan-out).
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.steps.groups().count()
     }
 }

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mantle_tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions, TxnOp};
+use mantle_tafdb::{attr_key, entry_key, EngineKind, Row, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
     AttrDelta, DirAttrMeta, InodeId, MetaError, Permission, RequestCtx, SimConfig, ROOT_ID,
 };
@@ -382,29 +382,75 @@ fn rmdir_deletes_attr_row_and_lingering_deltas() {
     assert!(db.raw_get(&entry_key(ROOT_ID, "d")).is_none());
 }
 
+const ENGINES: [EngineKind; 2] = [EngineKind::Btree, EngineKind::Mvcc];
+
+/// The emptiness check reads the first row on either side of the
+/// directory's attribute rows: `-x` sorts before `/_ATTR`, `zz` after.
 #[test]
 fn expect_empty_dir_blocks_rmdir_of_populated_dir() {
-    let db = db();
-    let mut stats = RequestCtx::new();
-    let dir = InodeId(60);
-    db.raw_put(attr_key(dir), Row::DirAttr(DirAttrMeta::new(0, 0)));
-    db.raw_put(
-        entry_key(dir, "child"),
-        Row::DirAccess {
-            id: InodeId(61),
-            permission: Permission::ALL,
-        },
-    );
-    let ops = vec![
-        TxnOp::Delete { key: attr_key(dir) },
-        TxnOp::ExpectEmptyDir { dir },
-    ];
-    assert!(matches!(
-        db.execute(&ops, &mut stats),
-        Err(MetaError::NotEmpty(_))
-    ));
-    // The abort released locks; the attr row survives.
-    assert!(db.raw_get(&attr_key(dir)).is_some());
+    for (engine, child) in ENGINES.into_iter().flat_map(|e| [(e, "-x"), (e, "zz")]) {
+        let db = db_with(TafDbOptions {
+            engine,
+            ..TafDbOptions::default()
+        });
+        let mut stats = RequestCtx::new();
+        let dir = InodeId(60);
+        db.raw_put(attr_key(dir), Row::DirAttr(DirAttrMeta::new(0, 0)));
+        db.raw_put(
+            entry_key(dir, child),
+            Row::DirAccess {
+                id: InodeId(61),
+                permission: Permission::ALL,
+            },
+        );
+        let ops = vec![
+            TxnOp::Delete { key: attr_key(dir) },
+            TxnOp::ExpectEmptyDir { dir },
+        ];
+        assert!(
+            matches!(db.execute(&ops, &mut stats), Err(MetaError::NotEmpty(_))),
+            "{}: only child {child:?}",
+            engine.name()
+        );
+        // The abort released locks; the attr row survives.
+        assert!(db.raw_get(&attr_key(dir)).is_some());
+    }
+}
+
+/// A directory holding only its attribute row and delta records is empty,
+/// with the neighbouring directories' rows right before and behind them
+/// (one shard, so the neighbours share an engine).
+#[test]
+fn expect_empty_dir_passes_over_attr_and_delta_rows() {
+    for engine in ENGINES {
+        let db = db_with(TafDbOptions {
+            engine,
+            n_shards: 1,
+            ..TafDbOptions::default()
+        });
+        let mut stats = RequestCtx::new();
+        let dir = InodeId(60);
+        db.raw_put(attr_key(dir), Row::DirAttr(DirAttrMeta::new(0, 0)));
+        for ts in [7, 8, 9] {
+            db.raw_put(
+                mantle_store::RowKey::delta(dir, "/_ATTR", mantle_types::TxnId(ts)),
+                Row::Delta(AttrDelta::default()),
+            );
+        }
+        for (neighbour, name) in [(59, "zz"), (61, "")] {
+            db.raw_put(
+                entry_key(InodeId(neighbour), name),
+                Row::DirAttr(DirAttrMeta::new(0, 0)),
+            );
+        }
+        let ops = vec![
+            TxnOp::Delete { key: attr_key(dir) },
+            TxnOp::ExpectEmptyDir { dir },
+        ];
+        db.execute(&ops, &mut stats).unwrap();
+        assert!(db.raw_get(&attr_key(dir)).is_none(), "{}", engine.name());
+        assert_eq!(db.pending_deltas(dir), 0);
+    }
 }
 
 #[test]

@@ -54,9 +54,11 @@ proptest! {
             }
             for &pid in &pids {
                 let (s, e) = dir_region(InodeId(pid));
-                let owners = m.owners_of(s, e);
+                let owners: Vec<usize> = m.owners_of(s, e).collect();
                 prop_assert!(!owners.is_empty());
                 prop_assert!(owners.iter().all(|&o| o < n_shards));
+                // Each owner is named once, however its ranges interleave.
+                prop_assert!((1..owners.len()).all(|i| !owners[..i].contains(&owners[i])));
                 // The attr row's owner is one of the region's owners.
                 let ap = place_of(&attr_key(InodeId(pid)));
                 prop_assert!(owners.contains(&m.owner(ap)));
@@ -184,7 +186,7 @@ fn split_and_migrate_preserve_rows_under_concurrent_writers() {
     // Hot-region ownership really is spread or at least well-defined.
     let m = db.shard_map();
     m.check_invariants();
-    assert!(m.owners_of(rs, re).iter().all(|&o| o < db.n_shards()));
+    assert!(m.owners_of(rs, re).all(|o| o < db.n_shards()));
     verify_exactly_once(&db, dir, &acked);
 }
 

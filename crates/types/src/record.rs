@@ -86,6 +86,16 @@ pub struct AttrDelta {
     pub mtime: u64,
 }
 
+impl AttrDelta {
+    /// Folds `other` into this delta: applying the result equals applying
+    /// both, in either order.
+    pub fn merge(&mut self, other: &AttrDelta) {
+        self.nlink += other.nlink;
+        self.entries += other.entries;
+        self.mtime = self.mtime.max(other.mtime);
+    }
+}
+
 /// Object metadata (the green rows of Figure 2).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObjectMeta {

@@ -1,16 +1,21 @@
 # Developer entry points. `make verify` is the full pre-merge gate (format
-# check + clippy with warnings as errors + tests); CI
-# (.github/workflows/ci.yml) runs the same three steps.
+# check + clippy with warnings as errors + the write-vocabulary grep gates +
+# tests); CI (.github/workflows/ci.yml) runs the same steps.
 
-.PHONY: verify fmt-check clippy test fmt smoke chaos chaos-sweep perf-gate bench-pair
+.PHONY: verify fmt-check clippy vocabulary test fmt smoke chaos chaos-sweep perf-gate bench-pair
 
-verify: fmt-check clippy test
+verify: fmt-check clippy vocabulary test
 
 fmt-check:
 	cargo fmt --check
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# No raw_put outside crates/tafdb/src, no AttrDelta literal outside its two
+# defining files (DESIGN.md §4.3); `ci/loc.sh` prints the non-test line count.
+vocabulary:
+	ci/write_vocabulary.sh
 
 test:
 	cargo test --workspace -q

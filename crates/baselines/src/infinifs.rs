@@ -27,11 +27,11 @@ use mantle_core::pathcache::{PathLeaseCache, PathLeaseConfig};
 use mantle_core::MantleConfig;
 use mantle_rpc::{RetryPolicy, SimNode};
 use mantle_sync::Semaphore;
-use mantle_tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions};
+use mantle_tafdb::{attr_key, recipe, Row, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
-    id::IdAllocator, AttrDelta, BulkLoad, DirAttrMeta, DirEntry, DirStat, InodeId, LeasedPath,
-    MetaError, MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath,
-    Result, RetryClass, SimConfig, ROOT_ID, SCALED_DB_SHARDS,
+    id::IdAllocator, BulkLoad, DirAttrMeta, DirEntry, DirStat, InodeId, LeasedPath, MetaError,
+    MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath, Result,
+    RetryClass, SimConfig, ROOT_ID, SCALED_DB_SHARDS,
 };
 
 /// InfiniFS deployment options.
@@ -39,26 +39,22 @@ use mantle_types::{
 pub struct InfiniFsOptions {
     /// Metadata shards (Table 2: 18 servers, scaled to 8).
     pub db_shards: usize,
-    /// Total resolver-pool permits shared by all proxy threads. The paper's
-    /// effect ("thread over-provisioning") appears when clients × depth
-    /// exceeds this.
-    pub resolver_pool: usize,
-    /// Maximum speculative queries a single resolution issues per round.
-    pub max_parallel: usize,
-    /// Proxy-level retries for rename lock conflicts.
-    pub rename_retries: u32,
 }
 
 impl Default for InfiniFsOptions {
     fn default() -> Self {
         InfiniFsOptions {
             db_shards: SCALED_DB_SHARDS,
-            resolver_pool: 96,
-            max_parallel: 16,
-            rename_retries: 10_000,
         }
     }
 }
+
+/// Resolver-pool permits shared by all proxy threads. The paper's effect
+/// ("thread over-provisioning") appears when clients × depth exceeds this.
+const RESOLVER_POOL: usize = 96;
+
+/// Most speculative queries a single resolution issues per round.
+const MAX_PARALLEL: usize = 16;
 
 /// Predicted directory id: a hash of the full path (FNV-1a, high bit set so
 /// it can never collide with the root id).
@@ -78,7 +74,6 @@ fn predict(path: &MetaPath) -> InodeId {
 /// The InfiniFS-style metadata service.
 pub struct InfiniFs {
     db: Arc<TafDb>,
-    opts: InfiniFsOptions,
     config: SimConfig,
     pool: Semaphore,
     coordinator: SimNode,
@@ -119,9 +114,8 @@ impl InfiniFs {
         };
         Arc::new(InfiniFs {
             db: TafDb::new(sim, db_opts),
-            opts,
             config: sim,
-            pool: Semaphore::new(opts.resolver_pool),
+            pool: Semaphore::new(RESOLVER_POOL),
             coordinator: SimNode::new("infinifs-coord", sim.index_node_permits, sim),
             rename_locks: Mutex::new(HashSet::new()),
             pcache: PathLeaseCache::new(pcache, "infinifs"),
@@ -198,7 +192,7 @@ impl InfiniFs {
         let mut issued = 0;
         while issued < depth {
             let mut permits = vec![self.pool.acquire()];
-            while permits.len() < (depth - issued).min(self.opts.max_parallel) {
+            while permits.len() < (depth - issued).min(MAX_PARALLEL) {
                 match self.pool.try_acquire() {
                     Some(g) => permits.push(g),
                     None => break,
@@ -256,15 +250,15 @@ impl InfiniFs {
         })
     }
 
-    fn resolve_parent(
+    fn resolve_parent<'p>(
         &self,
-        path: &MetaPath,
+        path: &'p MetaPath,
         stats: &mut RequestCtx,
-    ) -> Result<(ResolvedPath, String)> {
+    ) -> Result<(ResolvedPath, &'p str)> {
         let parent = path
             .parent()
             .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
-        let name = path.name().expect("non-root").to_string();
+        let name = path.name().expect("non-root");
         Ok((self.resolve_dir(&parent, stats)?, name))
     }
 
@@ -320,13 +314,19 @@ impl MetadataService for InfiniFs {
             }
             let mut id = predict(path);
             let now = self.relaxed().now();
-            // CFS two-transaction strategy: (1) the new directory's own
-            // attribute row, single shard; (2) the entry under the parent
-            // plus the parent-attribute bump, single shard, serialized by
-            // an atomic primitive (latch) instead of aborting.
-            if let Err(MetaError::AlreadyExists(_)) =
-                self.db
-                    .insert_row(attr_key(id), Row::DirAttr(DirAttrMeta::new(now, 0)), stats)
+            // CFS two-transaction strategy, sequenced by hand: (1) the new
+            // directory's own attribute row, single shard, and as an
+            // *insert* — a taken key is how a stale prediction shows;
+            // (2) the entry under the parent plus the parent-attribute
+            // bump, single shard, serialized by an atomic primitive (latch)
+            // instead of aborting.
+            let attr_row = |id| {
+                [TxnOp::InsertUnique {
+                    key: attr_key(id),
+                    row: Row::DirAttr(DirAttrMeta::new(now, 0)),
+                }]
+            };
+            if let Err(MetaError::AlreadyExists(_)) = self.db.execute_relaxed(&attr_row(id), stats)
             {
                 // The predicted id is taken: a directory created earlier at
                 // this path was renamed away and kept its id. Fall back to
@@ -334,29 +334,15 @@ impl MetadataService for InfiniFs {
                 // mispredict and resolve sequentially, which is InfiniFS's
                 // documented post-rename behaviour.
                 id = self.ids.alloc();
-                self.db
-                    .insert_row(attr_key(id), Row::DirAttr(DirAttrMeta::new(now, 0)), stats)?;
+                self.db.execute_relaxed(&attr_row(id), stats)?;
             }
-            if let Err(e) = self.db.insert_row(
-                entry_key(parent.id, &name),
-                Row::DirAccess {
-                    id,
-                    permission: Permission::ALL,
-                },
-                stats,
-            ) {
-                let _ = self.db.delete_row(attr_key(id), stats);
+            let [entry, _attr_put, link] = recipe::mkdir(parent.id, name, id, now);
+            if let Err(e) = self.db.execute_relaxed(&[entry], stats) {
+                let undo = TxnOp::Delete { key: attr_key(id) };
+                let _ = self.db.execute_relaxed(&[undo], stats);
                 return Err(e);
             }
-            self.db.update_attr_latched(
-                parent.id,
-                AttrDelta {
-                    nlink: 1,
-                    entries: 1,
-                    mtime: now,
-                },
-                stats,
-            )?;
+            self.db.execute_relaxed(&[link], stats)?;
             // Scrub any cached NotFound verdict for the new directory.
             self.pcache.invalidate_exact(path);
             Ok(id)
@@ -367,22 +353,8 @@ impl MetadataService for InfiniFs {
         self.ops.rmdir.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            let (dir, _) = self.db.resolve_step(parent.id, &name, stats)?;
-            if !self.db.readdir(dir, stats)?.is_empty() {
-                return Err(MetaError::NotEmpty(path.to_string()));
-            }
-            let now = self.relaxed().now();
-            self.db.delete_row(entry_key(parent.id, &name), stats)?;
-            self.db.delete_row(attr_key(dir), stats)?;
-            self.db.update_attr_latched(
-                parent.id,
-                AttrDelta {
-                    nlink: -1,
-                    entries: -1,
-                    mtime: now,
-                },
-                stats,
-            )?;
+            let (dir, _) = self.db.resolve_step(parent.id, name, stats)?;
+            self.relaxed().rmdir(path, parent, name, dir, stats)?;
             stats.cache_invalidations += self.pcache.invalidate_subtree(path) as u32;
             Ok(())
         })
@@ -397,7 +369,7 @@ impl MetadataService for InfiniFs {
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.delete.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.relaxed().delete(parent, &name, stats)
+        self.relaxed().delete(parent, name, stats)
     }
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
@@ -407,7 +379,7 @@ impl MetadataService for InfiniFs {
         // speculative fan-out.
         stats.time(Phase::Lookup, |stats| {
             let (parent, name) = self.resolve_parent(path, stats)?;
-            self.db.get_object(parent.id, &name, stats)
+            self.db.get_object(parent.id, name, stats)
         })
     }
 
@@ -456,7 +428,7 @@ impl MetadataService for InfiniFs {
         // on its own servers; conflicts abort and retry). Only
         // `RenameLocked` re-arms the lock attempt — everything else
         // (including conflicts from the metadata transaction below) aborts.
-        RetryPolicy::rename(self.opts.rename_retries).run(
+        RetryPolicy::rename().run(
             stats,
             |e| matches!(e, MetaError::RenameLocked(_)).then_some(RetryClass::Rename),
             |_, _| {},
@@ -468,47 +440,14 @@ impl MetadataService for InfiniFs {
         )?;
 
         let out = stats.time(Phase::Execute, |stats| {
-            let (src_id, src_perm) = self.db.resolve_step(src_parent.id, &src_name, stats)?;
-            let now = self.relaxed().now();
-            let mut ops = vec![
-                mantle_tafdb::TxnOp::Delete {
-                    key: entry_key(src_parent.id, &src_name),
-                },
-                mantle_tafdb::TxnOp::InsertUnique {
-                    key: entry_key(dst_parent.id, &dst_name),
-                    row: Row::DirAccess {
-                        id: src_id,
-                        permission: src_perm,
-                    },
-                },
-            ];
-            if src_parent.id == dst_parent.id {
-                ops.push(mantle_tafdb::TxnOp::AttrUpdate {
-                    dir: src_parent.id,
-                    delta: AttrDelta {
-                        nlink: 0,
-                        entries: 0,
-                        mtime: now,
-                    },
-                });
-            } else {
-                ops.push(mantle_tafdb::TxnOp::AttrUpdate {
-                    dir: src_parent.id,
-                    delta: AttrDelta {
-                        nlink: -1,
-                        entries: -1,
-                        mtime: now,
-                    },
-                });
-                ops.push(mantle_tafdb::TxnOp::AttrUpdate {
-                    dir: dst_parent.id,
-                    delta: AttrDelta {
-                        nlink: 1,
-                        entries: 1,
-                        mtime: now,
-                    },
-                });
-            }
+            let (src_id, src_perm) = self.db.resolve_step(src_parent.id, src_name, stats)?;
+            let ops = recipe::rename(
+                (src_parent.id, src_name),
+                (dst_parent.id, dst_name),
+                src_id,
+                src_perm,
+                self.relaxed().now(),
+            );
             // Distributed transaction with in-place attribute updates: the
             // no-wait conflicts under dirrename-s retry inside execute().
             self.db.execute(&ops, stats)?;
@@ -525,39 +464,9 @@ impl MetadataService for InfiniFs {
 
 impl BulkLoad for InfiniFs {
     fn bulk_dir(&self, path: &MetaPath) -> InodeId {
-        let mut pid = ROOT_ID;
-        let mut current = MetaPath::root();
-        for comp in path.components() {
-            current = current.child(comp);
-            match self.db.raw_get(&entry_key(pid, comp)) {
-                Some(Row::DirAccess { id, .. }) => pid = id,
-                Some(_) => panic!("bulk_dir crosses an object in {path}"),
-                None => {
-                    // Directory ids must match the speculative prediction.
-                    let id = predict(&current);
-                    let now = self.relaxed().now();
-                    self.db.raw_put(
-                        entry_key(pid, comp),
-                        Row::DirAccess {
-                            id,
-                            permission: Permission::ALL,
-                        },
-                    );
-                    self.db
-                        .raw_put(attr_key(id), Row::DirAttr(DirAttrMeta::new(now, 0)));
-                    if let Some(Row::DirAttr(mut attrs)) = self.db.raw_get(&attr_key(pid)) {
-                        attrs.apply_delta(&AttrDelta {
-                            nlink: 1,
-                            entries: 1,
-                            mtime: now,
-                        });
-                        self.db.raw_put(attr_key(pid), Row::DirAttr(attrs));
-                    }
-                    pid = id;
-                }
-            }
-        }
-        pid
+        // Directory ids must match the speculative prediction.
+        self.relaxed()
+            .bulk_dir(path, |path, depth| predict(&path.prefix(depth)))
     }
 
     fn bulk_object(&self, path: &MetaPath, size: u64) {

@@ -24,7 +24,7 @@ use mantle_core::cluster::SvcMetrics;
 use mantle_index::{IndexEntry, IndexTable};
 use mantle_raft::{RaftGroup, RaftOptions, RaftReplica, StateMachine};
 use mantle_rpc::SimNode;
-use mantle_tafdb::{entry_key, Row, TafDb, TafDbOptions};
+use mantle_tafdb::{recipe, TafDb, TafDbOptions};
 use mantle_types::{
     id::IdAllocator, AttrDelta, BulkLoad, DirAttrMeta, DirEntry, DirStat, EntryKind, InodeId,
     MetaError, MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath,
@@ -179,14 +179,7 @@ impl LocoSm {
             .entry(pid)
             .or_default()
             .push((name.to_string(), id));
-        self.bump(
-            pid,
-            &AttrDelta {
-                nlink: 1,
-                entries: 1,
-                mtime: now,
-            },
-        );
+        self.bump(pid, &AttrDelta::dir_linked(now));
     }
 }
 
@@ -212,14 +205,7 @@ impl StateMachine for LocoSm {
                 if let Some(list) = self.children.lock().get_mut(pid) {
                     list.retain(|(n, _)| n != name.as_ref());
                 }
-                self.bump(
-                    *pid,
-                    &AttrDelta {
-                        nlink: -1,
-                        entries: -1,
-                        mtime: *now,
-                    },
-                );
+                self.bump(*pid, &AttrDelta::dir_unlinked(*now));
             }
             LocoCmd::Rename {
                 src_pid,
@@ -244,31 +230,10 @@ impl StateMachine for LocoSm {
                         .push((dst_name.to_string(), id));
                     drop(children);
                     if src_pid == dst_pid {
-                        self.bump(
-                            *src_pid,
-                            &AttrDelta {
-                                nlink: 0,
-                                entries: 0,
-                                mtime: *now,
-                            },
-                        );
+                        self.bump(*src_pid, &AttrDelta::touch(*now));
                     } else {
-                        self.bump(
-                            *src_pid,
-                            &AttrDelta {
-                                nlink: -1,
-                                entries: -1,
-                                mtime: *now,
-                            },
-                        );
-                        self.bump(
-                            *dst_pid,
-                            &AttrDelta {
-                                nlink: 1,
-                                entries: 1,
-                                mtime: *now,
-                            },
-                        );
+                        self.bump(*src_pid, &AttrDelta::dir_unlinked(*now));
+                        self.bump(*dst_pid, &AttrDelta::dir_linked(*now));
                     }
                 }
             }
@@ -580,32 +545,12 @@ impl MetadataService for LocoFs {
         stats.time(Phase::Execute, |stats| {
             let id = self.ids.alloc();
             let now = self.now();
-            self.db.insert_row(
-                entry_key(pid, &name),
-                Row::Object(ObjectMeta {
-                    pid,
-                    name: name.clone(),
-                    id,
-                    size,
-                    blob: 0,
-                    ctime: now,
-                    permission: Permission::ALL,
-                }),
-                stats,
-            )?;
-            self.dir_rpc_propose(stats, |_| {
-                Ok((
-                    (),
-                    LocoCmd::Bump {
-                        dir: pid,
-                        delta: AttrDelta {
-                            nlink: 0,
-                            entries: 1,
-                            mtime: now,
-                        },
-                    },
-                ))
-            })?;
+            // The recipe's second half, the parent's attributes, lives on
+            // the directory server, not in the object DB.
+            let [insert, _] = recipe::create(pid, &name, id, size, 0, now);
+            self.db.execute_relaxed(&[insert], stats)?;
+            let delta = AttrDelta::entry_added(now);
+            self.dir_rpc_propose(stats, |_| Ok(((), LocoCmd::Bump { dir: pid, delta })))?;
             Ok(id)
         })
     }
@@ -622,21 +567,11 @@ impl MetadataService for LocoFs {
         })?;
         stats.time(Phase::Execute, |stats| {
             self.db.get_object(pid, &name, stats)?;
-            self.db.delete_row(entry_key(pid, &name), stats)?;
-            self.dir_rpc_propose(stats, |_| {
-                Ok((
-                    (),
-                    LocoCmd::Bump {
-                        dir: pid,
-                        delta: AttrDelta {
-                            nlink: 0,
-                            entries: -1,
-                            mtime: self.now(),
-                        },
-                    },
-                ))
-            })?;
-            Ok(())
+            let now = self.now();
+            let [remove, _] = recipe::delete(pid, &name, now);
+            self.db.execute_relaxed(&[remove], stats)?;
+            let delta = AttrDelta::entry_removed(now);
+            self.dir_rpc_propose(stats, |_| Ok(((), LocoCmd::Bump { dir: pid, delta })))
         })
     }
 
@@ -718,8 +653,9 @@ impl MetadataService for LocoFs {
         if src.is_root() || dst.is_root() {
             return Err(MetaError::InvalidRename("root cannot be renamed".into()));
         }
+        let dst_name = dst.name().expect("non-root");
         stats.time(Phase::LoopDetect, |stats| {
-            self.dir_rpc_propose(stats, |l| {
+            let (dst_pid, cmd) = self.dir_rpc(stats, |l| {
                 let sm = l.state_machine();
                 // Loop detection is local (and serialized by the leader).
                 if src.is_prefix_of(dst) {
@@ -734,15 +670,7 @@ impl MetadataService for LocoFs {
                     return Err(MetaError::NotFound(src.to_string()));
                 }
                 let dst_parent = sm.resolve(&dst.parent().expect("non-root"))?;
-                let dst_name = dst.name().expect("non-root");
                 if sm.table.get(dst_parent.id, dst_name).is_some() {
-                    return Err(MetaError::AlreadyExists(dst.to_string()));
-                }
-                if self
-                    .db
-                    .raw_get(&entry_key(dst_parent.id, dst_name))
-                    .is_some()
-                {
                     return Err(MetaError::AlreadyExists(dst.to_string()));
                 }
                 let cmd = LocoCmd::Rename {
@@ -752,8 +680,15 @@ impl MetadataService for LocoFs {
                     dst_name: Arc::from(dst_name),
                     now: self.now(),
                 };
-                Ok(((), cmd))
-            })
+                Ok((dst_parent.id, cmd))
+            })?;
+            // Cross-component check, as in mkdir: an object of the
+            // destination name in the object DB blocks the rename too, and
+            // asking costs an RPC (§3.3).
+            if self.db.get_entry(dst_pid, dst_name, stats)?.is_some() {
+                return Err(MetaError::AlreadyExists(dst.to_string()));
+            }
+            Self::propose(&self.leader()?, cmd)
         })
     }
 }
@@ -789,27 +724,10 @@ impl BulkLoad for LocoFs {
         let pid = self.bulk_dir(&parent);
         let id = self.ids.alloc();
         let now = self.now();
-        self.db.raw_put(
-            entry_key(pid, name),
-            Row::Object(ObjectMeta {
-                pid,
-                name: name.to_string(),
-                id,
-                size,
-                blob: 0,
-                ctime: now,
-                permission: Permission::ALL,
-            }),
-        );
+        let [insert, _] = recipe::create(pid, name, id, size, 0, now);
+        self.db.bulk_apply([insert]);
         for r in self.dir_server.replicas() {
-            r.state_machine().bump(
-                pid,
-                &AttrDelta {
-                    nlink: 0,
-                    entries: 1,
-                    mtime: now,
-                },
-            );
+            r.state_machine().bump(pid, &AttrDelta::entry_added(now));
         }
     }
 }

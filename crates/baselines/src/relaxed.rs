@@ -1,15 +1,17 @@
-//! The relaxed-consistency object and directory-read operations Tectonic
-//! and InfiniFS share (§6.1): once the parent is resolved — the part that
-//! differs between the two — an object create/delete is an independent
-//! single-row write plus a blocking-latch parent-attribute update, and
-//! `dirstat`/`readdir`/`list` are plain reads of the ordered shard store.
+//! The relaxed-consistency operations Tectonic and InfiniFS share (§6.1):
+//! once the parent is resolved — the part that differs between the two —
+//! an object create/delete or an rmdir is its recipe run by the relaxed
+//! executor (independent single-row writes, the parent-attribute update
+//! under a blocking latch), `dirstat`/`readdir`/`list` are plain reads of
+//! the ordered shard store, and a bulk load is the same recipes applied
+//! for free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mantle_tafdb::{attr_key, entry_key, Row, TafDb};
+use mantle_tafdb::{entry_view, recipe, Row, TafDb};
 use mantle_types::{
-    id::IdAllocator, AttrDelta, DirEntry, DirStat, InodeId, MetaError, MetaPath, ObjectMeta,
-    Permission, Phase, RequestCtx, ResolvedPath, Result,
+    id::IdAllocator, DirEntry, DirStat, InodeId, MetaError, MetaPath, Permission, Phase,
+    RequestCtx, ResolvedPath, Result, ROOT_ID,
 };
 
 /// A baseline's table, id allocator and logical clock, borrowed for one
@@ -30,7 +32,7 @@ impl Relaxed<'_> {
         &self,
         path: &MetaPath,
         parent: ResolvedPath,
-        name: String,
+        name: &str,
         size: u64,
         stats: &mut RequestCtx,
     ) -> Result<InodeId> {
@@ -39,30 +41,8 @@ impl Relaxed<'_> {
                 return Err(MetaError::PermissionDenied(path.to_string()));
             }
             let id = self.ids.alloc();
-            let now = self.now();
-            let key = entry_key(parent.id, &name);
-            self.db.insert_row(
-                key,
-                Row::Object(ObjectMeta {
-                    pid: parent.id,
-                    name,
-                    id,
-                    size,
-                    blob: 0,
-                    ctime: now,
-                    permission: Permission::ALL,
-                }),
-                stats,
-            )?;
-            self.db.update_attr_latched(
-                parent.id,
-                AttrDelta {
-                    nlink: 0,
-                    entries: 1,
-                    mtime: now,
-                },
-                stats,
-            )?;
+            let ops = recipe::create(parent.id, name, id, size, 0, self.now());
+            self.db.execute_relaxed(&ops, stats)?;
             Ok(id)
         })
     }
@@ -75,19 +55,29 @@ impl Relaxed<'_> {
     ) -> Result<()> {
         stats.time(Phase::Execute, |stats| {
             self.db.get_object(parent.id, name, stats)?;
-            let now = self.now();
-            self.db.delete_row(entry_key(parent.id, name), stats)?;
-            self.db.update_attr_latched(
-                parent.id,
-                AttrDelta {
-                    nlink: 0,
-                    entries: -1,
-                    mtime: now,
-                },
-                stats,
-            )?;
-            Ok(())
+            let ops = recipe::delete(parent.id, name, self.now());
+            self.db.execute_relaxed(&ops, stats)
         })
+    }
+
+    /// `rmdir` of the resolved directory `dir`: the read that checks it is
+    /// empty, then the recipe's three writes. (`ExpectEmptyDir` is the
+    /// transactional form of that read and has no single-row one.)
+    pub(crate) fn rmdir(
+        &self,
+        path: &MetaPath,
+        parent: ResolvedPath,
+        name: &str,
+        dir: InodeId,
+        stats: &mut RequestCtx,
+    ) -> Result<()> {
+        if !self.db.readdir(dir, stats)?.is_empty() {
+            return Err(MetaError::NotEmpty(path.to_string()));
+        }
+        // Entry first: with no transaction around the writes, the directory
+        // must stop being reachable before its attribute row goes.
+        let [attr, _expect_empty, entry, unlink] = recipe::rmdir(parent.id, name, dir, self.now());
+        self.db.execute_relaxed(&[entry, attr, unlink], stats)
     }
 
     pub(crate) fn dirstat(&self, dir: ResolvedPath, stats: &mut RequestCtx) -> Result<DirStat> {
@@ -123,30 +113,33 @@ impl Relaxed<'_> {
         })
     }
 
+    /// Bulk-loads `path` and its missing ancestors; `new_id` names each
+    /// directory created, given `path` and that directory's depth in it.
+    pub(crate) fn bulk_dir(
+        &self,
+        path: &MetaPath,
+        mut new_id: impl FnMut(&MetaPath, usize) -> InodeId,
+    ) -> InodeId {
+        let mut pid = ROOT_ID;
+        for (depth, comp) in path.components().enumerate() {
+            match self.db.raw_get(&entry_view(pid, comp)) {
+                Some(Row::DirAccess { id, .. }) => pid = id,
+                Some(_) => panic!("bulk_dir crosses an object in {path}"),
+                None => {
+                    let id = new_id(path, depth + 1);
+                    self.db.bulk_apply(recipe::mkdir(pid, comp, id, self.now()));
+                    pid = id;
+                }
+            }
+        }
+        pid
+    }
+
     /// Bulk-loads one object row under the (already bulk-loaded) directory
-    /// `pid`, bypassing RPC accounting.
+    /// `pid`.
     pub(crate) fn bulk_object(&self, pid: InodeId, name: &str, size: u64) {
         let id = self.ids.alloc();
-        let now = self.now();
-        self.db.raw_put(
-            entry_key(pid, name),
-            Row::Object(ObjectMeta {
-                pid,
-                name: name.to_string(),
-                id,
-                size,
-                blob: 0,
-                ctime: now,
-                permission: Permission::ALL,
-            }),
-        );
-        if let Some(Row::DirAttr(mut attrs)) = self.db.raw_get(&attr_key(pid)) {
-            attrs.apply_delta(&AttrDelta {
-                nlink: 0,
-                entries: 1,
-                mtime: now,
-            });
-            self.db.raw_put(attr_key(pid), Row::DirAttr(attrs));
-        }
+        self.db
+            .bulk_apply(recipe::create(pid, name, id, size, 0, self.now()));
     }
 }

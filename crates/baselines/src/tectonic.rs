@@ -11,11 +11,10 @@ use std::sync::Arc;
 
 use crate::relaxed::Relaxed;
 use mantle_core::cluster::SvcMetrics;
-use mantle_tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions};
+use mantle_tafdb::{recipe, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
-    id::IdAllocator, AttrDelta, BulkLoad, DirAttrMeta, DirEntry, DirStat, InodeId, MetaError,
-    MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath, Result,
-    SimConfig, ROOT_ID,
+    id::IdAllocator, BulkLoad, DirEntry, DirStat, InodeId, MetaError, MetaPath, MetadataService,
+    ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath, Result, SimConfig, ROOT_ID,
 };
 
 /// Tectonic deployment options.
@@ -93,6 +92,18 @@ impl Tectonic {
         }
     }
 
+    /// Runs a directory modification's ops under this deployment's
+    /// consistency model: the original DBtable service's one distributed
+    /// transaction (Figure 2 steps 4a/4b, aborting on conflicts), or §6.1's
+    /// independent writes.
+    fn run(&self, ops: &[TxnOp], stats: &mut RequestCtx) -> Result<()> {
+        if self.transactional {
+            self.db.execute(ops, stats).map(|_| ())
+        } else {
+            self.db.execute_relaxed(ops, stats)
+        }
+    }
+
     /// Level-by-level traversal: one RPC per component (the dotted arrows
     /// of Figure 2), with a permission check at each step.
     fn resolve_dir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
@@ -112,15 +123,15 @@ impl Tectonic {
         })
     }
 
-    fn resolve_parent(
+    fn resolve_parent<'p>(
         &self,
-        path: &MetaPath,
+        path: &'p MetaPath,
         stats: &mut RequestCtx,
-    ) -> Result<(ResolvedPath, String)> {
+    ) -> Result<(ResolvedPath, &'p str)> {
         let parent = path
             .parent()
             .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
-        let name = path.name().expect("non-root").to_string();
+        let name = path.name().expect("non-root");
         Ok((self.resolve_dir(&parent, stats)?, name))
     }
 }
@@ -143,55 +154,8 @@ impl MetadataService for Tectonic {
                 return Err(MetaError::PermissionDenied(path.to_string()));
             }
             let id = self.ids.alloc();
-            let now = self.relaxed().now();
-            if self.transactional {
-                // The original DBtable service: one distributed transaction
-                // spanning the parent's shard and the new directory's shard
-                // (Figure 2 steps 4a/4b), aborting on conflicts.
-                let ops = [
-                    mantle_tafdb::TxnOp::InsertUnique {
-                        key: entry_key(parent.id, &name),
-                        row: Row::DirAccess {
-                            id,
-                            permission: Permission::ALL,
-                        },
-                    },
-                    mantle_tafdb::TxnOp::Put {
-                        key: attr_key(id),
-                        row: Row::DirAttr(DirAttrMeta::new(now, 0)),
-                    },
-                    mantle_tafdb::TxnOp::AttrUpdate {
-                        dir: parent.id,
-                        delta: AttrDelta {
-                            nlink: 1,
-                            entries: 1,
-                            mtime: now,
-                        },
-                    },
-                ];
-                self.db.execute(&ops, stats)?;
-                return Ok(id);
-            }
-            // Relaxed consistency: three independent writes, no transaction.
-            self.db.insert_row(
-                entry_key(parent.id, &name),
-                Row::DirAccess {
-                    id,
-                    permission: Permission::ALL,
-                },
-                stats,
-            )?;
-            self.db
-                .insert_row(attr_key(id), Row::DirAttr(DirAttrMeta::new(now, 0)), stats)?;
-            self.db.update_attr_latched(
-                parent.id,
-                AttrDelta {
-                    nlink: 1,
-                    entries: 1,
-                    mtime: now,
-                },
-                stats,
-            )?;
+            let ops = recipe::mkdir(parent.id, name, id, self.relaxed().now());
+            self.run(&ops, stats)?;
             Ok(id)
         })
     }
@@ -200,27 +164,11 @@ impl MetadataService for Tectonic {
         self.ops.rmdir.inc();
         let (dir, parent, name) = stats.time(Phase::Lookup, |stats| {
             let (parent, name) = self.resolve_parent(path, stats)?;
-            let (id, _) = self.db.resolve_step(parent.id, &name, stats)?;
+            let (id, _) = self.db.resolve_step(parent.id, name, stats)?;
             Ok::<_, MetaError>((id, parent, name))
         })?;
         stats.time(Phase::Execute, |stats| {
-            let children = self.db.readdir(dir, stats)?;
-            if !children.is_empty() {
-                return Err(MetaError::NotEmpty(path.to_string()));
-            }
-            let now = self.relaxed().now();
-            self.db.delete_row(entry_key(parent.id, &name), stats)?;
-            self.db.delete_row(attr_key(dir), stats)?;
-            self.db.update_attr_latched(
-                parent.id,
-                AttrDelta {
-                    nlink: -1,
-                    entries: -1,
-                    mtime: now,
-                },
-                stats,
-            )?;
-            Ok(())
+            self.relaxed().rmdir(path, parent, name, dir, stats)
         })
     }
 
@@ -233,14 +181,14 @@ impl MetadataService for Tectonic {
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.delete.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.relaxed().delete(parent, &name, stats)
+        self.relaxed().delete(parent, name, stats)
     }
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
         self.ops.objstat.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            self.db.get_object(parent.id, &name, stats)
+            self.db.get_object(parent.id, name, stats)
         })
     }
 
@@ -287,131 +235,29 @@ impl MetadataService for Tectonic {
             Ok::<_, MetaError>((sp, sn, dp, dn))
         })?;
         stats.time(Phase::Execute, |stats| {
-            let (src_id, src_perm) = self.db.resolve_step(src_parent.id, &src_name, stats)?;
-            let now = self.relaxed().now();
-            if self.transactional {
-                let mut ops = vec![
-                    mantle_tafdb::TxnOp::Delete {
-                        key: entry_key(src_parent.id, &src_name),
-                    },
-                    mantle_tafdb::TxnOp::InsertUnique {
-                        key: entry_key(dst_parent.id, &dst_name),
-                        row: Row::DirAccess {
-                            id: src_id,
-                            permission: src_perm,
-                        },
-                    },
-                ];
-                if src_parent.id == dst_parent.id {
-                    ops.push(mantle_tafdb::TxnOp::AttrUpdate {
-                        dir: src_parent.id,
-                        delta: AttrDelta {
-                            nlink: 0,
-                            entries: 0,
-                            mtime: now,
-                        },
-                    });
-                } else {
-                    ops.push(mantle_tafdb::TxnOp::AttrUpdate {
-                        dir: src_parent.id,
-                        delta: AttrDelta {
-                            nlink: -1,
-                            entries: -1,
-                            mtime: now,
-                        },
-                    });
-                    ops.push(mantle_tafdb::TxnOp::AttrUpdate {
-                        dir: dst_parent.id,
-                        delta: AttrDelta {
-                            nlink: 1,
-                            entries: 1,
-                            mtime: now,
-                        },
-                    });
-                }
-                if let Err(e) = self.db.execute(&ops, stats) {
-                    mantle_obs::flight::annotate_with(|| format!("tectonic:rename_txn err={e}"));
-                    return Err(e);
-                }
-                return Ok(());
+            let (src_id, src_perm) = self.db.resolve_step(src_parent.id, src_name, stats)?;
+            let mut ops = recipe::rename(
+                (src_parent.id, src_name),
+                (dst_parent.id, dst_name),
+                src_id,
+                src_perm,
+                self.relaxed().now(),
+            );
+            if !self.transactional {
+                // Destination first: stopped between the two writes, the
+                // directory is reachable twice rather than not at all.
+                ops.swap(0, 1);
             }
-            self.db.insert_row(
-                entry_key(dst_parent.id, &dst_name),
-                Row::DirAccess {
-                    id: src_id,
-                    permission: src_perm,
-                },
-                stats,
-            )?;
-            self.db
-                .delete_row(entry_key(src_parent.id, &src_name), stats)?;
-            if src_parent.id == dst_parent.id {
-                self.db.update_attr_latched(
-                    src_parent.id,
-                    AttrDelta {
-                        nlink: 0,
-                        entries: 0,
-                        mtime: now,
-                    },
-                    stats,
-                )?;
-            } else {
-                self.db.update_attr_latched(
-                    src_parent.id,
-                    AttrDelta {
-                        nlink: -1,
-                        entries: -1,
-                        mtime: now,
-                    },
-                    stats,
-                )?;
-                self.db.update_attr_latched(
-                    dst_parent.id,
-                    AttrDelta {
-                        nlink: 1,
-                        entries: 1,
-                        mtime: now,
-                    },
-                    stats,
-                )?;
-            }
-            Ok(())
+            self.run(&ops, stats).inspect_err(|e| {
+                mantle_obs::flight::annotate_with(|| format!("tectonic:rename err={e}"));
+            })
         })
     }
 }
 
 impl BulkLoad for Tectonic {
     fn bulk_dir(&self, path: &MetaPath) -> InodeId {
-        let mut pid = ROOT_ID;
-        for comp in path.components() {
-            match self.db.raw_get(&entry_key(pid, comp)) {
-                Some(Row::DirAccess { id, .. }) => pid = id,
-                Some(_) => panic!("bulk_dir crosses an object in {path}"),
-                None => {
-                    let id = self.ids.alloc();
-                    let now = self.relaxed().now();
-                    self.db.raw_put(
-                        entry_key(pid, comp),
-                        Row::DirAccess {
-                            id,
-                            permission: Permission::ALL,
-                        },
-                    );
-                    self.db
-                        .raw_put(attr_key(id), Row::DirAttr(DirAttrMeta::new(now, 0)));
-                    if let Some(Row::DirAttr(mut attrs)) = self.db.raw_get(&attr_key(pid)) {
-                        attrs.apply_delta(&AttrDelta {
-                            nlink: 1,
-                            entries: 1,
-                            mtime: now,
-                        });
-                        self.db.raw_put(attr_key(pid), Row::DirAttr(attrs));
-                    }
-                    pid = id;
-                }
-            }
-        }
-        pid
+        self.relaxed().bulk_dir(path, |_, _| self.ids.alloc())
     }
 
     fn bulk_object(&self, path: &MetaPath, size: u64) {

@@ -19,7 +19,7 @@ use std::sync::{Barrier, Mutex};
 use serde::Serialize;
 
 use mantle_core::{MantleCluster, MantleConfig, PathLeaseConfig};
-use mantle_tafdb::{dir_region, entry_key, EngineKind, Row, TafDb, TafDbOptions};
+use mantle_tafdb::{dir_region, entry_key, EngineKind, Row, TafDb, TafDbOptions, TxnOp};
 use mantle_types::hist::Histogram;
 use mantle_types::stats::OpStatsAgg;
 use mantle_types::{clock, EnvConfig, InodeId, Permission, RequestCtx, SimConfig};
@@ -283,15 +283,13 @@ fn run_mixed(engine: EngineKind) -> MixedOutcome {
         pid += 1;
     }
 
-    for i in 0..MIX_ENTRIES {
-        db.raw_put(
-            entry_key(scan_pid, &format!("e{i:05}")),
-            Row::DirAccess {
-                id: InodeId(1_000 + i as u64),
-                permission: Permission::ALL,
-            },
-        );
-    }
+    db.bulk_apply((0..MIX_ENTRIES).map(|i| TxnOp::Put {
+        key: entry_key(scan_pid, &format!("e{i:05}")),
+        row: Row::DirAccess {
+            id: InodeId(1_000 + i as u64),
+            permission: Permission::ALL,
+        },
+    }));
 
     let completed = AtomicU64::new(0);
     let failed = AtomicU64::new(0);
@@ -333,14 +331,14 @@ fn run_mixed(engine: EngineKind) -> MixedOutcome {
                 for i in 0..MIX_CREATES {
                     let mut stats = RequestCtx::new();
                     let begin = clock::now();
-                    let out = db.insert_row(
-                        entry_key(cpid, &format!("c{t}_{i:05}")),
-                        Row::DirAccess {
+                    let insert = TxnOp::InsertUnique {
+                        key: entry_key(cpid, &format!("c{t}_{i:05}")),
+                        row: Row::DirAccess {
                             id: InodeId(100_000 + (t * MIX_CREATES + i) as u64),
                             permission: Permission::ALL,
                         },
-                        &mut stats,
-                    );
+                    };
+                    let out = db.execute_relaxed(&[insert], &mut stats);
                     stats.end();
                     match out {
                         Ok(()) => {

@@ -6,12 +6,10 @@ use std::sync::Arc;
 
 use mantle_index::{IndexNode, IndexOptions};
 use mantle_rpc::{classify_failover, classify_rename, RetryPolicy};
-use mantle_tafdb::{attr_key, attr_view, entry_key, entry_view, Row, TafDb, TafDbOptions, TxnOp};
+use mantle_tafdb::{entry_view, recipe, Row, TafDb, TafDbOptions};
 use mantle_types::{
     id::IdAllocator,
-    AttrDelta,
     ClientUuid,
-    DirAttrMeta,
     DirEntry,
     DirStat,
     EnvConfig,
@@ -84,8 +82,6 @@ pub struct MantleConfig {
     pub db: TafDbOptions,
     /// Data-service node count.
     pub data_nodes: usize,
-    /// Proxy-level retries for rename lock conflicts.
-    pub rename_retries: u32,
     /// Proxy-level retries for transient unavailability (leader failover).
     pub unavailable_retries: u32,
     /// Client-side path-lease cache (DESIGN.md §4.13; also the proxy-side
@@ -102,7 +98,6 @@ impl Default for MantleConfig {
             index: IndexOptions::default(),
             db: TafDbOptions::default(),
             data_nodes: 4,
-            rename_retries: 10_000,
             unavailable_retries: 600,
             pcache: PathLeaseConfig {
                 enabled: EnvConfig::get().path_cache,
@@ -233,21 +228,10 @@ impl MantleCluster {
         self.setattr_ops.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            // Persist in TafDB first (source of truth), then refresh the
-            // IndexNode's access metadata.
-            let updated = match self.db.get_entry(parent.id, name, stats)? {
-                Some(Row::DirAccess { id, .. }) => {
-                    self.db.raw_put(
-                        entry_key(parent.id, name),
-                        Row::DirAccess { id, permission },
-                    );
-                    true
-                }
-                _ => false,
-            };
-            if !updated {
-                return Err(MetaError::NotFound(path.to_string()));
-            }
+            // Persist in TafDB first (source of truth), under the entry's
+            // row lock, then refresh the IndexNode's access metadata.
+            self.db
+                .execute(&recipe::setattr(parent.id, name, permission), stats)?;
             self.with_failover(stats, |stats| {
                 self.index
                     .set_permission(parent.id, name, permission, path, stats)
@@ -377,27 +361,7 @@ impl MetadataService for MantleCluster {
             }
             let id = self.ids.alloc();
             let now = self.now();
-            let ops = [
-                TxnOp::InsertUnique {
-                    key: entry_key(parent.id, name),
-                    row: Row::DirAccess {
-                        id,
-                        permission: Permission::ALL,
-                    },
-                },
-                TxnOp::Put {
-                    key: attr_key(id),
-                    row: Row::DirAttr(DirAttrMeta::new(now, 0)),
-                },
-                TxnOp::AttrUpdate {
-                    dir: parent.id,
-                    delta: AttrDelta {
-                        nlink: 1,
-                        entries: 1,
-                        mtime: now,
-                    },
-                },
-            ];
+            let ops = recipe::mkdir(parent.id, name, id, now);
             self.db.execute(&ops, stats)?;
             // Refresh the IndexNode's access metadata (Figure 5: "TafDB
             // updates all metadata while IndexNode refreshes access data").
@@ -423,25 +387,7 @@ impl MetadataService for MantleCluster {
                 return Err(MetaError::PermissionDenied(path.to_string()));
             }
             let now = self.now();
-            let ops = [
-                // Exclusive lock on the attr row first; ExpectEmptyDir then
-                // checks emptiness with creations excluded.
-                TxnOp::Delete {
-                    key: attr_key(dir.id),
-                },
-                TxnOp::ExpectEmptyDir { dir: dir.id },
-                TxnOp::Delete {
-                    key: entry_key(parent.id, name),
-                },
-                TxnOp::AttrUpdate {
-                    dir: parent.id,
-                    delta: AttrDelta {
-                        nlink: -1,
-                        entries: -1,
-                        mtime: now,
-                    },
-                },
-            ];
+            let ops = recipe::rmdir(parent.id, name, dir.id, now);
             self.db.execute(&ops, stats)?;
             self.with_failover(stats, |stats| {
                 self.index.remove_dir(parent.id, name, path, stats)
@@ -460,28 +406,7 @@ impl MetadataService for MantleCluster {
             }
             let id = self.ids.alloc();
             let now = self.now();
-            let ops = [
-                TxnOp::InsertUnique {
-                    key: entry_key(parent.id, name),
-                    row: Row::Object(ObjectMeta {
-                        pid: parent.id,
-                        name: name.to_string(),
-                        id,
-                        size,
-                        blob: 0,
-                        ctime: now,
-                        permission: Permission::ALL,
-                    }),
-                },
-                TxnOp::AttrUpdate {
-                    dir: parent.id,
-                    delta: AttrDelta {
-                        nlink: 0,
-                        entries: 1,
-                        mtime: now,
-                    },
-                },
-            ];
+            let ops = recipe::create(parent.id, name, id, size, 0, now);
             self.db.execute(&ops, stats)?;
             Ok(id)
         })
@@ -494,19 +419,7 @@ impl MetadataService for MantleCluster {
             // Type check (an object, not a directory) before deleting.
             self.db.get_object(parent.id, name, stats)?;
             let now = self.now();
-            let ops = [
-                TxnOp::Delete {
-                    key: entry_key(parent.id, name),
-                },
-                TxnOp::AttrUpdate {
-                    dir: parent.id,
-                    delta: AttrDelta {
-                        nlink: 0,
-                        entries: -1,
-                        mtime: now,
-                    },
-                },
-            ];
+            let ops = recipe::delete(parent.id, name, now);
             self.db.execute(&ops, stats)?;
             Ok(())
         })
@@ -572,7 +485,7 @@ impl MetadataService for MantleCluster {
         // The engine's rename pacing charges the modeled backoff to this
         // client's timeline and yields so the conflicting client can release
         // the lock in real time (or plain yields when RTT is zero).
-        RetryPolicy::rename(self.config.rename_retries).run(
+        RetryPolicy::rename().run(
             stats,
             classify_rename,
             |_, e| {
@@ -597,24 +510,7 @@ impl mantle_types::BulkLoad for MantleCluster {
                 Some(_) => panic!("bulk_dir crosses an object at {}", path.prefix(depth + 1)),
                 None => {
                     let id = self.ids.alloc();
-                    let now = self.now();
-                    self.db.raw_put(
-                        entry_key(pid, comp),
-                        Row::DirAccess {
-                            id,
-                            permission: Permission::ALL,
-                        },
-                    );
-                    self.db
-                        .raw_put(attr_key(id), Row::DirAttr(DirAttrMeta::new(now, 0)));
-                    if let Some(Row::DirAttr(mut attrs)) = self.db.raw_get(&attr_view(pid)) {
-                        attrs.apply_delta(&AttrDelta {
-                            nlink: 1,
-                            entries: 1,
-                            mtime: now,
-                        });
-                        self.db.raw_put(attr_key(pid), Row::DirAttr(attrs));
-                    }
+                    self.db.bulk_apply(recipe::mkdir(pid, comp, id, self.now()));
                     self.index.raw_insert_dir(pid, comp, id, Permission::ALL);
                     pid = id;
                 }
@@ -630,26 +526,8 @@ impl mantle_types::BulkLoad for MantleCluster {
         let id = self.ids.alloc();
         let now = self.now();
         let blob = self.data.raw_write(size);
-        self.db.raw_put(
-            entry_key(pid, name),
-            Row::Object(ObjectMeta {
-                pid,
-                name: name.to_string(),
-                id,
-                size,
-                blob,
-                ctime: now,
-                permission: Permission::ALL,
-            }),
-        );
-        if let Some(Row::DirAttr(mut attrs)) = self.db.raw_get(&attr_view(pid)) {
-            attrs.apply_delta(&AttrDelta {
-                nlink: 0,
-                entries: 1,
-                mtime: now,
-            });
-            self.db.raw_put(attr_key(pid), Row::DirAttr(attrs));
-        }
+        self.db
+            .bulk_apply(recipe::create(pid, name, id, size, blob, now));
     }
 }
 
@@ -674,46 +552,13 @@ impl MantleCluster {
             let src_name = src.name().expect("non-root");
             let dst_name = dst.name().expect("non-root");
             let now = self.now();
-            let mut ops = vec![
-                TxnOp::Delete {
-                    key: entry_key(grant.src_pid, src_name),
-                },
-                TxnOp::InsertUnique {
-                    key: entry_key(grant.dst_pid, dst_name),
-                    row: Row::DirAccess {
-                        id: grant.src_id,
-                        permission: grant.permission,
-                    },
-                },
-            ];
-            if grant.src_pid == grant.dst_pid {
-                // Same-parent rename: entry counts are unchanged.
-                ops.push(TxnOp::AttrUpdate {
-                    dir: grant.src_pid,
-                    delta: AttrDelta {
-                        nlink: 0,
-                        entries: 0,
-                        mtime: now,
-                    },
-                });
-            } else {
-                ops.push(TxnOp::AttrUpdate {
-                    dir: grant.src_pid,
-                    delta: AttrDelta {
-                        nlink: -1,
-                        entries: -1,
-                        mtime: now,
-                    },
-                });
-                ops.push(TxnOp::AttrUpdate {
-                    dir: grant.dst_pid,
-                    delta: AttrDelta {
-                        nlink: 1,
-                        entries: 1,
-                        mtime: now,
-                    },
-                });
-            }
+            let ops = recipe::rename(
+                (grant.src_pid, src_name),
+                (grant.dst_pid, dst_name),
+                grant.src_id,
+                grant.permission,
+                now,
+            );
             match self.db.execute(&ops, stats) {
                 Ok(_) => {
                     self.with_failover(stats, |stats| {

@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use mantle_tafdb::{attr_key, Row, TafDb};
-use mantle_types::{id::IdAllocator, DirAttrMeta, InodeId, MetaError, Result};
+use mantle_tafdb::{recipe, TafDb};
+use mantle_types::{id::IdAllocator, InodeId, MetaError, Result};
 
 use crate::cluster::{MantleCluster, MantleConfig};
 use crate::data::DataService;
@@ -55,8 +55,7 @@ impl MantleRegion {
             return Err(MetaError::AlreadyExists(format!("namespace {name}")));
         }
         let root = self.ids.alloc();
-        self.db
-            .raw_put(attr_key(root), Row::DirAttr(DirAttrMeta::new(0, 0)));
+        self.db.bulk_apply(recipe::root(root));
         let cluster = MantleCluster::with_shared(
             self.config,
             Arc::clone(&self.db),

@@ -28,8 +28,6 @@ pub struct IndexOptions {
     /// Serve lookups from followers/learners via batched ReadIndex
     /// (§5.1.3; `false` = pre-`+follower read` ablation).
     pub follower_reads: bool,
-    /// Voting replicas (the paper deploys 3 IndexNode servers).
-    pub voters: usize,
     /// Additional learner (read-only) replicas.
     pub learners: usize,
     /// Raft tuning (log batching etc.).
@@ -45,13 +43,15 @@ impl Default for IndexOptions {
             k: 3,
             path_cache: true,
             follower_reads: true,
-            voters: 3,
             learners: 0,
             raft: RaftOptions::default(),
             root: mantle_types::ROOT_ID,
         }
     }
 }
+
+/// Voting replicas: the paper deploys 3 IndexNode servers.
+const VOTERS: usize = 3;
 
 /// The reply to a successful rename prepare (Figure 9 step 7): everything
 /// the proxy needs to run the metadata transaction.
@@ -111,7 +111,7 @@ impl IndexMetrics {
 impl IndexNode {
     /// Builds the replication group (`voters + learners` simulated servers).
     pub fn new(config: SimConfig, opts: IndexOptions) -> Self {
-        let nodes: Vec<Arc<SimNode>> = (0..opts.voters + opts.learners)
+        let nodes: Vec<Arc<SimNode>> = (0..VOTERS + opts.learners)
             .map(|i| {
                 Arc::new(SimNode::new(
                     format!("index{i}"),
@@ -120,7 +120,7 @@ impl IndexNode {
                 ))
             })
             .collect();
-        let group = RaftGroup::new(config, opts.raft, nodes, opts.voters, |_| {
+        let group = RaftGroup::new(config, opts.raft, nodes, VOTERS, |_| {
             IndexSm::with_root(config, opts.k, opts.path_cache, opts.root)
         });
 

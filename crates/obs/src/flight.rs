@@ -45,9 +45,6 @@ pub struct FlightConfig {
     pub slow_capacity: usize,
     /// `k` in the adaptive threshold `trailing_p99 × k`.
     pub threshold_mult: f64,
-    /// Lower bound on the adaptive threshold, so a uniformly fast op type
-    /// does not flag noise.
-    pub floor_nanos: u64,
     /// Fixed threshold overriding the adaptive one entirely.
     pub fixed_threshold_nanos: Option<u64>,
     /// Ops observed per `(system, op)` before the adaptive threshold arms
@@ -57,27 +54,26 @@ pub struct FlightConfig {
     /// The adaptive threshold is recomputed every this many ops (a fixed
     /// cadence keeps the decision deterministic under identical seeds).
     pub recompute_every: u64,
-    /// Ops per attribution window; [`ExplainReport::recent`] covers the
-    /// trailing windows.
-    pub window_ops: u64,
-    /// Completed attribution windows retained per `(system, op)`.
-    pub max_windows: usize,
-    /// Annotations retained per op before the rest are counted as elided.
-    pub max_annotations: usize,
 }
+
+/// Ops per attribution window; [`ExplainReport::recent`] covers the
+/// trailing windows.
+const WINDOW_OPS: u64 = 256;
+
+/// Completed attribution windows retained per `(system, op)`.
+const MAX_WINDOWS: usize = 8;
+
+/// Annotations retained per op before the rest are counted as elided.
+const MAX_ANNOTATIONS: usize = 32;
 
 impl Default for FlightConfig {
     fn default() -> Self {
         FlightConfig {
             slow_capacity: 256,
             threshold_mult: 4.0,
-            floor_nanos: 0,
             fixed_threshold_nanos: None,
             warmup_ops: 64,
             recompute_every: 32,
-            window_ops: 256,
-            max_windows: 8,
-            max_annotations: 32,
         }
     }
 }
@@ -105,7 +101,7 @@ pub struct SlowOp {
     /// Capture-point annotations (fault denies, stale-route retries,
     /// fsync retries, failovers …) in the order they happened.
     pub annotations: Vec<String>,
-    /// Annotations dropped after [`FlightConfig::max_annotations`].
+    /// Annotations dropped after the first 32.
     pub annotations_elided: u32,
     /// Per-phase attribution of the whole op; under the virtual clock its
     /// total equals `latency_nanos` exactly.
@@ -419,8 +415,8 @@ impl FlightRecorder {
         st.total.add(&o.phases);
         st.window.add(&o.phases);
         st.window_ops += 1;
-        if st.window_ops >= self.config.window_ops {
-            if st.windows.len() == self.config.max_windows {
+        if st.window_ops >= WINDOW_OPS {
+            if st.windows.len() == MAX_WINDOWS {
                 st.windows.pop_front();
             }
             let full = st.window;
@@ -440,8 +436,7 @@ impl FlightRecorder {
             st.threshold = fixed;
         } else if n >= self.config.warmup_ops && n.is_multiple_of(self.config.recompute_every) {
             let p99 = st.hist.quantile(0.99);
-            let adaptive = (p99 as f64 * self.config.threshold_mult) as u64;
-            st.threshold = adaptive.max(self.config.floor_nanos);
+            st.threshold = (p99 as f64 * self.config.threshold_mult) as u64;
         }
 
         if !is_slow {
@@ -492,7 +487,6 @@ struct ActiveOp {
     ledger0: TimeStats,
     annotations: Vec<String>,
     annotations_elided: u32,
-    max_annotations: usize,
     guard: Option<TraceGuard>,
     sampled: bool,
 }
@@ -550,7 +544,6 @@ pub fn op_scope(system: &str, op: &str, path_depth: u32) -> Option<FlightScope> 
         }
         let sampled = trace::sampler_selects();
         let guard = trace::start_detached(op);
-        let max_annotations = recorder.config.max_annotations;
         *slot = Some(ActiveOp {
             recorder,
             system: system.to_string(),
@@ -560,7 +553,6 @@ pub fn op_scope(system: &str, op: &str, path_depth: u32) -> Option<FlightScope> 
             ledger0: clock::thread_time_stats(),
             annotations: Vec::new(),
             annotations_elided: 0,
-            max_annotations,
             guard,
             sampled,
         });
@@ -589,7 +581,7 @@ pub fn annotate(note: &str) {
 pub fn annotate_with(f: impl FnOnce() -> String) {
     ACTIVE_OP.with(|cell| {
         if let Some(ctx) = cell.borrow_mut().as_mut() {
-            if ctx.annotations.len() < ctx.max_annotations {
+            if ctx.annotations.len() < MAX_ANNOTATIONS {
                 ctx.annotations.push(f());
             } else {
                 ctx.annotations_elided += 1;

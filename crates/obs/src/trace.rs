@@ -325,13 +325,6 @@ fn start_inner(op: &str, ring_on_commit: bool) -> Option<TraceGuard> {
     })
 }
 
-/// Whether a trace is active on this thread. Instrumentation sites use
-/// this to skip span bookkeeping entirely on the untraced fast path.
-#[inline]
-pub fn is_active() -> bool {
-    ACTIVE.with(|cell| cell.borrow().is_some())
-}
-
 /// RAII handle for an active trace. Dropping it (or calling
 /// [`TraceGuard::finish`]) closes the root span and commits the trace —
 /// into the shared ring for sampled/forced traces, or only to the caller
@@ -568,7 +561,6 @@ mod tests {
 
     #[test]
     fn no_active_trace_means_no_spans() {
-        assert!(!is_active());
         assert!(span("x", "", SpanKind::Local).is_none());
     }
 
@@ -577,7 +569,7 @@ mod tests {
         let g = start_forced("outer").unwrap();
         assert!(start_forced("inner").is_none());
         drop(g);
-        assert!(!is_active());
+        assert!(start_forced("next").is_some());
     }
 
     #[test]

@@ -256,16 +256,6 @@ impl FaultProfile {
         }
     }
 
-    /// The storm profile plus shard-migration crash faults, for chaos runs
-    /// that exercise the placement controller (split/migrate under load).
-    pub fn split_storm() -> Self {
-        FaultProfile {
-            split_prepare_fail_prob: 0.25,
-            split_commit_fail_prob: 0.25,
-            ..FaultProfile::storm()
-        }
-    }
-
     /// The storm profile plus crash-during-snapshot and crash-during-install
     /// faults, for chaos runs exercising Raft snapshotting/compaction
     /// (nightly seeds 32..47).

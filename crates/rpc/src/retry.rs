@@ -16,10 +16,8 @@
 //!   across stacked loops;
 //! * **deadline awareness** — an op whose propagated deadline has expired
 //!   stops retrying immediately instead of burning backoff;
-//! * **deterministic jitter** — optional, drawn from the fault plane's
-//!   [`splitmix64`] mixer as a pure function of
-//!   `(salt, attempt)`; all built-in curves default to zero jitter so
-//!   virtual-clock latency pins hold exactly.
+//! * **no jitter** — a backoff is a pure function of the attempt number,
+//!   so virtual-clock latency pins hold exactly.
 //!
 //! Beside it live [`deliver_named`] / [`deliver_batched`], the one
 //! must-deliver send under the two RPC names: messages that
@@ -31,7 +29,6 @@ use std::time::Duration;
 use mantle_types::clock::{self, TimeCategory};
 use mantle_types::{MetaError, RequestCtx, Result, RetryClass};
 
-use crate::faults::splitmix64;
 use crate::node::SimNode;
 
 /// How the engine waits out a backoff. The distinction matters because
@@ -53,24 +50,17 @@ pub enum Pacing {
     YieldOnly,
 }
 
-/// A per-site retry policy: attempt cap, backoff curve, pacing, optional
-/// deterministic jitter. Construct via the named constructors so curves
-/// stay centralized; `run` executes a fallible closure under the policy.
+/// A per-site retry policy: attempt cap, backoff curve, pacing. Construct
+/// via the named constructors so curves stay centralized; `run` executes a
+/// fallible closure under the policy.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Maximum transparent retries (not counting the first attempt).
     pub max_attempts: u32,
-    /// Backoff numerator: `(base << min(attempt, shift_cap)).min(cap)` µs.
+    /// Backoff numerator: `(base << min(attempt, 6)).min(cap)` µs.
     pub base_micros: u64,
-    /// Cap on the doubling shift (all legacy curves used 6).
-    pub shift_cap: u32,
     /// Upper bound on one backoff, in microseconds.
     pub cap_micros: u64,
-    /// Max extra deterministic jitter per backoff, in microseconds
-    /// (0 = none, the default for every built-in curve).
-    pub jitter_micros: u64,
-    /// Salt mixed into the jitter PRNG (e.g. the run seed).
-    pub jitter_salt: u64,
     /// How backoffs are waited out.
     pub pacing: Pacing,
 }
@@ -82,24 +72,19 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts,
             base_micros: 100,
-            shift_cap: 6,
             cap_micros: 5_000,
-            jitter_micros: 0,
-            jitter_salt: 0,
             pacing: Pacing::ChargeAndPaceReal,
         }
     }
 
     /// The rename-lock curve: 100 µs doubling, capped at 3 ms, yielding to
-    /// the conflicting client (the dirrename same-UUID loops).
-    pub fn rename(max_attempts: u32) -> Self {
+    /// the conflicting client, up to 10,000 times (the dirrename same-UUID
+    /// loops of Mantle and InfiniFS).
+    pub fn rename() -> Self {
         RetryPolicy {
-            max_attempts,
+            max_attempts: 10_000,
             base_micros: 50,
-            shift_cap: 6,
             cap_micros: 3_000,
-            jitter_micros: 0,
-            jitter_salt: 0,
             pacing: Pacing::ChargeAndYield,
         }
     }
@@ -111,10 +96,7 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts,
             base_micros: 50,
-            shift_cap: 6,
             cap_micros: 3_000,
-            jitter_micros: 0,
-            jitter_salt: 0,
             pacing: if zero_delay {
                 Pacing::YieldOnly
             } else {
@@ -123,36 +105,10 @@ impl RetryPolicy {
         }
     }
 
-    /// The stale-route reread policy: no backoff, yield-only pacing (the
-    /// refreshed shard map is local; the retry just re-routes).
-    pub fn reroute(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts,
-            base_micros: 0,
-            shift_cap: 6,
-            cap_micros: 0,
-            jitter_micros: 0,
-            jitter_salt: 0,
-            pacing: Pacing::YieldOnly,
-        }
-    }
-
-    /// Adds deterministic jitter: up to `micros` extra per backoff, drawn
-    /// from the fault-plane mixer as a pure function of `(salt, attempt)`.
-    pub fn with_jitter(mut self, micros: u64, salt: u64) -> Self {
-        self.jitter_micros = micros;
-        self.jitter_salt = salt;
-        self
-    }
-
     /// The backoff before retry number `attempt` (1-based), per the
-    /// policy's curve plus deterministic jitter.
+    /// policy's curve.
     pub fn backoff(&self, attempt: u32) -> Duration {
-        let mut micros = (self.base_micros << attempt.min(self.shift_cap)).min(self.cap_micros);
-        if self.jitter_micros > 0 {
-            micros += splitmix64(self.jitter_salt ^ attempt as u64) % (self.jitter_micros + 1);
-        }
-        Duration::from_micros(micros)
+        Duration::from_micros((self.base_micros << attempt.min(6)).min(self.cap_micros))
     }
 
     /// Waits out the backoff before retry number `attempt` (1-based)
@@ -342,7 +298,7 @@ mod tests {
         assert_eq!(f.backoff(6), Duration::from_micros(5_000));
         assert_eq!(f.backoff(100), Duration::from_micros(5_000));
 
-        let r = RetryPolicy::rename(10_000);
+        let r = RetryPolicy::rename();
         // (50 << min(a, 6)).min(3000) µs
         assert_eq!(r.backoff(1), Duration::from_micros(100));
         assert_eq!(r.backoff(5), Duration::from_micros(1_600));
@@ -350,29 +306,6 @@ mod tests {
 
         let t = RetryPolicy::txn(10_000, true);
         assert_eq!(t.backoff(2), Duration::from_micros(200));
-
-        assert_eq!(RetryPolicy::reroute(8).backoff(3), Duration::ZERO);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_defaults_off() {
-        let base = RetryPolicy::txn(10, true);
-        assert_eq!(base.backoff(1), base.backoff(1));
-        let j = base.with_jitter(500, 42);
-        assert_eq!(
-            j.backoff(1),
-            j.backoff(1),
-            "jitter must be pure in (salt, attempt)"
-        );
-        assert!(j.backoff(1) >= base.backoff(1));
-        assert!(j.backoff(1) <= base.backoff(1) + Duration::from_micros(500));
-        let j2 = base.with_jitter(500, 43);
-        // Different salts decorrelate (with overwhelming probability for
-        // this fixed pair of inputs — this is a deterministic assertion).
-        assert_ne!(
-            (j.backoff(1), j.backoff(2), j.backoff(3)),
-            (j2.backoff(1), j2.backoff(2), j2.backoff(3))
-        );
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! exclusive locks conflict with everything.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -141,74 +140,11 @@ impl Default for LockManager {
     }
 }
 
-/// RAII helper tracking a transaction's acquired locks; releases them all on
-/// drop unless defused with [`LockSet::release_now`].
-pub struct LockSet {
-    manager: Arc<LockManager>,
-    txn: TxnId,
-    held: Vec<RowKey>,
-}
-
-impl LockSet {
-    /// Starts an empty lock set for `txn`.
-    pub fn new(manager: Arc<LockManager>, txn: TxnId) -> Self {
-        LockSet {
-            manager,
-            txn,
-            held: Vec::new(),
-        }
-    }
-
-    /// Acquires one more row lock, remembering it for release.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the conflicting owner from [`LockManager::try_lock`].
-    pub fn lock(&mut self, key: RowKey, mode: LockMode) -> Result<(), TxnId> {
-        self.manager.try_lock(&key, self.txn, mode)?;
-        if !self.held.contains(&key) {
-            self.held.push(key);
-        }
-        Ok(())
-    }
-
-    /// The owning transaction.
-    pub fn txn(&self) -> TxnId {
-        self.txn
-    }
-
-    /// Number of distinct rows held.
-    pub fn len(&self) -> usize {
-        self.held.len()
-    }
-
-    /// Whether no locks are held.
-    pub fn is_empty(&self) -> bool {
-        self.held.is_empty()
-    }
-
-    /// Releases everything immediately.
-    pub fn release_now(mut self) {
-        self.release_inner();
-    }
-
-    fn release_inner(&mut self) {
-        for key in std::mem::take(&mut self.held) {
-            self.manager.unlock(&key, self.txn);
-        }
-    }
-}
-
-impl Drop for LockSet {
-    fn drop(&mut self) {
-        self.release_inner();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mantle_types::InodeId;
+    use std::sync::Arc;
 
     fn key(pid: u64, name: &str) -> RowKey {
         RowKey::base(InodeId(pid), name)
@@ -293,20 +229,6 @@ mod tests {
         assert!(!lm.any_held(|k| k.pid == InodeId(8)));
         lm.unlock(&key(9, "x"), TxnId(1));
         assert!(!lm.any_held(|_| true));
-    }
-
-    #[test]
-    fn lock_set_releases_on_drop() {
-        let lm = Arc::new(LockManager::new(4));
-        {
-            let mut set = LockSet::new(lm.clone(), TxnId(9));
-            set.lock(key(1, "a"), LockMode::Exclusive).unwrap();
-            set.lock(key(1, "b"), LockMode::Shared).unwrap();
-            assert_eq!(set.len(), 2);
-            assert!(lm.is_locked(&key(1, "a")));
-        }
-        assert!(!lm.is_locked(&key(1, "a")));
-        assert!(!lm.is_locked(&key(1, "b")));
     }
 
     #[test]

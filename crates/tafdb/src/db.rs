@@ -25,7 +25,6 @@ use mantle_store::{GroupCommitWal, KeyParts, LockManager, RowKey};
 use mantle_sync::LatchTable;
 use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{
-    DirAttrMeta,
     EnvConfig,
     InodeId,
     PlacementConfig,
@@ -36,7 +35,7 @@ use mantle_types::{
 };
 
 use crate::metrics::DbMetrics;
-use crate::schema::{attr_key, attr_view, Row};
+use crate::schema::{attr_view, Row};
 use crate::shard::Shard;
 use crate::shardmap::{place_of, ShardMap};
 
@@ -119,8 +118,10 @@ pub struct DbCounters {
 pub struct TafDb {
     pub(crate) shards: Vec<Shard>,
     pub(crate) map: RwLock<Arc<ShardMap>>,
-    /// Serializes every shard-map mutation (split/merge/migrate).
-    pub(crate) migration_lock: Mutex<()>,
+    /// Serializes every shard-map mutation (split/merge/migrate), each
+    /// holding it exclusively; a compactor sweep runs under a shared hold
+    /// or not at all, so it never meets a migration's uncommitted copies.
+    pub(crate) migration_lock: RwLock<()>,
     /// Previous controller tick's cumulative per-shard busy nanos.
     pub(crate) last_busy: Mutex<Vec<u64>>,
     oracle: AtomicU64,
@@ -163,7 +164,7 @@ impl TafDb {
         let db = Arc::new(TafDb {
             shards,
             map: RwLock::new(Arc::new(ShardMap::uniform(opts.n_shards))),
-            migration_lock: Mutex::new(()),
+            migration_lock: RwLock::new(()),
             last_busy: Mutex::new(vec![0; opts.n_shards]),
             oracle: AtomicU64::new(1),
             config,
@@ -174,7 +175,7 @@ impl TafDb {
             metrics: DbMetrics::new(opts.n_shards),
             faults: FaultSlot::new(),
         });
-        db.raw_put(attr_key(ROOT_ID), Row::DirAttr(DirAttrMeta::new(0, 0)));
+        db.bulk_apply(crate::recipe::root(ROOT_ID));
 
         let weak: Weak<TafDb> = Arc::downgrade(&db);
         let shutdown = Arc::clone(&db.shutdown);
@@ -202,7 +203,9 @@ impl TafDb {
         if opts.placement.dynamic_shards {
             let weak: Weak<TafDb> = Arc::downgrade(&db);
             let shutdown = Arc::clone(&db.shutdown);
-            let tick = Duration::from_millis(opts.placement.rebalance_interval_ms.max(1));
+            // Wall time: the controller is a control-plane loop, not part
+            // of the simulated data path.
+            let tick = Duration::from_millis(10);
             let handle = std::thread::Builder::new()
                 .name("tafdb-controller".into())
                 .spawn(move || {
@@ -302,14 +305,14 @@ impl TafDb {
 
     // --- direct (population / test) access --------------------------------
 
-    /// Writes a row directly, bypassing RPC, locking and the WAL. Used for
-    /// bulk namespace population before an experiment and by the
-    /// non-transactional `setattr` path.
+    /// Writes a row directly, bypassing RPC, locking and the WAL: test and
+    /// diagnostic access, and what [`TafDb::bulk_apply`] stores with.
     pub fn raw_put(&self, key: RowKey, row: Row) {
         self.shards[self.owner_of(&key)].engine.put(key, row);
     }
 
-    /// Reads a row directly (tests/diagnostics).
+    /// Reads a row directly (tests, diagnostics, and a bulk loader's
+    /// does-this-directory-exist probe).
     pub fn raw_get(&self, key: &dyn KeyParts) -> Option<Row> {
         self.shards[self.owner_of(key)].engine.get(key)
     }

@@ -147,7 +147,8 @@ impl TafDb {
                 TxnOp::InsertUnique { key, .. }
                 | TxnOp::Put { key, .. }
                 | TxnOp::Delete { key }
-                | TxnOp::ExpectExists { key } => {
+                | TxnOp::ExpectExists { key }
+                | TxnOp::SetPermission { key, .. } => {
                     let place = place_of(key);
                     m.record_hit(place);
                     push(m.owner(place), How::Plain);
@@ -290,6 +291,14 @@ impl TafDb {
                     return Err(MetaError::NotFound(key.name.to_string()));
                 }
             }
+            (How::Plain, TxnOp::SetPermission { key, .. }) => {
+                lock(key, LockMode::Exclusive)?;
+                match shard.engine.get(key) {
+                    Some(Row::DirAccess { .. }) => {}
+                    Some(_) => return Err(MetaError::NotADirectory(key.name.to_string())),
+                    None => return Err(MetaError::NotFound(key.name.to_string())),
+                }
+            }
             (How::Plain, TxnOp::ExpectEmptyDir { dir }) => {
                 // Region-expanded: every owner checks its own slice.
                 if has_children(shard, *dir) {
@@ -370,7 +379,8 @@ impl TafDb {
                     TxnOp::InsertUnique { key, .. }
                     | TxnOp::Put { key, .. }
                     | TxnOp::Delete { key }
-                    | TxnOp::ExpectExists { key },
+                    | TxnOp::ExpectExists { key }
+                    | TxnOp::SetPermission { key, .. },
                 ) => unlock(key),
             }
         }
@@ -397,15 +407,21 @@ impl TafDb {
             (How::Plain, TxnOp::AttrUpdate { dir, delta }) => {
                 // In place: the row is exclusively locked from prepare
                 // through commit.
-                shard.engine.update(&attr_view(*dir), &mut |cur| match cur {
-                    Some(Row::DirAttr(a)) => {
-                        let mut merged = a.clone();
-                        merged.apply_delta(delta);
-                        (Some(Row::DirAttr(merged)), true)
+                shard.merge_attr(*dir, delta);
+                self.metrics.inplace_updates.inc();
+            }
+            (How::Plain, TxnOp::SetPermission { key, permission }) => {
+                // Only the mask: whatever id the (locked) row holds stays.
+                shard.engine.update(key, &mut |cur| match cur {
+                    Some(Row::DirAccess { id, .. }) => {
+                        let row = Row::DirAccess {
+                            id: *id,
+                            permission: *permission,
+                        };
+                        (Some(row), true)
                     }
                     other => (other.cloned(), true),
                 });
-                self.metrics.inplace_updates.inc();
             }
             (How::Hot, TxnOp::AttrUpdate { dir, delta }) => {
                 shard.engine.put(delta_key(*dir, t.txn), Row::Delta(*delta));

@@ -13,9 +13,12 @@
 //!   directory's attribute row, in-place updates are replaced by
 //!   conflict-free appends keyed `(dir, "/_ATTR", ts_txn)`; a background
 //!   compactor folds them into the base row under a shared latch;
-//! * **blocking latched updates** — the serialized parent-attribute update
-//!   used by the Tectonic and LocoFS baselines (§6.3: "modifications to the
-//!   parent directory's attribute are serialized by a latch");
+//! * **one write vocabulary, three executors** — a front-end describes a
+//!   mutation as the [`TxnOp`]s of a [`recipe`] and picks how they run:
+//!   [`TafDb::execute`] (one transaction), [`TafDb::execute_relaxed`] (§6.1's
+//!   independent single-row writes, the parent-attribute update serialized
+//!   by a blocking latch as §6.3 describes for Tectonic and LocoFS) or
+//!   [`TafDb::bulk_apply`] (a free load);
 //! * **dynamic shard splitting** (§5.3) — an epoch-versioned, range-
 //!   partitioned [`ShardMap`] replaces the fixed `pid` hash; a placement
 //!   controller observes per-shard busy time, splits hot ranges (down to
@@ -32,7 +35,8 @@
 //!   (whose default follows `MANTLE_ENGINE`).
 //!
 //! The implementation is layered accordingly: [`db`] (core + options),
-//! `shard` (per-shard runtime), `router` (map routing + reads), `plan`
+//! [`recipe`] (which ops make a mutation), `shard` (per-shard runtime,
+//! the relaxed and bulk executors), `router` (map routing + reads), `plan`
 //! and `exec` (a transaction's routed steps, and running them), and
 //! `migrate` (placement plane).
 
@@ -41,6 +45,7 @@ mod exec;
 mod metrics;
 mod migrate;
 mod plan;
+pub mod recipe;
 mod router;
 pub mod schema;
 mod shard;

@@ -30,13 +30,16 @@ use crate::shardmap::{place_of, DIR_REGION_SPAN};
 /// Narrowest range the controller will split further (placement-key span).
 const MIN_SPLIT_SPAN: u64 = 1 << 16;
 
+/// Rows copied per WAL-logged migration batch.
+const MIGRATION_BATCH: usize = 256;
+
 impl TafDb {
     /// Metadata-only range split at `at` within the range owning `place`
     /// (both halves keep their shard; no rows move). Returns whether the
     /// split happened — `false` when `at` no longer falls strictly inside
     /// the range (a concurrent mutation got there first).
     pub fn split_range(&self, place: u64, at: u64) -> bool {
-        let _mg = self.migration_lock.lock();
+        let _mg = self.migration_lock.write();
         let changed = {
             let mut w = self.map.write();
             let idx = w.range_index(place);
@@ -61,7 +64,7 @@ impl TafDb {
     fn isolate_region(&self, place: u64) -> bool {
         let rs = place & !(DIR_REGION_SPAN - 1);
         let re = rs | (DIR_REGION_SPAN - 1);
-        let _mg = self.migration_lock.lock();
+        let _mg = self.migration_lock.write();
         let cut_count = {
             let mut w = self.map.write();
             let idx = w.range_index(place);
@@ -92,7 +95,7 @@ impl TafDb {
     /// Merges the range owning `place` with its right neighbour when both
     /// are on the same shard (metadata-only).
     fn merge_at(&self, place: u64) -> bool {
-        let _mg = self.migration_lock.lock();
+        let _mg = self.migration_lock.write();
         let merged = {
             let mut w = self.map.write();
             let idx = w.range_index(place);
@@ -146,7 +149,7 @@ impl TafDb {
     /// [`MetaError::Transient`] on an injected crash or a quiescence
     /// timeout; the migration is rolled back and can simply be retried.
     pub fn migrate_range(&self, place: u64, to: usize) -> Result<usize> {
-        let _mg = self.migration_lock.lock();
+        let _mg = self.migration_lock.write();
         let m = self.map.read().clone();
         let idx = m.range_index(place);
         let r = m.range(idx);
@@ -201,8 +204,7 @@ impl TafDb {
         let keys: Vec<RowKey> = rows.iter().map(|(k, _)| k.clone()).collect();
 
         // WAL-logged batched replay of the image onto the target.
-        let batch = self.opts.placement.migration_batch.max(1);
-        for chunk in rows.chunks(batch) {
+        for chunk in rows.chunks(MIGRATION_BATCH) {
             mantle_rpc::net_round_trip(&self.config);
             tgt.engine.apply(
                 chunk

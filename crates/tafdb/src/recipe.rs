@@ -1,0 +1,124 @@
+//! The row recipes: which [`TxnOp`]s, in which order, make each namespace
+//! mutation (Figure 6 — an entry row under the parent, an `/_ATTR` row, a
+//! ±1 on the parent's attributes). Every front-end builds its writes here
+//! and differs only in the executor it hands them to (DESIGN.md §4.3):
+//! [`TafDb::execute`](crate::TafDb::execute) runs them as one transaction,
+//! [`TafDb::execute_relaxed`](crate::TafDb::execute_relaxed) as independent
+//! single-row writes, [`TafDb::bulk_apply`](crate::TafDb::bulk_apply) as a
+//! free load. The order inside a recipe is the transaction's lock order.
+
+use mantle_types::{AttrDelta, DirAttrMeta, InodeId, ObjectMeta, Permission};
+
+use crate::schema::{attr_key, entry_key, Row};
+use crate::txn::TxnOp;
+
+/// A namespace root: its attribute row (it has no entry row).
+pub fn root(root: InodeId) -> [TxnOp; 1] {
+    [TxnOp::Put {
+        key: attr_key(root),
+        row: Row::DirAttr(DirAttrMeta::new(0, 0)),
+    }]
+}
+
+/// `mkdir`: the entry under `pid`, the new directory's attribute row, and
+/// the parent's link and entry counts.
+pub fn mkdir(pid: InodeId, name: &str, id: InodeId, now: u64) -> [TxnOp; 3] {
+    [
+        TxnOp::InsertUnique {
+            key: entry_key(pid, name),
+            row: Row::DirAccess {
+                id,
+                permission: Permission::ALL,
+            },
+        },
+        TxnOp::Put {
+            key: attr_key(id),
+            row: Row::DirAttr(DirAttrMeta::new(now, 0)),
+        },
+        TxnOp::AttrUpdate {
+            dir: pid,
+            delta: AttrDelta::dir_linked(now),
+        },
+    ]
+}
+
+/// `rmdir` of directory `dir`, entry `name` under `pid`. The attribute row
+/// goes first: its exclusive lock excludes creations while `ExpectEmptyDir`
+/// looks. (A relaxed front-end checks emptiness itself and leaves that op
+/// out — it has no single-row form.)
+pub fn rmdir(pid: InodeId, name: &str, dir: InodeId, now: u64) -> [TxnOp; 4] {
+    [
+        TxnOp::Delete { key: attr_key(dir) },
+        TxnOp::ExpectEmptyDir { dir },
+        TxnOp::Delete {
+            key: entry_key(pid, name),
+        },
+        TxnOp::AttrUpdate {
+            dir: pid,
+            delta: AttrDelta::dir_unlinked(now),
+        },
+    ]
+}
+
+/// Object `create`: the object row and the parent's entry count.
+pub fn create(pid: InodeId, name: &str, id: InodeId, size: u64, blob: u64, now: u64) -> [TxnOp; 2] {
+    [
+        TxnOp::InsertUnique {
+            key: entry_key(pid, name),
+            row: Row::Object(ObjectMeta::new(pid, name, id, size, blob, now)),
+        },
+        TxnOp::AttrUpdate {
+            dir: pid,
+            delta: AttrDelta::entry_added(now),
+        },
+    ]
+}
+
+/// Object `delete`.
+pub fn delete(pid: InodeId, name: &str, now: u64) -> [TxnOp; 2] {
+    [
+        TxnOp::Delete {
+            key: entry_key(pid, name),
+        },
+        TxnOp::AttrUpdate {
+            dir: pid,
+            delta: AttrDelta::entry_removed(now),
+        },
+    ]
+}
+
+/// Directory rename: the entry of directory `id` moves from `src` to `dst`
+/// (each a `(parent, name)`) with its permission. Within one parent the
+/// counts stand and only its mtime moves; across parents the link moves.
+pub fn rename(
+    src: (InodeId, &str),
+    dst: (InodeId, &str),
+    id: InodeId,
+    permission: Permission,
+    now: u64,
+) -> Vec<TxnOp> {
+    let mut ops = Vec::with_capacity(4);
+    ops.push(TxnOp::Delete {
+        key: entry_key(src.0, src.1),
+    });
+    ops.push(TxnOp::InsertUnique {
+        key: entry_key(dst.0, dst.1),
+        row: Row::DirAccess { id, permission },
+    });
+    let mut bump = |dir, delta| ops.push(TxnOp::AttrUpdate { dir, delta });
+    if src.0 == dst.0 {
+        bump(src.0, AttrDelta::touch(now));
+    } else {
+        bump(src.0, AttrDelta::dir_unlinked(now));
+        bump(dst.0, AttrDelta::dir_linked(now));
+    }
+    ops
+}
+
+/// `setattr`: rewrite the permission of directory entry `name` under `pid`.
+pub fn setattr(pid: InodeId, name: &str, permission: Permission) -> [TxnOp; 1] {
+    [TxnOp::SetPermission {
+        key: entry_key(pid, name),
+        permission,
+    }]
+}

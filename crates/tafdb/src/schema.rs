@@ -124,11 +124,7 @@ impl mantle_engine::EngineValue for Row {
                 mtime: r.u64(),
                 owner: r.u32(),
             }),
-            2 => Row::Delta(AttrDelta {
-                nlink: r.i64(),
-                entries: r.i64(),
-                mtime: r.u64(),
-            }),
+            2 => Row::Delta(AttrDelta::new(r.i64(), r.i64(), r.u64())),
             3 => Row::Object(ObjectMeta {
                 pid: InodeId(r.u64()),
                 name: r.str(),
@@ -187,23 +183,11 @@ mod tests {
             (attr_key(InodeId(2)), Row::DirAttr(DirAttrMeta::new(5, 1))),
             (
                 delta_key(InodeId(2), TxnId(9)),
-                Row::Delta(AttrDelta {
-                    nlink: 1,
-                    entries: 1,
-                    mtime: 7,
-                }),
+                Row::Delta(AttrDelta::dir_linked(7)),
             ),
             (
                 entry_key(InodeId(1), "obj"),
-                Row::Object(ObjectMeta {
-                    pid: InodeId(1),
-                    name: "obj".to_string(),
-                    id: InodeId(3),
-                    size: 10,
-                    blob: 4,
-                    ctime: 2,
-                    permission: Permission::ALL,
-                }),
+                Row::Object(ObjectMeta::new(InodeId(1), "obj", InodeId(3), 10, 4, 2)),
             ),
         ];
         let mut w = SnapshotWriter::new();

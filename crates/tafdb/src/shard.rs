@@ -7,7 +7,7 @@
 //! activation, and the migration marker. This module also owns the
 //! engine-facing write plumbing — applying prepared writes, the
 //! delta-dragging delete, compaction folds, and checkpoint/restore — plus
-//! the single-row baseline write paths.
+//! the relaxed single-row executor and the bulk loader's.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,6 +26,7 @@ use mantle_types::{AttrDelta, InodeId, MetaError, RequestCtx, Result, TxnId};
 use crate::db::{TafDb, TafDbOptions};
 use crate::schema::{attr_key, attr_view, Row};
 use crate::shardmap::place_of;
+use crate::txn::TxnOp;
 
 // Contention tracking is cross-thread shared state, so it stays on wall
 // time: per-thread virtual timestamps from different writers are not
@@ -96,6 +97,19 @@ impl Shard {
             _ => false,
         }
     }
+
+    /// Merges `delta` into `dir`'s base attribute row in place; `false`
+    /// (and no write) when the row is not there.
+    pub(crate) fn merge_attr(&self, dir: InodeId, delta: &AttrDelta) -> bool {
+        self.engine.update(&attr_view(dir), &mut |cur| match cur {
+            Some(Row::DirAttr(a)) => {
+                let mut merged = a.clone();
+                merged.apply_delta(delta);
+                (Some(Row::DirAttr(merged)), true)
+            }
+            other => (other.cloned(), false),
+        })
+    }
 }
 
 /// RAII increment of a shard's in-flight write counter.
@@ -115,101 +129,120 @@ impl Drop for InFlight<'_> {
 }
 
 impl TafDb {
-    // --- single-row (baseline) write paths ---------------------------------
+    // --- the relaxed and the bulk executor ----------------------------------
 
-    /// Inserts a row if absent, with WAL durability — the relaxed-
-    /// consistency single-row write Tectonic uses (§6.1: "we relax the
-    /// consistency and avoid using distributed transactions").
+    /// Runs `ops` as independent single-row writes, in slice order, one RPC
+    /// and one WAL append each and no transaction around them — §6.1's
+    /// "we relax the consistency and avoid using distributed transactions",
+    /// the executor the Tectonic, InfiniFS and LocoFS front-ends hand their
+    /// recipes to. Stops at the first error; earlier writes stay.
     ///
     /// # Errors
     ///
-    /// [`MetaError::AlreadyExists`] when the key is taken.
-    pub fn insert_row(&self, key: RowKey, row: Row, stats: &mut RequestCtx) -> Result<()> {
-        let place = place_of(&key);
-        loop {
-            let (owner, epoch) = self.route(place);
-            let shard = &self.shards[owner];
-            let out = shard.node.try_rpc_named(stats, "insert_row", || {
-                let _g = InFlight::enter(&shard.in_flight);
-                self.check_route(owner, place, epoch)?;
-                if !shard.engine.put_if_absent(key.clone(), row.clone()) {
-                    return Err(MetaError::AlreadyExists(key.name.to_string()));
-                }
-                shard.wal.append();
-                Ok(())
-            })?;
-            match out {
-                Err(MetaError::StaleRoute { .. }) => self.note_stale(stats),
-                other => return other,
-            }
-        }
+    /// [`MetaError::AlreadyExists`] from an `InsertUnique` whose key is
+    /// taken, [`MetaError::NotFound`] from a `Delete` or `AttrUpdate` whose
+    /// row is gone, [`MetaError::Internal`] for an op with no single-row
+    /// form (the `Expect*` checks, `SetPermission`).
+    pub fn execute_relaxed(&self, ops: &[TxnOp], stats: &mut RequestCtx) -> Result<()> {
+        ops.iter().try_for_each(|op| self.write_relaxed(op, stats))
     }
 
-    /// Deletes a row (attr rows drag their delta records along), with WAL
-    /// durability.
-    ///
-    /// # Errors
-    ///
-    /// [`MetaError::NotFound`] when the key is absent.
-    pub fn delete_row(&self, key: RowKey, stats: &mut RequestCtx) -> Result<()> {
-        let place = place_of(&key);
-        loop {
-            let (owner, epoch) = self.route(place);
-            let shard = &self.shards[owner];
-            let out = shard.node.try_rpc_named(stats, "delete_row", || {
-                let _g = InFlight::enter(&shard.in_flight);
-                self.check_route(owner, place, epoch)?;
-                if !Self::delete_with_deltas(shard, &key) {
-                    return Err(MetaError::NotFound(key.name.to_string()));
-                }
-                shard.wal.append();
-                Ok(())
-            })?;
-            match out {
-                Err(MetaError::StaleRoute { .. }) => self.note_stale(stats),
-                other => return other,
-            }
-        }
-    }
-
-    /// Serialized (blocking-latch) attribute update — the baseline behaviour
-    /// the paper attributes to Tectonic and LocoFS under mkdir-s (§6.3).
-    ///
-    /// # Errors
-    ///
-    /// [`MetaError::NotFound`] when the directory's attribute row is gone.
-    pub fn update_attr_latched(
-        &self,
-        dir: InodeId,
-        delta: AttrDelta,
-        stats: &mut RequestCtx,
-    ) -> Result<()> {
-        let place = place_of(&attr_view(dir));
-        loop {
-            let (owner, epoch) = self.route(place);
-            let shard = &self.shards[owner];
-            let out = shard.node.try_rpc_named(stats, "update_attr", || {
-                let _g = InFlight::enter(&shard.in_flight);
-                self.check_route(owner, place, epoch)?;
-                let _latch = shard.latches.exclusive(&dir.raw());
-                let found = shard.engine.update(&attr_view(dir), &mut |cur| match cur {
-                    Some(Row::DirAttr(a)) => {
-                        let mut merged = a.clone();
-                        merged.apply_delta(&delta);
-                        (Some(Row::DirAttr(merged)), true)
+    /// One relaxed write under its RPC name (the names the baselines'
+    /// traces and the chaos fault sites have always seen).
+    fn write_relaxed(&self, op: &TxnOp, stats: &mut RequestCtx) -> Result<()> {
+        match op {
+            TxnOp::InsertUnique { key, row } => {
+                self.routed_write(stats, "insert_row", place_of(key), None, |shard| {
+                    if shard.engine.put_if_absent(key.clone(), row.clone()) {
+                        Ok(())
+                    } else {
+                        Err(MetaError::AlreadyExists(key.name.to_string()))
                     }
-                    other => (other.cloned(), false),
-                });
-                if !found {
-                    return Err(MetaError::NotFound(format!("dir {dir}")));
-                }
+                })
+            }
+            TxnOp::Put { key, row } => {
+                self.routed_write(stats, "insert_row", place_of(key), None, |shard| {
+                    shard.engine.put(key.clone(), row.clone());
+                    Ok(())
+                })
+            }
+            TxnOp::Delete { key } => {
+                self.routed_write(stats, "delete_row", place_of(key), None, |shard| {
+                    if Self::delete_with_deltas(shard, key) {
+                        Ok(())
+                    } else {
+                        Err(MetaError::NotFound(key.name.to_string()))
+                    }
+                })
+            }
+            TxnOp::AttrUpdate { dir, delta } => {
+                // Under the blocking latch the paper attributes to Tectonic
+                // and LocoFS under mkdir-s (§6.3): updates of one parent
+                // serialize, WAL append included, instead of aborting.
+                let place = place_of(&attr_view(*dir));
+                self.routed_write(stats, "update_attr", place, Some(*dir), |shard| {
+                    if !shard.merge_attr(*dir, delta) {
+                        return Err(MetaError::NotFound(format!("dir {dir}")));
+                    }
+                    self.metrics.latched_updates.inc();
+                    Ok(())
+                })
+            }
+            other => Err(MetaError::Internal(format!(
+                "{other:?} has no single-row form"
+            ))),
+        }
+    }
+
+    /// The one relaxed routing loop: one RPC to the owner of `place`
+    /// running `write` and, when it succeeds, a WAL append — both under
+    /// `latched`'s exclusive latch when there is one; re-routed while the
+    /// shard map moves underneath it.
+    fn routed_write(
+        &self,
+        stats: &mut RequestCtx,
+        rpc: &str,
+        place: u64,
+        latched: Option<InodeId>,
+        write: impl Fn(&Shard) -> Result<()>,
+    ) -> Result<()> {
+        loop {
+            let (owner, epoch) = self.route(place);
+            let shard = &self.shards[owner];
+            let out = shard.node.try_rpc_named(stats, rpc, || {
+                let _g = InFlight::enter(&shard.in_flight);
+                self.check_route(owner, place, epoch)?;
+                let _latch = latched.map(|dir| shard.latches.exclusive(&dir.raw()));
+                write(shard)?;
                 shard.wal.append();
-                self.metrics.latched_updates.inc();
                 Ok(())
             })?;
             match out {
                 Err(MetaError::StaleRoute { .. }) => self.note_stale(stats),
                 other => return other,
+            }
+        }
+    }
+
+    /// Loads `ops` (by value: nothing is copied) straight into the engines:
+    /// no RPC, row lock, WAL append or virtual time, and no existence check
+    /// (an insert overwrites) — the free executor every
+    /// [`mantle_types::BulkLoad`] impl populates a namespace with before an
+    /// experiment, from the same recipe its live path runs.
+    ///
+    /// # Panics
+    ///
+    /// On an op that loads nothing (a check, a delete, a `setattr`).
+    pub fn bulk_apply(&self, ops: impl IntoIterator<Item = TxnOp>) {
+        for op in ops {
+            match op {
+                TxnOp::InsertUnique { key, row } | TxnOp::Put { key, row } => {
+                    self.raw_put(key, row)
+                }
+                TxnOp::AttrUpdate { dir, delta } => {
+                    self.shards[self.owner_of(&attr_view(dir))].merge_attr(dir, &delta);
+                }
+                other => panic!("bulk_apply: {other:?} loads nothing"),
             }
         }
     }
@@ -260,10 +293,16 @@ impl TafDb {
     /// cross-shard write. Public so tests and benches can force a
     /// deterministic fold.
     pub fn compact_once(&self) {
+        // A range migration stages uncommitted copies on its target and
+        // deletes them by key if it aborts: delta records summed out of (or
+        // into) a staged copy here would survive that abort. Migrations
+        // hold this lock exclusively from before the first staged row to
+        // the map swap, so a sweep runs between migrations or not at all
+        // (the next tick retries); sweeps share it among themselves.
+        let Some(_no_migration) = self.migration_lock.try_read() else {
+            return;
+        };
         for (shard_idx, shard) in self.shards.iter().enumerate() {
-            if shard.mig_active.load(Ordering::Acquire) {
-                continue; // a migration owns this shard's engine right now
-            }
             let dirs: Vec<InodeId> = shard.delta_dirs.lock().iter().copied().collect();
             for dir in dirs {
                 let owns_base = self.map.read().owner(place_of(&attr_view(dir))) == shard_idx;
@@ -411,5 +450,64 @@ impl TafDb {
         *shard.delta_dirs.lock() = dirs;
         mantle_obs::flight::annotate_with(|| format!("tafdb:checkpoint_restore shard={i}"));
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::recipe;
+    use crate::shardmap::{dir_region, DIR_REGION_SPAN};
+    use mantle_types::SimConfig;
+
+    /// A migration's target holds uncommitted copies until the map swap,
+    /// and an abort deletes them by key: a sweep that summed them with the
+    /// target's own delta records would outlive the abort. Staged: a hot
+    /// directory with delta records on two owners, the migration lock held
+    /// as `migrate_range` holds it.
+    #[test]
+    fn compaction_stands_aside_while_a_migration_holds_the_lock() {
+        let db = TafDb::new(
+            SimConfig::instant(),
+            TafDbOptions {
+                // Only this test's own sweeps run.
+                compact_interval: std::time::Duration::from_secs(3600),
+                ..TafDbOptions::default()
+            },
+        );
+        let dir = InodeId(77);
+        db.bulk_apply(recipe::root(dir));
+        let (rs, _) = dir_region(dir);
+        let mid = rs + DIR_REGION_SPAN / 2;
+        assert!(db.split_range(rs, mid));
+        let elsewhere = (db.shard_map().owner(mid) + 1) % db.n_shards();
+        db.migrate_range(mid, elsewhere).unwrap();
+        db.force_hot(dir);
+        for now in 0..16 {
+            let bump = TxnOp::AttrUpdate {
+                dir,
+                delta: AttrDelta::entry_added(now),
+            };
+            db.execute(&[bump], &mut RequestCtx::new()).unwrap();
+        }
+        let holders = db
+            .shards
+            .iter()
+            .filter(|s| s.delta_dirs.lock().contains(&dir))
+            .count();
+        assert_eq!(holders, 2, "delta records on both owners");
+        let (pending, compactions) = (db.pending_deltas(dir), db.counters().compactions);
+        assert_eq!(pending, 16);
+
+        let migrating = db.migration_lock.write();
+        db.compact_once();
+        assert_eq!(db.counters().compactions, compactions);
+        assert_eq!(db.pending_deltas(dir), pending);
+        drop(migrating);
+
+        db.compact_once();
+        assert_eq!(db.counters().compactions, compactions + 2);
+        // The base owner folded its share away; the other owner's became one.
+        assert_eq!(db.pending_deltas(dir), 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Transaction operations and prepared state for two-phase commit.
 
 use mantle_store::RowKey;
-use mantle_types::{AttrDelta, InodeId, TxnId};
+use mantle_types::{AttrDelta, InodeId, Permission, TxnId};
 
 use crate::plan::{Extras, Steps};
 use crate::schema::Row;
@@ -56,19 +56,16 @@ pub enum TxnOp {
         /// Signed attribute delta.
         delta: AttrDelta,
     },
-}
-
-impl TxnOp {
-    /// The pid whose shard executes this operation.
-    pub fn routing_pid(&self) -> InodeId {
-        match self {
-            TxnOp::InsertUnique { key, .. }
-            | TxnOp::Put { key, .. }
-            | TxnOp::Delete { key }
-            | TxnOp::ExpectExists { key } => key.pid,
-            TxnOp::ExpectEmptyDir { dir } | TxnOp::AttrUpdate { dir, .. } => *dir,
-        }
-    }
+    /// Rewrite the permission of the directory entry at `key`, whatever id
+    /// it holds, under the row's exclusive lock (`setattr`). Fails with
+    /// `NotFound` when the row is absent and `NotADirectory` when it is an
+    /// object's.
+    SetPermission {
+        /// Entry row key.
+        key: RowKey,
+        /// The new permission mask.
+        permission: Permission,
+    },
 }
 
 /// A successfully prepared transaction, ready to commit or abort: the ops,

@@ -496,16 +496,11 @@ fn latched_update_serializes_without_aborts() {
             s.spawn(move || {
                 let mut stats = RequestCtx::new();
                 for _ in 0..50 {
-                    db.update_attr_latched(
-                        ROOT_ID,
-                        AttrDelta {
-                            nlink: 0,
-                            entries: 1,
-                            mtime: 1,
-                        },
-                        &mut stats,
-                    )
-                    .unwrap();
+                    let bump = TxnOp::AttrUpdate {
+                        dir: ROOT_ID,
+                        delta: AttrDelta::entry_added(1),
+                    };
+                    db.execute_relaxed(&[bump], &mut stats).unwrap();
                     done.fetch_add(1, Ordering::SeqCst);
                 }
             });
@@ -523,31 +518,31 @@ fn insert_and_delete_row_roundtrip() {
     let db = db();
     let mut stats = RequestCtx::new();
     let key = entry_key(ROOT_ID, "x");
-    db.insert_row(
-        key.clone(),
-        Row::DirAccess {
-            id: InodeId(9),
+    let insert = |id| TxnOp::InsertUnique {
+        key: key.clone(),
+        row: Row::DirAccess {
+            id: InodeId(id),
             permission: Permission::ALL,
         },
-        &mut stats,
-    )
-    .unwrap();
+    };
+    let delete = [TxnOp::Delete { key: key.clone() }];
+    db.execute_relaxed(&[insert(9)], &mut stats).unwrap();
     assert!(matches!(
-        db.insert_row(
-            key.clone(),
-            Row::DirAccess {
-                id: InodeId(10),
-                permission: Permission::ALL
-            },
-            &mut stats
-        ),
+        db.execute_relaxed(&[insert(10)], &mut stats),
         Err(MetaError::AlreadyExists(_))
     ));
-    db.delete_row(key.clone(), &mut stats).unwrap();
+    db.execute_relaxed(&delete, &mut stats).unwrap();
     assert!(matches!(
-        db.delete_row(key, &mut stats),
+        db.execute_relaxed(&delete, &mut stats),
         Err(MetaError::NotFound(_))
     ));
+    // A check has no single-row form: refused, loudly, before any RPC.
+    let rpcs = stats.rpcs;
+    assert!(matches!(
+        db.execute_relaxed(&[TxnOp::ExpectEmptyDir { dir: ROOT_ID }], &mut stats),
+        Err(MetaError::Internal(_))
+    ));
+    assert_eq!(stats.rpcs, rpcs);
 }
 
 #[test]

@@ -36,27 +36,20 @@ pub const SCALED_DB_SHARDS: usize = 8;
 pub struct PlacementConfig {
     /// Run the background placement controller (split/merge/migrate).
     pub dynamic_shards: bool,
-    /// Controller tick interval, in milliseconds (wall time: the controller
-    /// is a control-plane loop, not part of the simulated data path).
-    pub rebalance_interval_ms: u64,
     /// Max/mean shard busy-time ratio above which the controller acts on
     /// the hottest shard.
     pub imbalance_threshold: f64,
     /// Upper bound on shard-map ranges; beyond it the controller prefers
     /// merging cold neighbours over further splits.
     pub max_ranges: usize,
-    /// Rows copied per WAL-logged migration batch.
-    pub migration_batch: usize,
 }
 
 impl Default for PlacementConfig {
     fn default() -> Self {
         PlacementConfig {
             dynamic_shards: false,
-            rebalance_interval_ms: 10,
             imbalance_threshold: 1.5,
             max_ranges: 64,
-            migration_batch: 256,
         }
     }
 }

@@ -13,7 +13,6 @@
 //!   on a request the client has already given up on,
 //! * a **retry budget** decremented by the `RetryPolicy` engine
 //!   (`mantle-rpc`) so one op cannot retry without bound across layers,
-//! * a **priority class** for queue/shed decisions,
 //! * an optional **offered-arrival stamp** used by open-loop drivers so the
 //!   bounded-admission model in `SimNode` sees the *offered* load rather
 //!   than the closed-loop completion rate,
@@ -29,33 +28,6 @@ use std::time::Duration;
 use crate::clock::{self, SimInstant};
 use crate::stats::{OpStats, Phase};
 
-/// Scheduling class of a request, consulted by admission control.
-///
-/// The simulation currently sheds all classes identically once the queue
-/// cap is hit; the class is carried end-to-end so QoS policies (priority
-/// shedding, per-class budgets) can hang off it without another signature
-/// sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PriorityClass {
-    /// Foreground request on a user-visible latency path (default).
-    Interactive,
-    /// Bulk/batch traffic (scans, migrations) that tolerates queueing.
-    Batch,
-    /// Background maintenance (scrubs, compaction-adjacent reads).
-    Background,
-}
-
-impl PriorityClass {
-    /// Stable label used in metrics and harness output.
-    pub fn label(self) -> &'static str {
-        match self {
-            PriorityClass::Interactive => "interactive",
-            PriorityClass::Batch => "batch",
-            PriorityClass::Background => "background",
-        }
-    }
-}
-
 static NEXT_OP_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Per-operation request context (see module docs).
@@ -70,8 +42,6 @@ pub struct RequestCtx {
     /// per-site attempt caps usually bind first (default budget is
     /// effectively unbounded).
     pub retry_budget: u32,
-    /// Scheduling class consulted by admission control.
-    pub priority: PriorityClass,
     /// Offered arrival time (nanos on the simulation clock) stamped by
     /// open-loop drivers. When set, `SimNode`'s admission model measures
     /// queue depth against this arrival instead of the caller's (later)
@@ -89,13 +59,12 @@ impl Default for RequestCtx {
 
 impl RequestCtx {
     /// A fresh context: unique op id, no deadline, effectively unbounded
-    /// retry budget, interactive priority, empty stats.
+    /// retry budget, empty stats.
     pub fn new() -> Self {
         RequestCtx {
             op_id: NEXT_OP_ID.fetch_add(1, Ordering::Relaxed),
             deadline: None,
             retry_budget: u32::MAX,
-            priority: PriorityClass::Interactive,
             arrival_nanos: None,
             stats: OpStats::new(),
         }
@@ -116,12 +85,6 @@ impl RequestCtx {
     /// Builder: retry budget.
     pub fn with_budget(mut self, budget: u32) -> Self {
         self.retry_budget = budget;
-        self
-    }
-
-    /// Builder: priority class.
-    pub fn with_priority(mut self, priority: PriorityClass) -> Self {
-        self.priority = priority;
         self
     }
 

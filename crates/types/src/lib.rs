@@ -39,7 +39,7 @@ pub use clock::{SimInstant, TimeCategory, TimeStats};
 pub use config::{
     EngineName, EnvConfig, PlacementConfig, ScalePreset, SimConfig, SCALED_DB_SHARDS,
 };
-pub use ctx::{PriorityClass, RequestCtx};
+pub use ctx::RequestCtx;
 pub use error::{MetaError, Result};
 pub use id::{ClientUuid, InodeId, TxnId, ROOT_ID, ROOT_PARENT_ID};
 pub use path::MetaPath;

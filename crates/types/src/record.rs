@@ -87,6 +87,41 @@ pub struct AttrDelta {
 }
 
 impl AttrDelta {
+    /// The general form — what the row codec decodes. A mutation uses one
+    /// of the five named deltas below.
+    pub fn new(nlink: i64, entries: i64, mtime: u64) -> Self {
+        AttrDelta {
+            nlink,
+            entries,
+            mtime,
+        }
+    }
+
+    /// A child directory was linked under the parent (`mkdir`, rename in).
+    pub fn dir_linked(now: u64) -> Self {
+        Self::new(1, 1, now)
+    }
+
+    /// A child directory was unlinked (`rmdir`, rename out).
+    pub fn dir_unlinked(now: u64) -> Self {
+        Self::new(-1, -1, now)
+    }
+
+    /// An object was created under the parent.
+    pub fn entry_added(now: u64) -> Self {
+        Self::new(0, 1, now)
+    }
+
+    /// An object was deleted.
+    pub fn entry_removed(now: u64) -> Self {
+        Self::new(0, -1, now)
+    }
+
+    /// Only the modification time moves (a rename within one parent).
+    pub fn touch(now: u64) -> Self {
+        Self::new(0, 0, now)
+    }
+
     /// Folds `other` into this delta: applying the result equals applying
     /// both, in either order.
     pub fn merge(&mut self, other: &AttrDelta) {
@@ -113,6 +148,22 @@ pub struct ObjectMeta {
     pub ctime: u64,
     /// Permission mask.
     pub permission: Permission,
+}
+
+impl ObjectMeta {
+    /// A new object `name` under `pid`, created at `now` with every
+    /// permission bit set.
+    pub fn new(pid: InodeId, name: &str, id: InodeId, size: u64, blob: u64, now: u64) -> Self {
+        ObjectMeta {
+            pid,
+            name: name.to_string(),
+            id,
+            size,
+            blob,
+            ctime: now,
+            permission: Permission::ALL,
+        }
+    }
 }
 
 /// A `readdir` result row.
@@ -171,18 +222,11 @@ mod tests {
     #[test]
     fn attr_delta_application() {
         let mut attrs = DirAttrMeta::new(100, 0);
-        attrs.apply_delta(&AttrDelta {
-            nlink: 1,
-            entries: 1,
-            mtime: 120,
-        });
-        attrs.apply_delta(&AttrDelta {
-            nlink: -1,
-            entries: 1,
-            mtime: 110,
-        });
+        attrs.apply_delta(&AttrDelta::dir_linked(120));
+        attrs.apply_delta(&AttrDelta::entry_added(110));
+        attrs.apply_delta(&AttrDelta::dir_unlinked(105));
         assert_eq!(attrs.nlink, 2);
-        assert_eq!(attrs.entries, 2);
+        assert_eq!(attrs.entries, 1);
         assert_eq!(attrs.mtime, 120);
         assert_eq!(attrs.ctime, 100);
     }

@@ -234,7 +234,7 @@ fn rename_dir_budget() {
         |p, ctx| c.rename_dir(&to, p, ctx).unwrap(),
     );
     assert!(
-        allocs <= per_engine(&c, 10, 11),
+        allocs <= per_engine(&c, 9, 10),
         "parse + rename_dir: {allocs} allocations"
     );
 }

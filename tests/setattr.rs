@@ -2,7 +2,10 @@
 //! and cache invalidation (§5.1.2 lists setattr with dirrename as the
 //! RemovalList-protected modifications).
 
+use mantle::obs::trace::{self, SpanKind};
 use mantle::prelude::*;
+use mantle::tafdb::{entry_key, Row, TxnOp};
+use mantle::types::clock::TimeCategory;
 
 fn p(s: &str) -> MetaPath {
     MetaPath::parse(s).unwrap()
@@ -85,6 +88,67 @@ fn setattr_on_missing_or_object_path_fails() {
     // Objects have no directory access metadata to update.
     assert!(matches!(
         cluster.setattr(&p("/d/o"), Permission::ALL, &mut stats),
+        Err(MetaError::NotADirectory(_))
+    ));
+}
+
+/// The TafDB half of `setattr` goes through the request plane: one
+/// single-shard transaction (row lock, engine write, WAL append) and no
+/// separate read.
+#[test]
+fn setattr_is_one_locked_logged_tafdb_write() {
+    let cluster = MantleCluster::build(SimConfig::default(), 4);
+    cluster.mkdir(&p("/d"), &mut RequestCtx::new()).unwrap();
+    let committed = cluster.db().counters().txns_committed;
+
+    let guard = trace::start_forced("setattr").expect("no trace active on this thread");
+    cluster
+        .setattr(&p("/d"), Permission(0b110), &mut RequestCtx::new())
+        .unwrap();
+    let t = guard.finish();
+    let tafdb: Vec<_> = t
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Rpc && s.node.starts_with("tafdb"))
+        .collect();
+    assert_eq!(tafdb.len(), 1, "{}", t.render());
+    assert_eq!(tafdb[0].op, "txn_1shard", "{}", t.render());
+    assert_eq!(
+        tafdb[0].phases.count(TimeCategory::Fsync),
+        1,
+        "one WAL fsync"
+    );
+    assert_eq!(cluster.db().counters().txns_committed, committed + 1);
+}
+
+/// `setattr` takes the entry's exclusive row lock: it cannot slip between
+/// an `rmdir`'s prepare and commit, and once the entry is gone it reports
+/// that instead of writing the row back.
+#[test]
+fn setattr_waits_out_a_prepared_delete_and_cannot_resurrect_the_entry() {
+    let cluster = MantleCluster::build(SimConfig::instant(), 4);
+    let db = cluster.db();
+    cluster.mkdir(&p("/d"), &mut RequestCtx::new()).unwrap();
+    let entry = entry_key(cluster.root(), "d");
+    let before = db.raw_get(&entry);
+    assert!(matches!(before, Some(Row::DirAccess { .. })));
+
+    let delete = [TxnOp::Delete { key: entry.clone() }];
+    let removal = db
+        .prepare(db.begin(), &delete, &mut RequestCtx::new())
+        .unwrap();
+    // No retry budget, so the conflict surfaces instead of being retried.
+    let mut no_retry = RequestCtx::new().with_budget(0);
+    assert!(matches!(
+        cluster.setattr(&p("/d"), Permission(0b110), &mut no_retry),
+        Err(MetaError::TxnConflict { .. })
+    ));
+    assert_eq!(db.raw_get(&entry), before, "a refused setattr wrote");
+
+    db.commit(removal, &mut RequestCtx::new());
+    assert!(matches!(
+        cluster.setattr(&p("/d"), Permission(0b110), &mut RequestCtx::new()),
         Err(MetaError::NotFound(_))
     ));
+    assert_eq!(db.raw_get(&entry), None, "setattr resurrected the entry");
 }

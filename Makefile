@@ -1,8 +1,8 @@
 # Developer entry points. `make verify` is the full pre-merge gate (format
-# check + clippy with warnings as errors + the write-vocabulary grep gates +
-# tests); CI (.github/workflows/ci.yml) runs the same steps.
+# check + clippy with warnings as errors + the grep gates + tests); CI
+# (.github/workflows/ci.yml) runs the same steps.
 
-.PHONY: verify fmt-check clippy vocabulary test fmt smoke chaos chaos-sweep perf-gate bench-pair
+.PHONY: verify fmt-check clippy vocabulary test fmt smoke chaos chaos-smoke chaos-sweep bench-pair
 
 verify: fmt-check clippy vocabulary test
 
@@ -13,9 +13,12 @@ clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # No raw_put outside crates/tafdb/src, no AttrDelta literal outside its two
-# defining files (DESIGN.md §4.3); `ci/loc.sh` prints the non-test line count.
+# defining files (DESIGN.md §4.3); no thread::scope / flight::op_scope /
+# trace::start in a workload or figure binary outside the driver module
+# (DESIGN.md §3). `ci/loc.sh` prints the non-test line count.
 vocabulary:
 	ci/write_vocabulary.sh
+	ci/one_client_loop.sh
 
 test:
 	cargo test --workspace -q
@@ -23,7 +26,8 @@ test:
 fmt:
 	cargo fmt
 
-# Every figure/table harness at smoke scale, mirroring CI's bench-smoke job.
+# Every figure/table harness at smoke scale (CI's bench-smoke job runs this
+# target). A harness whose run had failed ops exits non-zero and stops it.
 smoke:
 	@cargo build --release -p mantle-bench --bins
 	@set -e; for src in crates/bench/src/bin/fig*.rs crates/bench/src/bin/table*.rs; do \
@@ -35,13 +39,6 @@ smoke:
 		python3 -m json.tool "$$f" > /dev/null || { echo "unparseable: $$f"; exit 1; }; \
 	done; \
 	echo "smoke OK: $$(ls results/*.json | wc -l) result files parse"
-
-# The CI perf-regression gate, locally: seed-pinned virtual-clock mdtest
-# suite vs ci/perf_baseline.json (>10% latency or RPC regression fails).
-# Refresh the baseline after an intentional model change with
-#   make perf-gate UPDATE=1
-perf-gate:
-	cargo run --release -p mantle-bench --bin perf_gate $(if $(UPDATE),-- --update-baseline)
 
 # The repo benchmark (benchmark/README.md), this checkout against a parent
 # revision in alternating pairs, then `compare`: make bench-pair PARENT=HEAD~1
@@ -56,6 +53,11 @@ SEED ?= 0
 chaos:
 	MANTLE_FAULT_SEED=$(SEED) MANTLE_TRACE_SAMPLE=1 \
 		cargo test -q --test chaos -- --nocapture
+
+# One chaos seed, quietly: the per-PR smoke CI's test jobs run (seed 0; the
+# path-cache leg also runs the lease storm, SEED=48).
+chaos-smoke:
+	MANTLE_FAULT_SEED=$(SEED) cargo test -q --test chaos
 
 # The full nightly sweep, locally (0..31 base storm, 32..47 snapshot
 # storm, 48..63 lease storm).

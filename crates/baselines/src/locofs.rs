@@ -131,8 +131,7 @@ impl LocoSm {
     /// per-level CPU cost as the IndexNode's table walk — but with no
     /// TopDirPathCache in front of it.
     fn resolve(&self, path: &MetaPath) -> Result<ResolvedPath> {
-        // One batched injection for the whole walk (micro-sleeps per level
-        // would overshoot the OS timer resolution).
+        // One charge for the whole walk: `depth` levels of resolution CPU.
         mantle_rpc::inject_delay(std::time::Duration::from_micros(
             self.config.index_level_micros * path.depth() as u64,
         ));

@@ -5,25 +5,10 @@
 //! (b) mkdir / dirrename throughput with no conflicts vs all threads
 //!     writing one directory — the paper reports 99.7 % / 99.4 % drops.
 
-use mantle_baselines::{Tectonic, TectonicOptions};
 use mantle_bench::runner::{measure, OpRow};
-use mantle_bench::{Report, Scale, SystemKind, SystemUnderTest};
+use mantle_bench::{Report, Scale, SystemUnderTest};
 use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::{ConflictMode, MdOp};
-
-/// Figure 4 characterizes Baidu's original DBtable service, which uses full
-/// distributed transactions (unlike the relaxed §6.1 Tectonic baseline).
-fn dbtable(sim: SimConfig) -> SystemUnderTest {
-    let _ = SystemKind::Tectonic;
-    let svc = Tectonic::new(
-        sim,
-        TectonicOptions {
-            transactional: true,
-            ..TectonicOptions::default()
-        },
-    );
-    SystemUnderTest::tectonic_custom(svc)
-}
 
 fn main() {
     let scale = Scale::from(EnvConfig::get().scale);
@@ -35,7 +20,7 @@ fn main() {
 
     report.line("-- (a) latency breakdown: lookup should dominate --");
     for op in [MdOp::ObjStat, MdOp::DirStat, MdOp::Delete] {
-        let sut = dbtable(sim);
+        let sut = SystemUnderTest::dbtable(sim);
         let row = measure(&sut, op, ConflictMode::Exclusive, scale);
         let total = row.lookup_us + row.loop_detect_us + row.execute_us;
         report.line(format!(
@@ -54,7 +39,7 @@ fn main() {
             .iter()
             .enumerate()
         {
-            let sut = dbtable(sim);
+            let sut = SystemUnderTest::dbtable(sim);
             let row: OpRow = measure(&sut, op, *conflict, scale);
             thpt[i] = row.throughput;
             report.line(row.pretty());

@@ -3,13 +3,11 @@
 
 use serde::Serialize;
 
-use mantle_baselines::{Tectonic, TectonicOptions};
 use mantle_bench::report::fmt_us;
 use mantle_bench::{Report, Scale, SystemKind, SystemUnderTest};
 use mantle_core::DataService;
 use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::apps::{run_analytics, run_audio};
-use mantle_workloads::{AnalyticsConfig, AudioConfig};
 
 #[derive(Serialize)]
 struct Row {
@@ -28,19 +26,7 @@ fn systems(sim: mantle_types::SimConfig) -> Vec<(&'static str, SystemUnderTest)>
         .into_iter()
         .map(|kind| (kind.label(), SystemUnderTest::build(kind, sim)))
         .collect();
-    all.insert(
-        0,
-        (
-            "dbtable",
-            SystemUnderTest::tectonic_custom(Tectonic::new(
-                sim,
-                TectonicOptions {
-                    transactional: true,
-                    ..TectonicOptions::default()
-                },
-            )),
-        ),
-    );
+    all.insert(0, ("dbtable", SystemUnderTest::dbtable(sim)));
     all
 }
 
@@ -48,23 +34,6 @@ fn main() {
     let scale = Scale::from(EnvConfig::get().scale);
     let sim = SimConfig::default();
     let mut report = Report::new("fig10", "application completion time (Analytics, Audio)");
-
-    let analytics = AnalyticsConfig {
-        queries: 4,
-        tasks_per_query: scale.app_tasks / 4,
-        parts_per_task: 2,
-        threads: scale.threads.min(64),
-        part_size: 1 << 20,
-        data_access: false,
-    };
-    let audio = AudioConfig {
-        files: scale.app_tasks,
-        segments_per_file: 8,
-        threads: scale.threads.min(64),
-        segment_size: 256 * 1024,
-        depth: scale.depth,
-        data_access: false,
-    };
 
     for data_access in [false, true] {
         report.line(format!(
@@ -78,14 +47,7 @@ fn main() {
         for (label, sut) in systems(sim) {
             let data = DataService::new(sim, 4);
             let data_ref = data_access.then_some(&data);
-            let a = run_analytics(
-                sut.svc().as_ref(),
-                data_ref,
-                AnalyticsConfig {
-                    data_access,
-                    ..analytics
-                },
-            );
+            let a = run_analytics(sut.svc().as_ref(), data_ref, scale.analytics(data_access));
             let row = Row {
                 workload: "analytics",
                 system: label,
@@ -102,14 +64,7 @@ fn main() {
             ));
             report.row(&row);
 
-            let b = run_audio(
-                sut.svc().as_ref(),
-                data_ref,
-                AudioConfig {
-                    data_access,
-                    ..audio
-                },
-            );
+            let b = run_audio(sut.svc().as_ref(), data_ref, scale.audio(data_access));
             let row = Row {
                 workload: "audio",
                 system: label,

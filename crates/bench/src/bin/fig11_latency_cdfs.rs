@@ -9,7 +9,6 @@ use mantle_bench::{Report, Scale, SystemKind, SystemUnderTest};
 use mantle_types::hist::Histogram;
 use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::apps::{run_analytics, run_audio};
-use mantle_workloads::{AnalyticsConfig, AudioConfig};
 
 #[derive(Serialize)]
 struct Row {
@@ -63,18 +62,7 @@ fn main() {
 
     for kind in SystemKind::ALL {
         let sut = SystemUnderTest::build(kind, sim);
-        let a = run_analytics(
-            sut.svc().as_ref(),
-            None,
-            AnalyticsConfig {
-                queries: 4,
-                tasks_per_query: scale.app_tasks / 4,
-                parts_per_task: 2,
-                threads: scale.threads.min(64),
-                part_size: 1 << 20,
-                data_access: false,
-            },
-        );
+        let a = run_analytics(sut.svc().as_ref(), None, scale.analytics(false));
         for op in ["mkdir", "dirrename"] {
             if let Some(h) = a.op_latency.get(op) {
                 summarize(&mut report, "analytics", kind.label(), op, h);
@@ -82,18 +70,7 @@ fn main() {
         }
 
         let sut = SystemUnderTest::build(kind, sim);
-        let b = run_audio(
-            sut.svc().as_ref(),
-            None,
-            AudioConfig {
-                files: scale.app_tasks,
-                segments_per_file: 8,
-                threads: scale.threads.min(64),
-                segment_size: 256 * 1024,
-                depth: scale.depth,
-                data_access: false,
-            },
-        );
+        let b = run_audio(sut.svc().as_ref(), None, scale.audio(false));
         for op in ["objstat", "create"] {
             if let Some(h) = b.op_latency.get(op) {
                 summarize(&mut report, "audio", kind.label(), op, h);

@@ -36,9 +36,9 @@ fn variant(sim: SimConfig, stage: usize) -> MantleConfig {
 
 fn main() {
     let scale = Scale::from(EnvConfig::get().scale);
-    // CPU-faithful envelope: the path cache and follower reads save
-    // IndexNode CPU; with the default (latency-oriented) per-level cost of
-    // 2 µs their effect would vanish under the host's own noise.
+    // Per-level resolution CPU at the paper's magnitude (DESIGN.md §1.1), so
+    // what the path cache saves is visible as latency. Follower reads have
+    // no leader ceiling to relieve in this model; they cost a ReadIndex.
     let sim = SimConfig {
         index_node_permits: 4,
         index_level_micros: 25,

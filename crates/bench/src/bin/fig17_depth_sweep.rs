@@ -8,7 +8,7 @@
 use serde::Serialize;
 
 use mantle_bench::report::fmt_us;
-use mantle_bench::runner::measure_at;
+use mantle_bench::runner::measure;
 use mantle_bench::{Report, Scale, SystemKind, SystemUnderTest};
 use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::{ConflictMode, MdOp};
@@ -31,14 +31,8 @@ fn main() {
         let mut depth1 = 0.0f64;
         for depth in [1usize, 2, 4, 6, 8, 10] {
             let sut = SystemUnderTest::build(kind, sim);
-            let m = measure_at(
-                &sut,
-                MdOp::Lookup,
-                ConflictMode::Exclusive,
-                scale.threads,
-                scale.ops_per_thread,
-                depth,
-            );
+            let at_depth = Scale { depth, ..scale };
+            let m = measure(&sut, MdOp::Lookup, ConflictMode::Exclusive, at_depth);
             if depth == 1 {
                 depth1 = m.mean_us;
             }

@@ -7,15 +7,14 @@
 //! k = 1 memory at a modest latency penalty.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::Serialize;
 
 use mantle_bench::report::fmt_us;
 use mantle_bench::{Report, Scale, SystemUnderTest};
 use mantle_core::MantleConfig;
-use mantle_types::hist::Histogram;
-use mantle_types::{EnvConfig, MetadataService, RequestCtx, SimConfig};
+use mantle_types::{EnvConfig, MetadataService, SimConfig};
+use mantle_workloads::driver::drive;
 use mantle_workloads::{NamespaceHandle, NamespaceSpec};
 
 #[derive(Serialize)]
@@ -70,35 +69,18 @@ fn main() {
             .collect();
         let distinct: HashSet<_> = parents.iter().filter_map(|p| p.truncate_leaf(k)).collect();
 
-        // Warm + measure lookups.
+        // Warm + measure lookups: lookup `i` of the round runs on client
+        // `i mod threads`.
         let svc = sut.svc();
-        let next = AtomicUsize::new(0);
         let total = scale.threads * scale.ops_per_thread;
-        let merged = parking_lot::Mutex::new(Histogram::new());
-        std::thread::scope(|scope| {
-            for _ in 0..scale.threads {
-                let svc = &svc;
-                let next = &next;
-                let parents = &parents;
-                let merged = &merged;
-                scope.spawn(move || {
-                    let mut h = Histogram::new();
-                    let mut stats = RequestCtx::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
-                        let p = &parents[i % parents.len()];
-                        let begin = mantle_types::clock::now();
-                        let _ = svc.lookup(p, &mut stats);
-                        h.record(begin.elapsed().as_nanos() as u64);
-                    }
-                    merged.lock().merge(&h);
-                });
+        let hist = drive(svc.name(), scale.threads, None, |client| {
+            for i in client.share_of(total) {
+                let p = &parents[i % parents.len()];
+                client.op("lookup", p.depth(), |ctx| svc.lookup(p, ctx));
             }
-        });
-        let hist = merged.into_inner();
+        })
+        .take("lookup")
+        .latency;
         let cache = sut
             .mantle_cluster()
             .expect("mantle SUT")

@@ -3,13 +3,14 @@
 //! (a) Throughput vs namespace size (objstat + create): flat — every
 //!     operation is O(depth), not O(entries).
 //! (b) Throughput vs client threads for objstat without follower reads,
-//!     with 2 followers, and with 2 extra learners; plus create. Follower
-//!     and learner reads push the single-node lookup ceiling out.
+//!     with 2 followers, and with 2 extra learners; plus create. In the
+//!     paper follower and learner reads push the single-node lookup
+//!     ceiling out; this model has no such ceiling (DESIGN.md §1).
 
 use serde::Serialize;
 
 use mantle_bench::report::fmt_ops;
-use mantle_bench::runner::measure_at;
+use mantle_bench::runner::measure;
 use mantle_bench::{Report, Scale, SystemUnderTest};
 use mantle_core::MantleConfig;
 use mantle_types::{EnvConfig, SimConfig};
@@ -48,14 +49,7 @@ fn main() {
         spec.seed = 5;
         NamespaceHandle::populate(sut.svc().as_ref(), spec);
         for op in [MdOp::ObjStat, MdOp::Create] {
-            let m = measure_at(
-                &sut,
-                op,
-                ConflictMode::Exclusive,
-                scale.threads,
-                scale.ops_per_thread,
-                scale.depth,
-            );
+            let m = measure(&sut, op, ConflictMode::Exclusive, scale);
             let row = SizeRow {
                 entries,
                 op: op.label(),
@@ -72,13 +66,12 @@ fn main() {
     }
 
     report.line("-- (b) throughput vs client threads --");
-    // CPU-faithful envelope for the lookup-scaling part: one replica's
-    // resolution capacity must be the binding constraint (as on the paper's
-    // testbed, §7.2: "Mantle's scalability is currently constrained by the
-    // CPU resource of IndexNode"). A single host core can only *simulate*
-    // ~25-30 K sleeps-per-second flows, so the modeled per-replica ceiling
-    // is calibrated below that; follower/learner reads then visibly raise
-    // it, exactly like Figure 19b.
+    // On the paper's testbed one replica's resolution capacity binds (§7.2:
+    // "Mantle's scalability is currently constrained by the CPU resource of
+    // IndexNode") and follower/learner reads raise it. Here the one permit
+    // is held for zero modeled time, so no ceiling exists and every variant
+    // scales linearly in threads (DESIGN.md §1); the envelope is kept so the
+    // rows stay comparable once ROADMAP 2(d) models the queue.
     let mut cpu_sim = sim;
     cpu_sim.index_node_permits = 1;
     cpu_sim.index_level_micros = 25;
@@ -132,13 +125,11 @@ fn main() {
         };
         for &threads in scale.thread_sweep {
             let sut = build();
-            let m = measure_at(
+            let m = measure(
                 &sut,
                 op,
                 ConflictMode::Exclusive,
-                threads,
-                scale.ops_per_thread,
-                scale.depth,
+                Scale { threads, ..scale },
             );
             let row = ThreadRow {
                 variant: name,

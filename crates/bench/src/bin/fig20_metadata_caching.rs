@@ -7,20 +7,17 @@
 //! Audio, and helps Mantle only a little — its single-RPC lookup leaves
 //! less to save.
 //!
-//! `completion_ms` is the paper's metric (longest worker timeline), but
-//! workers claim tasks in real time, so at small scales it mostly shows how
-//! unevenly tasks were claimed. `mean_op_us`, the mean modeled latency of
-//! every timed metadata op, does not depend on who ran what.
+//! `completion_ms` is the paper's metric (longest worker timeline);
+//! `mean_op_us` is the mean modeled latency of every timed metadata op.
 
 use serde::Serialize;
 
 use mantle_baselines::{InfiniFs, InfiniFsOptions};
 use mantle_bench::report::fmt_us;
-use mantle_bench::{Report, Scale, SystemUnderTest};
+use mantle_bench::{Report, Scale, SystemKind, SystemUnderTest};
 use mantle_core::{MantleConfig, PathLeaseConfig};
 use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::apps::{run_analytics, run_audio};
-use mantle_workloads::{AnalyticsConfig, AudioConfig};
 
 #[derive(Serialize)]
 struct Row {
@@ -39,11 +36,10 @@ fn build(system: &'static str, cache: bool, sim: SimConfig) -> SystemUnderTest {
         PathLeaseConfig::default()
     };
     match system {
-        "infinifs" => SystemUnderTest::infinifs_custom(InfiniFs::with_path_cache(
-            sim,
-            InfiniFsOptions::default(),
-            pcache,
-        )),
+        "infinifs" => SystemUnderTest::baseline(
+            SystemKind::InfiniFs,
+            InfiniFs::with_path_cache(sim, InfiniFsOptions::default(), pcache),
+        ),
         "mantle" => SystemUnderTest::mantle(MantleConfig {
             sim,
             pcache,
@@ -62,40 +58,15 @@ fn main() {
             for workload in ["analytics", "audio"] {
                 let sut = build(system, cache, sim);
                 let app = match workload {
-                    "analytics" => run_analytics(
-                        sut.svc().as_ref(),
-                        None,
-                        AnalyticsConfig {
-                            queries: 4,
-                            tasks_per_query: scale.app_tasks / 4,
-                            parts_per_task: 2,
-                            threads: scale.threads.min(64),
-                            part_size: 1 << 20,
-                            data_access: false,
-                        },
-                    ),
-                    _ => run_audio(
-                        sut.svc().as_ref(),
-                        None,
-                        AudioConfig {
-                            files: scale.app_tasks,
-                            segments_per_file: 8,
-                            threads: scale.threads.min(64),
-                            segment_size: 256 * 1024,
-                            depth: scale.depth,
-                            data_access: false,
-                        },
-                    ),
+                    "analytics" => run_analytics(sut.svc().as_ref(), None, scale.analytics(false)),
+                    _ => run_audio(sut.svc().as_ref(), None, scale.audio(false)),
                 };
-                let (ops, nanos) = app.op_latency.values().fold((0.0, 0.0), |(n, t), h| {
-                    (n + h.count() as f64, t + h.mean() * h.count() as f64)
-                });
                 let row = Row {
                     system,
                     cache,
                     workload,
                     completion_ms: app.completion.as_secs_f64() * 1e3,
-                    mean_op_us: nanos / ops / 1e3,
+                    mean_op_us: app.mean_op_micros(),
                 };
                 report.line(format!(
                     "{:<9} cache={:<5} {:<10} completion {:>10}  mean op {:>10}",

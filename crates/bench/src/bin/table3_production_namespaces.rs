@@ -8,7 +8,7 @@
 use serde::Serialize;
 
 use mantle_bench::report::fmt_ops;
-use mantle_bench::runner::measure_at;
+use mantle_bench::runner::measure;
 use mantle_bench::{Report, Scale, SystemUnderTest};
 use mantle_core::MantleConfig;
 use mantle_types::{EnvConfig, SimConfig};
@@ -42,22 +42,8 @@ fn main() {
         });
         let ns = NamespaceHandle::populate(sut.svc().as_ref(), spec.clone());
         let stats = ns.stats();
-        let lookup = measure_at(
-            &sut,
-            MdOp::Lookup,
-            ConflictMode::Exclusive,
-            scale.threads,
-            scale.ops_per_thread,
-            scale.depth,
-        );
-        let mkdir = measure_at(
-            &sut,
-            MdOp::Mkdir,
-            ConflictMode::Exclusive,
-            scale.threads,
-            scale.ops_per_thread,
-            scale.depth,
-        );
+        let lookup = measure(&sut, MdOp::Lookup, ConflictMode::Exclusive, scale);
+        let mkdir = measure(&sut, MdOp::Mkdir, ConflictMode::Exclusive, scale);
         let row = Row {
             namespace: spec.name,
             objects: stats.objects,

@@ -54,12 +54,26 @@ impl Report {
     /// Writes `results/<name>.json` and prints the path. With
     /// `MANTLE_METRICS=on` a snapshot of the global metrics registry is also
     /// persisted to `results/<name>.metrics.json` (see DESIGN.md
-    /// §Observability).
+    /// §Observability). Then, if any op of the run failed for a reason the
+    /// harness did not ask for, exits the process non-zero: a figure drawn
+    /// over failed ops is not a result.
     pub fn finish(mut self) {
+        self.write_artifacts();
+        self.stop_obs_server();
+        let failed = mantle_workloads::driver::unexpected_failures();
+        if failed > 0 {
+            eprintln!(
+                "{}: {failed} ops failed (first failure above)",
+                self.figures[0].0
+            );
+            std::process::exit(1);
+        }
+    }
+
+    fn write_artifacts(&self) {
         let dir = PathBuf::from("results");
         if std::fs::create_dir_all(&dir).is_err() {
             eprintln!("warning: cannot create results/; skipping JSON dump");
-            self.stop_obs_server();
             return;
         }
         for (name, title) in &self.figures {
@@ -98,7 +112,6 @@ impl Report {
                 Err(e) => eprintln!("warning: cannot write {}: {e}", spath.display()),
             }
         }
-        self.stop_obs_server();
     }
 
     /// Stops the scrape endpoint, last: every artifact is on disk before

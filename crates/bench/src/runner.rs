@@ -1,4 +1,4 @@
-//! Shared measurement loops used by the figure binaries.
+//! The mdtest measurement the figure binaries share.
 
 use serde::Serialize;
 
@@ -94,35 +94,13 @@ impl OpRow {
 }
 
 /// Runs one mdtest config against a system and returns the flattened row.
+/// `scale` supplies threads, ops per thread and depth; a sweep overrides
+/// one with struct-update syntax (`Scale { depth, ..scale }`).
 pub fn measure(sut: &SystemUnderTest, op: MdOp, conflict: ConflictMode, scale: Scale) -> OpRow {
     let config = MdtestConfig {
         threads: scale.threads,
         ops_per_thread: scale.ops_per_thread,
         depth: scale.depth,
-        op,
-        conflict,
-        working_set: 1024,
-        seed: 11,
-        hotspot: None,
-        open_loop: None,
-    };
-    let report = mdtest::run(sut.svc().as_ref(), config);
-    OpRow::from_report(sut.label(), &report)
-}
-
-/// Like [`measure`] but with explicit thread count and depth.
-pub fn measure_at(
-    sut: &SystemUnderTest,
-    op: MdOp,
-    conflict: ConflictMode,
-    threads: usize,
-    ops_per_thread: usize,
-    depth: usize,
-) -> OpRow {
-    let config = MdtestConfig {
-        threads,
-        ops_per_thread,
-        depth,
         op,
         conflict,
         working_set: 1024,

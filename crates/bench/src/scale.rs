@@ -6,6 +6,7 @@
 //! names the preset (README.md "Environment").
 
 use mantle_types::ScalePreset;
+use mantle_workloads::{AnalyticsConfig, AudioConfig};
 
 /// Harness run sizes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,6 +66,32 @@ impl Scale {
             thread_sweep: &[2, 4],
             size_sweep: &[1_000, 2_000],
             app_tasks: 8,
+        }
+    }
+}
+
+impl Scale {
+    /// The Analytics workload of Figures 10, 11 and 20 at this scale.
+    pub fn analytics(&self, data_access: bool) -> AnalyticsConfig {
+        AnalyticsConfig {
+            queries: 4,
+            tasks_per_query: self.app_tasks / 4,
+            parts_per_task: 2,
+            threads: self.threads.min(64),
+            part_size: 1 << 20,
+            data_access,
+        }
+    }
+
+    /// The Audio workload of Figures 10, 11 and 20 at this scale.
+    pub fn audio(&self, data_access: bool) -> AudioConfig {
+        AudioConfig {
+            files: self.app_tasks,
+            segments_per_file: 8,
+            threads: self.threads.min(64),
+            segment_size: 256 * 1024,
+            depth: self.depth,
+            data_access,
         }
     }
 }

@@ -62,41 +62,36 @@ impl SystemUnderTest {
                 sim,
                 ..MantleConfig::default()
             }),
-            SystemKind::Tectonic => SystemUnderTest {
-                kind,
-                svc: Tectonic::new(sim, TectonicOptions::default()),
-                mantle: None,
-            },
-            SystemKind::InfiniFs => SystemUnderTest {
-                kind,
-                svc: InfiniFs::new(sim, InfiniFsOptions::default()),
-                mantle: None,
-            },
-            SystemKind::LocoFs => SystemUnderTest {
-                kind,
-                svc: LocoFs::new(sim, LocoFsOptions::default()),
-                mantle: None,
-            },
+            SystemKind::Tectonic => {
+                Self::baseline(kind, Tectonic::new(sim, TectonicOptions::default()))
+            }
+            SystemKind::InfiniFs => {
+                Self::baseline(kind, InfiniFs::new(sim, InfiniFsOptions::default()))
+            }
+            SystemKind::LocoFs => Self::baseline(kind, LocoFs::new(sim, LocoFsOptions::default())),
         }
     }
 
-    /// Wraps a custom-configured Tectonic (Figure 4's transactional
-    /// DBtable variant).
-    pub fn tectonic_custom(svc: std::sync::Arc<Tectonic>) -> Self {
+    /// Wraps a custom-configured baseline (Figure 20's InfiniFS cache
+    /// legs, [`SystemUnderTest::dbtable`]).
+    pub fn baseline(kind: SystemKind, svc: Arc<dyn Evaluated>) -> Self {
         SystemUnderTest {
-            kind: SystemKind::Tectonic,
+            kind,
             svc,
             mantle: None,
         }
     }
 
-    /// Wraps a custom-configured InfiniFS (Figure 20's cache-on/off legs).
-    pub fn infinifs_custom(svc: Arc<InfiniFs>) -> Self {
-        SystemUnderTest {
-            kind: SystemKind::InfiniFs,
-            svc,
-            mantle: None,
-        }
+    /// The transactional DBtable service Baidu ran before Mantle (§3.2):
+    /// Tectonic's schema under full distributed transactions, unlike the
+    /// relaxed §6.1 baseline. Figure 4 characterizes it; its commit storm
+    /// is Figure 10's Analytics motivation.
+    pub fn dbtable(sim: SimConfig) -> Self {
+        let options = TectonicOptions {
+            transactional: true,
+            ..TectonicOptions::default()
+        };
+        Self::baseline(SystemKind::Tectonic, Tectonic::new(sim, options))
     }
 
     /// Builds Mantle with an explicit configuration (ablations, k-sweeps,

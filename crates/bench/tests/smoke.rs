@@ -1,11 +1,12 @@
 //! Figure-harness smoke test: a tiny mdtest through the same
-//! `measure_at` path the figure binaries use must complete every
+//! `measure` path the figure binaries use must complete every
 //! operation (`OpRow.failed == 0`), leave a non-empty metrics snapshot
 //! behind, and that snapshot must serialize to valid JSON — the
 //! `MANTLE_METRICS=1` persistence path depends on it.
 
-use mantle_bench::runner::measure_at;
+use mantle_bench::runner::measure;
 use mantle_bench::systems::{SystemKind, SystemUnderTest};
+use mantle_bench::Scale;
 use mantle_types::SimConfig;
 use mantle_workloads::mdtest::{ConflictMode, MdOp, MdtestConfig};
 
@@ -27,7 +28,13 @@ fn tiny_mdtest_has_zero_failed_ops_and_populates_metrics() {
             // across op types otherwise, exactly like the paper's
             // per-run re-setup.
             let sut = SystemUnderTest::build(kind, SimConfig::instant());
-            let row = measure_at(&sut, op, ConflictMode::Exclusive, 2, 8, 4);
+            let tiny = Scale {
+                threads: 2,
+                ops_per_thread: 8,
+                depth: 4,
+                ..Scale::smoke()
+            };
+            let row = measure(&sut, op, ConflictMode::Exclusive, tiny);
             assert_eq!(row.failed, 0, "{} {op:?} had failed ops", sut.label());
             assert!(row.throughput > 0.0, "{} {op:?}", sut.label());
         }
@@ -43,7 +50,7 @@ fn tiny_mdtest_has_zero_failed_ops_and_populates_metrics() {
 }
 
 // `MdtestConfig` is what the figure binaries feed `mdtest::run` directly
-// (bypassing `measure_at`); keep its construction covered here too so a
+// (bypassing `measure`); keep its construction covered here too so a
 // field rename breaks loudly in tests rather than in a figure binary.
 #[test]
 fn mdtest_config_matches_harness_expectations() {

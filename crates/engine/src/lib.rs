@@ -22,8 +22,7 @@
 //! `try_lock` first, so the uncontended case records nothing). This is
 //! deliberately kept out of the virtual-clock ledger — it is a wall-time
 //! contention measurement, zero in deterministic single-threaded runs —
-//! and is what `perf_gate`'s mixed scan+create row compares across
-//! engines.
+//! and is what the repo benchmark's `engine.lock_wait_ns_per_op` reads.
 
 use std::ops::Bound;
 

@@ -609,28 +609,32 @@ impl<SM: StateMachine> RaftReplica<SM> {
         self.advance_commit(&mut g);
         loop {
             if g.last_applied >= my_index {
-                return match g.log.term_at(my_index) {
-                    Some(t) if t == my_term => {
-                        // Quorum replication happens on replicator threads;
-                        // the proposer's own timeline would not see that
-                        // round trip, so the modeled commit cost is folded
-                        // in here.
-                        if self.n_voters > 1 {
-                            // Attribute the folded commit cost to this
-                            // replica in any active trace, so critical-path
-                            // breakdowns show "commit @ raft leader" rather
-                            // than unlabeled client time.
-                            let _span = mantle_obs::trace::span(
-                                "quorum_commit",
-                                self.node.name(),
-                                mantle_obs::trace::SpanKind::Local,
-                            );
-                            clock::sleep_as(TimeCategory::Commit, self.config.rtt());
-                        }
-                        Ok(my_index)
-                    }
-                    _ => Err(RaftError::Superseded),
-                };
+                // An index the snapshot already swallowed has no term left
+                // to compare, but on a replica that still leads in
+                // `my_term` nothing can have overwritten it.
+                let mine = g.log.term_at(my_index) == Some(my_term)
+                    || (my_index <= g.log.snapshot_index()
+                        && g.role == Role::Leader
+                        && g.term == my_term);
+                if !mine {
+                    return Err(RaftError::Superseded);
+                }
+                // Quorum replication happens on replicator threads; the
+                // proposer's own timeline would not see that round trip, so
+                // the modeled commit cost is folded in here.
+                if self.n_voters > 1 {
+                    // Attribute the folded commit cost to this replica in
+                    // any active trace, so critical-path breakdowns show
+                    // "commit @ raft leader" rather than unlabeled client
+                    // time.
+                    let _span = mantle_obs::trace::span(
+                        "quorum_commit",
+                        self.node.name(),
+                        mantle_obs::trace::SpanKind::Local,
+                    );
+                    clock::sleep_as(TimeCategory::Commit, self.config.rtt());
+                }
+                return Ok(my_index);
             }
             if g.log.term_at(my_index) != Some(my_term) {
                 return Err(RaftError::Superseded);

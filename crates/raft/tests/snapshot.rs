@@ -264,3 +264,41 @@ fn crash_recover_replays_only_the_suffix() {
     assert!(follower.snapshot_index() >= snap_before);
     assert_eq!(follower.snapshot_installs_applied(), 0);
 }
+
+/// A proposer that wakes after its entry was applied *and compacted away*
+/// must still hear `Ok`: on a leader that never left the proposing term an
+/// index behind the snapshot cannot have been overwritten. Aggressive
+/// snapshots with no retained suffix put almost every waking proposer in
+/// that position; `Superseded` here is a committed command reported as
+/// failed (and re-proposed by `with_failover`, so applied twice).
+#[test]
+fn proposers_behind_the_snapshot_on_a_stable_leader_all_succeed_exactly_once() {
+    const PROPOSERS: u64 = 4;
+    const EACH: u64 = 100;
+    let opts = RaftOptions {
+        snapshot_every: 4,
+        snapshot_keep_entries: 0,
+        ..snappy_opts()
+    };
+    let g = group(opts, 3);
+    let leader = g.leader().expect("bootstrap leader");
+    let barrier = std::sync::Barrier::new(PROPOSERS as usize);
+    std::thread::scope(|scope| {
+        for t in 0..PROPOSERS {
+            let (leader, barrier) = (&leader, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for i in 0..EACH {
+                    let cmd = t * EACH + i;
+                    leader
+                        .propose(cmd)
+                        .unwrap_or_else(|e| panic!("propose({cmd}) on a stable leader: {e}"));
+                }
+            });
+        }
+    });
+    assert!(leader.snapshots_taken() > 0, "the run must have compacted");
+    let mut applied = leader.state_machine().applied.lock().clone();
+    applied.sort_unstable();
+    assert_eq!(applied, (0..PROPOSERS * EACH).collect::<Vec<_>>());
+}

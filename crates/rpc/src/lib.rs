@@ -6,10 +6,13 @@
 //! * an RPC to a node costs one injected network round trip
 //!   ([`SimConfig::rtt_micros`]) — the quantity every lookup-latency figure
 //!   in the paper is really measuring (Table 1 counts RTTs);
-//! * each node owns a bounded permit pool (its "cores"); requests hold a
-//!   permit for the injected service time plus their real compute, so a
-//!   saturated node produces genuine queueing delay — the effect behind the
-//!   single-node ceilings of Figures 12, 14 and 19b;
+//! * each request pays an injected service time on its caller's timeline.
+//!   A node also owns a bounded permit pool (its "cores"), but the service
+//!   time is an instant virtual advance, so a permit is held only for the
+//!   handler's real compute and no modeled node saturates: the single-node
+//!   ceilings of Figures 12, 14 and 19b are *not* reproduced (DESIGN.md §1;
+//!   a modeled k-server queue is ROADMAP 2(d)). The one modeled backlog is
+//!   the bounded admission queue (`queue_cap`, DESIGN.md §4.14);
 //! * every RPC is counted into the caller's [`mantle_types::OpStats`] so
 //!   harnesses can report RPCs per operation.
 //!

@@ -282,8 +282,9 @@ impl SimNode {
     /// Queueing delay is the one place real time leaks into the simulated
     /// timeline: an uncontended permit acquire is deterministic (zero
     /// wait), while a blocked acquire measures its real wait and folds it
-    /// in via [`clock::fold_real_wait`], so saturation still produces genuine
-    /// queueing delay under the virtual clock.
+    /// in via [`clock::fold_real_wait`]. The permit is held for `f`'s real
+    /// compute only (the service time is an instant virtual advance), so
+    /// that wait is a host effect, not a modeled saturation knee.
     pub fn execute<R>(&self, f: impl FnOnce() -> R) -> R {
         let sim_start = clock::now();
         let depth = self.in_queue.fetch_add(1, Ordering::Relaxed) + 1;

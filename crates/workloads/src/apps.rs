@@ -1,15 +1,18 @@
-//! The two real-world application drivers of §6.2.
+//! The two real-world application drivers of §6.2, as bodies over the
+//! shared client loop ([`crate::driver`]): every metadata op and every
+//! data-plane access is one [`Client::op`](crate::driver::Client::op).
+//! Tasks are partitioned statically — task `k` runs on worker
+//! `k mod threads` — so the task → worker map never depends on which OS
+//! thread won a claim.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
 use mantle_core::DataService;
-use mantle_types::clock;
 use mantle_types::hist::Histogram;
-use mantle_types::{BulkLoad, MetaPath, MetadataService, RequestCtx};
+use mantle_types::{BulkLoad, MetaPath, MetadataService};
+
+use crate::driver::{drive, Outcome};
 
 /// Results of one application run.
 #[derive(Debug)]
@@ -18,42 +21,38 @@ pub struct AppReport {
     /// per-worker simulated timeline.
     pub completion: Duration,
     /// Per-operation latency histograms (nanoseconds) for the CDFs of
-    /// Figure 11 ("mkdir", "dirrename", "objstat", "create").
+    /// Figure 11 ("mkdir", "dirrename", "objstat", "create"), plus
+    /// "data_write" / "data_read" when the data service is touched.
     pub op_latency: HashMap<&'static str, Histogram>,
     /// Operations that failed (must be zero).
     pub failed: u64,
 }
 
-#[derive(Default)]
-struct Recorder {
-    hists: Mutex<HashMap<&'static str, Histogram>>,
-    failed: AtomicU64,
-}
-
-impl Recorder {
-    fn time<R, E>(&self, op: &'static str, f: impl FnOnce() -> Result<R, E>) -> Option<R> {
-        let begin = clock::now();
-        match f() {
-            Ok(r) => {
-                self.hists
-                    .lock()
-                    .entry(op)
-                    .or_default()
-                    .record(begin.elapsed().as_nanos() as u64);
-                Some(r)
-            }
-            Err(_) => {
-                self.failed.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+impl AppReport {
+    /// Mean modeled latency over every timed op, in microseconds (0 when
+    /// nothing was recorded).
+    pub fn mean_op_micros(&self) -> f64 {
+        let (ops, nanos) = self.op_latency.values().fold((0.0, 0.0), |(n, t), h| {
+            (n + h.count() as f64, t + h.mean() * h.count() as f64)
+        });
+        if ops == 0.0 {
+            0.0
+        } else {
+            nanos / ops / 1e3
         }
     }
+}
 
-    /// Counts a failed step that has no latency row of its own (the
-    /// data-plane writes riding along with a timed metadata op).
-    fn check<R, E>(&self, result: Result<R, E>) {
-        if result.is_err() {
-            self.failed.fetch_add(1, Ordering::Relaxed);
+impl From<Outcome> for AppReport {
+    fn from(outcome: Outcome) -> Self {
+        AppReport {
+            completion: outcome.makespan,
+            op_latency: outcome
+                .ops
+                .into_iter()
+                .map(|(label, record)| (label, record.latency))
+                .collect(),
+            failed: outcome.failed,
         }
     }
 }
@@ -78,21 +77,10 @@ pub struct AnalyticsConfig {
     pub data_access: bool,
 }
 
-impl Default for AnalyticsConfig {
-    fn default() -> Self {
-        AnalyticsConfig {
-            queries: 4,
-            tasks_per_query: 32,
-            parts_per_task: 2,
-            threads: 8,
-            part_size: 1 << 20,
-            data_access: false,
-        }
-    }
-}
-
 /// Runs the Analytics workload. `data` supplies the object data path when
-/// `config.data_access` is set.
+/// `config.data_access` is set. Only the task → worker map is
+/// deterministic: the commits contend for real on the shared output
+/// directory, so `completion` still moves with how the renames interleave.
 pub fn run_analytics<S: MetadataService + BulkLoad + ?Sized + Sync>(
     svc: &S,
     data: Option<&DataService>,
@@ -104,54 +92,33 @@ pub fn run_analytics<S: MetadataService + BulkLoad + ?Sized + Sync>(
         svc.bulk_dir(&MetaPath::parse(&format!("/warehouse/out/q{q}")).expect("static path"));
     }
 
-    let recorder = Recorder::default();
-    let next_task = AtomicUsize::new(0);
     let total_tasks = config.queries * config.tasks_per_query;
-
-    // Completion time is the longest per-worker timeline (per-thread
-    // virtual clocks).
-    let makespan_nanos = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..config.threads {
-            let recorder = &recorder;
-            let next_task = &next_task;
-            let makespan_nanos = &makespan_nanos;
-            scope.spawn(move || {
-                let begin = clock::now();
-                let mut stats = RequestCtx::new();
-                loop {
-                    let task = next_task.fetch_add(1, Ordering::Relaxed);
-                    if task >= total_tasks {
-                        break;
-                    }
-                    let q = task / config.tasks_per_query;
-                    let tmp = MetaPath::parse(&format!("/warehouse/tmp/q{q}_t{task}"))
-                        .expect("static path");
-                    // 1. Private temp directory.
-                    recorder.time("mkdir", || svc.mkdir(&tmp, &mut stats));
-                    // 2. Write parts (metadata + optional data).
-                    for part in 0..config.parts_per_task {
-                        let path = tmp.child(&format!("part{part}"));
-                        recorder.time("create", || svc.create(&path, config.part_size, &mut stats));
-                        if let Some(data) = data {
-                            recorder.check(data.write(config.part_size, &mut stats));
-                        }
-                    }
-                    // 3. Atomic commit: rename into the shared output dir.
-                    let out = MetaPath::parse(&format!("/warehouse/out/q{q}/t{task}"))
-                        .expect("static path");
-                    recorder.time("dirrename", || svc.rename_dir(&tmp, &out, &mut stats));
+    drive(svc.name(), config.threads, None, |client| {
+        for task in client.share_of(total_tasks) {
+            let q = task / config.tasks_per_query;
+            let tmp =
+                MetaPath::parse(&format!("/warehouse/tmp/q{q}_t{task}")).expect("static path");
+            // 1. Private temp directory.
+            client.op("mkdir", tmp.depth(), |ctx| svc.mkdir(&tmp, ctx));
+            // 2. Write parts (metadata + optional data).
+            for part in 0..config.parts_per_task {
+                let path = tmp.child(&format!("part{part}"));
+                client.op("create", path.depth(), |ctx| {
+                    svc.create(&path, config.part_size, ctx)
+                });
+                if let Some(data) = data {
+                    client.op("data_write", 0, |ctx| data.write(config.part_size, ctx));
                 }
-                makespan_nanos.fetch_max(begin.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }
+            // 3. Atomic commit: rename into the shared output dir.
+            let out =
+                MetaPath::parse(&format!("/warehouse/out/q{q}/t{task}")).expect("static path");
+            client.op("dirrename", out.depth(), |ctx| {
+                svc.rename_dir(&tmp, &out, ctx)
             });
         }
-    });
-
-    AppReport {
-        completion: Duration::from_nanos(makespan_nanos.into_inner()),
-        op_latency: recorder.hists.into_inner(),
-        failed: recorder.failed.load(Ordering::Relaxed),
-    }
+    })
+    .into()
 }
 
 /// AI audio preprocessing (§6.2): long inputs are scanned and split into
@@ -173,20 +140,10 @@ pub struct AudioConfig {
     pub data_access: bool,
 }
 
-impl Default for AudioConfig {
-    fn default() -> Self {
-        AudioConfig {
-            files: 64,
-            segments_per_file: 8,
-            threads: 8,
-            segment_size: 256 * 1024,
-            depth: 10,
-            data_access: false,
-        }
-    }
-}
-
-/// Runs the Audio workload.
+/// Runs the Audio workload. Conflict-free by construction, so with the
+/// static task partition `completion` and every histogram are a pure
+/// function of `config` on a service whose own choices are (the test
+/// below lists what that takes of Mantle).
 pub fn run_audio<S: MetadataService + BulkLoad + ?Sized + Sync>(
     svc: &S,
     data: Option<&DataService>,
@@ -197,72 +154,52 @@ pub fn run_audio<S: MetadataService + BulkLoad + ?Sized + Sync>(
     for i in 0..config.depth.saturating_sub(3) {
         base = base.child(&format!("L{i}"));
     }
-    let inputs: Vec<MetaPath> = (0..config.files)
+    // Each input's bytes live in the data service the run reads from: the
+    // handle in `svc`'s own row names a blob of `svc`'s data service (if it
+    // has one), which is not the service a harness passes in here.
+    const INPUT_SIZE: u64 = 64 << 20;
+    let inputs: Vec<(MetaPath, u64)> = (0..config.files)
         .map(|f| {
             let dir = base.child(&format!("batch{}", f % 8));
             let path = dir.child(&format!("file{f}.wav"));
-            svc.bulk_object(&path, 64 << 20);
+            svc.bulk_object(&path, INPUT_SIZE);
             svc.bulk_dir(&dir.child(&format!("file{f}.seg")));
-            path
+            (path, data.map_or(0, |d| d.raw_write(INPUT_SIZE)))
         })
         .collect();
 
-    let recorder = Recorder::default();
-    let next = AtomicUsize::new(0);
-
-    let makespan_nanos = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..config.threads {
-            let recorder = &recorder;
-            let next = &next;
-            let inputs = &inputs;
-            let makespan_nanos = &makespan_nanos;
-            scope.spawn(move || {
-                let begin = clock::now();
-                let mut stats = RequestCtx::new();
-                loop {
-                    let f = next.fetch_add(1, Ordering::Relaxed);
-                    if f >= inputs.len() {
-                        break;
-                    }
-                    // Scan + split (§3): each segment re-stats the input
-                    // (range metadata) before emitting the segment object.
-                    let input = &inputs[f];
-                    let seg_dir = input
-                        .parent()
-                        .expect("input paths are deep")
-                        .child(&format!("file{f}.seg"));
-                    for s in 0..config.segments_per_file {
-                        let meta = recorder.time("objstat", || svc.objstat(input, &mut stats));
-                        if let (Some(meta), Some(data)) = (meta.as_ref(), data) {
-                            let _ = data.read(meta.blob, &mut stats);
-                        }
-                        let seg = seg_dir.child(&format!("seg{s}"));
-                        recorder.time("create", || {
-                            svc.create(&seg, config.segment_size, &mut stats)
-                        });
-                        if let Some(data) = data {
-                            recorder.check(data.write(config.segment_size, &mut stats));
-                        }
-                    }
+    drive(svc.name(), config.threads, None, |client| {
+        for f in client.share_of(inputs.len()) {
+            // Scan + split (§3): each segment re-stats the input (range
+            // metadata) before emitting the segment object.
+            let (input, blob) = &inputs[f];
+            let seg_dir = input
+                .parent()
+                .expect("input paths are deep")
+                .child(&format!("file{f}.seg"));
+            for s in 0..config.segments_per_file {
+                let meta = client.op("objstat", input.depth(), |ctx| svc.objstat(input, ctx));
+                if let (Some(_), Some(data)) = (meta, data) {
+                    client.op("data_read", 0, |ctx| data.read(*blob, ctx));
                 }
-                makespan_nanos.fetch_max(begin.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            });
+                let seg = seg_dir.child(&format!("seg{s}"));
+                client.op("create", seg.depth(), |ctx| {
+                    svc.create(&seg, config.segment_size, ctx)
+                });
+                if let Some(data) = data {
+                    client.op("data_write", 0, |ctx| data.write(config.segment_size, ctx));
+                }
+            }
         }
-    });
-
-    AppReport {
-        completion: Duration::from_nanos(makespan_nanos.into_inner()),
-        op_latency: recorder.hists.into_inner(),
-        failed: recorder.failed.load(Ordering::Relaxed),
-    }
+    })
+    .into()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mantle_core::MantleCluster;
-    use mantle_types::SimConfig;
+    use mantle_types::{RequestCtx, SimConfig};
 
     #[test]
     fn analytics_completes_without_failures() {
@@ -320,5 +257,79 @@ mod tests {
         let report = run_audio(&*cluster, Some(cluster.data()), config);
         assert_eq!(report.failed, 0);
         assert!(cluster.data().len() > before);
+    }
+
+    #[test]
+    fn audio_is_a_pure_function_of_its_config() {
+        let run = || {
+            // What still depends on scheduling in a conflict-free run is the
+            // service's, so it is pinned off: which follower serves a read
+            // (a cross-thread round robin), who shares a WAL fsync, who
+            // pays the IndexNode prefix-cache miss, and real permit waits
+            // folded into the waiter's clock.
+            let sim = SimConfig {
+                db_node_permits: usize::MAX,
+                index_node_permits: usize::MAX,
+                ..SimConfig::default()
+            };
+            let mut mantle = mantle_core::MantleConfig::with_sim(sim, 4);
+            mantle.index.follower_reads = false;
+            mantle.index.path_cache = false;
+            mantle.db.group_commit = false;
+            let cluster = MantleCluster::with_config(mantle);
+            let config = AudioConfig {
+                files: 13,
+                segments_per_file: 3,
+                threads: 4,
+                segment_size: 1024,
+                depth: 8,
+                data_access: true,
+            };
+            let report = run_audio(&*cluster, Some(cluster.data()), config);
+            assert_eq!(report.failed, 0);
+            let mut hists: Vec<_> = report
+                .op_latency
+                .iter()
+                .map(|(op, h)| (*op, h.count(), h.cdf_points()))
+                .collect();
+            hists.sort_by_key(|(op, ..)| *op);
+            (report.completion, hists)
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn failed_data_reads_count_like_failed_data_writes() {
+        let cluster = MantleCluster::build(SimConfig::instant(), 4);
+        let data = DataService::new(SimConfig::instant(), 2);
+        let drop_all = mantle_rpc::FaultProfile {
+            rpc_drop_prob: 1.0,
+            ..mantle_rpc::FaultProfile::zeroed()
+        };
+        data.install_faults(Some(mantle_rpc::FaultPlan::new(1, drop_all).activate()));
+        let config = AudioConfig {
+            files: 4,
+            segments_per_file: 2,
+            threads: 2,
+            segment_size: 1024,
+            depth: 6,
+            data_access: true,
+        };
+        let report = run_audio(&*cluster, Some(&data), config);
+        assert_eq!(report.failed, 2 * 4 * 2, "one read and one write a segment");
+    }
+
+    #[test]
+    fn mean_op_micros_of_an_empty_run_is_zero_not_nan() {
+        let config = AudioConfig {
+            files: 0,
+            segments_per_file: 1,
+            threads: 2,
+            segment_size: 1024,
+            depth: 6,
+            data_access: false,
+        };
+        let cluster = MantleCluster::build(SimConfig::instant(), 4);
+        assert_eq!(run_audio(&*cluster, None, config).mean_op_micros(), 0.0);
     }
 }

@@ -13,8 +13,12 @@
 //!   a shared output directory, §3.2) and AI **Audio** preprocessing
 //!   (non-conflicting scan + create of many small segment objects, §6.2).
 //! * [`zipf`] — a Zipf sampler for skewed access patterns.
+//! * [`driver`] — the one client loop both of the above (and the Figure 18
+//!   lookup sweep) are bodies over: threads, per-op context, tracing,
+//!   timing, histograms, failure classes, makespan.
 
 pub mod apps;
+pub mod driver;
 pub mod mdtest;
 pub mod namespace;
 pub mod zipf;

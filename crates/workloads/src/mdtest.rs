@@ -6,17 +6,15 @@
 //! its own parent directory) and `-s` (shared: every thread hammers one
 //! parent — the Spark commit pattern of §3.2).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
-
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mantle_types::clock;
 use mantle_types::hist::Histogram;
 use mantle_types::stats::OpStatsAgg;
-use mantle_types::{BulkLoad, MetaPath, MetadataService, Phase, RequestCtx};
+use mantle_types::{BulkLoad, MetaPath, MetadataService, Phase};
+
+pub use crate::driver::OpenLoop;
+use crate::driver::{drive, OpRecord};
 
 /// The operation a run exercises (mdtest naming, §6.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -76,19 +74,6 @@ pub struct Hotspot {
     pub s: f64,
 }
 
-/// Open-loop arrival schedule for overload experiments: every op is
-/// stamped with a deterministic virtual arrival time (`base + k * Δ`
-/// across all threads) instead of arriving whenever the previous op
-/// finished, so a node with a bounded admission queue sees a growing
-/// modeled backlog it can shed against (DESIGN.md §4.14).
-#[derive(Clone, Copy, Debug)]
-pub struct OpenLoop {
-    /// Spacing between successive arrivals, across all threads.
-    pub interarrival_nanos: u64,
-    /// Retry budget stamped on each op (0 = fail fast when shed).
-    pub retry_budget: u32,
-}
-
 /// One benchmark run's parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct MdtestConfig {
@@ -111,22 +96,6 @@ pub struct MdtestConfig {
     pub hotspot: Option<Hotspot>,
     /// Open-loop arrival stamping; `None` keeps the classic closed loop.
     pub open_loop: Option<OpenLoop>,
-}
-
-impl Default for MdtestConfig {
-    fn default() -> Self {
-        MdtestConfig {
-            threads: 8,
-            ops_per_thread: 64,
-            depth: 10,
-            op: MdOp::ObjStat,
-            conflict: ConflictMode::Exclusive,
-            working_set: 1024,
-            seed: 7,
-            hotspot: None,
-            open_loop: None,
-        }
-    }
 }
 
 /// Results of one run.
@@ -179,25 +148,6 @@ fn deep_parent(tag: &str, depth: usize) -> MetaPath {
     path.child(tag)
 }
 
-/// The parent a create/mkdir targets: a Zipf-sampled pool member under a
-/// [`Hotspot`], otherwise the conflict-mode parent.
-fn mutation_parent(
-    config: &MdtestConfig,
-    t: usize,
-    pick: &mut impl FnMut(&mut StdRng, usize) -> usize,
-    rng: &mut StdRng,
-) -> MetaPath {
-    if let Some(h) = config.hotspot {
-        let k = pick(rng, h.parents.max(1));
-        deep_parent(&format!("h{k}"), config.depth - 1)
-    } else {
-        match config.conflict {
-            ConflictMode::Shared => deep_parent("shared", config.depth - 1),
-            ConflictMode::Exclusive => deep_parent(&format!("p{t}"), config.depth - 1),
-        }
-    }
-}
-
 /// Runs one mdtest configuration against `svc`.
 ///
 /// The working set is bulk-loaded first (no simulated cost); only the
@@ -206,16 +156,24 @@ pub fn run<S: MetadataService + BulkLoad + ?Sized + Sync>(
     svc: &S,
     config: MdtestConfig,
 ) -> MdtestReport {
-    let threads = config.threads;
-    let ops = config.ops_per_thread;
+    let (threads, ops) = (config.threads, config.ops_per_thread);
+    let shared = config.conflict == ConflictMode::Shared;
+    let dir = |tag: String| deep_parent(&tag, config.depth - 1);
+    let per_thread = |prefix: &str| -> Vec<MetaPath> {
+        (0..threads).map(|t| dir(format!("{prefix}{t}"))).collect()
+    };
 
     // --- setup (untimed) --------------------------------------------------
-    // Read workloads sample from a pre-populated working set; mutation
-    // workloads get pre-created parents (and victims for delete/rmdir).
+    // Read workloads sample from a pre-populated working set. Mutation
+    // workloads get the directories they work in — `parents[t]` is thread
+    // `t`'s, unless one shared directory (`-s`) or a hotspot pool stands in
+    // — with victims `v{i}` for delete/rmdir/dirrename, and `dsts` to
+    // rename into.
     let mut read_paths: Vec<MetaPath> = Vec::new();
+    let (mut parents, mut dsts) = (Vec::new(), Vec::new());
     match config.op {
         MdOp::ObjStat => {
-            let parent = deep_parent("st", config.depth - 1);
+            let parent = dir("st".into());
             for i in 0..config.working_set {
                 let p = parent.child(&format!("o{i}"));
                 svc.bulk_object(&p, 4096);
@@ -223,7 +181,7 @@ pub fn run<S: MetadataService + BulkLoad + ?Sized + Sync>(
             }
         }
         MdOp::DirStat | MdOp::Lookup => {
-            let parent = deep_parent("st", config.depth - 1);
+            let parent = dir("st".into());
             for i in 0..config.working_set {
                 let p = parent.child(&format!("d{i}"));
                 svc.bulk_dir(&p);
@@ -231,213 +189,114 @@ pub fn run<S: MetadataService + BulkLoad + ?Sized + Sync>(
             }
         }
         MdOp::Create | MdOp::Mkdir => {
-            if let Some(h) = config.hotspot {
-                for k in 0..h.parents.max(1) {
-                    svc.bulk_dir(&deep_parent(&format!("h{k}"), config.depth - 1));
-                }
-            } else {
-                match config.conflict {
-                    ConflictMode::Shared => {
-                        svc.bulk_dir(&deep_parent("shared", config.depth - 1));
-                    }
-                    ConflictMode::Exclusive => {
-                        for t in 0..threads {
-                            svc.bulk_dir(&deep_parent(&format!("p{t}"), config.depth - 1));
-                        }
-                    }
-                };
+            parents = match config.hotspot {
+                Some(h) => (0..h.parents.max(1))
+                    .map(|k| dir(format!("h{k}")))
+                    .collect(),
+                None if shared => vec![dir("shared".into())],
+                None => per_thread("p"),
+            };
+            for parent in &parents {
+                svc.bulk_dir(parent);
             }
         }
-        MdOp::Delete => {
-            for t in 0..threads {
-                let parent = deep_parent(&format!("p{t}"), config.depth - 1);
+        MdOp::Delete | MdOp::Rmdir => {
+            parents = per_thread("p");
+            for parent in &parents {
                 for i in 0..ops {
-                    svc.bulk_object(&parent.child(&format!("v{i}")), 1);
-                }
-            }
-        }
-        MdOp::Rmdir => {
-            for t in 0..threads {
-                let parent = deep_parent(&format!("p{t}"), config.depth - 1);
-                for i in 0..ops {
-                    svc.bulk_dir(&parent.child(&format!("v{i}")));
+                    let victim = parent.child(&format!("v{i}"));
+                    if config.op == MdOp::Delete {
+                        svc.bulk_object(&victim, 1);
+                    } else {
+                        svc.bulk_dir(&victim);
+                    }
                 }
             }
         }
         MdOp::DirRename => {
             // Sources are per-thread; destinations are per-thread (-e) or
             // one shared output directory (-s), the §3.2 commit pattern.
-            for t in 0..threads {
-                let src_parent = deep_parent(&format!("src{t}"), config.depth - 1);
+            parents = per_thread("src");
+            dsts = if shared {
+                vec![dir("dshared".into())]
+            } else {
+                per_thread("dstp")
+            };
+            for (t, src) in parents.iter().enumerate() {
                 for i in 0..ops {
-                    svc.bulk_dir(&src_parent.child(&format!("v{i}")));
+                    svc.bulk_dir(&src.child(&format!("v{i}")));
                 }
-                if config.conflict == ConflictMode::Exclusive {
-                    svc.bulk_dir(&deep_parent(&format!("dstp{t}"), config.depth - 1));
+                if !shared {
+                    svc.bulk_dir(&dsts[t]);
                 }
             }
-            if config.conflict == ConflictMode::Shared {
-                svc.bulk_dir(&deep_parent("dshared", config.depth - 1));
+            if shared {
+                svc.bulk_dir(&dsts[0]);
             }
         }
     }
 
     // --- measured section ---------------------------------------------------
-    let barrier = Barrier::new(threads);
-    let failed = AtomicU64::new(0);
-    let shed = AtomicU64::new(0);
-    let deadline_aborted = AtomicU64::new(0);
-    let merged: Mutex<(OpStatsAgg, Histogram)> =
-        Mutex::new((OpStatsAgg::default(), Histogram::new()));
-    let wall = Mutex::new(std::time::Duration::ZERO);
-
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let barrier = &barrier;
-            let failed = &failed;
-            let shed = &shed;
-            let deadline_aborted = &deadline_aborted;
-            let merged = &merged;
-            let wall = &wall;
-            let read_paths = &read_paths;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(config.seed ^ (t as u64) << 17);
-                let zipf = config
-                    .hotspot
-                    .map(|h| crate::zipf::Zipf::new(h.parents.max(1), h.s));
-                let mut pick = |rng: &mut StdRng, n: usize| -> usize {
-                    match &zipf {
-                        Some(z) => z.sample(rng) % n.max(1),
-                        None => rng.gen_range(0..n.max(1)),
-                    }
-                };
-                let mut agg = OpStatsAgg::default();
-                let mut hist = Histogram::new();
-                barrier.wait();
-                let thread_start = clock::now();
-                let base_nanos = thread_start.as_nanos();
-                for i in 0..ops {
-                    let mut stats = RequestCtx::new();
-                    if let Some(ol) = config.open_loop {
-                        let k = (i * threads + t) as u64;
-                        stats = stats
-                            .with_arrival_nanos(base_nanos + k * ol.interarrival_nanos)
-                            .with_budget(ol.retry_budget);
-                    }
-                    // Flight-recorder scope: when a recorder is effective it
-                    // runs the op under a detached trace (and keeps feeding
-                    // the sampled ring itself); otherwise fall back to plain
-                    // sampled RPC-chain tracing.
-                    let _flight = mantle_obs::flight::op_scope(
-                        svc.name(),
-                        config.op.label(),
-                        config.depth as u32,
-                    );
-                    let _trace = if _flight.is_some() {
-                        None
-                    } else {
-                        mantle_obs::trace::start(config.op.label())
+    let label = config.op.label();
+    let mut outcome = drive(svc.name(), threads, config.open_loop, |client| {
+        let t = client.thread();
+        let mut rng = StdRng::seed_from_u64(config.seed ^ (t as u64) << 17);
+        let zipf = config
+            .hotspot
+            .map(|h| crate::zipf::Zipf::new(h.parents.max(1), h.s));
+        let mut pick = |n: usize| -> usize {
+            match &zipf {
+                Some(z) => z.sample(&mut rng) % n.max(1),
+                None => rng.gen_range(0..n.max(1)),
+            }
+        };
+        for i in 0..ops {
+            let fresh = || format!("n_{}_{t}_{i}", config.seed);
+            client.op(label, config.depth, |stats| match config.op {
+                MdOp::ObjStat => {
+                    let p = &read_paths[pick(read_paths.len())];
+                    svc.objstat(p, stats).map(|_| ())
+                }
+                MdOp::DirStat => {
+                    let p = &read_paths[pick(read_paths.len())];
+                    svc.dirstat(p, stats).map(|_| ())
+                }
+                MdOp::Lookup => {
+                    let p = &read_paths[pick(read_paths.len())];
+                    svc.lookup(p, stats).map(|_| ())
+                }
+                MdOp::Create | MdOp::Mkdir => {
+                    let parent = match config.hotspot {
+                        Some(_) => &parents[pick(parents.len())],
+                        None if shared => &parents[0],
+                        None => &parents[t],
                     };
-                    let begin = clock::now();
-                    let outcome: Result<(), mantle_types::MetaError> = match config.op {
-                        MdOp::ObjStat => {
-                            let p = &read_paths[pick(&mut rng, read_paths.len())];
-                            svc.objstat(p, &mut stats).map(|_| ())
-                        }
-                        MdOp::DirStat => {
-                            let p = &read_paths[pick(&mut rng, read_paths.len())];
-                            svc.dirstat(p, &mut stats).map(|_| ())
-                        }
-                        MdOp::Lookup => {
-                            let p = &read_paths[pick(&mut rng, read_paths.len())];
-                            svc.lookup(p, &mut stats).map(|_| ())
-                        }
+                    match config.op {
                         MdOp::Create => {
-                            let parent = mutation_parent(&config, t, &mut pick, &mut rng);
-                            svc.create(
-                                &parent.child(&format!("n_{}_{t}_{i}", config.seed)),
-                                4096,
-                                &mut stats,
-                            )
-                            .map(|_| ())
+                            svc.create(&parent.child(&fresh()), 4096, stats).map(|_| ())
                         }
-                        MdOp::Mkdir => {
-                            let parent = mutation_parent(&config, t, &mut pick, &mut rng);
-                            svc.mkdir(
-                                &parent.child(&format!("n_{}_{t}_{i}", config.seed)),
-                                &mut stats,
-                            )
-                            .map(|_| ())
-                        }
-                        MdOp::Delete => {
-                            let parent = deep_parent(&format!("p{t}"), config.depth - 1);
-                            svc.delete(&parent.child(&format!("v{i}")), &mut stats)
-                        }
-                        MdOp::Rmdir => {
-                            let parent = deep_parent(&format!("p{t}"), config.depth - 1);
-                            svc.rmdir(&parent.child(&format!("v{i}")), &mut stats)
-                        }
-                        MdOp::DirRename => {
-                            let src = deep_parent(&format!("src{t}"), config.depth - 1)
-                                .child(&format!("v{i}"));
-                            let dst = match config.conflict {
-                                ConflictMode::Shared => deep_parent("dshared", config.depth - 1)
-                                    .child(&format!("n_{}_{t}_{i}", config.seed)),
-                                ConflictMode::Exclusive => {
-                                    deep_parent(&format!("dstp{t}"), config.depth - 1)
-                                        .child(&format!("n_{}_{t}_{i}", config.seed))
-                                }
-                            };
-                            svc.rename_dir(&src, &dst, &mut stats)
-                        }
-                    };
-                    stats.end();
-                    match outcome {
-                        Ok(()) => {
-                            hist.record(begin.elapsed().as_nanos() as u64);
-                            agg.add(&stats);
-                        }
-                        Err(e) => {
-                            match &e {
-                                mantle_types::MetaError::Overloaded(_) => {
-                                    shed.fetch_add(1, Ordering::Relaxed);
-                                }
-                                mantle_types::MetaError::DeadlineExceeded(_) => {
-                                    deadline_aborted.fetch_add(1, Ordering::Relaxed);
-                                }
-                                _ => {}
-                            }
-                            if failed.fetch_add(1, Ordering::Relaxed) == 0 {
-                                eprintln!("mdtest {} first failure: {e}", config.op.label());
-                            }
-                        }
+                        _ => svc.mkdir(&parent.child(&fresh()), stats).map(|_| ()),
                     }
                 }
-                let mut m = merged.lock();
-                m.0.merge(&agg);
-                m.1.merge(&hist);
-                drop(m);
-                // The makespan is the longest per-thread timeline: each
-                // worker carries its own logical clock.
-                let elapsed = thread_start.elapsed();
-                let mut w = wall.lock();
-                *w = (*w).max(elapsed);
+                MdOp::Delete => svc.delete(&parents[t].child(&format!("v{i}")), stats),
+                MdOp::Rmdir => svc.rmdir(&parents[t].child(&format!("v{i}")), stats),
+                MdOp::DirRename => {
+                    let dst = &dsts[if shared { 0 } else { t }];
+                    let src = parents[t].child(&format!("v{i}"));
+                    svc.rename_dir(&src, &dst.child(&fresh()), stats)
+                }
             });
         }
     });
 
-    let (agg, latency) = {
-        let m = merged.lock();
-        (m.0.clone(), m.1.clone())
-    };
-    let wall = *wall.lock();
+    let OpRecord { latency, agg } = outcome.take(label);
     MdtestReport {
         config,
         completed: agg.count,
-        failed: failed.load(Ordering::Relaxed),
-        shed: shed.load(Ordering::Relaxed),
-        deadline_aborted: deadline_aborted.load(Ordering::Relaxed),
-        wall,
+        failed: outcome.failed,
+        shed: outcome.shed,
+        deadline_aborted: outcome.deadline_aborted,
+        wall: outcome.makespan,
         agg,
         latency,
     }

@@ -15,6 +15,7 @@ use mantle::core::pathcache::{LeaseProbe, PathLeaseCache, PathLeaseConfig};
 use mantle::core::MantleCluster;
 use mantle::prelude::*;
 use mantle::types::{clock, InodeId, LeasedPath, Permission, ResolvedPath};
+use mantle::workloads::mdtest::{run, ConflictMode, MdOp, MdtestConfig};
 
 fn p(s: &str) -> MetaPath {
     MetaPath::parse(s).unwrap()
@@ -102,6 +103,92 @@ fn seeded_hit_miss_log_is_deterministic() {
     // A different seed takes a different path through the cache (guards
     // against the log accidentally not depending on the ops at all).
     assert_ne!(first, seeded_run(12));
+}
+
+/// The two cache rows of the retired perf gate (EXPERIMENTS.md has the
+/// row → test table), depth 6, seed 7, leader-only reads, a 60 s lease so
+/// the rows measure warm hits and invalidations rather than TTL churn.
+fn gate_row(cache: bool, op: MdOp, threads: usize, ops_per_thread: usize) -> GateRun {
+    let mut config = mantle::core::MantleConfig::with_sim(SimConfig::default(), 4);
+    config.index.follower_reads = false;
+    config.pcache = if cache {
+        PathLeaseConfig {
+            lease_ttl: Duration::from_secs(60),
+            ..PathLeaseConfig::enabled()
+        }
+    } else {
+        PathLeaseConfig::default()
+    };
+    let cluster = MantleCluster::with_config(config);
+    let row = MdtestConfig {
+        threads,
+        ops_per_thread,
+        depth: 6,
+        op,
+        conflict: ConflictMode::Exclusive,
+        working_set: 64,
+        seed: 7,
+        hotspot: None,
+        open_loop: None,
+    };
+    if cache && threads > 1 {
+        // Every path shares one parent directory: take its lease with one
+        // op first, or eight threads released onto a cold cache all miss
+        // until the first fill lands (a scheduler-dependent 1..=8 RPCs).
+        let warm_up = MdtestConfig {
+            threads: 1,
+            ops_per_thread: 1,
+            ..row
+        };
+        run(&*cluster.service(), warm_up);
+    }
+    let report = run(&*cluster.service(), row);
+    GateRun {
+        counts: (report.completed, report.failed, report.agg.rpcs),
+        total_nanos: (report.latency.mean() * report.latency.count() as f64).round() as u64,
+        floor_nanos: report.latency.min(),
+        cache: cluster.path_cache_stats(),
+    }
+}
+
+struct GateRun {
+    /// `(completed, failed, rpcs)`.
+    counts: (u64, u64, u64),
+    /// Sum over the ops, and the fastest op (with eight clients only the
+    /// floor is a pure function of the model: a thread that really waited
+    /// folds that wait into its own timeline).
+    total_nanos: u64,
+    floor_nanos: u64,
+    cache: mantle::core::pathcache::PathCacheStats,
+}
+
+/// `RenameInval[cache]`: 200 cross-parent renames with the cache on, every
+/// one an invalidation — the coherence overhead, exactly. One client, so
+/// modeled time is pinned to the nanosecond, on two fresh clusters.
+#[test]
+fn rename_invalidation_cost_is_pinned_exactly() {
+    for _pass in 0..2 {
+        let rn = gate_row(true, MdOp::DirRename, 1, 200);
+        assert_eq!(rn.counts, (200, 0, 1_200));
+        assert_eq!(rn.total_nanos, 328_404_000);
+    }
+}
+
+/// `WarmStat[cache]`: 8 x 150 objstats over 64 objects in one directory.
+/// With the lease warm every lookup is a hit, so each op is its one TafDB
+/// read (205 µs): exactly half the RPCs of the cache-off twin, on two passes.
+#[test]
+fn warm_stat_hits_the_lease_and_halves_the_rpcs() {
+    let off = gate_row(false, MdOp::ObjStat, 8, 150);
+    assert_eq!(off.counts, (1_200, 0, 2_400));
+    for _pass in 0..2 {
+        let on = gate_row(true, MdOp::ObjStat, 8, 150);
+        assert_eq!(on.counts, (1_200, 0, 1_200));
+        assert_eq!(on.floor_nanos, 205_000, "one TafDB read: rtt + service");
+        assert!(on.counts.2 < off.counts.2, "the cache must remove RPCs");
+        let hit_rate = on.cache.hits as f64 / (on.cache.hits + on.cache.misses) as f64;
+        assert!(hit_rate >= 0.90, "warm hit rate {hit_rate:.3} under 0.90");
+    }
 }
 
 /// Readers race one rename under a fault storm (drops, timeouts, and a

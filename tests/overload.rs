@@ -27,7 +27,7 @@ fn overload_config(queue_cap: usize) -> MantleConfig {
     };
     let mut config = MantleConfig::with_sim(sim, 4);
     // Leader-only reads keep the RPC schedule a pure function of the
-    // workload (the perf-gate determinism idiom).
+    // workload.
     config.index.follower_reads = false;
     // The offered load must reach the index node: a warm path lease would
     // answer lookups client-side (MANTLE_PATH_CACHE=on in the CI matrix).
@@ -99,6 +99,21 @@ fn bounded_queue_sheds_with_bounded_latency_and_high_goodput() {
         node_sheds, report.shed,
         "per-node counters must account every shed"
     );
+
+    // The exact schedule (the retired perf gate's `Overload` row, held
+    // there at 10 %): one client, stamped arrivals and a ratchet backlog
+    // make counts and modeled nanoseconds a pure function of CAP and OPS.
+    assert_eq!(
+        (
+            report.completed,
+            report.shed,
+            report.deadline_aborted,
+            report.agg.rpcs
+        ),
+        (164, 36, 0, 164)
+    );
+    let total_nanos = (report.latency.mean() * report.latency.count() as f64).round() as u64;
+    assert_eq!(total_nanos, 66_360_000, "sum of admitted-op latencies");
 
     // Goodput: at least 80% of offered ops complete.
     let goodput = report.completed as f64 / OPS as f64;

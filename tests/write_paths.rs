@@ -1,5 +1,6 @@
-//! Write-path pins for every system, not just Mantle: `perf_gate` and the
-//! repo benchmark only ever run Mantle, so this file is what holds the
+//! Write-path pins for every system, not just Mantle: the mdtest rows of
+//! `tests/virtual_time.rs` and the repo benchmark only ever run Mantle, so
+//! this file is what holds the
 //! Tectonic (relaxed and transactional), InfiniFS and LocoFS write paths
 //! still while the code that spells them moves. One client,
 //! `SimConfig::default()`, path-lease cache off, one op at a time: the RPCs

@@ -15,7 +15,9 @@ clippy:
 # No raw_put outside crates/tafdb/src, no AttrDelta literal outside its two
 # defining files (DESIGN.md §4.3); no thread::scope / flight::op_scope /
 # trace::start in a workload or figure binary outside the driver module
-# (DESIGN.md §3). `ci/loc.sh` prints the non-test line count.
+# (DESIGN.md §3), and none of the retired flight/trace plumbing, a second op
+# slot or the unread per-shard phase gauge (DESIGN.md §4.8). `ci/loc.sh`
+# prints the non-test line count.
 vocabulary:
 	ci/write_vocabulary.sh
 	ci/one_client_loop.sh

@@ -1,13 +1,13 @@
 //! Always-on flight recorder: force-capture of anomalously slow operations.
 //!
-//! Sampled tracing ([`crate::trace`]) answers "what does a *typical* op look
-//! like"; it is useless for the op that mattered — the p99.9 outlier that a
-//! retry storm or an fsync stall produced — because at a 1% sample rate the
-//! outlier is almost never selected. The flight recorder closes that gap:
-//! every operation wrapped in [`op_scope`] runs with a detached trace, and
-//! when the op's end-to-end latency exceeds a per-`(system, op)` adaptive
-//! threshold (trailing p99 × k, see [`FlightConfig`]) the full trace is
-//! force-captured into a bounded slow-op ring together with a structured
+//! Sampled tracing ([`crate::trace::start`]) answers "what does a *typical*
+//! op look like"; it is useless for the op that mattered — the p99.9 outlier
+//! that a retry storm or an fsync stall produced — because at a 1% sample
+//! rate the outlier is almost never selected. The flight recorder closes
+//! that gap: while one is effective every operation wrapped in [`op_scope`]
+//! fills the thread's op slot ([`crate::trace`]), and when its end-to-end
+//! latency exceeds a per-`(system, op)` adaptive threshold (trailing p99 × 4)
+//! the finished trace moves into a bounded slow-op ring inside a structured
 //! [`SlowOp`] event (path depth, shard set, retry/fault annotations from the
 //! capture points, per-phase attribution).
 //!
@@ -17,44 +17,40 @@
 //! excludes nondeterministic identifiers (trace ids), so identical seeds
 //! produce byte-identical slow-op logs (pinned by tests).
 //!
-//! The recorder also folds every captured trace into *exclusive per-node*
-//! attributions ([`crate::critpath::per_node`]); the placement controller
-//! reads these via [`FlightRecorder::node_phases`] to see not just *that* a
-//! shard is hot but *which phase* (fsync vs queueing vs injected faults) is
-//! burning its time.
+//! The recorder also folds every observed trace into *exclusive per-node*
+//! attributions ([`Trace::per_node`]): [`FlightRecorder::node_phases`],
+//! served by `/attribution`, says not just *that* a node is hot but *which
+//! phase* (fsync vs queueing vs injected faults) is burning its time.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use mantle_types::clock::{self, SimInstant, TimeCategory, TimeStats};
+use mantle_types::clock::{TimeCategory, TimeStats};
 use mantle_types::hist::Histogram;
 use parking_lot::Mutex;
 use serde::Serialize;
 
-use crate::critpath;
 use crate::metrics::{Counter, HistogramMetric};
-use crate::trace::{self, Trace, TraceGuard};
+use crate::ring::Ring;
+use crate::trace::{self, fmt_nanos, Trace, TraceGuard};
 
-/// Tuning knobs for a [`FlightRecorder`].
-#[derive(Clone, Debug)]
-pub struct FlightConfig {
-    /// Slow-op events retained in the bounded ring (oldest evicted, with
-    /// drop accounting).
-    pub slow_capacity: usize,
-    /// `k` in the adaptive threshold `trailing_p99 × k`.
-    pub threshold_mult: f64,
-    /// Fixed threshold overriding the adaptive one entirely.
-    pub fixed_threshold_nanos: Option<u64>,
-    /// Ops observed per `(system, op)` before the adaptive threshold arms
-    /// (until then nothing is flagged — a trailing p99 of 3 samples is
-    /// meaningless).
-    pub warmup_ops: u64,
-    /// The adaptive threshold is recomputed every this many ops (a fixed
-    /// cadence keeps the decision deterministic under identical seeds).
-    pub recompute_every: u64,
-}
+/// Slow-op events retained in a recorder's ring (oldest evicted, counted in
+/// `obs_slow_dropped_total`).
+const SLOW_CAPACITY: usize = 256;
+
+/// `k` in the adaptive threshold `trailing_p99 × k`.
+const THRESHOLD_MULT: f64 = 4.0;
+
+/// Ops observed per `(system, op)` before the adaptive threshold arms
+/// (until then nothing is flagged — a trailing p99 of 3 samples is
+/// meaningless).
+const WARMUP_OPS: u64 = 64;
+
+/// The adaptive threshold is recomputed every this many ops (a fixed
+/// cadence keeps the decision deterministic under identical seeds).
+const RECOMPUTE_EVERY: u64 = 32;
 
 /// Ops per attribution window; [`ExplainReport::recent`] covers the
 /// trailing windows.
@@ -65,18 +61,6 @@ const MAX_WINDOWS: usize = 8;
 
 /// Annotations retained per op before the rest are counted as elided.
 const MAX_ANNOTATIONS: usize = 32;
-
-impl Default for FlightConfig {
-    fn default() -> Self {
-        FlightConfig {
-            slow_capacity: 256,
-            threshold_mult: 4.0,
-            fixed_threshold_nanos: None,
-            warmup_ops: 64,
-            recompute_every: 32,
-        }
-    }
-}
 
 /// One force-captured slow operation.
 #[derive(Clone, Debug, Serialize)]
@@ -94,7 +78,7 @@ pub struct SlowOp {
     pub threshold_nanos: u64,
     /// Path depth of the operation's target.
     pub path_depth: u32,
-    /// RPC spans in the captured trace (0 if no trace was captured).
+    /// RPC spans in the captured trace.
     pub rpcs: usize,
     /// Distinct serving nodes the op touched, sorted (the "shard set").
     pub shards: Vec<String>,
@@ -106,8 +90,8 @@ pub struct SlowOp {
     /// Per-phase attribution of the whole op; under the virtual clock its
     /// total equals `latency_nanos` exactly.
     pub phases: TimeStats,
-    /// The full force-captured trace (`None` only when an enclosing trace
-    /// already owned the thread's trace slot).
+    /// The full force-captured trace. Always `Some`: the op and its trace
+    /// share one slot (the `Option` is the shape readers already match on).
     pub trace: Option<Trace>,
 }
 
@@ -116,15 +100,9 @@ impl SlowOp {
     /// seeded runs: everything in it is a deterministic function of the
     /// workload (notably *no* trace ids, which are process-global).
     pub fn log_line(&self) -> String {
-        let shards = if self.shards.is_empty() {
-            "-".to_string()
-        } else {
-            self.shards.join(",")
-        };
-        let notes = if self.annotations.is_empty() {
-            "-".to_string()
-        } else {
-            self.annotations.join(";")
+        let joined = |items: &[String], sep| match items {
+            [] => "-".to_string(),
+            _ => items.join(sep),
         };
         format!(
             "slow seq={} system={} op={} depth={} latency_nanos={} threshold_nanos={} rpcs={} shards={} notes={} elided={} phases[{}]",
@@ -135,8 +113,8 @@ impl SlowOp {
             self.latency_nanos,
             self.threshold_nanos,
             self.rpcs,
-            shards,
-            notes,
+            joined(&self.shards, ","),
+            joined(&self.annotations, ";"),
             self.annotations_elided,
             self.phases.canonical(),
         )
@@ -197,18 +175,6 @@ impl ExplainReport {
     }
 }
 
-fn fmt_nanos(n: u64) -> String {
-    if n >= 1_000_000_000 {
-        format!("{:.2}s", n as f64 / 1e9)
-    } else if n >= 1_000_000 {
-        format!("{:.1}ms", n as f64 / 1e6)
-    } else if n >= 1_000 {
-        format!("{:.1}us", n as f64 / 1e3)
-    } else {
-        format!("{n}ns")
-    }
-}
-
 /// Per-`(system, op)` trailing state.
 struct OpTypeState {
     hist: Histogram,
@@ -225,7 +191,7 @@ struct OpTypeState {
 }
 
 impl OpTypeState {
-    fn new(system: &str, op: &str) -> Self {
+    fn new(system: &str, op: &str, threshold: u64) -> Self {
         let phase_hists = TimeCategory::ALL.map(|cat| {
             crate::metrics::histogram(
                 "obs_phase_nanos",
@@ -238,7 +204,7 @@ impl OpTypeState {
             window: TimeStats::default(),
             window_ops: 0,
             windows: VecDeque::new(),
-            threshold: u64::MAX,
+            threshold,
             slow: crate::metrics::counter("obs_slow_ops_total", &[("system", system), ("op", op)]),
             phase_hists,
         }
@@ -253,45 +219,54 @@ impl OpTypeState {
     }
 }
 
-/// A finished op as handed from [`FlightScope`] to the recorder.
-struct ObservedOp {
-    system: String,
-    op: String,
-    path_depth: u32,
-    latency_nanos: u64,
-    phases: TimeStats,
-    annotations: Vec<String>,
-    annotations_elided: u32,
-    trace: Option<Trace>,
-    sampled: bool,
-}
-
 /// The flight recorder: per-op-type adaptive slow thresholds, a bounded
 /// slow-op ring with drop accounting, and cumulative per-node phase
 /// attribution. One process-global instance ([`global`]) serves production;
 /// tests install private instances per thread
 /// ([`install_thread_recorder`]) for deterministic isolation.
 pub struct FlightRecorder {
-    config: FlightConfig,
+    /// Overrides the adaptive threshold entirely, from the first op on.
+    fixed_threshold: Option<u64>,
     armed: AtomicBool,
     seq: AtomicU64,
-    states: Mutex<HashMap<(String, String), OpTypeState>>,
-    slow: Mutex<VecDeque<SlowOp>>,
-    slow_dropped: AtomicU64,
+    states: Mutex<BTreeMap<(String, String), OpTypeState>>,
+    slow: Mutex<Ring<SlowOp>>,
     node_phases: Mutex<BTreeMap<String, TimeStats>>,
 }
 
+fn slow_ring() -> Ring<SlowOp> {
+    Ring::new(
+        SLOW_CAPACITY,
+        crate::metrics::counter("obs_slow_dropped_total", &[]),
+    )
+}
+
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FlightRecorder {
-    /// Creates a recorder with the given config, initially disarmed.
-    pub fn new(config: FlightConfig) -> Self {
+    /// Creates a recorder with the adaptive threshold, initially disarmed.
+    pub fn new() -> Self {
         FlightRecorder {
-            config,
+            fixed_threshold: None,
             armed: AtomicBool::new(false),
             seq: AtomicU64::new(0),
-            states: Mutex::new(HashMap::new()),
-            slow: Mutex::new(VecDeque::new()),
-            slow_dropped: AtomicU64::new(0),
-            node_phases: Mutex::new(BTreeMap::new()),
+            states: Mutex::default(),
+            slow: Mutex::new(slow_ring()),
+            node_phases: Mutex::default(),
+        }
+    }
+
+    /// A recorder that flags every op slower than `nanos`, the first
+    /// included: capture decisions depend on the virtual timeline alone
+    /// (the determinism tests' seam).
+    pub fn with_fixed_threshold(nanos: u64) -> Self {
+        FlightRecorder {
+            fixed_threshold: Some(nanos),
+            ..Self::new()
         }
     }
 
@@ -305,30 +280,27 @@ impl FlightRecorder {
         self.armed.store(true, Ordering::Relaxed);
     }
 
-    /// Clears all trailing state, the slow ring, per-node attribution and
-    /// the capture sequence — the determinism tests call this between runs.
+    /// Clears all trailing state, the slow ring and its drop count,
+    /// per-node attribution and the capture sequence — the determinism
+    /// tests call this between runs.
     pub fn reset(&self) {
         self.states.lock().clear();
-        self.slow.lock().clear();
+        *self.slow.lock() = slow_ring();
         self.node_phases.lock().clear();
         self.seq.store(0, Ordering::Relaxed);
-        self.slow_dropped.store(0, Ordering::Relaxed);
     }
 
     /// Clones up to `n` of the most recent slow-op events, newest last.
     pub fn slow_recent(&self, n: usize) -> Vec<SlowOp> {
-        let ring = self.slow.lock();
-        let skip = ring.len().saturating_sub(n);
-        ring.iter().skip(skip).cloned().collect()
+        self.slow.lock().recent(n)
     }
 
     /// The canonical slow-op log: one [`SlowOp::log_line`] per retained
     /// event, newest last, newline-terminated. Byte-identical across
     /// identical seeded runs.
     pub fn slow_log(&self) -> String {
-        let ring = self.slow.lock();
         let mut out = String::new();
-        for ev in ring.iter() {
+        for ev in self.slow.lock().iter() {
             out.push_str(&ev.log_line());
             out.push('\n');
         }
@@ -343,12 +315,12 @@ impl FlightRecorder {
 
     /// Slow ops evicted unread from the full ring.
     pub fn slow_dropped_total(&self) -> u64 {
-        self.slow_dropped.load(Ordering::Relaxed)
+        self.slow.lock().evicted()
     }
 
     /// Cumulative exclusive per-node phase attribution across every
-    /// captured trace, sorted by node name. The placement controller reads
-    /// this to tell a fsync-bound shard from a queue-bound one.
+    /// observed trace, sorted by node name: tells a fsync-bound node from a
+    /// queue-bound one.
     pub fn node_phases(&self) -> Vec<(String, TimeStats)> {
         self.node_phases
             .lock()
@@ -369,51 +341,69 @@ impl FlightRecorder {
     /// Reports for every observed `(system, op)` pair, sorted.
     pub fn explain_all(&self) -> Vec<ExplainReport> {
         let states = self.states.lock();
-        let mut keys: Vec<&(String, String)> = states.keys().collect();
-        keys.sort();
-        keys.into_iter()
-            .map(|key| {
-                let st = &states[key];
-                ExplainReport {
-                    system: key.0.clone(),
-                    op: key.1.clone(),
-                    ops: st.hist.count(),
-                    p50_nanos: st.hist.quantile(0.5),
-                    p99_nanos: st.hist.quantile(0.99),
-                    max_nanos: st.hist.max(),
-                    threshold_nanos: (st.threshold != u64::MAX).then_some(st.threshold),
-                    slow: st.slow.get(),
-                    total: st.total,
-                    recent: st.recent(),
-                }
+        states
+            .iter()
+            .map(|((system, op), st)| ExplainReport {
+                system: system.clone(),
+                op: op.clone(),
+                ops: st.hist.count(),
+                p50_nanos: st.hist.quantile(0.5),
+                p99_nanos: st.hist.quantile(0.99),
+                max_nanos: st.hist.max(),
+                threshold_nanos: (st.threshold != u64::MAX).then_some(st.threshold),
+                slow: st.slow.get(),
+                total: st.total,
+                recent: st.recent(),
             })
             .collect()
     }
+}
 
-    fn observe(&self, o: ObservedOp) {
-        if let Some(tr) = &o.trace {
-            if o.sampled {
-                trace::push_to_ring(tr.clone());
-            }
-            let mut np = self.node_phases.lock();
-            for (node, attr) in critpath::per_node(tr) {
+/// The recorder's side of an op in flight, carried in the thread's op slot
+/// from [`op_scope`] to the commit.
+pub(crate) struct OpMeta {
+    recorder: Arc<FlightRecorder>,
+    system: String,
+    path_depth: u32,
+    annotations: Vec<String>,
+    annotations_elided: u32,
+    /// The sampler also picked this op: its trace goes to the sampled ring
+    /// as well. Decided when the slot is filled.
+    pub(crate) sampled: bool,
+}
+
+impl OpMeta {
+    /// Folds the finished `trace` into the recorder — latency, phases, RPC
+    /// count and shard set are the trace's own — and moves it into a
+    /// [`SlowOp`] when it exceeded the trailing threshold. Returns the trace
+    /// the sampled ring is owed, if the sampler picked the op (a clone only
+    /// when it was also slow).
+    pub(crate) fn observe(self, trace: Trace) -> Option<Trace> {
+        let rec = &*self.recorder;
+        {
+            let mut np = rec.node_phases.lock();
+            for (node, attr) in trace.per_node() {
                 np.entry(node).or_default().add(&attr);
             }
         }
+        let (latency_nanos, phases) = (trace.total_nanos(), trace.phases);
 
-        let mut states = self.states.lock();
+        let mut states = rec.states.lock();
         let st = states
-            .entry((o.system.clone(), o.op.clone()))
-            .or_insert_with(|| OpTypeState::new(&o.system, &o.op));
+            .entry((self.system.clone(), trace.op.clone()))
+            .or_insert_with(|| {
+                let threshold = rec.fixed_threshold.unwrap_or(u64::MAX);
+                OpTypeState::new(&self.system, &trace.op, threshold)
+            });
 
         // Flag against the *trailing* threshold (computed from prior ops),
         // then fold this op in and recompute on cadence.
         let threshold = st.threshold;
-        let is_slow = o.latency_nanos > threshold;
+        let is_slow = latency_nanos > threshold;
 
-        st.hist.record(o.latency_nanos);
-        st.total.add(&o.phases);
-        st.window.add(&o.phases);
+        st.hist.record(latency_nanos);
+        st.total.add(&phases);
+        st.window.add(&phases);
         st.window_ops += 1;
         if st.window_ops >= WINDOW_OPS {
             if st.windows.len() == MAX_WINDOWS {
@@ -425,48 +415,41 @@ impl FlightRecorder {
             st.window_ops = 0;
         }
         for (i, cat) in TimeCategory::ALL.iter().enumerate() {
-            let nanos = o.phases.nanos(*cat);
+            let nanos = phases.nanos(*cat);
             if nanos > 0 {
                 st.phase_hists[i].record(nanos);
             }
         }
 
         let n = st.hist.count();
-        if let Some(fixed) = self.config.fixed_threshold_nanos {
-            st.threshold = fixed;
-        } else if n >= self.config.warmup_ops && n.is_multiple_of(self.config.recompute_every) {
+        if rec.fixed_threshold.is_none() && n >= WARMUP_OPS && n.is_multiple_of(RECOMPUTE_EVERY) {
             let p99 = st.hist.quantile(0.99);
-            st.threshold = (p99 as f64 * self.config.threshold_mult) as u64;
+            st.threshold = (p99 as f64 * THRESHOLD_MULT) as u64;
         }
 
         if !is_slow {
-            return;
+            return self.sampled.then_some(trace);
         }
         st.slow.inc();
         drop(states);
 
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let for_sampled_ring = self.sampled.then(|| trace.clone());
         let event = SlowOp {
-            seq,
-            system: o.system,
-            op: o.op,
-            latency_nanos: o.latency_nanos,
+            seq: rec.seq.fetch_add(1, Ordering::Relaxed) + 1,
+            system: self.system,
+            op: trace.op.clone(),
+            latency_nanos,
             threshold_nanos: threshold,
-            path_depth: o.path_depth,
-            rpcs: o.trace.as_ref().map_or(0, Trace::rpc_count),
-            shards: o.trace.as_ref().map(Trace::nodes).unwrap_or_default(),
-            annotations: o.annotations,
-            annotations_elided: o.annotations_elided,
-            phases: o.phases,
-            trace: o.trace,
+            path_depth: self.path_depth,
+            rpcs: trace.rpc_count(),
+            shards: trace.nodes(),
+            annotations: self.annotations,
+            annotations_elided: self.annotations_elided,
+            phases,
+            trace: Some(trace),
         };
-        let mut ring = self.slow.lock();
-        if ring.len() == self.config.slow_capacity {
-            ring.pop_front();
-            self.slow_dropped.fetch_add(1, Ordering::Relaxed);
-            crate::metrics::counter("obs_slow_dropped_total", &[]).inc();
-        }
-        ring.push_back(event);
+        rec.slow.lock().push(event);
+        for_sampled_ring
     }
 }
 
@@ -474,25 +457,10 @@ impl FlightRecorder {
 /// harness entry points and the CLI arm it once at startup.
 pub fn global() -> &'static Arc<FlightRecorder> {
     static GLOBAL: OnceLock<Arc<FlightRecorder>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(FlightRecorder::new(FlightConfig::default())))
-}
-
-/// In-flight per-op context for the current thread.
-struct ActiveOp {
-    recorder: Arc<FlightRecorder>,
-    system: String,
-    op: String,
-    path_depth: u32,
-    started: SimInstant,
-    ledger0: TimeStats,
-    annotations: Vec<String>,
-    annotations_elided: u32,
-    guard: Option<TraceGuard>,
-    sampled: bool,
+    GLOBAL.get_or_init(|| Arc::new(FlightRecorder::new()))
 }
 
 thread_local! {
-    static ACTIVE_OP: RefCell<Option<ActiveOp>> = const { RefCell::new(None) };
     static THREAD_RECORDER: RefCell<Option<Arc<FlightRecorder>>> = const { RefCell::new(None) };
 }
 
@@ -518,7 +486,7 @@ impl Drop for ThreadRecorderGuard {
 
 /// The recorder [`op_scope`] would capture through right now: the thread
 /// override if installed, else the global recorder if armed.
-pub fn effective_recorder() -> Option<Arc<FlightRecorder>> {
+fn effective_recorder() -> Option<Arc<FlightRecorder>> {
     if let Some(r) = THREAD_RECORDER.with(|cell| cell.borrow().clone()) {
         return Some(r);
     }
@@ -526,120 +494,75 @@ pub fn effective_recorder() -> Option<Arc<FlightRecorder>> {
     g.is_armed().then(|| Arc::clone(g))
 }
 
-/// Opens a flight-recorder scope for one operation: `system` names the
-/// service (`mantle`, `infinifs`, …), `op` the operation label, and
+/// Opens the thread's op slot for one recorded operation: `system` names
+/// the service (`mantle`, `infinifs`, …), `op` the operation label, and
 /// `path_depth` the target's depth. Returns `None` when no recorder is
-/// effective or an op is already in flight on this thread (the outer scope
-/// owns the op). While the scope is open the thread runs under a detached
-/// trace; on drop the recorder decides whether the op was slow.
-///
-/// The scope also runs the sampled-ring selection ([`trace::sampler_selects`])
-/// so arming the recorder does not starve the ordinary trace ring.
-pub fn op_scope(system: &str, op: &str, path_depth: u32) -> Option<FlightScope> {
+/// effective or an op is already in flight on this thread (the outer op
+/// owns the slot). When the guard drops the recorder decides whether the op
+/// was slow.
+pub fn op_scope(system: &str, op: &str, path_depth: u32) -> Option<TraceGuard> {
     let recorder = effective_recorder()?;
-    ACTIVE_OP.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        if slot.is_some() {
-            return None;
-        }
-        let sampled = trace::sampler_selects();
-        let guard = trace::start_detached(op);
-        *slot = Some(ActiveOp {
+    trace::open(
+        op,
+        Some(OpMeta {
             recorder,
             system: system.to_string(),
-            op: op.to_string(),
             path_depth,
-            started: clock::now(),
-            ledger0: clock::thread_time_stats(),
             annotations: Vec::new(),
             annotations_elided: 0,
-            guard,
-            sampled,
-        });
-        Some(FlightScope { _priv: () })
-    })
+            sampled: false,
+        }),
+    )
 }
 
-/// Whether an [`op_scope`] is open on this thread. Capture sites check
-/// this (or just call [`annotate_with`], which checks internally).
-#[inline]
-pub fn is_op_active() -> bool {
-    ACTIVE_OP.with(|cell| cell.borrow().is_some())
-}
-
-/// Attaches a note to the in-flight op, if any — fault denies, stale-route
-/// retries, fsync retries, failovers. Notes ride along on the [`SlowOp`]
-/// event if the op is flagged slow. No-op (one thread-local read) when no
-/// op is in flight.
+/// Attaches a note to the in-flight op, if a recorder is following it —
+/// fault denies, stale-route retries, fsync retries, failovers. Notes ride
+/// along on the [`SlowOp`] event if the op is flagged slow. No-op (one
+/// thread-local read) otherwise.
 pub fn annotate(note: &str) {
     annotate_with(|| note.to_string());
 }
 
-/// [`annotate`] with lazy construction: the closure only runs when an op
-/// is actually in flight, so capture sites pay nothing for the format when
-/// the recorder is disarmed.
+/// [`annotate`] with lazy construction: the closure only runs when a
+/// recorded op is actually in flight, so capture sites pay nothing for the
+/// format when the recorder is disarmed.
 pub fn annotate_with(f: impl FnOnce() -> String) {
-    ACTIVE_OP.with(|cell| {
-        if let Some(ctx) = cell.borrow_mut().as_mut() {
-            if ctx.annotations.len() < MAX_ANNOTATIONS {
-                ctx.annotations.push(f());
-            } else {
-                ctx.annotations_elided += 1;
-            }
+    trace::with_op_meta(|meta| {
+        if meta.annotations.len() < MAX_ANNOTATIONS {
+            meta.annotations.push(f());
+        } else {
+            meta.annotations_elided += 1;
         }
     });
-}
-
-/// RAII handle for one recorded operation; the slow/fast decision happens
-/// on drop.
-pub struct FlightScope {
-    _priv: (),
-}
-
-impl Drop for FlightScope {
-    fn drop(&mut self) {
-        let Some(ctx) = ACTIVE_OP.with(|cell| cell.borrow_mut().take()) else {
-            return;
-        };
-        // Finish the detached trace *first* so its root span closes at the
-        // same virtual instant the latency is measured at.
-        let trace = ctx.guard.map(TraceGuard::finish);
-        let latency_nanos = ctx.started.elapsed().as_nanos() as u64;
-        let phases = clock::thread_time_stats().saturating_sub(&ctx.ledger0);
-        ctx.recorder.observe(ObservedOp {
-            system: ctx.system,
-            op: ctx.op,
-            path_depth: ctx.path_depth,
-            latency_nanos,
-            phases,
-            annotations: ctx.annotations,
-            annotations_elided: ctx.annotations_elided,
-            trace,
-            sampled: ctx.sampled,
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::tests::SAMPLE_RATE;
+    use mantle_types::clock;
+    use std::sync::{MutexGuard, PoisonError};
     use std::time::Duration;
 
-    fn recorder(config: FlightConfig) -> Arc<FlightRecorder> {
-        Arc::new(FlightRecorder::new(config))
+    /// Installs `rec` on this thread and takes this test's turn at the
+    /// process-global sampler, which every `op_scope` consults.
+    fn install(
+        rec: FlightRecorder,
+    ) -> (
+        Arc<FlightRecorder>,
+        (ThreadRecorderGuard, MutexGuard<'static, ()>),
+    ) {
+        let turn = SAMPLE_RATE.lock().unwrap_or_else(PoisonError::into_inner);
+        let rec = Arc::new(rec);
+        let installed = install_thread_recorder(Arc::clone(&rec));
+        (rec, (installed, turn))
     }
 
     #[test]
     fn fast_ops_are_not_captured_slow_ones_are() {
-        let rec = recorder(FlightConfig {
-            warmup_ops: 4,
-            recompute_every: 2,
-            threshold_mult: 2.0,
-            ..FlightConfig::default()
-        });
-        let _g = install_thread_recorder(Arc::clone(&rec));
-        // Warm up with uniform 100us ops: threshold settles near 200us.
-        for _ in 0..8 {
+        let (rec, _g) = install(FlightRecorder::new());
+        // Warm up with uniform 100us ops: threshold settles near 400us.
+        for _ in 0..WARMUP_OPS {
             let s = op_scope("mantle", "lookup", 4).expect("scope");
             clock::sleep_as(TimeCategory::Rtt, Duration::from_micros(100));
             drop(s);
@@ -671,15 +594,14 @@ mod tests {
 
         let reports = rec.explain("lookup");
         assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].ops, 9);
+        assert_eq!(reports[0].ops, WARMUP_OPS + 1);
         assert_eq!(reports[0].slow, 1);
         assert!(reports[0].render().contains("mantle/lookup"));
     }
 
     #[test]
     fn warmup_blocks_capture_and_fixed_threshold_bypasses_it() {
-        let rec = recorder(FlightConfig::default());
-        let _g = install_thread_recorder(Arc::clone(&rec));
+        let (rec, g) = install(FlightRecorder::new());
         {
             let s = op_scope("mantle", "mkdir", 1).expect("scope");
             clock::sleep_as(TimeCategory::Other, Duration::from_secs(1));
@@ -690,62 +612,111 @@ mod tests {
             0,
             "nothing flags during warmup without a fixed threshold"
         );
+        drop(g);
 
-        let rec = recorder(FlightConfig {
-            fixed_threshold_nanos: Some(1_000),
-            ..FlightConfig::default()
-        });
-        let _g = install_thread_recorder(Arc::clone(&rec));
+        let (rec, _g) = install(FlightRecorder::with_fixed_threshold(1_000));
         for _ in 0..2 {
             let s = op_scope("mantle", "mkdir", 1).expect("scope");
             clock::sleep_as(TimeCategory::Other, Duration::from_micros(50));
             drop(s);
         }
-        // Op 1 observes the warmup threshold before the fixed value
-        // installs; op 2 flags against it.
-        assert_eq!(rec.slow_captured_total(), 1);
+        // The fixed value is the threshold from the first op on.
+        assert_eq!(rec.slow_captured_total(), 2);
     }
 
     #[test]
     fn slow_ring_evicts_with_drop_accounting() {
-        let rec = recorder(FlightConfig {
-            slow_capacity: 2,
-            fixed_threshold_nanos: Some(0),
-            ..FlightConfig::default()
-        });
-        let _g = install_thread_recorder(Arc::clone(&rec));
-        for _ in 0..5 {
+        let (rec, _g) = install(FlightRecorder::with_fixed_threshold(0));
+        let ops = SLOW_CAPACITY as u64 + 3;
+        for _ in 0..ops {
             let s = op_scope("mantle", "rm", 2).expect("scope");
             clock::sleep_as(TimeCategory::Other, Duration::from_micros(10));
             drop(s);
         }
-        // Op 1 observes the warmup threshold (MAX) before the fixed value
-        // installs, so 4 of 5 flag; ring keeps 2, drops 2.
-        assert_eq!(rec.slow_captured_total(), 4);
-        assert_eq!(rec.slow_recent(16).len(), 2);
-        assert_eq!(rec.slow_dropped_total(), 2);
+        // Every op flags; the ring keeps its capacity and drops the rest.
+        assert_eq!(rec.slow_captured_total(), ops);
+        assert_eq!(rec.slow_recent(usize::MAX).len(), SLOW_CAPACITY);
+        assert_eq!(rec.slow_dropped_total(), 3);
         let last = rec.slow_recent(1).remove(0);
-        assert_eq!(last.seq, 4);
+        assert_eq!(last.seq, ops);
     }
 
     #[test]
     fn scopes_do_not_nest_and_reset_clears() {
-        let rec = recorder(FlightConfig {
-            fixed_threshold_nanos: Some(0),
-            ..FlightConfig::default()
-        });
-        let _g = install_thread_recorder(Arc::clone(&rec));
+        let (rec, _g) = install(FlightRecorder::with_fixed_threshold(0));
         let outer = op_scope("mantle", "mv", 3).expect("outer");
         assert!(op_scope("mantle", "mv", 3).is_none(), "no nesting");
-        assert!(is_op_active());
         clock::sleep_as(TimeCategory::Other, Duration::from_micros(1));
         drop(outer);
-        assert!(!is_op_active());
+        assert!(op_scope("mantle", "mv", 3).is_some(), "slot released");
 
         assert!(rec.slow_captured_total() > 0 || !rec.explain_all().is_empty());
         rec.reset();
         assert_eq!(rec.slow_captured_total(), 0);
+        assert_eq!(rec.slow_dropped_total(), 0);
         assert!(rec.explain_all().is_empty());
         assert!(rec.slow_log().is_empty());
+    }
+
+    /// One op, one capture: a sampled slow op is measured once and its one
+    /// trace reaches both rings.
+    #[test]
+    fn a_sampled_slow_op_is_captured_once_into_both_rings() {
+        let (rec, _g) = install(FlightRecorder::with_fixed_threshold(0));
+        trace::set_sample_rate(1.0);
+        {
+            let _op = op_scope("mantle", "create", 2).expect("scope");
+            let _outer = trace::rpc_span("resolve", "index0").expect("recorded ops have spans");
+            clock::sleep_as(TimeCategory::Rtt, Duration::from_micros(200));
+            annotate("index:no_leader");
+            let _inner = trace::rpc_span("txn_commit", "tafdb1").expect("nested span");
+            clock::sleep_as(TimeCategory::Fsync, Duration::from_micros(50));
+        }
+        trace::set_sample_rate(0.0);
+
+        assert_eq!(rec.slow_captured_total(), 1);
+        let event = rec.slow_recent(8).remove(0);
+        let captured = event.trace.as_ref().expect("trace moved into the event");
+        let sampled: Vec<Trace> = trace::peek_recent(usize::MAX)
+            .into_iter()
+            .filter(|t| t.trace_id == captured.trace_id)
+            .collect();
+        assert_eq!(sampled.len(), 1, "one copy in the sampled ring");
+        assert_eq!(sampled[0].spans, captured.spans);
+        assert_eq!(captured.spans.len(), 3);
+        assert_eq!(captured.spans[2].parent, Some(1));
+
+        assert_eq!(event.latency_nanos, captured.total_nanos());
+        assert_eq!(event.latency_nanos, 250_000);
+        assert_eq!(event.phases, captured.phases);
+        assert_eq!(event.rpcs, captured.rpc_count());
+        assert_eq!(event.shards, captured.nodes());
+        assert_eq!(event.shards, vec!["index0", "tafdb1"]);
+        assert_eq!(event.annotations, vec!["index:no_leader"]);
+    }
+
+    #[test]
+    fn the_slot_holds_one_op_whichever_door_opened_it() {
+        let (rec, _g) = install(FlightRecorder::with_fixed_threshold(0));
+
+        let outer = op_scope("mantle", "mv", 3).expect("outer");
+        assert!(trace::start_forced("inner").is_none());
+        assert!(op_scope("mantle", "mv", 3).is_none());
+        drop(outer);
+        assert_eq!(rec.explain("mv")[0].ops, 1);
+
+        let forced = trace::start_forced("forced").expect("slot free again");
+        assert!(op_scope("mantle", "mv", 3).is_none());
+        // No recorder follows a forced trace: the note goes nowhere.
+        annotate("dropped");
+        let trace = forced.finish();
+        assert_eq!(trace.spans.len(), 1);
+        assert_eq!(
+            rec.explain("mv")[0].ops,
+            1,
+            "the refused scope observed nothing"
+        );
+        assert!(rec.explain("forced").is_empty());
+        assert!(rec.slow_recent(8).iter().all(|e| e.annotations.is_empty()));
     }
 }

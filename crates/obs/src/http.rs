@@ -5,7 +5,7 @@
 //! shape (`GET <path>`). Routes:
 //!
 //! * `/metrics` — the global registry as Prometheus exposition text.
-//! * `/slow` (or `/slow?n=N`) — recent force-captured [`SlowOp`] events
+//! * `/slow` (or `/slow?n=N`) — recent force-captured [`SlowOp`](flight::SlowOp) events
 //!   from the global flight recorder, as JSON.
 //! * `/traces/recent` — recent sampled traces from the trace ring, JSON
 //!   (non-draining, so scraping does not steal traces from the CLI).
@@ -25,8 +25,9 @@ use std::time::Duration;
 
 use mantle_types::EnvConfig;
 use serde::Serialize;
+use serde_json::json;
 
-use crate::flight::{self, SlowOp};
+use crate::flight;
 use crate::trace;
 
 /// Default number of items `/slow` and `/traces/recent` return when the
@@ -35,6 +36,11 @@ const DEFAULT_RECENT: usize = 32;
 
 /// Cap on `?n=` so a hostile scrape cannot ask for the universe.
 const MAX_RECENT: usize = 1024;
+
+/// Bytes read from a connection before its request is refused: generous for
+/// `GET /slow?n=1024` plus a client's headers, and the bound on what a peer
+/// that never sends a newline can make the acceptor buffer.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
 
 /// A running scrape server. Dropping it stops the acceptor thread and
 /// releases the port.
@@ -114,7 +120,7 @@ pub fn serve_if_configured() -> Option<ObsServer> {
 }
 
 fn handle_connection(stream: TcpStream) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream.take(MAX_REQUEST_BYTES));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // Drain headers so the peer's write isn't reset mid-request.
@@ -125,7 +131,11 @@ fn handle_connection(stream: TcpStream) -> std::io::Result<()> {
             break;
         }
     }
-    let mut stream = reader.into_inner();
+    let over_budget = reader.get_ref().limit() == 0;
+    let mut stream = reader.into_inner().into_inner();
+    if over_budget {
+        return respond(&mut stream, 431, "text/plain", "request too large\n");
+    }
 
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
@@ -133,10 +143,7 @@ fn handle_connection(stream: TcpStream) -> std::io::Result<()> {
     if method != "GET" {
         return respond(&mut stream, 405, "text/plain", "method not allowed\n");
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
     match path {
         "/" => respond(
             &mut stream,
@@ -154,67 +161,37 @@ fn handle_connection(stream: TcpStream) -> std::io::Result<()> {
             )
         }
         "/slow" => {
-            let events = flight::global().slow_recent(recent_limit(query));
-            respond_json(
-                &mut stream,
-                &SlowPage {
-                    dropped_total: flight::global().slow_dropped_total(),
-                    captured_total: flight::global().slow_captured_total(),
-                    events,
-                },
-            )
-        }
-        "/traces/recent" => {
-            let traces = trace::peek_recent(recent_limit(query));
-            respond_json(
-                &mut stream,
-                &TracesPage {
-                    dropped_total: trace::dropped_total(),
-                    traces,
-                },
-            )
-        }
-        "/attribution" => {
             let rec = flight::global();
             respond_json(
                 &mut stream,
-                &AttributionPage {
-                    ops: rec.explain_all(),
-                    nodes: rec
-                        .node_phases()
-                        .into_iter()
-                        .map(|(node, phases)| NodeAttribution { node, phases })
-                        .collect(),
-                },
+                &json!({
+                    "dropped_total": rec.slow_dropped_total(),
+                    "captured_total": rec.slow_captured_total(),
+                    "events": rec.slow_recent(recent_limit(query)),
+                }),
+            )
+        }
+        "/traces/recent" => respond_json(
+            &mut stream,
+            &json!({
+                "dropped_total": trace::dropped_total(),
+                "traces": trace::peek_recent(recent_limit(query)),
+            }),
+        ),
+        "/attribution" => {
+            let rec = flight::global();
+            let nodes: Vec<_> = rec
+                .node_phases()
+                .into_iter()
+                .map(|(node, phases)| json!({ "node": node, "phases": phases }))
+                .collect();
+            respond_json(
+                &mut stream,
+                &json!({ "ops": rec.explain_all(), "nodes": nodes }),
             )
         }
         _ => respond(&mut stream, 404, "text/plain", "not found\n"),
     }
-}
-
-#[derive(Serialize)]
-struct SlowPage {
-    dropped_total: u64,
-    captured_total: u64,
-    events: Vec<SlowOp>,
-}
-
-#[derive(Serialize)]
-struct TracesPage {
-    dropped_total: u64,
-    traces: Vec<trace::Trace>,
-}
-
-#[derive(Serialize)]
-struct NodeAttribution {
-    node: String,
-    phases: mantle_types::clock::TimeStats,
-}
-
-#[derive(Serialize)]
-struct AttributionPage {
-    ops: Vec<flight::ExplainReport>,
-    nodes: Vec<NodeAttribution>,
 }
 
 /// Parses `n=<count>` out of a query string, clamped to [`MAX_RECENT`].
@@ -244,6 +221,7 @@ fn respond(
         200 => "OK",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     };
     let header = format!(
@@ -312,6 +290,40 @@ mod tests {
         assert!(get(addr, "/nope").is_err(), "unknown route 404s");
         let index = get(addr, "/").expect("index");
         assert!(index.contains("/metrics"));
+    }
+
+    /// A peer that streams bytes with no newline is refused once the request
+    /// budget is spent, and the acceptor goes on serving.
+    #[test]
+    fn an_over_long_request_is_refused_and_the_server_keeps_serving() {
+        let server = serve("127.0.0.1:0").expect("bind");
+        let addr = server.local_addr();
+
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        peer.set_write_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let chunk = [b'a'; 4096];
+        for _ in 0..256 {
+            // The server stops reading at its budget and closes: a later
+            // write may be reset, which is the point.
+            if peer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+        // Read to the close; a reset after the response still leaves the
+        // response in `reply`.
+        let mut reply = Vec::new();
+        let _ = peer.read_to_end(&mut reply);
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(
+            reply.starts_with("HTTP/1.1 431 "),
+            "refused at the budget, not read to the end: {reply:?}"
+        );
+
+        crate::metrics::counter("http_test_total", &[("route", "after_refusal")]).inc();
+        let metrics = get(addr, "/metrics").expect("/metrics after the hostile peer");
+        assert!(metrics.contains("http_test_total{route=\"after_refusal\"}"));
     }
 
     #[test]

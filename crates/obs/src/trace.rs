@@ -1,21 +1,30 @@
-//! RPC-chain tracing.
+//! The operation in flight and its span tree.
 //!
-//! A thread-local trace context carries a trace id plus a span stack
-//! through a request as
-//! it fans out across simulated nodes. Each RPC entry point opens a
-//! [`SpanScope`]; nested scopes become child spans, so a path resolve dumps
-//! as an RPC tree whose per-hop count can be checked against the paper's
-//! Table 1 RTT analysis (InfiniFS: one `get_entry` RPC per component;
-//! Mantle: O(1) lookups off the index).
+//! One thread-local slot holds the op a thread is running: its span tree,
+//! the stack of open spans and — when a flight recorder follows it — the
+//! recorder's side of it. Three doors fill the slot: [`start`] (the ~1%
+//! sampler picked the op), [`start_forced`] (CLI `trace`, tests) and
+//! [`flight::op_scope`](crate::flight::op_scope) (every op while a recorder
+//! is armed); the simulator runs a request's RPC legs on the calling thread,
+//! so a second open while the slot is taken returns `None`. Each RPC entry
+//! point opens a [`SpanScope`]; nested scopes become child spans, so a path
+//! resolve dumps as an RPC tree whose per-hop count can be checked against
+//! the paper's Table 1 RTT analysis (InfiniFS: one `get_entry` RPC per
+//! component; Mantle: O(1) lookups off the index).
 //!
-//! The context is thread-local: the simulator executes a request's RPC legs
-//! on the calling thread (latency is injected by sleeping), so a stack per
-//! thread is exactly one trace deep. Finished traces land in a bounded ring
-//! buffer ([`take_recent`]); sampling defaults to ~1% and is controlled by
-//! [`set_sample_rate`] or the `MANTLE_TRACE_SAMPLE` environment variable.
+//! Every advance of the simulated timeline charges a
+//! [`TimeCategory`](mantle_types::clock::TimeCategory) in the per-thread
+//! ledger, and every span carries the ledger *delta* across its lifetime, so
+//! the per-category nanoseconds of a span sum **exactly** to its duration;
+//! [`Trace::per_node`] folds them into *exclusive* per-node ledgers.
+//!
+//! One [`TraceGuard`] ends whatever opened. Its commit closes the root span
+//! and routes the [`Trace`]: to the op's flight recorder if it has one, and
+//! to the bounded sampled ring ([`take_recent`], [`peek_recent`]) if it was
+//! forced or sampled ([`set_sample_rate`], `MANTLE_TRACE_SAMPLE`).
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -24,13 +33,14 @@ use mantle_types::EnvConfig;
 use parking_lot::Mutex;
 use serde::Serialize;
 
-use crate::metrics::Counter;
+use crate::flight::OpMeta;
+use crate::ring::Ring;
 
 /// Spans kept per trace before truncation; bounds worst-case memory for a
 /// runaway recursive resolve.
 const MAX_SPANS_PER_TRACE: usize = 4096;
 
-/// Finished traces retained in the ring buffer.
+/// Finished traces retained in the sampled ring.
 const RING_CAPACITY: usize = 256;
 
 /// What a span represents, for rendering and for counting RPC hops.
@@ -45,7 +55,7 @@ pub enum SpanKind {
 }
 
 /// One timed region inside a trace.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Span {
     /// Index of this span within the trace.
     pub id: u32,
@@ -66,7 +76,7 @@ pub struct Span {
     /// Simulated latency injected by the SimNode, in nanoseconds.
     pub injected_nanos: u64,
     /// Per-phase ledger delta across the span (inclusive of children; see
-    /// [`crate::critpath::per_node`] for exclusive attribution).
+    /// [`Trace::per_node`] for exclusive attribution).
     pub phases: TimeStats,
 }
 
@@ -113,6 +123,34 @@ impl Trace {
         nodes.sort();
         nodes.dedup();
         nodes
+    }
+
+    /// Folds the trace into *exclusive* per-node attributions: each span's
+    /// ledger delta minus its direct children's, grouped by serving node
+    /// and sorted by node name. Client-local work (spans with an empty
+    /// node, including the root) appears under `"client"`.
+    pub fn per_node(&self) -> Vec<(String, TimeStats)> {
+        // Sum of children's (inclusive) attributions per parent.
+        let mut child_sums = vec![TimeStats::default(); self.spans.len()];
+        for span in &self.spans {
+            if let Some(p) = span.parent {
+                child_sums[p as usize].add(&span.phases);
+            }
+        }
+        let mut by_node: BTreeMap<String, TimeStats> = BTreeMap::new();
+        for (span, children) in self.spans.iter().zip(&child_sums) {
+            let exclusive = span.phases.saturating_sub(children);
+            if exclusive.is_empty() {
+                continue;
+            }
+            let node = if span.node.is_empty() {
+                "client".to_string()
+            } else {
+                span.node.clone()
+            };
+            by_node.entry(node).or_default().add(&exclusive);
+        }
+        by_node.into_iter().collect()
     }
 
     /// Renders the span tree, one line per span:
@@ -172,7 +210,7 @@ impl Trace {
     }
 }
 
-fn fmt_nanos(n: u64) -> String {
+pub(crate) fn fmt_nanos(n: u64) -> String {
     if n >= 1_000_000_000 {
         format!("{:.2}s", n as f64 / 1e9)
     } else if n >= 1_000_000 {
@@ -184,31 +222,87 @@ fn fmt_nanos(n: u64) -> String {
     }
 }
 
-/// In-flight trace state for the current thread.
-struct ActiveTrace {
+/// The operation in flight on the current thread.
+struct ActiveOp {
     trace_id: u64,
-    op: String,
     epoch: SimInstant,
-    ledger0: TimeStats,
     spans: Vec<Span>,
-    stack: Vec<u32>,
+    /// Open spans, innermost last, each with the thread ledger at its open.
+    stack: Vec<(u32, TimeStats)>,
     truncated: bool,
+    /// The recorder's side of the op; `None` for a sampled or forced trace
+    /// opened while no recorder was effective.
+    flight: Option<OpMeta>,
+}
+
+impl ActiveOp {
+    /// Opens a span under the innermost open one.
+    fn push_span(&mut self, op: &str, node: &str, kind: SpanKind) -> Option<u32> {
+        if self.spans.len() >= MAX_SPANS_PER_TRACE {
+            self.truncated = true;
+            return None;
+        }
+        let id = self.spans.len() as u32;
+        self.spans.push(Span {
+            id,
+            parent: self.stack.last().map(|&(parent, _)| parent),
+            op: op.to_string(),
+            node: node.to_string(),
+            kind,
+            start_nanos: self.epoch.elapsed().as_nanos() as u64,
+            dur_nanos: 0,
+            queue_nanos: 0,
+            injected_nanos: 0,
+            phases: TimeStats::default(),
+        });
+        self.stack.push((id, clock::thread_time_stats()));
+        Some(id)
+    }
+
+    /// Closes span `id`, and with it any span left open underneath. The one
+    /// place a duration and a ledger delta are taken, for the root span (the
+    /// op itself) as for every other.
+    fn close_span(&mut self, id: u32) -> Option<()> {
+        let at = self.stack.iter().rposition(|&(open, _)| open == id)?;
+        let (_, ledger0) = self.stack[at];
+        self.stack.truncate(at);
+        let span = &mut self.spans[id as usize];
+        let now_nanos = self.epoch.elapsed().as_nanos() as u64;
+        span.dur_nanos = now_nanos.saturating_sub(span.start_nanos);
+        span.phases = clock::thread_time_stats().saturating_sub(&ledger0);
+        Some(())
+    }
 }
 
 thread_local! {
-    static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
+    static ACTIVE: RefCell<Option<ActiveOp>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` on the op in flight, if any (one thread-local read otherwise).
+fn with_active<R>(f: impl FnOnce(&mut ActiveOp) -> Option<R>) -> Option<R> {
+    ACTIVE.with(|cell| cell.borrow_mut().as_mut().and_then(f))
 }
 
 struct Collector {
     next_trace_id: AtomicU64,
-    /// Sampling interval: a trace starts when `started % interval == 0`.
+    /// Sampling interval: an op is selected when `started % interval == 0`.
     /// `0` disables sampling entirely.
     interval: AtomicU64,
     started: AtomicU64,
-    ring: Mutex<VecDeque<Trace>>,
-    /// `obs_traces_dropped_total` — traces evicted from the full ring
-    /// before anyone read them.
-    dropped: Counter,
+    /// The sampled ring; evictions count into `obs_traces_dropped_total`.
+    ring: Mutex<Ring<Trace>>,
+}
+
+impl Collector {
+    /// The sampling decision, one per candidate op.
+    fn selects(&self) -> bool {
+        let interval = self.interval.load(Ordering::Relaxed);
+        interval != 0
+            && self
+                .started
+                .fetch_add(1, Ordering::Relaxed)
+                .is_multiple_of(interval)
+    }
 }
 
 fn collector() -> &'static Collector {
@@ -217,8 +311,10 @@ fn collector() -> &'static Collector {
         next_trace_id: AtomicU64::new(1),
         interval: AtomicU64::new(rate_to_interval(EnvConfig::get().trace_sample)),
         started: AtomicU64::new(0),
-        ring: Mutex::new(VecDeque::with_capacity(RING_CAPACITY)),
-        dropped: crate::metrics::counter("obs_traces_dropped_total", &[]),
+        ring: Mutex::new(Ring::new(
+            RING_CAPACITY,
+            crate::metrics::counter("obs_traces_dropped_total", &[]),
+        )),
     })
 }
 
@@ -241,145 +337,96 @@ pub fn set_sample_rate(rate: f64) {
 }
 
 /// Starts a trace for `op` if the sampler selects this operation and no
-/// trace is already active on this thread. Hold the returned guard for the
+/// op is already in flight on this thread. Hold the returned guard for the
 /// duration of the operation; the trace is committed when it drops.
 pub fn start(op: &str) -> Option<TraceGuard> {
-    let c = collector();
-    let interval = c.interval.load(Ordering::Relaxed);
-    if interval == 0 {
+    if !collector().selects() {
         return None;
     }
-    let n = c.started.fetch_add(1, Ordering::Relaxed);
-    if !n.is_multiple_of(interval) {
-        return None;
-    }
-    start_inner(op, true)
+    open(op, None)
 }
 
 /// Starts a trace unconditionally (CLI `trace` command, tests). Returns
-/// `None` only if a trace is already active on this thread.
+/// `None` only if an op is already in flight on this thread.
 pub fn start_forced(op: &str) -> Option<TraceGuard> {
-    start_inner(op, true)
+    open(op, None)
 }
 
-/// Starts a trace whose commit does **not** land in the shared ring — the
-/// caller owns the finished [`Trace`] (the flight recorder's always-on
-/// capture path, which decides *after* the fact whether the trace is worth
-/// keeping). Returns `None` if a trace is already active on this thread.
-pub fn start_detached(op: &str) -> Option<TraceGuard> {
-    start_inner(op, false)
-}
-
-/// Runs the sampling decision without starting a trace: true for the same
-/// ~1-in-interval operations [`start`] would have selected. The flight
-/// recorder uses this to keep feeding the sampled ring while its detached
-/// capture owns the thread's trace slot.
-pub fn sampler_selects() -> bool {
-    let c = collector();
-    let interval = c.interval.load(Ordering::Relaxed);
-    if interval == 0 {
-        return false;
-    }
-    c.started
-        .fetch_add(1, Ordering::Relaxed)
-        .is_multiple_of(interval)
-}
-
-/// Pushes an already-finished trace into the shared ring (with the same
-/// eviction accounting as a sampled commit).
-pub fn push_to_ring(trace: Trace) {
-    ring_push(trace);
-}
-
-fn start_inner(op: &str, ring_on_commit: bool) -> Option<TraceGuard> {
+/// Fills the thread's slot with a new op, or returns `None` when it is
+/// taken. `flight` is the recorder's side of an [`op_scope`] op; without it
+/// the caller has already decided the trace goes to the sampled ring.
+///
+/// [`op_scope`]: crate::flight::op_scope
+pub(crate) fn open(op: &str, mut flight: Option<OpMeta>) -> Option<TraceGuard> {
     ACTIVE.with(|cell| {
         let mut active = cell.borrow_mut();
         if active.is_some() {
             return None;
         }
-        let trace_id = collector().next_trace_id.fetch_add(1, Ordering::Relaxed);
-        let mut trace = ActiveTrace {
-            trace_id,
-            op: op.to_string(),
+        let c = collector();
+        if let Some(meta) = &mut flight {
+            // A recorded op takes its turn at the sampler too, so arming a
+            // recorder does not starve the sampled ring.
+            meta.sampled = c.selects();
+        }
+        let mut opened = ActiveOp {
+            trace_id: c.next_trace_id.fetch_add(1, Ordering::Relaxed),
             epoch: clock::now(),
-            ledger0: clock::thread_time_stats(),
             spans: Vec::with_capacity(16),
             stack: Vec::with_capacity(8),
             truncated: false,
+            flight,
         };
-        trace.spans.push(Span {
-            id: 0,
-            parent: None,
-            op: op.to_string(),
-            node: String::new(),
-            kind: SpanKind::Op,
-            start_nanos: 0,
-            dur_nanos: 0,
-            queue_nanos: 0,
-            injected_nanos: 0,
-            phases: TimeStats::default(),
-        });
-        trace.stack.push(0);
-        *active = Some(trace);
-        Some(TraceGuard { ring_on_commit })
+        opened.push_span(op, "", SpanKind::Op);
+        *active = Some(opened);
+        Some(TraceGuard { _priv: () })
     })
 }
 
-/// RAII handle for an active trace. Dropping it (or calling
-/// [`TraceGuard::finish`]) closes the root span and commits the trace —
-/// into the shared ring for sampled/forced traces, or only to the caller
-/// for [`start_detached`] traces.
+/// RAII handle for the op in flight, whichever door opened it. Dropping it
+/// (or calling [`TraceGuard::finish`]) closes the root span and commits the
+/// op: to its flight recorder when it has one, to the sampled ring when it
+/// was sampled or forced.
 pub struct TraceGuard {
-    ring_on_commit: bool,
+    _priv: (),
 }
 
 impl TraceGuard {
-    /// Ends the trace and returns it (sampled/forced guards also leave a
-    /// copy in the ring buffer), for callers that want to render it
-    /// immediately.
+    /// Ends the op and returns a copy of its trace, for callers that want
+    /// to render it immediately.
     pub fn finish(self) -> Trace {
-        let ring = self.ring_on_commit;
         std::mem::forget(self);
-        commit(ring).expect("trace active while guard held")
+        commit(true).expect("op in flight while its guard is held")
     }
 }
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
-        commit(self.ring_on_commit);
+        commit(false);
     }
 }
 
-fn commit(ring_on_commit: bool) -> Option<Trace> {
-    let finished = ACTIVE.with(|cell| cell.borrow_mut().take())?;
-    let elapsed = finished.epoch.elapsed().as_nanos() as u64;
-    let phases = clock::thread_time_stats().saturating_sub(&finished.ledger0);
-    let mut spans = finished.spans;
-    if let Some(root) = spans.first_mut() {
-        root.dur_nanos = elapsed;
-        root.phases = phases;
-    }
+/// The one place an op ends: its root span closes and the finished trace
+/// is routed. Returns a copy when asked to.
+fn commit(want_copy: bool) -> Option<Trace> {
+    let mut finished = ACTIVE.with(|cell| cell.borrow_mut().take())?;
+    finished.close_span(0);
     let trace = Trace {
         trace_id: finished.trace_id,
-        op: finished.op,
-        spans,
+        op: finished.spans[0].op.clone(),
+        phases: finished.spans[0].phases,
+        spans: finished.spans,
         truncated: finished.truncated,
-        phases,
     };
-    if ring_on_commit {
-        ring_push(trace.clone());
+    let copy = want_copy.then(|| trace.clone());
+    let sampled = match finished.flight {
+        Some(meta) => meta.observe(trace),
+        None => Some(trace),
+    };
+    if let Some(trace) = sampled {
+        collector().ring.lock().push(trace);
     }
-    Some(trace)
-}
-
-fn ring_push(trace: Trace) {
-    let c = collector();
-    let mut ring = c.ring.lock();
-    if ring.len() == RING_CAPACITY {
-        ring.pop_front();
-        c.dropped.inc();
-    }
-    ring.push_back(trace);
+    copy
 }
 
 /// Drains up to `n` of the most recent finished traces, newest last.
@@ -387,57 +434,25 @@ fn ring_push(trace: Trace) {
 /// dropped — the caller chose to skip it); use [`peek_recent`] for a
 /// non-destructive view.
 pub fn take_recent(n: usize) -> Vec<Trace> {
-    let mut ring = collector().ring.lock();
-    let skip = ring.len().saturating_sub(n);
-    ring.drain(..).skip(skip).collect()
+    collector().ring.lock().drain(n)
 }
 
 /// Clones up to `n` of the most recent finished traces, newest last,
 /// leaving the ring intact (the `/traces/recent` endpoint's read path).
 pub fn peek_recent(n: usize) -> Vec<Trace> {
-    let ring = collector().ring.lock();
-    let skip = ring.len().saturating_sub(n);
-    ring.iter().skip(skip).cloned().collect()
+    collector().ring.lock().recent(n)
 }
 
 /// Traces evicted unread from the full ring since process start (also
 /// exported as `obs_traces_dropped_total`).
 pub fn dropped_total() -> u64 {
-    collector().dropped.get()
+    collector().ring.lock().evicted()
 }
 
-/// Opens a span under the current trace. Returns `None` (with zero cost
-/// beyond a thread-local read) when no trace is active.
+/// Opens a span under the op in flight. Returns `None` (with zero cost
+/// beyond a thread-local read) when there is none.
 pub fn span(op: &str, node: &str, kind: SpanKind) -> Option<SpanScope> {
-    ACTIVE.with(|cell| {
-        let mut borrow = cell.borrow_mut();
-        let active = borrow.as_mut()?;
-        if active.spans.len() >= MAX_SPANS_PER_TRACE {
-            active.truncated = true;
-            return None;
-        }
-        let id = active.spans.len() as u32;
-        let parent = active.stack.last().copied();
-        let start_nanos = active.epoch.elapsed().as_nanos() as u64;
-        active.spans.push(Span {
-            id,
-            parent,
-            op: op.to_string(),
-            node: node.to_string(),
-            kind,
-            start_nanos,
-            dur_nanos: 0,
-            queue_nanos: 0,
-            injected_nanos: 0,
-            phases: TimeStats::default(),
-        });
-        active.stack.push(id);
-        Some(SpanScope {
-            id,
-            started: clock::now(),
-            ledger0: clock::thread_time_stats(),
-        })
-    })
+    with_active(|active| active.push_span(op, node, kind)).map(|id| SpanScope { id })
 }
 
 /// Convenience wrapper: an RPC span served by `node`.
@@ -457,88 +472,56 @@ pub fn note_injected_on_current(nanos: u64) {
 }
 
 fn note_on_current(f: impl FnOnce(&mut Span)) {
-    ACTIVE.with(|cell| {
-        if let Some(active) = cell.borrow_mut().as_mut() {
-            if let Some(&top) = active.stack.last() {
-                if let Some(span) = active.spans.get_mut(top as usize) {
-                    f(span);
-                }
-            }
-        }
+    with_active(|active| {
+        let &(top, _) = active.stack.last()?;
+        f(&mut active.spans[top as usize]);
+        Some(())
     });
+}
+
+/// Runs `f` on the recorder's side of the op in flight, if it has one
+/// (what [`flight::annotate_with`](crate::flight::annotate_with) reads).
+pub(crate) fn with_op_meta(f: impl FnOnce(&mut OpMeta)) {
+    with_active(|active| active.flight.as_mut().map(f));
 }
 
 /// RAII handle for an open span; closes the span on drop.
 pub struct SpanScope {
     id: u32,
-    started: SimInstant,
-    ledger0: TimeStats,
-}
-
-impl SpanScope {
-    /// Records time this span spent queued waiting for a service permit.
-    pub fn note_queue_nanos(&self, nanos: u64) {
-        self.note(|span| span.queue_nanos += nanos);
-    }
-
-    /// Records simulated latency injected into this span.
-    pub fn note_injected_nanos(&self, nanos: u64) {
-        self.note(|span| span.injected_nanos += nanos);
-    }
-
-    fn note(&self, f: impl FnOnce(&mut Span)) {
-        ACTIVE.with(|cell| {
-            if let Some(active) = cell.borrow_mut().as_mut() {
-                if let Some(span) = active.spans.get_mut(self.id as usize) {
-                    f(span);
-                }
-            }
-        });
-    }
 }
 
 impl Drop for SpanScope {
     fn drop(&mut self) {
-        let elapsed = self.started.elapsed().as_nanos() as u64;
-        let phases = clock::thread_time_stats().saturating_sub(&self.ledger0);
-        ACTIVE.with(|cell| {
-            if let Some(active) = cell.borrow_mut().as_mut() {
-                if let Some(span) = active.spans.get_mut(self.id as usize) {
-                    span.dur_nanos = elapsed;
-                    span.phases = phases;
-                }
-                // Pop back to this span's parent; tolerate out-of-order
-                // drops by popping until we remove our own id.
-                while let Some(top) = active.stack.pop() {
-                    if top == self.id {
-                        break;
-                    }
-                }
-            }
-        });
+        with_active(|active| active.close_span(self.id));
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::PoisonError;
+
+    /// The sample rate and the sampled ring are process-global: tests that
+    /// set the one or drain the other take turns.
+    pub(crate) static SAMPLE_RATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn spans_nest_and_commit() {
+        let _rate = SAMPLE_RATE.lock().unwrap_or_else(PoisonError::into_inner);
         set_sample_rate(0.0);
         assert!(start("nope").is_none(), "sampling off blocks start()");
 
         let guard = start_forced("lookup /a/b").expect("forced trace");
         {
-            let outer = rpc_span("resolve", "index0").unwrap();
-            outer.note_injected_nanos(200_000);
+            let _outer = rpc_span("resolve", "index0").unwrap();
+            note_injected_on_current(200_000);
             {
                 let _inner = span("cache_probe", "", SpanKind::Local).unwrap();
             }
         }
         {
-            let s = rpc_span("get_attr", "tafdb1").unwrap();
-            s.note_queue_nanos(5_000);
+            let _s = rpc_span("get_attr", "tafdb1").unwrap();
+            note_queue_on_current(5_000);
         }
         let trace = guard.finish();
         assert_eq!(trace.rpc_count(), 2);
@@ -574,6 +557,7 @@ mod tests {
 
     #[test]
     fn sampling_interval_selects_subset() {
+        let _rate = SAMPLE_RATE.lock().unwrap_or_else(PoisonError::into_inner);
         // Rate 0.5 → interval 2 → roughly half of starts are selected.
         set_sample_rate(0.5);
         let mut hits = 0;

@@ -316,27 +316,6 @@ impl TafDb {
         for (i, d) in deltas.iter().enumerate() {
             self.metrics.shard_load[i].set(*d as i64);
         }
-        // Fold the flight recorder's per-node critical-path attribution into
-        // per-shard phase gauges, so the controller's view says not just
-        // *that* a shard is hot but *which phase* (fsync vs queue vs fault)
-        // its time goes to: `tafdb_shard_phase_nanos{shard=...,phase=...}`.
-        if let Some(recorder) = mantle_obs::flight::effective_recorder() {
-            for (node, attr) in recorder.node_phases() {
-                if !node.starts_with("tafdb") {
-                    continue;
-                }
-                for cat in mantle_types::clock::TimeCategory::ALL {
-                    let nanos = attr.nanos(cat);
-                    if nanos > 0 {
-                        mantle_obs::gauge(
-                            "tafdb_shard_phase_nanos",
-                            &[("shard", node.as_str()), ("phase", cat.label())],
-                        )
-                        .set(nanos as i64);
-                    }
-                }
-            }
-        }
         let total: u64 = deltas.iter().sum();
         if total == 0 || n < 2 {
             return 1.0;

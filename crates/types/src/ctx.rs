@@ -123,8 +123,8 @@ impl RequestCtx {
     }
 
     /// Runs `f` with its simulated time charged to `phase`, then restores
-    /// the previously active phase — [`OpStats::time`], but handing the
-    /// closure the whole context so nested calls can keep propagating it.
+    /// the previously active phase (if any). The closure gets the whole
+    /// context, so nested calls keep propagating it.
     pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R {
         let prev = self.stats.current_idx();
         self.stats.begin(phase);

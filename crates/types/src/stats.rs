@@ -151,8 +151,8 @@ impl OpStats {
         }
     }
 
-    /// Index of the phase in progress, if any (for save/restore in the
-    /// `time` combinators here and on `RequestCtx`).
+    /// Index of the phase in progress, if any (for save/restore in
+    /// `RequestCtx::time`).
     pub(crate) fn current_idx(&self) -> Option<usize> {
         self.current.map(|(idx, _)| idx)
     }
@@ -163,17 +163,6 @@ impl OpStats {
         if let Some(idx) = idx {
             self.current = Some((idx, clock::now()));
         }
-    }
-
-    /// Runs `f` with its simulated time charged to `phase`, then restores
-    /// the previously active phase (if any).
-    pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R {
-        let prev = self.current_idx();
-        self.begin(phase);
-        let out = f(self);
-        self.end();
-        self.resume_idx(prev);
-        out
     }
 
     /// Nanoseconds charged to `phase` so far.
@@ -322,10 +311,11 @@ impl OpStatsAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::RequestCtx;
 
     #[test]
     fn phases_accumulate_independently() {
-        let mut s = OpStats::new();
+        let mut s = RequestCtx::new();
         s.time(Phase::Lookup, |_| clock::sleep(Duration::from_millis(2)));
         s.time(Phase::Execute, |_| clock::sleep(Duration::from_millis(1)));
         // Simulated time is exact: no scheduler jitter in the phases.
@@ -337,7 +327,7 @@ mod tests {
 
     #[test]
     fn nested_time_restores_outer_phase() {
-        let mut s = OpStats::new();
+        let mut s = RequestCtx::new();
         s.begin(Phase::Execute);
         clock::sleep(Duration::from_millis(1));
         s.time(Phase::Lookup, |_| clock::sleep(Duration::from_millis(1)));
@@ -423,7 +413,9 @@ mod tests {
         a.begin(Phase::Execute);
         clock::sleep(Duration::from_millis(2));
         let mut b = OpStats::new();
-        b.time(Phase::Lookup, |_| clock::sleep(Duration::from_millis(1)));
+        b.begin(Phase::Lookup);
+        clock::sleep(Duration::from_millis(1));
+        b.end();
         a.absorb(&b);
         // The execute slice running when absorb() was called must be
         // charged, not dropped. (The nested `b` sleep also advances this

@@ -292,7 +292,7 @@ fn run_command(
                 .expect("no trace active on the CLI thread");
             let resolved = svc.lookup(&parse(args[0])?, stats)?;
             let trace = guard.finish();
-            let per_node = mantle::obs::critpath::per_node(&trace);
+            let per_node = trace.per_node();
             let mut out = format!(
                 "id {} aggregated permission {:?}\n{} rpc span(s):\n{}",
                 resolved.id,

@@ -9,7 +9,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use mantle::baselines::{InfiniFs, InfiniFsOptions};
-use mantle::obs::flight::{self, FlightConfig, FlightRecorder};
+use mantle::obs::flight::{self, FlightRecorder};
 use mantle::obs::trace;
 use mantle::prelude::*;
 use mantle::tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions, TxnOp};
@@ -191,12 +191,9 @@ fn quiet_db() -> Arc<TafDb> {
 /// slow-op log and rendered attribution summaries.
 fn flight_run(seed: u64) -> (String, String) {
     clock::reset_thread_clock();
-    let recorder = Arc::new(FlightRecorder::new(FlightConfig {
-        // Fixed threshold: capture decisions depend only on the virtual
-        // timeline, not warmup, so the whole pipeline is exercised.
-        fixed_threshold_nanos: Some(500_000),
-        ..FlightConfig::default()
-    }));
+    // Fixed threshold: capture decisions depend only on the virtual
+    // timeline, not warmup, so the whole pipeline is exercised.
+    let recorder = Arc::new(FlightRecorder::with_fixed_threshold(500_000));
     let _guard = flight::install_thread_recorder(recorder.clone());
 
     let db = quiet_db();
@@ -280,7 +277,7 @@ fn chaos_sweep_attributes_slow_ops_and_serves_live_metrics() {
     let mut captured = 0u64;
     for seed in 0..8u64 {
         clock::reset_thread_clock();
-        let recorder = Arc::new(FlightRecorder::new(FlightConfig::default()));
+        let recorder = Arc::new(FlightRecorder::new());
         let _guard = flight::install_thread_recorder(recorder.clone());
         // Fast elections so the mid-run leader crash resolves quickly.
         let mut config = MantleConfig::with_sim(SimConfig::default(), 4);
@@ -375,7 +372,7 @@ fn chaos_sweep_attributes_slow_ops_and_serves_live_metrics() {
 fn flight_recorder_overhead_is_cheap() {
     let _rate = SAMPLE_RATE.lock().unwrap_or_else(PoisonError::into_inner);
     trace::set_sample_rate(0.0);
-    let recorder = Arc::new(FlightRecorder::new(FlightConfig::default()));
+    let recorder = Arc::new(FlightRecorder::new());
     let _guard = flight::install_thread_recorder(recorder.clone());
 
     let iters = 100_000u64;
@@ -387,6 +384,7 @@ fn flight_recorder_overhead_is_cheap() {
     }
     let per_op_nanos = started.elapsed().as_nanos() as f64 / iters as f64;
     trace::set_sample_rate(0.01);
+    println!("armed flight recorder: {per_op_nanos:.0} ns/op (scope + annotation)");
     assert!(
         per_op_nanos < 10_000.0,
         "armed flight recorder costs {per_op_nanos:.0}ns/op, over the 10us budget"

@@ -16,11 +16,14 @@ clippy:
 # defining files (DESIGN.md §4.3); no thread::scope / flight::op_scope /
 # trace::start in a workload or figure binary outside the driver module
 # (DESIGN.md §3), and none of the retired flight/trace plumbing, a second op
-# slot or the unread per-shard phase gauge (DESIGN.md §4.8). `ci/loc.sh`
-# prints the non-test line count.
+# slot, the unread per-shard phase gauge (DESIGN.md §4.8) or the real-time
+# permit plane (DESIGN.md §1); no file reads the OS clock more often than
+# its ceiling in ci/real_time_ceiling.txt. `ci/loc.sh` prints the non-test
+# line count.
 vocabulary:
 	ci/write_vocabulary.sh
 	ci/one_client_loop.sh
+	ci/real_time_sites.sh
 
 test:
 	cargo test --workspace -q

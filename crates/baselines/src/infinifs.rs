@@ -8,13 +8,12 @@
 //! place, so predictions under a renamed prefix mispredict and resolution
 //! falls back to sequential steps — InfiniFS's documented behaviour.
 //!
-//! The concurrency envelope is a bounded resolver pool: each resolution
-//! round grabs as many pool permits as it can (at least one) and issues
-//! that many level-queries behind a single injected round trip. Under low
-//! concurrency a 10-level path takes one or two rounds; at high client
-//! counts permits are scarce, rounds shrink toward one query each, and
-//! effective latency approaches sequential resolution — the "7.4 RTTs with
-//! 512 threads" oversubscription effect of §3.3.
+//! A resolution issues its level-queries in rounds of up to
+//! `MAX_PARALLEL`, each round behind a single injected round trip, so a
+//! 10-level path takes one round whatever the client count. No shared
+//! resolver pool is modeled: the "7.4 RTTs with 512 threads"
+//! oversubscription effect of §3.3 is not reproduced (EXPERIMENTS.md,
+//! Fig 17).
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -26,7 +25,6 @@ use mantle_core::cluster::SvcMetrics;
 use mantle_core::pathcache::{PathLeaseCache, PathLeaseConfig};
 use mantle_core::MantleConfig;
 use mantle_rpc::{RetryPolicy, SimNode};
-use mantle_sync::Semaphore;
 use mantle_tafdb::{attr_key, recipe, Row, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
     id::IdAllocator, BulkLoad, DirAttrMeta, DirEntry, DirStat, InodeId, LeasedPath, MetaError,
@@ -48,10 +46,6 @@ impl Default for InfiniFsOptions {
         }
     }
 }
-
-/// Resolver-pool permits shared by all proxy threads. The paper's effect
-/// ("thread over-provisioning") appears when clients × depth exceeds this.
-const RESOLVER_POOL: usize = 96;
 
 /// Most speculative queries a single resolution issues per round.
 const MAX_PARALLEL: usize = 16;
@@ -75,7 +69,6 @@ fn predict(path: &MetaPath) -> InodeId {
 pub struct InfiniFs {
     db: Arc<TafDb>,
     config: SimConfig,
-    pool: Semaphore,
     coordinator: SimNode,
     /// Rename coordinator lock table: source paths of in-flight renames.
     rename_locks: Mutex<HashSet<MetaPath>>,
@@ -115,7 +108,6 @@ impl InfiniFs {
         Arc::new(InfiniFs {
             db: TafDb::new(sim, db_opts),
             config: sim,
-            pool: Semaphore::new(RESOLVER_POOL),
             coordinator: SimNode::new("infinifs-coord", sim.index_node_permits, sim),
             rename_locks: Mutex::new(HashSet::new()),
             pcache: PathLeaseCache::new(pcache, "infinifs"),
@@ -187,18 +179,11 @@ impl InfiniFs {
         let comps: Vec<&str> = path.components().collect();
         let depth = comps.len();
 
-        // Fire the speculative queries in permit-bounded rounds.
+        // Fire the speculative queries in rounds of up to MAX_PARALLEL.
         let mut rows: Vec<Option<Row>> = Vec::with_capacity(depth);
         let mut issued = 0;
         while issued < depth {
-            let mut permits = vec![self.pool.acquire()];
-            while permits.len() < (depth - issued).min(MAX_PARALLEL) {
-                match self.pool.try_acquire() {
-                    Some(g) => permits.push(g),
-                    None => break,
-                }
-            }
-            let width = permits.len();
+            let width = (depth - issued).min(MAX_PARALLEL);
             // One injected round trip covers the whole parallel round.
             mantle_rpc::net_round_trip(&self.config);
             for j in 0..width {
@@ -507,6 +492,35 @@ mod tests {
         assert_eq!(resolved.id, predict(&p("/a/b/c/d/e")));
         // All five levels queried (speculatively), none sequentially re-run.
         assert_eq!(stats.rpcs, 5);
+    }
+
+    #[test]
+    fn concurrent_deep_resolves_take_one_round_each() {
+        use mantle_types::clock::{self, TimeCategory};
+        // Cache off whatever MANTLE_PATH_CACHE says: every lookup resolves.
+        let f = InfiniFs::with_path_cache(
+            SimConfig::default(),
+            InfiniFsOptions::default(),
+            PathLeaseConfig::default(),
+        );
+        let path = p("/l0/l1/l2/l3/l4/l5/l6/l7/l8/l9");
+        f.bulk_dir(&path);
+        // No resolver pool is shared between clients, so 16 concurrent
+        // depth-10 resolutions are each exactly one round: one round trip
+        // covering ten batched level-queries.
+        std::thread::scope(|scope| {
+            for _ in 0..16 {
+                scope.spawn(|| {
+                    let before = clock::thread_time_stats();
+                    let mut stats = RequestCtx::new();
+                    f.lookup(&path, &mut stats).unwrap();
+                    let spent = clock::thread_time_stats().saturating_sub(&before);
+                    assert_eq!(spent.count(TimeCategory::Rtt), 1);
+                    assert_eq!(spent.count(TimeCategory::Queue), 0);
+                    assert_eq!(stats.rpcs, 10);
+                });
+            }
+        });
     }
 
     #[test]

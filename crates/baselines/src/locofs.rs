@@ -410,8 +410,9 @@ impl LocoFs {
     }
 
     /// Like [`Self::dir_rpc`], but additionally proposes `cmd` *after* the
-    /// in-permit work: validation occupies the server's CPU envelope, the
-    /// replication wait is I/O bounded by the (unbatched) Raft pipeline.
+    /// handler: validation is the request's service time on the directory
+    /// server, the replication wait is I/O bounded by the (unbatched) Raft
+    /// pipeline.
     fn dir_rpc_propose<R>(
         &self,
         stats: &mut RequestCtx,
@@ -492,7 +493,7 @@ impl MetadataService for LocoFs {
             .parent()
             .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
         let name = path.name().expect("non-root").to_string();
-        let dir = stats.time(Phase::Execute, |stats| {
+        stats.time(Phase::Execute, |stats| {
             self.dir_rpc_propose(stats, |l| {
                 let sm = l.state_machine();
                 let parent_res = sm.resolve(&parent)?;
@@ -513,11 +514,9 @@ impl MetadataService for LocoFs {
                     id: entry.id,
                     now: self.now(),
                 };
-                Ok((entry.id, cmd))
+                Ok(((), cmd))
             })
-        })?;
-        let _ = dir;
-        Ok(())
+        })
     }
 
     fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {

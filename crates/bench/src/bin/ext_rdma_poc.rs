@@ -32,9 +32,9 @@ fn main() {
     );
     // (label, rtt, per-request service, per-level CPU): the RPC framework's
     // software stack is charged per request *and* per resolution level; a
-    // kernel-bypass stack halves-to-quarters all three. The one permit binds
-    // nothing (it is held for zero modeled time, DESIGN.md §1): what the
-    // sweep shows is threads / per-lookup latency as the stack gets cheaper.
+    // kernel-bypass stack halves-to-quarters all three. No node saturates
+    // (DESIGN.md §1): what the sweep shows is threads / per-lookup latency
+    // as the stack gets cheaper.
     let stacks: [(&'static str, u64, u64, u64); 3] = [
         ("kernel-tcp", 200, 10, 25),
         ("busy-poll", 100, 6, 15),
@@ -45,7 +45,6 @@ fn main() {
             rtt_micros: rtt,
             service_micros: service,
             index_level_micros: level,
-            index_node_permits: 1,
             ..SimConfig::default()
         };
         // Single-replica reads: measure *per-node* capacity like the PoC.

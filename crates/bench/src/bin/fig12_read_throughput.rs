@@ -16,11 +16,10 @@ use mantle_workloads::{ConflictMode, MdOp};
 fn main() {
     let scale = Scale::from(EnvConfig::get().scale);
     // Per-level resolution CPU at the paper's measured magnitude (DESIGN.md
-    // §1.1). It shows as latency only: a permit is held for zero modeled
-    // time, so neither LocoFS's directory server nor the IndexNode leader
-    // saturates, and throughput is threads / modeled latency.
+    // §1.1). It shows as latency only: no modeled node saturates, so
+    // neither LocoFS's directory server nor the IndexNode leader is a
+    // ceiling, and throughput is threads / modeled latency.
     let sim = SimConfig {
-        index_node_permits: 4,
         index_level_micros: 25,
         ..SimConfig::default()
     };

@@ -40,7 +40,6 @@ fn main() {
     // what the path cache saves is visible as latency. Follower reads have
     // no leader ceiling to relieve in this model; they cost a ReadIndex.
     let sim = SimConfig {
-        index_node_permits: 4,
         index_level_micros: 25,
         ..SimConfig::default()
     };

@@ -68,12 +68,11 @@ fn main() {
     report.line("-- (b) throughput vs client threads --");
     // On the paper's testbed one replica's resolution capacity binds (§7.2:
     // "Mantle's scalability is currently constrained by the CPU resource of
-    // IndexNode") and follower/learner reads raise it. Here the one permit
-    // is held for zero modeled time, so no ceiling exists and every variant
-    // scales linearly in threads (DESIGN.md §1); the envelope is kept so the
-    // rows stay comparable once ROADMAP 2(d) models the queue.
+    // IndexNode") and follower/learner reads raise it. Here no node queue
+    // is modeled, so no ceiling exists and every variant scales linearly in
+    // threads (DESIGN.md §1) until ROADMAP 1(b) models the queue; the
+    // per-level CPU cost is kept so the rows stay comparable then.
     let mut cpu_sim = sim;
-    cpu_sim.index_node_permits = 1;
     cpu_sim.index_level_micros = 25;
     type BuildFn = Box<dyn Fn() -> SystemUnderTest>;
     let variants: [(&'static str, BuildFn); 4] = [

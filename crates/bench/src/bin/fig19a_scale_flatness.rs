@@ -17,8 +17,8 @@
 //! ticks — so the reported ratio reflects placement quality alone, not
 //! migration churn racing the measurement. Flatness is computed over
 //! modeled busy time (served requests × the fixed per-request service
-//! time), which raw `busy_nanos` would drown in folded host-scheduling
-//! stalls on a loaded machine.
+//! time); raw `busy_nanos` also counts the fsyncs a handler paid, and who
+//! shares a group commit moves with host scheduling.
 
 use serde::Serialize;
 
@@ -203,11 +203,11 @@ fn main() {
         refresh_hot();
         // The measured round is 10× the nominal round, and flatness is
         // computed over *modeled* busy time: served requests × the (fixed)
-        // per-request service time. Raw `busy_nanos` also folds real lock
-        // and permit waits, which on a loaded host are dominated by OS
-        // scheduling stalls the same order as a shard's whole modeled
-        // busy — served-count deltas keep the figure reproducible while
-        // still charging the hot shard for its abort/retry amplification.
+        // per-request service time. Raw `busy_nanos` also holds the WAL
+        // fsyncs a handler paid, and who shares a group-commit fsync moves
+        // with OS scheduling — served-count deltas keep the figure
+        // reproducible while still charging the hot shard for its
+        // abort/retry amplification.
         let served_before: Vec<u64> = (0..db.n_shards())
             .map(|i| db.shard_node(i).snapshot().served)
             .collect();

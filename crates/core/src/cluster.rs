@@ -416,6 +416,9 @@ impl MetadataService for MantleCluster {
         self.ops.delete.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
+            if !parent.permission.allows(Permission::WRITE) {
+                return Err(MetaError::PermissionDenied(path.to_string()));
+            }
             // Type check (an object, not a directory) before deleting.
             self.db.get_object(parent.id, name, stats)?;
             let now = self.now();

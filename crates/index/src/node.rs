@@ -442,8 +442,8 @@ impl IndexNode {
             })
             .and_then(|r| r)?;
 
-        // Replicate the lock bit outside the capacity permit (replication
-        // is I/O); the reservation covers the window until apply sets the
+        // Replicate the lock bit outside the RPC handler (replication is
+        // I/O); the reservation covers the window until apply sets the
         // bit in every replica's IndexTable.
         let proposed = leader.propose(IndexCmd::RenamePrepare {
             src_pid: grant.src_pid,

@@ -118,12 +118,6 @@ impl Gauge {
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Raises the gauge to `v` if `v` is higher (high-water marks).
-    #[inline]
-    pub fn set_max(&self, v: i64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
@@ -531,16 +525,6 @@ mod tests {
         let r = Registry::new();
         r.counter("dual", &[]);
         r.gauge("dual", &[]);
-    }
-
-    #[test]
-    fn gauge_set_max_is_high_water_mark() {
-        let r = Registry::new();
-        let g = r.gauge("queue_hwm", &[]);
-        g.set_max(5);
-        g.set_max(3);
-        g.set_max(9);
-        assert_eq!(g.get(), 9);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub struct Span {
     pub start_nanos: u64,
     /// Simulated duration, in nanoseconds.
     pub dur_nanos: u64,
-    /// Time spent waiting for a service permit (queueing), in nanoseconds.
+    /// Modeled admission-queue wait at the serving node, in nanoseconds.
     pub queue_nanos: u64,
     /// Simulated latency injected by the SimNode, in nanoseconds.
     pub injected_nanos: u64,
@@ -461,7 +461,7 @@ pub fn rpc_span(op: &str, node: &str) -> Option<SpanScope> {
 }
 
 /// Adds queue-wait time to the innermost open span, if any. Lets deep
-/// plumbing (permit acquisition) annotate the span its caller opened.
+/// plumbing (`SimNode` admission) annotate the span its caller opened.
 pub fn note_queue_on_current(nanos: u64) {
     note_on_current(|span| span.queue_nanos += nanos);
 }

@@ -7,12 +7,12 @@
 //!   ([`SimConfig::rtt_micros`]) — the quantity every lookup-latency figure
 //!   in the paper is really measuring (Table 1 counts RTTs);
 //! * each request pays an injected service time on its caller's timeline.
-//!   A node also owns a bounded permit pool (its "cores"), but the service
-//!   time is an instant virtual advance, so a permit is held only for the
-//!   handler's real compute and no modeled node saturates: the single-node
+//!   A node has one queue model, the modeled single-server backlog behind
+//!   the bounded admission queue (`queue_cap`, DESIGN.md §4.14); with the
+//!   default `queue_cap = 0` no modeled node saturates, so the single-node
 //!   ceilings of Figures 12, 14 and 19b are *not* reproduced (DESIGN.md §1;
-//!   a modeled k-server queue is ROADMAP 2(d)). The one modeled backlog is
-//!   the bounded admission queue (`queue_cap`, DESIGN.md §4.14);
+//!   the k-server queue that consumes a node's configured server count is
+//!   ROADMAP 1(b));
 //! * every RPC is counted into the caller's [`mantle_types::OpStats`] so
 //!   harnesses can report RPCs per operation.
 //!

@@ -1,10 +1,9 @@
 //! Simulated metadata/storage server nodes.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mantle_obs::{trace, Counter, Gauge, HistogramMetric};
-use mantle_sync::Semaphore;
+use mantle_obs::{trace, Counter, HistogramMetric};
 use mantle_types::clock::{self, TimeCategory};
 use mantle_types::{MetaError, RequestCtx, SimConfig};
 
@@ -18,12 +17,9 @@ struct NodeMetrics {
     rpcs: Counter,
     /// `simnode_served_total{node=...}` — requests completed (local + remote).
     served: Counter,
-    /// `simnode_permit_wait_nanos{node=...}` — admission-queue wait.
+    /// `simnode_permit_wait_nanos{node=...}` — modeled admission-queue
+    /// wait, recorded by [`SimNode::admit`] for a request that waited.
     permit_wait: HistogramMetric,
-    /// `simnode_queue_depth{node=...}` — requests currently in admission.
-    queue_depth: Gauge,
-    /// `simnode_queue_depth_hwm{node=...}` — queue-depth high-water mark.
-    queue_hwm: Gauge,
     /// `simnode_shed_total{node=...}` — requests rejected by the bounded
     /// admission queue (`MetaError::Overloaded`).
     shed: Counter,
@@ -39,8 +35,6 @@ impl NodeMetrics {
             rpcs: mantle_obs::counter("simnode_rpcs_total", &labels),
             served: mantle_obs::counter("simnode_served_total", &labels),
             permit_wait: mantle_obs::histogram("simnode_permit_wait_nanos", &labels),
-            queue_depth: mantle_obs::gauge("simnode_queue_depth", &labels),
-            queue_hwm: mantle_obs::gauge("simnode_queue_depth_hwm", &labels),
             shed: mantle_obs::counter("simnode_shed_total", &labels),
             deadline_aborts: mantle_obs::counter("simnode_deadline_aborts_total", &labels),
         }
@@ -52,34 +46,36 @@ impl NodeMetrics {
 /// A node is addressed by in-process method calls;
 /// [`SimNode::try_rpc_named`] makes a call look like a remote request
 /// (network round trip + admission queue + service time), while
-/// [`SimNode::execute`] models node-local work (no network, but still
-/// bounded by the node's capacity).
+/// [`SimNode::execute`] models node-local work (service time only).
 pub struct SimNode {
     name: String,
     config: SimConfig,
-    capacity: Semaphore,
+    /// Configured server count. Nothing consumes it yet: the one queue
+    /// model below is single-server, and ROADMAP item 1(b) generalises it
+    /// to this many.
+    permits: usize,
     busy_nanos: AtomicU64,
-    in_queue: AtomicI64,
-    /// Modeled single-server busy-until time (nanos on the simulation
-    /// clock) used by bounded admission: each admitted request ratchets it
-    /// forward by one service time, so the backlog ahead of an arrival is
-    /// `(next_free - arrival) / service`. Untouched when `queue_cap == 0`.
+    /// The node's one queue model: the modeled single-server busy-until
+    /// time (nanos on the simulation clock) used by bounded admission. Each
+    /// admitted request ratchets it forward by one service time, so the
+    /// backlog ahead of an arrival is `(next_free - arrival) / service`.
+    /// Untouched when `queue_cap == 0`.
     vq_next_free: AtomicU64,
     metrics: NodeMetrics,
     faults: FaultSlot,
 }
 
 impl SimNode {
-    /// Creates a node with `permits` concurrent request slots.
+    /// Creates a node modeling `permits` servers (recorded, not yet
+    /// enforced: see [`NodeSnapshot::permits`]).
     pub fn new(name: impl Into<String>, permits: usize, config: SimConfig) -> Self {
         let name = name.into();
         let metrics = NodeMetrics::new(&name);
         SimNode {
             name,
             config,
-            capacity: Semaphore::new(permits),
+            permits,
             busy_nanos: AtomicU64::new(0),
-            in_queue: AtomicI64::new(0),
             vq_next_free: AtomicU64::new(0),
             metrics,
             faults: FaultSlot::new(),
@@ -108,8 +104,7 @@ impl SimNode {
     }
 
     /// Executes `f` as a *remote* request against this node: one network
-    /// round trip, admission control, an execution permit and the service
-    /// time, with the RPC recorded in `ctx` and as a trace span named `op`.
+    /// round trip, admission control and the service time, with the RPC recorded in `ctx` and as a trace span named `op`.
     ///
     /// The installed [`FaultPlan`] is consulted first (topology *and*
     /// probabilistic faults) and an injected fault surfaces as
@@ -276,35 +271,14 @@ impl SimNode {
         MetaError::DeadlineExceeded(self.name.clone())
     }
 
-    /// Executes `f` as *node-local* work: admission + service time, no
-    /// network round trip and no RPC accounting.
-    ///
-    /// Queueing delay is the one place real time leaks into the simulated
-    /// timeline: an uncontended permit acquire is deterministic (zero
-    /// wait), while a blocked acquire measures its real wait and folds it
-    /// in via [`clock::fold_real_wait`]. The permit is held for `f`'s real
-    /// compute only (the service time is an instant virtual advance), so
-    /// that wait is a host effect, not a modeled saturation knee.
+    /// Executes `f` as *node-local* work: the service time, no network
+    /// round trip, no admission and no RPC accounting. Nothing here waits:
+    /// queueing is modeled in `admit` (on the RPC path) and nowhere else.
     pub fn execute<R>(&self, f: impl FnOnce() -> R) -> R {
         let sim_start = clock::now();
-        let depth = self.in_queue.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.queue_depth.add(1);
-        self.metrics.queue_hwm.set_max(depth);
-        let (_permit, waited) = match self.capacity.try_acquire() {
-            Some(permit) => (permit, 0u64),
-            None => {
-                let (permit, waited) =
-                    clock::fold_real_wait(TimeCategory::Queue, || self.capacity.acquire());
-                (permit, waited.as_nanos() as u64)
-            }
-        };
-        self.metrics.permit_wait.record(waited);
-        trace::note_queue_on_current(waited);
         trace::note_injected_on_current(self.config.service().as_nanos() as u64);
         crate::service_time(&self.config);
         let out = f();
-        self.in_queue.fetch_sub(1, Ordering::Relaxed);
-        self.metrics.queue_depth.add(-1);
         self.metrics.served.inc();
         self.busy_nanos
             .fetch_add(sim_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -317,7 +291,7 @@ impl SimNode {
             name: self.name.clone(),
             served: self.metrics.served.get(),
             busy_nanos: self.busy_nanos.load(Ordering::Relaxed),
-            permits: self.capacity.capacity(),
+            permits: self.permits,
             queue_cap: self.config.queue_cap,
             shed: self.metrics.shed.get(),
             deadline_aborts: self.metrics.deadline_aborts.get(),
@@ -343,10 +317,12 @@ pub struct NodeSnapshot {
     pub name: String,
     /// Requests completed.
     pub served: u64,
-    /// Cumulative simulated time spent inside requests (including
-    /// queueing).
+    /// Cumulative simulated time spent inside requests (service time plus
+    /// whatever the handler itself advanced).
     pub busy_nanos: u64,
-    /// Configured permit count.
+    /// Configured server count: recorded at construction, enforced by
+    /// nothing today. The modeled k-server queue of ROADMAP item 1(b) is
+    /// its consumer.
     pub permits: usize,
     /// Configured admission-queue depth cap (0 = unbounded).
     pub queue_cap: usize,
@@ -431,54 +407,46 @@ mod tests {
     fn saturated_node_queues_requests() {
         let mut config = SimConfig::instant();
         config.service_micros = 5_000;
-        // One permit: two concurrent requests must serialize.
+        // One server, eight concurrent requests, queue_cap = 0: nothing is
+        // waited on in real time, so every request elapses exactly its
+        // service time on its own timeline whatever the host schedules.
         let node = Arc::new(SimNode::new("dir0", 1, config));
-        let n2 = node.clone();
-        let h = std::thread::spawn(move || {
-            let t0 = clock::now();
-            n2.execute(|| ());
-            t0.elapsed()
-        });
-        let t0 = clock::now();
-        node.execute(|| ());
-        let here = t0.elapsed();
-        let there = h.join().unwrap();
-        // Each request pays its service time on its own timeline; the
-        // permit is only held for real compute, so a real permit wait (if
-        // the two overlapped) can only add to it.
-        assert!(here >= Duration::from_micros(5_000), "took {here:?}");
-        assert!(there >= Duration::from_micros(5_000), "took {there:?}");
-        assert_eq!(node.snapshot().served, 2);
-    }
-
-    #[test]
-    fn blocked_permit_wait_is_folded_into_sim_time() {
-        let node = Arc::new(SimNode::new("dir1", 1, SimConfig::instant()));
-        // Hold the only permit while a second request arrives, so its
-        // acquire takes the slow (blocking, fold_real_wait) path.
-        let holder = node.capacity.acquire();
-        let n2 = node.clone();
-        let h = std::thread::spawn(move || {
-            let before = clock::thread_time_stats().count(TimeCategory::Queue);
-            n2.execute(|| ());
-            clock::thread_time_stats().count(TimeCategory::Queue) - before
-        });
-        while node.capacity.waiters() == 0 {
-            std::thread::yield_now();
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let node = node.clone();
+                std::thread::spawn(move || {
+                    let t0 = clock::now();
+                    node.execute(|| ());
+                    let queued = clock::thread_time_stats().count(TimeCategory::Queue);
+                    (t0.elapsed(), queued)
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().unwrap(), (Duration::from_micros(5_000), 0));
         }
-        drop(holder);
-        let queue_charges = h.join().unwrap();
-        assert_eq!(queue_charges, 1, "blocked acquire must charge Queue time");
-        assert_eq!(node.snapshot().served, 1);
+        assert_eq!(node.snapshot().served, 8);
+        assert_eq!(node.snapshot().permits, 1);
     }
 
     #[test]
-    fn permit_wait_histogram_populates() {
-        let node = SimNode::new("hist0", usize::MAX, SimConfig::instant());
-        // This node's own series: the registry-wide count also moves with
-        // every other test's nodes.
-        let before = node.metrics.permit_wait.count();
-        node.execute(|| ());
-        assert_eq!(node.metrics.permit_wait.count(), before + 1);
+    fn bounded_queue_charges_modeled_wait_and_records_it() {
+        let mut config = SimConfig::instant();
+        config.service_micros = 100;
+        config.queue_cap = 8;
+        let node = SimNode::new("capped0", 1, config);
+        let waits_before = node.metrics.permit_wait.count();
+        let queue_before = clock::thread_time_stats();
+        // Two requests offered at the same instant: the second waits out
+        // the first's service time on the modeled server.
+        for _ in 0..2 {
+            let mut ctx = RequestCtx::new();
+            ctx.arrival_nanos = Some(0);
+            node.try_rpc_named(&mut ctx, "ping", || ()).unwrap();
+        }
+        let queued = clock::thread_time_stats().saturating_sub(&queue_before);
+        assert_eq!(queued.count(TimeCategory::Queue), 1);
+        assert_eq!(queued.nanos(TimeCategory::Queue), 100_000);
+        assert_eq!(node.metrics.permit_wait.count(), waits_before + 1);
     }
 }

@@ -17,16 +17,13 @@
 //! never blocked behind directory modifications for more than a node-local
 //! critical section. DESIGN.md §2 documents this substitution.
 //!
-//! The crate also provides the generic pieces the simulated cluster and
-//! TafDB need: a counting [`Semaphore`] (per-node capacity model) and a
+//! The crate also provides the one generic piece TafDB needs: a
 //! [`LatchTable`] of striped row latches.
 
 pub mod latch;
 pub mod prefix_tree;
 pub mod removal_list;
-pub mod semaphore;
 
 pub use latch::LatchTable;
 pub use prefix_tree::PrefixTree;
 pub use removal_list::RemovalList;
-pub use semaphore::{Semaphore, SemaphoreGuard};

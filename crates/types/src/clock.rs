@@ -12,18 +12,17 @@
 //! latency figures plot. Cross-thread coordination (raft heartbeats,
 //! background compaction, condvar waits) stays on real time — those are
 //! liveness mechanisms, not modeled latency. Whatever a client should
-//! observe from such a wait is added to its timeline at the wait site: a
-//! measured real wait (permit acquisition on a saturated `SimNode`) with
-//! [`fold_real_wait`], the modeled cost of another thread's work (the
-//! quorum round trip a raft client waited out on a condvar) with a plain
-//! [`sleep_as`].
+//! observe from such a wait is the modeled cost of another thread's work
+//! (the quorum round trip a raft client waited out on a condvar), added to
+//! its timeline at the wait site with a plain [`sleep_as`]; no measured
+//! real duration ever enters a timeline.
 //!
 //! Each thread additionally keeps a per-[`TimeCategory`] `(count, nanos)`
 //! ledger so tests can assert the closed-form decomposition of an
 //! operation's latency (`rpc_count × rtt + fsync_count × fsync`) exactly.
 
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::{Serialize, Value};
 
@@ -44,7 +43,8 @@ pub enum TimeCategory {
     Fault,
     /// Contention backoff before a retry.
     Backoff,
-    /// Measured real permit-wait on a saturated `SimNode`.
+    /// Modeled admission wait behind a `SimNode`'s bounded queue
+    /// (`queue_cap > 0`); never a measured real wait.
     Queue,
     /// Modeled replication/commit latency folded in at a cross-thread
     /// wait site (raft quorum commit).
@@ -242,8 +242,7 @@ impl SimInstant {
         now().saturating_duration_since(self)
     }
 
-    /// `self - earlier`, clamped to zero (mirrors
-    /// `Instant::saturating_duration_since`).
+    /// `self - earlier`, clamped to zero.
     pub fn saturating_duration_since(self, earlier: SimInstant) -> Duration {
         Duration::from_nanos(self.nanos.saturating_sub(earlier.nanos))
     }
@@ -289,18 +288,6 @@ pub fn sleep_as(cat: TimeCategory, d: Duration) {
 /// [`sleep_as`] with [`TimeCategory::Other`].
 pub fn sleep(d: Duration) {
     sleep_as(TimeCategory::Other, d);
-}
-
-/// Runs `wait` — a real cross-thread block, e.g. a `SimNode` permit
-/// acquire — and folds the real time it took into the calling thread's
-/// timeline under `cat`; returns its result and the measured duration.
-/// Living here keeps `std::time::Instant` out of every data-path crate.
-pub fn fold_real_wait<R>(cat: TimeCategory, wait: impl FnOnce() -> R) -> (R, Duration) {
-    let start = Instant::now();
-    let out = wait();
-    let waited = start.elapsed();
-    sleep_as(cat, waited);
-    (out, waited)
 }
 
 /// Snapshot of the calling thread's per-category ledger.
@@ -349,20 +336,6 @@ mod tests {
         .unwrap();
         assert_eq!(here.as_nanos(), 5_000_000);
         assert_eq!(there, SimInstant::ZERO);
-    }
-
-    #[test]
-    fn fold_real_wait_charges_what_the_wait_took() {
-        reset_thread_clock();
-        let t0 = now();
-        let (out, waited) = fold_real_wait(TimeCategory::Queue, || 7);
-        assert_eq!(out, 7);
-        assert_eq!(t0.elapsed(), waited);
-        assert_eq!(thread_time_stats().count(TimeCategory::Queue), 1);
-        assert_eq!(
-            thread_time_stats().nanos(TimeCategory::Queue),
-            waited.as_nanos() as u64
-        );
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub struct SimConfig {
     /// plus tens of microseconds for device access"). Default 50 µs.
     pub device_micros: u64,
     /// CPU service time a metadata server spends per request, in
-    /// microseconds. Charged while holding a node capacity permit.
+    /// microseconds. Charged on the caller's timeline.
     pub service_micros: u64,
     /// Extra CPU time the IndexNode spends per path level resolved through
     /// the IndexTable, in microseconds. This is what makes deep uncached
@@ -85,12 +85,13 @@ pub struct SimConfig {
     /// down into several local accesses") and what the TopDirPathCache
     /// saves (Figures 16 and 18).
     pub index_level_micros: u64,
-    /// Request-execution permits per sharded-DB node (models a 32-core
-    /// server, scaled down).
+    /// Server count of a sharded-DB node (models a 32-core server, scaled
+    /// down). Recorded on the node and enforced by nothing today; the
+    /// modeled k-server queue of ROADMAP item 1(b) is its consumer.
     pub db_node_permits: usize,
-    /// Request-execution permits for single "big" nodes (IndexNode leader,
-    /// LocoFS directory server, InfiniFS rename coordinator; the paper gives
-    /// these 64-core machines).
+    /// Server count of the single "big" nodes (IndexNode leader, LocoFS
+    /// directory server, InfiniFS rename coordinator; the paper gives these
+    /// 64-core machines). Recorded, not enforced, like `db_node_permits`.
     pub index_node_permits: usize,
     /// Admission-queue depth cap per simulated node. `0` (the default)
     /// means unbounded queueing — the pre-admission-control behaviour.
@@ -115,8 +116,8 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// A configuration with all injected delays set to zero and effectively
-    /// unbounded node capacity — used by unit and property tests.
+    /// A configuration with all injected delays set to zero — used by unit
+    /// and property tests.
     pub fn instant() -> Self {
         SimConfig {
             rtt_micros: 0,

@@ -6,8 +6,6 @@
 //! a request plane needs to make admission and retry decisions *at every
 //! hop* without side channels:
 //!
-//! * a process-unique **op id** doubling as the trace-correlation handle
-//!   for the flight recorder,
 //! * an optional **deadline** on the simulation clock, propagated to
 //!   servers so they can abort server-side instead of burning service time
 //!   on a request the client has already given up on,
@@ -22,18 +20,14 @@
 //! `&mut OpStats` signatures and receive the context by deref coercion.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::clock::{self, SimInstant};
 use crate::stats::{OpStats, Phase};
 
-static NEXT_OP_ID: AtomicU64 = AtomicU64::new(1);
-
 /// Per-operation request context (see module docs).
 #[derive(Clone, Debug)]
 pub struct RequestCtx {
-    op_id: u64,
     /// Absolute simulation-clock deadline. `None` = no deadline. Servers
     /// check this *after* admission and *before* charging service time.
     pub deadline: Option<SimInstant>,
@@ -58,11 +52,10 @@ impl Default for RequestCtx {
 }
 
 impl RequestCtx {
-    /// A fresh context: unique op id, no deadline, effectively unbounded
-    /// retry budget, empty stats.
+    /// A fresh context: no deadline, effectively unbounded retry budget,
+    /// empty stats.
     pub fn new() -> Self {
         RequestCtx {
-            op_id: NEXT_OP_ID.fetch_add(1, Ordering::Relaxed),
             deadline: None,
             retry_budget: u32::MAX,
             arrival_nanos: None,
@@ -92,11 +85,6 @@ impl RequestCtx {
     pub fn with_arrival_nanos(mut self, nanos: u64) -> Self {
         self.arrival_nanos = Some(nanos);
         self
-    }
-
-    /// Process-unique operation id; also the trace-correlation handle.
-    pub fn op_id(&self) -> u64 {
-        self.op_id
     }
 
     /// Whether the deadline (if any) has passed on the calling thread's
@@ -152,13 +140,6 @@ impl DerefMut for RequestCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn op_ids_are_unique() {
-        let a = RequestCtx::new();
-        let b = RequestCtx::new();
-        assert_ne!(a.op_id(), b.op_id());
-    }
 
     #[test]
     fn no_deadline_by_default() {

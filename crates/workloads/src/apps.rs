@@ -264,15 +264,9 @@ mod tests {
         let run = || {
             // What still depends on scheduling in a conflict-free run is the
             // service's, so it is pinned off: which follower serves a read
-            // (a cross-thread round robin), who shares a WAL fsync, who
-            // pays the IndexNode prefix-cache miss, and real permit waits
-            // folded into the waiter's clock.
-            let sim = SimConfig {
-                db_node_permits: usize::MAX,
-                index_node_permits: usize::MAX,
-                ..SimConfig::default()
-            };
-            let mut mantle = mantle_core::MantleConfig::with_sim(sim, 4);
+            // (a cross-thread round robin), who shares a WAL fsync and who
+            // pays the IndexNode prefix-cache miss.
+            let mut mantle = mantle_core::MantleConfig::with_sim(SimConfig::default(), 4);
             mantle.index.follower_reads = false;
             mantle.index.path_cache = false;
             mantle.db.group_commit = false;

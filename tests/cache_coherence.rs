@@ -155,8 +155,8 @@ struct GateRun {
     /// `(completed, failed, rpcs)`.
     counts: (u64, u64, u64),
     /// Sum over the ops, and the fastest op (with eight clients only the
-    /// floor is a pure function of the model: a thread that really waited
-    /// folds that wait into its own timeline).
+    /// floor is a pure function of the model: which client pays a cache
+    /// fill or a lease revalidation depends on real scheduling).
     total_nanos: u64,
     floor_nanos: u64,
     cache: mantle::core::pathcache::PathCacheStats,

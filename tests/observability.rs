@@ -146,10 +146,6 @@ fn workload_populates_registry_and_snapshot_serializes() {
     ] {
         assert!(snap.counter_total(name) > 0, "{name} is zero");
     }
-    assert!(
-        snap.histogram_count("simnode_permit_wait_nanos") > 0,
-        "no queue waits recorded"
-    );
 
     let json = serde_json::to_string(&snap).expect("snapshot serializes");
     let value: serde_json::Value = serde_json::from_str(&json).expect("snapshot JSON parses");

@@ -92,6 +92,46 @@ fn setattr_on_missing_or_object_path_fails() {
     ));
 }
 
+/// A read-only parent refuses every namespace write beneath it, `delete`
+/// included, and the refusal is decided on the resolved permission: no
+/// TafDB RPC is spent on it.
+#[test]
+fn read_only_parent_refuses_delete_like_create() {
+    let cluster = MantleCluster::build(SimConfig::instant(), 4);
+    let svc = cluster.service();
+    let mut stats = RequestCtx::new();
+    svc.mkdir(&p("/d"), &mut stats).unwrap();
+    svc.create(&p("/d/o"), 1, &mut stats).unwrap();
+    cluster
+        .setattr(&p("/d"), Permission(0b101), &mut stats)
+        .unwrap();
+
+    assert!(matches!(
+        svc.create(&p("/d/o2"), 1, &mut stats),
+        Err(MetaError::PermissionDenied(_))
+    ));
+    let guard = trace::start_forced("delete").expect("no trace active on this thread");
+    let refused = svc.delete(&p("/d/o"), &mut stats);
+    let t = guard.finish();
+    assert!(
+        matches!(refused, Err(MetaError::PermissionDenied(_))),
+        "{refused:?}"
+    );
+    let tafdb_rpcs = t
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Rpc && s.node.starts_with("tafdb"))
+        .count();
+    assert_eq!(tafdb_rpcs, 0, "{}", t.render());
+
+    // The object is still there, and deletable once WRITE is back.
+    assert_eq!(svc.objstat(&p("/d/o"), &mut stats).unwrap().size, 1);
+    cluster
+        .setattr(&p("/d"), Permission::ALL, &mut stats)
+        .unwrap();
+    svc.delete(&p("/d/o"), &mut stats).unwrap();
+}
+
 /// The TafDB half of `setattr` goes through the request plane: one
 /// single-shard transaction (row lock, engine write, WAL append) and no
 /// separate read.

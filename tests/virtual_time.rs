@@ -292,9 +292,9 @@ fn total_nanos(h: &mantle::types::hist::Histogram) -> u64 {
 /// path-lease cache off. Counts are `==` on every row and must repeat on a
 /// second pass over a fresh cluster; modeled time is `==` on the whole
 /// histogram sum where one client runs, and on the fastest op where eight
-/// do (a thread that really waited on a permit or latch folds those
-/// nanoseconds into its own timeline, so only the floor is a pure function
-/// of the model there). Mkdir stays single-threaded: inode-allocation
+/// do (which client pays a prefix-cache fill or shares a WAL fsync depends
+/// on real scheduling, so only the floor is a pure function of the model
+/// there). Mkdir stays single-threaded: inode-allocation
 /// order decides shard routing, hence 1PC vs 2PC.
 #[test]
 fn gate_suite_rows_are_pinned_exactly() {

@@ -13,7 +13,9 @@ clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # No raw_put outside crates/tafdb/src, no AttrDelta literal outside its two
-# defining files (DESIGN.md §4.3); no thread::scope / flight::op_scope /
+# defining files, and no per-level permission walk, spelled-out refusal,
+# leaf split or rename precheck outside crates/types/src/resolve.rs
+# (DESIGN.md §4.3); no thread::scope / flight::op_scope /
 # trace::start in a workload or figure binary outside the driver module
 # (DESIGN.md §3), and none of the retired flight/trace plumbing, a second op
 # slot, the unread per-shard phase gauge (DESIGN.md §4.8) or the real-time
@@ -22,6 +24,7 @@ clippy:
 # line count.
 vocabulary:
 	ci/write_vocabulary.sh
+	ci/resolve_vocabulary.sh
 	ci/one_client_loop.sh
 	ci/real_time_sites.sh
 

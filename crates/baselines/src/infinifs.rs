@@ -20,16 +20,16 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::relaxed::Relaxed;
+use crate::relaxed::{dir_step, Relaxed, ROOT};
 use mantle_core::cluster::SvcMetrics;
 use mantle_core::pathcache::{PathLeaseCache, PathLeaseConfig};
 use mantle_core::MantleConfig;
 use mantle_rpc::{RetryPolicy, SimNode};
 use mantle_tafdb::{attr_key, recipe, Row, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
-    id::IdAllocator, BulkLoad, DirAttrMeta, DirEntry, DirStat, InodeId, LeasedPath, MetaError,
-    MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath, Result,
-    RetryClass, SimConfig, ROOT_ID, SCALED_DB_SHARDS,
+    id::IdAllocator, resolve, BulkLoad, DirAttrMeta, DirEntry, DirStat, InodeId, LeasedPath,
+    MetaError, MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath,
+    Result, RetryClass, SimConfig, ROOT_ID, SCALED_DB_SHARDS,
 };
 
 /// InfiniFS deployment options.
@@ -50,19 +50,28 @@ impl Default for InfiniFsOptions {
 /// Most speculative queries a single resolution issues per round.
 const MAX_PARALLEL: usize = 16;
 
-/// Predicted directory id: a hash of the full path (FNV-1a, high bit set so
-/// it can never collide with the root id).
-fn predict(path: &MetaPath) -> InodeId {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for comp in path.components() {
-        for b in comp.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h ^= 0x2f; // Component separator.
+/// FNV-1a offset basis: the running hash of the empty path.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// The running FNV-1a hash `h` of a path, extended by one component and its
+/// separator byte (which keeps `/ab` and `/a/b` apart).
+fn hash_component(mut h: u64, comp: &str) -> u64 {
+    for b in comp.bytes().chain([b'/']) {
+        h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
+    h
+}
+
+/// The directory id a running path hash predicts (high bit set so it can
+/// never collide with the root id).
+fn predicted_id(h: u64) -> InodeId {
     InodeId(h | (1 << 63))
+}
+
+/// Predicted directory id: a hash of the full path.
+fn predict(path: &MetaPath) -> InodeId {
+    predicted_id(path.components().fold(FNV_OFFSET, hash_component))
 }
 
 /// The InfiniFS-style metadata service.
@@ -149,10 +158,7 @@ impl InfiniFs {
     /// Path resolution, optionally short-circuited by the path-lease cache.
     fn resolve_dir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
         if path.is_root() {
-            return Ok(ResolvedPath {
-                id: ROOT_ID,
-                permission: Permission::ALL,
-            });
+            return Ok(ROOT);
         }
         if self.pcache.enabled() {
             // No namespace-version metadata here: a revalidation is a full
@@ -176,62 +182,36 @@ impl InfiniFs {
     /// Speculative parallel resolution with sequential fallback on
     /// misprediction.
     fn speculative_resolve(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
-        let comps: Vec<&str> = path.components().collect();
-        let depth = comps.len();
-
-        // Fire the speculative queries in rounds of up to MAX_PARALLEL.
-        let mut rows: Vec<Option<Row>> = Vec::with_capacity(depth);
-        let mut issued = 0;
-        while issued < depth {
-            let width = (depth - issued).min(MAX_PARALLEL);
-            // One injected round trip covers the whole parallel round.
-            mantle_rpc::net_round_trip(&self.config);
-            for j in 0..width {
-                let level = issued + j;
-                let pred_parent = if level == 0 {
-                    ROOT_ID
-                } else {
-                    predict(&path.prefix(level))
-                };
-                rows.push(
-                    self.db
-                        .get_entry_batched(pred_parent, comps[level], stats)?,
-                );
+        // Fire the speculative queries in rounds of up to MAX_PARALLEL, each
+        // level under the parent id its prefix predicts (hashed once, as a
+        // running hash; the first level hangs off the root).
+        let mut rows: Vec<(InodeId, Option<Row>)> = Vec::with_capacity(path.depth());
+        let (mut hash, mut pred_parent) = (FNV_OFFSET, ROOT_ID);
+        for (level, comp) in path.components().enumerate() {
+            if level % MAX_PARALLEL == 0 {
+                // One injected round trip covers the whole parallel round.
+                mantle_rpc::net_round_trip(&self.config);
             }
-            issued += width;
+            let row = self.db.get_entry_batched(pred_parent, comp, stats)?;
+            rows.push((pred_parent, row));
+            hash = hash_component(hash, comp);
+            pred_parent = predicted_id(hash);
         }
 
         // Validate the chain; mispredicted levels resolve sequentially.
-        let mut pid = ROOT_ID;
-        let mut permission = Permission::ALL;
-        for level in 0..depth {
-            if !permission.allows_traverse() {
-                return Err(MetaError::PermissionDenied(path.to_string()));
+        resolve::walk(path, 0, ROOT, |level, at, comp| {
+            let (pred_parent, row) = &rows[level];
+            if at.id == *pred_parent {
+                return match row {
+                    Some(Row::DirAccess { id, permission }) => Ok(Some((*id, *permission))),
+                    Some(_) => Err(MetaError::NotADirectory(path.to_string())),
+                    None => Ok(None),
+                };
             }
-            let pred_parent = if level == 0 {
-                ROOT_ID
-            } else {
-                predict(&path.prefix(level))
-            };
-            let (id, perm) = if pid == pred_parent {
-                match &rows[level] {
-                    Some(Row::DirAccess { id, permission }) => (*id, *permission),
-                    Some(_) => return Err(MetaError::NotADirectory(comps[level].to_string())),
-                    None => return Err(MetaError::NotFound(path.to_string())),
-                }
-            } else {
-                // Misprediction (renamed ancestor): sequential fallback.
-                self.mispredictions.inc();
-                mantle_obs::flight::annotate_with(|| format!("infinifs:mispredict level={level}"));
-                self.db.resolve_step(pid, comps[level], stats)?
-            };
-            pid = id;
-            permission = permission.intersect(perm);
-        }
-
-        Ok(ResolvedPath {
-            id: pid,
-            permission,
+            // Misprediction (renamed ancestor): sequential fallback.
+            self.mispredictions.inc();
+            mantle_obs::flight::annotate_with(|| format!("infinifs:mispredict level={level}"));
+            dir_step(self.db.resolve_step(at.id, comp, stats), path)
         })
     }
 
@@ -240,10 +220,7 @@ impl InfiniFs {
         path: &'p MetaPath,
         stats: &mut RequestCtx,
     ) -> Result<(ResolvedPath, &'p str)> {
-        let parent = path
-            .parent()
-            .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
-        let name = path.name().expect("non-root");
+        let (parent, name) = path.split_leaf()?;
         Ok((self.resolve_dir(&parent, stats)?, name))
     }
 
@@ -294,9 +271,7 @@ impl MetadataService for InfiniFs {
         self.ops.mkdir.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            if !parent.permission.allows(Permission::WRITE) {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
+            parent.require(Permission::WRITE, path)?;
             let mut id = predict(path);
             let now = self.relaxed().now();
             // CFS two-transaction strategy, sequenced by hand: (1) the new
@@ -354,7 +329,7 @@ impl MetadataService for InfiniFs {
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.delete.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.relaxed().delete(parent, name, stats)
+        self.relaxed().delete(path, parent, name, stats)
     }
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
@@ -394,20 +369,14 @@ impl MetadataService for InfiniFs {
 
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.rename_dir.inc();
-        if src.is_root() || dst.is_root() {
-            return Err(MetaError::InvalidRename("root cannot be renamed".into()));
-        }
-        if src.is_prefix_of(dst) {
-            return Err(MetaError::RenameLoop {
-                src: src.to_string(),
-                dst: dst.to_string(),
-            });
-        }
+        src.rename_precheck(dst)?;
         let (src_parent, src_name, dst_parent, dst_name) = stats.time(Phase::Lookup, |stats| {
             let (sp, sn) = self.resolve_parent(src, stats)?;
             let (dp, dn) = self.resolve_parent(dst, stats)?;
             Ok::<_, MetaError>((sp, sn, dp, dn))
         })?;
+        src_parent.require(Permission::WRITE, src)?;
+        dst_parent.require(Permission::WRITE, dst)?;
 
         // Coordinator lock with retry (the paper's rename coordinator runs
         // on its own servers; conflicts abort and retry). Only
@@ -455,10 +424,9 @@ impl BulkLoad for InfiniFs {
     }
 
     fn bulk_object(&self, path: &MetaPath, size: u64) {
-        let parent = path.parent().expect("objects cannot be the root");
-        let pid = self.bulk_dir(&parent);
+        let (parent, name) = path.split_leaf().expect("objects cannot be the root");
         self.relaxed()
-            .bulk_object(pid, path.name().expect("non-root"), size);
+            .bulk_object(self.bulk_dir(&parent), name, size);
     }
 }
 

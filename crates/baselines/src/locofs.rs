@@ -20,15 +20,16 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::relaxed::ROOT;
 use mantle_core::cluster::SvcMetrics;
 use mantle_index::{IndexEntry, IndexTable};
 use mantle_raft::{RaftGroup, RaftOptions, RaftReplica, StateMachine};
 use mantle_rpc::SimNode;
 use mantle_tafdb::{recipe, TafDb, TafDbOptions};
 use mantle_types::{
-    id::IdAllocator, AttrDelta, BulkLoad, DirAttrMeta, DirEntry, DirStat, EntryKind, InodeId,
-    MetaError, MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath,
-    Result, SimConfig, ROOT_ID, SCALED_DB_SHARDS,
+    id::IdAllocator, resolve, AttrDelta, BulkLoad, DirAttrMeta, DirEntry, DirStat, EntryKind,
+    InodeId, MetaError, MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx,
+    ResolvedPath, Result, SimConfig, ROOT_ID, SCALED_DB_SHARDS,
 };
 
 /// LocoFS deployment options.
@@ -135,23 +136,8 @@ impl LocoSm {
         mantle_rpc::inject_delay(std::time::Duration::from_micros(
             self.config.index_level_micros * path.depth() as u64,
         ));
-        let mut pid = ROOT_ID;
-        let mut permission = Permission::ALL;
-        for comp in path.components() {
-            if !permission.allows_traverse() {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
-            match self.table.get(pid, comp) {
-                Some(e) => {
-                    pid = e.id;
-                    permission = permission.intersect(e.permission);
-                }
-                None => return Err(MetaError::NotFound(path.to_string())),
-            }
-        }
-        Ok(ResolvedPath {
-            id: pid,
-            permission,
+        resolve::walk(path, 0, ROOT, |_, at, comp| {
+            Ok(self.table.get(at.id, comp).map(|e| (e.id, e.permission)))
         })
     }
 
@@ -448,10 +434,7 @@ impl MetadataService for LocoFs {
 
     fn mkdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<InodeId> {
         self.ops.mkdir.inc();
-        let parent = path
-            .parent()
-            .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
-        let name = path.name().expect("non-root").to_string();
+        let (parent, name) = path.split_leaf()?;
         // LocoFS performs resolution and mutation in the same directory-
         // server visit; the whole visit is the execute phase (§6.3).
         stats.time(Phase::Execute, |stats| {
@@ -460,17 +443,15 @@ impl MetadataService for LocoFs {
             let pid = self.dir_rpc(stats, |l| {
                 let sm = l.state_machine();
                 let parent_res = sm.resolve(&parent)?;
-                if !parent_res.permission.allows(Permission::WRITE) {
-                    return Err(MetaError::PermissionDenied(path.to_string()));
-                }
-                if sm.table.get(parent_res.id, &name).is_some() {
+                parent_res.require(Permission::WRITE, path)?;
+                if sm.table.get(parent_res.id, name).is_some() {
                     return Err(MetaError::AlreadyExists(path.to_string()));
                 }
                 Ok(parent_res.id)
             })?;
             // Cross-component check: an object of this name in the object
             // DB also blocks the mkdir.
-            if self.db.get_entry(pid, &name, stats)?.is_some() {
+            if self.db.get_entry(pid, name, stats)?.is_some() {
                 return Err(MetaError::AlreadyExists(path.to_string()));
             }
             let leader = self.leader()?;
@@ -478,7 +459,7 @@ impl MetadataService for LocoFs {
                 &leader,
                 LocoCmd::Mkdir {
                     pid,
-                    name: Arc::from(name.as_str()),
+                    name: Arc::from(name),
                     id,
                     now,
                 },
@@ -489,15 +470,13 @@ impl MetadataService for LocoFs {
 
     fn rmdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.rmdir.inc();
-        let parent = path
-            .parent()
-            .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
-        let name = path.name().expect("non-root").to_string();
+        let (parent, name) = path.split_leaf()?;
         stats.time(Phase::Execute, |stats| {
             self.dir_rpc_propose(stats, |l| {
                 let sm = l.state_machine();
                 let parent_res = sm.resolve(&parent)?;
-                let Some(entry) = sm.table.get(parent_res.id, &name) else {
+                parent_res.require(Permission::WRITE, path)?;
+                let Some(entry) = sm.table.get(parent_res.id, name) else {
                     return Err(MetaError::NotFound(path.to_string()));
                 };
                 let attrs = sm.attrs.lock();
@@ -510,7 +489,7 @@ impl MetadataService for LocoFs {
                 drop(attrs);
                 let cmd = LocoCmd::Rmdir {
                     pid: parent_res.id,
-                    name: Arc::from(name.as_str()),
+                    name: Arc::from(name),
                     id: entry.id,
                     now: self.now(),
                 };
@@ -521,10 +500,7 @@ impl MetadataService for LocoFs {
 
     fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {
         self.ops.create.inc();
-        let parent = path
-            .parent()
-            .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
-        let name = path.name().expect("non-root").to_string();
+        let (parent, name) = path.split_leaf()?;
         // Cross-component coordination (§3.3): the directory server
         // resolves the parent and applies the attribute bump, the object DB
         // holds the object row (and the duplicate check).
@@ -532,9 +508,10 @@ impl MetadataService for LocoFs {
             self.dir_rpc(stats, |l| {
                 let sm = l.state_machine();
                 let parent_res = sm.resolve(&parent)?;
+                parent_res.require(Permission::WRITE, path)?;
                 // The duplicate-name check "must go through the directory
                 // node" (§3.3): a directory with this name shadows it.
-                if sm.table.get(parent_res.id, &name).is_some() {
+                if sm.table.get(parent_res.id, name).is_some() {
                     return Err(MetaError::AlreadyExists(path.to_string()));
                 }
                 Ok(parent_res.id)
@@ -545,7 +522,7 @@ impl MetadataService for LocoFs {
             let now = self.now();
             // The recipe's second half, the parent's attributes, lives on
             // the directory server, not in the object DB.
-            let [insert, _] = recipe::create(pid, &name, id, size, 0, now);
+            let [insert, _] = recipe::create(pid, name, id, size, 0, now);
             self.db.execute_relaxed(&[insert], stats)?;
             let delta = AttrDelta::entry_added(now);
             self.dir_rpc_propose(stats, |_| Ok(((), LocoCmd::Bump { dir: pid, delta })))?;
@@ -555,18 +532,18 @@ impl MetadataService for LocoFs {
 
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.delete.inc();
-        let parent = path
-            .parent()
-            .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
-        let name = path.name().expect("non-root").to_string();
+        let (parent, name) = path.split_leaf()?;
         let pid = stats.time(Phase::Lookup, |stats| {
-            self.dir_rpc(stats, |l| l.state_machine().resolve(&parent))
-                .map(|r| r.id)
+            self.dir_rpc(stats, |l| {
+                let parent_res = l.state_machine().resolve(&parent)?;
+                parent_res.require(Permission::WRITE, path)?;
+                Ok(parent_res.id)
+            })
         })?;
         stats.time(Phase::Execute, |stats| {
-            self.db.get_object(pid, &name, stats)?;
+            self.db.get_object(pid, name, stats)?;
             let now = self.now();
-            let [remove, _] = recipe::delete(pid, &name, now);
+            let [remove, _] = recipe::delete(pid, name, now);
             self.db.execute_relaxed(&[remove], stats)?;
             let delta = AttrDelta::entry_removed(now);
             self.dir_rpc_propose(stats, |_| Ok(((), LocoCmd::Bump { dir: pid, delta })))
@@ -575,17 +552,12 @@ impl MetadataService for LocoFs {
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
         self.ops.objstat.inc();
-        let parent = path
-            .parent()
-            .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
-        let name = path.name().expect("non-root").to_string();
+        let (parent, name) = path.split_leaf()?;
         let pid = stats.time(Phase::Lookup, |stats| {
             self.dir_rpc(stats, |l| l.state_machine().resolve(&parent))
                 .map(|r| r.id)
         })?;
-        stats.time(Phase::Execute, |stats| {
-            self.db.get_object(pid, &name, stats)
-        })
+        stats.time(Phase::Execute, |stats| self.db.get_object(pid, name, stats))
     }
 
     fn dirstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<DirStat> {
@@ -648,26 +620,20 @@ impl MetadataService for LocoFs {
 
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.rename_dir.inc();
-        if src.is_root() || dst.is_root() {
-            return Err(MetaError::InvalidRename("root cannot be renamed".into()));
-        }
-        let dst_name = dst.name().expect("non-root");
         stats.time(Phase::LoopDetect, |stats| {
-            let (dst_pid, cmd) = self.dir_rpc(stats, |l| {
+            let (dst_pid, dst_name, cmd) = self.dir_rpc(stats, |l| {
                 let sm = l.state_machine();
                 // Loop detection is local (and serialized by the leader).
-                if src.is_prefix_of(dst) {
-                    return Err(MetaError::RenameLoop {
-                        src: src.to_string(),
-                        dst: dst.to_string(),
-                    });
-                }
-                let src_parent = sm.resolve(&src.parent().expect("non-root"))?;
-                let src_name = src.name().expect("non-root");
+                src.rename_precheck(dst)?;
+                let (src_parent, src_name) = src.split_leaf()?;
+                let (dst_parent, dst_name) = dst.split_leaf()?;
+                let src_parent = sm.resolve(&src_parent)?;
+                src_parent.require(Permission::WRITE, src)?;
                 if sm.table.get(src_parent.id, src_name).is_none() {
                     return Err(MetaError::NotFound(src.to_string()));
                 }
-                let dst_parent = sm.resolve(&dst.parent().expect("non-root"))?;
+                let dst_parent = sm.resolve(&dst_parent)?;
+                dst_parent.require(Permission::WRITE, dst)?;
                 if sm.table.get(dst_parent.id, dst_name).is_some() {
                     return Err(MetaError::AlreadyExists(dst.to_string()));
                 }
@@ -678,7 +644,7 @@ impl MetadataService for LocoFs {
                     dst_name: Arc::from(dst_name),
                     now: self.now(),
                 };
-                Ok((dst_parent.id, cmd))
+                Ok((dst_parent.id, dst_name, cmd))
             })?;
             // Cross-component check, as in mkdir: an object of the
             // destination name in the object DB blocks the rename too, and
@@ -717,8 +683,7 @@ impl BulkLoad for LocoFs {
     }
 
     fn bulk_object(&self, path: &MetaPath, size: u64) {
-        let parent = path.parent().expect("objects cannot be the root");
-        let name = path.name().expect("non-root");
+        let (parent, name) = path.split_leaf().expect("objects cannot be the root");
         let pid = self.bulk_dir(&parent);
         let id = self.ids.alloc();
         let now = self.now();

@@ -4,7 +4,7 @@
 //! executor (independent single-row writes, the parent-attribute update
 //! under a blocking latch), `dirstat`/`readdir`/`list` are plain reads of
 //! the ordered shard store, and a bulk load is the same recipes applied
-//! for free.
+//! for free. A level of either system's walk is [`dir_step`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -13,6 +13,28 @@ use mantle_types::{
     id::IdAllocator, DirEntry, DirStat, InodeId, MetaError, MetaPath, Permission, Phase,
     RequestCtx, ResolvedPath, Result, ROOT_ID,
 };
+
+/// Where every baseline's walk starts: the one namespace root.
+pub(crate) const ROOT: ResolvedPath = ResolvedPath {
+    id: ROOT_ID,
+    permission: Permission::ALL,
+};
+
+/// One level of a DBtable walk of `path`, as `resolve::walk` takes it:
+/// [`TafDb::resolve_step`]'s verdict, with a missing entry as `None` and an
+/// object in the way — the kind only a system that reads rows can tell —
+/// naming the whole path.
+pub(crate) fn dir_step(
+    step: Result<(InodeId, Permission)>,
+    path: &MetaPath,
+) -> Result<Option<(InodeId, Permission)>> {
+    match step {
+        Ok(entry) => Ok(Some(entry)),
+        Err(MetaError::NotFound(_)) => Ok(None),
+        Err(MetaError::NotADirectory(_)) => Err(MetaError::NotADirectory(path.to_string())),
+        Err(other) => Err(other),
+    }
+}
 
 /// A baseline's table, id allocator and logical clock, borrowed for one
 /// operation.
@@ -37,9 +59,7 @@ impl Relaxed<'_> {
         stats: &mut RequestCtx,
     ) -> Result<InodeId> {
         stats.time(Phase::Execute, |stats| {
-            if !parent.permission.allows(Permission::WRITE) {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
+            parent.require(Permission::WRITE, path)?;
             let id = self.ids.alloc();
             let ops = recipe::create(parent.id, name, id, size, 0, self.now());
             self.db.execute_relaxed(&ops, stats)?;
@@ -49,11 +69,13 @@ impl Relaxed<'_> {
 
     pub(crate) fn delete(
         &self,
+        path: &MetaPath,
         parent: ResolvedPath,
         name: &str,
         stats: &mut RequestCtx,
     ) -> Result<()> {
         stats.time(Phase::Execute, |stats| {
+            parent.require(Permission::WRITE, path)?;
             self.db.get_object(parent.id, name, stats)?;
             let ops = recipe::delete(parent.id, name, self.now());
             self.db.execute_relaxed(&ops, stats)
@@ -71,6 +93,7 @@ impl Relaxed<'_> {
         dir: InodeId,
         stats: &mut RequestCtx,
     ) -> Result<()> {
+        parent.require(Permission::WRITE, path)?;
         if !self.db.readdir(dir, stats)?.is_empty() {
             return Err(MetaError::NotEmpty(path.to_string()));
         }

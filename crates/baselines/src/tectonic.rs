@@ -9,12 +9,12 @@
 
 use std::sync::Arc;
 
-use crate::relaxed::Relaxed;
+use crate::relaxed::{dir_step, Relaxed, ROOT};
 use mantle_core::cluster::SvcMetrics;
 use mantle_tafdb::{recipe, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
-    id::IdAllocator, BulkLoad, DirEntry, DirStat, InodeId, MetaError, MetaPath, MetadataService,
-    ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath, Result, SimConfig, ROOT_ID,
+    id::IdAllocator, resolve, BulkLoad, DirEntry, DirStat, InodeId, MetaError, MetaPath,
+    MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath, Result, SimConfig,
 };
 
 /// Tectonic deployment options.
@@ -107,19 +107,8 @@ impl Tectonic {
     /// Level-by-level traversal: one RPC per component (the dotted arrows
     /// of Figure 2), with a permission check at each step.
     fn resolve_dir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
-        let mut pid = ROOT_ID;
-        let mut permission = Permission::ALL;
-        for comp in path.components() {
-            if !permission.allows_traverse() {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
-            let (id, perm) = self.db.resolve_step(pid, comp, stats)?;
-            pid = id;
-            permission = permission.intersect(perm);
-        }
-        Ok(ResolvedPath {
-            id: pid,
-            permission,
+        resolve::walk(path, 0, ROOT, |_, at, comp| {
+            dir_step(self.db.resolve_step(at.id, comp, stats), path)
         })
     }
 
@@ -128,10 +117,7 @@ impl Tectonic {
         path: &'p MetaPath,
         stats: &mut RequestCtx,
     ) -> Result<(ResolvedPath, &'p str)> {
-        let parent = path
-            .parent()
-            .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
-        let name = path.name().expect("non-root");
+        let (parent, name) = path.split_leaf()?;
         Ok((self.resolve_dir(&parent, stats)?, name))
     }
 }
@@ -150,9 +136,7 @@ impl MetadataService for Tectonic {
         self.ops.mkdir.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            if !parent.permission.allows(Permission::WRITE) {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
+            parent.require(Permission::WRITE, path)?;
             let id = self.ids.alloc();
             let ops = recipe::mkdir(parent.id, name, id, self.relaxed().now());
             self.run(&ops, stats)?;
@@ -181,7 +165,7 @@ impl MetadataService for Tectonic {
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.delete.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.relaxed().delete(parent, name, stats)
+        self.relaxed().delete(path, parent, name, stats)
     }
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
@@ -218,23 +202,17 @@ impl MetadataService for Tectonic {
 
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.rename_dir.inc();
-        if src.is_root() || dst.is_root() {
-            return Err(MetaError::InvalidRename("root cannot be renamed".into()));
-        }
         // Proxy-side loop detection on the (unlocked) paths — the relaxed
         // consistency of the re-implementation.
-        if src.is_prefix_of(dst) {
-            return Err(MetaError::RenameLoop {
-                src: src.to_string(),
-                dst: dst.to_string(),
-            });
-        }
+        src.rename_precheck(dst)?;
         let (src_parent, src_name, dst_parent, dst_name) = stats.time(Phase::Lookup, |stats| {
             let (sp, sn) = self.resolve_parent(src, stats)?;
             let (dp, dn) = self.resolve_parent(dst, stats)?;
             Ok::<_, MetaError>((sp, sn, dp, dn))
         })?;
         stats.time(Phase::Execute, |stats| {
+            src_parent.require(Permission::WRITE, src)?;
+            dst_parent.require(Permission::WRITE, dst)?;
             let (src_id, src_perm) = self.db.resolve_step(src_parent.id, src_name, stats)?;
             let mut ops = recipe::rename(
                 (src_parent.id, src_name),
@@ -261,10 +239,9 @@ impl BulkLoad for Tectonic {
     }
 
     fn bulk_object(&self, path: &MetaPath, size: u64) {
-        let parent = path.parent().expect("objects cannot be the root");
-        let pid = self.bulk_dir(&parent);
+        let (parent, name) = path.split_leaf().expect("objects cannot be the root");
         self.relaxed()
-            .bulk_object(pid, path.name().expect("non-root"), size);
+            .bulk_object(self.bulk_dir(&parent), name, size);
     }
 }
 

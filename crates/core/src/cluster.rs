@@ -333,12 +333,8 @@ impl MantleCluster {
         path: &'p MetaPath,
         stats: &mut RequestCtx,
     ) -> Result<(ResolvedPath, &'p str)> {
-        let parent = path
-            .parent()
-            .ok_or_else(|| MetaError::InvalidPath("operation on root".into()))?;
-        let name = path.name().expect("non-root path");
-        let resolved = self.cached_lookup(&parent, stats)?;
-        Ok((resolved, name))
+        let (parent, name) = path.split_leaf()?;
+        Ok((self.cached_lookup(&parent, stats)?, name))
     }
 }
 
@@ -356,9 +352,7 @@ impl MetadataService for MantleCluster {
         self.ops.mkdir.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            if !parent.permission.allows(Permission::WRITE) {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
+            parent.require(Permission::WRITE, path)?;
             let id = self.ids.alloc();
             let now = self.now();
             let ops = recipe::mkdir(parent.id, name, id, now);
@@ -383,9 +377,7 @@ impl MetadataService for MantleCluster {
             Ok::<_, MetaError>((dir, parent, name))
         })?;
         stats.time(Phase::Execute, |stats| {
-            if !parent.permission.allows(Permission::WRITE) {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
+            parent.require(Permission::WRITE, path)?;
             let now = self.now();
             let ops = recipe::rmdir(parent.id, name, dir.id, now);
             self.db.execute(&ops, stats)?;
@@ -401,9 +393,7 @@ impl MetadataService for MantleCluster {
         self.ops.create.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            if !parent.permission.allows(Permission::WRITE) {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
+            parent.require(Permission::WRITE, path)?;
             let id = self.ids.alloc();
             let now = self.now();
             let ops = recipe::create(parent.id, name, id, size, 0, now);
@@ -416,9 +406,7 @@ impl MetadataService for MantleCluster {
         self.ops.delete.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            if !parent.permission.allows(Permission::WRITE) {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
+            parent.require(Permission::WRITE, path)?;
             // Type check (an object, not a directory) before deleting.
             self.db.get_object(parent.id, name, stats)?;
             let now = self.now();
@@ -432,9 +420,7 @@ impl MetadataService for MantleCluster {
         self.ops.objstat.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            if !parent.permission.allows(Permission::READ) {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
+            parent.require(Permission::READ, path)?;
             self.db.get_object(parent.id, name, stats)
         })
     }
@@ -456,9 +442,7 @@ impl MetadataService for MantleCluster {
         self.ops.readdir.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.cached_lookup(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            if !dir.permission.allows(Permission::READ) {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
+            dir.require(Permission::READ, path)?;
             self.db.readdir(dir.id, stats)
         })
     }
@@ -473,9 +457,7 @@ impl MetadataService for MantleCluster {
         self.list_ops.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.cached_lookup(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            if !dir.permission.allows(Permission::READ) {
-                return Err(MetaError::PermissionDenied(path.to_string()));
-            }
+            dir.require(Permission::READ, path)?;
             self.db.readdir_page(dir.id, start_after, limit, stats)
         })
     }
@@ -523,8 +505,7 @@ impl mantle_types::BulkLoad for MantleCluster {
     }
 
     fn bulk_object(&self, path: &MetaPath, size: u64) {
-        let parent = path.parent().expect("objects cannot be the root");
-        let name = path.name().expect("non-root");
+        let (parent, name) = path.split_leaf().expect("objects cannot be the root");
         let pid = self.bulk_dir(&parent);
         let id = self.ids.alloc();
         let now = self.now();

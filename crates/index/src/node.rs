@@ -331,8 +331,9 @@ impl IndexNode {
     ///
     /// # Errors
     ///
-    /// [`MetaError::RenameLoop`] when `dst` lies inside `src`;
-    /// [`MetaError::RenameLocked`] when a conflicting rename holds a lock on
+    /// What [`MetaPath::rename_precheck`] refuses ([`MetaError::InvalidRename`],
+    /// [`MetaError::RenameLoop`]); [`MetaError::PermissionDenied`] without
+    /// `WRITE` on either parent; [`MetaError::RenameLocked`] when a conflicting rename holds a lock on
     /// the source or on the LCA→destination chain (the caller aborts and
     /// retries, §5.2.2); resolution errors pass through. Re-invocation with
     /// the same `uuid` re-enters an already-held lock (§5.3).
@@ -343,43 +344,37 @@ impl IndexNode {
         uuid: ClientUuid,
         stats: &mut RequestCtx,
     ) -> Result<RenameGrant> {
-        if src.is_root() || dst.is_root() {
-            return Err(MetaError::InvalidRename("root cannot be renamed".into()));
-        }
-        if src == dst {
-            return Err(MetaError::InvalidRename("source equals destination".into()));
-        }
         let leader = self.leader()?;
-        // Owned once: the reservation and the replicated command share it.
-        let src_name: Arc<str> = Arc::from(src.name().expect("non-root"));
-        let grant = leader
+        let (grant, src_name) = leader
             .node()
-            .try_rpc_named(stats, "rename_prepare", || -> Result<RenameGrant> {
+            .try_rpc_named(stats, "rename_prepare", || {
                 let sm = leader.state_machine();
 
-                // Loop detection on paths: a rename creating `dst` inside `src`
-                // would detach the subtree into a cycle.
-                if src.is_ancestor_of(dst) {
-                    return Err(MetaError::RenameLoop {
-                        src: src.to_string(),
-                        dst: dst.to_string(),
-                    });
-                }
+                // On the paths alone: the root does not move, and a rename
+                // creating `dst` inside `src` would detach the subtree into
+                // a cycle.
+                src.rename_precheck(dst)?;
+                let (src_parent, src_name) = src.split_leaf()?;
+                let (dst_parent, dst_name) = dst.split_leaf()?;
+                // Owned once: the reservation and the replicated command
+                // share it.
+                let src_name: Arc<str> = Arc::from(src_name);
 
                 // Resolve both parents *outside* the pending lock — resolution
                 // carries the per-level CPU cost and must not serialize
                 // unrelated renames. The lock-bit examination below re-reads
                 // the entries it cares about.
-                let src_parent = src.parent().expect("non-root");
                 let src_parent_res = sm.resolve(&src_parent).result?;
-                let dst_parent = dst.parent().expect("non-root");
-                let dst_name = dst.name().expect("non-root");
                 let dst_parent_res = sm.resolve(&dst_parent).result?;
+                // Unlinking from one directory and linking into the other
+                // are writes to both; a refused rename reserves nothing.
+                src_parent_res.require(Permission::WRITE, src)?;
+                dst_parent_res.require(Permission::WRITE, dst)?;
 
                 // Validation + reservation under the short pending lock; the
                 // replication of the lock bit happens outside it so
                 // non-conflicting renames replicate concurrently.
-                {
+                let grant = {
                     let mut pending = self.pending_renames.lock();
                     let locked_by_other = |pid: InodeId, name: &str| -> bool {
                         let replicated = sm
@@ -432,13 +427,14 @@ impl IndexNode {
                     if !pending.iter().any(reserved) {
                         pending.push((src_parent_res.id, src_name.clone(), uuid));
                     }
-                    Ok(RenameGrant {
+                    RenameGrant {
                         src_pid: src_parent_res.id,
                         src_id: src_entry.id,
                         permission: src_entry.permission,
                         dst_pid: dst_parent_res.id,
-                    })
-                }
+                    }
+                };
+                Ok((grant, src_name))
             })
             .and_then(|r| r)?;
 

@@ -5,9 +5,9 @@ use std::sync::Arc;
 use mantle_raft::StateMachine;
 use mantle_sync::RemovalList;
 use mantle_types::{
+    resolve,
     ClientUuid,
     InodeId,
-    MetaError,
     MetaPath,
     Permission,
     ResolvedPath,
@@ -163,22 +163,18 @@ impl IndexSm {
         self.root
     }
 
+    /// The state every walk from the namespace root starts in.
+    fn root_state(&self) -> ResolvedPath {
+        ResolvedPath {
+            id: self.root,
+            permission: Permission::ALL,
+        }
+    }
+
     /// Resolves a *directory* path against this replica's local state —
     /// Figure 7's workflow: RemovalList scan, TopDirPathCache probe,
     /// IndexTable walk, conditional cache fill.
     pub fn resolve(&self, path: &MetaPath) -> ResolveOutcome {
-        if path.is_root() {
-            return ResolveOutcome {
-                result: Ok(ResolvedPath {
-                    id: self.root,
-                    permission: Permission::ALL,
-                }),
-                cache_hit: false,
-                cacheable: false,
-                levels_walked: 0,
-                leaf_version: 0,
-            };
-        }
         let seen = self.observe_removals(path);
         self.resolve_observed(path, seen)
     }
@@ -195,104 +191,88 @@ impl IndexSm {
         (version, self.removal.conflicts_with(path))
     }
 
-    /// Steps 2–3 of [`IndexSm::resolve`] for a non-root `path`, under the
-    /// observation [`IndexSm::observe_removals`] took.
+    /// Steps 2–3 of [`IndexSm::resolve`], under the observation
+    /// [`IndexSm::observe_removals`] took. (The root has no prefix to cache
+    /// and no level to walk: it resolves to the state the walk starts in.)
     fn resolve_observed(&self, path: &MetaPath, seen: (u64, bool)) -> ResolveOutcome {
         let (version, conflict) = seen;
         let prefix = self.cache.prefix_of(path);
         let cacheable = prefix.is_some();
         let prefix = prefix.filter(|_| !conflict);
+        let prefix_depth = prefix.as_ref().map(MetaPath::depth);
 
         // Step 2: probe TopDirPathCache with the truncated prefix.
-        if let Some(ref prefix) = prefix {
-            if let Some(hit) = self.cache.get(prefix) {
-                let (result, levels, mut leaf_version) =
-                    self.walk(path, prefix.depth(), hit.pid, hit.permission);
-                if levels == 0 && result.is_ok() {
-                    // k = 0 caches the full path: the walk touched no entry,
-                    // so re-derive the leaf's version from the table.
-                    leaf_version = self.leaf_version_of(path);
-                }
-                return ResolveOutcome {
-                    result,
-                    cache_hit: true,
-                    cacheable,
-                    levels_walked: levels,
-                    leaf_version,
-                };
-            }
-        }
+        let hit = prefix.as_ref().and_then(|prefix| self.cache.get(prefix));
+        let (skip, from) = match (hit, prefix_depth) {
+            (Some(hit), Some(depth)) => (
+                depth,
+                ResolvedPath {
+                    id: hit.pid,
+                    permission: hit.permission,
+                },
+            ),
+            _ => (0, self.root_state()),
+        };
 
-        // Step 3: full level-by-level walk through the IndexTable.
-        let (result, levels, leaf_version) = self.walk(path, 0, self.root, Permission::ALL);
+        // Step 3: level-by-level walk through the IndexTable, in one pass —
+        // below the cached prefix on a hit, the whole path on a miss.
+        let (result, levels, mut leaf_version, at_prefix) =
+            self.walk_table(path, skip, from, prefix_depth);
+        self.charge_levels(levels);
 
-        // Cache fill: only when the prefix was cacheable, resolution
-        // succeeded, and no modification raced us (timestamp check).
-        if let (Some(prefix), Ok(_)) = (prefix, &result) {
-            if let Some((prefix_pid, prefix_perm)) = self.resolve_at_depth(path, prefix.depth()) {
-                self.cache.try_fill(
-                    prefix,
-                    CachedPrefix {
-                        pid: prefix_pid,
-                        permission: prefix_perm,
-                    },
-                    || self.removal.version() == version && !self.removal.conflicts_with(path),
-                );
+        if hit.is_some() {
+            if levels == 0 && result.is_ok() {
+                // k = 0 caches the full path: the walk touched no entry,
+                // so re-derive the leaf's version from the table.
+                leaf_version = self.walk_table(path, 0, self.root_state(), None).2;
             }
+        } else if let (Some(prefix), Ok(resolved)) = (prefix, &result) {
+            // Cache fill: only when the prefix was cacheable, resolution
+            // succeeded, and no modification raced us (timestamp check).
+            // With k = 0 the prefix is the path and its state the result.
+            let at = at_prefix.unwrap_or(*resolved);
+            self.cache.try_fill(
+                prefix,
+                CachedPrefix {
+                    pid: at.id,
+                    permission: at.permission,
+                },
+                || self.removal.version() == version && !self.removal.conflicts_with(path),
+            );
         }
         ResolveOutcome {
             result,
-            cache_hit: false,
+            cache_hit: hit.is_some(),
             cacheable,
             levels_walked: levels,
             leaf_version,
         }
     }
 
-    /// Walks `path` components `[start_depth, ..)` from `pid`, intersecting
-    /// permissions. Returns the result, the number of levels walked, and
-    /// the namespace version of the leaf entry (0 on error or for walks
-    /// ending at the starting pid).
-    fn walk(
+    /// One uncharged pass of [`resolve::walk`] over the IndexTable, keeping
+    /// what the pass has in hand: the result, the levels stepped, the
+    /// namespace version of the last entry read (the leaf's on success; 0
+    /// when the walk ends where it started) and the state the walk was in
+    /// at `note_depth`, if it stepped from there.
+    fn walk_table(
         &self,
         path: &MetaPath,
-        start_depth: usize,
-        mut pid: InodeId,
-        mut permission: Permission,
-    ) -> (Result<ResolvedPath>, usize, u64) {
-        let mut levels = 0;
-        let mut version = 0;
-        for comp in path.components().skip(start_depth) {
+        skip: usize,
+        from: ResolvedPath,
+        note_depth: Option<usize>,
+    ) -> (Result<ResolvedPath>, usize, u64, Option<ResolvedPath>) {
+        let (mut levels, mut version, mut noted) = (0, 0, None);
+        let result = resolve::walk(path, skip, from, |level, at, comp| {
             levels += 1;
-            if !permission.allows_traverse() {
-                self.charge_levels(levels);
-                return (
-                    Err(MetaError::PermissionDenied(path.to_string())),
-                    levels,
-                    0,
-                );
+            if note_depth == Some(level) {
+                noted = Some(at);
             }
-            match self.table.get(pid, comp) {
-                Some(entry) => {
-                    pid = entry.id;
-                    permission = permission.intersect(entry.permission);
-                    version = entry.version;
-                }
-                None => {
-                    self.charge_levels(levels);
-                    return (Err(MetaError::NotFound(path.to_string())), levels, 0);
-                }
-            }
-        }
-        self.charge_levels(levels);
-        (
-            Ok(ResolvedPath {
-                id: pid,
-                permission,
-            }),
-            levels,
-            version,
-        )
+            Ok(self.table.get(at.id, comp).map(|entry| {
+                version = entry.version;
+                (entry.id, entry.permission)
+            }))
+        });
+        (result, levels, version, noted)
     }
 
     /// Injects the per-level CPU cost of the local IndexTable accesses
@@ -302,37 +282,6 @@ impl IndexSm {
         mantle_rpc::inject_delay(std::time::Duration::from_micros(
             self.config.index_level_micros * levels as u64,
         ));
-    }
-
-    /// Re-derives the leaf entry's namespace version by walking the table
-    /// without injected cost (the charged walk already paid for the levels;
-    /// this only runs on the k = 0 full-path cache-hit corner).
-    fn leaf_version_of(&self, path: &MetaPath) -> u64 {
-        let mut pid = self.root;
-        let mut version = 0;
-        for comp in path.components() {
-            match self.table.get(pid, comp) {
-                Some(entry) => {
-                    version = entry.version;
-                    pid = entry.id;
-                }
-                None => return 0,
-            }
-        }
-        version
-    }
-
-    /// Re-derives `(pid, permission)` at `depth` along `path` without
-    /// injected per-level cost (the walk above already paid it).
-    fn resolve_at_depth(&self, path: &MetaPath, depth: usize) -> Option<(InodeId, Permission)> {
-        let mut pid = self.root;
-        let mut permission = Permission::ALL;
-        for comp in path.components().take(depth) {
-            let entry = self.table.get(pid, comp)?;
-            pid = entry.id;
-            permission = permission.intersect(entry.permission);
-        }
-        Some((pid, permission))
     }
 }
 
@@ -502,6 +451,7 @@ impl StateMachine for IndexSm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mantle_types::MetaError;
 
     fn p(s: &str) -> MetaPath {
         MetaPath::parse(s).unwrap()
@@ -700,6 +650,40 @@ mod tests {
         assert!(sm.removal.is_empty());
         // The successful lookup of the new location refilled the cache.
         assert_eq!(sm.cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn full_path_hit_reports_the_version_a_rename_bumped() {
+        // k = 0 caches the full path: a hit walks nothing, and still has to
+        // stamp the leaf's current namespace version on the reply.
+        let sm = sm(0, true);
+        let uuid = ClientUuid(3);
+        for cmd in [
+            IndexCmd::RenamePrepare {
+                src_pid: InodeId(3),
+                src_name: Arc::from("c"),
+                uuid,
+                src_path: p("/a/b/c"),
+            },
+            IndexCmd::RenameCommit {
+                src_pid: InodeId(3),
+                src_name: Arc::from("c"),
+                dst_pid: InodeId(2),
+                dst_name: Arc::from("moved"),
+                uuid,
+                src_path: p("/a/b/c"),
+            },
+        ] {
+            sm.apply(0, &cmd);
+        }
+        let miss = sm.resolve(&p("/a/moved"));
+        assert_eq!((miss.cache_hit, miss.levels_walked), (false, 2));
+        assert_eq!(miss.leaf_version, 2);
+        let hit = sm.resolve(&p("/a/moved"));
+        assert!(hit.cache_hit);
+        assert_eq!(hit.levels_walked, 0);
+        assert_eq!(hit.result.unwrap().id, InodeId(4));
+        assert_eq!(hit.leaf_version, 2);
     }
 
     #[test]

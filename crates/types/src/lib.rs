@@ -11,6 +11,8 @@
 //! * [`perm::Permission`] — permission masks and the Lazy-Hybrid style
 //!   aggregated path permission.
 //! * [`record`] — the access/attribute metadata split of §4 (Figure 6).
+//! * [`resolve`] — the resolve vocabulary: the per-level permission walk,
+//!   the parent/leaf split, the stated permission and the rename precheck.
 //! * [`MetaError`] — the error surface of every metadata service.
 //! * [`OpStats`] — per-operation phase accounting (lookup / loop detection /
 //!   execution) used to regenerate the latency-breakdown figures.
@@ -31,6 +33,7 @@ pub mod id;
 pub mod path;
 pub mod perm;
 pub mod record;
+pub mod resolve;
 pub mod service;
 pub mod snapshot;
 pub mod stats;

@@ -6,7 +6,6 @@
 //! Lazy-Hybrid approach the paper cites (§5.1.1).
 
 use std::fmt;
-use std::ops::BitAnd;
 
 use serde::{Deserialize, Serialize};
 
@@ -54,14 +53,6 @@ impl Permission {
     #[inline]
     pub fn allows_traverse(self) -> bool {
         self.allows(Permission::EXEC)
-    }
-}
-
-impl BitAnd for Permission {
-    type Output = Permission;
-
-    fn bitand(self, rhs: Permission) -> Permission {
-        self.intersect(rhs)
     }
 }
 

@@ -92,44 +92,103 @@ fn setattr_on_missing_or_object_path_fails() {
     ));
 }
 
-/// A read-only parent refuses every namespace write beneath it, `delete`
-/// included, and the refusal is decided on the resolved permission: no
-/// TafDB RPC is spent on it.
+/// The permission matrix of the namespace operations, decided on the
+/// resolved mask (`ResolvedPath::require`): a refusal spends no TafDB RPC
+/// and changes nothing. Under an `r-x` parent every namespace write —
+/// `rename_dir` out of it and into it included — is refused and every read
+/// served; under a `-wx` directory the reads that need `READ` are refused.
 #[test]
-fn read_only_parent_refuses_delete_like_create() {
+fn permission_matrix_is_decided_on_the_resolved_mask() {
+    type Op = fn(&MantleCluster, &mut RequestCtx) -> Result<(), MetaError>;
     let cluster = MantleCluster::build(SimConfig::instant(), 4);
-    let svc = cluster.service();
     let mut stats = RequestCtx::new();
-    svc.mkdir(&p("/d"), &mut stats).unwrap();
-    svc.create(&p("/d/o"), 1, &mut stats).unwrap();
-    cluster
-        .setattr(&p("/d"), Permission(0b101), &mut stats)
-        .unwrap();
+    for dir in ["/d", "/d/x", "/e", "/e/y", "/w"] {
+        cluster.mkdir(&p(dir), &mut stats).unwrap();
+    }
+    for object in ["/d/o", "/w/o"] {
+        cluster.create(&p(object), 1, &mut stats).unwrap();
+    }
+    let set = |dir: &str, mask: u16| {
+        cluster
+            .setattr(&p(dir), Permission(mask), &mut RequestCtx::new())
+            .unwrap();
+    };
+    set("/d", 0b101);
+    set("/w", 0b011);
+    let dirstats = |stats: &mut RequestCtx| {
+        ["/d", "/e"].map(|dir| cluster.dirstat(&p(dir), stats).unwrap().attrs)
+    };
+    let before = dirstats(&mut stats);
 
-    assert!(matches!(
-        svc.create(&p("/d/o2"), 1, &mut stats),
-        Err(MetaError::PermissionDenied(_))
-    ));
-    let guard = trace::start_forced("delete").expect("no trace active on this thread");
-    let refused = svc.delete(&p("/d/o"), &mut stats);
-    let t = guard.finish();
-    assert!(
-        matches!(refused, Err(MetaError::PermissionDenied(_))),
-        "{refused:?}"
-    );
-    let tafdb_rpcs = t
-        .spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Rpc && s.node.starts_with("tafdb"))
-        .count();
-    assert_eq!(tafdb_rpcs, 0, "{}", t.render());
+    let matrix: [(&str, bool, Op); 12] = [
+        ("mkdir under r-x", false, |c, s| {
+            c.mkdir(&p("/d/new"), s).map(|_| ())
+        }),
+        ("create under r-x", false, |c, s| {
+            c.create(&p("/d/o2"), 1, s).map(|_| ())
+        }),
+        ("delete under r-x", false, |c, s| c.delete(&p("/d/o"), s)),
+        ("rmdir under r-x", false, |c, s| c.rmdir(&p("/d/x"), s)),
+        ("rename out of r-x", false, |c, s| {
+            c.rename_dir(&p("/d/x"), &p("/e/x"), s)
+        }),
+        ("rename into r-x", false, |c, s| {
+            c.rename_dir(&p("/e/y"), &p("/d/y"), s)
+        }),
+        ("lookup under r-x", true, |c, s| {
+            c.lookup(&p("/d/x"), s).map(|_| ())
+        }),
+        ("objstat under r-x", true, |c, s| {
+            c.objstat(&p("/d/o"), s).map(|_| ())
+        }),
+        ("dirstat of r-x", true, |c, s| {
+            c.dirstat(&p("/d"), s).map(|_| ())
+        }),
+        ("readdir of -wx", false, |c, s| {
+            c.readdir(&p("/w"), s).map(|_| ())
+        }),
+        ("list of -wx", false, |c, s| {
+            c.list(&p("/w"), None, 10, s).map(|_| ())
+        }),
+        ("objstat under -wx", false, |c, s| {
+            c.objstat(&p("/w/o"), s).map(|_| ())
+        }),
+    ];
+    for (what, allowed, op) in matrix {
+        let guard = trace::start_forced("matrix").expect("no trace active on this thread");
+        let got = op(&cluster, &mut stats);
+        let t = guard.finish();
+        if allowed {
+            assert_eq!(got, Ok(()), "{what}");
+            continue;
+        }
+        assert!(
+            matches!(got, Err(MetaError::PermissionDenied(_))),
+            "{what}: {got:?}"
+        );
+        let tafdb_rpcs = t
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Rpc && s.node.starts_with("tafdb"))
+            .count();
+        assert_eq!(tafdb_rpcs, 0, "{what}: {}", t.render());
+    }
 
-    // The object is still there, and deletable once WRITE is back.
-    assert_eq!(svc.objstat(&p("/d/o"), &mut stats).unwrap().size, 1);
+    // Nothing refused left a mark: both rename sources still resolve where
+    // they were, and neither parent's attributes moved.
+    cluster.lookup(&p("/d/x"), &mut stats).unwrap();
+    cluster.lookup(&p("/e/y"), &mut stats).unwrap();
+    assert_eq!(dirstats(&mut stats), before);
+
+    // Everything refused for want of WRITE goes through once it is back.
+    set("/d", 0b111);
+    cluster.delete(&p("/d/o"), &mut stats).unwrap();
     cluster
-        .setattr(&p("/d"), Permission::ALL, &mut stats)
+        .rename_dir(&p("/d/x"), &p("/e/x"), &mut stats)
         .unwrap();
-    svc.delete(&p("/d/o"), &mut stats).unwrap();
+    cluster
+        .rename_dir(&p("/e/y"), &p("/d/y"), &mut stats)
+        .unwrap();
 }
 
 /// The TafDB half of `setattr` goes through the request plane: one

@@ -13,15 +13,17 @@ clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # No raw_put outside crates/tafdb/src, no AttrDelta literal outside its two
-# defining files, and no per-level permission walk, spelled-out refusal,
-# leaf split or rename precheck outside crates/types/src/resolve.rs
-# (DESIGN.md §4.3); no thread::scope / flight::op_scope /
-# trace::start in a workload or figure binary outside the driver module
-# (DESIGN.md §3), and none of the retired flight/trace plumbing, a second op
-# slot, the unread per-shard phase gauge (DESIGN.md §4.8) or the real-time
-# permit plane (DESIGN.md §1); no file reads the OS clock more often than
-# its ceiling in ci/real_time_ceiling.txt. `ci/loc.sh` prints the non-test
-# line count.
+# defining files, no object / dirstat / listing / bulk-load row op in a
+# front-end outside crates/tafdb/src/front.rs (LocoFS excepted), and no
+# per-level permission walk, spelled-out refusal, leaf split or rename
+# precheck outside crates/types/src/resolve.rs (DESIGN.md §4.3); no
+# thread::scope / flight::op_scope / trace::start in a workload or figure
+# binary outside the driver module (DESIGN.md §3), and none of the retired
+# flight/trace plumbing, a second op slot, the unread per-shard phase gauge
+# (DESIGN.md §4.8), the real-time permit plane (DESIGN.md §1) or the
+# baselines' `Relaxed`; no file reads the OS clock more often than its
+# ceiling in ci/real_time_ceiling.txt. `ci/loc.sh` prints the non-test line
+# count.
 vocabulary:
 	ci/write_vocabulary.sh
 	ci/resolve_vocabulary.sh

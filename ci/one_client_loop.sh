@@ -24,6 +24,11 @@
 # is ci/resolve_vocabulary.sh):
 #   8. IndexSm's second walk of the table stays gone: `resolve_at_depth` is
 #      on the retired list of check 4.
+# And behind "one table plane" (DESIGN.md §4.3; the rest of that gate is
+# ci/write_vocabulary.sh):
+#   9. The baselines' borrow-struct copy of the plane stays gone: `Relaxed`
+#      (as a name of its own, not `Ordering::Relaxed`) is on the retired list
+#      of check 4.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,7 +38,7 @@ flights=$(grep -rn 'flight::op_scope(' crates/*/src src --include='*.rs' |
     grep -v "$driver" | grep -v '^crates/obs/src/' | grep -v '^src/bin/mantle-cli\.rs:' || true)
 traces=$(grep -rn 'trace::start(' crates/*/src src --include='*.rs' |
     grep -v "$driver" | grep -v '^crates/obs/src/' || true)
-retired=$(grep -rnE 'start_detached|sampler_selects|push_to_ring|ObservedOp|is_op_active|FlightConfig|Semaphore|fold_real_wait|RESOLVER_POOL|resolve_at_depth' \
+retired=$(grep -rnE 'start_detached|sampler_selects|push_to_ring|ObservedOp|is_op_active|FlightConfig|Semaphore|fold_real_wait|RESOLVER_POOL|resolve_at_depth|(^|[^:A-Za-z_])Relaxed\b' \
     crates src tests examples --include='*.rs' || true)
 slots=$(grep -rnE '^\s*static [A-Z_]+: (RefCell|Cell)<' crates/obs/src --include='*.rs' || true)
 fmts=$(grep -rn 'fn fmt_nanos' crates/obs/src --include='*.rs' || true)
@@ -48,7 +53,7 @@ expect() {
         status=1
     fi
 }
-expect "retired names (flight/trace plumbing: one op slot, one commit in crates/obs/src/trace.rs; permit plane: a SimNode's one queue is the ratchet in admit; IndexSm's re-walk: one pass of resolve::walk records the prefix state)" 0 "$retired"
+expect "retired names (flight/trace plumbing: one op slot, one commit in crates/obs/src/trace.rs; permit plane: a SimNode's one queue is the ratchet in admit; IndexSm's re-walk: one pass of resolve::walk records the prefix state; the baselines' Relaxed: mantle_tafdb::Front is the one table plane)" 0 "$retired"
 expect "thread-local statics in crates/obs/src (the op slot, the thread-recorder override)" 2 "$slots"
 expect "fn fmt_nanos in crates/obs/src" 1 "$fmts"
 expect "tafdb_shard_phase_nanos (read FlightRecorder::node_phases or /attribution)" 0 "$gauge"

@@ -20,12 +20,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::relaxed::{dir_step, Relaxed, ROOT};
+use crate::{dir_step, relaxed_rmdir, ROOT};
 use mantle_core::cluster::SvcMetrics;
 use mantle_core::pathcache::{PathLeaseCache, PathLeaseConfig};
 use mantle_core::MantleConfig;
 use mantle_rpc::{RetryPolicy, SimNode};
-use mantle_tafdb::{attr_key, recipe, Row, TafDb, TafDbOptions, TxnOp};
+use mantle_tafdb::{attr_key, recipe, Front, Row, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
     id::IdAllocator, resolve, BulkLoad, DirAttrMeta, DirEntry, DirStat, InodeId, LeasedPath,
     MetaError, MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath,
@@ -76,7 +76,8 @@ fn predict(path: &MetaPath) -> InodeId {
 
 /// The InfiniFS-style metadata service.
 pub struct InfiniFs {
-    db: Arc<TafDb>,
+    /// The shared table plane, relaxed.
+    front: Front,
     config: SimConfig,
     coordinator: SimNode,
     /// Rename coordinator lock table: source paths of in-flight renames.
@@ -84,8 +85,6 @@ pub struct InfiniFs {
     /// Client-side path-lease cache — the same cache Mantle's proxy gets
     /// (Table-1 fairness; Figure 20's proxy-side metadata cache).
     pcache: PathLeaseCache,
-    ids: IdAllocator,
-    clock: std::sync::atomic::AtomicU64,
     ops: SvcMetrics,
     list_ops: mantle_obs::Counter,
     /// `infinifs_mispredictions_total` — speculative levels that fell back
@@ -115,13 +114,15 @@ impl InfiniFs {
             ..TafDbOptions::default()
         };
         Arc::new(InfiniFs {
-            db: TafDb::new(sim, db_opts),
+            front: Front::new(
+                TafDb::new(sim, db_opts),
+                Arc::new(IdAllocator::new()),
+                TafDb::execute_relaxed,
+            ),
             config: sim,
             coordinator: SimNode::new("infinifs-coord", sim.index_node_permits, sim),
             rename_locks: Mutex::new(HashSet::new()),
             pcache: PathLeaseCache::new(pcache, "infinifs"),
-            ids: IdAllocator::new(),
-            clock: std::sync::atomic::AtomicU64::new(1),
             ops: SvcMetrics::new("infinifs"),
             list_ops: SvcMetrics::op("infinifs", "list"),
             mispredictions: mantle_obs::counter("infinifs_mispredictions_total", &[]),
@@ -130,13 +131,13 @@ impl InfiniFs {
 
     /// The underlying sharded table (inspection).
     pub fn db(&self) -> &Arc<TafDb> {
-        &self.db
+        self.front.db()
     }
 
     /// Installs (or clears) a fault plan on the shards and the rename
     /// coordinator node.
     pub fn install_faults(&self, plan: Option<Arc<mantle_rpc::FaultPlan>>) {
-        self.db.install_faults(plan.clone());
+        self.db().install_faults(plan.clone());
         self.coordinator.set_faults(plan.clone());
         self.pcache.install_faults(plan);
     }
@@ -144,15 +145,6 @@ impl InfiniFs {
     /// The client-side path-lease cache (statistics, test inspection).
     pub fn path_cache(&self) -> &PathLeaseCache {
         &self.pcache
-    }
-
-    /// The shared relaxed-consistency operations over this system's table.
-    fn relaxed(&self) -> Relaxed<'_> {
-        Relaxed {
-            db: &self.db,
-            ids: &self.ids,
-            clock: &self.clock,
-        }
     }
 
     /// Path resolution, optionally short-circuited by the path-lease cache.
@@ -192,7 +184,7 @@ impl InfiniFs {
                 // One injected round trip covers the whole parallel round.
                 mantle_rpc::net_round_trip(&self.config);
             }
-            let row = self.db.get_entry_batched(pred_parent, comp, stats)?;
+            let row = self.db().get_entry_batched(pred_parent, comp, stats)?;
             rows.push((pred_parent, row));
             hash = hash_component(hash, comp);
             pred_parent = predicted_id(hash);
@@ -211,7 +203,7 @@ impl InfiniFs {
             // Misprediction (renamed ancestor): sequential fallback.
             self.mispredictions.inc();
             mantle_obs::flight::annotate_with(|| format!("infinifs:mispredict level={level}"));
-            dir_step(self.db.resolve_step(at.id, comp, stats), path)
+            dir_step(self.db().resolve_step(at.id, comp, stats), path)
         })
     }
 
@@ -273,7 +265,7 @@ impl MetadataService for InfiniFs {
         stats.time(Phase::Execute, |stats| {
             parent.require(Permission::WRITE, path)?;
             let mut id = predict(path);
-            let now = self.relaxed().now();
+            let now = self.front.now();
             // CFS two-transaction strategy, sequenced by hand: (1) the new
             // directory's own attribute row, single shard, and as an
             // *insert* — a taken key is how a stale prediction shows;
@@ -286,23 +278,23 @@ impl MetadataService for InfiniFs {
                     row: Row::DirAttr(DirAttrMeta::new(now, 0)),
                 }]
             };
-            if let Err(MetaError::AlreadyExists(_)) = self.db.execute_relaxed(&attr_row(id), stats)
-            {
+            let db = self.db();
+            if let Err(MetaError::AlreadyExists(_)) = db.execute_relaxed(&attr_row(id), stats) {
                 // The predicted id is taken: a directory created earlier at
                 // this path was renamed away and kept its id. Fall back to
                 // an unpredictable id — lookups below this directory will
                 // mispredict and resolve sequentially, which is InfiniFS's
                 // documented post-rename behaviour.
-                id = self.ids.alloc();
-                self.db.execute_relaxed(&attr_row(id), stats)?;
+                id = self.front.alloc();
+                db.execute_relaxed(&attr_row(id), stats)?;
             }
             let [entry, _attr_put, link] = recipe::mkdir(parent.id, name, id, now);
-            if let Err(e) = self.db.execute_relaxed(&[entry], stats) {
+            if let Err(e) = db.execute_relaxed(&[entry], stats) {
                 let undo = TxnOp::Delete { key: attr_key(id) };
-                let _ = self.db.execute_relaxed(&[undo], stats);
+                let _ = db.execute_relaxed(&[undo], stats);
                 return Err(e);
             }
-            self.db.execute_relaxed(&[link], stats)?;
+            db.execute_relaxed(&[link], stats)?;
             // Scrub any cached NotFound verdict for the new directory.
             self.pcache.invalidate_exact(path);
             Ok(id)
@@ -313,8 +305,8 @@ impl MetadataService for InfiniFs {
         self.ops.rmdir.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
-            let (dir, _) = self.db.resolve_step(parent.id, name, stats)?;
-            self.relaxed().rmdir(path, parent, name, dir, stats)?;
+            let (dir, _) = self.db().resolve_step(parent.id, name, stats)?;
+            relaxed_rmdir(&self.front, path, parent, name, dir, stats)?;
             stats.cache_invalidations += self.pcache.invalidate_subtree(path) as u32;
             Ok(())
         })
@@ -323,13 +315,13 @@ impl MetadataService for InfiniFs {
     fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {
         self.ops.create.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.relaxed().create(path, parent, name, size, stats)
+        self.front.create(path, parent, name, size, stats)
     }
 
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.delete.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.relaxed().delete(path, parent, name, stats)
+        self.front.delete(path, parent, name, stats)
     }
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
@@ -337,22 +329,20 @@ impl MetadataService for InfiniFs {
         // InfiniFS "bypasses the execution phase for objstat, handling it
         // in the lookup phase" (§6.3): the final level rides the same
         // speculative fan-out.
-        stats.time(Phase::Lookup, |stats| {
-            let (parent, name) = self.resolve_parent(path, stats)?;
-            self.db.get_object(parent.id, name, stats)
-        })
+        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
+        self.front.objstat(Phase::Lookup, path, parent, name, stats)
     }
 
     fn dirstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<DirStat> {
         self.ops.dirstat.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        self.relaxed().dirstat(dir, stats)
+        self.front.dirstat(dir, stats)
     }
 
     fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
         self.ops.readdir.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        self.relaxed().readdir(dir, stats)
+        self.front.readdir(path, dir, stats)
     }
 
     fn list(
@@ -364,7 +354,7 @@ impl MetadataService for InfiniFs {
     ) -> Result<(Vec<DirEntry>, bool)> {
         self.list_ops.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        self.relaxed().list(dir, start_after, limit, stats)
+        self.front.list(path, dir, start_after, limit, stats)
     }
 
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
@@ -394,17 +384,17 @@ impl MetadataService for InfiniFs {
         )?;
 
         let out = stats.time(Phase::Execute, |stats| {
-            let (src_id, src_perm) = self.db.resolve_step(src_parent.id, src_name, stats)?;
+            let (src_id, src_perm) = self.db().resolve_step(src_parent.id, src_name, stats)?;
             let ops = recipe::rename(
                 (src_parent.id, src_name),
                 (dst_parent.id, dst_name),
                 src_id,
                 src_perm,
-                self.relaxed().now(),
+                self.front.now(),
             );
             // Distributed transaction with in-place attribute updates: the
             // no-wait conflicts under dirrename-s retry inside execute().
-            self.db.execute(&ops, stats)?;
+            self.db().execute(&ops, stats)?;
             stats.cache_invalidations += self.pcache.invalidate_subtree(src) as u32;
             stats.cache_invalidations += self.pcache.invalidate_subtree(dst) as u32;
             Ok(())
@@ -419,14 +409,14 @@ impl MetadataService for InfiniFs {
 impl BulkLoad for InfiniFs {
     fn bulk_dir(&self, path: &MetaPath) -> InodeId {
         // Directory ids must match the speculative prediction.
-        self.relaxed()
-            .bulk_dir(path, |path, depth| predict(&path.prefix(depth)))
+        self.front
+            .bulk_dir(ROOT_ID, path, |_, _, depth| predict(&path.prefix(depth)))
     }
 
     fn bulk_object(&self, path: &MetaPath, size: u64) {
         let (parent, name) = path.split_leaf().expect("objects cannot be the root");
-        self.relaxed()
-            .bulk_object(self.bulk_dir(&parent), name, size);
+        self.front
+            .bulk_object(self.bulk_dir(&parent), name, size, 0);
     }
 }
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::relaxed::ROOT;
+use crate::ROOT;
 use mantle_core::cluster::SvcMetrics;
 use mantle_index::{IndexEntry, IndexTable};
 use mantle_raft::{RaftGroup, RaftOptions, RaftReplica, StateMachine};
@@ -233,14 +233,7 @@ impl StateMachine for LocoSm {
     fn snapshot(&self) -> Vec<u8> {
         use mantle_types::snapshot::SnapshotWriter;
         let mut w = SnapshotWriter::new();
-        let entries = self.table.sorted_entries();
-        w.u64(entries.len() as u64);
-        for (pid, name, e) in entries {
-            w.u64(pid.0);
-            w.str(&name);
-            w.u64(e.id.0);
-            w.u16(e.permission.0);
-        }
+        self.table.encode(&mut w);
         // HashMaps iterate in arbitrary order; sort for byte determinism.
         let attrs = self.attrs.lock();
         let mut ids: Vec<InodeId> = attrs.keys().copied().collect();
@@ -276,24 +269,7 @@ impl StateMachine for LocoSm {
     fn restore(&self, image: &[u8]) {
         use mantle_types::snapshot::SnapshotReader;
         let mut r = SnapshotReader::new(image);
-        self.table.clear();
-        let n = r.u64();
-        for _ in 0..n {
-            let pid = InodeId(r.u64());
-            let name = r.str();
-            let id = InodeId(r.u64());
-            let permission = Permission(r.u16());
-            self.table.insert(
-                pid,
-                &name,
-                IndexEntry {
-                    id,
-                    permission,
-                    lock: None,
-                    version: 1,
-                },
-            );
-        }
+        self.table.decode(&mut r);
         let mut attrs = HashMap::new();
         for _ in 0..r.u64() {
             let id = InodeId(r.u64());
@@ -329,6 +305,12 @@ impl StateMachine for LocoSm {
 /// The LocoFS-style tiered metadata service.
 pub struct LocoFs {
     dir_server: RaftGroup<LocoSm>,
+    /// The directory server takes one tree mutation at a time, from its
+    /// validation to the apply of what it proposed: `LocoSm::apply` declines
+    /// a command whose precondition a racer took in between, and a proposer
+    /// cannot tell a declined command from an applied one. Real-time order
+    /// only — no modeled cost.
+    tree_mutation: Mutex<()>,
     db: Arc<TafDb>,
     ids: IdAllocator,
     clock: std::sync::atomic::AtomicU64,
@@ -357,6 +339,7 @@ impl LocoFs {
         };
         Arc::new(LocoFs {
             dir_server,
+            tree_mutation: Mutex::new(()),
             db: TafDb::new(sim, db_opts),
             ids: IdAllocator::new(),
             clock: std::sync::atomic::AtomicU64::new(1),
@@ -438,6 +421,7 @@ impl MetadataService for LocoFs {
         // LocoFS performs resolution and mutation in the same directory-
         // server visit; the whole visit is the execute phase (§6.3).
         stats.time(Phase::Execute, |stats| {
+            let _turn = self.tree_mutation.lock();
             let id = self.ids.alloc();
             let now = self.now();
             let pid = self.dir_rpc(stats, |l| {
@@ -472,6 +456,7 @@ impl MetadataService for LocoFs {
         self.ops.rmdir.inc();
         let (parent, name) = path.split_leaf()?;
         stats.time(Phase::Execute, |stats| {
+            let _turn = self.tree_mutation.lock();
             self.dir_rpc_propose(stats, |l| {
                 let sm = l.state_machine();
                 let parent_res = sm.resolve(&parent)?;
@@ -621,6 +606,7 @@ impl MetadataService for LocoFs {
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.rename_dir.inc();
         stats.time(Phase::LoopDetect, |stats| {
+            let _turn = self.tree_mutation.lock();
             let (dst_pid, dst_name, cmd) = self.dir_rpc(stats, |l| {
                 let sm = l.state_machine();
                 // Loop detection is local (and serialized by the leader).
@@ -766,6 +752,51 @@ mod tests {
         // Entry counts moved.
         assert_eq!(l.dirstat(&p("/x"), &mut stats).unwrap().attrs.entries, 0);
         assert_eq!(l.dirstat(&p("/z"), &mut stats).unwrap().attrs.entries, 1);
+    }
+
+    #[test]
+    fn snapshot_restore_round_trips_state() {
+        let a = LocoSm::new(SimConfig::instant());
+        let mkdir = |pid, name, id| LocoCmd::Mkdir {
+            pid: InodeId(pid),
+            name: Arc::from(name),
+            id: InodeId(id),
+            now: id,
+        };
+        let rename = LocoCmd::Rename {
+            src_pid: ROOT_ID,
+            src_name: Arc::from("z"),
+            dst_pid: InodeId(5),
+            dst_name: Arc::from("z2"),
+            now: 9,
+        };
+        let bump = LocoCmd::Bump {
+            dir: InodeId(6),
+            delta: AttrDelta::entry_added(10),
+        };
+        let cmds = [
+            mkdir(1, "a", 5),
+            mkdir(5, "b", 6),
+            mkdir(1, "z", 7),
+            rename,
+            bump,
+        ];
+        for (i, cmd) in cmds.iter().enumerate() {
+            a.apply(i as u64, cmd);
+        }
+        let img = a.snapshot();
+        let b = LocoSm::new(SimConfig::instant());
+        b.restore(&img);
+        assert_eq!(
+            b.snapshot(),
+            img,
+            "restore must reproduce a byte-identical image"
+        );
+        assert_eq!(b.resolve(&p("/a/z2")).unwrap().id, InodeId(7));
+        assert!(b.resolve(&p("/z")).is_err());
+        assert_eq!(b.attrs.lock()[&InodeId(6)].entries, 1);
+        assert_eq!(b.attrs.lock()[&InodeId(5)].entries, 2);
+        assert_eq!(b.children.lock()[&InodeId(5)].len(), 2);
     }
 
     #[test]

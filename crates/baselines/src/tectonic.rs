@@ -9,9 +9,9 @@
 
 use std::sync::Arc;
 
-use crate::relaxed::{dir_step, Relaxed, ROOT};
+use crate::{dir_step, relaxed_rmdir, ROOT};
 use mantle_core::cluster::SvcMetrics;
-use mantle_tafdb::{recipe, TafDb, TafDbOptions, TxnOp};
+use mantle_tafdb::{recipe, Front, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
     id::IdAllocator, resolve, BulkLoad, DirEntry, DirStat, InodeId, MetaError, MetaPath,
     MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath, Result, SimConfig,
@@ -44,10 +44,9 @@ impl Default for TectonicOptions {
 
 /// The DBtable-based metadata service.
 pub struct Tectonic {
-    db: Arc<TafDb>,
+    /// The shared table plane; object ops stay relaxed in both flavours.
+    front: Front,
     transactional: bool,
-    ids: IdAllocator,
-    clock: std::sync::atomic::AtomicU64,
     ops: SvcMetrics,
     list_ops: mantle_obs::Counter,
 }
@@ -63,10 +62,12 @@ impl Tectonic {
             ..TafDbOptions::default()
         };
         Arc::new(Tectonic {
-            db: TafDb::new(sim, db_opts),
+            front: Front::new(
+                TafDb::new(sim, db_opts),
+                Arc::new(IdAllocator::new()),
+                TafDb::execute_relaxed,
+            ),
             transactional: opts.transactional,
-            ids: IdAllocator::new(),
-            clock: std::sync::atomic::AtomicU64::new(1),
             ops: SvcMetrics::new("tectonic"),
             list_ops: SvcMetrics::op("tectonic", "list"),
         })
@@ -74,22 +75,13 @@ impl Tectonic {
 
     /// The underlying sharded table (inspection).
     pub fn db(&self) -> &Arc<TafDb> {
-        &self.db
+        self.front.db()
     }
 
     /// Installs (or clears) a fault plan on the underlying shards, so the
     /// chaos harness exercises baselines under the same fault profile.
     pub fn install_faults(&self, plan: Option<Arc<mantle_rpc::FaultPlan>>) {
-        self.db.install_faults(plan);
-    }
-
-    /// The shared relaxed-consistency operations over this system's table.
-    fn relaxed(&self) -> Relaxed<'_> {
-        Relaxed {
-            db: &self.db,
-            ids: &self.ids,
-            clock: &self.clock,
-        }
+        self.db().install_faults(plan);
     }
 
     /// Runs a directory modification's ops under this deployment's
@@ -98,9 +90,9 @@ impl Tectonic {
     /// independent writes.
     fn run(&self, ops: &[TxnOp], stats: &mut RequestCtx) -> Result<()> {
         if self.transactional {
-            self.db.execute(ops, stats).map(|_| ())
+            self.db().execute(ops, stats).map(drop)
         } else {
-            self.db.execute_relaxed(ops, stats)
+            self.db().execute_relaxed(ops, stats)
         }
     }
 
@@ -108,7 +100,7 @@ impl Tectonic {
     /// of Figure 2), with a permission check at each step.
     fn resolve_dir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
         resolve::walk(path, 0, ROOT, |_, at, comp| {
-            dir_step(self.db.resolve_step(at.id, comp, stats), path)
+            dir_step(self.db().resolve_step(at.id, comp, stats), path)
         })
     }
 
@@ -137,8 +129,8 @@ impl MetadataService for Tectonic {
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
             parent.require(Permission::WRITE, path)?;
-            let id = self.ids.alloc();
-            let ops = recipe::mkdir(parent.id, name, id, self.relaxed().now());
+            let id = self.front.alloc();
+            let ops = recipe::mkdir(parent.id, name, id, self.front.now());
             self.run(&ops, stats)?;
             Ok(id)
         })
@@ -148,44 +140,43 @@ impl MetadataService for Tectonic {
         self.ops.rmdir.inc();
         let (dir, parent, name) = stats.time(Phase::Lookup, |stats| {
             let (parent, name) = self.resolve_parent(path, stats)?;
-            let (id, _) = self.db.resolve_step(parent.id, name, stats)?;
+            let (id, _) = self.db().resolve_step(parent.id, name, stats)?;
             Ok::<_, MetaError>((id, parent, name))
         })?;
         stats.time(Phase::Execute, |stats| {
-            self.relaxed().rmdir(path, parent, name, dir, stats)
+            relaxed_rmdir(&self.front, path, parent, name, dir, stats)
         })
     }
 
     fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {
         self.ops.create.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.relaxed().create(path, parent, name, size, stats)
+        self.front.create(path, parent, name, size, stats)
     }
 
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.delete.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.relaxed().delete(path, parent, name, stats)
+        self.front.delete(path, parent, name, stats)
     }
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
         self.ops.objstat.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            self.db.get_object(parent.id, name, stats)
-        })
+        self.front
+            .objstat(Phase::Execute, path, parent, name, stats)
     }
 
     fn dirstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<DirStat> {
         self.ops.dirstat.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        self.relaxed().dirstat(dir, stats)
+        self.front.dirstat(dir, stats)
     }
 
     fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
         self.ops.readdir.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        self.relaxed().readdir(dir, stats)
+        self.front.readdir(path, dir, stats)
     }
 
     fn list(
@@ -197,7 +188,7 @@ impl MetadataService for Tectonic {
     ) -> Result<(Vec<DirEntry>, bool)> {
         self.list_ops.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        self.relaxed().list(dir, start_after, limit, stats)
+        self.front.list(path, dir, start_after, limit, stats)
     }
 
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
@@ -213,13 +204,13 @@ impl MetadataService for Tectonic {
         stats.time(Phase::Execute, |stats| {
             src_parent.require(Permission::WRITE, src)?;
             dst_parent.require(Permission::WRITE, dst)?;
-            let (src_id, src_perm) = self.db.resolve_step(src_parent.id, src_name, stats)?;
+            let (src_id, src_perm) = self.db().resolve_step(src_parent.id, src_name, stats)?;
             let mut ops = recipe::rename(
                 (src_parent.id, src_name),
                 (dst_parent.id, dst_name),
                 src_id,
                 src_perm,
-                self.relaxed().now(),
+                self.front.now(),
             );
             if !self.transactional {
                 // Destination first: stopped between the two writes, the
@@ -235,13 +226,14 @@ impl MetadataService for Tectonic {
 
 impl BulkLoad for Tectonic {
     fn bulk_dir(&self, path: &MetaPath) -> InodeId {
-        self.relaxed().bulk_dir(path, |_, _| self.ids.alloc())
+        self.front
+            .bulk_dir(ROOT.id, path, |_, _, _| self.front.alloc())
     }
 
     fn bulk_object(&self, path: &MetaPath, size: u64) {
         let (parent, name) = path.split_leaf().expect("objects cannot be the root");
-        self.relaxed()
-            .bulk_object(self.bulk_dir(&parent), name, size);
+        self.front
+            .bulk_object(self.bulk_dir(&parent), name, size, 0);
     }
 }
 

@@ -1,12 +1,11 @@
 //! The Mantle proxy logic: every metadata operation, coordinated across
 //! IndexNode and TafDB.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mantle_index::{IndexNode, IndexOptions};
 use mantle_rpc::{classify_failover, classify_rename, RetryPolicy};
-use mantle_tafdb::{entry_view, recipe, Row, TafDb, TafDbOptions};
+use mantle_tafdb::{recipe, Front, TafDb, TafDbOptions};
 use mantle_types::{
     id::IdAllocator,
     ClientUuid,
@@ -123,11 +122,10 @@ impl MantleConfig {
 /// A complete Mantle metadata-service deployment for one namespace.
 pub struct MantleCluster {
     config: MantleConfig,
-    db: Arc<TafDb>,
+    /// The shared table plane, transactional: object ops, reads, the loader.
+    front: Front,
     index: Arc<IndexNode>,
     data: Arc<DataService>,
-    ids: Arc<IdAllocator>,
-    clock: AtomicU64,
     /// This namespace's root directory id (distinct per namespace when a
     /// region shares one TafDB across namespaces, §7.1).
     root: InodeId,
@@ -167,11 +165,9 @@ impl MantleCluster {
         let index = Arc::new(IndexNode::new(config.sim, config.index));
         Arc::new(MantleCluster {
             config,
-            db,
+            front: Front::new(db, ids, |db, ops, stats| db.execute(ops, stats).map(drop)),
             index,
             data,
-            ids,
-            clock: AtomicU64::new(1),
             root,
             pcache: PathLeaseCache::new(config.pcache, "mantle"),
             ops: SvcMetrics::new("mantle"),
@@ -198,7 +194,7 @@ impl MantleCluster {
 
     /// The shared TafDB.
     pub fn db(&self) -> &Arc<TafDb> {
-        &self.db
+        self.front.db()
     }
 
     /// The namespace's IndexNode.
@@ -230,7 +226,7 @@ impl MantleCluster {
         stats.time(Phase::Execute, |stats| {
             // Persist in TafDB first (source of truth), under the entry's
             // row lock, then refresh the IndexNode's access metadata.
-            self.db
+            self.db()
                 .execute(&recipe::setattr(parent.id, name, permission), stats)?;
             self.with_failover(stats, |stats| {
                 self.index
@@ -244,7 +240,7 @@ impl MantleCluster {
 
     /// Logical timestamp for mtime/ctime fields.
     pub fn now(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
+        self.front.now()
     }
 
     /// Retries `f` across transient unavailability (IndexNode leader
@@ -285,7 +281,7 @@ impl MantleCluster {
     /// shard (RPC + WAL + 2PC), and the data nodes.
     pub fn install_faults(&self, plan: &Arc<mantle_rpc::FaultPlan>) {
         self.index.install_faults(Some(plan.clone()));
-        self.db.install_faults(Some(plan.clone()));
+        self.db().install_faults(Some(plan.clone()));
         self.data.install_faults(Some(plan.clone()));
         self.pcache.install_faults(Some(plan.clone()));
     }
@@ -293,7 +289,7 @@ impl MantleCluster {
     /// Removes a previously installed fault plan from every component.
     pub fn clear_faults(&self) {
         self.index.install_faults(None);
-        self.db.install_faults(None);
+        self.db().install_faults(None);
         self.data.install_faults(None);
         self.pcache.install_faults(None);
     }
@@ -353,10 +349,10 @@ impl MetadataService for MantleCluster {
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
             parent.require(Permission::WRITE, path)?;
-            let id = self.ids.alloc();
+            let id = self.front.alloc();
             let now = self.now();
             let ops = recipe::mkdir(parent.id, name, id, now);
-            self.db.execute(&ops, stats)?;
+            self.db().execute(&ops, stats)?;
             // Refresh the IndexNode's access metadata (Figure 5: "TafDB
             // updates all metadata while IndexNode refreshes access data").
             self.with_failover(stats, |stats| {
@@ -380,7 +376,7 @@ impl MetadataService for MantleCluster {
             parent.require(Permission::WRITE, path)?;
             let now = self.now();
             let ops = recipe::rmdir(parent.id, name, dir.id, now);
-            self.db.execute(&ops, stats)?;
+            self.db().execute(&ops, stats)?;
             self.with_failover(stats, |stats| {
                 self.index.remove_dir(parent.id, name, path, stats)
             })?;
@@ -392,59 +388,32 @@ impl MetadataService for MantleCluster {
     fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {
         self.ops.create.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            parent.require(Permission::WRITE, path)?;
-            let id = self.ids.alloc();
-            let now = self.now();
-            let ops = recipe::create(parent.id, name, id, size, 0, now);
-            self.db.execute(&ops, stats)?;
-            Ok(id)
-        })
+        self.front.create(path, parent, name, size, stats)
     }
 
     fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         self.ops.delete.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            parent.require(Permission::WRITE, path)?;
-            // Type check (an object, not a directory) before deleting.
-            self.db.get_object(parent.id, name, stats)?;
-            let now = self.now();
-            let ops = recipe::delete(parent.id, name, now);
-            self.db.execute(&ops, stats)?;
-            Ok(())
-        })
+        self.front.delete(path, parent, name, stats)
     }
 
     fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
         self.ops.objstat.inc();
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            parent.require(Permission::READ, path)?;
-            self.db.get_object(parent.id, name, stats)
-        })
+        self.front
+            .objstat(Phase::Execute, path, parent, name, stats)
     }
 
     fn dirstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<DirStat> {
         self.ops.dirstat.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.cached_lookup(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            let attrs = self.db.dir_stat(dir.id, stats)?;
-            Ok(DirStat {
-                id: dir.id,
-                attrs,
-                permission: dir.permission,
-            })
-        })
+        self.front.dirstat(dir, stats)
     }
 
     fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
         self.ops.readdir.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.cached_lookup(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            dir.require(Permission::READ, path)?;
-            self.db.readdir(dir.id, stats)
-        })
+        self.front.readdir(path, dir, stats)
     }
 
     fn list(
@@ -456,10 +425,7 @@ impl MetadataService for MantleCluster {
     ) -> Result<(Vec<DirEntry>, bool)> {
         self.list_ops.inc();
         let dir = stats.time(Phase::Lookup, |stats| self.cached_lookup(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            dir.require(Permission::READ, path)?;
-            self.db.readdir_page(dir.id, start_after, limit, stats)
-        })
+        self.front.list(path, dir, start_after, limit, stats)
     }
 
     fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
@@ -488,30 +454,18 @@ impl MetadataService for MantleCluster {
 
 impl mantle_types::BulkLoad for MantleCluster {
     fn bulk_dir(&self, path: &MetaPath) -> InodeId {
-        let mut pid = self.root;
-        for (depth, comp) in path.components().enumerate() {
-            match self.db.raw_get(&entry_view(pid, comp)) {
-                Some(Row::DirAccess { id, .. }) => pid = id,
-                Some(_) => panic!("bulk_dir crosses an object at {}", path.prefix(depth + 1)),
-                None => {
-                    let id = self.ids.alloc();
-                    self.db.bulk_apply(recipe::mkdir(pid, comp, id, self.now()));
-                    self.index.raw_insert_dir(pid, comp, id, Permission::ALL);
-                    pid = id;
-                }
-            }
-        }
-        pid
+        self.front.bulk_dir(self.root, path, |pid, name, _| {
+            let id = self.front.alloc();
+            self.index.raw_insert_dir(pid, name, id, Permission::ALL);
+            id
+        })
     }
 
     fn bulk_object(&self, path: &MetaPath, size: u64) {
         let (parent, name) = path.split_leaf().expect("objects cannot be the root");
         let pid = self.bulk_dir(&parent);
-        let id = self.ids.alloc();
-        let now = self.now();
-        let blob = self.data.raw_write(size);
-        self.db
-            .bulk_apply(recipe::create(pid, name, id, size, blob, now));
+        self.front
+            .bulk_object(pid, name, size, self.data.raw_write(size));
     }
 }
 
@@ -543,7 +497,7 @@ impl MantleCluster {
                 grant.permission,
                 now,
             );
-            match self.db.execute(&ops, stats) {
+            match self.db().execute(&ops, stats) {
                 Ok(_) => {
                     self.with_failover(stats, |stats| {
                         self.index.rename_commit(&grant, src, dst, uuid, stats)

@@ -98,6 +98,15 @@ enum LeaseValue {
     Negative,
 }
 
+/// The entry a granted lease is cached as.
+fn positive(lease: &LeasedPath) -> LeaseValue {
+    LeaseValue::Positive(CachedLease {
+        pid: lease.resolved.id,
+        permission: lease.resolved.permission,
+        version: lease.version,
+    })
+}
+
 struct LeaseEntry {
     value: LeaseValue,
     /// Expiry on the simulated clock of the *stamping* thread. Timelines
@@ -120,9 +129,9 @@ pub enum LeaseProbe {
     Hit(CachedLease),
     /// A live negative entry: `NotFound`, zero RPCs.
     NegativeHit,
-    /// An expired (or fault-expired) positive entry: revalidate it with a
-    /// single version-check RPC and report the verdict back via
-    /// [`PathLeaseCache::revalidated`].
+    /// An expired (or fault-expired) positive entry:
+    /// [`PathLeaseCache::resolve`] revalidates it with a single
+    /// version-check RPC and renews or replaces it by the verdict.
     Expired(CachedLease),
 }
 
@@ -435,52 +444,60 @@ impl PathLeaseCache {
         self.inner.lock().epoch
     }
 
+    /// The one token-guarded install. Stamps the expiry on this thread's
+    /// clock; with `drop_subtree` (a revalidation that came back different)
+    /// first drops everything cached under `path` — removal is always safe.
+    /// `value` then goes in, evicting to capacity, only if no invalidation
+    /// ran since `token` was taken other than the one just made here (which
+    /// bumped the epoch by exactly one); otherwise the resolution may predate
+    /// a racing mutation and the fill is booked as rejected. Returns the
+    /// number of entries dropped.
+    fn install(
+        &self,
+        path: &MetaPath,
+        value: LeaseValue,
+        ttl: Duration,
+        token: u64,
+        drop_subtree: bool,
+        stats: &mut OpStats,
+    ) -> usize {
+        if !self.config.enabled {
+            return 0;
+        }
+        let expires = clock::now() + ttl;
+        let mut inner = self.inner.lock();
+        let (mut dropped, mut unraced) = (0, token);
+        if drop_subtree {
+            dropped = inner.invalidate_subtree_locked(path, &self.metrics);
+            unraced += 1;
+        }
+        if inner.epoch == unraced {
+            inner.insert(path.clone(), value, expires);
+            inner.evict_to_capacity(self.config.capacity);
+        } else {
+            inner.reject_fill(stats);
+        }
+        dropped
+    }
+
     /// Caches a fresh positive resolution obtained under `token`.
     pub fn fill(&self, path: &MetaPath, lease: &LeasedPath, token: u64, stats: &mut OpStats) {
-        if !self.config.enabled {
-            return;
-        }
-        let expires = clock::now() + lease.lease_ttl;
-        let mut inner = self.inner.lock();
-        if inner.epoch != token {
-            inner.reject_fill(stats);
-            return;
-        }
-        inner.insert(
-            path.clone(),
-            LeaseValue::Positive(CachedLease {
-                pid: lease.resolved.id,
-                permission: lease.resolved.permission,
-                version: lease.version,
-            }),
-            expires,
-        );
-        inner.evict_to_capacity(self.config.capacity);
+        self.install(path, positive(lease), lease.lease_ttl, token, false, stats);
     }
 
     /// Caches a fresh `NotFound` verdict (obtained under `token`) with the
     /// negative TTL.
-    pub fn fill_negative(&self, path: &MetaPath, token: u64, stats: &mut OpStats) {
-        if !self.config.enabled {
-            return;
-        }
-        let expires = clock::now() + self.config.negative_ttl;
-        let mut inner = self.inner.lock();
-        if inner.epoch != token {
-            inner.reject_fill(stats);
-            return;
-        }
-        inner.insert(path.clone(), LeaseValue::Negative, expires);
-        inner.evict_to_capacity(self.config.capacity);
+    fn fill_negative(&self, path: &MetaPath, token: u64, stats: &mut OpStats) {
+        let ttl = self.config.negative_ttl;
+        self.install(path, LeaseValue::Negative, ttl, token, false, stats);
     }
 
     /// Applies a revalidation verdict obtained under `token`: `matched`
-    /// renews the lease in place; a mismatch drops the whole cached subtree
-    /// (renames move subtrees) and re-inserts the fresh result. Returns the
-    /// number of entries invalidated. A stale token skips the renewal /
-    /// re-insert (the verdict may predate a racing mutation) but a mismatch
-    /// still drops the subtree — removal is always safe.
-    pub fn revalidated(
+    /// renews the lease in place (skipped under a stale token — the verdict
+    /// may predate a racing mutation); a mismatch drops the whole cached
+    /// subtree (renames move subtrees) and installs the fresh result.
+    /// Returns the number of entries invalidated.
+    fn revalidated(
         &self,
         path: &MetaPath,
         matched: bool,
@@ -488,70 +505,35 @@ impl PathLeaseCache {
         token: u64,
         stats: &mut OpStats,
     ) -> usize {
-        if !self.config.enabled {
-            return 0;
-        }
-        let expires = clock::now() + fresh.lease_ttl;
-        let mut inner = self.inner.lock();
-        if matched {
-            self.metrics.revalidations.inc();
-            if inner.epoch != token {
-                inner.reject_fill(stats);
-                return 0;
-            }
-            if let Some(e) = inner.map.get_mut(path) {
-                e.value = LeaseValue::Positive(CachedLease {
-                    pid: fresh.resolved.id,
-                    permission: fresh.resolved.permission,
-                    version: fresh.version,
-                });
-                e.expires = expires;
-            }
-            inner.touch(path);
-            0
-        } else {
-            let n = inner.invalidate_subtree_locked(path, &self.metrics);
+        if !matched {
+            let n = self.install(path, positive(fresh), fresh.lease_ttl, token, true, stats);
             mantle_obs::flight::annotate_with(|| {
                 format!("pathcache:revalidate_mismatch path={path} dropped={n}")
             });
-            // Our own invalidation just bumped the epoch; only a *foreign*
-            // bump between `token` and entry makes the fresh value suspect.
-            if inner.epoch == token + 1 {
-                inner.insert(
-                    path.clone(),
-                    LeaseValue::Positive(CachedLease {
-                        pid: fresh.resolved.id,
-                        permission: fresh.resolved.permission,
-                        version: fresh.version,
-                    }),
-                    expires,
-                );
-                inner.evict_to_capacity(self.config.capacity);
-            } else {
-                inner.reject_fill(stats);
-            }
-            n
+            return n;
         }
+        let expires = clock::now() + fresh.lease_ttl;
+        let mut inner = self.inner.lock();
+        self.metrics.revalidations.inc();
+        if inner.epoch != token {
+            inner.reject_fill(stats);
+            return 0;
+        }
+        if let Some(e) = inner.map.get_mut(path) {
+            e.value = positive(fresh);
+            e.expires = expires;
+        }
+        inner.touch(path);
+        0
     }
 
     /// Handles a revalidation (obtained under `token`) that came back
-    /// `NotFound`: the directory is gone, so the subtree drops, and a
-    /// negative verdict is installed unless a foreign invalidation raced
-    /// the check. Returns the number of entries invalidated.
-    pub fn revalidated_gone(&self, path: &MetaPath, token: u64, stats: &mut OpStats) -> usize {
-        if !self.config.enabled {
-            return 0;
-        }
-        let expires = clock::now() + self.config.negative_ttl;
-        let mut inner = self.inner.lock();
-        let n = inner.invalidate_subtree_locked(path, &self.metrics);
-        if inner.epoch == token + 1 {
-            inner.insert(path.clone(), LeaseValue::Negative, expires);
-            inner.evict_to_capacity(self.config.capacity);
-        } else {
-            inner.reject_fill(stats);
-        }
-        n
+    /// `NotFound`: the directory is gone, so the subtree drops and a
+    /// negative verdict takes its place. Returns the number of entries
+    /// invalidated.
+    fn revalidated_gone(&self, path: &MetaPath, token: u64, stats: &mut OpStats) -> usize {
+        let ttl = self.config.negative_ttl;
+        self.install(path, LeaseValue::Negative, ttl, token, true, stats)
     }
 
     /// Drops every cached entry under `path` (inclusive); returns how many

@@ -186,7 +186,8 @@ impl IndexNode {
     /// Resolution errors pass through; [`MetaError::Unavailable`] when no
     /// replica can serve consistently.
     pub fn lookup(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
-        self.resolve_rpc(path, "resolve", stats).map(|o| o.0)
+        self.resolve_rpc(path, "resolve", Duration::ZERO, stats)
+            .map(|leased| leased.resolved)
     }
 
     /// [`Self::lookup`] stamped with the leaf's namespace version and a
@@ -197,12 +198,7 @@ impl IndexNode {
         lease_ttl: Duration,
         stats: &mut RequestCtx,
     ) -> Result<LeasedPath> {
-        let (resolved, version) = self.resolve_rpc(path, "resolve", stats)?;
-        Ok(LeasedPath {
-            resolved,
-            version,
-            lease_ttl,
-        })
+        self.resolve_rpc(path, "resolve", lease_ttl, stats)
     }
 
     /// Revalidates an expired path lease with a single version-check RPC:
@@ -216,20 +212,17 @@ impl IndexNode {
         lease_ttl: Duration,
         stats: &mut RequestCtx,
     ) -> Result<LeasedPath> {
-        let (resolved, version) = self.resolve_rpc(path, "lease_check", stats)?;
-        Ok(LeasedPath {
-            resolved,
-            version,
-            lease_ttl,
-        })
+        self.resolve_rpc(path, "lease_check", lease_ttl, stats)
     }
 
+    /// One resolution RPC named `rpc_name`, its reply stamped as a lease.
     fn resolve_rpc(
         &self,
         path: &MetaPath,
         rpc_name: &'static str,
+        lease_ttl: Duration,
         stats: &mut RequestCtx,
-    ) -> Result<(ResolvedPath, u64)> {
+    ) -> Result<LeasedPath> {
         let replica = self.pick_read_replica()?;
         // A serving leader answers from one lock, no RPC. A follower waits
         // for the leader's commit index; a leader that has not yet applied
@@ -253,7 +246,11 @@ impl IndexNode {
         self.metrics
             .resolve_levels
             .record(outcome.levels_walked as u64);
-        outcome.result.map(|r| (r, outcome.leaf_version))
+        outcome.result.map(|resolved| LeasedPath {
+            resolved,
+            version: outcome.leaf_version,
+            lease_ttl,
+        })
     }
 
     /// Replicates a directory insertion (mkdir's IndexTable refresh).

@@ -373,22 +373,7 @@ impl StateMachine for IndexSm {
     fn snapshot(&self) -> Vec<u8> {
         use mantle_types::snapshot::SnapshotWriter;
         let mut w = SnapshotWriter::new();
-        let entries = self.table.sorted_entries();
-        w.u64(entries.len() as u64);
-        for (pid, name, e) in entries {
-            w.u64(pid.0);
-            w.str(&name);
-            w.u64(e.id.0);
-            w.u16(e.permission.0);
-            w.u64(e.version);
-            match e.lock {
-                Some(uuid) => {
-                    w.u8(1);
-                    w.u128(uuid.0);
-                }
-                None => w.u8(0),
-            }
-        }
+        self.table.encode(&mut w);
         // In-flight rename/setattr markers are part of the replicated state
         // (a snapshot can land between RenamePrepare and RenameCommit).
         let mut paths: Vec<String> = self
@@ -407,40 +392,15 @@ impl StateMachine for IndexSm {
 
     fn restore(&self, image: &[u8]) {
         use mantle_types::snapshot::SnapshotReader;
-        self.table.clear();
+        let mut r = SnapshotReader::new(image);
+        self.table.decode(&mut r);
         for p in self.removal.snapshot() {
             self.removal.remove(&p);
         }
         // The TopDirPathCache is derived state: dropping it entirely is
-        // always safe (misses refill it).
+        // always safe (misses refill it, from the table restored above).
         self.cache.invalidate_subtree(&MetaPath::root());
-
-        let mut r = SnapshotReader::new(image);
-        let n = r.u64();
-        for _ in 0..n {
-            let pid = InodeId(r.u64());
-            let name = r.str();
-            let id = InodeId(r.u64());
-            let permission = Permission(r.u16());
-            let version = r.u64();
-            let lock = if r.u8() == 1 {
-                Some(ClientUuid(r.u128()))
-            } else {
-                None
-            };
-            self.table.insert(
-                pid,
-                &name,
-                IndexEntry {
-                    id,
-                    permission,
-                    lock,
-                    version,
-                },
-            );
-        }
-        let n_paths = r.u64();
-        for _ in 0..n_paths {
+        for _ in 0..r.u64() {
             let p = MetaPath::parse(&r.str()).expect("snapshot paths parse");
             self.removal.insert(p);
         }

@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
 
+use mantle_types::snapshot::{SnapshotReader, SnapshotWriter};
 use mantle_types::{ClientUuid, InodeId, Permission};
 
 /// Access metadata of one directory, as stored on the IndexNode.
@@ -230,7 +231,7 @@ impl IndexTable {
     /// Every entry, sorted by `(pid, name)` — the deterministic iteration
     /// order snapshot serialization requires (two replicas that applied the
     /// same log prefix must produce byte-identical images).
-    pub fn sorted_entries(&self) -> Vec<(InodeId, Box<str>, IndexEntry)> {
+    fn sorted_entries(&self) -> Vec<(InodeId, Box<str>, IndexEntry)> {
         let mut all: Vec<(InodeId, Box<str>, IndexEntry)> = self
             .stripes
             .iter()
@@ -245,8 +246,44 @@ impl IndexTable {
         all
     }
 
-    /// Removes every entry (snapshot restore).
-    pub fn clear(&self) {
+    /// Writes the table into a state machine's snapshot image.
+    pub fn encode(&self, w: &mut SnapshotWriter) {
+        let entries = self.sorted_entries();
+        w.u64(entries.len() as u64);
+        for (pid, name, e) in entries {
+            w.u64(pid.0);
+            w.str(&name);
+            w.u64(e.id.0);
+            w.u16(e.permission.0);
+            w.u64(e.version);
+            match e.lock {
+                Some(uuid) => {
+                    w.u8(1);
+                    w.u128(uuid.0);
+                }
+                None => w.u8(0),
+            }
+        }
+    }
+
+    /// Replaces the table's contents with what [`IndexTable::encode`] wrote.
+    pub fn decode(&self, r: &mut SnapshotReader<'_>) {
+        self.clear();
+        for _ in 0..r.u64() {
+            let pid = InodeId(r.u64());
+            let name = r.str();
+            let entry = IndexEntry {
+                id: InodeId(r.u64()),
+                permission: Permission(r.u16()),
+                version: r.u64(),
+                lock: (r.u8() == 1).then(|| ClientUuid(r.u128())),
+            };
+            self.insert(pid, &name, entry);
+        }
+    }
+
+    /// Removes every entry.
+    fn clear(&self) {
         let mut removed = 0;
         for s in &self.stripes {
             let mut m = s.write();

@@ -758,37 +758,42 @@ impl<SM: StateMachine> RaftReplica<SM> {
 
     // --- RPC handlers -----------------------------------------------------
 
-    /// AppendEntries handler (also the heartbeat).
-    pub(crate) fn append_entries(
+    /// Adopts `term` if it is newer than this replica's, forgetting the vote
+    /// cast in the old one; returns whether it was.
+    fn adopt_newer_term(g: &mut Inner<SM::Command>, term: u64) -> bool {
+        let newer = term > g.term;
+        if newer {
+            g.term = term;
+            g.voted_for = None;
+        }
+        newer
+    }
+
+    /// What a replica does with anything a leader sends, before it looks at
+    /// the payload: dead, it is unreachable; it refuses a stale term; it
+    /// adopts a newer one, falls (back) into following and notes the
+    /// heartbeat and who leads. `handle` then runs under the same lock.
+    fn follow(
         &self,
         term: u64,
         leader_id: usize,
-        prev_index: u64,
-        prev_term: u64,
-        batch: Vec<LogEntry<SM::Command>>,
-        leader_commit: u64,
+        handle: impl FnOnce(MutexGuard<'_, Inner<SM::Command>>) -> AppendResult,
     ) -> AppendResult {
+        let refused = |ours, reachable| AppendResult {
+            term: ours,
+            success: false,
+            match_index: 0,
+            reachable,
+        };
         if !self.alive() {
-            return AppendResult {
-                term: 0,
-                success: false,
-                match_index: 0,
-                reachable: false,
-            };
+            return refused(0, false);
         }
         self.node.execute(|| {
             let mut g = self.inner.lock();
             if term < g.term {
-                return AppendResult {
-                    term: g.term,
-                    success: false,
-                    match_index: 0,
-                    reachable: true,
-                };
+                return refused(g.term, true);
             }
-            if term > g.term {
-                g.term = term;
-                g.voted_for = None;
+            if Self::adopt_newer_term(&mut g, term) {
                 self.metrics.term_changes.inc();
             }
             let new_role = if self.learner {
@@ -799,7 +804,21 @@ impl<SM: StateMachine> RaftReplica<SM> {
             self.set_role(&mut g, new_role);
             g.last_heartbeat = Instant::now();
             g.leader_hint = Some(leader_id);
+            handle(g)
+        })
+    }
 
+    /// AppendEntries handler (also the heartbeat).
+    pub(crate) fn append_entries(
+        &self,
+        term: u64,
+        leader_id: usize,
+        prev_index: u64,
+        prev_term: u64,
+        batch: Vec<LogEntry<SM::Command>>,
+        leader_commit: u64,
+    ) -> AppendResult {
+        self.follow(term, leader_id, |mut g| {
             let appended = g.log.try_append(prev_index, prev_term, &batch);
             let Some(new_last) = appended else {
                 // Consistency check failed; help the leader back off fast.
@@ -855,38 +874,7 @@ impl<SM: StateMachine> RaftReplica<SM> {
         snap_term: u64,
         data: Arc<Vec<u8>>,
     ) -> AppendResult {
-        if !self.alive() {
-            return AppendResult {
-                term: 0,
-                success: false,
-                match_index: 0,
-                reachable: false,
-            };
-        }
-        self.node.execute(|| {
-            let mut g = self.inner.lock();
-            if term < g.term {
-                return AppendResult {
-                    term: g.term,
-                    success: false,
-                    match_index: 0,
-                    reachable: true,
-                };
-            }
-            if term > g.term {
-                g.term = term;
-                g.voted_for = None;
-                self.metrics.term_changes.inc();
-            }
-            let new_role = if self.learner {
-                Role::Learner
-            } else {
-                Role::Follower
-            };
-            self.set_role(&mut g, new_role);
-            g.last_heartbeat = Instant::now();
-            g.leader_hint = Some(leader_id);
-
+        self.follow(term, leader_id, |mut g| {
             if g.last_applied >= snap_index {
                 // Already caught up past this image; nothing to install.
                 return AppendResult {
@@ -943,12 +931,10 @@ impl<SM: StateMachine> RaftReplica<SM> {
         }
         self.node.execute(|| {
             let mut g = self.inner.lock();
-            if term > g.term {
-                g.term = term;
-                g.voted_for = None;
-                if g.role == Role::Leader || g.role == Role::Candidate {
-                    self.set_role(&mut g, Role::Follower);
-                }
+            if Self::adopt_newer_term(&mut g, term)
+                && matches!(g.role, Role::Leader | Role::Candidate)
+            {
+                self.set_role(&mut g, Role::Follower);
             }
             let up_to_date = last_log_term > g.log.last_term()
                 || (last_log_term == g.log.last_term() && last_log_index >= g.log.last_index());
@@ -1085,17 +1071,21 @@ impl<SM: StateMachine> RaftReplica<SM> {
             let Some(peer) = self.peer(peer_id) else {
                 return;
             };
-            let (term, prev_index, prev_term, batch, commit) = match send {
+            if self.edge_cut(&peer) {
+                // Partitioned follower: behaves exactly like an unreachable
+                // peer — the leader keeps retrying at heartbeat pace.
+                std::thread::sleep(self.opts.heartbeat_interval);
+                continue;
+            }
+            // Entries acknowledge through `sent_through`; an install leaves
+            // the peer wherever its reply says its apply index now is.
+            let (resp, sent_through) = match send {
                 Send::Snapshot {
                     term,
                     index,
                     snap_term,
                     data,
                 } => {
-                    if self.edge_cut(&peer) {
-                        std::thread::sleep(self.opts.heartbeat_interval);
-                        continue;
-                    }
                     let _span = mantle_obs::trace::span(
                         "install_snapshot",
                         self.node.name(),
@@ -1111,31 +1101,7 @@ impl<SM: StateMachine> RaftReplica<SM> {
                     self.installs_sent.fetch_add(1, Ordering::Relaxed);
                     mantle_rpc::net_round_trip(&self.config);
                     let resp = peer.install_snapshot(term, self.id, index, snap_term, data);
-                    if !resp.reachable {
-                        std::thread::sleep(self.opts.heartbeat_interval);
-                        continue;
-                    }
-                    let mut g = self.inner.lock();
-                    if resp.term > g.term {
-                        g.term = resp.term;
-                        g.voted_for = None;
-                        self.set_role(&mut g, Role::Follower);
-                        return;
-                    }
-                    if g.role != Role::Leader || g.leader_epoch != epoch {
-                        return;
-                    }
-                    if resp.success {
-                        g.next_index[peer_id] = resp.match_index + 1;
-                        g.match_index[peer_id] = g.match_index[peer_id].max(resp.match_index);
-                        self.advance_commit(&mut g);
-                    } else {
-                        // Install aborted on the peer; retry at
-                        // heartbeat pace.
-                        drop(g);
-                        std::thread::sleep(self.opts.heartbeat_interval);
-                    }
-                    continue;
+                    (resp, None)
                 }
                 Send::Entries {
                     term,
@@ -1143,29 +1109,27 @@ impl<SM: StateMachine> RaftReplica<SM> {
                     prev_term,
                     batch,
                     commit,
-                } => (term, prev_index, prev_term, batch, commit),
+                } => {
+                    let n = batch.len() as u64;
+                    if n > 0 {
+                        self.metrics.batch.record(n);
+                    }
+                    mantle_rpc::net_round_trip(&self.config);
+                    let resp =
+                        peer.append_entries(term, self.id, prev_index, prev_term, batch, commit);
+                    (resp, Some(prev_index + n))
+                }
             };
-            if self.edge_cut(&peer) {
-                // Partitioned follower: behaves exactly like an unreachable
-                // peer — the leader keeps retrying at heartbeat pace.
-                std::thread::sleep(self.opts.heartbeat_interval);
-                continue;
-            }
-            let n = batch.len() as u64;
-            if n > 0 {
-                self.metrics.batch.record(n);
-            }
-            mantle_rpc::net_round_trip(&self.config);
-            let resp = peer.append_entries(term, self.id, prev_index, prev_term, batch, commit);
 
+            // Any reply: an unreachable peer is retried at heartbeat pace, a
+            // newer term deposes this leader, and a verdict is only read by
+            // the leadership that asked for it.
             if !resp.reachable {
                 std::thread::sleep(self.opts.heartbeat_interval);
                 continue;
             }
             let mut g = self.inner.lock();
-            if resp.term > g.term {
-                g.term = resp.term;
-                g.voted_for = None;
+            if Self::adopt_newer_term(&mut g, resp.term) {
                 self.set_role(&mut g, Role::Follower);
                 return;
             }
@@ -1173,9 +1137,14 @@ impl<SM: StateMachine> RaftReplica<SM> {
                 return;
             }
             if resp.success {
-                g.next_index[peer_id] = prev_index + n + 1;
-                g.match_index[peer_id] = g.match_index[peer_id].max(prev_index + n);
+                let acked = sent_through.unwrap_or(resp.match_index);
+                g.next_index[peer_id] = acked + 1;
+                g.match_index[peer_id] = g.match_index[peer_id].max(acked);
                 self.advance_commit(&mut g);
+            } else if sent_through.is_none() {
+                // Install aborted on the peer; retry at heartbeat pace.
+                drop(g);
+                std::thread::sleep(self.opts.heartbeat_interval);
             } else {
                 // Back off using the follower's hint.
                 g.next_index[peer_id] = (resp.match_index + 1).min(g.next_index[peer_id]).max(1);
@@ -1212,14 +1181,10 @@ impl<SM: StateMachine> RaftReplica<SM> {
     }
 
     fn random_timeout(&self) -> Duration {
-        // Deterministic per-call jitter from a splitmix64 step; keeps the
-        // raft crate free of a rand dependency.
-        use std::sync::atomic::AtomicU64;
-        static SEED: AtomicU64 = AtomicU64::new(0x9E3779B97F4A7C15);
-        let mut z = SEED.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^= z >> 31;
+        // Deterministic per-call jitter: the next step of one process-wide
+        // splitmix64 stream; keeps the raft crate free of a rand dependency.
+        static CALLS: AtomicU64 = AtomicU64::new(0);
+        let z = mantle_rpc::splitmix64(CALLS.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed));
         let min = self.opts.election_timeout_min.as_millis() as u64;
         let max = self.opts.election_timeout_max.as_millis() as u64;
         Duration::from_millis(min + z % (max - min).max(1))
@@ -1255,9 +1220,7 @@ impl<SM: StateMachine> RaftReplica<SM> {
             }
             if resp.term > term {
                 let mut g = self.inner.lock();
-                if resp.term > g.term {
-                    g.term = resp.term;
-                    g.voted_for = None;
+                if Self::adopt_newer_term(&mut g, resp.term) {
                     self.set_role(&mut g, Role::Follower);
                 }
                 return;

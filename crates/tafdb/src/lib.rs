@@ -18,7 +18,9 @@
 //!   [`TafDb::execute`] (one transaction), [`TafDb::execute_relaxed`] (§6.1's
 //!   independent single-row writes, the parent-attribute update serialized
 //!   by a blocking latch as §6.3 describes for Tectonic and LocoFS) or
-//!   [`TafDb::bulk_apply`] (a free load);
+//!   [`TafDb::bulk_apply`] (a free load); what a resolved parent turns
+//!   into — object create/delete/stat, `dirstat`, listings, the bulk
+//!   loader — is written once for every system, in [`front`];
 //! * **dynamic shard splitting** (§5.3) — an epoch-versioned, range-
 //!   partitioned [`ShardMap`] replaces the fixed `pid` hash; a placement
 //!   controller observes per-shard busy time, splits hot ranges (down to
@@ -35,13 +37,15 @@
 //!   (whose default follows `MANTLE_ENGINE`).
 //!
 //! The implementation is layered accordingly: [`db`] (core + options),
-//! [`recipe`] (which ops make a mutation), `shard` (per-shard runtime,
+//! [`recipe`] (which ops make a mutation), [`front`] (the post-resolve
+//! plane every TafDB-schema front-end shares), `shard` (per-shard runtime,
 //! the relaxed and bulk executors), `router` (map routing + reads), `plan`
 //! and `exec` (a transaction's routed steps, and running them), and
 //! `migrate` (placement plane).
 
 pub mod db;
 mod exec;
+pub mod front;
 mod metrics;
 mod migrate;
 mod plan;
@@ -53,6 +57,7 @@ pub mod shardmap;
 pub mod txn;
 
 pub use db::{DbCounters, TafDb, TafDbOptions};
+pub use front::Front;
 pub use mantle_engine::EngineKind;
 pub use schema::{attr_key, attr_view, entry_key, entry_view, Row};
 pub use shardmap::{dir_region, place_of, ShardMap};

@@ -220,6 +220,52 @@ impl TafDb {
         rows
     }
 
+    /// The one region read: `scan` runs on every shard owning a piece of
+    /// `dir`'s region, as RPCs named `rpc_name` — the sole owner of an
+    /// unsplit region in one RPC, the owners of a split one as the batched
+    /// legs of a single fan-out round trip — and is re-run while the shard
+    /// map moves underneath it. `hit` is the placement key whose range books
+    /// the load sample. Returns the owners' rows in owner order, and whether
+    /// the region was split.
+    fn read_region<T>(
+        &self,
+        dir: InodeId,
+        hit: u64,
+        rpc_name: &'static str,
+        stats: &mut RequestCtx,
+        scan: impl Fn(&Shard) -> Vec<T>,
+    ) -> Result<(Vec<T>, bool)> {
+        let (rs, re) = dir_region(dir);
+        let mut attempt = 0;
+        loop {
+            let m = self.shard_map();
+            m.record_hit(hit);
+            let mut owners = m.owners_of(rs, re);
+            let sole = owners.next().filter(|_| owners.next().is_none());
+            let rows = if let Some(owner) = sole {
+                let shard = &self.shards[owner];
+                shard.node.try_rpc_named(stats, rpc_name, || scan(shard))?
+            } else {
+                // One fan-out round trip covers the parallel per-owner scans.
+                mantle_rpc::net_round_trip(&self.config);
+                let mut all = Vec::new();
+                for o in m.owners_of(rs, re) {
+                    let shard = &self.shards[o];
+                    let mut part = shard
+                        .node
+                        .try_rpc_batched(stats, rpc_name, || scan(shard))?;
+                    all.append(&mut part);
+                }
+                all
+            };
+            if self.map.read().epoch() == m.epoch() || attempt >= READ_ROUTE_RETRIES {
+                return Ok((rows, sole.is_none()));
+            }
+            attempt += 1;
+            self.note_stale(stats);
+        }
+    }
+
     /// Reads a directory's attributes, merging outstanding delta records
     /// (the read-side cost of §5.2.1). When the directory's region is split
     /// across shards, one fan-out round trip gathers every owner's rows.
@@ -229,37 +275,10 @@ impl TafDb {
     /// [`MetaError::NotFound`] when the directory has no attribute row.
     pub fn dir_stat(&self, dir: InodeId, stats: &mut RequestCtx) -> Result<DirAttrMeta> {
         let aplace = place_of(&attr_view(dir));
-        let (rs, re) = dir_region(dir);
-        let mut attempt = 0;
-        loop {
-            let m = self.shard_map();
-            m.record_hit(aplace);
-            let mut owners = m.owners_of(rs, re);
-            let sole = owners.next().filter(|_| owners.next().is_none());
-            let merged = if let Some(owner) = sole {
-                let shard = &self.shards[owner];
-                shard.node.try_rpc_named(stats, "dir_stat", || {
-                    Self::merge_attr_rows(dir, self.scan_attr_rows(shard, dir))
-                })?
-            } else {
-                // One fan-out round trip covers the parallel per-owner scans.
-                mantle_rpc::net_round_trip(&self.config);
-                let mut rows = Vec::new();
-                for o in m.owners_of(rs, re) {
-                    let shard = &self.shards[o];
-                    let mut part = shard
-                        .node
-                        .try_rpc_batched(stats, "dir_stat", || self.scan_attr_rows(shard, dir))?;
-                    rows.append(&mut part);
-                }
-                Self::merge_attr_rows(dir, rows)
-            };
-            if self.map.read().epoch() == m.epoch() || attempt >= READ_ROUTE_RETRIES {
-                return merged;
-            }
-            attempt += 1;
-            self.note_stale(stats);
-        }
+        let (rows, _) = self.read_region(dir, aplace, "dir_stat", stats, |shard| {
+            self.scan_attr_rows(shard, dir)
+        })?;
+        Self::merge_attr_rows(dir, rows)
     }
 
     /// One shard's contribution to a page listing: up to `limit + 1`
@@ -341,41 +360,18 @@ impl TafDb {
         limit: usize,
         stats: &mut RequestCtx,
     ) -> Result<(Vec<DirEntry>, bool)> {
-        let (rs, re) = dir_region(pid);
-        let mut attempt = 0;
-        loop {
-            let m = self.shard_map();
-            m.record_hit(rs);
-            let mut owners = m.owners_of(rs, re);
-            let sole = owners.next().filter(|_| owners.next().is_none());
-            let mut rows: Vec<DirEntry> = if let Some(owner) = sole {
-                let shard = &self.shards[owner];
-                shard.node.try_rpc_named(stats, "readdir", || {
-                    self.scan_page(shard, pid, start_after, limit)
-                })?
-            } else {
-                mantle_rpc::net_round_trip(&self.config);
-                let mut all = Vec::new();
-                for o in m.owners_of(rs, re) {
-                    let shard = &self.shards[o];
-                    let mut part = shard.node.try_rpc_batched(stats, "readdir", || {
-                        self.scan_page(shard, pid, start_after, limit)
-                    })?;
-                    all.append(&mut part);
-                }
-                // Each owner returned its first `limit + 1` matches, so the
-                // union contains the global first `limit + 1` by name.
-                all.sort_by(|a, b| a.name.cmp(&b.name));
-                all
-            };
-            let truncated = rows.len() > limit;
-            rows.truncate(limit);
-            if self.map.read().epoch() == m.epoch() || attempt >= READ_ROUTE_RETRIES {
-                return Ok((rows, truncated));
-            }
-            attempt += 1;
-            self.note_stale(stats);
+        let (mut rows, split) =
+            self.read_region(pid, dir_region(pid).0, "readdir", stats, |shard| {
+                self.scan_page(shard, pid, start_after, limit)
+            })?;
+        if split {
+            // Each owner returned its first `limit + 1` matches, so the
+            // union contains the global first `limit + 1` by name.
+            rows.sort_by(|a, b| a.name.cmp(&b.name));
         }
+        let truncated = rows.len() > limit;
+        rows.truncate(limit);
+        Ok((rows, truncated))
     }
 
     /// Lists every direct child of `pid`, in name order: the unbounded

@@ -1,6 +1,7 @@
 //! Cross-crate concurrency invariants: attribute counts stay exact under
-//! contention on every system, caches never serve stale results across
-//! renames, and the Spark commit pattern completes atomically.
+//! contention on every system, racing mutations of one name have one
+//! winner, caches never serve stale results across renames, and the Spark
+//! commit pattern completes atomically.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -67,6 +68,118 @@ fn contended_counts_exact_on_all_systems() {
         InfiniFsOptions::default(),
     ));
     contended_counts(&*LocoFs::new(
+        SimConfig::instant(),
+        LocoFsOptions::default(),
+    ));
+}
+
+/// One mutation that `RACERS` threads attempt on one name at once.
+struct Race<S> {
+    what: &'static str,
+    /// Builds what a round races over, below its own directory `base`.
+    setup: fn(&S, &str),
+    /// Thread `t`'s attempt.
+    attempt: fn(&S, &str, usize, &mut RequestCtx) -> Result<()>,
+    /// Directories below `base` and the entries each holds once exactly one
+    /// attempt has won.
+    after: &'static [(&'static str, usize)],
+}
+
+const RACERS: usize = 4;
+
+/// Every race, 25 rounds each: exactly one attempt is acknowledged, the
+/// others are told the name was taken (or gone), and the namespace holds
+/// what the one winner did.
+fn one_winner<S: MetadataService + BulkLoad + Sync>(svc: &S) {
+    let races: [Race<S>; 4] = [
+        Race {
+            what: "create",
+            setup: |svc, base| {
+                svc.bulk_dir(&p(base));
+            },
+            attempt: |svc, base, _, ctx| svc.create(&p(&format!("{base}/x")), 1, ctx).map(drop),
+            after: &[("", 1)],
+        },
+        Race {
+            what: "mkdir",
+            setup: |svc, base| {
+                svc.bulk_dir(&p(base));
+            },
+            attempt: |svc, base, _, ctx| svc.mkdir(&p(&format!("{base}/x")), ctx).map(drop),
+            after: &[("", 1)],
+        },
+        Race {
+            what: "rename",
+            setup: |svc, base| {
+                svc.bulk_dir(&p(&format!("{base}/d")));
+                for t in 0..RACERS {
+                    svc.bulk_dir(&p(&format!("{base}/s{t}")));
+                }
+            },
+            attempt: |svc, base, t, ctx| {
+                svc.rename_dir(&p(&format!("{base}/s{t}")), &p(&format!("{base}/d/x")), ctx)
+            },
+            // The destination's parent and the three sources that stayed.
+            after: &[("", RACERS), ("/d", 1)],
+        },
+        Race {
+            what: "rmdir",
+            setup: |svc, base| {
+                svc.bulk_dir(&p(&format!("{base}/x")));
+            },
+            attempt: |svc, base, _, ctx| svc.rmdir(&p(&format!("{base}/x")), ctx),
+            after: &[("", 0)],
+        },
+    ];
+    for race in &races {
+        for round in 0..25 {
+            let base = format!("/{}{round}", race.what);
+            let at = format!("{} {} round {round}", svc.name(), race.what);
+            (race.setup)(svc, &base);
+            let start = std::sync::Barrier::new(RACERS);
+            let verdicts: Vec<Result<()>> = std::thread::scope(|s| {
+                let racers: Vec<_> = (0..RACERS)
+                    .map(|t| {
+                        let (base, start) = (&base, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            (race.attempt)(svc, base, t, &mut RequestCtx::new())
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            for lost in verdicts.iter().filter_map(|v| v.as_ref().err()) {
+                assert!(
+                    matches!(lost, MetaError::AlreadyExists(_) | MetaError::NotFound(_)),
+                    "{at}: {lost}"
+                );
+            }
+            let acked = verdicts.iter().filter(|v| v.is_ok()).count();
+            assert_eq!(acked, 1, "{at}: {verdicts:?}");
+            let mut ctx = RequestCtx::new();
+            for (sub, entries) in race.after {
+                let dir = p(&format!("{base}{sub}"));
+                assert_eq!(svc.readdir(&dir, &mut ctx).unwrap().len(), *entries, "{at}");
+                let counted = svc.dirstat(&dir, &mut ctx).unwrap().attrs.entries;
+                assert_eq!(counted, *entries as i64, "{at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn racing_mutations_of_one_name_have_one_winner() {
+    one_winner(&*MantleCluster::build(SimConfig::instant(), 4));
+    one_winner(&*Tectonic::new(
+        SimConfig::instant(),
+        TectonicOptions::default(),
+    ));
+    one_winner(&*InfiniFs::new(
+        SimConfig::instant(),
+        InfiniFsOptions::default(),
+    ));
+    one_winner(&*LocoFs::new(
         SimConfig::instant(),
         LocoFsOptions::default(),
     ));

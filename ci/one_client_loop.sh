@@ -29,6 +29,13 @@
 #   9. The baselines' borrow-struct copy of the plane stays gone: `Relaxed`
 #      (as a name of its own, not `Ordering::Relaxed`) is on the retired list
 #      of check 4.
+# And behind "one per-op record" (DESIGN.md §4.2, §4.8):
+#  10. OpStats keeps phases, RPCs and retries, and only RequestCtx::time
+#      charges a phase; a span's time is its clock-ledger delta. The unread
+#      cache tallies (`cache_hits` and kin as names of their own — the
+#      component counters are `PathCacheStats::hits` and kin), the open-phase
+#      state machine, `absorb`, the span side-ledgers and the knob that gated
+#      results/<fig>.metrics.json stay gone from crates src tests examples.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +49,8 @@ retired=$(grep -rnE 'start_detached|sampler_selects|push_to_ring|ObservedOp|is_o
     crates src tests examples --include='*.rs' || true)
 slots=$(grep -rnE '^\s*static [A-Z_]+: (RefCell|Cell)<' crates/obs/src --include='*.rs' || true)
 fmts=$(grep -rn 'fn fmt_nanos' crates/obs/src --include='*.rs' || true)
+record=$(grep -rnE '(^|[^A-Za-z0-9_])(cache_(hits|misses|revalidations|invalidations)|current_idx|resume_idx|queue_nanos|injected_nanos|dur_nanos|note_queue_on_current|note_injected_on_current|MANTLE_METRICS)\b|\.absorb\(|\.begin\(Phase' \
+    crates src tests examples --include='*.rs' || true)
 gauge=$(grep -rnI 'tafdb_shard_phase_nanos' crates src tests examples benchmark/src DESIGN.md README.md || true)
 
 status=0
@@ -56,6 +65,7 @@ expect() {
 expect "retired names (flight/trace plumbing: one op slot, one commit in crates/obs/src/trace.rs; permit plane: a SimNode's one queue is the ratchet in admit; IndexSm's re-walk: one pass of resolve::walk records the prefix state; the baselines' Relaxed: mantle_tafdb::Front is the one table plane)" 0 "$retired"
 expect "thread-local statics in crates/obs/src (the op slot, the thread-recorder override)" 2 "$slots"
 expect "fn fmt_nanos in crates/obs/src" 1 "$fmts"
+expect "retired per-op record names (OpStats: phases charged by RequestCtx::time, RPCs, retries; cache counts are the component's own; a span's time is its phases ledger; metrics.json is always written)" 0 "$record"
 expect "tafdb_shard_phase_nanos (read FlightRecorder::node_phases or /attribution)" 0 "$gauge"
 
 report() {

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The side-door bans behind "one write vocabulary into TafDB" and "one table
 # plane" (DESIGN.md §4.3). All three fail the build:
-#   1. `raw_put` appears in no file under crates/*/src or src/ outside
-#      crates/tafdb/src: front-ends write rows through an executor.
+#   1. `raw_put` appears in no file under crates/*/src, crates/*/tests,
+#      src/, tests/ or examples/ outside crates/tafdb/src: front-ends write
+#      rows through an executor, and tests seed rows through the loader's
+#      door, `TafDb::bulk_apply`.
 #   2. an `AttrDelta {` struct literal appears in non-test source (tests/
 #      directories skipped, each file cut at its first #[cfg(test)], as in
 #      ci/loc.sh) only where the five deltas are defined.
@@ -14,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-raw_put=$(grep -rn 'raw_put' crates/*/src src --include='*.rs' | grep -v '^crates/tafdb/src/' || true)
+raw_put=$(grep -rn 'raw_put' crates src tests examples --include='*.rs' | grep -v '^crates/tafdb/src/' || true)
 
 literals=$(find crates src -name '*.rs' -not -path '*/tests/*' \
     -not -path 'crates/types/src/record.rs' -not -path 'crates/tafdb/src/recipe.rs' -print0 |

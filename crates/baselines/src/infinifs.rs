@@ -241,7 +241,8 @@ impl InfiniFs {
     }
 
     /// Releases the rename lock. Must-deliver: the rename is already
-    /// decided, and a lost unlock would wedge the subtree forever.
+    /// decided, and a lost unlock would wedge the subtree forever. It books
+    /// on the op's own ctx: `deliver_named` lifts the deadline for the send.
     fn coordinator_unlock(&self, src: &MetaPath, stats: &mut RequestCtx) {
         mantle_rpc::deliver_named(stats, &self.coordinator, "coordinator_unlock", || {
             self.rename_locks.lock().remove(src);
@@ -307,7 +308,7 @@ impl MetadataService for InfiniFs {
         stats.time(Phase::Execute, |stats| {
             let (dir, _) = self.db().resolve_step(parent.id, name, stats)?;
             relaxed_rmdir(&self.front, path, parent, name, dir, stats)?;
-            stats.cache_invalidations += self.pcache.invalidate_subtree(path) as u32;
+            self.pcache.invalidate_subtree(path);
             Ok(())
         })
     }
@@ -395,13 +396,11 @@ impl MetadataService for InfiniFs {
             // Distributed transaction with in-place attribute updates: the
             // no-wait conflicts under dirrename-s retry inside execute().
             self.db().execute(&ops, stats)?;
-            stats.cache_invalidations += self.pcache.invalidate_subtree(src) as u32;
-            stats.cache_invalidations += self.pcache.invalidate_subtree(dst) as u32;
+            self.pcache.invalidate_subtree(src);
+            self.pcache.invalidate_subtree(dst);
             Ok(())
         });
-        let mut unlock_stats = RequestCtx::new();
-        self.coordinator_unlock(src, &mut unlock_stats);
-        stats.absorb(&unlock_stats);
+        self.coordinator_unlock(src, stats);
         out
     }
 }
@@ -545,11 +544,11 @@ mod tests {
         f.bulk_dir(&p("/a/b/c"));
         let mut s1 = RequestCtx::new();
         f.lookup(&p("/a/b/c"), &mut s1).unwrap();
-        assert_eq!(s1.cache_misses, 1);
+        assert_eq!(f.path_cache().stats().misses, 1);
         assert_eq!(s1.rpcs, 3);
         let mut s2 = RequestCtx::new();
         f.lookup(&p("/a/b/c"), &mut s2).unwrap();
-        assert_eq!(s2.cache_hits, 1);
+        assert_eq!(f.path_cache().stats().hits, 1);
         assert_eq!(s2.rpcs, 0, "a live lease should bypass all metadata RPCs");
     }
 }

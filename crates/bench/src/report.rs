@@ -1,9 +1,8 @@
 //! Table printing and JSON result persistence.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use mantle_types::EnvConfig;
 use serde::Serialize;
 
 /// Collects printable rows and persists them to `results/<name>.json`.
@@ -51,12 +50,11 @@ impl Report {
         println!("{}", text.as_ref());
     }
 
-    /// Writes `results/<name>.json` and prints the path. With
-    /// `MANTLE_METRICS=on` a snapshot of the global metrics registry is also
-    /// persisted to `results/<name>.metrics.json` (see DESIGN.md
-    /// §Observability). Then, if any op of the run failed for a reason the
-    /// harness did not ask for, exits the process non-zero: a figure drawn
-    /// over failed ops is not a result.
+    /// Writes `results/<name>.json` and prints the path, with a snapshot of
+    /// the global metrics registry beside it in `results/<name>.metrics.json`
+    /// (see DESIGN.md §Observability). Then, if any op of the run failed for
+    /// a reason the harness did not ask for, exits the process non-zero: a
+    /// figure drawn over failed ops is not a result.
     pub fn finish(mut self) {
         self.write_artifacts();
         self.stop_obs_server();
@@ -83,20 +81,12 @@ impl Report {
                 "title": title,
                 "rows": self.rows,
             });
-            match write_json(&path, &payload) {
-                Ok(()) => println!("[results written to {}]", path.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-            }
+            write_json("results", &path, &payload);
         }
         let name = self.figures[0].0;
-        if EnvConfig::get().metrics {
-            let mpath = dir.join(format!("{name}.metrics.json"));
-            let snapshot = serde_json::to_value(mantle_obs::snapshot()).expect("snapshot");
-            match write_json(&mpath, &snapshot) {
-                Ok(()) => println!("[metrics written to {}]", mpath.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", mpath.display()),
-            }
-        }
+        let mpath = dir.join(format!("{name}.metrics.json"));
+        let snapshot = serde_json::to_value(mantle_obs::snapshot()).expect("snapshot");
+        write_json("metrics", &mpath, &snapshot);
         // Any force-captured slow ops ride along as a post-mortem artifact.
         let recorder = mantle_obs::flight::global();
         if recorder.slow_captured_total() > 0 {
@@ -107,10 +97,7 @@ impl Report {
                 "events": recorder.slow_recent(64),
                 "attribution": recorder.explain_all(),
             });
-            match write_json(&spath, &payload) {
-                Ok(()) => println!("[slow ops written to {}]", spath.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", spath.display()),
-            }
+            write_json("slow ops", &spath, &payload);
         }
     }
 
@@ -127,16 +114,21 @@ impl Report {
     }
 }
 
-/// Writes pretty-printed JSON, propagating (rather than discarding) the
-/// I/O error so `finish` can report a full disk or unwritable path.
-fn write_json(path: &std::path::Path, payload: &serde_json::Value) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(
-        f,
-        "{}",
-        serde_json::to_string_pretty(payload).expect("json")
-    )?;
-    f.flush()
+/// Writes pretty-printed JSON and prints `[<what> written to <path>]`, or a
+/// warning naming the I/O error (a full disk, an unwritable path).
+fn write_json(what: &str, path: &Path, payload: &serde_json::Value) {
+    let written = std::fs::File::create(path).and_then(|mut f| {
+        writeln!(
+            f,
+            "{}",
+            serde_json::to_string_pretty(payload).expect("json")
+        )?;
+        f.flush()
+    });
+    match written {
+        Ok(()) => println!("[{what} written to {}]", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    }
 }
 
 /// Formats an ops/s figure compactly ("58.8K", "1.89M").

@@ -1,8 +1,8 @@
 //! Figure-harness smoke test: a tiny mdtest through the same
 //! `measure` path the figure binaries use must complete every
 //! operation (`OpRow.failed == 0`), leave a non-empty metrics snapshot
-//! behind, and that snapshot must serialize to valid JSON — the
-//! `MANTLE_METRICS=1` persistence path depends on it.
+//! behind, and that snapshot must serialize to valid JSON — every
+//! harness persists it as `results/<fig>.metrics.json`.
 
 use mantle_bench::runner::measure;
 use mantle_bench::systems::{SystemKind, SystemUnderTest};

@@ -233,7 +233,7 @@ impl MantleCluster {
                     .set_permission(parent.id, name, permission, path, stats)
             })?;
             // Aggregated permissions changed for everything underneath.
-            stats.cache_invalidations += self.pcache.invalidate_subtree(path) as u32;
+            self.pcache.invalidate_subtree(path);
             Ok(())
         })
     }
@@ -380,7 +380,7 @@ impl MetadataService for MantleCluster {
             self.with_failover(stats, |stats| {
                 self.index.remove_dir(parent.id, name, path, stats)
             })?;
-            stats.cache_invalidations += self.pcache.invalidate_subtree(path) as u32;
+            self.pcache.invalidate_subtree(path);
             Ok(())
         })
     }
@@ -505,8 +505,8 @@ impl MantleCluster {
                     // Both subtrees: sources go stale, and the destination
                     // side may hold negative verdicts for paths that exist
                     // now that the subtree moved in.
-                    stats.cache_invalidations += self.pcache.invalidate_subtree(src) as u32;
-                    stats.cache_invalidations += self.pcache.invalidate_subtree(dst) as u32;
+                    self.pcache.invalidate_subtree(src);
+                    self.pcache.invalidate_subtree(dst);
                     Ok(())
                 }
                 Err(e) => {

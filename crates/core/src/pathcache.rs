@@ -340,17 +340,11 @@ impl PathLeaseCache {
             .get()
             .is_some_and(|plan| plan.fires(FaultKind::LeaseExpire, fault_site));
         match self.probe(path, force_expire) {
-            LeaseProbe::Hit(lease) => {
-                ctx.cache_hits += 1;
-                Ok(ResolvedPath {
-                    id: lease.pid,
-                    permission: lease.permission,
-                })
-            }
-            LeaseProbe::NegativeHit => {
-                ctx.cache_hits += 1;
-                Err(MetaError::NotFound(path.to_string()))
-            }
+            LeaseProbe::Hit(lease) => Ok(ResolvedPath {
+                id: lease.pid,
+                permission: lease.permission,
+            }),
+            LeaseProbe::NegativeHit => Err(MetaError::NotFound(path.to_string())),
             LeaseProbe::Expired(old) => {
                 let token = self.begin();
                 match revalidate(ctx) {
@@ -362,25 +356,19 @@ impl PathLeaseCache {
                         let matched = fresh.resolved.id == old.pid
                             && fresh.version == old.version
                             && !stale_read;
-                        let dropped = self.revalidated(path, matched, &fresh, token, ctx);
-                        if matched {
-                            ctx.cache_revalidations += 1;
-                        } else {
-                            ctx.cache_invalidations += dropped as u32;
-                        }
+                        self.revalidated(path, matched, &fresh, token, ctx);
                         Ok(fresh.resolved)
                     }
                     Err(e @ MetaError::NotFound(_)) => {
                         // The directory is gone: the lease (and anything
                         // cached beneath it) is dead.
-                        ctx.cache_invalidations += self.revalidated_gone(path, token, ctx) as u32;
+                        self.revalidated_gone(path, token, ctx);
                         Err(e)
                     }
                     Err(e) => Err(e),
                 }
             }
             LeaseProbe::Miss | LeaseProbe::Disabled => {
-                ctx.cache_misses += 1;
                 let token = self.begin();
                 match resolve(ctx) {
                     Ok(fresh) => {
@@ -514,11 +502,11 @@ impl PathLeaseCache {
         }
         let expires = clock::now() + fresh.lease_ttl;
         let mut inner = self.inner.lock();
-        self.metrics.revalidations.inc();
         if inner.epoch != token {
             inner.reject_fill(stats);
             return 0;
         }
+        self.metrics.revalidations.inc();
         if let Some(e) = inner.map.get_mut(path) {
             e.value = positive(fresh);
             e.expires = expires;
@@ -529,11 +517,10 @@ impl PathLeaseCache {
 
     /// Handles a revalidation (obtained under `token`) that came back
     /// `NotFound`: the directory is gone, so the subtree drops and a
-    /// negative verdict takes its place. Returns the number of entries
-    /// invalidated.
-    fn revalidated_gone(&self, path: &MetaPath, token: u64, stats: &mut OpStats) -> usize {
+    /// negative verdict takes its place.
+    fn revalidated_gone(&self, path: &MetaPath, token: u64, stats: &mut OpStats) {
         let ttl = self.config.negative_ttl;
-        self.install(path, LeaseValue::Negative, ttl, token, true, stats)
+        self.install(path, LeaseValue::Negative, ttl, token, true, stats);
     }
 
     /// Drops every cached entry under `path` (inclusive); returns how many
@@ -830,5 +817,25 @@ mod tests {
         );
         assert_eq!(c.probe(&p("/a"), false), LeaseProbe::Miss);
         assert_eq!(c.stats().rejected_fills, 1);
+    }
+
+    #[test]
+    fn stale_matching_revalidation_is_rejected_not_renewed() {
+        let c = cache(8);
+        c.fill(&p("/a"), &lease(7, 1, 1), c.begin(), &mut OpStats::new());
+        clock::sleep(Duration::from_millis(5));
+        // A mutation invalidates /a while the version check is in flight:
+        // the verdict still matches, but its token is stale.
+        let unused = |_: &mut RequestCtx| -> Result<LeasedPath> { unreachable!("/a is cached") };
+        let racing = |_: &mut RequestCtx| {
+            c.invalidate_subtree(&p("/a"));
+            Ok(lease(7, 1, 60_000))
+        };
+        let mut ctx = RequestCtx::new();
+        c.resolve(&p("/a"), "test", &mut ctx, unused, racing)
+            .unwrap();
+        let s = c.stats();
+        assert_eq!((s.revalidations, s.rejected_fills), (0, 1));
+        assert_eq!(ctx.retry_count(RetryClass::RejectedFill), 1);
     }
 }

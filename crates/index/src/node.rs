@@ -87,9 +87,9 @@ pub struct IndexNode {
 /// IndexNode obs handles, created once so the lookup hot path stays cheap.
 struct IndexMetrics {
     /// `index_cache_hits_total` — lookups answered from the TopDirPathCache.
-    cache_hits: mantle_obs::Counter,
+    topdir_hits: mantle_obs::Counter,
     /// `index_cache_misses_total` — cacheable lookups that walked the index.
-    cache_misses: mantle_obs::Counter,
+    topdir_misses: mantle_obs::Counter,
     /// `index_follower_reads_total` — lookups served by a non-leader replica
     /// (each pays a ReadIndex round).
     follower_reads: mantle_obs::Counter,
@@ -100,8 +100,8 @@ struct IndexMetrics {
 impl IndexMetrics {
     fn new() -> Self {
         IndexMetrics {
-            cache_hits: mantle_obs::counter("index_cache_hits_total", &[]),
-            cache_misses: mantle_obs::counter("index_cache_misses_total", &[]),
+            topdir_hits: mantle_obs::counter("index_cache_hits_total", &[]),
+            topdir_misses: mantle_obs::counter("index_cache_misses_total", &[]),
             follower_reads: mantle_obs::counter("index_follower_reads_total", &[]),
             resolve_levels: mantle_obs::histogram("index_resolve_levels", &[]),
         }
@@ -236,11 +236,9 @@ impl IndexNode {
             .try_rpc_named(stats, rpc_name, || replica.state_machine().resolve(path))?;
         if outcome.cacheable {
             if outcome.cache_hit {
-                stats.cache_hits += 1;
-                self.metrics.cache_hits.inc();
+                self.metrics.topdir_hits.inc();
             } else {
-                stats.cache_misses += 1;
-                self.metrics.cache_misses.inc();
+                self.metrics.topdir_misses.inc();
             }
         }
         self.metrics
@@ -519,6 +517,15 @@ impl IndexNode {
             .leader()
             .map(|l| l.state_machine().table.len())
             .unwrap_or(0)
+    }
+
+    /// `(hits, misses)` of the TopDirPathCache over this node's cacheable
+    /// lookups: its own `index_cache_{hits,misses}_total` cells.
+    pub fn cache_outcomes(&self) -> (u64, u64) {
+        (
+            self.metrics.topdir_hits.get(),
+            self.metrics.topdir_misses.get(),
+        )
     }
 
     /// Aggregated TopDirPathCache statistics across replicas

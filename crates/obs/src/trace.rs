@@ -14,9 +14,10 @@
 //!
 //! Every advance of the simulated timeline charges a
 //! [`TimeCategory`](mantle_types::clock::TimeCategory) in the per-thread
-//! ledger, and every span carries the ledger *delta* across its lifetime, so
-//! the per-category nanoseconds of a span sum **exactly** to its duration;
-//! [`Trace::per_node`] folds them into *exclusive* per-node ledgers.
+//! ledger, and every span carries the ledger *delta* across its lifetime and
+//! nothing else: its total **is** the span's duration, its categories what
+//! the time went to; [`Trace::per_node`] folds them into *exclusive*
+//! per-node ledgers.
 //!
 //! One [`TraceGuard`] ends whatever opened. Its commit closes the root span
 //! and routes the [`Trace`]: to the op's flight recorder if it has one, and
@@ -69,14 +70,10 @@ pub struct Span {
     pub kind: SpanKind,
     /// Start offset from the trace start, in nanoseconds.
     pub start_nanos: u64,
-    /// Simulated duration, in nanoseconds.
-    pub dur_nanos: u64,
-    /// Modeled admission-queue wait at the serving node, in nanoseconds.
-    pub queue_nanos: u64,
-    /// Simulated latency injected by the SimNode, in nanoseconds.
-    pub injected_nanos: u64,
-    /// Per-phase ledger delta across the span (inclusive of children; see
-    /// [`Trace::per_node`] for exclusive attribution).
+    /// The clock ledger's delta across the span, inclusive of children (see
+    /// [`Trace::per_node`] for exclusive attribution): its total is the
+    /// span's simulated duration, its categories what that time was spent
+    /// on — queue wait, round trips, service, fault spikes.
     pub phases: TimeStats,
 }
 
@@ -92,8 +89,8 @@ pub struct Trace {
     /// Whether spans were dropped after the per-trace cap.
     pub truncated: bool,
     /// Per-phase attribution of the whole operation (the thread ledger's
-    /// delta from trace start to commit). Under the virtual clock its
-    /// total equals [`Trace::total_nanos`] exactly.
+    /// delta from trace start to commit, the root span's); its total is
+    /// [`Trace::total_nanos`].
     pub phases: TimeStats,
 }
 
@@ -107,9 +104,10 @@ impl Trace {
             .count()
     }
 
-    /// Total simulated duration (root span duration), in nanoseconds.
+    /// Total simulated duration (the root span's ledger total), in
+    /// nanoseconds.
     pub fn total_nanos(&self) -> u64 {
-        self.spans.first().map_or(0, |s| s.dur_nanos)
+        self.phases.total_nanos()
     }
 
     /// The distinct serving nodes touched by this trace, sorted.
@@ -157,7 +155,7 @@ impl Trace {
     ///
     /// ```text
     /// lookup /a/b (trace 42, 3 rpcs, 612.0us)
-    /// └─ resolve_index [index0] rpc 200.1us (queue 0ns, injected 200.0us)
+    /// └─ resolve [index0] rpc 205.0us (98% rtt, 2% service)
     /// ```
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -181,14 +179,13 @@ impl Trace {
                 format!(" [{}]", span.node)
             };
             out.push_str(&format!(
-                "{}└─ {}{} {} {} (queue {}, injected {})\n",
+                "{}└─ {}{} {} {} ({})\n",
                 "   ".repeat(depth.saturating_sub(1)),
                 span.op,
                 node,
                 kind,
-                fmt_nanos(span.dur_nanos),
-                fmt_nanos(span.queue_nanos),
-                fmt_nanos(span.injected_nanos),
+                fmt_nanos(span.phases.total_nanos()),
+                span.phases.render(),
             ));
         }
         if self.truncated {
@@ -250,9 +247,6 @@ impl ActiveOp {
             node: node.to_string(),
             kind,
             start_nanos: self.epoch.elapsed().as_nanos() as u64,
-            dur_nanos: 0,
-            queue_nanos: 0,
-            injected_nanos: 0,
             phases: TimeStats::default(),
         });
         self.stack.push((id, clock::thread_time_stats()));
@@ -260,16 +254,13 @@ impl ActiveOp {
     }
 
     /// Closes span `id`, and with it any span left open underneath. The one
-    /// place a duration and a ledger delta are taken, for the root span (the
-    /// op itself) as for every other.
+    /// place a ledger delta is taken, for the root span (the op itself) as
+    /// for every other.
     fn close_span(&mut self, id: u32) -> Option<()> {
         let at = self.stack.iter().rposition(|&(open, _)| open == id)?;
         let (_, ledger0) = self.stack[at];
         self.stack.truncate(at);
-        let span = &mut self.spans[id as usize];
-        let now_nanos = self.epoch.elapsed().as_nanos() as u64;
-        span.dur_nanos = now_nanos.saturating_sub(span.start_nanos);
-        span.phases = clock::thread_time_stats().saturating_sub(&ledger0);
+        self.spans[id as usize].phases = clock::thread_time_stats().saturating_sub(&ledger0);
         Some(())
     }
 }
@@ -460,25 +451,6 @@ pub fn rpc_span(op: &str, node: &str) -> Option<SpanScope> {
     span(op, node, SpanKind::Rpc)
 }
 
-/// Adds queue-wait time to the innermost open span, if any. Lets deep
-/// plumbing (`SimNode` admission) annotate the span its caller opened.
-pub fn note_queue_on_current(nanos: u64) {
-    note_on_current(|span| span.queue_nanos += nanos);
-}
-
-/// Adds injected simulated latency to the innermost open span, if any.
-pub fn note_injected_on_current(nanos: u64) {
-    note_on_current(|span| span.injected_nanos += nanos);
-}
-
-fn note_on_current(f: impl FnOnce(&mut Span)) {
-    with_active(|active| {
-        let &(top, _) = active.stack.last()?;
-        f(&mut active.spans[top as usize]);
-        Some(())
-    });
-}
-
 /// Runs `f` on the recorder's side of the op in flight, if it has one
 /// (what [`flight::annotate_with`](crate::flight::annotate_with) reads).
 pub(crate) fn with_op_meta(f: impl FnOnce(&mut OpMeta)) {
@@ -499,7 +471,9 @@ impl Drop for SpanScope {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use mantle_types::clock::TimeCategory;
     use std::sync::PoisonError;
+    use std::time::Duration;
 
     /// The sample rate and the sampled ring are process-global: tests that
     /// set the one or drain the other take turns.
@@ -514,14 +488,14 @@ pub(crate) mod tests {
         let guard = start_forced("lookup /a/b").expect("forced trace");
         {
             let _outer = rpc_span("resolve", "index0").unwrap();
-            note_injected_on_current(200_000);
+            clock::sleep_as(TimeCategory::Rtt, Duration::from_micros(200));
             {
                 let _inner = span("cache_probe", "", SpanKind::Local).unwrap();
             }
         }
         {
             let _s = rpc_span("get_attr", "tafdb1").unwrap();
-            note_queue_on_current(5_000);
+            clock::sleep_as(TimeCategory::Queue, Duration::from_micros(5));
         }
         let trace = guard.finish();
         assert_eq!(trace.rpc_count(), 2);
@@ -529,13 +503,15 @@ pub(crate) mod tests {
         assert_eq!(trace.spans[1].parent, Some(0));
         assert_eq!(trace.spans[2].parent, Some(1));
         assert_eq!(trace.spans[3].parent, Some(0));
-        assert_eq!(trace.spans[1].injected_nanos, 200_000);
-        assert_eq!(trace.spans[3].queue_nanos, 5_000);
+        assert_eq!(trace.spans[1].phases.nanos(TimeCategory::Rtt), 200_000);
+        assert_eq!(trace.spans[3].phases.nanos(TimeCategory::Queue), 5_000);
+        assert_eq!(trace.total_nanos(), 205_000);
         assert!(!trace.truncated);
 
         let rendered = trace.render();
-        assert!(rendered.contains("2 rpcs"));
-        assert!(rendered.contains("[index0]"));
+        assert!(rendered.contains("2 rpcs, 205.0us"), "{rendered}");
+        assert!(rendered.contains("resolve [index0] rpc 200.0us (100% rtt)"));
+        assert!(rendered.contains("get_attr [tafdb1] rpc 5.0us (100% queue)"));
         assert!(rendered.contains("cache_probe"));
 
         let recent = take_recent(8);

@@ -167,13 +167,11 @@ impl SimNode {
                     mantle_obs::flight::annotate_with(|| {
                         format!("fault:spike node={} op={op}", self.name)
                     });
-                    trace::note_injected_on_current(extra.as_nanos() as u64);
                     clock::sleep_as(TimeCategory::Fault, extra);
                 }
             }
         }
         if own_round_trip {
-            trace::note_injected_on_current(self.config.rtt().as_nanos() as u64);
             crate::net_round_trip(&self.config);
         }
         self.admit(ctx, op)?;
@@ -240,7 +238,6 @@ impl SimNode {
                     let waited = std::time::Duration::from_nanos(wait);
                     clock::sleep_as(TimeCategory::Queue, waited);
                     self.metrics.permit_wait.record(wait);
-                    trace::note_queue_on_current(wait);
                 }
             }
             return Ok(());
@@ -276,7 +273,6 @@ impl SimNode {
     /// queueing is modeled in `admit` (on the RPC path) and nowhere else.
     pub fn execute<R>(&self, f: impl FnOnce() -> R) -> R {
         let sim_start = clock::now();
-        trace::note_injected_on_current(self.config.service().as_nanos() as u64);
         crate::service_time(&self.config);
         let out = f();
         self.metrics.served.inc();
@@ -335,7 +331,6 @@ pub struct NodeSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mantle_types::OpStats;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -352,10 +347,8 @@ mod tests {
     #[test]
     fn execute_does_not_count_rpc() {
         let node = SimNode::new("db0", usize::MAX, SimConfig::instant());
-        let mut stats = OpStats::new();
         node.execute(|| ());
-        assert_eq!(stats.rpcs, 0);
-        stats.end();
+        assert_eq!(node.metrics.rpcs.get(), 0);
         assert_eq!(node.snapshot().served, 1);
     }
 

@@ -21,7 +21,7 @@ use parking_lot::{Mutex, RwLock};
 use mantle_engine::EngineKind;
 use mantle_rpc::faults::{FaultPlan, FaultSlot};
 use mantle_rpc::SimNode;
-use mantle_store::{GroupCommitWal, KeyParts, LockManager, RowKey};
+use mantle_store::{GroupCommitWal, KeyParts, LockManager};
 use mantle_sync::LatchTable;
 use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{
@@ -304,12 +304,6 @@ impl TafDb {
     }
 
     // --- direct (population / test) access --------------------------------
-
-    /// Writes a row directly, bypassing RPC, locking and the WAL: test and
-    /// diagnostic access, and what [`TafDb::bulk_apply`] stores with.
-    pub fn raw_put(&self, key: RowKey, row: Row) {
-        self.shards[self.owner_of(&key)].engine.put(key, row);
-    }
 
     /// Reads a row directly (tests, diagnostics, and a bulk loader's
     /// does-this-directory-exist probe).

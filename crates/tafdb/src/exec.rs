@@ -595,7 +595,7 @@ mod tests {
         }
 
         // A step refused *after* it took its own lock gives that back too.
-        db.raw_put(entry_key(here, "taken"), row.clone());
+        db.bulk_apply([put(here, "taken")]);
         let dup = TxnOp::InsertUnique {
             key: entry_key(here, "taken"),
             row: row.clone(),

@@ -237,7 +237,7 @@ impl TafDb {
         for op in ops {
             match op {
                 TxnOp::InsertUnique { key, row } | TxnOp::Put { key, row } => {
-                    self.raw_put(key, row)
+                    self.shards[self.owner_of(&key)].engine.put(key, row);
                 }
                 TxnOp::AttrUpdate { dir, delta } => {
                     self.shards[self.owner_of(&attr_view(dir))].merge_attr(dir, &delta);

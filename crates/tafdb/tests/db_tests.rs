@@ -17,6 +17,11 @@ fn db() -> Arc<TafDb> {
     db_with(TafDbOptions::default())
 }
 
+/// Seeds one row through the loader's door.
+fn put(db: &TafDb, key: mantle_store::RowKey, row: Row) {
+    db.bulk_apply([TxnOp::Put { key, row }]);
+}
+
 #[test]
 fn mkdir_txn_commits_all_rows() {
     let db = db();
@@ -99,8 +104,8 @@ fn cross_shard_txn_uses_two_phase_commit() {
         .map(InodeId)
         .find(|x| db.shard_of(*x) != db.shard_of(a))
         .expect("some id maps to a different shard");
-    db.raw_put(attr_key(a), Row::DirAttr(DirAttrMeta::new(0, 0)));
-    db.raw_put(attr_key(b), Row::DirAttr(DirAttrMeta::new(0, 0)));
+    put(&db, attr_key(a), Row::DirAttr(DirAttrMeta::new(0, 0)));
+    put(&db, attr_key(b), Row::DirAttr(DirAttrMeta::new(0, 0)));
 
     let before = stats.rpcs;
     let ops = vec![
@@ -145,8 +150,8 @@ fn lost_commit_messages_are_resent_until_applied_exactly_once() {
         .map(InodeId)
         .find(|x| db.shard_of(*x) != db.shard_of(a))
         .expect("some id maps to a different shard");
-    db.raw_put(attr_key(a), Row::DirAttr(DirAttrMeta::new(0, 0)));
-    db.raw_put(attr_key(b), Row::DirAttr(DirAttrMeta::new(0, 0)));
+    put(&db, attr_key(a), Row::DirAttr(DirAttrMeta::new(0, 0)));
+    put(&db, attr_key(b), Row::DirAttr(DirAttrMeta::new(0, 0)));
     let bump = |dir| TxnOp::AttrUpdate {
         dir,
         delta: AttrDelta {
@@ -350,16 +355,18 @@ fn rmdir_deletes_attr_row_and_lingering_deltas() {
     let db = db();
     let mut stats = RequestCtx::new();
     let dir = InodeId(50);
-    db.raw_put(
+    put(
+        &db,
         entry_key(ROOT_ID, "d"),
         Row::DirAccess {
             id: dir,
             permission: Permission::ALL,
         },
     );
-    db.raw_put(attr_key(dir), Row::DirAttr(DirAttrMeta::new(0, 0)));
+    put(&db, attr_key(dir), Row::DirAttr(DirAttrMeta::new(0, 0)));
     // Simulate lingering (committed) deltas.
-    db.raw_put(
+    put(
+        &db,
         mantle_store::RowKey::delta(dir, "/_ATTR", mantle_types::TxnId(77)),
         Row::Delta(AttrDelta {
             nlink: 1,
@@ -395,8 +402,9 @@ fn expect_empty_dir_blocks_rmdir_of_populated_dir() {
         });
         let mut stats = RequestCtx::new();
         let dir = InodeId(60);
-        db.raw_put(attr_key(dir), Row::DirAttr(DirAttrMeta::new(0, 0)));
-        db.raw_put(
+        put(&db, attr_key(dir), Row::DirAttr(DirAttrMeta::new(0, 0)));
+        put(
+            &db,
             entry_key(dir, child),
             Row::DirAccess {
                 id: InodeId(61),
@@ -430,15 +438,17 @@ fn expect_empty_dir_passes_over_attr_and_delta_rows() {
         });
         let mut stats = RequestCtx::new();
         let dir = InodeId(60);
-        db.raw_put(attr_key(dir), Row::DirAttr(DirAttrMeta::new(0, 0)));
+        put(&db, attr_key(dir), Row::DirAttr(DirAttrMeta::new(0, 0)));
         for ts in [7, 8, 9] {
-            db.raw_put(
+            put(
+                &db,
                 mantle_store::RowKey::delta(dir, "/_ATTR", mantle_types::TxnId(ts)),
                 Row::Delta(AttrDelta::default()),
             );
         }
         for (neighbour, name) in [(59, "zz"), (61, "")] {
-            db.raw_put(
+            put(
+                &db,
                 entry_key(InodeId(neighbour), name),
                 Row::DirAttr(DirAttrMeta::new(0, 0)),
             );
@@ -457,14 +467,16 @@ fn expect_empty_dir_passes_over_attr_and_delta_rows() {
 fn readdir_lists_children_and_skips_attr_rows() {
     let db = db();
     let mut stats = RequestCtx::new();
-    db.raw_put(
+    put(
+        &db,
         entry_key(ROOT_ID, "dir1"),
         Row::DirAccess {
             id: InodeId(5),
             permission: Permission::ALL,
         },
     );
-    db.raw_put(
+    put(
+        &db,
         entry_key(ROOT_ID, "obj1"),
         Row::Object(mantle_types::ObjectMeta {
             pid: ROOT_ID,
@@ -549,14 +561,16 @@ fn insert_and_delete_row_roundtrip() {
 fn resolve_step_distinguishes_kinds() {
     let db = db();
     let mut stats = RequestCtx::new();
-    db.raw_put(
+    put(
+        &db,
         entry_key(ROOT_ID, "d"),
         Row::DirAccess {
             id: InodeId(5),
             permission: Permission::ALL,
         },
     );
-    db.raw_put(
+    put(
+        &db,
         entry_key(ROOT_ID, "o"),
         Row::Object(mantle_types::ObjectMeta {
             pid: ROOT_ID,

@@ -213,8 +213,6 @@ pub struct EnvConfig {
     pub scale: ScalePreset,
     /// `MANTLE_TRACE_SAMPLE`: share of operations traced, in `[0, 1]`.
     pub trace_sample: f64,
-    /// `MANTLE_METRICS`: harnesses also write `results/<fig>.metrics.json`.
-    pub metrics: bool,
 }
 
 impl Default for EnvConfig {
@@ -228,7 +226,6 @@ impl Default for EnvConfig {
             obs_addr: None,
             scale: ScalePreset::Quick,
             trace_sample: 0.01,
-            metrics: false,
         }
     }
 }
@@ -251,11 +248,10 @@ fn is_host_port(value: &str) -> bool {
 
 impl EnvConfig {
     /// The names [`EnvConfig::from_vars`] accepts.
-    pub const NAMES: [&'static str; 8] = [
+    pub const NAMES: [&'static str; 7] = [
         "MANTLE_CHAOS_BUNDLE_DIR",
         "MANTLE_ENGINE",
         "MANTLE_FAULT_SEED",
-        "MANTLE_METRICS",
         "MANTLE_OBS_ADDR",
         "MANTLE_PATH_CACHE",
         "MANTLE_SCALE",
@@ -289,9 +285,6 @@ impl EnvConfig {
                 }
                 "MANTLE_PATH_CACHE" => {
                     cfg.path_cache = parse_bool(&word).ok_or_else(|| bad(BOOL_VALUES))?
-                }
-                "MANTLE_METRICS" => {
-                    cfg.metrics = parse_bool(&word).ok_or_else(|| bad(BOOL_VALUES))?
                 }
                 "MANTLE_FAULT_SEED" => {
                     let seed = value.parse().map_err(|_| bad("a decimal u64"))?;
@@ -372,8 +365,7 @@ impl fmt::Display for EnvConfig {
         writeln!(f, "MANTLE_CHAOS_BUNDLE_DIR={}", or_unset(bundle_dir))?;
         writeln!(f, "MANTLE_OBS_ADDR={}", or_unset(self.obs_addr.as_ref()))?;
         writeln!(f, "MANTLE_SCALE={}", word(&self.scale))?;
-        writeln!(f, "MANTLE_TRACE_SAMPLE={}", self.trace_sample)?;
-        writeln!(f, "MANTLE_METRICS={}", self.metrics)
+        writeln!(f, "MANTLE_TRACE_SAMPLE={}", self.trace_sample)
     }
 }
 
@@ -389,7 +381,7 @@ mod tests {
     fn empty_environment_is_the_defaults() {
         let cfg = parse(&[("PATH", "/bin"), ("HOME", "/root")]).unwrap();
         assert_eq!(cfg.engine, EngineName::Btree);
-        assert!(!cfg.path_cache && !cfg.metrics);
+        assert!(!cfg.path_cache);
         assert_eq!(cfg.scale, ScalePreset::Quick);
         assert_eq!(cfg.trace_sample, 0.01);
         assert_eq!(
@@ -414,12 +406,8 @@ mod tests {
             ("off", false),
             ("false", false),
         ] {
-            let cfg = parse(&[
-                ("MANTLE_PATH_CACHE", spelling),
-                ("MANTLE_METRICS", spelling),
-            ]);
-            let cfg = cfg.unwrap();
-            assert_eq!((cfg.path_cache, cfg.metrics), (want, want), "{spelling}");
+            let cfg = parse(&[("MANTLE_PATH_CACHE", spelling)]).unwrap();
+            assert_eq!(cfg.path_cache, want, "{spelling}");
         }
 
         let scale = |v| parse(&[("MANTLE_SCALE", v)]).unwrap().scale;
@@ -452,7 +440,7 @@ mod tests {
             ("MANTLE_PATH_CACHE", "on"),
             ("MANTLE_SCALE", "smoke"),
             ("MANTLE_FAULT_SEED", "7"),
-            ("MANTLE_METRICS", "1"),
+            ("MANTLE_TRACE_SAMPLE", "0.25"),
         ])
         .unwrap();
         let printed = cfg.to_string();
@@ -480,6 +468,7 @@ mod tests {
             "SMOKE",
             "PERF_UPDATE_BASELINE",
             "WALL_CLOCK",
+            "METRICS",
         ] {
             let name = format!("MANTLE_{suffix}");
             let err = parse(&[(name.as_str(), "1")]).unwrap_err();
@@ -493,7 +482,6 @@ mod tests {
         for (name, value, accepted) in [
             ("MANTLE_ENGINE", "mvc", "btree|mvcc"),
             ("MANTLE_PATH_CACHE", "yes", "1|on|true or 0|off|false"),
-            ("MANTLE_METRICS", "2", "1|on|true or 0|off|false"),
             ("MANTLE_FAULT_SEED", "1x", "a decimal u64"),
             ("MANTLE_FAULT_SEED", "-1", "a decimal u64"),
             ("MANTLE_CHAOS_BUNDLE_DIR", "", "a directory path"),

@@ -110,15 +110,17 @@ impl RequestCtx {
         true
     }
 
-    /// Runs `f` with its simulated time charged to `phase`, then restores
-    /// the previously active phase (if any). The closure gets the whole
-    /// context, so nested calls keep propagating it.
+    /// Runs `f` and charges `phase` with the simulated time it took, less
+    /// what the `time` calls nested inside it charged: every nanosecond
+    /// lands on the innermost phase open when it elapsed. The closure gets
+    /// the whole context, so nested calls keep propagating it. This is the
+    /// only code that adds phase time.
     pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R {
-        let prev = self.stats.current_idx();
-        self.stats.begin(phase);
+        let (start, charged) = (clock::now(), self.stats.total_nanos());
         let out = f(self);
-        self.stats.end();
-        self.stats.resume_idx(prev);
+        let nested = self.stats.total_nanos() - charged;
+        let took = start.elapsed().as_nanos() as u64;
+        self.stats.charge(phase, took.saturating_sub(nested));
         out
     }
 }
@@ -175,17 +177,22 @@ mod tests {
     }
 
     #[test]
-    fn ctx_time_restores_outer_phase() {
+    fn nested_time_charges_each_phase_exclusively() {
         let mut ctx = RequestCtx::new();
-        ctx.stats.begin(Phase::Execute);
-        clock::sleep(Duration::from_millis(1));
-        ctx.time(Phase::Lookup, |c| {
+        ctx.time(Phase::Execute, |c| {
             clock::sleep(Duration::from_millis(1));
-            c.rpc();
+            c.time(Phase::Lookup, |c| {
+                clock::sleep(Duration::from_millis(2));
+                c.time(Phase::LoopDetect, |_| {
+                    clock::sleep(Duration::from_millis(4))
+                });
+            });
+            c.time(Phase::Execute, |_| clock::sleep(Duration::from_millis(8)));
+            clock::sleep(Duration::from_millis(16));
         });
-        clock::sleep(Duration::from_millis(1));
-        ctx.stats.end();
-        assert_eq!(ctx.stats.phase_nanos(Phase::Execute), 2_000_000);
-        assert_eq!(ctx.stats.phase_nanos(Phase::Lookup), 1_000_000);
+        assert_eq!(ctx.phase_nanos(Phase::Execute), 25_000_000);
+        assert_eq!(ctx.phase_nanos(Phase::Lookup), 2_000_000);
+        assert_eq!(ctx.phase_nanos(Phase::LoopDetect), 4_000_000);
+        assert_eq!(ctx.total_nanos(), 31_000_000);
     }
 }

@@ -3,13 +3,13 @@
 //! The paper's latency-breakdown figures (Figures 4a, 13, 15) split every
 //! metadata operation into three phases: *lookup* (path resolution), *loop
 //! detection* (dirrename only), and *execution*. Every service in this
-//! reproduction threads an [`OpStats`] through its code paths and charges
-//! simulated time (see [`crate::clock`]) to the active phase, which the
-//! benchmark harnesses then aggregate.
+//! reproduction threads an [`OpStats`] through its code paths, and
+//! `RequestCtx::time` charges each phase its simulated time (see
+//! [`crate::clock`]), which the benchmark harnesses then aggregate. Phases
+//! are the stage axis; what the time was spent on (RTT, fsync, queue, …) is
+//! the clock's own ledger, [`crate::clock::TimeStats`].
 
 use std::time::Duration;
-
-use crate::clock::{self, SimInstant};
 
 /// The phases of a metadata operation (§6.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -113,7 +113,11 @@ impl RetryClass {
     }
 }
 
-/// Accumulated statistics for one metadata operation.
+/// Accumulated statistics for one metadata operation: the virtual time
+/// charged to each [`Phase`] (by [`RequestCtx::time`] and nothing else), the
+/// RPC round trips issued and the retries taken.
+///
+/// [`RequestCtx::time`]: crate::ctx::RequestCtx::time
 #[derive(Clone, Debug, Default)]
 pub struct OpStats {
     phase_nanos: [u64; 3],
@@ -121,15 +125,6 @@ pub struct OpStats {
     pub rpcs: u32,
     /// Retries by [`RetryClass`] (see [`OpStats::retry_count`]).
     retries: [u32; RetryClass::COUNT],
-    /// TopDirPathCache (or AM-Cache / path-lease-cache) hits.
-    pub cache_hits: u32,
-    /// Cache misses.
-    pub cache_misses: u32,
-    /// Expired path-lease entries revalidated with a version-check RPC.
-    pub cache_revalidations: u32,
-    /// Cached path entries dropped by a subtree invalidation.
-    pub cache_invalidations: u32,
-    current: Option<(usize, SimInstant)>,
 }
 
 impl OpStats {
@@ -138,31 +133,15 @@ impl OpStats {
         Self::default()
     }
 
-    /// Starts charging time to `phase`, ending any phase in progress.
-    pub fn begin(&mut self, phase: Phase) {
-        self.end();
-        self.current = Some((phase.idx(), clock::now()));
-    }
+    /// Does nothing: [`RequestCtx::time`] closes every phase it opens. Kept
+    /// only because the frozen benchmark calls it after each op.
+    ///
+    /// [`RequestCtx::time`]: crate::ctx::RequestCtx::time
+    pub fn end(&mut self) {}
 
-    /// Stops the phase in progress, if any.
-    pub fn end(&mut self) {
-        if let Some((idx, start)) = self.current.take() {
-            self.phase_nanos[idx] += start.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Index of the phase in progress, if any (for save/restore in
-    /// `RequestCtx::time`).
-    pub(crate) fn current_idx(&self) -> Option<usize> {
-        self.current.map(|(idx, _)| idx)
-    }
-
-    /// Restarts the phase saved by [`OpStats::current_idx`] at the current
-    /// sim time. No-op for `None`.
-    pub(crate) fn resume_idx(&mut self, idx: Option<usize>) {
-        if let Some(idx) = idx {
-            self.current = Some((idx, clock::now()));
-        }
+    /// Adds `nanos` to `phase` (the one writer is `RequestCtx::time`).
+    pub(crate) fn charge(&mut self, phase: Phase, nanos: u64) {
+        self.phase_nanos[phase.idx()] += nanos;
     }
 
     /// Nanoseconds charged to `phase` so far.
@@ -202,34 +181,6 @@ impl OpStats {
     pub fn total_retries(&self) -> u32 {
         self.retries.iter().sum()
     }
-
-    /// Merges another recorder's counters into this one (phase times add;
-    /// used when an operation internally retries).
-    ///
-    /// Any phase `self` still has in progress is ended first, charging its
-    /// in-flight time — previously that slice was silently dropped when the
-    /// merged totals were read before the next [`OpStats::end`]. `other` is
-    /// expected to be fully ended: its in-flight slice cannot be observed
-    /// through a shared reference (debug builds assert this).
-    pub fn absorb(&mut self, other: &OpStats) {
-        self.end();
-        debug_assert!(
-            other.current.is_none(),
-            "absorb() of an OpStats with a phase still in progress drops its in-flight time; \
-             call end() on it first"
-        );
-        for i in 0..3 {
-            self.phase_nanos[i] += other.phase_nanos[i];
-        }
-        self.rpcs += other.rpcs;
-        for i in 0..RetryClass::COUNT {
-            self.retries[i] += other.retries[i];
-        }
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_revalidations += other.cache_revalidations;
-        self.cache_invalidations += other.cache_invalidations;
-    }
 }
 
 /// Aggregate of many operations' [`OpStats`], used by the figure harnesses.
@@ -243,14 +194,6 @@ pub struct OpStatsAgg {
     pub rpcs: u64,
     /// Sum of retries by [`RetryClass`].
     retries: [u64; RetryClass::COUNT],
-    /// Sum of cache hits.
-    pub cache_hits: u64,
-    /// Sum of cache misses.
-    pub cache_misses: u64,
-    /// Sum of path-lease revalidations.
-    pub cache_revalidations: u64,
-    /// Sum of path-lease invalidations.
-    pub cache_invalidations: u64,
 }
 
 impl OpStatsAgg {
@@ -264,10 +207,6 @@ impl OpStatsAgg {
         for (sum, n) in self.retries.iter_mut().zip(s.retries) {
             *sum += n as u64;
         }
-        self.cache_hits += s.cache_hits as u64;
-        self.cache_misses += s.cache_misses as u64;
-        self.cache_revalidations += s.cache_revalidations as u64;
-        self.cache_invalidations += s.cache_invalidations as u64;
     }
 
     /// Merges another aggregate (for combining per-thread aggregates).
@@ -280,10 +219,6 @@ impl OpStatsAgg {
         for (sum, n) in self.retries.iter_mut().zip(other.retries) {
             *sum += n;
         }
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_revalidations += other.cache_revalidations;
-        self.cache_invalidations += other.cache_invalidations;
     }
 
     /// Sum of retries recorded for `class`.
@@ -311,6 +246,7 @@ impl OpStatsAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock;
     use crate::ctx::RequestCtx;
 
     #[test]
@@ -326,18 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_time_restores_outer_phase() {
-        let mut s = RequestCtx::new();
-        s.begin(Phase::Execute);
-        clock::sleep(Duration::from_millis(1));
-        s.time(Phase::Lookup, |_| clock::sleep(Duration::from_millis(1)));
-        clock::sleep(Duration::from_millis(1));
-        s.end();
-        assert_eq!(s.phase_nanos(Phase::Execute), 2_000_000);
-        assert_eq!(s.phase_nanos(Phase::Lookup), 1_000_000);
-    }
-
-    #[test]
     fn retry_classes_count_independently() {
         let mut s = OpStats::new();
         s.note_retry(RetryClass::Txn);
@@ -350,21 +274,6 @@ mod tests {
         for c in RetryClass::ALL {
             assert!(!c.label().is_empty());
         }
-    }
-
-    #[test]
-    fn absorb_adds_counters() {
-        let mut a = OpStats::new();
-        a.rpc();
-        let mut b = OpStats::new();
-        b.rpc();
-        b.note_retry(RetryClass::Txn);
-        b.note_retry(RetryClass::Txn);
-        b.note_retry(RetryClass::Overload);
-        a.absorb(&b);
-        assert_eq!(a.rpcs, 2);
-        assert_eq!(a.retry_count(RetryClass::Txn), 2);
-        assert_eq!(a.retry_count(RetryClass::Overload), 1);
     }
 
     #[test]
@@ -398,38 +307,5 @@ mod tests {
         assert_eq!(agg.retry_count(RetryClass::Transient), 2);
         assert_eq!(agg.retry_count(RetryClass::RejectedFill), 2);
         assert_eq!(agg.retry_count(RetryClass::Txn), 0);
-    }
-
-    #[test]
-    fn end_without_begin_is_noop() {
-        let mut s = OpStats::new();
-        s.end();
-        assert_eq!(s.total_nanos(), 0);
-    }
-
-    #[test]
-    fn absorb_mid_phase_charges_in_flight_time() {
-        let mut a = OpStats::new();
-        a.begin(Phase::Execute);
-        clock::sleep(Duration::from_millis(2));
-        let mut b = OpStats::new();
-        b.begin(Phase::Lookup);
-        clock::sleep(Duration::from_millis(1));
-        b.end();
-        a.absorb(&b);
-        // The execute slice running when absorb() was called must be
-        // charged, not dropped. (The nested `b` sleep also advances this
-        // thread's timeline, so the in-flight slice spans both sleeps.)
-        assert!(
-            a.phase_nanos(Phase::Execute) >= 2_000_000,
-            "in-flight execute time dropped by absorb: {}ns",
-            a.phase_nanos(Phase::Execute)
-        );
-        assert!(a.phase_nanos(Phase::Lookup) >= 1_000_000);
-        // absorb() ends the current phase; later time is not charged.
-        let after = a.phase_nanos(Phase::Execute);
-        clock::sleep(Duration::from_millis(1));
-        a.end();
-        assert_eq!(a.phase_nanos(Phase::Execute), after);
     }
 }

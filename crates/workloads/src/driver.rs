@@ -135,7 +135,6 @@ impl Client<'_> {
         };
         let begin = clock::now();
         let result = f(&mut ctx);
-        ctx.end();
         match result {
             Ok(value) => {
                 let record = self.out.ops.entry(label).or_default();

@@ -63,7 +63,6 @@ fn main() {
         };
         let outcome = run_command(&cluster, cmd, &parts[1..], &mut stats);
         drop(flight_scope);
-        stats.end();
         match outcome {
             Ok(Some(output)) => {
                 println!("{output}");

@@ -94,7 +94,6 @@ fn worst_allocs_undone<R>(
         let path = MetaPath::parse(text).unwrap();
         let mut ctx = RequestCtx::new();
         let reply = op(&path, &mut ctx);
-        ctx.end();
         let allocs = COUNT.with(Cell::get) - before;
         reply.expect("op on a loaded path");
         undo(&path, &mut RequestCtx::new());

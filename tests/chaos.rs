@@ -225,9 +225,10 @@ fn fault_log_for(seed: u64) -> Vec<mantle::rpc::FaultEvent> {
     db.install_faults(Some(plan.clone()));
     let mut stats = RequestCtx::new();
     let dirs: Vec<InodeId> = (1..6).map(|i| InodeId(i * 97)).collect();
-    for dir in &dirs {
-        db.raw_put(attr_key(*dir), Row::DirAttr(DirAttrMeta::new(0, 0)));
-    }
+    db.bulk_apply(dirs.iter().map(|&dir| TxnOp::Put {
+        key: attr_key(dir),
+        row: Row::DirAttr(DirAttrMeta::new(0, 0)),
+    }));
     for round in 0..40 {
         for (d, dir) in dirs.iter().enumerate() {
             let name = format!("o{round}");

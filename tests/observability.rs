@@ -197,9 +197,10 @@ fn flight_run(seed: u64) -> (String, String) {
     db.install_faults(Some(plan));
     let mut stats = RequestCtx::new();
     let dirs: Vec<InodeId> = (1..6).map(|i| InodeId(i * 97)).collect();
-    for dir in &dirs {
-        db.raw_put(attr_key(*dir), Row::DirAttr(DirAttrMeta::new(0, 0)));
-    }
+    db.bulk_apply(dirs.iter().map(|&dir| TxnOp::Put {
+        key: attr_key(dir),
+        row: Row::DirAttr(DirAttrMeta::new(0, 0)),
+    }));
     for round in 0..40 {
         for (d, dir) in dirs.iter().enumerate() {
             let scope = flight::op_scope("tafdb", "execute", 1);

@@ -15,7 +15,9 @@ clippy:
 # No raw_put outside crates/tafdb/src (tests and examples included), no
 # AttrDelta literal outside its two
 # defining files, no object / dirstat / listing / bulk-load row op in a
-# front-end outside crates/tafdb/src/front.rs (LocoFS excepted), and no
+# front-end outside crates/tafdb/src/front.rs (LocoFS excepted), no
+# clone-out engine read (`scan_range`, `scan_versions`, `scan_dir`,
+# `export_rows`) outside crates/engine/src (DESIGN.md §4.12), and no
 # per-level permission walk, spelled-out refusal, leaf split or rename
 # precheck outside crates/types/src/resolve.rs (DESIGN.md §4.3); no
 # thread::scope / flight::op_scope / trace::start in a workload or figure

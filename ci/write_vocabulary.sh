@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The side-door bans behind "one write vocabulary into TafDB" and "one table
-# plane" (DESIGN.md §4.3). All three fail the build:
+# The side-door bans behind "one write vocabulary into TafDB", "one table
+# plane" (DESIGN.md §4.3) and "reads lend" (DESIGN.md §4.12). All five fail
+# the build:
 #   1. `raw_put` appears in no file under crates/*/src, crates/*/tests,
 #      src/, tests/ or examples/ outside crates/tafdb/src: front-ends write
 #      rows through an executor, and tests seed rows through the loader's
@@ -13,6 +14,12 @@
 #      crates/baselines/src only in locofs.rs (which keeps half of each
 #      recipe on its directory server): what a front-end does with a
 #      resolved parent is written once, in crates/tafdb/src/front.rs.
+#   4. the clone-out reads `scan_range(`, `scan_versions(`, `scan_dir(` and
+#      `export_rows(` appear in non-test source (cut as in 2) only under
+#      crates/engine/src: a reader visits rows in place through
+#      `StorageEngine::{get_with, scan}` and copies out what it keeps.
+#   5. `merge_attr_rows` and `scan_attr_rows` stay retired (dirstat folds
+#      in the engine's visitor).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +34,15 @@ literals=$(find crates src -name '*.rs' -not -path '*/tests/*' \
 
 plane=$(grep -rnE 'recipe::create\(|recipe::delete\(|\.get_object\(|\.dir_stat\(|\.readdir_page\(|raw_get' \
     crates/core/src crates/baselines/src --include='*.rs' | grep -v '^crates/baselines/src/locofs\.rs:' || true)
+
+clone_out=$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
+    -not -path 'crates/engine/src/*' -print0 |
+    xargs -0 awk '
+        FNR == 1 { counting = 1 }
+        /#\[cfg\(test\)\]/ { counting = 0 }
+        counting && /(scan_range|scan_versions|scan_dir|export_rows)\(/ { print FILENAME ":" FNR ": " $0 }')
+
+retired=$(grep -rnwE 'merge_attr_rows|scan_attr_rows' crates src tests examples --include='*.rs' || true)
 
 status=0
 if [ -n "$raw_put" ]; then
@@ -44,5 +60,15 @@ if [ -n "$plane" ]; then
     echo "$plane"
     status=1
 fi
-[ "$status" -eq 0 ] && echo "write vocabulary, table plane OK"
+if [ -n "$clone_out" ]; then
+    echo "clone-out engine read outside crates/engine/src (visit with StorageEngine::{get_with, scan}):"
+    echo "$clone_out"
+    status=1
+fi
+if [ -n "$retired" ]; then
+    echo "retired attribute-row collectors (fold in the engine's visitor):"
+    echo "$retired"
+    status=1
+fi
+[ "$status" -eq 0 ] && echo "write vocabulary, table plane, lending reads OK"
 exit "$status"

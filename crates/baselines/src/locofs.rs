@@ -435,7 +435,7 @@ impl MetadataService for LocoFs {
             })?;
             // Cross-component check: an object of this name in the object
             // DB also blocks the mkdir.
-            if self.db.get_entry(pid, name, stats)?.is_some() {
+            if self.db.read_entry(pid, name, stats, |_| ())?.is_some() {
                 return Err(MetaError::AlreadyExists(path.to_string()));
             }
             let leader = self.leader()?;
@@ -526,7 +526,7 @@ impl MetadataService for LocoFs {
             })
         })?;
         stats.time(Phase::Execute, |stats| {
-            self.db.get_object(pid, name, stats)?;
+            self.db.expect_object(pid, name, stats)?;
             let now = self.now();
             let [remove, _] = recipe::delete(pid, name, now);
             self.db.execute_relaxed(&[remove], stats)?;
@@ -635,7 +635,8 @@ impl MetadataService for LocoFs {
             // Cross-component check, as in mkdir: an object of the
             // destination name in the object DB blocks the rename too, and
             // asking costs an RPC (§3.3).
-            if self.db.get_entry(dst_pid, dst_name, stats)?.is_some() {
+            let taken = self.db.read_entry(dst_pid, dst_name, stats, |_| ())?;
+            if taken.is_some() {
                 return Err(MetaError::AlreadyExists(dst.to_string()));
             }
             Self::propose(&self.leader()?, cmd)

@@ -1,10 +1,11 @@
 //! The default engine: a reader-writer lock around a B-tree.
 //!
-//! This is the historical TafDB shard structure, preserved exactly:
-//! critical sections clone in and clone out, and a range scan holds the
-//! shared lock for the whole scan — which is precisely why writers stall
-//! behind `readdir` of a large directory (the contention the MVCC engine
-//! removes). The only addition is lock-wait accounting on the slow path.
+//! This is the historical TafDB shard structure: a write moves its row in,
+//! a read lends each row to its closure under the shared lock, and a range
+//! scan holds that lock for the whole scan — which is precisely why
+//! writers stall behind `readdir` of a large directory (the contention the
+//! MVCC engine removes). The only addition is lock-wait accounting on the
+//! slow path.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -13,7 +14,9 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use mantle_store::{KeyParts, RowKey};
 
-use crate::{EngineValue, KeyBound, RangeFn, StorageEngine, UpdateFn, WaitCounters, WriteOp};
+use crate::{
+    EngineValue, KeyBound, RangeFn, ScanFn, StorageEngine, UpdateFn, WaitCounters, WriteOp,
+};
 
 /// Reader-writer-locked B-tree engine (the `MANTLE_ENGINE=btree` default).
 pub struct BTreeEngine<V> {
@@ -62,12 +65,17 @@ impl<V: EngineValue> StorageEngine<V> for BTreeEngine<V> {
         "btree"
     }
 
-    fn get(&self, key: &dyn KeyParts) -> Option<V> {
-        self.read().get(key).cloned()
+    fn get_with(&self, key: &dyn KeyParts, f: &mut dyn FnMut(&V)) {
+        if let Some(v) = self.read().get(key) {
+            f(v);
+        }
     }
 
-    fn contains(&self, key: &dyn KeyParts) -> bool {
-        self.read().contains_key(key)
+    fn scan(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut ScanFn<'_, V>) {
+        let _ = self
+            .read()
+            .range::<dyn KeyParts, _>((lo, hi))
+            .try_for_each(|(k, v)| f(k, v));
     }
 
     fn put(&self, key: RowKey, value: V) -> Option<V> {
@@ -124,14 +132,6 @@ impl<V: EngineValue> StorageEngine<V> for BTreeEngine<V> {
         }
     }
 
-    fn scan_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, limit: usize) -> Vec<(RowKey, V)> {
-        self.read()
-            .range::<dyn KeyParts, _>((lo, hi))
-            .take(limit)
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
     fn update_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut RangeFn<'_, V>) {
         let mut map = self.write();
         let rows: Vec<(RowKey, V)> = map
@@ -148,13 +148,6 @@ impl<V: EngineValue> StorageEngine<V> for BTreeEngine<V> {
                 }
             }
         }
-    }
-
-    fn export_rows(&self) -> Vec<(RowKey, V)> {
-        self.read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
     }
 
     fn replace_all(&self, rows: Vec<(RowKey, V)>) {

@@ -24,7 +24,7 @@
 //! contention measurement, zero in deterministic single-threaded runs —
 //! and is what the repo benchmark's `engine.lock_wait_ns_per_op` reads.
 
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 
 use mantle_store::{KeyParts, RowKey, RowKeyView};
 use mantle_types::snapshot::{frame, unframe, SnapshotReader, SnapshotWriter};
@@ -62,11 +62,20 @@ pub type UpdateFn<'a, V> = dyn FnMut(Option<&V>) -> (Option<V>, bool) + 'a;
 /// live row in the bounds, returns the mutations to apply atomically.
 pub type RangeFn<'a, V> = dyn FnMut(&[(RowKey, V)]) -> Vec<WriteOp<V>> + 'a;
 
+/// Visitor of [`StorageEngine::scan`]: sees each row in place, in key
+/// order, and breaks to end the scan.
+pub type ScanFn<'a, V> = dyn FnMut(&RowKey, &V) -> ControlFlow<()> + 'a;
+
 /// A scan bound: a borrowed key, so bounding a scan builds none.
 pub type KeyBound<'a> = Bound<&'a dyn KeyParts>;
 
 /// An ordered key-value storage engine: point reads and writes, atomic
 /// batches, bounded range scans, and checkpoint/restore byte images.
+///
+/// Reads *lend*: an engine implements [`Self::get_with`] and [`Self::scan`],
+/// which hand each stored row to a closure in place, under the engine's
+/// latch (which the closure must not re-enter); the cloning forms `get`,
+/// `scan_range` and `export_rows` are provided over them.
 ///
 /// Probes and scan bounds take the key as [`KeyParts`] — `&RowKey` and
 /// `&RowKeyView` both coerce — and the engines search their trees through
@@ -81,12 +90,26 @@ pub trait StorageEngine<V: EngineValue>: Send + Sync {
     /// Engine name as selected by `MANTLE_ENGINE` ("btree", "mvcc").
     fn name(&self) -> &'static str;
 
-    /// Reads the row at `key`.
-    fn get(&self, key: &dyn KeyParts) -> Option<V>;
+    /// Runs `f` on the row at `key`, in place; not at all when there is
+    /// none.
+    fn get_with(&self, key: &dyn KeyParts, f: &mut dyn FnMut(&V));
+
+    /// Visits the live rows with keys in the given bounds, in key order,
+    /// in place, from one consistent point-in-time view, until `f` breaks.
+    fn scan(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut ScanFn<'_, V>);
+
+    /// A copy of the row at `key`.
+    fn get(&self, key: &dyn KeyParts) -> Option<V> {
+        let mut row = None;
+        self.get_with(key, &mut |v| row = Some(v.clone()));
+        row
+    }
 
     /// Whether a row exists at `key`.
     fn contains(&self, key: &dyn KeyParts) -> bool {
-        self.get(key).is_some()
+        let mut found = false;
+        self.get_with(key, &mut |_| found = true);
+        found
     }
 
     /// Inserts or replaces a row, returning the previous value.
@@ -109,9 +132,19 @@ pub trait StorageEngine<V: EngineValue>: Send + Sync {
     /// sees all of the batch or none of it.
     fn apply(&self, batch: Vec<WriteOp<V>>);
 
-    /// Up to `limit` live rows with keys in the given bounds, in key
-    /// order, from one consistent point-in-time view.
-    fn scan_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, limit: usize) -> Vec<(RowKey, V)>;
+    /// Copies of up to `limit` live rows with keys in the given bounds, in
+    /// key order, from one consistent point-in-time view.
+    fn scan_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, limit: usize) -> Vec<(RowKey, V)> {
+        let mut rows = Vec::new();
+        self.scan(lo, hi, &mut |k, v| {
+            if rows.len() == limit {
+                return ControlFlow::Break(());
+            }
+            rows.push((k.clone(), v.clone()));
+            ControlFlow::Continue(())
+        });
+        rows
+    }
 
     /// Atomic range transform: `f` sees every live row in the bounds (key
     /// order) and returns mutations applied atomically with the read —
@@ -119,7 +152,7 @@ pub trait StorageEngine<V: EngineValue>: Send + Sync {
     /// row invisibly to concurrent scans".
     fn update_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut RangeFn<'_, V>);
 
-    /// Every live row in key order — one consistent snapshot.
+    /// Copies of every live row in key order — one consistent snapshot.
     fn export_rows(&self) -> Vec<(RowKey, V)> {
         self.scan_range(Bound::Unbounded, Bound::Unbounded, usize::MAX)
     }
@@ -160,11 +193,13 @@ pub trait StorageEngine<V: EngineValue>: Send + Sync {
     /// checkpoint image — one consistent snapshot (DESIGN.md §4.11). Two
     /// engines holding the same logical rows produce identical bytes.
     fn checkpoint_filtered(&self, keep: &dyn Fn(&RowKey) -> bool) -> Vec<u8> {
-        let rows: Vec<(RowKey, V)> = self
-            .export_rows()
-            .into_iter()
-            .filter(|(k, _)| keep(k))
-            .collect();
+        let mut rows = Vec::new();
+        self.scan(Bound::Unbounded, Bound::Unbounded, &mut |k, v| {
+            if keep(k) {
+                rows.push((k.clone(), v.clone()));
+            }
+            ControlFlow::Continue(())
+        });
         encode_image(&rows)
     }
 

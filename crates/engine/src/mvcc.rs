@@ -14,10 +14,13 @@
 //!    sequence `s` and register it. Writers publish their sequence under
 //!    the same mutex *before* computing the prune floor, so a version
 //!    readable at any registered (or future) pin is never reclaimed.
-//! 2. Chunked walk: take the shared latch, visit up to `CHUNK` keys
-//!    resolving each chain at `s` (newest version with `seq <= s`),
-//!    release, resume strictly after the last visited key.
+//! 2. Chunked walk: take the shared latch, lend the visitor each of up to
+//!    `CHUNK` keys' chain resolved at `s` (newest version with `seq <= s`)
+//!    under it, release, resume at the first key not visited.
 //! 3. `unpin(s)`: deregister; the next write prunes what `s` kept alive.
+//!
+//! A write publishes its sequence and takes the floor first, then descends
+//! once (an `entry` on its owned key) to the chain it appends to and prunes.
 //!
 //! # Garbage
 //!
@@ -28,6 +31,7 @@
 //! outlive the rollback — and [`StorageEngine::version_count`] exposes
 //! what is still stored so operators can watch accumulation.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +41,9 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use mantle_store::{KeyParts, RowKey};
 
-use crate::{EngineValue, KeyBound, RangeFn, StorageEngine, UpdateFn, WaitCounters, WriteOp};
+use crate::{
+    EngineValue, KeyBound, RangeFn, ScanFn, StorageEngine, UpdateFn, WaitCounters, WriteOp,
+};
 
 /// Keys visited per latch hold during a snapshot scan. Large enough to
 /// keep reacquisition overhead negligible on big directories, small
@@ -51,6 +57,10 @@ struct Chain<V> {
 }
 
 impl<V> Chain<V> {
+    fn new() -> Self {
+        Chain { vs: Vec::new() }
+    }
+
     /// The value visible at snapshot `s`: the newest version with
     /// `seq <= s`.
     fn read_at(&self, s: u64) -> Option<&V> {
@@ -86,12 +96,37 @@ impl<V> Chain<V> {
 
 struct Inner<V> {
     map: BTreeMap<RowKey, Chain<V>>,
+    counts: Counts,
+}
+
+/// The tallies, beside the map so a write can hold a chain and them at once.
+#[derive(Default)]
+struct Counts {
     /// Keys whose chain head is a live value.
     live: usize,
     /// Total versions stored (live + not-yet-reclaimed garbage).
     versions: usize,
     /// Last committed write sequence.
     seq: u64,
+}
+
+impl Counts {
+    /// Appends `value` (a tombstone when `None`) to `chain` as version `seq`.
+    fn append<V>(&mut self, chain: &mut Chain<V>, value: Option<V>) {
+        match (chain.head().is_some(), value.is_some()) {
+            (false, true) => self.live += 1,
+            (true, false) => self.live -= 1,
+            _ => {}
+        }
+        chain.vs.push((self.seq, value));
+        self.versions += 1;
+    }
+
+    /// Prunes `chain` at `floor`; `true` when it emptied (the caller unlinks).
+    fn prune<V>(&mut self, chain: &mut Chain<V>, floor: u64) -> bool {
+        self.versions -= chain.prune(floor);
+        chain.vs.is_empty()
+    }
 }
 
 /// Copy-on-write MVCC engine (`MANTLE_ENGINE=mvcc`).
@@ -118,9 +153,7 @@ impl<V> MvccEngine<V> {
         MvccEngine {
             inner: RwLock::new(Inner {
                 map: BTreeMap::new(),
-                live: 0,
-                versions: 0,
-                seq: 0,
+                counts: Counts::default(),
             }),
             pins: Mutex::new(BTreeMap::new()),
             published: AtomicU64::new(0),
@@ -176,70 +209,32 @@ impl<V> MvccEngine<V> {
         pins.keys().next().copied().unwrap_or(u64::MAX).min(seq)
     }
 
-    /// Appends one version, maintaining the live/version counters. An
-    /// owned key is made only for a key without a chain.
-    fn append(inner: &mut Inner<V>, key: &dyn KeyParts, value: Option<V>) {
-        let seq = inner.seq;
-        let chain = match inner.map.get_mut(key) {
-            Some(chain) => chain,
-            None => inner
-                .map
-                .entry(key.to_key())
-                .or_insert(Chain { vs: Vec::new() }),
-        };
-        let was_live = chain.head().is_some();
-        let is_live = value.is_some();
-        chain.vs.push((seq, value));
-        inner.versions += 1;
-        match (was_live, is_live) {
-            (false, true) => inner.live += 1,
-            (true, false) => inner.live -= 1,
-            _ => {}
-        }
-    }
-
-    /// Prunes the chains of `touched` with the current floor.
-    fn prune_touched<'k>(
-        &self,
-        inner: &mut Inner<V>,
-        touched: impl IntoIterator<Item = &'k dyn KeyParts>,
-    ) {
-        let floor = self.publish_floor(inner.seq);
-        for key in touched {
-            if let Some(chain) = inner.map.get_mut(key) {
-                inner.versions -= chain.prune(floor);
-                if chain.vs.is_empty() {
-                    inner.map.remove(key);
-                }
-            }
-        }
-    }
-
-    /// Whether `key`'s chain head is a live value.
-    fn is_live(inner: &Inner<V>, key: &dyn KeyParts) -> bool {
-        inner.map.get(key).is_some_and(|c| c.head().is_some())
-    }
-
-    /// Applies `ops` in order as one write, then prunes what they touched
-    /// (the shared tail of `apply` and `update_range`).
+    /// Applies `ops` in order as one write (the shared tail of `apply` and
+    /// `update_range`): the floor is published at the batch's last
+    /// sequence, then each op descends once, by its owned key.
     fn apply_ops(&self, inner: &mut Inner<V>, ops: Vec<WriteOp<V>>) {
-        let mut touched = Vec::with_capacity(ops.len());
+        let Inner { map, counts } = inner;
+        let floor = self.publish_floor(counts.seq + ops.len() as u64);
         for op in ops {
-            inner.seq += 1;
+            counts.seq += 1;
             match op {
                 WriteOp::Put(k, v) => {
-                    Self::append(inner, &k, Some(v));
-                    touched.push(k);
+                    let chain = map.entry(k).or_insert_with(Chain::new);
+                    counts.append(chain, Some(v));
+                    counts.prune(chain, floor);
                 }
                 WriteOp::Delete(k) => {
-                    if Self::is_live(inner, &k) {
-                        Self::append(inner, &k, None);
+                    if let Entry::Occupied(mut e) = map.entry(k) {
+                        if e.get().head().is_some() {
+                            counts.append(e.get_mut(), None);
+                        }
+                        if counts.prune(e.get_mut(), floor) {
+                            e.remove();
+                        }
                     }
-                    touched.push(k);
                 }
             }
         }
-        self.prune_touched(inner, touched.iter().map(|k| k as &dyn KeyParts));
     }
 }
 
@@ -248,100 +243,94 @@ impl<V: EngineValue> StorageEngine<V> for MvccEngine<V> {
         "mvcc"
     }
 
-    fn get(&self, key: &dyn KeyParts) -> Option<V> {
-        self.read().map.get(key).and_then(|c| c.head().cloned())
+    fn get_with(&self, key: &dyn KeyParts, f: &mut dyn FnMut(&V)) {
+        if let Some(v) = self.read().map.get(key).and_then(Chain::head) {
+            f(v);
+        }
     }
 
-    fn contains(&self, key: &dyn KeyParts) -> bool {
-        Self::is_live(&self.read(), key)
+    fn scan(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut ScanFn<'_, V>) {
+        let snap = self.pin();
+        // The first key the previous chunk left unvisited.
+        let mut next: Option<RowKey> = None;
+        loop {
+            let g = self.read();
+            let from = next.as_ref().map_or(lo, |k| Bound::Included(k));
+            let mut keys = g.map.range::<dyn KeyParts, _>((from, hi));
+            let mut chunk = keys.by_ref().take(CHUNK);
+            if chunk.any(|(k, c)| c.read_at(snap).is_some_and(|v| f(k, v).is_break())) {
+                break;
+            }
+            match keys.next() {
+                Some((k, _)) => next = Some(k.clone()),
+                None => break,
+            }
+        }
+        self.unpin(snap);
     }
 
     fn put(&self, key: RowKey, value: V) -> Option<V> {
         let mut inner = self.write();
-        let prev = inner
-            .map
-            .get(&key as &dyn KeyParts)
-            .and_then(|c| c.head().cloned());
-        inner.seq += 1;
-        Self::append(&mut inner, &key, Some(value));
-        self.prune_touched(&mut inner, [&key as &dyn KeyParts]);
+        let Inner { map, counts } = &mut *inner;
+        counts.seq += 1;
+        let floor = self.publish_floor(counts.seq);
+        let chain = map.entry(key).or_insert_with(Chain::new);
+        let prev = chain.head().cloned();
+        counts.append(chain, Some(value));
+        counts.prune(chain, floor); // a live head is never reclaimed
         prev
     }
 
     fn put_if_absent(&self, key: RowKey, value: V) -> bool {
         let mut inner = self.write();
-        if Self::is_live(&inner, &key) {
-            return false;
-        }
-        inner.seq += 1;
-        Self::append(&mut inner, &key, Some(value));
-        self.prune_touched(&mut inner, [&key as &dyn KeyParts]);
+        let Inner { map, counts } = &mut *inner;
+        let chain = match map.entry(key) {
+            Entry::Occupied(e) if e.get().head().is_some() => return false,
+            e => e.or_insert_with(Chain::new),
+        };
+        counts.seq += 1;
+        let floor = self.publish_floor(counts.seq);
+        counts.append(chain, Some(value));
+        counts.prune(chain, floor);
         true
     }
 
     fn delete(&self, key: &dyn KeyParts) -> bool {
         let mut inner = self.write();
-        if !Self::is_live(&inner, key) {
+        let Inner { map, counts } = &mut *inner;
+        let Some(chain) = map.get_mut(key).filter(|c| c.head().is_some()) else {
             return false;
+        };
+        counts.seq += 1;
+        let floor = self.publish_floor(counts.seq);
+        counts.append(chain, None);
+        if counts.prune(chain, floor) {
+            map.remove(key);
         }
-        inner.seq += 1;
-        Self::append(&mut inner, key, None);
-        self.prune_touched(&mut inner, [key]);
         true
     }
 
     fn update(&self, key: &dyn KeyParts, f: &mut UpdateFn<'_, V>) -> bool {
         let mut inner = self.write();
-        let (next, out) = f(inner.map.get(key).and_then(|c| c.head()));
-        if next.is_some() || Self::is_live(&inner, key) {
-            inner.seq += 1;
-            Self::append(&mut inner, key, next);
-            self.prune_touched(&mut inner, [key]);
+        let Inner { map, counts } = &mut *inner;
+        let (next, out) = f(map.get(key).and_then(Chain::head));
+        // An owned key is made only for a key without a chain.
+        let chain = match map.get_mut(key) {
+            Some(chain) if next.is_some() || chain.head().is_some() => chain,
+            None if next.is_some() => map.entry(key.to_key()).or_insert_with(Chain::new),
+            _ => return out,
+        };
+        counts.seq += 1;
+        let floor = self.publish_floor(counts.seq);
+        counts.append(chain, next);
+        if counts.prune(chain, floor) {
+            map.remove(key);
         }
         out
     }
 
     fn apply(&self, batch: Vec<WriteOp<V>>) {
         self.apply_ops(&mut self.write(), batch);
-    }
-
-    fn scan_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, limit: usize) -> Vec<(RowKey, V)> {
-        if limit == 0 {
-            return Vec::new();
-        }
-        let snap = self.pin();
-        let mut out = Vec::new();
-        // The last key of the previous chunk; the next resumes after it.
-        let mut resume: Option<RowKey> = None;
-        'chunks: loop {
-            let g = self.read();
-            let cursor = match &resume {
-                Some(k) => Bound::Excluded(k as &dyn KeyParts),
-                None => lo,
-            };
-            let mut walked = 0usize;
-            let mut last = None;
-            for (k, chain) in g.map.range::<dyn KeyParts, _>((cursor, hi)) {
-                if let Some(v) = chain.read_at(snap) {
-                    out.push((k.clone(), v.clone()));
-                    if out.len() >= limit {
-                        break 'chunks;
-                    }
-                }
-                walked += 1;
-                if walked == CHUNK {
-                    last = Some(k.clone());
-                    break;
-                }
-            }
-            drop(g);
-            match last {
-                Some(k) => resume = Some(k),
-                None => break,
-            }
-        }
-        self.unpin(snap);
-        out
     }
 
     fn update_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut RangeFn<'_, V>) {
@@ -356,10 +345,12 @@ impl<V: EngineValue> StorageEngine<V> for MvccEngine<V> {
 
     fn replace_all(&self, rows: Vec<(RowKey, V)>) {
         let mut inner = self.write();
-        inner.seq += 1;
-        let seq = inner.seq;
-        inner.live = rows.len();
-        inner.versions = rows.len();
+        let seq = inner.counts.seq + 1;
+        inner.counts = Counts {
+            live: rows.len(),
+            versions: rows.len(),
+            seq,
+        };
         inner.map = rows
             .into_iter()
             .map(|(k, v)| {
@@ -376,29 +367,20 @@ impl<V: EngineValue> StorageEngine<V> for MvccEngine<V> {
     }
 
     fn len(&self) -> usize {
-        self.read().live
+        self.read().counts.live
     }
 
     fn version_count(&self) -> usize {
-        self.read().versions
+        self.read().counts.versions
     }
 
     fn gc(&self) -> usize {
         let mut inner = self.write();
-        let floor = self.publish_floor(inner.seq);
-        let mut removed = 0;
-        let mut dead: Vec<RowKey> = Vec::new();
-        for (k, chain) in inner.map.iter_mut() {
-            removed += chain.prune(floor);
-            if chain.vs.is_empty() {
-                dead.push(k.clone());
-            }
-        }
-        for k in &dead {
-            inner.map.remove(k);
-        }
-        inner.versions -= removed;
-        removed
+        let Inner { map, counts } = &mut *inner;
+        let floor = self.publish_floor(counts.seq);
+        let before = counts.versions;
+        map.retain(|_, chain| !counts.prune(chain, floor));
+        before - counts.versions
     }
 
     fn lock_wait_nanos(&self) -> u64 {

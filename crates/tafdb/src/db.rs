@@ -12,6 +12,7 @@
 //!   range migration over checkpoint images, and the controller tick.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -23,7 +24,6 @@ use mantle_rpc::faults::{FaultPlan, FaultSlot};
 use mantle_rpc::SimNode;
 use mantle_store::{GroupCommitWal, KeyParts, LockManager};
 use mantle_sync::LatchTable;
-use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{
     EnvConfig,
     InodeId,
@@ -332,29 +332,19 @@ impl TafDb {
     /// Number of outstanding delta records for `dir`, summed over every
     /// shard (split regions spread them).
     pub fn pending_deltas(&self, dir: InodeId) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                mantle_engine::scan_versions(&*shard.engine, dir, ATTR_ROW_NAME)
-                    .iter()
-                    .filter(|(k, _)| k.ts != TxnId::BASE)
-                    .count()
-            })
-            .sum()
+        self.shards.iter().map(|shard| shard.deltas(dir)).sum()
     }
 
     /// Live rows on shard `i` whose placement key falls in
     /// `start..=end` (chaos-test visibility into staged migration state).
     pub fn shard_rows_in_place_range(&self, i: usize, start: u64, end: u64) -> usize {
-        self.shards[i]
-            .engine
-            .export_rows()
-            .iter()
-            .filter(|(k, _)| {
-                let p = place_of(k);
-                start <= p && p <= end
-            })
-            .count()
+        let mut n = 0;
+        let all = Bound::Unbounded;
+        self.shards[i].engine.scan(all, all, &mut |k, _| {
+            n += usize::from((start..=end).contains(&place_of(k)));
+            ControlFlow::Continue(())
+        });
+        n
     }
 }
 

@@ -9,7 +9,7 @@
 //! [`MetaError::StaleRoute`], which the [`TafDb::execute`] retry loop
 //! absorbs by re-snapshotting.
 
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::Ordering;
 
 use mantle_engine::{dir_end, versions_end, KeyBound};
@@ -41,8 +41,14 @@ fn conflict() -> MetaError {
 /// refused rmdir reads at most two rows however large the directory.
 /// (Both sides: `-x`, `.y` or ` z` sort *before* `/_ATTR`.)
 fn has_children(shard: &Shard, dir: InodeId) -> bool {
-    let any_in =
-        |lo: KeyBound<'_>, hi: KeyBound<'_>| !shard.engine.scan_range(lo, hi, 1).is_empty();
+    let any_in = |lo: KeyBound<'_>, hi: KeyBound<'_>| {
+        let mut any = false;
+        shard.engine.scan(lo, hi, &mut |_, _| {
+            any = true;
+            ControlFlow::Break(())
+        });
+        any
+    };
     any_in(
         Bound::Included(&RowKeyView::base(dir, "")),
         Bound::Excluded(&attr_view(dir)),
@@ -344,12 +350,16 @@ impl TafDb {
                 // Lock every local delta record of the dying directory;
                 // the base owner's exclusive attr lock (same txn) blocks
                 // new appends, so the set is stable through commit.
-                let local = mantle_engine::scan_versions(&*shard.engine, key.pid, ATTR_ROW_NAME);
-                for (k, _) in local {
+                // Recorded, then locked: `unlock_steps` skips one not held.
+                let from = extras.purged.len();
+                shard.attr_rows(key.pid, &mut |k, _| {
                     if k.ts != TxnId::BASE {
-                        lock(&k, LockMode::Exclusive)?;
-                        extras.purged.push((step.shard, k));
+                        extras.purged.push((step.shard, k.clone()));
                     }
+                    ControlFlow::Continue(())
+                });
+                for (_, k) in &extras.purged[from..] {
+                    lock(k, LockMode::Exclusive)?;
                 }
             }
             (how, op) => unreachable!("route_ops never routes {op:?} as {how:?}"),

@@ -92,7 +92,7 @@ impl Front {
     ) -> Result<()> {
         stats.time(Phase::Execute, |stats| {
             parent.require(Permission::WRITE, path)?;
-            self.db.get_object(parent.id, name, stats)?;
+            self.db.expect_object(parent.id, name, stats)?;
             let ops = recipe::delete(parent.id, name, self.now());
             (self.run)(&self.db, &ops, stats)
         })

@@ -4,14 +4,14 @@
 //! owner proves the value was authoritative), absorbing races with a
 //! `StaleRoute` bounce-and-retry.
 
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
-use mantle_store::{KeyParts, RowKey};
-use mantle_types::record::ATTR_ROW_NAME;
+use mantle_engine::dir_end;
+use mantle_store::KeyParts;
 use mantle_types::{
     AttrDelta, DirAttrMeta, DirEntry, EntryKind, InodeId, MetaError, ObjectMeta, Permission,
-    RequestCtx, Result, RetryClass, TxnId,
+    RequestCtx, Result, RetryClass,
 };
 
 use crate::db::TafDb;
@@ -90,20 +90,26 @@ impl TafDb {
 
     /// The one entry-read loop: one RPC to the owning shard (with its own
     /// round trip, or as one leg of a caller-paid fan-out), re-routed while
-    /// the shard map moves underneath it.
-    fn read_entry(
+    /// the shard map moves underneath it. `project` sees the row in place
+    /// and makes what the caller keeps; `None` when there is no row.
+    fn entry_rpc<T>(
         &self,
         pid: InodeId,
         name: &str,
         own_round_trip: bool,
         stats: &mut RequestCtx,
-    ) -> Result<Option<Row>> {
+        project: impl Fn(&Row) -> T,
+    ) -> Result<Option<T>> {
         let key = entry_view(pid, name);
         let place = place_of(&key);
         loop {
             let (owner, _) = self.route(place);
             let shard = &self.shards[owner];
-            let get = || shard.engine.get(&key);
+            let get = || {
+                let mut out = None;
+                shard.engine.get_with(&key, &mut |r| out = Some(project(r)));
+                out
+            };
             let row = if own_round_trip {
                 shard.node.try_rpc_named(stats, "get_entry", get)?
             } else {
@@ -118,20 +124,36 @@ impl TafDb {
         }
     }
 
-    /// Reads the entry row of `name` under `pid`.
+    /// What `project` makes of the entry row of `name` under `pid`, read in
+    /// place (`None`: no row) — a check copies nothing out of the row.
     ///
     /// # Errors
     ///
     /// [`MetaError::Transient`] on an injected transport fault,
     /// [`MetaError::Overloaded`] / [`MetaError::DeadlineExceeded`] from the
     /// shard's admission control.
+    pub fn read_entry<T>(
+        &self,
+        pid: InodeId,
+        name: &str,
+        stats: &mut RequestCtx,
+        project: impl Fn(&Row) -> T,
+    ) -> Result<Option<T>> {
+        self.entry_rpc(pid, name, true, stats, project)
+    }
+
+    /// A copy of the entry row of `name` under `pid`.
+    ///
+    /// # Errors
+    ///
+    /// As [`TafDb::read_entry`].
     pub fn get_entry(
         &self,
         pid: InodeId,
         name: &str,
         stats: &mut RequestCtx,
     ) -> Result<Option<Row>> {
-        self.read_entry(pid, name, true, stats)
+        self.read_entry(pid, name, stats, Row::clone)
     }
 
     /// [`TafDb::get_entry`] without a network round trip of its own — for
@@ -145,7 +167,7 @@ impl TafDb {
         name: &str,
         stats: &mut RequestCtx,
     ) -> Result<Option<Row>> {
-        self.read_entry(pid, name, false, stats)
+        self.entry_rpc(pid, name, false, stats, Row::clone)
     }
 
     /// One step of level-by-level path resolution: child directory id and
@@ -181,60 +203,37 @@ impl TafDb {
         name: &str,
         stats: &mut RequestCtx,
     ) -> Result<ObjectMeta> {
-        match self.get_entry(pid, name, stats)? {
-            Some(Row::Object(o)) => Ok(o),
-            Some(_) => Err(MetaError::IsADirectory(name.to_string())),
-            None => Err(MetaError::NotFound(name.to_string())),
-        }
+        let found = self.read_entry(pid, name, stats, |row| row.as_object().cloned())?;
+        object_or(found, name)
     }
 
-    /// Folds a `scan_versions` result (possibly assembled from several
-    /// region owners) into merged directory attributes, in one pass: the
-    /// deltas fold into one, applied to the base row wherever in an
-    /// assembled list that turned up.
-    fn merge_attr_rows(dir: InodeId, rows: Vec<(RowKey, Row)>) -> Result<DirAttrMeta> {
-        let mut attrs: Option<DirAttrMeta> = None;
-        let mut pending = AttrDelta::default();
-        for (key, row) in rows {
-            match row {
-                Row::DirAttr(a) => {
-                    debug_assert_eq!(key.ts, TxnId::BASE);
-                    attrs = Some(a);
-                }
-                Row::Delta(d) => pending.merge(&d),
-                _ => {}
-            }
-        }
-        let Some(mut attrs) = attrs else {
-            return Err(MetaError::NotFound(format!("dir {dir}")));
-        };
-        attrs.apply_delta(&pending);
-        Ok(attrs)
-    }
-
-    /// An engine version scan of `dir`'s attribute rows, booked against the
-    /// range-scan volume counter.
-    fn scan_attr_rows(&self, shard: &Shard, dir: InodeId) -> Vec<(RowKey, Row)> {
-        let rows = mantle_engine::scan_versions(&*shard.engine, dir, ATTR_ROW_NAME);
-        self.metrics.range_scan_rows.add(rows.len() as u64);
-        rows
+    /// Checks that `name` under `pid` is an object — a delete's type check,
+    /// which copies nothing out of the row.
+    ///
+    /// # Errors
+    ///
+    /// As [`TafDb::get_object`].
+    pub fn expect_object(&self, pid: InodeId, name: &str, stats: &mut RequestCtx) -> Result<()> {
+        let found = self.read_entry(pid, name, stats, |row| row.as_object().map(drop))?;
+        object_or(found, name)
     }
 
     /// The one region read: `scan` runs on every shard owning a piece of
     /// `dir`'s region, as RPCs named `rpc_name` — the sole owner of an
     /// unsplit region in one RPC, the owners of a split one as the batched
-    /// legs of a single fan-out round trip — and is re-run while the shard
-    /// map moves underneath it. `hit` is the placement key whose range books
-    /// the load sample. Returns the owners' rows in owner order, and whether
-    /// the region was split.
-    fn read_region<T>(
+    /// legs of a single fan-out round trip — and is re-run, from a fresh
+    /// accumulator, while the shard map moves underneath it. `hit` is the
+    /// placement key whose range books the load sample. Returns what the
+    /// owners added to the accumulator, in owner order, and whether the
+    /// region was split.
+    fn read_region<A: Default>(
         &self,
         dir: InodeId,
         hit: u64,
         rpc_name: &'static str,
         stats: &mut RequestCtx,
-        scan: impl Fn(&Shard) -> Vec<T>,
-    ) -> Result<(Vec<T>, bool)> {
+        scan: impl Fn(&Shard, &mut A),
+    ) -> Result<(A, bool)> {
         let (rs, re) = dir_region(dir);
         let mut attempt = 0;
         loop {
@@ -242,24 +241,24 @@ impl TafDb {
             m.record_hit(hit);
             let mut owners = m.owners_of(rs, re);
             let sole = owners.next().filter(|_| owners.next().is_none());
-            let rows = if let Some(owner) = sole {
+            let mut acc = A::default();
+            if let Some(owner) = sole {
                 let shard = &self.shards[owner];
-                shard.node.try_rpc_named(stats, rpc_name, || scan(shard))?
+                shard
+                    .node
+                    .try_rpc_named(stats, rpc_name, || scan(shard, &mut acc))?;
             } else {
                 // One fan-out round trip covers the parallel per-owner scans.
                 mantle_rpc::net_round_trip(&self.config);
-                let mut all = Vec::new();
                 for o in m.owners_of(rs, re) {
                     let shard = &self.shards[o];
-                    let mut part = shard
+                    shard
                         .node
-                        .try_rpc_batched(stats, rpc_name, || scan(shard))?;
-                    all.append(&mut part);
+                        .try_rpc_batched(stats, rpc_name, || scan(shard, &mut acc))?;
                 }
-                all
-            };
+            }
             if self.map.read().epoch() == m.epoch() || attempt >= READ_ROUTE_RETRIES {
-                return Ok((rows, sole.is_none()));
+                return Ok((acc, sole.is_none()));
             }
             attempt += 1;
             self.note_stale(stats);
@@ -268,79 +267,70 @@ impl TafDb {
 
     /// Reads a directory's attributes, merging outstanding delta records
     /// (the read-side cost of §5.2.1). When the directory's region is split
-    /// across shards, one fan-out round trip gathers every owner's rows.
+    /// across shards, one fan-out round trip folds every owner's rows, in
+    /// the engine's visitor.
     ///
     /// # Errors
     ///
     /// [`MetaError::NotFound`] when the directory has no attribute row.
     pub fn dir_stat(&self, dir: InodeId, stats: &mut RequestCtx) -> Result<DirAttrMeta> {
         let aplace = place_of(&attr_view(dir));
-        let (rows, _) = self.read_region(dir, aplace, "dir_stat", stats, |shard| {
-            self.scan_attr_rows(shard, dir)
-        })?;
-        Self::merge_attr_rows(dir, rows)
+        let fold = |shard: &Shard, (base, pending): &mut (Option<DirAttrMeta>, AttrDelta)| {
+            let mut rows = 0;
+            shard.attr_rows(dir, &mut |_, row| {
+                rows += 1;
+                match row {
+                    Row::DirAttr(a) => *base = Some(a.clone()),
+                    Row::Delta(d) => pending.merge(d),
+                    _ => {}
+                }
+                ControlFlow::Continue(())
+            });
+            self.metrics.range_scan_rows.add(rows);
+        };
+        let ((base, pending), _) = self.read_region(dir, aplace, "dir_stat", stats, fold)?;
+        let mut attrs = base.ok_or_else(|| MetaError::NotFound(format!("dir {dir}")))?;
+        attrs.apply_delta(&pending);
+        Ok(attrs)
     }
 
-    /// One shard's contribution to a page listing: up to `limit + 1`
-    /// matching entries (the sentinel extra reveals truncation), via a
-    /// bounded engine range scan. Saturating, so `usize::MAX` means "all".
+    /// One shard's share of a page listing, added to `page`: the first
+    /// `limit` entries of `pid` after `start_after` (saturating, so
+    /// `usize::MAX` means "all"), and whether more follow. One engine scan
+    /// lends each row in place; only an entry's name is copied out. The
+    /// attribute row and delta records sort among the entries and list
+    /// nothing, so the scan walks past them.
     fn scan_page(
         &self,
         shard: &Shard,
         pid: InodeId,
         start_after: Option<&str>,
         limit: usize,
-    ) -> Vec<DirEntry> {
-        let want = limit.saturating_add(1);
-        // +3: the attribute row, an entry equal to `start_after`, and the
-        // truncation sentinel may all occupy scan slots.
-        let budget = limit.saturating_add(3);
-        let first = entry_view(pid, start_after.unwrap_or(""));
-        // The last key a full scan returned; the next resumes after it.
-        let mut resume: Option<RowKey> = None;
-        let mut page = Vec::new();
-        loop {
-            let lo = match &resume {
-                Some(k) => Bound::Excluded(k as &dyn KeyParts),
-                None => Bound::Included(&first as &dyn KeyParts),
+        (page, more): &mut (Vec<DirEntry>, bool),
+    ) {
+        let (first, end) = (entry_view(pid, start_after.unwrap_or("")), dir_end(pid));
+        let lo = match start_after {
+            Some(_) => Bound::Excluded(&first as &dyn KeyParts),
+            None => Bound::Included(&first as &dyn KeyParts),
+        };
+        let (mut rows, mut taken) = (0, 0);
+        shard.engine.scan(lo, Bound::Excluded(&end), &mut |k, row| {
+            rows += 1;
+            let (kind, id) = match row {
+                Row::DirAccess { id, .. } => (EntryKind::Dir, *id),
+                Row::Object(o) => (EntryKind::Object, o.id),
+                Row::DirAttr(_) | Row::Delta(_) => return ControlFlow::Continue(()),
             };
-            let rows =
-                shard
-                    .engine
-                    .scan_range(lo, Bound::Excluded(&mantle_engine::dir_end(pid)), budget);
-            self.metrics.range_scan_rows.add(rows.len() as u64);
-            let more = rows.len() == budget;
-            let last = rows.last().map(|(k, _)| k.clone());
-            page.reserve(rows.len().min(want - page.len()));
-            page.extend(
-                rows.into_iter()
-                    .filter(|(k, _)| {
-                        k.name.as_ref() != ATTR_ROW_NAME
-                            && start_after.is_none_or(|a| k.name.as_ref() > a)
-                    })
-                    .filter_map(|(k, row)| match row {
-                        Row::DirAccess { id, .. } => Some(DirEntry {
-                            name: k.name.to_string(),
-                            kind: EntryKind::Dir,
-                            id,
-                        }),
-                        Row::Object(o) => Some(DirEntry {
-                            name: k.name.to_string(),
-                            kind: EntryKind::Object,
-                            id: o.id,
-                        }),
-                        _ => None,
-                    })
-                    .take(want - page.len()),
-            );
-            // A hot directory's uncompacted delta records sort right after
-            // its attribute row and eat scan slots too: resume past what
-            // this scan covered until the page is full.
-            match last {
-                Some(k) if more && page.len() < want => resume = Some(k),
-                _ => return page,
+            if taken == limit {
+                *more = true;
+                return ControlFlow::Break(());
             }
-        }
+            taken += 1;
+            let name = k.name.to_string();
+            page.push(DirEntry { name, kind, id });
+            ControlFlow::Continue(())
+        });
+        self.metrics.range_scan_rows.add(rows);
     }
 
     /// Paged child listing: up to `limit` entries of `pid` with names
@@ -360,16 +350,16 @@ impl TafDb {
         limit: usize,
         stats: &mut RequestCtx,
     ) -> Result<(Vec<DirEntry>, bool)> {
-        let (mut rows, split) =
-            self.read_region(pid, dir_region(pid).0, "readdir", stats, |shard| {
-                self.scan_page(shard, pid, start_after, limit)
+        let ((mut rows, more), split) =
+            self.read_region(pid, dir_region(pid).0, "readdir", stats, |shard, page| {
+                self.scan_page(shard, pid, start_after, limit, page)
             })?;
         if split {
-            // Each owner returned its first `limit + 1` matches, so the
-            // union contains the global first `limit + 1` by name.
+            // Each owner added its first `limit` matches, so the union
+            // contains the global first `limit` by name.
             rows.sort_by(|a, b| a.name.cmp(&b.name));
         }
-        let truncated = rows.len() > limit;
+        let truncated = more || rows.len() > limit;
         rows.truncate(limit);
         Ok((rows, truncated))
     }
@@ -384,5 +374,15 @@ impl TafDb {
     pub fn readdir(&self, pid: InodeId, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
         self.readdir_page(pid, None, usize::MAX, stats)
             .map(|(rows, _)| rows)
+    }
+}
+
+/// What an object read found: `Some(Some(_))` is the projection of an
+/// object row, `Some(None)` any other row, `None` no row.
+fn object_or<T>(found: Option<Option<T>>, name: &str) -> Result<T> {
+    match found {
+        Some(Some(object)) => Ok(object),
+        Some(None) => Err(MetaError::IsADirectory(name.to_string())),
+        None => Err(MetaError::NotFound(name.to_string())),
     }
 }

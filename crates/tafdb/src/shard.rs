@@ -10,13 +10,14 @@
 //! the relaxed single-row executor and the bulk loader's.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use mantle_engine::{update_versions, StorageEngine, WriteOp};
+use mantle_engine::{update_versions, versions_end, ScanFn, StorageEngine, WriteOp};
 use mantle_rpc::{FaultKind, SimNode};
 use mantle_store::{GroupCommitWal, LockManager, RowKey};
 use mantle_sync::LatchTable;
@@ -96,6 +97,24 @@ impl Shard {
             }
             _ => false,
         }
+    }
+
+    /// Visits `dir`'s attribute row and delta records on this shard, in
+    /// place and in timestamp order.
+    pub(crate) fn attr_rows(&self, dir: InodeId, f: &mut ScanFn<'_, Row>) {
+        let last = versions_end(dir, ATTR_ROW_NAME);
+        self.engine
+            .scan(Bound::Included(&attr_view(dir)), Bound::Included(&last), f);
+    }
+
+    /// Outstanding delta records of `dir` on this shard.
+    pub(crate) fn deltas(&self, dir: InodeId) -> usize {
+        let mut n = 0;
+        self.attr_rows(dir, &mut |k, _| {
+            n += usize::from(k.ts != TxnId::BASE);
+            ControlFlow::Continue(())
+        });
+        n
     }
 
     /// Merges `delta` into `dir`'s base attribute row in place; `false`
@@ -359,10 +378,7 @@ impl TafDb {
                 }
                 // Deregister only if no deltas snuck in after the fold.
                 let mut reg = shard.delta_dirs.lock();
-                let still_has = mantle_engine::scan_versions(&*shard.engine, dir, ATTR_ROW_NAME)
-                    .iter()
-                    .any(|(k, _)| k.ts != TxnId::BASE);
-                if !still_has {
+                if shard.deltas(dir) == 0 {
                     reg.remove(&dir);
                 }
             }

@@ -11,16 +11,24 @@
 //! `Ord`: a view that ordered or compared differently from its key would
 //! show as a divergence here. The names include the empty one, ones that
 //! sort before `/_ATTR`, a prefix pair and a multi-byte one.
+//!
+//! The two lending reads are held to the same model: `get_with` runs its
+//! closure once on exactly the model's row (never when there is none), and
+//! a `scan` whose visitor breaks after `stop_after` rows has seen exactly
+//! the model's first `stop_after` rows, in key order — including a scan
+//! that crosses mvcc's 512-key chunk before it breaks.
 
 use std::collections::BTreeMap;
+use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use mantle_engine::{
-    decode_image, scan_dir, scan_versions, update_versions, EngineKind, StorageEngine, WriteOp,
+    decode_image, dir_end, scan_dir, scan_versions, update_versions, EngineKind, StorageEngine,
+    WriteOp,
 };
-use mantle_store::{KeyParts, RowKey};
+use mantle_store::{KeyParts, RowKey, RowKeyView};
 use mantle_tafdb::Row;
 use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{AttrDelta, DirAttrMeta, InodeId, TxnId};
@@ -61,6 +69,8 @@ enum Op {
     PutIfAbsent(RowKey, Row),
     Delete(RowKey),
     Get(RowKey),
+    /// The lending point read.
+    GetWith(RowKey),
     /// Merge-style read-modify-write (the `MergeAttr` shape).
     Update(RowKey, Row),
     /// An atomic multi-op write batch.
@@ -70,6 +80,13 @@ enum Op {
     PurgeVersions(u64),
     ScanDir(u64, &'static str, usize),
     ScanVersions(u64, &'static str),
+    /// A lending scan of `pid`'s rows from `from` whose visitor breaks
+    /// after `stop_after` rows.
+    Scan {
+        pid: u64,
+        from: &'static str,
+        stop_after: usize,
+    },
     /// checkpoint → restore onto the same engine must round-trip.
     CheckpointRestore,
 }
@@ -80,6 +97,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (arb_key(), arb_row()).prop_map(|(k, v)| Op::PutIfAbsent(k, v)),
         arb_key().prop_map(Op::Delete),
         arb_key().prop_map(Op::Get),
+        arb_key().prop_map(Op::GetWith),
         (arb_key(), arb_row()).prop_map(|(k, v)| Op::Update(k, v)),
         prop::collection::vec((any::<bool>(), arb_key(), arb_row()), 1..5).prop_map(Op::Batch),
         (0u64..5).prop_map(Op::PurgeVersions),
@@ -94,6 +112,16 @@ fn arb_op() -> impl Strategy<Value = Op> {
             prop::sample::select(vec!["", "a", ATTR_ROW_NAME])
         )
             .prop_map(|(p, n)| Op::ScanVersions(p, n)),
+        (
+            0u64..5,
+            prop::sample::select(vec!["", "/", "a", "b"]),
+            1usize..8
+        )
+            .prop_map(|(pid, from, stop_after)| Op::Scan {
+                pid,
+                from,
+                stop_after
+            }),
         Just(Op::CheckpointRestore),
     ]
 }
@@ -121,6 +149,34 @@ fn model_scan_versions(model: &BTreeMap<RowKey, Row>, pid: u64, name: &str) -> V
         .range(lo..=hi)
         .map(|(k, v)| (k.clone(), v.clone()))
         .collect()
+}
+
+/// What a `get_with` closure was handed, once per call.
+fn lent_get(engine: &dyn StorageEngine<Row>, key: &dyn KeyParts) -> Vec<Row> {
+    let mut seen = Vec::new();
+    engine.get_with(key, &mut |row| seen.push(row.clone()));
+    seen
+}
+
+/// The rows a lending scan of `pid` from `from` visited before its visitor
+/// broke after `stop_after` of them.
+fn lent_scan(
+    engine: &dyn StorageEngine<Row>,
+    pid: u64,
+    from: &str,
+    stop_after: usize,
+) -> Vec<(RowKey, Row)> {
+    let (lo, hi) = (RowKeyView::base(InodeId(pid), from), dir_end(InodeId(pid)));
+    let mut seen = Vec::new();
+    engine.scan(Bound::Included(&lo), Bound::Excluded(&hi), &mut |k, row| {
+        seen.push((k.clone(), row.clone()));
+        if seen.len() == stop_after {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    seen
 }
 
 fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseError> {
@@ -161,6 +217,14 @@ fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseErro
                     engine.contains(&k.view()),
                     model.contains_key(k),
                     "{}: contains",
+                    name
+                );
+            }
+            Op::GetWith(k) => {
+                prop_assert_eq!(
+                    lent_get(&*engine, &k.view()),
+                    model.get(k).cloned().into_iter().collect::<Vec<_>>(),
+                    "{}: get_with",
                     name
                 );
             }
@@ -242,6 +306,18 @@ fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseErro
                     name
                 );
             }
+            Op::Scan {
+                pid,
+                from,
+                stop_after,
+            } => {
+                prop_assert_eq!(
+                    lent_scan(&*engine, *pid, from, *stop_after),
+                    model_scan_dir(&model, *pid, from, *stop_after),
+                    "{}: scan",
+                    name
+                );
+            }
             Op::CheckpointRestore => {
                 let image = engine.checkpoint();
                 let decoded = decode_image::<Row>(&image).expect("fresh image decodes");
@@ -286,6 +362,42 @@ proptest! {
             images.push(run_conformance(kind, &ops)?);
         }
         prop_assert_eq!(&images[0], &images[1], "checkpoint images diverge across engines");
+    }
+
+    /// A lending scan over more keys than mvcc's 512-key chunk stops where
+    /// its visitor breaks — before, at or past a chunk boundary — and has
+    /// seen the model's first rows in key order on both engines.
+    #[test]
+    fn lending_scans_stop_where_the_visitor_breaks(
+        n in 600usize..1_400,
+        from in 0usize..700,
+        stop_after in 1usize..1_500,
+    ) {
+        let name_of = |i: usize| format!("n{i:05}");
+        let row = |i: usize| Row::DirAccess {
+            id: InodeId(i as u64),
+            permission: mantle_types::Permission::ALL,
+        };
+        let model: BTreeMap<RowKey, Row> = (0..n)
+            .map(|i| (RowKey::base(InodeId(1), &name_of(i)), row(i)))
+            .collect();
+        let from = name_of(from);
+        let want = model_scan_dir(&model, 1, &from, stop_after);
+        for kind in ENGINES {
+            let engine: Arc<dyn StorageEngine<Row>> = kind.build();
+            // Neighbours on both sides, which the scan must not reach.
+            engine.put(RowKey::base(InodeId(0), "z"), row(0));
+            engine.put(RowKey::base(InodeId(2), ""), row(0));
+            for (k, v) in &model {
+                engine.put(k.clone(), v.clone());
+            }
+            prop_assert_eq!(
+                lent_scan(&*engine, 1, &from, stop_after),
+                want.clone(),
+                "{}: lending scan",
+                kind.name()
+            );
+        }
     }
 
     /// A checkpoint image with any single corrupted byte is rejected by

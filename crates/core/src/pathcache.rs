@@ -19,11 +19,15 @@
 //!   shorter TTL so repeated misses also skip the network; creations
 //!   scrub the exact path so a new directory is visible immediately.
 //!
+//! The map, an exact LRU list and the [`PrefixTree`] mirror hold the same
+//! paths, and an evicted or invalidated path leaves all three: memory is
+//! bounded by the capacity alone.
+//!
 //! The cache is inert unless `MANTLE_PATH_CACHE` opts in: default-off keeps
 //! every cache-off latency pin byte-identical (zero extra RPCs, zero clock
 //! charges, zero fault-roll consumption).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -114,8 +118,77 @@ struct LeaseEntry {
     /// refresh trigger — correctness never rests on it (synchronous
     /// invalidation + revalidation do).
     expires: SimInstant,
-    /// LRU sequence; key into `order`.
-    seq: u64,
+    /// This entry's place in the LRU list.
+    slot: usize,
+}
+
+/// One link of the LRU list. Slot 0 is the sentinel both ends link to.
+#[derive(Default)]
+struct Slot {
+    /// The cached path; `None` in the sentinel and in free slots.
+    path: Option<MetaPath>,
+    prev: usize,
+    next: usize,
+}
+
+/// The exact LRU order of the cached paths: a circular list linked by
+/// index over a slab, from the sentinel's `next` (most recently used) to
+/// its `prev` (the next eviction). A touch relinks two indices and a freed
+/// slot is reused, so once the cache is full neither allocates.
+struct Lru {
+    slots: Vec<Slot>,
+    free: Vec<usize>,
+}
+
+impl Lru {
+    fn new() -> Self {
+        Lru {
+            slots: vec![Slot::default()],
+            free: Vec::new(),
+        }
+    }
+
+    /// Links `path` in as the most recently used; returns its slot.
+    fn push(&mut self, path: MetaPath) -> usize {
+        let i = self.free.pop().unwrap_or(self.slots.len());
+        if i == self.slots.len() {
+            self.slots.push(Slot::default());
+        }
+        self.slots[i].path = Some(path);
+        self.link_first(i);
+        i
+    }
+
+    fn link_first(&mut self, i: usize) {
+        let first = self.slots[0].next;
+        (self.slots[i].prev, self.slots[i].next) = (0, first);
+        (self.slots[first].prev, self.slots[0].next) = (i, i);
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let Slot { prev, next, .. } = self.slots[i];
+        self.slots[prev].next = next;
+        self.slots[next].prev = prev;
+    }
+
+    /// Makes slot `i` the most recently used.
+    fn touch(&mut self, i: usize) {
+        self.unlink(i);
+        self.link_first(i);
+    }
+
+    /// Unlinks slot `i`, frees it and returns its path.
+    fn remove(&mut self, i: usize) -> MetaPath {
+        self.unlink(i);
+        self.free.push(i);
+        let path = self.slots[i].path.take();
+        path.expect("a linked slot holds its path")
+    }
+
+    /// Removes the least recently used entry; returns its path.
+    fn pop_last(&mut self) -> MetaPath {
+        self.remove(self.slots[0].prev)
+    }
 }
 
 /// The outcome of one cache probe.
@@ -156,11 +229,10 @@ pub struct PathCacheStats {
 
 struct Inner {
     map: HashMap<MetaPath, LeaseEntry>,
-    /// LRU order: seq → path. `BTreeMap` keeps eviction O(log n).
-    order: BTreeMap<u64, MetaPath>,
+    /// Exact LRU order; `LeaseEntry::slot` indexes it.
+    lru: Lru,
     /// Mirror of every cached path for subtree invalidation.
     tree: PrefixTree,
-    next_seq: u64,
     /// Invalidation epoch: bumped on every subtree/exact invalidation. A
     /// fill carries the epoch snapshotted *before* its resolution RPC and
     /// is dropped when the epoch moved — the resolved value may predate a
@@ -180,20 +252,10 @@ impl Inner {
         stats.note_retry(RetryClass::RejectedFill);
     }
 
-    fn touch(&mut self, path: &MetaPath) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if let Some(e) = self.map.get_mut(path) {
-            self.order.remove(&e.seq);
-            e.seq = seq;
-            self.order.insert(seq, path.clone());
-        }
-    }
-
     fn remove(&mut self, path: &MetaPath) -> bool {
         match self.map.remove(path) {
             Some(e) => {
-                self.order.remove(&e.seq);
+                self.lru.remove(e.slot);
                 self.tree.remove(path);
                 true
             }
@@ -201,22 +263,27 @@ impl Inner {
         }
     }
 
-    fn insert(&mut self, path: MetaPath, value: LeaseValue, expires: SimInstant) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if let Some(prev) = self.map.insert(
-            path.clone(),
-            LeaseEntry {
-                value,
-                expires,
-                seq,
-            },
-        ) {
-            self.order.remove(&prev.seq);
-        } else {
-            self.tree.insert(&path);
+    /// Caches `value` as the most recently used entry; returns whether it
+    /// replaced a resident one.
+    fn insert(&mut self, path: &MetaPath, value: LeaseValue, expires: SimInstant) -> bool {
+        match self.map.entry(path.clone()) {
+            Entry::Occupied(mut e) => {
+                let e = e.get_mut();
+                (e.value, e.expires) = (value, expires);
+                self.lru.touch(e.slot);
+                true
+            }
+            Entry::Vacant(e) => {
+                let slot = self.lru.push(path.clone());
+                e.insert(LeaseEntry {
+                    value,
+                    expires,
+                    slot,
+                });
+                self.tree.insert(path);
+                false
+            }
         }
-        self.order.insert(seq, path);
     }
 
     fn invalidate_subtree_locked(&mut self, path: &MetaPath, metrics: &PathCacheMetrics) -> usize {
@@ -224,7 +291,7 @@ impl Inner {
         let stale = self.tree.remove_subtree(path);
         for p in &stale {
             if let Some(e) = self.map.remove(p) {
-                self.order.remove(&e.seq);
+                self.lru.remove(e.slot);
             }
         }
         let n = stale.len();
@@ -236,10 +303,7 @@ impl Inner {
 
     fn evict_to_capacity(&mut self, capacity: usize) {
         while self.map.len() > capacity {
-            let Some((&seq, _)) = self.order.iter().next() else {
-                return;
-            };
-            let path = self.order.remove(&seq).expect("seq present");
+            let path = self.lru.pop_last();
             self.map.remove(&path);
             self.tree.remove(&path);
             self.evictions += 1;
@@ -287,9 +351,8 @@ impl PathLeaseCache {
             config,
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
-                order: BTreeMap::new(),
+                lru: Lru::new(),
                 tree: PrefixTree::new(),
-                next_seq: 0,
                 epoch: 0,
                 evictions: 0,
                 rejected_fills: 0,
@@ -398,7 +461,7 @@ impl PathLeaseCache {
             self.metrics.misses.inc();
             return LeaseProbe::Miss;
         };
-        let expired = now > entry.expires;
+        let (expired, slot) = (now > entry.expires, entry.slot);
         let probe = match entry.value {
             LeaseValue::Positive(lease) if !expired && !force_expire => LeaseProbe::Hit(lease),
             LeaseValue::Positive(lease) => LeaseProbe::Expired(lease),
@@ -414,7 +477,7 @@ impl PathLeaseCache {
         match probe {
             LeaseProbe::Hit(_) | LeaseProbe::NegativeHit => {
                 self.metrics.hits.inc();
-                inner.touch(path);
+                inner.lru.touch(slot);
             }
             _ => {}
         }
@@ -435,11 +498,12 @@ impl PathLeaseCache {
     /// The one token-guarded install. Stamps the expiry on this thread's
     /// clock; with `drop_subtree` (a revalidation that came back different)
     /// first drops everything cached under `path` — removal is always safe.
-    /// `value` then goes in, evicting to capacity, only if no invalidation
-    /// ran since `token` was taken other than the one just made here (which
-    /// bumped the epoch by exactly one); otherwise the resolution may predate
-    /// a racing mutation and the fill is booked as rejected. Returns the
-    /// number of entries dropped.
+    /// `value` then goes in as the most recently used entry, evicting to
+    /// capacity, only if no invalidation ran since `token` was taken other
+    /// than the one just made here (which bumped the epoch by exactly one);
+    /// otherwise the resolution may predate a racing mutation and the fill
+    /// is booked as rejected. Returns the number of entries dropped and
+    /// whether `value` replaced a resident entry.
     fn install(
         &self,
         path: &MetaPath,
@@ -448,9 +512,9 @@ impl PathLeaseCache {
         token: u64,
         drop_subtree: bool,
         stats: &mut OpStats,
-    ) -> usize {
+    ) -> (usize, bool) {
         if !self.config.enabled {
-            return 0;
+            return (0, false);
         }
         let expires = clock::now() + ttl;
         let mut inner = self.inner.lock();
@@ -459,13 +523,13 @@ impl PathLeaseCache {
             dropped = inner.invalidate_subtree_locked(path, &self.metrics);
             unraced += 1;
         }
-        if inner.epoch == unraced {
-            inner.insert(path.clone(), value, expires);
-            inner.evict_to_capacity(self.config.capacity);
-        } else {
+        if inner.epoch != unraced {
             inner.reject_fill(stats);
+            return (dropped, false);
         }
-        dropped
+        let resident = inner.insert(path, value, expires);
+        inner.evict_to_capacity(self.config.capacity);
+        (dropped, resident)
     }
 
     /// Caches a fresh positive resolution obtained under `token`.
@@ -482,9 +546,10 @@ impl PathLeaseCache {
 
     /// Applies a revalidation verdict obtained under `token`: `matched`
     /// renews the lease in place (skipped under a stale token — the verdict
-    /// may predate a racing mutation); a mismatch drops the whole cached
-    /// subtree (renames move subtrees) and installs the fresh result.
-    /// Returns the number of entries invalidated.
+    /// may predate a racing mutation; a fill, not a renewal, if the entry
+    /// was evicted while the check was in flight); a mismatch drops the
+    /// whole cached subtree (renames move subtrees) and installs the fresh
+    /// result. Returns the number of entries invalidated.
     fn revalidated(
         &self,
         path: &MetaPath,
@@ -493,26 +558,16 @@ impl PathLeaseCache {
         token: u64,
         stats: &mut OpStats,
     ) -> usize {
+        let (lease, ttl) = (positive(fresh), fresh.lease_ttl);
+        let (n, resident) = self.install(path, lease, ttl, token, !matched, stats);
         if !matched {
-            let n = self.install(path, positive(fresh), fresh.lease_ttl, token, true, stats);
             mantle_obs::flight::annotate_with(|| {
                 format!("pathcache:revalidate_mismatch path={path} dropped={n}")
             });
-            return n;
+        } else if resident {
+            self.metrics.revalidations.inc();
         }
-        let expires = clock::now() + fresh.lease_ttl;
-        let mut inner = self.inner.lock();
-        if inner.epoch != token {
-            inner.reject_fill(stats);
-            return 0;
-        }
-        self.metrics.revalidations.inc();
-        if let Some(e) = inner.map.get_mut(path) {
-            e.value = positive(fresh);
-            e.expires = expires;
-        }
-        inner.touch(path);
-        0
+        n
     }
 
     /// Handles a revalidation (obtained under `token`) that came back
@@ -837,5 +892,54 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.revalidations, s.rejected_fills), (0, 1));
         assert_eq!(ctx.retry_count(RetryClass::RejectedFill), 1);
+    }
+
+    #[test]
+    fn matching_revalidation_of_an_evicted_entry_is_a_fill() {
+        let c = cache(1);
+        c.fill(&p("/a"), &lease(7, 1, 1), c.begin(), &mut OpStats::new());
+        clock::sleep(Duration::from_millis(5));
+        // While /a's version check is in flight, a fill of /b evicts it.
+        // The verdict still matches and its token is current: it is not a
+        // renewal (nothing is left to renew) but the fresh lease is kept.
+        let unused = |_: &mut RequestCtx| -> Result<LeasedPath> { unreachable!("/a is cached") };
+        let evicting = |_: &mut RequestCtx| {
+            c.fill(
+                &p("/b"),
+                &lease(8, 1, 60_000),
+                c.begin(),
+                &mut OpStats::new(),
+            );
+            Ok(lease(7, 1, 60_000))
+        };
+        let mut ctx = RequestCtx::new();
+        c.resolve(&p("/a"), "test", &mut ctx, unused, evicting)
+            .unwrap();
+        let s = c.stats();
+        assert_eq!((s.revalidations, s.evictions, s.entries), (0, 2, 1));
+        assert!(matches!(c.probe(&p("/a"), false), LeaseProbe::Hit(l) if l.pid == InodeId(7)));
+        assert_eq!(c.probe(&p("/b"), false), LeaseProbe::Miss);
+    }
+
+    #[test]
+    fn lru_list_reuses_freed_slots() {
+        let c = cache(2);
+        for i in 0..64 {
+            c.fill(
+                &p(&format!("/d{i}")),
+                &lease(i, 1, 60_000),
+                c.begin(),
+                &mut OpStats::new(),
+            );
+            if i % 8 == 0 {
+                c.invalidate_exact(&p(&format!("/d{i}")));
+            }
+        }
+        let inner = c.inner.lock();
+        let most = 1 + 2 + 1; // the sentinel, capacity, the fill in flight
+        assert!(inner.lru.slots.len() <= most);
+        assert_eq!(inner.tree.len(), inner.map.len());
+        let linked = inner.lru.slots.iter().filter(|s| s.path.is_some());
+        assert_eq!(linked.count(), inner.map.len());
     }
 }

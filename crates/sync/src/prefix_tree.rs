@@ -1,155 +1,69 @@
-//! The PrefixTree: a concurrent tree over path components (§5.1.2).
+//! The PrefixTree: the mirror of every cached path (§5.1.2).
 //!
-//! TopDirPathCache is a hash table and cannot range-scan, so the cache
-//! keeps this tree as a mirror of every cached path. Invalidating a
-//! directory becomes a subtree detach: `remove_subtree("/a/b")` unhooks the
-//! branch in O(depth) and returns every cached path underneath it so the
-//! caller can delete the corresponding hash-table entries.
+//! TopDirPathCache and the path-lease cache are hash tables and cannot
+//! range-scan, so each keeps this mirror of the paths it holds. The mirror
+//! is one ordered set: [`MetaPath`] orders paths component by component, so
+//! a directory and everything cached under it are one contiguous range,
+//! and `remove_subtree("/a/b")` walks that range and returns it for the
+//! caller to delete from its hash table. A removed path leaves nothing
+//! behind, so the mirror is never larger than the cache it mirrors.
 //!
-//! Concurrency: each node guards its child map with its own reader-writer
-//! lock, so readers and writers touching disjoint branches never contend and
-//! readers take only short per-node shared locks. Callers must ensure that
-//! inserts under a prefix do not race with `remove_subtree` of that prefix
-//! (the IndexNode guarantees this via the RemovalList timestamp protocol —
-//! a lookup never caches a result if a modification of an ancestor was
-//! in flight).
+//! Concurrency: one lock over the set. Both callers already serialize every
+//! access to their mirror (the lease cache under its mutex, TopDirPathCache
+//! under its fill lock) and no lookup reads it, so the lock is never
+//! contended and lookups proceed while an invalidation runs.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 
 use mantle_types::MetaPath;
 
+/// The set of cached paths, ordered so that subtrees are ranges.
 #[derive(Default)]
-struct Node {
-    /// Whether the path ending at this node is itself cached.
-    present: AtomicBool,
-    children: RwLock<HashMap<Arc<str>, Arc<Node>>>,
-}
-
-/// A concurrent prefix tree over [`MetaPath`] components.
 pub struct PrefixTree {
-    root: Arc<Node>,
-    len: AtomicUsize,
-}
-
-impl Default for PrefixTree {
-    fn default() -> Self {
-        Self::new()
-    }
+    paths: Mutex<BTreeSet<MetaPath>>,
 }
 
 impl PrefixTree {
     /// Creates an empty tree.
     pub fn new() -> Self {
-        PrefixTree {
-            root: Arc::new(Node::default()),
-            len: AtomicUsize::new(0),
-        }
+        Self::default()
     }
 
-    fn descend(&self, path: &MetaPath) -> Option<Arc<Node>> {
-        let mut node = self.root.clone();
-        for comp in path.components() {
-            let next = node.children.read().get(comp).cloned()?;
-            node = next;
-        }
-        Some(node)
-    }
-
-    /// Marks `path` as present, creating interior nodes as needed.
-    /// Returns `false` if it was already present.
+    /// Adds `path`. Returns `false` if it was already present.
     pub fn insert(&self, path: &MetaPath) -> bool {
-        let mut node = self.root.clone();
-        for comp in path.components() {
-            let existing = node.children.read().get(comp).cloned();
-            let next = match existing {
-                Some(n) => n,
-                None => {
-                    let mut children = node.children.write();
-                    children
-                        .entry(Arc::<str>::from(comp))
-                        .or_insert_with(|| Arc::new(Node::default()))
-                        .clone()
-                }
-            };
-            node = next;
-        }
-        let was_present = node.present.swap(true, Ordering::AcqRel);
-        if !was_present {
-            self.len.fetch_add(1, Ordering::AcqRel);
-        }
-        !was_present
+        self.paths.lock().insert(path.clone())
     }
 
     /// Whether `path` is present.
     pub fn contains(&self, path: &MetaPath) -> bool {
-        self.descend(path)
-            .is_some_and(|n| n.present.load(Ordering::Acquire))
+        self.paths.lock().contains(path)
     }
 
-    /// Unmarks an exact path. Interior nodes are left in place (they are
-    /// bounded by the set of cached prefixes and re-used by re-inserts).
-    /// Returns whether the path was present.
+    /// Removes an exact path. Returns whether it was present.
     pub fn remove(&self, path: &MetaPath) -> bool {
-        let Some(node) = self.descend(path) else {
-            return false;
-        };
-        let was_present = node.present.swap(false, Ordering::AcqRel);
-        if was_present {
-            self.len.fetch_sub(1, Ordering::AcqRel);
-        }
-        was_present
+        self.paths.lock().remove(path)
     }
 
-    /// Detaches the subtree rooted at `prefix` and returns every present
-    /// path that had `prefix` as a (non-strict) prefix — the Invalidator's
-    /// range query.
+    /// Removes and returns every present path that has `prefix` as a
+    /// (non-strict) prefix, in path order — the Invalidator's range query.
     pub fn remove_subtree(&self, prefix: &MetaPath) -> Vec<MetaPath> {
-        // Detach the branch from its parent first so concurrent readers
-        // stop finding it, then harvest the detached nodes.
-        let detached: Arc<Node> = if prefix.is_root() {
-            let mut children = self.root.children.write();
-            let old = Arc::new(Node {
-                present: AtomicBool::new(self.root.present.swap(false, Ordering::AcqRel)),
-                children: RwLock::new(std::mem::take(&mut *children)),
-            });
-            drop(children);
-            old
-        } else {
-            let parent = match self.descend(&prefix.parent().expect("non-root has parent")) {
-                Some(p) => p,
-                None => return Vec::new(),
-            };
-            let name = prefix.name().expect("non-root has name");
-            let removed = parent.children.write().remove(name);
-            match removed {
-                Some(n) => n,
-                None => return Vec::new(),
-            }
-        };
-
-        let mut out = Vec::new();
-        Self::collect(&detached, prefix.clone(), &mut out);
-        self.len.fetch_sub(out.len(), Ordering::AcqRel);
-        out
-    }
-
-    fn collect(node: &Arc<Node>, path: MetaPath, out: &mut Vec<MetaPath>) {
-        if node.present.swap(false, Ordering::AcqRel) {
-            out.push(path.clone());
+        let mut paths = self.paths.lock();
+        let under: Vec<MetaPath> = paths
+            .range(prefix..)
+            .take_while(|p| prefix.is_prefix_of(p))
+            .cloned()
+            .collect();
+        for p in &under {
+            paths.remove(p);
         }
-        let children = node.children.read();
-        for (name, child) in children.iter() {
-            Self::collect(child, path.child(name), out);
-        }
+        under
     }
 
     /// Number of present paths.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
+        self.paths.lock().len()
     }
 
     /// Whether no path is present.
@@ -167,6 +81,7 @@ impl std::fmt::Debug for PrefixTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn p(s: &str) -> MetaPath {
         MetaPath::parse(s).unwrap()
@@ -179,7 +94,7 @@ mod tests {
         assert!(!t.insert(&p("/a/b/c")));
         assert!(t.contains(&p("/a/b/c")));
         assert!(!t.contains(&p("/a/b")));
-        assert_eq!(t.len(), 1);
+        assert_eq!(format!("{t:?}"), "PrefixTree(len=1)");
         assert!(t.remove(&p("/a/b/c")));
         assert!(!t.remove(&p("/a/b/c")));
         assert!(t.is_empty());
@@ -201,14 +116,29 @@ mod tests {
         for s in ["/a", "/a/b", "/a/b/c", "/a/x", "/d"] {
             t.insert(&p(s));
         }
-        let mut removed = t.remove_subtree(&p("/a/b"));
-        removed.sort();
+        let removed = t.remove_subtree(&p("/a/b"));
         assert_eq!(removed, vec![p("/a/b"), p("/a/b/c")]);
         assert_eq!(t.len(), 3);
         assert!(t.contains(&p("/a")));
         assert!(t.contains(&p("/a/x")));
         assert!(!t.contains(&p("/a/b")));
         assert!(!t.contains(&p("/a/b/c")));
+    }
+
+    #[test]
+    fn remove_subtree_skips_names_that_sort_below_the_separator() {
+        // In plain byte order `/a-x`, `/a.b` and `/a b` sort between `/a`
+        // and `/a/b`; none of them is under `/a`.
+        let t = PrefixTree::new();
+        for s in ["/a", "/a b", "/a-x", "/a.b", "/a/b", "/a/b/c", "/ab"] {
+            t.insert(&p(s));
+        }
+        assert_eq!(
+            t.remove_subtree(&p("/a")),
+            vec![p("/a"), p("/a/b"), p("/a/b/c")]
+        );
+        assert_eq!(t.len(), 4);
+        assert!(t.contains(&p("/a-x")) && t.contains(&p("/ab")));
     }
 
     #[test]

@@ -6,9 +6,13 @@ use mantle_sync::{PrefixTree, RemovalList};
 use mantle_types::MetaPath;
 use proptest::prelude::*;
 
-/// A small alphabet keeps paths colliding so prefix logic is exercised.
+/// A small alphabet keeps paths colliding so prefix logic is exercised. It
+/// holds byte-prefix pairs (`a`, `ab`) and names with `-`, `.` and a space,
+/// which sort below `/` byte-wise: `/a-x` falls between `/a` and `/a/b` in
+/// plain byte order, so a range index ordered that way would lose it.
 fn arb_path() -> impl Strategy<Value = MetaPath> {
-    prop::collection::vec(prop::sample::select(vec!["a", "b", "c"]), 1..5)
+    let names = vec!["a", "a-x", "a.b", "ab", "a b", "b"];
+    prop::collection::vec(prop::sample::select(names), 1..5)
         .prop_map(|comps| MetaPath::parse(&format!("/{}", comps.join("/"))).unwrap())
 }
 

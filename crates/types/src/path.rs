@@ -22,8 +22,9 @@ use crate::error::{MetaError, Result};
 ///
 /// * equality and hashing are over the visible bytes only, so a prefix view
 ///   and an independently parsed equal path are the same map key;
-/// * ordering is component-wise (`/a/b` < `/a-x`), not byte-wise over the
-///   buffer (`-` sorts below `/`);
+/// * ordering is byte order over the visible text with `/` ranked below
+///   every other byte, which is component-wise order (`/a/b` < `/a-x`,
+///   though `-` sorts below `/` as a plain byte);
 /// * a view keeps its whole buffer alive — long-lived holders of a prefix
 ///   copy it out with [`compact`].
 ///
@@ -280,8 +281,14 @@ impl Hash for MetaPath {
 }
 
 impl Ord for MetaPath {
+    /// Byte order with `/` ranked below every other byte: the order of the
+    /// component lists, so a path and the paths under it are one range.
     fn cmp(&self, other: &MetaPath) -> Ordering {
-        self.components().cmp(other.components())
+        let (a, b) = (self.as_str().as_bytes(), other.as_str().as_bytes());
+        let same = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+        // The first differing byte decides; a text that ends first is lower.
+        let rank = |text: &[u8]| text.get(same).map(|&c| (c != b'/', c));
+        rank(a).cmp(&rank(b))
     }
 }
 
@@ -451,8 +458,10 @@ mod tests {
 
     #[test]
     fn order_is_component_wise() {
-        // Byte-wise over the text, `/a-x` < `/a/b` because `-` < `/`.
+        // Plain byte order would put `/a-x` first, because `-` < `/`.
         assert!(p("/a/b") < p("/a-x"));
+        assert!(p("/a/b/c") < p("/a b") && p("/a/b") < p("/a.b"));
+        assert!(p("/a-x") < p("/a.b") && p("/a.b") < p("/ab"));
         assert!(p("/a") < p("/a/b"));
         assert!(MetaPath::root() < p("/a"));
         assert_eq!(p("/a/b/c").prefix(2).cmp(&p("/a/b")), Ordering::Equal);

@@ -20,14 +20,16 @@ use mantle::prelude::*;
 use mantle::types::BulkLoad;
 
 thread_local! {
-    // Const-initialised plain integer: no lazy init and no destructor, so
-    // touching it from inside the allocator never allocates.
+    // Const-initialised plain integers: no lazy init and no destructor, so
+    // touching them from inside the allocator never allocates.
     static COUNT: Cell<u64> = const { Cell::new(0) };
+    /// Blocks this thread allocated minus blocks it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Counts the calling thread's heap requests; tests run on threads of
-/// their own, so they do not see each other or the cluster's background
-/// threads.
+/// Counts the calling thread's heap requests and live blocks; tests run on
+/// threads of their own, so they do not see each other or the cluster's
+/// background threads.
 struct Counting;
 
 fn note() {
@@ -36,17 +38,23 @@ fn note() {
     let _ = COUNT.try_with(|c| c.set(c.get() + 1));
 }
 
+fn live(delta: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + delta));
+}
+
 // SAFETY: every method forwards to `System` with the caller's own
 // arguments and only adds counting, so `System`'s guarantees carry over.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note();
+        live(1);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note();
+        live(1);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -58,6 +66,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-1);
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -145,8 +154,74 @@ fn dirstat_budget() {
 fn path_lease_hit_budget() {
     let c = cluster(PathLeaseConfig::enabled());
     let allocs = worst_allocs(DIR, |p, ctx| c.lookup(p, ctx));
-    assert!(allocs <= 2, "parse + leased lookup: {allocs} allocations");
+    assert!(allocs <= 1, "parse + leased lookup: {allocs} allocations");
     assert!(c.path_cache_stats().hits >= 256, "the lookups were hits");
+}
+
+/// The heap requests of `parse + lookup` of `text`.
+fn lookup_allocs(c: &MantleCluster, text: &str) -> u64 {
+    let before = COUNT.with(Cell::get);
+    let path = MetaPath::parse(text).unwrap();
+    c.lookup(&path, &mut RequestCtx::new())
+        .expect("a loaded directory");
+    COUNT.with(Cell::get) - before
+}
+
+/// A lease cache held full: a hit relinks the LRU list and a fill reuses
+/// the slot its eviction freed, so neither adds to the parse, and what
+/// the cache keeps does not grow with how many paths it has seen. The
+/// names are scattered through path order, as the benchmark's Zipf draws
+/// are; fills in ascending path order would split the mirror's last B-tree
+/// leaf every few fills.
+#[test]
+fn full_lease_cache_budgets() {
+    const CAPACITY: usize = 1_024;
+    const FRESH: usize = 10_000;
+    let c = cluster(PathLeaseConfig {
+        capacity: CAPACITY,
+        lease_ttl: std::time::Duration::from_secs(3_600),
+        ..PathLeaseConfig::enabled()
+    });
+    // An odd multiplier permutes 0..65,536: distinct names, shuffled.
+    let dir = |i: usize| format!("/full/d{}", i * 40_503 % 65_536);
+    for i in 0..CAPACITY + FRESH {
+        c.bulk_dir(&MetaPath::parse(&dir(i)).unwrap());
+    }
+    for i in 0..CAPACITY {
+        lookup_allocs(&c, &dir(i));
+    }
+    assert_eq!(c.path_cache_stats().entries, CAPACITY);
+
+    // Hits in LRU order: every one moves the least recently used entry to
+    // the front.
+    let hits = (0..2 * CAPACITY).map(|i| lookup_allocs(&c, &dir(i % CAPACITY)));
+    let worst = hits.max().unwrap();
+    assert!(
+        worst <= 1,
+        "parse + hit in a full cache: {worst} allocations"
+    );
+
+    let (evictions, live) = (c.path_cache_stats().evictions, LIVE.with(Cell::get));
+    let fills: u64 = (CAPACITY..CAPACITY + FRESH)
+        .map(|i| lookup_allocs(&c, &dir(i)))
+        .sum();
+    let kept = LIVE.with(Cell::get) - live;
+    let stats = c.path_cache_stats();
+    assert_eq!(
+        stats.evictions - evictions,
+        FRESH as u64,
+        "every fill evicted"
+    );
+    assert_eq!(stats.entries, CAPACITY);
+    let mean = fills as f64 / FRESH as f64;
+    assert!(
+        mean <= 1.1,
+        "parse + fill that evicts: {mean:.3} allocations"
+    );
+    assert!(
+        kept <= 64,
+        "{FRESH} fresh fills left {kept} live allocations"
+    );
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Coherence contract of the client-side path-lease cache (DESIGN.md
 //! §4.13): deterministic hit/miss accounting under the virtual clock,
 //! linearizable rename-then-stat under partition storms, negative-entry
-//! expiry, and a model-checked guarantee that no interleaving of fills and
-//! invalidations ever serves a stale pid after its invalidation point.
+//! expiry, a model-checked guarantee that no interleaving of fills and
+//! invalidations ever serves a stale pid after its invalidation point, and a
+//! reference model that pins the eviction order to exact LRU.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,7 +15,8 @@ use proptest::prelude::*;
 use mantle::core::pathcache::{LeaseProbe, PathLeaseCache, PathLeaseConfig};
 use mantle::core::MantleCluster;
 use mantle::prelude::*;
-use mantle::types::{clock, InodeId, LeasedPath, Permission, ResolvedPath};
+use mantle::types::clock::{self, SimInstant};
+use mantle::types::{InodeId, LeasedPath, Permission, ResolvedPath};
 use mantle::workloads::mdtest::{run, ConflictMode, MdOp, MdtestConfig};
 
 fn p(s: &str) -> MetaPath {
@@ -396,6 +398,231 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+// --- model check: eviction order is exactly LRU ------------------------------
+
+/// The LRU model's paths. `-`, `.` and a space sort below `/` byte-wise, so
+/// `/r0-x` and `/r0.b` sit between `/r0` and `/r0/s0` in plain byte order
+/// and a subtree walk that trusted it would drop them with `/r0`.
+const LRU_PATHS: [&str; 7] = [
+    "/r0", "/r0-x", "/r0/s0", "/r0.b", "/r0/s0/t", "/r0 c", "/r1",
+];
+const SHORT: Duration = Duration::from_millis(10);
+const LONG: Duration = Duration::from_secs(3_600);
+
+fn lru_covered_by(victim: usize, root: usize) -> bool {
+    p(LRU_PATHS[root]).is_prefix_of(&p(LRU_PATHS[victim]))
+}
+
+#[derive(Clone, Debug)]
+enum LruOp {
+    /// `PathLeaseCache::resolve` against the authority with a short or
+    /// long lease: a hit, a miss and fill (positive or negative), or an
+    /// expired entry's revalidation (renewal, replacement or gone).
+    Resolve(usize, bool),
+    /// A direct fill with a long lease.
+    Fill(usize),
+    /// Probe and compare the outcome with the model's.
+    Probe(usize),
+    /// Another client changes the path: a new incarnation, or gone.
+    Remote(usize, bool),
+    /// Advance the clock past every short lease.
+    Advance,
+    InvalidateSubtree(usize),
+    InvalidateExact(usize),
+}
+
+fn lru_op() -> impl Strategy<Value = LruOp> {
+    let path = 0..LRU_PATHS.len();
+    prop_oneof![
+        4 => (path.clone(), any::<bool>()).prop_map(|(i, short)| LruOp::Resolve(i, short)),
+        2 => path.clone().prop_map(LruOp::Fill),
+        3 => path.clone().prop_map(LruOp::Probe),
+        1 => (path.clone(), any::<bool>()).prop_map(|(i, gone)| LruOp::Remote(i, gone)),
+        1 => Just(LruOp::Advance),
+        1 => path.clone().prop_map(LruOp::InvalidateSubtree),
+        1 => path.prop_map(LruOp::InvalidateExact),
+    ]
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Held {
+    Positive(mantle::core::pathcache::CachedLease),
+    Negative,
+}
+
+/// The reference: entries least recently used first.
+struct LruModel {
+    capacity: usize,
+    order: VecDeque<(usize, Held, SimInstant)>,
+    evictions: u64,
+}
+
+impl LruModel {
+    fn at(&self, i: usize) -> Option<usize> {
+        self.order.iter().position(|e| e.0 == i)
+    }
+
+    fn touch(&mut self, at: usize) {
+        let e = self.order.remove(at).unwrap();
+        self.order.push_back(e);
+    }
+
+    fn probe(&mut self, i: usize) -> LeaseProbe {
+        let Some(at) = self.at(i) else {
+            return LeaseProbe::Miss;
+        };
+        let (_, held, expires) = self.order[at];
+        let live = clock::now() <= expires;
+        match held {
+            Held::Positive(lease) if live => {
+                self.touch(at);
+                LeaseProbe::Hit(lease)
+            }
+            Held::Positive(lease) => LeaseProbe::Expired(lease),
+            Held::Negative if live => {
+                self.touch(at);
+                LeaseProbe::NegativeHit
+            }
+            Held::Negative => {
+                self.order.remove(at);
+                LeaseProbe::Miss
+            }
+        }
+    }
+
+    fn install(&mut self, i: usize, held: Held, ttl: Duration) {
+        if let Some(at) = self.at(i) {
+            self.order.remove(at);
+        }
+        self.order.push_back((i, held, clock::now() + ttl));
+        while self.order.len() > self.capacity {
+            self.order.pop_front();
+            self.evictions += 1;
+        }
+    }
+
+    fn drop_subtree(&mut self, root: usize) {
+        self.order.retain(|e| !lru_covered_by(e.0, root));
+    }
+}
+
+fn leased(pid: u64, version: u64, ttl: Duration) -> LeasedPath {
+    LeasedPath {
+        resolved: ResolvedPath {
+            id: InodeId(pid),
+            permission: Permission::ALL,
+        },
+        version,
+        lease_ttl: ttl,
+    }
+}
+
+fn held(pid: u64, version: u64) -> Held {
+    Held::Positive(mantle::core::pathcache::CachedLease {
+        pid: InodeId(pid),
+        permission: Permission::ALL,
+        version,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Fills, hits, expiries and renewals, negative entries and both
+    /// invalidations on a cache of 1–4 entries: a `VecDeque` kept in exact
+    /// LRU order predicts every probe, every resolution and the cache's
+    /// entry and eviction counts. A FIFO (or any approximate) order would
+    /// evict a different entry and part from it.
+    #[test]
+    fn eviction_order_is_exactly_lru(
+        capacity in 1usize..=4,
+        ops in proptest::collection::vec(lru_op(), 1..120),
+    ) {
+        let cache = PathLeaseCache::new(
+            PathLeaseConfig { capacity, negative_ttl: SHORT, ..PathLeaseConfig::enabled() },
+            "lru-model",
+        );
+        let mut model = LruModel { capacity, order: VecDeque::new(), evictions: 0 };
+        // Authority: `(pid, version)` per path, `None` while it is gone.
+        let mut authority: Vec<Option<(u64, u64)>> =
+            (0..LRU_PATHS.len()).map(|i| Some((i as u64, 1))).collect();
+        let mut next_pid = LRU_PATHS.len() as u64;
+
+        for op in ops {
+            match op {
+                LruOp::Resolve(i, short) => {
+                    let ttl = if short { SHORT } else { LONG };
+                    let now = authority[i];
+                    let verdict = || match now {
+                        Some((pid, version)) => Ok(leased(pid, version, ttl)),
+                        None => Err(MetaError::NotFound(LRU_PATHS[i].to_string())),
+                    };
+                    let expected = match model.probe(i) {
+                        LeaseProbe::Hit(lease) => Some(lease.pid),
+                        LeaseProbe::NegativeHit => None,
+                        probe => {
+                            // An expired lease the authority no longer
+                            // matches drops its subtree before the verdict
+                            // goes in; a matching one is renewed.
+                            if let LeaseProbe::Expired(old) = probe {
+                                if now != Some((old.pid.0, old.version)) {
+                                    model.drop_subtree(i);
+                                }
+                            }
+                            match now {
+                                Some((pid, version)) => model.install(i, held(pid, version), ttl),
+                                None => model.install(i, Held::Negative, SHORT),
+                            }
+                            now.map(|(pid, _)| InodeId(pid))
+                        }
+                    };
+                    let got = cache.resolve(
+                        &p(LRU_PATHS[i]),
+                        "lru-model",
+                        &mut RequestCtx::new(),
+                        |_| verdict(),
+                        |_| verdict(),
+                    );
+                    match got {
+                        Ok(r) => prop_assert_eq!(Some(r.id), expected),
+                        Err(MetaError::NotFound(_)) => prop_assert_eq!(None, expected),
+                        Err(e) => prop_assert!(false, "unexpected error {}", e),
+                    }
+                }
+                LruOp::Fill(i) => {
+                    if let Some((pid, version)) = authority[i] {
+                        let lease = leased(pid, version, LONG);
+                        cache.fill(&p(LRU_PATHS[i]), &lease, cache.begin(), &mut OpStats::new());
+                        model.install(i, held(pid, version), LONG);
+                    }
+                }
+                LruOp::Probe(i) => {
+                    prop_assert_eq!(cache.probe(&p(LRU_PATHS[i]), false), model.probe(i));
+                }
+                LruOp::Remote(i, gone) => {
+                    next_pid += 1;
+                    let version = authority[i].map_or(1, |(_, v)| v + 1);
+                    authority[i] = (!gone).then_some((next_pid, version));
+                }
+                LruOp::Advance => clock::sleep(2 * SHORT),
+                LruOp::InvalidateSubtree(i) => {
+                    cache.invalidate_subtree(&p(LRU_PATHS[i]));
+                    model.drop_subtree(i);
+                }
+                LruOp::InvalidateExact(i) => {
+                    cache.invalidate_exact(&p(LRU_PATHS[i]));
+                    if let Some(at) = model.at(i) {
+                        model.order.remove(at);
+                    }
+                }
+            }
+            let stats = cache.stats();
+            prop_assert_eq!(stats.entries, model.order.len());
+            prop_assert_eq!(stats.evictions, model.evictions);
         }
     }
 }

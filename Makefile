@@ -17,7 +17,9 @@ clippy:
 # defining files, no object / dirstat / listing / bulk-load row op in a
 # front-end outside crates/tafdb/src/front.rs (LocoFS excepted), no
 # clone-out engine read (`scan_range`, `scan_versions`, `scan_dir`,
-# `export_rows`) outside crates/engine/src (DESIGN.md §4.12), and no
+# `export_rows`) outside crates/engine/src (DESIGN.md §4.12), no copying
+# range transform (`update_range`) outside the engines and the compactor
+# (a range delete is `StorageEngine::delete_range`), and no
 # per-level permission walk, spelled-out refusal, leaf split or rename
 # precheck outside crates/types/src/resolve.rs (DESIGN.md §4.3); no
 # thread::scope / flight::op_scope / trace::start in a workload or figure

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The side-door bans behind "one write vocabulary into TafDB", "one table
-# plane" (DESIGN.md §4.3) and "reads lend" (DESIGN.md §4.12). All five fail
-# the build:
+# plane" (DESIGN.md §4.3), "reads lend" and "range deletes copy nothing"
+# (DESIGN.md §4.12). All six fail the build:
 #   1. `raw_put` appears in no file under crates/*/src, crates/*/tests,
 #      src/, tests/ or examples/ outside crates/tafdb/src: front-ends write
 #      rows through an executor, and tests seed rows through the loader's
@@ -20,6 +20,10 @@
 #      `StorageEngine::{get_with, scan}` and copies out what it keeps.
 #   5. `merge_attr_rows` and `scan_attr_rows` stay retired (dirstat folds
 #      in the engine's visitor).
+#   6. the copying range transform `update_range(` / `update_versions(`
+#      appears in non-test source (cut as in 2) only under crates/engine/src
+#      and inside `compact_once` in crates/tafdb/src/shard.rs: a range that
+#      is only deleted goes through `StorageEngine::delete_range`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +47,18 @@ clone_out=$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
         counting && /(scan_range|scan_versions|scan_dir|export_rows)\(/ { print FILENAME ":" FNR ": " $0 }')
 
 retired=$(grep -rnwE 'merge_attr_rows|scan_attr_rows' crates src tests examples --include='*.rs' || true)
+
+# The enclosing function is the last `fn name` above the line.
+range_transform=$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
+    -not -path 'crates/engine/src/*' -print0 |
+    xargs -0 awk '
+        FNR == 1 { counting = 1; fn = "" }
+        /#\[cfg\(test\)\]/ { counting = 0 }
+        match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        counting && /(update_range|update_versions)\(/ &&
+            !(FILENAME == "crates/tafdb/src/shard.rs" && fn == "compact_once") {
+            print FILENAME ":" FNR ": " $0
+        }')
 
 status=0
 if [ -n "$raw_put" ]; then
@@ -70,5 +86,10 @@ if [ -n "$retired" ]; then
     echo "$retired"
     status=1
 fi
-[ "$status" -eq 0 ] && echo "write vocabulary, table plane, lending reads OK"
+if [ -n "$range_transform" ]; then
+    echo "copying range transform outside the engines and compact_once (delete with StorageEngine::delete_range):"
+    echo "$range_transform"
+    status=1
+fi
+[ "$status" -eq 0 ] && echo "write vocabulary, table plane, lending reads, in-place range deletes OK"
 exit "$status"

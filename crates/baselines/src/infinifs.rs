@@ -289,7 +289,7 @@ impl MetadataService for InfiniFs {
                 id = self.front.alloc();
                 db.execute_relaxed(&attr_row(id), stats)?;
             }
-            let [entry, _attr_put, link] = recipe::mkdir(parent.id, name, id, now);
+            let [entry, _attr_put, link] = recipe::mkdir(parent.id, name.into(), id, now);
             if let Err(e) = db.execute_relaxed(&[entry], stats) {
                 let undo = TxnOp::Delete { key: attr_key(id) };
                 let _ = db.execute_relaxed(&[undo], stats);
@@ -386,16 +386,16 @@ impl MetadataService for InfiniFs {
 
         let out = stats.time(Phase::Execute, |stats| {
             let (src_id, src_perm) = self.db().resolve_step(src_parent.id, src_name, stats)?;
-            let ops = recipe::rename(
-                (src_parent.id, src_name),
-                (dst_parent.id, dst_name),
+            let (ops, n) = recipe::rename(
+                (src_parent.id, Arc::from(src_name)),
+                (dst_parent.id, Arc::from(dst_name)),
                 src_id,
                 src_perm,
                 self.front.now(),
             );
             // Distributed transaction with in-place attribute updates: the
             // no-wait conflicts under dirrename-s retry inside execute().
-            self.db().execute(&ops, stats)?;
+            self.db().execute(&ops[..n], stats)?;
             self.pcache.invalidate_subtree(src);
             self.pcache.invalidate_subtree(dst);
             Ok(())

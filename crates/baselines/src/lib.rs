@@ -81,6 +81,7 @@ fn relaxed_rmdir(
     }
     // Entry first: with no transaction around the writes, the directory
     // must stop being reachable before its attribute row goes.
-    let [attr, _expect_empty, entry, unlink] = recipe::rmdir(parent.id, name, dir, front.now());
+    let [attr, _expect_empty, entry, unlink] =
+        recipe::rmdir(parent.id, name.into(), dir, front.now());
     front.db().execute_relaxed(&[entry, attr, unlink], stats)
 }

@@ -130,7 +130,7 @@ impl MetadataService for Tectonic {
         stats.time(Phase::Execute, |stats| {
             parent.require(Permission::WRITE, path)?;
             let id = self.front.alloc();
-            let ops = recipe::mkdir(parent.id, name, id, self.front.now());
+            let ops = recipe::mkdir(parent.id, name.into(), id, self.front.now());
             self.run(&ops, stats)?;
             Ok(id)
         })
@@ -205,9 +205,9 @@ impl MetadataService for Tectonic {
             src_parent.require(Permission::WRITE, src)?;
             dst_parent.require(Permission::WRITE, dst)?;
             let (src_id, src_perm) = self.db().resolve_step(src_parent.id, src_name, stats)?;
-            let mut ops = recipe::rename(
-                (src_parent.id, src_name),
-                (dst_parent.id, dst_name),
+            let (mut ops, n) = recipe::rename(
+                (src_parent.id, Arc::from(src_name)),
+                (dst_parent.id, Arc::from(dst_name)),
                 src_id,
                 src_perm,
                 self.front.now(),
@@ -217,7 +217,7 @@ impl MetadataService for Tectonic {
                 // directory is reachable twice rather than not at all.
                 ops.swap(0, 1);
             }
-            self.run(&ops, stats).inspect_err(|e| {
+            self.run(&ops[..n], stats).inspect_err(|e| {
                 mantle_obs::flight::annotate_with(|| format!("tectonic:rename err={e}"));
             })
         })

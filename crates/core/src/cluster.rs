@@ -351,13 +351,14 @@ impl MetadataService for MantleCluster {
             parent.require(Permission::WRITE, path)?;
             let id = self.front.alloc();
             let now = self.now();
-            let ops = recipe::mkdir(parent.id, name, id, now);
+            let name: Arc<str> = Arc::from(name);
+            let ops = recipe::mkdir(parent.id, name.clone(), id, now);
             self.db().execute(&ops, stats)?;
             // Refresh the IndexNode's access metadata (Figure 5: "TafDB
             // updates all metadata while IndexNode refreshes access data").
             self.with_failover(stats, |stats| {
                 self.index
-                    .insert_dir(parent.id, name, id, Permission::ALL, stats)
+                    .insert_dir_shared(parent.id, name.clone(), id, Permission::ALL, stats)
             })?;
             // Scrub any cached NotFound verdict for the new directory.
             self.pcache.invalidate_exact(path);
@@ -375,10 +376,11 @@ impl MetadataService for MantleCluster {
         stats.time(Phase::Execute, |stats| {
             parent.require(Permission::WRITE, path)?;
             let now = self.now();
-            let ops = recipe::rmdir(parent.id, name, dir.id, now);
+            let name: Arc<str> = Arc::from(name);
+            let ops = recipe::rmdir(parent.id, name.clone(), dir.id, now);
             self.db().execute(&ops, stats)?;
             self.with_failover(stats, |stats| {
-                self.index.remove_dir(parent.id, name, path, stats)
+                self.index.remove_dir(parent.id, name.clone(), path, stats)
             })?;
             self.pcache.invalidate_subtree(path);
             Ok(())
@@ -487,20 +489,20 @@ impl MantleCluster {
         })?;
 
         stats.time(Phase::Execute, |stats| {
-            let src_name = src.name().expect("non-root");
-            let dst_name = dst.name().expect("non-root");
+            let dst_name: Arc<str> = Arc::from(dst.name().expect("non-root"));
             let now = self.now();
-            let ops = recipe::rename(
-                (grant.src_pid, src_name),
-                (grant.dst_pid, dst_name),
+            let (ops, n) = recipe::rename(
+                (grant.src_pid, grant.src_name.clone()),
+                (grant.dst_pid, dst_name.clone()),
                 grant.src_id,
                 grant.permission,
                 now,
             );
-            match self.db().execute(&ops, stats) {
+            match self.db().execute(&ops[..n], stats) {
                 Ok(_) => {
                     self.with_failover(stats, |stats| {
-                        self.index.rename_commit(&grant, src, dst, uuid, stats)
+                        self.index
+                            .rename_commit(&grant, src, dst_name.clone(), uuid, stats)
                     })?;
                     // Both subtrees: sources go stale, and the destination
                     // side may hold negative verdicts for paths that exist

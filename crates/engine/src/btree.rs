@@ -150,6 +150,15 @@ impl<V: EngineValue> StorageEngine<V> for BTreeEngine<V> {
         }
     }
 
+    fn delete_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut dyn FnMut(&RowKey)) {
+        let mut map = self.write();
+        while let Some((key, _)) = map.range::<dyn KeyParts, _>((lo, hi)).next() {
+            let key = key.clone(); // a refcount: the sweep copies no name or row
+            map.remove(&key);
+            f(&key);
+        }
+    }
+
     fn replace_all(&self, rows: Vec<(RowKey, V)>) {
         let mut map = self.write();
         map.clear();

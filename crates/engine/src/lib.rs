@@ -120,7 +120,12 @@ pub trait StorageEngine<V: EngineValue>: Send + Sync {
     fn put_if_absent(&self, key: RowKey, value: V) -> bool;
 
     /// Removes a row; returns whether it existed.
-    fn delete(&self, key: &dyn KeyParts) -> bool;
+    fn delete(&self, key: &dyn KeyParts) -> bool {
+        let mut existed = false;
+        let at = Bound::Included(key);
+        self.delete_range(at, at, &mut |_| existed = true);
+        existed
+    }
 
     /// Atomic read-modify-write of one row. `f` sees the current value and
     /// returns `(next value — None deletes, caller result)`; the caller
@@ -151,6 +156,11 @@ pub trait StorageEngine<V: EngineValue>: Send + Sync {
     /// the engine-neutral form of "fold these delta records into the base
     /// row invisibly to concurrent scans".
     fn update_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut RangeFn<'_, V>);
+
+    /// Removes every live row with a key in the given bounds as one atomic
+    /// write — a concurrent scan sees all of them or none — and shows `f`
+    /// each removed key, in key order, in place: nothing is copied out.
+    fn delete_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut dyn FnMut(&RowKey));
 
     /// Copies of every live row in key order — one consistent snapshot.
     fn export_rows(&self) -> Vec<(RowKey, V)> {
@@ -304,20 +314,6 @@ pub fn scan_versions<V: EngineValue>(
         Bound::Included(&versions_end(pid, name)),
         usize::MAX,
     )
-}
-
-/// Atomic range transform over the `(pid, name, *)` version range.
-pub fn update_versions<V: EngineValue>(
-    engine: &dyn StorageEngine<V>,
-    pid: InodeId,
-    name: &str,
-    f: &mut RangeFn<'_, V>,
-) {
-    engine.update_range(
-        Bound::Included(&RowKeyView::base(pid, name)),
-        Bound::Included(&versions_end(pid, name)),
-        f,
-    );
 }
 
 /// Which engine implementation backs a shard.
@@ -477,7 +473,8 @@ mod tests {
             e.put(RowKey::delta(InodeId(5), "/_ATTR", TxnId(2)), 2);
             e.put(key(5, "other"), 7);
             let mut seen = 0;
-            update_versions(&*e, InodeId(5), "/_ATTR", &mut |rows| {
+            let (lo, hi) = (key(5, "/_ATTR"), versions_end(InodeId(5), "/_ATTR"));
+            e.update_range(Bound::Included(&lo), Bound::Included(&hi), &mut |rows| {
                 seen = rows.len();
                 let sum: u64 = rows.iter().map(|(_, v)| v).sum();
                 let mut ops = vec![WriteOp::Put(key(5, "/_ATTR"), sum)];

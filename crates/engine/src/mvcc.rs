@@ -295,21 +295,6 @@ impl<V: EngineValue> StorageEngine<V> for MvccEngine<V> {
         true
     }
 
-    fn delete(&self, key: &dyn KeyParts) -> bool {
-        let mut inner = self.write();
-        let Inner { map, counts } = &mut *inner;
-        let Some(chain) = map.get_mut(key).filter(|c| c.head().is_some()) else {
-            return false;
-        };
-        counts.seq += 1;
-        let floor = self.publish_floor(counts.seq);
-        counts.append(chain, None);
-        if counts.prune(chain, floor) {
-            map.remove(key);
-        }
-        true
-    }
-
     fn update(&self, key: &dyn KeyParts, f: &mut UpdateFn<'_, V>) -> bool {
         let mut inner = self.write();
         let Inner { map, counts } = &mut *inner;
@@ -341,6 +326,30 @@ impl<V: EngineValue> StorageEngine<V> for MvccEngine<V> {
             .filter_map(|(k, c)| c.head().map(|v| (k.clone(), v.clone())))
             .collect();
         self.apply_ops(&mut inner, f(&rows));
+    }
+
+    fn delete_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, f: &mut dyn FnMut(&RowKey)) {
+        let mut inner = self.write();
+        let Inner { map, counts } = &mut *inner;
+        // `apply`'s tombstones, one sequence each, the floor published at the
+        // last before any lands; each pass finds the next live key from `lo`.
+        let live = map
+            .range::<dyn KeyParts, _>((lo, hi))
+            .filter(|(_, c)| c.head().is_some())
+            .count();
+        let floor = self.publish_floor(counts.seq + live as u64);
+        while let Some((key, chain)) = map
+            .range_mut::<dyn KeyParts, _>((lo, hi))
+            .find(|(_, c)| c.head().is_some())
+        {
+            let key = key.clone();
+            counts.seq += 1;
+            counts.append(chain, None);
+            if counts.prune(chain, floor) {
+                map.remove(&key);
+            }
+            f(&key);
+        }
     }
 
     fn replace_all(&self, rows: Vec<(RowKey, V)>) {

@@ -65,6 +65,8 @@ pub struct RenameGrant {
     pub permission: Permission,
     /// Destination parent directory id.
     pub dst_pid: InodeId,
+    /// The source entry's name, shared by every key and command of the rename.
+    pub src_name: Arc<str>,
 }
 
 /// A per-namespace IndexNode: a Raft group of [`IndexSm`] replicas.
@@ -260,10 +262,22 @@ impl IndexNode {
         permission: Permission,
         stats: &mut RequestCtx,
     ) -> Result<()> {
+        self.insert_dir_shared(pid, Arc::from(name), id, permission, stats)
+    }
+
+    /// [`Self::insert_dir`] of a name the caller owns: the proposal shares it.
+    pub fn insert_dir_shared(
+        &self,
+        pid: InodeId,
+        name: Arc<str>,
+        id: InodeId,
+        permission: Permission,
+        stats: &mut RequestCtx,
+    ) -> Result<()> {
         self.propose(
             IndexCmd::InsertDir {
                 pid,
-                name: Arc::from(name),
+                name,
                 id,
                 permission,
             },
@@ -271,18 +285,18 @@ impl IndexNode {
         )
     }
 
-    /// Replicates a directory removal (rmdir).
+    /// Replicates a directory removal (rmdir), sharing the caller's name.
     pub fn remove_dir(
         &self,
         pid: InodeId,
-        name: &str,
+        name: Arc<str>,
         path: &MetaPath,
         stats: &mut RequestCtx,
     ) -> Result<()> {
         self.propose(
             IndexCmd::RemoveDir {
                 pid,
-                name: Arc::from(name),
+                name,
                 path: path.clone(),
             },
             stats,
@@ -340,7 +354,7 @@ impl IndexNode {
         stats: &mut RequestCtx,
     ) -> Result<RenameGrant> {
         let leader = self.leader()?;
-        let (grant, src_name) = leader
+        let grant = leader
             .node()
             .try_rpc_named(stats, "rename_prepare", || {
                 let sm = leader.state_machine();
@@ -351,8 +365,8 @@ impl IndexNode {
                 src.rename_precheck(dst)?;
                 let (src_parent, src_name) = src.split_leaf()?;
                 let (dst_parent, dst_name) = dst.split_leaf()?;
-                // Owned once: the reservation and the replicated command
-                // share it.
+                // Owned once: the reservation, the replicated commands and
+                // the proxy's transaction share it.
                 let src_name: Arc<str> = Arc::from(src_name);
 
                 // Resolve both parents *outside* the pending lock — resolution
@@ -427,9 +441,10 @@ impl IndexNode {
                         src_id: src_entry.id,
                         permission: src_entry.permission,
                         dst_pid: dst_parent_res.id,
+                        src_name,
                     }
                 };
-                Ok((grant, src_name))
+                Ok(grant)
             })
             .and_then(|r| r)?;
 
@@ -438,33 +453,33 @@ impl IndexNode {
         // bit in every replica's IndexTable.
         let proposed = leader.propose(IndexCmd::RenamePrepare {
             src_pid: grant.src_pid,
-            src_name: src_name.clone(),
+            src_name: grant.src_name.clone(),
             uuid,
             src_path: src.clone(),
         });
         self.pending_renames
             .lock()
-            .retain(|(p, n, _)| !(*p == grant.src_pid && *n == src_name));
+            .retain(|(p, n, _)| !(*p == grant.src_pid && *n == grant.src_name));
         proposed.map_err(Self::map_raft)?;
         Ok(grant)
     }
 
-    /// Finalizes a granted rename: moves the access-metadata edge and
-    /// releases the lock (Figure 9 step 8b).
+    /// Finalizes a granted rename to the entry `dst_name`: moves the
+    /// access-metadata edge and releases the lock (Figure 9 step 8b).
     pub fn rename_commit(
         &self,
         grant: &RenameGrant,
         src: &MetaPath,
-        dst: &MetaPath,
+        dst_name: Arc<str>,
         uuid: ClientUuid,
         stats: &mut RequestCtx,
     ) -> Result<()> {
         self.propose(
             IndexCmd::RenameCommit {
                 src_pid: grant.src_pid,
-                src_name: Arc::from(src.name().expect("non-root")),
+                src_name: grant.src_name.clone(),
                 dst_pid: grant.dst_pid,
-                dst_name: Arc::from(dst.name().expect("non-root")),
+                dst_name,
                 uuid,
                 src_path: src.clone(),
             },
@@ -483,7 +498,7 @@ impl IndexNode {
         self.propose(
             IndexCmd::RenameAbort {
                 src_pid: grant.src_pid,
-                src_name: Arc::from(src.name().expect("non-root")),
+                src_name: grant.src_name.clone(),
                 uuid,
                 src_path: src.clone(),
             },

@@ -95,7 +95,7 @@ fn remove_dir_then_lookup_fails() {
     let node = node();
     let mut stats = RequestCtx::new();
     let ids = build_chain(&node, &mut stats);
-    node.remove_dir(ids[2], "d", &p("/a/b/c/d"), &mut stats)
+    node.remove_dir(ids[2], "d".into(), &p("/a/b/c/d"), &mut stats)
         .unwrap();
     assert!(matches!(
         node.lookup(&p("/a/b/c/d"), &mut stats),
@@ -125,7 +125,7 @@ fn rename_prepare_commit_moves_subtree() {
     assert_eq!(grant.src_pid, InodeId(10));
     assert_eq!(grant.src_id, InodeId(11));
     assert_eq!(grant.dst_pid, InodeId(99));
-    node.rename_commit(&grant, &p("/a/b"), &p("/target/b2"), uuid, &mut stats)
+    node.rename_commit(&grant, &p("/a/b"), "b2".into(), uuid, &mut stats)
         .unwrap();
 
     assert!(matches!(
@@ -212,7 +212,7 @@ fn conflicting_rename_sees_lock_and_retry_after_abort() {
     let grant2 = node
         .rename_prepare(&p("/a/b"), &p("/elsewhere"), u2, &mut stats)
         .unwrap();
-    node.rename_commit(&grant2, &p("/a/b"), &p("/elsewhere"), u2, &mut stats)
+    node.rename_commit(&grant2, &p("/a/b"), "elsewhere".into(), u2, &mut stats)
         .unwrap();
     assert!(node.lookup(&p("/elsewhere/c"), &mut stats).is_ok());
 }
@@ -263,7 +263,7 @@ fn rename_invalidates_follower_caches() {
     let grant = node
         .rename_prepare(&p("/a/b"), &p("/nb"), uuid, &mut stats)
         .unwrap();
-    node.rename_commit(&grant, &p("/a/b"), &p("/nb"), uuid, &mut stats)
+    node.rename_commit(&grant, &p("/a/b"), "nb".into(), uuid, &mut stats)
         .unwrap();
 
     // Every replica must now resolve the new path and reject the old one.

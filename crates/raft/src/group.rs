@@ -314,6 +314,31 @@ mod tests {
         }
     }
 
+    /// A 3-voter leader's own match index is one vote of three: with both
+    /// followers down its proposal stays uncommitted, and it commits as
+    /// soon as one follower is back.
+    #[test]
+    fn leader_does_not_commit_on_its_own_match_alone() {
+        let group = test_group(3, 0);
+        let leader = group.leader().unwrap();
+        leader.propose(0).unwrap();
+        let committed = leader.commit_index();
+        let followers: Vec<usize> = (0..3).filter(|&id| id != leader.id()).collect();
+        for &id in &followers {
+            group.crash(id);
+        }
+        let proposer = {
+            let leader = Arc::clone(&leader);
+            std::thread::spawn(move || leader.propose(1))
+        };
+        let alone = leader.wait_for_applied(committed + 1, Duration::from_millis(100));
+        assert!(!alone, "committed on the leader's match alone");
+        assert_eq!(leader.commit_index(), committed);
+        group.recover(followers[0]);
+        assert_eq!(proposer.join().unwrap(), Ok(committed + 1));
+        assert_eq!(*leader.state_machine().applied.lock(), vec![0, 1]);
+    }
+
     #[test]
     fn read_index_on_follower_sees_committed_writes() {
         let group = test_group(3, 1);

@@ -960,10 +960,7 @@ impl<SM: StateMachine> RaftReplica<SM> {
         if g.role != Role::Leader {
             return;
         }
-        // Median-of-voters match index = highest quorum-replicated index.
-        let mut matches: Vec<u64> = g.match_index[..self.n_voters].to_vec();
-        matches.sort_unstable_by(|a, b| b.cmp(a));
-        let quorum_index = matches[self.n_voters / 2];
+        let quorum_index = quorum_index(&g.match_index[..self.n_voters]);
         // Raft safety: only commit entries from the current term directly.
         if quorum_index > g.commit_index && g.log.term_at(quorum_index) == Some(g.term) {
             g.commit_index = quorum_index;
@@ -1462,5 +1459,44 @@ impl<SM: StateMachine> RaftReplica<SM> {
         self.metrics.installs.inc();
         self.metrics.log_bytes.set(g.log.bytes() as i64);
         self.apply_cv.notify_all();
+    }
+}
+
+/// The highest index a majority of the voters' `matches` has reached: the
+/// largest one that more than half of them are at or past. A group has a
+/// handful of voters, so counting per candidate needs no sorted copy.
+fn quorum_index(matches: &[u64]) -> u64 {
+    let reached = |m: &&u64| matches.iter().filter(|&&x| x >= **m).count() > matches.len() / 2;
+    *matches.iter().filter(reached).max().unwrap_or(&0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::quorum_index;
+
+    /// The rule `quorum_index` replaced: sort a copy descending, take the
+    /// median-of-voters slot.
+    fn sorted_median(matches: &[u64]) -> u64 {
+        let mut sorted = matches.to_vec();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        sorted[matches.len() / 2]
+    }
+
+    /// Every match vector of 1–7 voters over indexes 0..=4 — ties, zeros
+    /// and every order included — agrees with the sorted median.
+    #[test]
+    fn quorum_index_is_the_sorted_median_for_every_small_group() {
+        const VALUES: u64 = 5;
+        for n in 1..=7u32 {
+            for code in 0..VALUES.pow(n) {
+                let matches: Vec<u64> = (0..n).map(|i| code / VALUES.pow(i) % VALUES).collect();
+                assert_eq!(
+                    quorum_index(&matches),
+                    sorted_median(&matches),
+                    "{matches:?}"
+                );
+            }
+        }
+        assert_eq!(quorum_index(&[u64::MAX, 0, u64::MAX]), u64::MAX);
     }
 }

@@ -176,7 +176,8 @@ impl Front {
                 Some(_) => panic!("bulk_dir crosses an object at {}", path.prefix(depth + 1)),
                 None => {
                     let id = new_dir(pid, comp, depth + 1);
-                    self.db.bulk_apply(recipe::mkdir(pid, comp, id, self.now()));
+                    self.db
+                        .bulk_apply(recipe::mkdir(pid, comp.into(), id, self.now()));
                     pid = id;
                 }
             }

@@ -7,7 +7,10 @@
 //! single-row writes, [`TafDb::bulk_apply`](crate::TafDb::bulk_apply) as a
 //! free load. The order inside a recipe is the transaction's lock order.
 
-use mantle_types::{AttrDelta, DirAttrMeta, InodeId, ObjectMeta, Permission};
+use std::sync::Arc;
+
+use mantle_store::RowKey;
+use mantle_types::{AttrDelta, DirAttrMeta, InodeId, ObjectMeta, Permission, TxnId};
 
 use crate::schema::{attr_key, entry_key, Row};
 use crate::txn::TxnOp;
@@ -21,11 +24,12 @@ pub fn root(root: InodeId) -> [TxnOp; 1] {
 }
 
 /// `mkdir`: the entry under `pid`, the new directory's attribute row, and
-/// the parent's link and entry counts.
-pub fn mkdir(pid: InodeId, name: &str, id: InodeId, now: u64) -> [TxnOp; 3] {
+/// the parent's link and entry counts. Directory recipes take names owned,
+/// for their keys to share with Mantle's IndexNode commands.
+pub fn mkdir(pid: InodeId, name: Arc<str>, id: InodeId, now: u64) -> [TxnOp; 3] {
     [
         TxnOp::InsertUnique {
-            key: entry_key(pid, name),
+            key: shared_entry_key(pid, name),
             row: Row::DirAccess {
                 id,
                 permission: Permission::ALL,
@@ -46,12 +50,12 @@ pub fn mkdir(pid: InodeId, name: &str, id: InodeId, now: u64) -> [TxnOp; 3] {
 /// goes first: its exclusive lock excludes creations while `ExpectEmptyDir`
 /// looks. (A relaxed front-end checks emptiness itself and leaves that op
 /// out — it has no single-row form.)
-pub fn rmdir(pid: InodeId, name: &str, dir: InodeId, now: u64) -> [TxnOp; 4] {
+pub fn rmdir(pid: InodeId, name: Arc<str>, dir: InodeId, now: u64) -> [TxnOp; 4] {
     [
         TxnOp::Delete { key: attr_key(dir) },
         TxnOp::ExpectEmptyDir { dir },
         TxnOp::Delete {
-            key: entry_key(pid, name),
+            key: shared_entry_key(pid, name),
         },
         TxnOp::AttrUpdate {
             dir: pid,
@@ -60,12 +64,13 @@ pub fn rmdir(pid: InodeId, name: &str, dir: InodeId, now: u64) -> [TxnOp; 4] {
     ]
 }
 
-/// Object `create`: the object row and the parent's entry count.
+/// Object `create`: the object row and the parent's entry count. The row's
+/// `name` is empty: an object's name lives in its key only (DESIGN.md §4.3).
 pub fn create(pid: InodeId, name: &str, id: InodeId, size: u64, blob: u64, now: u64) -> [TxnOp; 2] {
     [
         TxnOp::InsertUnique {
             key: entry_key(pid, name),
-            row: Row::Object(ObjectMeta::new(pid, name, id, size, blob, now)),
+            row: Row::Object(ObjectMeta::new(pid, "", id, size, blob, now)),
         },
         TxnOp::AttrUpdate {
             dir: pid,
@@ -88,31 +93,41 @@ pub fn delete(pid: InodeId, name: &str, now: u64) -> [TxnOp; 2] {
 }
 
 /// Directory rename: the entry of directory `id` moves from `src` to `dst`
-/// (each a `(parent, name)`) with its permission. Within one parent the
-/// counts stand and only its mtime moves; across parents the link moves.
+/// (each a `(parent, name)`) with its permission, in the first `n` of `(ops,
+/// n)`. Within one parent the counts stand and only its mtime moves.
 pub fn rename(
-    src: (InodeId, &str),
-    dst: (InodeId, &str),
+    src: (InodeId, Arc<str>),
+    dst: (InodeId, Arc<str>),
     id: InodeId,
     permission: Permission,
     now: u64,
-) -> Vec<TxnOp> {
-    let mut ops = Vec::with_capacity(4);
-    ops.push(TxnOp::Delete {
-        key: entry_key(src.0, src.1),
-    });
-    ops.push(TxnOp::InsertUnique {
-        key: entry_key(dst.0, dst.1),
-        row: Row::DirAccess { id, permission },
-    });
-    let mut bump = |dir, delta| ops.push(TxnOp::AttrUpdate { dir, delta });
-    if src.0 == dst.0 {
-        bump(src.0, AttrDelta::touch(now));
-    } else {
-        bump(src.0, AttrDelta::dir_unlinked(now));
-        bump(dst.0, AttrDelta::dir_linked(now));
+) -> ([TxnOp; 4], usize) {
+    let bump = |dir, delta| TxnOp::AttrUpdate { dir, delta };
+    let within = src.0 == dst.0;
+    let ops = [
+        TxnOp::Delete {
+            key: shared_entry_key(src.0, src.1),
+        },
+        TxnOp::InsertUnique {
+            key: shared_entry_key(dst.0, dst.1),
+            row: Row::DirAccess { id, permission },
+        },
+        match within {
+            true => bump(src.0, AttrDelta::touch(now)),
+            false => bump(src.0, AttrDelta::dir_unlinked(now)),
+        },
+        bump(dst.0, AttrDelta::dir_linked(now)),
+    ];
+    (ops, if within { 3 } else { 4 })
+}
+
+/// An entry key that shares its owned name.
+fn shared_entry_key(pid: InodeId, name: Arc<str>) -> RowKey {
+    RowKey {
+        pid,
+        name,
+        ts: TxnId::BASE,
     }
-    ops
 }
 
 /// `setattr`: rewrite the permission of directory entry `name` under `pid`.

@@ -191,7 +191,8 @@ impl TafDb {
         }
     }
 
-    /// Reads object metadata.
+    /// Reads object metadata, named by the probe: an object row keeps its
+    /// name in its key only (DESIGN.md §4.3).
     ///
     /// # Errors
     ///
@@ -203,7 +204,12 @@ impl TafDb {
         name: &str,
         stats: &mut RequestCtx,
     ) -> Result<ObjectMeta> {
-        let found = self.read_entry(pid, name, stats, |row| row.as_object().cloned())?;
+        let found = self.read_entry(pid, name, stats, |row| {
+            row.as_object().map(|o| ObjectMeta {
+                name: name.to_owned(),
+                ..*o
+            })
+        })?;
         object_or(found, name)
     }
 

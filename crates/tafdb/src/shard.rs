@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use mantle_engine::{update_versions, versions_end, ScanFn, StorageEngine, WriteOp};
+use mantle_engine::{versions_end, KeyBound, ScanFn, StorageEngine, WriteOp};
 use mantle_rpc::{FaultKind, SimNode};
 use mantle_store::{GroupCommitWal, LockManager, RowKey};
 use mantle_sync::LatchTable;
@@ -105,6 +105,17 @@ impl Shard {
         let last = versions_end(dir, ATTR_ROW_NAME);
         self.engine
             .scan(Bound::Included(&attr_view(dir)), Bound::Included(&last), f);
+    }
+
+    /// Removes `dir`'s attribute rows on this shard from `from` through its
+    /// last delta record as one engine write, so a concurrent dirstat scan
+    /// never sees part of them gone; `true` when the base row was one.
+    fn drop_attr_rows(&self, dir: InodeId, from: KeyBound<'_>) -> bool {
+        let (last, mut dropped_base) = (versions_end(dir, ATTR_ROW_NAME), false);
+        let hi: KeyBound<'_> = Bound::Included(&last);
+        self.engine
+            .delete_range(from, hi, &mut |k| dropped_base |= k.ts == TxnId::BASE);
+        dropped_base
     }
 
     /// Outstanding delta records of `dir` on this shard.
@@ -274,14 +285,7 @@ impl TafDb {
     /// deltas itself).
     pub(crate) fn purge_deltas(shard: &Shard, dir: InodeId) {
         shard.delta_dirs.lock().remove(&dir);
-        // Atomic range transform: a concurrent dirstat scan never sees a
-        // partially purged delta set.
-        update_versions(&*shard.engine, dir, ATTR_ROW_NAME, &mut |rows| {
-            rows.iter()
-                .filter(|(k, _)| k.ts != TxnId::BASE)
-                .map(|(k, _)| WriteOp::Delete(k.clone()))
-                .collect()
-        });
+        shard.drop_attr_rows(dir, Bound::Excluded(&attr_view(dir)));
     }
 
     /// Deletes `key`; when it is an attribute row, its directory's delta
@@ -293,14 +297,7 @@ impl TafDb {
         }
         let _latch = shard.latches.exclusive(&key.pid.raw());
         shard.delta_dirs.lock().remove(&key.pid);
-        let mut existed = false;
-        update_versions(&*shard.engine, key.pid, ATTR_ROW_NAME, &mut |rows| {
-            existed = rows.iter().any(|(k, _)| k.ts == TxnId::BASE);
-            rows.iter()
-                .map(|(k, _)| WriteOp::Delete(k.clone()))
-                .collect()
-        });
-        existed
+        shard.drop_attr_rows(key.pid, Bound::Included(key))
     }
 
     // --- compaction --------------------------------------------------------
@@ -329,7 +326,10 @@ impl TafDb {
                 // folding, but concurrent delta appends proceed.
                 let _latch = shard.latches.shared(&dir.raw());
                 let mut folded = 0usize;
-                update_versions(&*shard.engine, dir, ATTR_ROW_NAME, &mut |rows| {
+                let (first, last) = (attr_view(dir), versions_end(dir, ATTR_ROW_NAME));
+                let (lo, hi): (KeyBound, KeyBound) =
+                    (Bound::Included(&first), Bound::Included(&last));
+                shard.engine.update_range(lo, hi, &mut |rows| {
                     let deltas: Vec<(RowKey, AttrDelta)> = rows
                         .iter()
                         .filter_map(|(k, v)| match v {

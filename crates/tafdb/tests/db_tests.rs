@@ -741,3 +741,99 @@ fn two_databases_count_alone_and_the_registry_series_sums_them() {
     assert!(series() >= before + 3);
     assert_eq!(b.counters().txns_committed, 1);
 }
+
+/// An object row keeps its name in its key only: `recipe::create` stores
+/// it with an empty `name`, and `get_object` answers with the name it
+/// probed by. A row stored with its name — the shape of a hand-built
+/// `Row::Object`, as the repo benchmark's mirror writes — reads back the
+/// same. Both survive a checkpoint restore and a split migration, on both
+/// engines.
+#[test]
+fn object_rows_round_trip_without_a_stored_name() {
+    use mantle_tafdb::shardmap::DIR_REGION_SPAN;
+    use mantle_tafdb::{dir_region, place_of, recipe};
+    use mantle_types::ObjectMeta;
+
+    for engine in ENGINES {
+        let db = db_with(TafDbOptions {
+            engine,
+            n_shards: 2,
+            ..TafDbOptions::default()
+        });
+        let mut stats = RequestCtx::new();
+        db.execute(
+            &recipe::create(ROOT_ID, "made", InodeId(50), 4_096, 3, 7),
+            &mut stats,
+        )
+        .unwrap();
+        let named = ObjectMeta::new(ROOT_ID, "named", InodeId(51), 8, 0, 9);
+        let [_, bump] = recipe::create(ROOT_ID, "named", InodeId(51), 8, 0, 9);
+        let insert = TxnOp::InsertUnique {
+            key: entry_key(ROOT_ID, "named"),
+            row: Row::Object(named.clone()),
+        };
+        db.execute(&[insert, bump], &mut stats).unwrap();
+        let want = [
+            ObjectMeta::new(ROOT_ID, "made", InodeId(50), 4_096, 3, 7),
+            named,
+        ];
+        let stored = db.raw_get(&entry_key(ROOT_ID, "made"));
+        assert!(
+            matches!(&stored, Some(Row::Object(o)) if o.name.is_empty()),
+            "{}: {stored:?}",
+            engine.name()
+        );
+        let read_back = |when: &str| {
+            for want in &want {
+                let got = db.get_object(ROOT_ID, &want.name, &mut RequestCtx::new());
+                assert_eq!(got.as_ref(), Ok(want), "{} {when}", engine.name());
+            }
+        };
+        read_back("as written");
+
+        let (_, failed) = db.checkpoint_all();
+        assert!(failed.is_empty());
+        for i in 0..db.n_shards() {
+            assert!(db.restore_shard(i));
+        }
+        read_back("after a restore");
+
+        let (rs, _) = dir_region(ROOT_ID);
+        assert!(db.split_range(rs, rs + DIR_REGION_SPAN / 2));
+        for o in &want {
+            let place = place_of(&entry_key(ROOT_ID, &o.name));
+            let to = (db.shard_map().owner(place) + 1) % db.n_shards();
+            db.migrate_range(place, to).unwrap();
+            assert_eq!(db.shard_map().owner(place), to);
+        }
+        read_back("after a split migration");
+    }
+}
+
+/// A shard image of objects created through the recipe holds each name
+/// once, in its key: decoded, every object row's `name` is empty.
+#[test]
+fn object_images_carry_no_row_names() {
+    use mantle_tafdb::recipe;
+
+    const N: u64 = 64;
+    for engine in ENGINES {
+        let store = engine.build::<Row>();
+        for i in 0..N {
+            let [insert, _] = recipe::create(ROOT_ID, &format!("o{i}"), InodeId(100 + i), 1, 0, i);
+            let TxnOp::InsertUnique { key, row } = insert else {
+                unreachable!("create's first op inserts the object row")
+            };
+            store.put(key, row);
+        }
+        let rows = mantle_engine::decode_image::<Row>(&store.checkpoint()).unwrap();
+        assert_eq!(rows.len() as u64, N);
+        for (key, row) in rows {
+            let Row::Object(o) = row else {
+                panic!("{}: {key:?} is not an object row", engine.name())
+            };
+            assert!(key.name.starts_with('o'));
+            assert!(o.name.is_empty(), "{}: {key:?} stores {o:?}", engine.name());
+        }
+    }
+}

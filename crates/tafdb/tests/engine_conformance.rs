@@ -17,6 +17,13 @@
 //! a `scan` whose visitor breaks after `stop_after` rows has seen exactly
 //! the model's first `stop_after` rows, in key order — including a scan
 //! that crosses mvcc's 512-key chunk before it breaks.
+//!
+//! So is the in-place range delete, rmdir's attribute-row sweep: it reports
+//! exactly the model's keys in its bounds, in key order, and leaves the
+//! model's other rows. Its bounds start below, at or just past a
+//! directory's `/_ATTR` base row and end inside or past the version range,
+//! and the names ` z`, `-x` and `.y` sort just below `/_ATTR`, so a sweep
+//! that took a sibling entry with the version range would show here.
 
 use std::collections::BTreeMap;
 use std::ops::{Bound, ControlFlow};
@@ -25,8 +32,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use mantle_engine::{
-    decode_image, dir_end, scan_dir, scan_versions, update_versions, EngineKind, StorageEngine,
-    WriteOp,
+    decode_image, dir_end, scan_dir, scan_versions, versions_end, EngineKind, KeyBound,
+    StorageEngine, WriteOp,
 };
 use mantle_store::{KeyParts, RowKey, RowKeyView};
 use mantle_tafdb::Row;
@@ -35,17 +42,16 @@ use mantle_types::{AttrDelta, DirAttrMeta, InodeId, TxnId};
 
 const ENGINES: [EngineKind; 2] = [EngineKind::Btree, EngineKind::Mvcc];
 
+/// Row names: the empty one, three that sort just below `/_ATTR` (space,
+/// `-` and `.` are below `/`), a prefix pair and a multi-byte one.
+const SIBLINGS: [&str; 8] = ["", " z", "-x", ".y", ATTR_ROW_NAME, "a", "ab", "é"];
+
 fn arb_key() -> impl Strategy<Value = RowKey> {
-    (
-        0u64..5,
-        prop::sample::select(vec!["", "-x", ATTR_ROW_NAME, "a", "ab", "é"]),
-        0u64..4,
-    )
-        .prop_map(|(pid, name, ts)| RowKey {
-            pid: InodeId(pid),
-            name: name.into(),
-            ts: TxnId(ts),
-        })
+    (0u64..5, prop::sample::select(SIBLINGS.to_vec()), 0u64..4).prop_map(|(pid, name, ts)| RowKey {
+        pid: InodeId(pid),
+        name: name.into(),
+        ts: TxnId(ts),
+    })
 }
 
 fn arb_row() -> impl Strategy<Value = Row> {
@@ -75,9 +81,11 @@ enum Op {
     Update(RowKey, Row),
     /// An atomic multi-op write batch.
     Batch(Vec<(bool, RowKey, Row)>),
-    /// Atomic purge of the non-base versions of `(pid, /_ATTR)` — the
-    /// `PurgeDeltas` shape, through `update_range`.
+    /// Atomic purge of the non-base versions of `(pid, /_ATTR)`, through
+    /// `update_range` (the compactor's fold deletes the same way).
     PurgeVersions(u64),
+    /// `delete_range` of `pid`'s rows from `lo` to `hi` (see [`Lo`], [`Hi`]).
+    DeleteRange(u64, Lo, Hi),
     ScanDir(u64, &'static str, usize),
     ScanVersions(u64, &'static str),
     /// A lending scan of `pid`'s rows from `from` whose visitor breaks
@@ -91,6 +99,59 @@ enum Op {
     CheckpointRestore,
 }
 
+/// Where a range delete starts, around `(pid, /_ATTR)`.
+#[derive(Clone, Copy, Debug)]
+enum Lo {
+    /// At the `-x` sibling: below the base row, so `-x` and `.y` go too
+    /// and ` z` stays.
+    Sibling,
+    /// At the base row (rmdir's `delete_with_deltas`).
+    Base,
+    /// Just past the base row (rmdir's `purge_deltas` on other owners).
+    PastBase,
+    /// At the delta record of transaction 2.
+    Delta2,
+}
+
+/// Where a range delete ends, around `(pid, /_ATTR)`.
+#[derive(Clone, Copy, Debug)]
+enum Hi {
+    /// The last version of the range, inclusive (what rmdir uses).
+    VersionsEnd,
+    /// Before the delta record of transaction 2.
+    BeforeDelta2,
+    /// The base row itself, inclusive.
+    Base,
+    /// The `a` entry, inclusive: past the version range.
+    Entry,
+}
+
+fn bounds(pid: u64, lo: Lo, hi: Hi) -> (Bound<RowKey>, Bound<RowKey>) {
+    let p = InodeId(pid);
+    let lo = match lo {
+        Lo::Sibling => Bound::Included(RowKey::base(p, "-x")),
+        Lo::Base => Bound::Included(RowKey::base(p, ATTR_ROW_NAME)),
+        Lo::PastBase => Bound::Excluded(RowKey::base(p, ATTR_ROW_NAME)),
+        Lo::Delta2 => Bound::Included(RowKey::delta(p, ATTR_ROW_NAME, TxnId(2))),
+    };
+    let hi = match hi {
+        Hi::VersionsEnd => Bound::Included(versions_end(p, ATTR_ROW_NAME).to_key()),
+        Hi::BeforeDelta2 => Bound::Excluded(RowKey::delta(p, ATTR_ROW_NAME, TxnId(2))),
+        Hi::Base => Bound::Included(RowKey::base(p, ATTR_ROW_NAME)),
+        Hi::Entry => Bound::Included(RowKey::base(p, "a")),
+    };
+    (lo, hi)
+}
+
+/// `bounds` as the engine takes them: borrowed, as `dyn KeyParts`.
+fn borrowed(b: &Bound<RowKey>) -> KeyBound<'_> {
+    match b {
+        Bound::Included(k) => Bound::Included(k),
+        Bound::Excluded(k) => Bound::Excluded(k),
+        Bound::Unbounded => Bound::Unbounded,
+    }
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (arb_key(), arb_row()).prop_map(|(k, v)| Op::Put(k, v)),
@@ -101,6 +162,16 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (arb_key(), arb_row()).prop_map(|(k, v)| Op::Update(k, v)),
         prop::collection::vec((any::<bool>(), arb_key(), arb_row()), 1..5).prop_map(Op::Batch),
         (0u64..5).prop_map(Op::PurgeVersions),
+        (
+            0u64..5,
+            prop::sample::select(vec![Lo::Sibling, Lo::Base, Lo::PastBase, Lo::Delta2]),
+            prop::sample::select(vec![Hi::VersionsEnd, Hi::BeforeDelta2, Hi::Base, Hi::Entry]),
+        )
+            // The one inverted pair names no range: a B-tree refuses it.
+            .prop_map(|(pid, lo, hi)| match (lo, hi) {
+                (Lo::Delta2, Hi::Base) => Op::DeleteRange(pid, Lo::Sibling, hi),
+                _ => Op::DeleteRange(pid, lo, hi),
+            }),
         (
             0u64..5,
             prop::sample::select(vec!["", "/", "a", "b"]),
@@ -275,7 +346,8 @@ fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseErro
                 }
             }
             Op::PurgeVersions(pid) => {
-                update_versions(&*engine, InodeId(*pid), ATTR_ROW_NAME, &mut |rows| {
+                let (lo, hi) = bounds(*pid, Lo::Base, Hi::VersionsEnd);
+                engine.update_range(borrowed(&lo), borrowed(&hi), &mut |rows| {
                     rows.iter()
                         .filter(|(k, _)| k.ts != TxnId::BASE)
                         .map(|(k, _)| WriteOp::Delete(k.clone()))
@@ -289,6 +361,21 @@ fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseErro
                 for k in doomed {
                     model.remove(&k);
                 }
+            }
+            Op::DeleteRange(pid, lo, hi) => {
+                let (lo, hi) = bounds(*pid, *lo, *hi);
+                let mut reported = Vec::new();
+                engine.delete_range(borrowed(&lo), borrowed(&hi), &mut |k| {
+                    reported.push(k.clone())
+                });
+                let doomed: Vec<RowKey> = model
+                    .range::<RowKey, _>((lo.as_ref(), hi.as_ref()))
+                    .map(|(k, _)| k.clone())
+                    .collect();
+                for k in &doomed {
+                    model.remove(k);
+                }
+                prop_assert_eq!(reported, doomed, "{}: delete_range keys", name);
             }
             Op::ScanDir(pid, from, limit) => {
                 prop_assert_eq!(

@@ -149,13 +149,7 @@ fn proxy_failure_mid_rename_is_recovered_by_uuid_retry() {
     cluster.db().execute(&ops, &mut stats).unwrap();
     cluster
         .index()
-        .rename_commit(
-            &grant2,
-            &p("/src/victim"),
-            &p("/dst/moved"),
-            uuid,
-            &mut stats,
-        )
+        .rename_commit(&grant2, &p("/src/victim"), "moved".into(), uuid, &mut stats)
         .unwrap();
 
     assert!(cluster.index().lookup(&p("/dst/moved"), &mut stats).is_ok());

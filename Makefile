@@ -27,7 +27,9 @@ clippy:
 # flight/trace plumbing, a second op slot, the unread per-shard phase gauge
 # (DESIGN.md §4.8), the real-time permit plane (DESIGN.md §1), the
 # baselines' `Relaxed` or the per-op record's retired tallies, phase state
-# machine and span side-ledgers (DESIGN.md §4.2); no file reads the OS clock more often than its
+# machine and span side-ledgers (DESIGN.md §4.2); no `impl MetadataService
+# for` outside crates/core/src/service.rs and LocoFS — a table-backed system
+# is a `mantle_core::Shell` (DESIGN.md §4.3); no file reads the OS clock more often than its
 # ceiling in ci/real_time_ceiling.txt. `ci/loc.sh` prints the non-test line
 # count.
 vocabulary:

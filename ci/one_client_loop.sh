@@ -36,6 +36,12 @@
 #      component counters are `PathCacheStats::hits` and kin), the open-phase
 #      state machine, `absorb`, the span side-ledgers and the knob that gated
 #      results/<fig>.metrics.json stay gone from crates src tests examples.
+# And behind "one service shell" (DESIGN.md §4.3): Mantle, Tectonic and
+# InfiniFS supply a resolver and their directory mutations, and what every
+# op does around them is written once.
+#  11. `impl MetadataService for` (generic or path-qualified) appears under
+#      crates/*/src and src only in crates/core/src/service.rs (the shell and
+#      the Arc forwarder) and crates/baselines/src/locofs.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,6 +57,8 @@ slots=$(grep -rnE '^\s*static [A-Z_]+: (RefCell|Cell)<' crates/obs/src --include
 fmts=$(grep -rn 'fn fmt_nanos' crates/obs/src --include='*.rs' || true)
 record=$(grep -rnE '(^|[^A-Za-z0-9_])(cache_(hits|misses|revalidations|invalidations)|current_idx|resume_idx|queue_nanos|injected_nanos|dur_nanos|note_queue_on_current|note_injected_on_current|MANTLE_METRICS)\b|\.absorb\(|\.begin\(Phase' \
     crates src tests examples --include='*.rs' || true)
+shells=$(grep -rnE 'impl(<[^>]*>)?\s+([A-Za-z_]+::)*MetadataService\s+for\b' crates/*/src src --include='*.rs' |
+    grep -v '^crates/core/src/service\.rs:' | grep -v '^crates/baselines/src/locofs\.rs:' || true)
 gauge=$(grep -rnI 'tafdb_shard_phase_nanos' crates src tests examples benchmark/src DESIGN.md README.md || true)
 
 status=0
@@ -67,6 +75,7 @@ expect "thread-local statics in crates/obs/src (the op slot, the thread-recorder
 expect "fn fmt_nanos in crates/obs/src" 1 "$fmts"
 expect "retired per-op record names (OpStats: phases charged by RequestCtx::time, RPCs, retries; cache counts are the component's own; a span's time is its phases ledger; metrics.json is always written)" 0 "$record"
 expect "tafdb_shard_phase_nanos (read FlightRecorder::node_phases or /attribution)" 0 "$gauge"
+expect "MetadataService impls outside the shell and LocoFS (implement mantle_core::Shell)" 0 "$shells"
 
 report() {
     if [ -n "$2" ]; then
@@ -78,5 +87,5 @@ report() {
 report "thread::scope outside the driver module" "$scopes"
 report "flight::op_scope outside the driver and mantle-cli" "$flights"
 report "trace::start outside the driver" "$traces"
-[ "$status" -eq 0 ] && echo "one client loop, one op recorder OK"
+[ "$status" -eq 0 ] && echo "one client loop, one op recorder, one service shell OK"
 exit "$status"

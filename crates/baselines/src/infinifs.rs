@@ -21,15 +21,14 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::{dir_step, relaxed_rmdir, ROOT};
-use mantle_core::cluster::SvcMetrics;
 use mantle_core::pathcache::{PathLeaseCache, PathLeaseConfig};
-use mantle_core::MantleConfig;
+use mantle_core::{MantleConfig, Shell, SvcMetrics};
 use mantle_rpc::{RetryPolicy, SimNode};
 use mantle_tafdb::{attr_key, recipe, Front, Row, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
-    id::IdAllocator, resolve, BulkLoad, DirAttrMeta, DirEntry, DirStat, InodeId, LeasedPath,
-    MetaError, MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath,
-    Result, RetryClass, SimConfig, ROOT_ID, SCALED_DB_SHARDS,
+    id::IdAllocator, resolve, BulkLoad, DirAttrMeta, InodeId, LeasedPath, MetaError, MetaPath,
+    Permission, Phase, RequestCtx, ResolvedPath, Result, RetryClass, SimConfig, ROOT_ID,
+    SCALED_DB_SHARDS,
 };
 
 /// InfiniFS deployment options.
@@ -86,7 +85,6 @@ pub struct InfiniFs {
     /// (Table-1 fairness; Figure 20's proxy-side metadata cache).
     pcache: PathLeaseCache,
     ops: SvcMetrics,
-    list_ops: mantle_obs::Counter,
     /// `infinifs_mispredictions_total` — speculative levels that fell back
     /// to a sequential step (renamed ancestor).
     mispredictions: mantle_obs::Counter,
@@ -122,9 +120,8 @@ impl InfiniFs {
             config: sim,
             coordinator: SimNode::new("infinifs-coord", sim.index_node_permits, sim),
             rename_locks: Mutex::new(HashSet::new()),
-            pcache: PathLeaseCache::new(pcache, "infinifs"),
-            ops: SvcMetrics::new("infinifs"),
-            list_ops: SvcMetrics::op("infinifs", "list"),
+            pcache: PathLeaseCache::new(pcache, Self::NAME),
+            ops: SvcMetrics::with_list(Self::NAME),
             mispredictions: mantle_obs::counter("infinifs_mispredictions_total", &[]),
         })
     }
@@ -145,30 +142,6 @@ impl InfiniFs {
     /// The client-side path-lease cache (statistics, test inspection).
     pub fn path_cache(&self) -> &PathLeaseCache {
         &self.pcache
-    }
-
-    /// Path resolution, optionally short-circuited by the path-lease cache.
-    fn resolve_dir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
-        if path.is_root() {
-            return Ok(ROOT);
-        }
-        if self.pcache.enabled() {
-            // No namespace-version metadata here: a revalidation is a full
-            // speculative re-resolve whose pid is compared (version 0 on
-            // both sides), so leases save RPCs only while live.
-            let leased = |stats: &mut RequestCtx| {
-                self.speculative_resolve(path, stats)
-                    .map(|resolved| LeasedPath {
-                        resolved,
-                        version: 0,
-                        lease_ttl: self.pcache.config().lease_ttl,
-                    })
-            };
-            return self
-                .pcache
-                .resolve(path, "infinifs-proxy", stats, leased, leased);
-        }
-        self.speculative_resolve(path, stats)
     }
 
     /// Speculative parallel resolution with sequential fallback on
@@ -207,15 +180,6 @@ impl InfiniFs {
         })
     }
 
-    fn resolve_parent<'p>(
-        &self,
-        path: &'p MetaPath,
-        stats: &mut RequestCtx,
-    ) -> Result<(ResolvedPath, &'p str)> {
-        let (parent, name) = path.split_leaf()?;
-        Ok((self.resolve_dir(&parent, stats)?, name))
-    }
-
     /// Acquires the coordinator's rename lock on `src` (one RPC).
     fn coordinator_lock(
         &self,
@@ -250,60 +214,90 @@ impl InfiniFs {
     }
 }
 
-impl MetadataService for InfiniFs {
-    fn name(&self) -> &'static str {
-        "infinifs"
+impl Shell for InfiniFs {
+    const NAME: &'static str = "infinifs";
+    // InfiniFS "bypasses the execution phase for objstat, handling it in
+    // the lookup phase" (§6.3): the final level rides the same speculative
+    // fan-out.
+    const OBJSTAT: Phase = Phase::Lookup;
+
+    fn front(&self) -> &Front {
+        &self.front
     }
 
-    fn lookup(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
-        self.ops.lookup.inc();
-        stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))
+    fn ops(&self) -> &SvcMetrics {
+        &self.ops
     }
 
-    fn mkdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<InodeId> {
-        self.ops.mkdir.inc();
-        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            parent.require(Permission::WRITE, path)?;
-            let mut id = predict(path);
-            let now = self.front.now();
-            // CFS two-transaction strategy, sequenced by hand: (1) the new
-            // directory's own attribute row, single shard, and as an
-            // *insert* — a taken key is how a stale prediction shows;
-            // (2) the entry under the parent plus the parent-attribute
-            // bump, single shard, serialized by an atomic primitive (latch)
-            // instead of aborting.
-            let attr_row = |id| {
-                [TxnOp::InsertUnique {
-                    key: attr_key(id),
-                    row: Row::DirAttr(DirAttrMeta::new(now, 0)),
-                }]
+    /// The root short-circuit, then the path-lease cache when it is on,
+    /// then speculative resolution.
+    fn resolve(&self, dir: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
+        if dir.is_root() {
+            return Ok(ROOT);
+        }
+        if self.pcache.enabled() {
+            // No namespace-version metadata here: a revalidation is a full
+            // speculative re-resolve whose pid is compared (version 0 on
+            // both sides), so leases save RPCs only while live.
+            let leased = |stats: &mut RequestCtx| {
+                self.speculative_resolve(dir, stats)
+                    .map(|resolved| LeasedPath {
+                        resolved,
+                        version: 0,
+                        lease_ttl: self.pcache.config().lease_ttl,
+                    })
             };
-            let db = self.db();
-            if let Err(MetaError::AlreadyExists(_)) = db.execute_relaxed(&attr_row(id), stats) {
-                // The predicted id is taken: a directory created earlier at
-                // this path was renamed away and kept its id. Fall back to
-                // an unpredictable id — lookups below this directory will
-                // mispredict and resolve sequentially, which is InfiniFS's
-                // documented post-rename behaviour.
-                id = self.front.alloc();
-                db.execute_relaxed(&attr_row(id), stats)?;
-            }
-            let [entry, _attr_put, link] = recipe::mkdir(parent.id, name.into(), id, now);
-            if let Err(e) = db.execute_relaxed(&[entry], stats) {
-                let undo = TxnOp::Delete { key: attr_key(id) };
-                let _ = db.execute_relaxed(&[undo], stats);
-                return Err(e);
-            }
-            db.execute_relaxed(&[link], stats)?;
-            // Scrub any cached NotFound verdict for the new directory.
-            self.pcache.invalidate_exact(path);
-            Ok(id)
-        })
+            return self
+                .pcache
+                .resolve(dir, "infinifs-proxy", stats, leased, leased);
+        }
+        self.speculative_resolve(dir, stats)
     }
 
-    fn rmdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
-        self.ops.rmdir.inc();
+    fn mkdir_in(
+        &self,
+        path: &MetaPath,
+        parent: ResolvedPath,
+        name: &str,
+        stats: &mut RequestCtx,
+    ) -> Result<InodeId> {
+        let mut id = predict(path);
+        let now = self.front.now();
+        // CFS two-transaction strategy, sequenced by hand: (1) the new
+        // directory's own attribute row, single shard, and as an
+        // *insert* — a taken key is how a stale prediction shows;
+        // (2) the entry under the parent plus the parent-attribute
+        // bump, single shard, serialized by an atomic primitive (latch)
+        // instead of aborting.
+        let attr_row = |id| {
+            [TxnOp::InsertUnique {
+                key: attr_key(id),
+                row: Row::DirAttr(DirAttrMeta::new(now, 0)),
+            }]
+        };
+        let db = self.db();
+        if let Err(MetaError::AlreadyExists(_)) = db.execute_relaxed(&attr_row(id), stats) {
+            // The predicted id is taken: a directory created earlier at
+            // this path was renamed away and kept its id. Fall back to
+            // an unpredictable id — lookups below this directory will
+            // mispredict and resolve sequentially, which is InfiniFS's
+            // documented post-rename behaviour.
+            id = self.front.alloc();
+            db.execute_relaxed(&attr_row(id), stats)?;
+        }
+        let [entry, _attr_put, link] = recipe::mkdir(parent.id, name.into(), id, now);
+        if let Err(e) = db.execute_relaxed(&[entry], stats) {
+            let undo = TxnOp::Delete { key: attr_key(id) };
+            let _ = db.execute_relaxed(&[undo], stats);
+            return Err(e);
+        }
+        db.execute_relaxed(&[link], stats)?;
+        // Scrub any cached NotFound verdict for the new directory.
+        self.pcache.invalidate_exact(path);
+        Ok(id)
+    }
+
+    fn rmdir_at(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
         stats.time(Phase::Execute, |stats| {
             let (dir, _) = self.db().resolve_step(parent.id, name, stats)?;
@@ -313,53 +307,7 @@ impl MetadataService for InfiniFs {
         })
     }
 
-    fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {
-        self.ops.create.inc();
-        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.front.create(path, parent, name, size, stats)
-    }
-
-    fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
-        self.ops.delete.inc();
-        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.front.delete(path, parent, name, stats)
-    }
-
-    fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
-        self.ops.objstat.inc();
-        // InfiniFS "bypasses the execution phase for objstat, handling it
-        // in the lookup phase" (§6.3): the final level rides the same
-        // speculative fan-out.
-        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.front.objstat(Phase::Lookup, path, parent, name, stats)
-    }
-
-    fn dirstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<DirStat> {
-        self.ops.dirstat.inc();
-        let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        self.front.dirstat(dir, stats)
-    }
-
-    fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
-        self.ops.readdir.inc();
-        let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        self.front.readdir(path, dir, stats)
-    }
-
-    fn list(
-        &self,
-        path: &MetaPath,
-        start_after: Option<&str>,
-        limit: usize,
-        stats: &mut RequestCtx,
-    ) -> Result<(Vec<DirEntry>, bool)> {
-        self.list_ops.inc();
-        let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        self.front.list(path, dir, start_after, limit, stats)
-    }
-
-    fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
-        self.ops.rename_dir.inc();
+    fn rename(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         src.rename_precheck(dst)?;
         let (src_parent, src_name, dst_parent, dst_name) = stats.time(Phase::Lookup, |stats| {
             let (sp, sn) = self.resolve_parent(src, stats)?;
@@ -422,6 +370,7 @@ impl BulkLoad for InfiniFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mantle_core::MetadataService;
 
     fn p(s: &str) -> MetaPath {
         MetaPath::parse(s).unwrap()

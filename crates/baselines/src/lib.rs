@@ -19,14 +19,15 @@
 //!   forced through the directory server for the parent update (its
 //!   cross-component coordination overhead, §3.3).
 //!
-//! All three implement [`mantle_types::MetadataService`] and
+//! All three serve [`mantle_core::MetadataService`] and implement
 //! [`mantle_types::BulkLoad`], so every workload and figure harness runs
 //! unmodified against any system. Tectonic and InfiniFS keep the paper's
-//! TafDB schema, so what they do with a resolved parent — object
-//! create/delete/stat, `dirstat`, listings, the bulk loader — is
-//! [`mantle_tafdb::Front`], the plane Mantle uses, built with the relaxed
-//! executor; this crate holds what differs: how each resolves a directory,
-//! and `mkdir` / `rmdir` / `rename_dir`.
+//! TafDB schema, so each is a [`mantle_core::Shell`], as Mantle is: what
+//! they do with a resolved parent is [`mantle_tafdb::Front`], the plane
+//! Mantle uses, built with the relaxed executor. This crate holds what
+//! differs: how each resolves a directory, and `mkdir` / `rmdir` /
+//! `rename_dir`. LocoFS, its rows split across two stores (§3.3), keeps a
+//! service implementation of its own.
 
 pub mod infinifs;
 pub mod locofs;

@@ -21,15 +21,15 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::ROOT;
-use mantle_core::cluster::SvcMetrics;
+use mantle_core::{MetadataService, SvcMetrics};
 use mantle_index::{IndexEntry, IndexTable};
 use mantle_raft::{RaftGroup, RaftOptions, RaftReplica, StateMachine};
 use mantle_rpc::SimNode;
 use mantle_tafdb::{recipe, TafDb, TafDbOptions};
 use mantle_types::{
     id::IdAllocator, resolve, AttrDelta, BulkLoad, DirAttrMeta, DirEntry, DirStat, EntryKind,
-    InodeId, MetaError, MetaPath, MetadataService, ObjectMeta, Permission, Phase, RequestCtx,
-    ResolvedPath, Result, SimConfig, ROOT_ID, SCALED_DB_SHARDS,
+    InodeId, MetaError, MetaPath, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath, Result,
+    SimConfig, ROOT_ID, SCALED_DB_SHARDS,
 };
 
 /// LocoFS deployment options.

@@ -10,11 +10,11 @@
 use std::sync::Arc;
 
 use crate::{dir_step, relaxed_rmdir, ROOT};
-use mantle_core::cluster::SvcMetrics;
+use mantle_core::{Shell, SvcMetrics};
 use mantle_tafdb::{recipe, Front, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
-    id::IdAllocator, resolve, BulkLoad, DirEntry, DirStat, InodeId, MetaError, MetaPath,
-    MetadataService, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath, Result, SimConfig,
+    id::IdAllocator, resolve, BulkLoad, InodeId, MetaError, MetaPath, Permission, Phase,
+    RequestCtx, ResolvedPath, Result, SimConfig,
 };
 
 /// Tectonic deployment options.
@@ -48,7 +48,6 @@ pub struct Tectonic {
     front: Front,
     transactional: bool,
     ops: SvcMetrics,
-    list_ops: mantle_obs::Counter,
 }
 
 impl Tectonic {
@@ -68,8 +67,7 @@ impl Tectonic {
                 TafDb::execute_relaxed,
             ),
             transactional: opts.transactional,
-            ops: SvcMetrics::new("tectonic"),
-            list_ops: SvcMetrics::op("tectonic", "list"),
+            ops: SvcMetrics::with_list(Self::NAME),
         })
     }
 
@@ -95,49 +93,41 @@ impl Tectonic {
             self.db().execute_relaxed(ops, stats)
         }
     }
+}
+
+impl Shell for Tectonic {
+    const NAME: &'static str = "tectonic";
+
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn ops(&self) -> &SvcMetrics {
+        &self.ops
+    }
 
     /// Level-by-level traversal: one RPC per component (the dotted arrows
     /// of Figure 2), with a permission check at each step.
-    fn resolve_dir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
-        resolve::walk(path, 0, ROOT, |_, at, comp| {
-            dir_step(self.db().resolve_step(at.id, comp, stats), path)
+    fn resolve(&self, dir: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
+        resolve::walk(dir, 0, ROOT, |_, at, comp| {
+            dir_step(self.db().resolve_step(at.id, comp, stats), dir)
         })
     }
 
-    fn resolve_parent<'p>(
+    fn mkdir_in(
         &self,
-        path: &'p MetaPath,
+        _: &MetaPath,
+        parent: ResolvedPath,
+        name: &str,
         stats: &mut RequestCtx,
-    ) -> Result<(ResolvedPath, &'p str)> {
-        let (parent, name) = path.split_leaf()?;
-        Ok((self.resolve_dir(&parent, stats)?, name))
-    }
-}
-
-impl MetadataService for Tectonic {
-    fn name(&self) -> &'static str {
-        "tectonic"
+    ) -> Result<InodeId> {
+        let id = self.front.alloc();
+        let ops = recipe::mkdir(parent.id, name.into(), id, self.front.now());
+        self.run(&ops, stats)?;
+        Ok(id)
     }
 
-    fn lookup(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
-        self.ops.lookup.inc();
-        stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))
-    }
-
-    fn mkdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<InodeId> {
-        self.ops.mkdir.inc();
-        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            parent.require(Permission::WRITE, path)?;
-            let id = self.front.alloc();
-            let ops = recipe::mkdir(parent.id, name.into(), id, self.front.now());
-            self.run(&ops, stats)?;
-            Ok(id)
-        })
-    }
-
-    fn rmdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
-        self.ops.rmdir.inc();
+    fn rmdir_at(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         let (dir, parent, name) = stats.time(Phase::Lookup, |stats| {
             let (parent, name) = self.resolve_parent(path, stats)?;
             let (id, _) = self.db().resolve_step(parent.id, name, stats)?;
@@ -148,51 +138,7 @@ impl MetadataService for Tectonic {
         })
     }
 
-    fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {
-        self.ops.create.inc();
-        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.front.create(path, parent, name, size, stats)
-    }
-
-    fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
-        self.ops.delete.inc();
-        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.front.delete(path, parent, name, stats)
-    }
-
-    fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
-        self.ops.objstat.inc();
-        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.front
-            .objstat(Phase::Execute, path, parent, name, stats)
-    }
-
-    fn dirstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<DirStat> {
-        self.ops.dirstat.inc();
-        let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        self.front.dirstat(dir, stats)
-    }
-
-    fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
-        self.ops.readdir.inc();
-        let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        self.front.readdir(path, dir, stats)
-    }
-
-    fn list(
-        &self,
-        path: &MetaPath,
-        start_after: Option<&str>,
-        limit: usize,
-        stats: &mut RequestCtx,
-    ) -> Result<(Vec<DirEntry>, bool)> {
-        self.list_ops.inc();
-        let dir = stats.time(Phase::Lookup, |stats| self.resolve_dir(path, stats))?;
-        self.front.list(path, dir, start_after, limit, stats)
-    }
-
-    fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
-        self.ops.rename_dir.inc();
+    fn rename(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
         // Proxy-side loop detection on the (unlocked) paths — the relaxed
         // consistency of the re-implementation.
         src.rename_precheck(dst)?;
@@ -240,6 +186,7 @@ impl BulkLoad for Tectonic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mantle_core::MetadataService;
 
     fn p(s: &str) -> MetaPath {
         MetaPath::parse(s).unwrap()

@@ -12,8 +12,8 @@ use serde::Serialize;
 
 use mantle_bench::report::fmt_us;
 use mantle_bench::{Report, Scale, SystemUnderTest};
-use mantle_core::MantleConfig;
-use mantle_types::{EnvConfig, MetadataService, SimConfig};
+use mantle_core::{MantleConfig, MetadataService};
+use mantle_types::{EnvConfig, SimConfig};
 use mantle_workloads::driver::drive;
 use mantle_workloads::{NamespaceHandle, NamespaceSpec};
 

@@ -24,10 +24,8 @@ use serde::Serialize;
 
 use mantle_bench::report::fmt_ops;
 use mantle_bench::{Report, Scale, SystemUnderTest};
-use mantle_core::MantleConfig;
-use mantle_types::{
-    EnvConfig, MetaPath, MetadataService, PlacementConfig, RequestCtx, RetryClass, SimConfig,
-};
+use mantle_core::{MantleConfig, MetadataService};
+use mantle_types::{EnvConfig, MetaPath, PlacementConfig, RequestCtx, RetryClass, SimConfig};
 use mantle_workloads::mdtest::{self, ConflictMode, Hotspot, MdOp, MdtestConfig};
 
 #[derive(Serialize)]

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use mantle_baselines::{
     InfiniFs, InfiniFsOptions, LocoFs, LocoFsOptions, Tectonic, TectonicOptions,
 };
-use mantle_core::{MantleCluster, MantleConfig};
-use mantle_types::{BulkLoad, MetadataService, SimConfig};
+use mantle_core::{MantleCluster, MantleConfig, MetadataService};
+use mantle_types::{BulkLoad, SimConfig};
 
 /// Everything a harness needs from a system under test.
 pub trait Evaluated: MetadataService + BulkLoad + Send + Sync {}

@@ -9,14 +9,10 @@ use mantle_tafdb::{recipe, Front, TafDb, TafDbOptions};
 use mantle_types::{
     id::IdAllocator,
     ClientUuid,
-    DirEntry,
-    DirStat,
     EnvConfig,
     InodeId,
     MetaError,
     MetaPath,
-    MetadataService,
-    ObjectMeta,
     Permission,
     Phase,
     RequestCtx,
@@ -27,48 +23,7 @@ use mantle_types::{
 
 use crate::data::DataService;
 use crate::pathcache::{PathCacheStats, PathLeaseCache, PathLeaseConfig};
-
-/// Per-operation service counters (`service_ops_total{system,op}`): each
-/// system's front-end counts an op once, on entry, into the handle named
-/// after the [`MetadataService`] method. Created once per service so the
-/// per-op cost is a single atomic increment. These nine every system
-/// serves; `list` and Mantle's `setattr` are held, from [`SvcMetrics::op`],
-/// by the systems that serve them under that name, so no system registers
-/// a series it never counts.
-pub struct SvcMetrics {
-    pub lookup: mantle_obs::Counter,
-    pub mkdir: mantle_obs::Counter,
-    pub rmdir: mantle_obs::Counter,
-    pub create: mantle_obs::Counter,
-    pub delete: mantle_obs::Counter,
-    pub objstat: mantle_obs::Counter,
-    pub dirstat: mantle_obs::Counter,
-    pub readdir: mantle_obs::Counter,
-    pub rename_dir: mantle_obs::Counter,
-}
-
-impl SvcMetrics {
-    /// Creates the counter set for `system` (the service's `name()`).
-    pub fn new(system: &str) -> Self {
-        let op = |o| Self::op(system, o);
-        SvcMetrics {
-            lookup: op("lookup"),
-            mkdir: op("mkdir"),
-            rmdir: op("rmdir"),
-            create: op("create"),
-            delete: op("delete"),
-            objstat: op("objstat"),
-            dirstat: op("dirstat"),
-            readdir: op("readdir"),
-            rename_dir: op("rename_dir"),
-        }
-    }
-
-    /// The handle of `service_ops_total{system,op}`.
-    pub fn op(system: &str, op: &str) -> mantle_obs::Counter {
-        mantle_obs::counter("service_ops_total", &[("system", system), ("op", op)])
-    }
-}
+use crate::service::{Shell, SvcMetrics};
 
 /// Full configuration of a Mantle deployment.
 #[derive(Clone, Copy, Debug)]
@@ -132,7 +87,6 @@ pub struct MantleCluster {
     /// Client-side path-lease cache (DESIGN.md §4.13).
     pcache: PathLeaseCache,
     ops: SvcMetrics,
-    list_ops: mantle_obs::Counter,
     setattr_ops: mantle_obs::Counter,
 }
 
@@ -169,10 +123,9 @@ impl MantleCluster {
             index,
             data,
             root,
-            pcache: PathLeaseCache::new(config.pcache, "mantle"),
-            ops: SvcMetrics::new("mantle"),
-            list_ops: SvcMetrics::op("mantle", "list"),
-            setattr_ops: SvcMetrics::op("mantle", "setattr"),
+            pcache: PathLeaseCache::new(config.pcache, Self::NAME),
+            ops: SvcMetrics::with_list(Self::NAME),
+            setattr_ops: SvcMetrics::op(Self::NAME, "setattr"),
         })
     }
 
@@ -187,7 +140,7 @@ impl MantleCluster {
         Self::with_config(MantleConfig::with_sim(sim, db_shards))
     }
 
-    /// A handle usable as a [`MetadataService`] trait object.
+    /// A handle usable as a [`crate::MetadataService`] trait object.
     pub fn service(self: &Arc<Self>) -> Arc<Self> {
         Arc::clone(self)
     }
@@ -276,202 +229,6 @@ impl MantleCluster {
         )
     }
 
-    /// Installs a deterministic fault plan across every component: the
-    /// IndexNode's Raft replicas (RPC + WAL + crash hooks), every TafDB
-    /// shard (RPC + WAL + 2PC), and the data nodes.
-    pub fn install_faults(&self, plan: &Arc<mantle_rpc::FaultPlan>) {
-        self.index.install_faults(Some(plan.clone()));
-        self.db().install_faults(Some(plan.clone()));
-        self.data.install_faults(Some(plan.clone()));
-        self.pcache.install_faults(Some(plan.clone()));
-    }
-
-    /// Removes a previously installed fault plan from every component.
-    pub fn clear_faults(&self) {
-        self.index.install_faults(None);
-        self.db().install_faults(None);
-        self.data.install_faults(None);
-        self.pcache.install_faults(None);
-    }
-
-    /// The client-side path-lease cache (statistics, test inspection).
-    pub fn path_cache(&self) -> &PathLeaseCache {
-        &self.pcache
-    }
-
-    /// Path-lease cache statistics snapshot.
-    pub fn path_cache_stats(&self) -> PathCacheStats {
-        self.pcache.stats()
-    }
-
-    /// One path resolution, optionally short-circuited by the proxy-side
-    /// path-lease cache (DESIGN.md §4.13).
-    fn cached_lookup(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
-        if self.pcache.enabled() {
-            let ttl = self.pcache.config().lease_ttl;
-            return self.pcache.resolve(
-                path,
-                "proxy",
-                stats,
-                |stats| {
-                    self.with_failover(stats, |stats| self.index.lookup_leased(path, ttl, stats))
-                },
-                |stats| self.with_failover(stats, |stats| self.index.lease_check(path, ttl, stats)),
-            );
-        }
-        self.with_failover(stats, |stats| self.index.lookup(path, stats))
-    }
-
-    /// Resolves the parent directory of `path` and returns
-    /// `(parent, leaf name)`.
-    fn resolve_parent<'p>(
-        &self,
-        path: &'p MetaPath,
-        stats: &mut RequestCtx,
-    ) -> Result<(ResolvedPath, &'p str)> {
-        let (parent, name) = path.split_leaf()?;
-        Ok((self.cached_lookup(&parent, stats)?, name))
-    }
-}
-
-impl MetadataService for MantleCluster {
-    fn name(&self) -> &'static str {
-        "mantle"
-    }
-
-    fn lookup(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
-        self.ops.lookup.inc();
-        stats.time(Phase::Lookup, |stats| self.cached_lookup(path, stats))
-    }
-
-    fn mkdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<InodeId> {
-        self.ops.mkdir.inc();
-        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        stats.time(Phase::Execute, |stats| {
-            parent.require(Permission::WRITE, path)?;
-            let id = self.front.alloc();
-            let now = self.now();
-            let name: Arc<str> = Arc::from(name);
-            let ops = recipe::mkdir(parent.id, name.clone(), id, now);
-            self.db().execute(&ops, stats)?;
-            // Refresh the IndexNode's access metadata (Figure 5: "TafDB
-            // updates all metadata while IndexNode refreshes access data").
-            self.with_failover(stats, |stats| {
-                self.index
-                    .insert_dir_shared(parent.id, name.clone(), id, Permission::ALL, stats)
-            })?;
-            // Scrub any cached NotFound verdict for the new directory.
-            self.pcache.invalidate_exact(path);
-            Ok(id)
-        })
-    }
-
-    fn rmdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
-        self.ops.rmdir.inc();
-        let (dir, parent, name) = stats.time(Phase::Lookup, |stats| {
-            let dir = self.with_failover(stats, |stats| self.index.lookup(path, stats))?;
-            let (parent, name) = self.resolve_parent(path, stats)?;
-            Ok::<_, MetaError>((dir, parent, name))
-        })?;
-        stats.time(Phase::Execute, |stats| {
-            parent.require(Permission::WRITE, path)?;
-            let now = self.now();
-            let name: Arc<str> = Arc::from(name);
-            let ops = recipe::rmdir(parent.id, name.clone(), dir.id, now);
-            self.db().execute(&ops, stats)?;
-            self.with_failover(stats, |stats| {
-                self.index.remove_dir(parent.id, name.clone(), path, stats)
-            })?;
-            self.pcache.invalidate_subtree(path);
-            Ok(())
-        })
-    }
-
-    fn create(&self, path: &MetaPath, size: u64, stats: &mut RequestCtx) -> Result<InodeId> {
-        self.ops.create.inc();
-        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.front.create(path, parent, name, size, stats)
-    }
-
-    fn delete(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
-        self.ops.delete.inc();
-        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.front.delete(path, parent, name, stats)
-    }
-
-    fn objstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<ObjectMeta> {
-        self.ops.objstat.inc();
-        let (parent, name) = stats.time(Phase::Lookup, |stats| self.resolve_parent(path, stats))?;
-        self.front
-            .objstat(Phase::Execute, path, parent, name, stats)
-    }
-
-    fn dirstat(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<DirStat> {
-        self.ops.dirstat.inc();
-        let dir = stats.time(Phase::Lookup, |stats| self.cached_lookup(path, stats))?;
-        self.front.dirstat(dir, stats)
-    }
-
-    fn readdir(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<Vec<DirEntry>> {
-        self.ops.readdir.inc();
-        let dir = stats.time(Phase::Lookup, |stats| self.cached_lookup(path, stats))?;
-        self.front.readdir(path, dir, stats)
-    }
-
-    fn list(
-        &self,
-        path: &MetaPath,
-        start_after: Option<&str>,
-        limit: usize,
-        stats: &mut RequestCtx,
-    ) -> Result<(Vec<DirEntry>, bool)> {
-        self.list_ops.inc();
-        let dir = stats.time(Phase::Lookup, |stats| self.cached_lookup(path, stats))?;
-        self.front.list(path, dir, start_after, limit, stats)
-    }
-
-    fn rename_dir(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
-        self.ops.rename_dir.inc();
-        // Each retry of the whole operation keeps the same client UUID so a
-        // lock left by an earlier (failed) attempt is re-entered (§5.3).
-        let uuid = ClientUuid::generate();
-        // The engine's rename pacing charges the modeled backoff to this
-        // client's timeline and yields so the conflicting client can release
-        // the lock in real time (or plain yields when RTT is zero).
-        RetryPolicy::rename().run(
-            stats,
-            classify_rename,
-            |_, e| {
-                if matches!(
-                    e,
-                    MetaError::RenameLocked(_) | MetaError::TxnConflict { .. }
-                ) {
-                    mantle_obs::flight::annotate("rename:lock_conflict");
-                }
-            },
-            |stats| self.try_rename(src, dst, uuid, stats),
-        )
-    }
-}
-
-impl mantle_types::BulkLoad for MantleCluster {
-    fn bulk_dir(&self, path: &MetaPath) -> InodeId {
-        self.front.bulk_dir(self.root, path, |pid, name, _| {
-            let id = self.front.alloc();
-            self.index.raw_insert_dir(pid, name, id, Permission::ALL);
-            id
-        })
-    }
-
-    fn bulk_object(&self, path: &MetaPath, size: u64) {
-        let (parent, name) = path.split_leaf().expect("objects cannot be the root");
-        let pid = self.bulk_dir(&parent);
-        self.front
-            .bulk_object(pid, name, size, self.data.raw_write(size));
-    }
-}
-
-impl MantleCluster {
     fn try_rename(
         &self,
         src: &MetaPath,
@@ -519,5 +276,145 @@ impl MantleCluster {
                 }
             }
         })
+    }
+
+    /// Installs a deterministic fault plan across every component: the
+    /// IndexNode's Raft replicas (RPC + WAL + crash hooks), every TafDB
+    /// shard (RPC + WAL + 2PC), and the data nodes.
+    pub fn install_faults(&self, plan: &Arc<mantle_rpc::FaultPlan>) {
+        self.index.install_faults(Some(plan.clone()));
+        self.db().install_faults(Some(plan.clone()));
+        self.data.install_faults(Some(plan.clone()));
+        self.pcache.install_faults(Some(plan.clone()));
+    }
+
+    /// Removes a previously installed fault plan from every component.
+    pub fn clear_faults(&self) {
+        self.index.install_faults(None);
+        self.db().install_faults(None);
+        self.data.install_faults(None);
+        self.pcache.install_faults(None);
+    }
+
+    /// The client-side path-lease cache (statistics, test inspection).
+    pub fn path_cache(&self) -> &PathLeaseCache {
+        &self.pcache
+    }
+
+    /// Path-lease cache statistics snapshot.
+    pub fn path_cache_stats(&self) -> PathCacheStats {
+        self.pcache.stats()
+    }
+}
+
+impl Shell for MantleCluster {
+    const NAME: &'static str = "mantle";
+
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn ops(&self) -> &SvcMetrics {
+        &self.ops
+    }
+
+    /// One IndexNode resolution, optionally short-circuited by the
+    /// proxy-side path-lease cache (DESIGN.md §4.13).
+    fn resolve(&self, dir: &MetaPath, stats: &mut RequestCtx) -> Result<ResolvedPath> {
+        if self.pcache.enabled() {
+            let ttl = self.pcache.config().lease_ttl;
+            return self.pcache.resolve(
+                dir,
+                "proxy",
+                stats,
+                |stats| {
+                    self.with_failover(stats, |stats| self.index.lookup_leased(dir, ttl, stats))
+                },
+                |stats| self.with_failover(stats, |stats| self.index.lease_check(dir, ttl, stats)),
+            );
+        }
+        self.with_failover(stats, |stats| self.index.lookup(dir, stats))
+    }
+
+    fn mkdir_in(
+        &self,
+        path: &MetaPath,
+        parent: ResolvedPath,
+        name: &str,
+        stats: &mut RequestCtx,
+    ) -> Result<InodeId> {
+        let id = self.front.alloc();
+        let now = self.now();
+        let name: Arc<str> = Arc::from(name);
+        let ops = recipe::mkdir(parent.id, name.clone(), id, now);
+        self.db().execute(&ops, stats)?;
+        // Refresh the IndexNode's access metadata (Figure 5: "TafDB
+        // updates all metadata while IndexNode refreshes access data").
+        self.with_failover(stats, |stats| {
+            self.index
+                .insert_dir_shared(parent.id, name.clone(), id, Permission::ALL, stats)
+        })?;
+        // Scrub any cached NotFound verdict for the new directory.
+        self.pcache.invalidate_exact(path);
+        Ok(id)
+    }
+
+    fn rmdir_at(&self, path: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
+        let (dir, parent, name) = stats.time(Phase::Lookup, |stats| {
+            let dir = self.with_failover(stats, |stats| self.index.lookup(path, stats))?;
+            let (parent, name) = self.resolve_parent(path, stats)?;
+            Ok::<_, MetaError>((dir, parent, name))
+        })?;
+        stats.time(Phase::Execute, |stats| {
+            parent.require(Permission::WRITE, path)?;
+            let now = self.now();
+            let name: Arc<str> = Arc::from(name);
+            let ops = recipe::rmdir(parent.id, name.clone(), dir.id, now);
+            self.db().execute(&ops, stats)?;
+            self.with_failover(stats, |stats| {
+                self.index.remove_dir(parent.id, name.clone(), path, stats)
+            })?;
+            self.pcache.invalidate_subtree(path);
+            Ok(())
+        })
+    }
+
+    fn rename(&self, src: &MetaPath, dst: &MetaPath, stats: &mut RequestCtx) -> Result<()> {
+        // Each retry of the whole operation keeps the same client UUID so a
+        // lock left by an earlier (failed) attempt is re-entered (§5.3).
+        let uuid = ClientUuid::generate();
+        // The engine's rename pacing charges the modeled backoff to this
+        // client's timeline and yields so the conflicting client can release
+        // the lock in real time (or plain yields when RTT is zero).
+        RetryPolicy::rename().run(
+            stats,
+            classify_rename,
+            |_, e| {
+                if matches!(
+                    e,
+                    MetaError::RenameLocked(_) | MetaError::TxnConflict { .. }
+                ) {
+                    mantle_obs::flight::annotate("rename:lock_conflict");
+                }
+            },
+            |stats| self.try_rename(src, dst, uuid, stats),
+        )
+    }
+}
+
+impl mantle_types::BulkLoad for MantleCluster {
+    fn bulk_dir(&self, path: &MetaPath) -> InodeId {
+        self.front.bulk_dir(self.root, path, |pid, name, _| {
+            let id = self.front.alloc();
+            self.index.raw_insert_dir(pid, name, id, Permission::ALL);
+            id
+        })
+    }
+
+    fn bulk_object(&self, path: &MetaPath, size: u64) {
+        let (parent, name) = path.split_leaf().expect("objects cannot be the root");
+        let pid = self.bulk_dir(&parent);
+        self.front
+            .bulk_object(pid, name, size, self.data.raw_write(size));
     }
 }

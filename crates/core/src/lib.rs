@@ -22,6 +22,10 @@
 //! | `rmdir`    | IndexNode       | TafDB txn, then IndexNode refresh    |
 //! | `dirrename`| merged into loop detection on IndexNode (Figure 9), then TafDB txn + IndexNode commit |
 //!
+//! What every op does around a system's resolve and directory mutations is
+//! written once, in [`service`]: `MantleCluster`, like the Tectonic and
+//! InfiniFS baselines, is a [`Shell`].
+//!
 //! The crate also provides the [`data::DataService`] used by the
 //! application-level experiments (Figure 10b); namespaces are bulk-loaded
 //! without simulated delays through `MantleCluster`'s
@@ -31,8 +35,10 @@ pub mod cluster;
 pub mod data;
 pub mod pathcache;
 pub mod region;
+pub mod service;
 
 pub use cluster::{MantleCluster, MantleConfig};
 pub use data::DataService;
 pub use pathcache::{PathLeaseCache, PathLeaseConfig};
 pub use region::MantleRegion;
+pub use service::{MetadataService, Shell, SvcMetrics};

@@ -98,8 +98,9 @@ impl MantleRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetadataService;
     use mantle_types::RequestCtx;
-    use mantle_types::{BulkLoad, MetaPath, MetadataService, SimConfig};
+    use mantle_types::{BulkLoad, MetaPath, SimConfig};
 
     fn p(s: &str) -> MetaPath {
         MetaPath::parse(s).unwrap()

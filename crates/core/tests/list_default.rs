@@ -4,10 +4,11 @@
 //! over it — boundary `start_after` names, `limit == 0`, and the
 //! `truncated` flag across page walks.
 
+use mantle_core::MetadataService;
 use mantle_types::record::EntryKind;
 use mantle_types::{
-    DirEntry, DirStat, InodeId, MetaError, MetaPath, MetadataService, ObjectMeta, Permission,
-    RequestCtx, ResolvedPath, Result,
+    DirEntry, DirStat, InodeId, MetaError, MetaPath, ObjectMeta, Permission, RequestCtx,
+    ResolvedPath, Result,
 };
 
 /// A backend that serves one fixed directory listing and counts `readdir`

@@ -2,8 +2,8 @@
 
 use std::sync::Arc;
 
-use mantle_core::{MantleCluster, MantleConfig};
-use mantle_types::{MetaError, MetaPath, MetadataService, Phase, RequestCtx, SimConfig};
+use mantle_core::{MantleCluster, MantleConfig, MetadataService};
+use mantle_types::{MetaError, MetaPath, Phase, RequestCtx, SimConfig};
 
 fn p(s: &str) -> MetaPath {
     MetaPath::parse(s).unwrap()

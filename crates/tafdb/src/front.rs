@@ -8,7 +8,7 @@
 //! permission the operation needs ([`ResolvedPath::require`]), builds the
 //! recipe and hands it to the executor its system was built with
 //! (DESIGN.md §4.3). How a directory is resolved, and `mkdir` / `rmdir` /
-//! `rename_dir`, are what differ between the systems and stay with them.
+//! `rename_dir`, are what differ between the systems: `mantle_core::Shell`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -125,17 +125,6 @@ impl Front {
                 permission: dir.permission,
             })
         })
-    }
-
-    /// Every child of the resolved directory `dir` (the one at `path`).
-    pub fn readdir(
-        &self,
-        path: &MetaPath,
-        dir: ResolvedPath,
-        stats: &mut RequestCtx,
-    ) -> Result<Vec<DirEntry>> {
-        self.list(path, dir, None, usize::MAX, stats)
-            .map(|(rows, _)| rows)
     }
 
     /// One page of `dir`'s children. The shard store is ordered, so a page

@@ -21,9 +21,10 @@
 //! * [`SimConfig`] — timing constants of the simulated substrate.
 //! * [`clock`] — the per-thread virtual simulation clock every
 //!   injected delay and timestamp flows through.
-//! * [`service::MetadataService`] — the operation set every evaluated system
-//!   (Mantle, Tectonic, InfiniFS, LocoFS) implements.
+//! * [`BulkLoad`] — bulk namespace population for every evaluated system
+//!   (the operation set they serve is `mantle_core::MetadataService`).
 
+pub mod bulk;
 pub mod clock;
 pub mod config;
 pub mod ctx;
@@ -34,10 +35,10 @@ pub mod path;
 pub mod perm;
 pub mod record;
 pub mod resolve;
-pub mod service;
 pub mod snapshot;
 pub mod stats;
 
+pub use bulk::BulkLoad;
 pub use clock::{SimInstant, TimeCategory, TimeStats};
 pub use config::{
     EngineName, EnvConfig, PlacementConfig, ScalePreset, SimConfig, SCALED_DB_SHARDS,
@@ -58,5 +59,4 @@ pub use record::{
     ObjectMeta,
     ResolvedPath, //
 };
-pub use service::{BulkLoad, MetadataService};
 pub use stats::{OpStats, OpStatsAgg, Phase, RetryClass};

@@ -168,10 +168,10 @@ pub fn unframe(framed: &[u8]) -> Option<&[u8]> {
     if framed.len() < 16 {
         return None;
     }
-    let len = u64::from_le_bytes(framed[..8].try_into().ok()?) as usize;
+    let len = usize::try_from(u64::from_le_bytes(framed[..8].try_into().ok()?)).ok()?;
     let sum = u64::from_le_bytes(framed[8..16].try_into().ok()?);
-    let payload = framed.get(16..16 + len)?;
-    if framed.len() != 16 + len || fnv1a(payload) != sum {
+    let payload = &framed[16..];
+    if payload.len() != len || fnv1a(payload) != sum {
         return None;
     }
     Some(payload)
@@ -217,6 +217,14 @@ mod tests {
         let mut rotten = framed.clone();
         rotten[20] ^= 0xff;
         assert_eq!(unframe(&rotten), None);
+        // A corrupt length field: one that overflows `16 + len`, and one a
+        // byte past the payload.
+        let mut huge = vec![0xff; 8];
+        huge.extend_from_slice(&[0; 8]);
+        assert_eq!(unframe(&huge), None);
+        let mut long = framed.clone();
+        long[..8].copy_from_slice(&101u64.to_le_bytes());
+        assert_eq!(unframe(&long), None);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use mantle_core::DataService;
+use mantle_core::{DataService, MetadataService};
 use mantle_types::hist::Histogram;
-use mantle_types::{BulkLoad, MetaPath, MetadataService};
+use mantle_types::{BulkLoad, MetaPath};
 
 use crate::driver::{drive, Outcome};
 

@@ -7,7 +7,7 @@
 //! * [`mdtest`] — the mdtest-style metadata benchmark: `create`, `delete`,
 //!   `objstat`, `dirstat`, `mkdir`, `rmdir`, `dirrename` and raw `lookup`,
 //!   each in exclusive (`-e`) or shared/conflicting (`-s`) mode, driven by
-//!   N client threads against any [`mantle_types::MetadataService`].
+//!   N client threads against any [`mantle_core::MetadataService`].
 //! * [`apps`] — the two real-world application drivers: interactive Spark
 //!   **Analytics** (per-task temporary directories atomically renamed into
 //!   a shared output directory, §3.2) and AI **Audio** preprocessing

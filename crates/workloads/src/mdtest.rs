@@ -9,9 +9,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use mantle_core::MetadataService;
 use mantle_types::hist::Histogram;
 use mantle_types::stats::OpStatsAgg;
-use mantle_types::{BulkLoad, MetaPath, MetadataService, Phase};
+use mantle_types::{BulkLoad, MetaPath, Phase};
 
 pub use crate::driver::OpenLoop;
 use crate::driver::{drive, OpRecord};

@@ -259,8 +259,8 @@ fn sample_depth(rng: &mut StdRng, spec: &NamespaceSpec) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mantle_core::MantleCluster;
-    use mantle_types::{MetadataService, RequestCtx, SimConfig};
+    use mantle_core::{MantleCluster, MetadataService};
+    use mantle_types::{RequestCtx, SimConfig};
 
     #[test]
     fn generated_shape_matches_spec() {

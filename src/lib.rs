@@ -33,10 +33,9 @@ pub use mantle_workloads as workloads;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use mantle_baselines::{infinifs::InfiniFs, locofs::LocoFs, tectonic::Tectonic};
-    pub use mantle_core::{MantleCluster, MantleConfig};
+    pub use mantle_core::{MantleCluster, MantleConfig, MetadataService};
     pub use mantle_rpc::{FaultPlan, FaultProfile};
     pub use mantle_types::{
-        MetaError, MetaPath, MetadataService, OpStats, Permission, Phase, RequestCtx, Result,
-        RetryClass, SimConfig,
+        MetaError, MetaPath, OpStats, Permission, Phase, RequestCtx, Result, RetryClass, SimConfig,
     };
 }

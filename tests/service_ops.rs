@@ -27,23 +27,11 @@ fn service_ops(system: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
-fn one_op_counts_once<S: MetadataService + BulkLoad + Sync>(svc: &S, op: MdOp, label: &str) {
+/// Runs `f` on `svc` and asserts it moved `svc`'s `label` series by exactly
+/// one and every other series by nothing.
+fn moves_once<S: MetadataService>(svc: &S, label: &str, f: impl FnOnce(&S)) {
     let before = service_ops(svc.name());
-    let report = run(
-        svc,
-        MdtestConfig {
-            threads: 1,
-            ops_per_thread: 1,
-            depth: 4,
-            op,
-            conflict: ConflictMode::Exclusive,
-            working_set: 4,
-            seed: 1,
-            hotspot: None,
-            open_loop: None,
-        },
-    );
-    assert_eq!((report.completed, report.failed), (1, 0), "{}", svc.name());
+    f(svc);
     let count =
         |ops: &[(String, u64)], l: &str| ops.iter().find(|(o, _)| o == l).map_or(0, |(_, n)| *n);
     for (o, after) in service_ops(svc.name()) {
@@ -52,15 +40,66 @@ fn one_op_counts_once<S: MetadataService + BulkLoad + Sync>(svc: &S, op: MdOp, l
     }
 }
 
+fn one_op_counts_once<S: MetadataService + BulkLoad + Sync>(svc: &S, op: MdOp, label: &str) {
+    moves_once(svc, label, |svc| {
+        let report = run(
+            svc,
+            MdtestConfig {
+                threads: 1,
+                ops_per_thread: 1,
+                depth: 4,
+                op,
+                conflict: ConflictMode::Exclusive,
+                working_set: 4,
+                seed: 1,
+                hotspot: None,
+                open_loop: None,
+            },
+        );
+        assert_eq!((report.completed, report.failed), (1, 0), "{}", svc.name());
+    });
+}
+
+/// A direct `readdir` and a direct `list` each count once: `list` under its
+/// own name where the system serves it, under `readdir` where it pages over
+/// one (`list_label`).
+fn listings_count_once<S: MetadataService + BulkLoad>(svc: &S, list_label: &str) {
+    let dir = MetaPath::parse("/listed").unwrap();
+    svc.bulk_object(&dir.child("o"), 1);
+    moves_once(svc, "readdir", |svc| {
+        let entries = svc.readdir(&dir, &mut RequestCtx::new()).unwrap();
+        assert_eq!(entries.len(), 1, "{}", svc.name());
+    });
+    moves_once(svc, list_label, |svc| {
+        let (page, _) = svc.list(&dir, None, 10, &mut RequestCtx::new()).unwrap();
+        assert_eq!(page.len(), 1, "{}", svc.name());
+    });
+}
+
 #[test]
 fn one_op_moves_its_series_by_exactly_one_on_every_system() {
     let sim = SimConfig::instant();
-    for (op, label) in [(MdOp::Create, "create"), (MdOp::DirStat, "dirstat")] {
+    // mdtest bulk-loads its setup, so each op is one service call.
+    for (op, label) in [
+        (MdOp::Create, "create"),
+        (MdOp::DirStat, "dirstat"),
+        (MdOp::Delete, "delete"),
+        (MdOp::ObjStat, "objstat"),
+        (MdOp::Mkdir, "mkdir"),
+        (MdOp::Rmdir, "rmdir"),
+        (MdOp::DirRename, "rename_dir"),
+        (MdOp::Lookup, "lookup"),
+    ] {
         one_op_counts_once(&*MantleCluster::build(sim, 2), op, label);
         one_op_counts_once(&*Tectonic::new(sim, TectonicOptions::default()), op, label);
         one_op_counts_once(&*InfiniFs::new(sim, InfiniFsOptions::default()), op, label);
         one_op_counts_once(&*LocoFs::new(sim, LocoFsOptions::default()), op, label);
     }
+    listings_count_once(&*MantleCluster::build(sim, 2), "list");
+    listings_count_once(&*Tectonic::new(sim, TectonicOptions::default()), "list");
+    listings_count_once(&*InfiniFs::new(sim, InfiniFsOptions::default()), "list");
+    // LocoFS pages `list` over its own `readdir`.
+    listings_count_once(&*LocoFs::new(sim, LocoFsOptions::default()), "readdir");
     // A system registers only the ops it serves under their own name.
     let has = |system, op| service_ops(system).iter().any(|(o, _)| o == op);
     assert!(has("mantle", "setattr") && !has("tectonic", "setattr"));

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The side-door bans behind "one write vocabulary into TafDB", "one table
-# plane" (DESIGN.md §4.3), "reads lend" and "range deletes copy nothing"
-# (DESIGN.md §4.12). All six fail the build:
+# plane" (DESIGN.md §4.3), "reads lend", "range deletes copy nothing" and
+# "names live in their keys" (DESIGN.md §4.12). All seven fail the build:
 #   1. `raw_put` appears in no file under crates/*/src, crates/*/tests,
 #      src/, tests/ or examples/ outside crates/tafdb/src: front-ends write
 #      rows through an executor, and tests seed rows through the loader's
@@ -24,6 +24,9 @@
 #      appears in non-test source (cut as in 2) only under crates/engine/src
 #      and inside `compact_once` in crates/tafdb/src/shard.rs: a range that
 #      is only deleted goes through `StorageEngine::delete_range`.
+#   7. `Arc<str>` and `Box<str>` appear in non-test source (cut as in 2)
+#      under crates/*/src only in crates/types/src/{name,path}.rs: a key or
+#      command stores its name as a `mantle_types::Name`, inline when short.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,6 +63,13 @@ range_transform=$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
             print FILENAME ":" FNR ": " $0
         }')
 
+stored_names=$(find crates -path 'crates/*/src/*' -name '*.rs' \
+    -not -path 'crates/types/src/name.rs' -not -path 'crates/types/src/path.rs' -print0 |
+    xargs -0 awk '
+        FNR == 1 { counting = 1 }
+        /#\[cfg\(test\)\]/ { counting = 0 }
+        counting && /(Arc|Box)<str>/ { print FILENAME ":" FNR ": " $0 }')
+
 status=0
 if [ -n "$raw_put" ]; then
     echo "raw_put outside crates/tafdb/src (use TafDb::bulk_apply or an executor):"
@@ -91,5 +101,10 @@ if [ -n "$range_transform" ]; then
     echo "$range_transform"
     status=1
 fi
-[ "$status" -eq 0 ] && echo "write vocabulary, table plane, lending reads, in-place range deletes OK"
+if [ -n "$stored_names" ]; then
+    echo "stored name outside mantle_types::{Name, MetaPath} (store a mantle_types::Name):"
+    echo "$stored_names"
+    status=1
+fi
+[ "$status" -eq 0 ] && echo "write vocabulary, table plane, lending reads, in-place range deletes, stored names OK"
 exit "$status"

@@ -27,7 +27,7 @@ use mantle_rpc::{RetryPolicy, SimNode};
 use mantle_tafdb::{attr_key, recipe, Front, Row, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
     id::IdAllocator, resolve, BulkLoad, DirAttrMeta, InodeId, LeasedPath, MetaError, MetaPath,
-    Permission, Phase, RequestCtx, ResolvedPath, Result, RetryClass, SimConfig, ROOT_ID,
+    Name, Permission, Phase, RequestCtx, ResolvedPath, Result, RetryClass, SimConfig, ROOT_ID,
     SCALED_DB_SHARDS,
 };
 
@@ -335,8 +335,8 @@ impl Shell for InfiniFs {
         let out = stats.time(Phase::Execute, |stats| {
             let (src_id, src_perm) = self.db().resolve_step(src_parent.id, src_name, stats)?;
             let (ops, n) = recipe::rename(
-                (src_parent.id, Arc::from(src_name)),
-                (dst_parent.id, Arc::from(dst_name)),
+                (src_parent.id, Name::new(src_name)),
+                (dst_parent.id, Name::new(dst_name)),
                 src_id,
                 src_perm,
                 self.front.now(),

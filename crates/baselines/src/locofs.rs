@@ -28,8 +28,8 @@ use mantle_rpc::SimNode;
 use mantle_tafdb::{recipe, TafDb, TafDbOptions};
 use mantle_types::{
     id::IdAllocator, resolve, AttrDelta, BulkLoad, DirAttrMeta, DirEntry, DirStat, EntryKind,
-    InodeId, MetaError, MetaPath, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath, Result,
-    SimConfig, ROOT_ID, SCALED_DB_SHARDS,
+    InodeId, MetaError, MetaPath, Name, ObjectMeta, Permission, Phase, RequestCtx, ResolvedPath,
+    Result, SimConfig, ROOT_ID, SCALED_DB_SHARDS,
 };
 
 /// LocoFS deployment options.
@@ -70,7 +70,7 @@ pub enum LocoCmd {
         /// Parent id.
         pid: InodeId,
         /// Name.
-        name: Arc<str>,
+        name: Name,
         /// New directory id.
         id: InodeId,
         /// Creation time.
@@ -81,7 +81,7 @@ pub enum LocoCmd {
         /// Parent id.
         pid: InodeId,
         /// Name.
-        name: Arc<str>,
+        name: Name,
         /// The directory's id.
         id: InodeId,
         /// Time.
@@ -92,11 +92,11 @@ pub enum LocoCmd {
         /// Source parent.
         src_pid: InodeId,
         /// Source name.
-        src_name: Arc<str>,
+        src_name: Name,
         /// Destination parent.
         dst_pid: InodeId,
         /// Destination name.
-        dst_name: Arc<str>,
+        dst_name: Name,
         /// Time.
         now: u64,
     },
@@ -443,7 +443,7 @@ impl MetadataService for LocoFs {
                 &leader,
                 LocoCmd::Mkdir {
                     pid,
-                    name: Arc::from(name),
+                    name: Name::new(name),
                     id,
                     now,
                 },
@@ -474,7 +474,7 @@ impl MetadataService for LocoFs {
                 drop(attrs);
                 let cmd = LocoCmd::Rmdir {
                     pid: parent_res.id,
-                    name: Arc::from(name),
+                    name: Name::new(name),
                     id: entry.id,
                     now: self.now(),
                 };
@@ -625,9 +625,9 @@ impl MetadataService for LocoFs {
                 }
                 let cmd = LocoCmd::Rename {
                     src_pid: src_parent.id,
-                    src_name: Arc::from(src_name),
+                    src_name: Name::new(src_name),
                     dst_pid: dst_parent.id,
-                    dst_name: Arc::from(dst_name),
+                    dst_name: Name::new(dst_name),
                     now: self.now(),
                 };
                 Ok((dst_parent.id, dst_name, cmd))
@@ -760,15 +760,15 @@ mod tests {
         let a = LocoSm::new(SimConfig::instant());
         let mkdir = |pid, name, id| LocoCmd::Mkdir {
             pid: InodeId(pid),
-            name: Arc::from(name),
+            name: Name::new(name),
             id: InodeId(id),
             now: id,
         };
         let rename = LocoCmd::Rename {
             src_pid: ROOT_ID,
-            src_name: Arc::from("z"),
+            src_name: Name::new("z"),
             dst_pid: InodeId(5),
-            dst_name: Arc::from("z2"),
+            dst_name: Name::new("z2"),
             now: 9,
         };
         let bump = LocoCmd::Bump {

@@ -13,7 +13,7 @@ use crate::{dir_step, relaxed_rmdir, ROOT};
 use mantle_core::{Shell, SvcMetrics};
 use mantle_tafdb::{recipe, Front, TafDb, TafDbOptions, TxnOp};
 use mantle_types::{
-    id::IdAllocator, resolve, BulkLoad, InodeId, MetaError, MetaPath, Permission, Phase,
+    id::IdAllocator, resolve, BulkLoad, InodeId, MetaError, MetaPath, Name, Permission, Phase,
     RequestCtx, ResolvedPath, Result, SimConfig,
 };
 
@@ -152,8 +152,8 @@ impl Shell for Tectonic {
             dst_parent.require(Permission::WRITE, dst)?;
             let (src_id, src_perm) = self.db().resolve_step(src_parent.id, src_name, stats)?;
             let (mut ops, n) = recipe::rename(
-                (src_parent.id, Arc::from(src_name)),
-                (dst_parent.id, Arc::from(dst_name)),
+                (src_parent.id, Name::new(src_name)),
+                (dst_parent.id, Name::new(dst_name)),
                 src_id,
                 src_perm,
                 self.front.now(),

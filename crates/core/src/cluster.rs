@@ -13,6 +13,7 @@ use mantle_types::{
     InodeId,
     MetaError,
     MetaPath,
+    Name,
     Permission,
     Phase,
     RequestCtx,
@@ -246,7 +247,7 @@ impl MantleCluster {
         })?;
 
         stats.time(Phase::Execute, |stats| {
-            let dst_name: Arc<str> = Arc::from(dst.name().expect("non-root"));
+            let dst_name = Name::new(dst.name().expect("non-root"));
             let now = self.now();
             let (ops, n) = recipe::rename(
                 (grant.src_pid, grant.src_name.clone()),
@@ -345,7 +346,7 @@ impl Shell for MantleCluster {
     ) -> Result<InodeId> {
         let id = self.front.alloc();
         let now = self.now();
-        let name: Arc<str> = Arc::from(name);
+        let name = Name::new(name);
         let ops = recipe::mkdir(parent.id, name.clone(), id, now);
         self.db().execute(&ops, stats)?;
         // Refresh the IndexNode's access metadata (Figure 5: "TafDB
@@ -368,7 +369,7 @@ impl Shell for MantleCluster {
         stats.time(Phase::Execute, |stats| {
             parent.require(Permission::WRITE, path)?;
             let now = self.now();
-            let name: Arc<str> = Arc::from(name);
+            let name = Name::new(name);
             let ops = recipe::rmdir(parent.id, name.clone(), dir.id, now);
             self.db().execute(&ops, stats)?;
             self.with_failover(stats, |stats| {

@@ -1,8 +1,9 @@
 //! The IndexNode: Mantle's per-namespace directory index (§4, §5.1, §5.2.2).
 //!
 //! An IndexNode consolidates the *access metadata* of every directory of one
-//! namespace (~80 bytes each) so the proxy can resolve any path — and check
-//! permissions along it — in a **single RPC** instead of one RPC per level.
+//! namespace (about 100 bytes each, short names inline) so the proxy can
+//! resolve any path — and check permissions along it — in a **single RPC**
+//! instead of one RPC per level.
 //! The crate implements the full §5 design:
 //!
 //! * [`table::IndexTable`] — the `(pid, dirname) → (id, permission, lock)`

@@ -10,8 +10,8 @@ use parking_lot::Mutex;
 use mantle_raft::{RaftError, RaftGroup, RaftOptions, RaftReplica};
 use mantle_rpc::SimNode;
 use mantle_types::{
-    ClientUuid, InodeId, LeasedPath, MetaError, MetaPath, Permission, RequestCtx, ResolvedPath,
-    Result, SimConfig,
+    ClientUuid, InodeId, LeasedPath, MetaError, MetaPath, Name, Permission, RequestCtx,
+    ResolvedPath, Result, SimConfig,
 };
 
 use crate::cache::CacheStats;
@@ -65,8 +65,8 @@ pub struct RenameGrant {
     pub permission: Permission,
     /// Destination parent directory id.
     pub dst_pid: InodeId,
-    /// The source entry's name, shared by every key and command of the rename.
-    pub src_name: Arc<str>,
+    /// The source entry's name, owned once for every key and command of the rename.
+    pub src_name: Name,
 }
 
 /// A per-namespace IndexNode: a Raft group of [`IndexSm`] replicas.
@@ -80,7 +80,7 @@ pub struct IndexNode {
     /// every rename in the namespace would serialize behind one
     /// replication round trip. A list, probed by `&str`: it holds only the
     /// renames in flight at this instant.
-    pending_renames: Mutex<Vec<(InodeId, Arc<str>, ClientUuid)>>,
+    pending_renames: Mutex<Vec<(InodeId, Name, ClientUuid)>>,
     /// Round-robin cursor for follower reads.
     rr: AtomicUsize,
     metrics: IndexMetrics,
@@ -262,14 +262,14 @@ impl IndexNode {
         permission: Permission,
         stats: &mut RequestCtx,
     ) -> Result<()> {
-        self.insert_dir_shared(pid, Arc::from(name), id, permission, stats)
+        self.insert_dir_shared(pid, Name::new(name), id, permission, stats)
     }
 
     /// [`Self::insert_dir`] of a name the caller owns: the proposal shares it.
     pub fn insert_dir_shared(
         &self,
         pid: InodeId,
-        name: Arc<str>,
+        name: Name,
         id: InodeId,
         permission: Permission,
         stats: &mut RequestCtx,
@@ -289,7 +289,7 @@ impl IndexNode {
     pub fn remove_dir(
         &self,
         pid: InodeId,
-        name: Arc<str>,
+        name: Name,
         path: &MetaPath,
         stats: &mut RequestCtx,
     ) -> Result<()> {
@@ -315,7 +315,7 @@ impl IndexNode {
         self.propose(
             IndexCmd::SetPermission {
                 pid,
-                name: Arc::from(name),
+                name: Name::new(name),
                 permission,
                 path: path.clone(),
             },
@@ -367,7 +367,7 @@ impl IndexNode {
                 let (dst_parent, dst_name) = dst.split_leaf()?;
                 // Owned once: the reservation, the replicated commands and
                 // the proxy's transaction share it.
-                let src_name: Arc<str> = Arc::from(src_name);
+                let src_name = Name::new(src_name);
 
                 // Resolve both parents *outside* the pending lock — resolution
                 // carries the per-level CPU cost and must not serialize
@@ -430,7 +430,7 @@ impl IndexNode {
 
                     // Anyone else's reservation was refused above, so one found
                     // here is this request's own, re-entered.
-                    let reserved = |(p, n, _): &(InodeId, Arc<str>, ClientUuid)| {
+                    let reserved = |(p, n, _): &(InodeId, Name, ClientUuid)| {
                         *p == src_parent_res.id && *n == src_name
                     };
                     if !pending.iter().any(reserved) {
@@ -470,7 +470,7 @@ impl IndexNode {
         &self,
         grant: &RenameGrant,
         src: &MetaPath,
-        dst_name: Arc<str>,
+        dst_name: Name,
         uuid: ClientUuid,
         stats: &mut RequestCtx,
     ) -> Result<()> {

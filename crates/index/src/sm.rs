@@ -1,7 +1,5 @@
 //! The replicated IndexNode state machine and its lookup workflow.
 
-use std::sync::Arc;
-
 use mantle_raft::StateMachine;
 use mantle_sync::RemovalList;
 use mantle_types::{
@@ -9,6 +7,7 @@ use mantle_types::{
     ClientUuid,
     InodeId,
     MetaPath,
+    Name,
     Permission,
     ResolvedPath,
     Result,
@@ -34,7 +33,7 @@ pub enum IndexCmd {
         /// Parent directory id.
         pid: InodeId,
         /// Directory name.
-        name: Arc<str>,
+        name: Name,
         /// New directory id.
         id: InodeId,
         /// Permission mask.
@@ -50,7 +49,7 @@ pub enum IndexCmd {
         /// Parent directory id.
         pid: InodeId,
         /// Directory name.
-        name: Arc<str>,
+        name: Name,
         /// Full path, for cache invalidation.
         path: MetaPath,
     },
@@ -60,7 +59,7 @@ pub enum IndexCmd {
         /// Parent directory id.
         pid: InodeId,
         /// Directory name.
-        name: Arc<str>,
+        name: Name,
         /// New permission mask.
         permission: Permission,
         /// Full path, for cache invalidation.
@@ -72,7 +71,7 @@ pub enum IndexCmd {
         /// Source parent id.
         src_pid: InodeId,
         /// Source name.
-        src_name: Arc<str>,
+        src_name: Name,
         /// Owning request (idempotent re-entry on proxy failover, §5.3).
         uuid: ClientUuid,
         /// Full source path.
@@ -85,11 +84,11 @@ pub enum IndexCmd {
         /// Source parent id.
         src_pid: InodeId,
         /// Source name.
-        src_name: Arc<str>,
+        src_name: Name,
         /// Destination parent id.
         dst_pid: InodeId,
         /// Destination name.
-        dst_name: Arc<str>,
+        dst_name: Name,
         /// Owning request.
         uuid: ClientUuid,
         /// Full source path.
@@ -100,7 +99,7 @@ pub enum IndexCmd {
         /// Source parent id.
         src_pid: InodeId,
         /// Source name.
-        src_name: Arc<str>,
+        src_name: Name,
         /// Owning request.
         uuid: ClientUuid,
         /// Full source path.
@@ -428,7 +427,7 @@ mod tests {
                 0,
                 &IndexCmd::InsertDir {
                     pid,
-                    name: Arc::from(*name),
+                    name: Name::new(name),
                     id,
                     permission: Permission::ALL,
                 },
@@ -486,7 +485,7 @@ mod tests {
             0,
             &IndexCmd::SetPermission {
                 pid: InodeId(2),
-                name: Arc::from("b"),
+                name: Name::new("b"),
                 permission: Permission(0b110),
                 path: p("/a/b"),
             },
@@ -520,7 +519,7 @@ mod tests {
             0,
             &IndexCmd::InsertDir {
                 pid: InodeId(4),
-                name: Arc::from("x"),
+                name: Name::new("x"),
                 id: InodeId(7),
                 permission: Permission::ALL,
             },
@@ -529,12 +528,12 @@ mod tests {
         // A lookup observes the RemovalList, then a whole rename (prepare
         // and commit) applies before the lookup walks and fills.
         let seen = sm.observe_removals(&path);
-        let uuid = ClientUuid(5);
+        let uuid = ClientUuid::generate();
         sm.apply(
             0,
             &IndexCmd::RenamePrepare {
                 src_pid: InodeId(4),
-                src_name: Arc::from("x"),
+                src_name: Name::new("x"),
                 uuid,
                 src_path: p("/a/b/c/x"),
             },
@@ -543,9 +542,9 @@ mod tests {
             0,
             &IndexCmd::RenameCommit {
                 src_pid: InodeId(4),
-                src_name: Arc::from("x"),
+                src_name: Name::new("x"),
                 dst_pid: ROOT_ID,
-                dst_name: Arc::from("moved"),
+                dst_name: Name::new("moved"),
                 uuid,
                 src_path: p("/a/b/c/x"),
             },
@@ -573,12 +572,12 @@ mod tests {
         // Cache a prefix under the soon-to-move directory.
         sm.resolve(&p("/a/b/c/d/e"));
         assert_eq!(sm.cache.stats().entries, 1);
-        let uuid = ClientUuid(9);
+        let uuid = ClientUuid::generate();
         sm.apply(
             0,
             &IndexCmd::RenamePrepare {
                 src_pid: InodeId(3),
-                src_name: Arc::from("c"),
+                src_name: Name::new("c"),
                 uuid,
                 src_path: p("/a/b/c"),
             },
@@ -589,9 +588,9 @@ mod tests {
             0,
             &IndexCmd::RenameCommit {
                 src_pid: InodeId(3),
-                src_name: Arc::from("c"),
+                src_name: Name::new("c"),
                 dst_pid: ROOT_ID,
-                dst_name: Arc::from("moved"),
+                dst_name: Name::new("moved"),
                 uuid,
                 src_path: p("/a/b/c"),
             },
@@ -617,19 +616,19 @@ mod tests {
         // k = 0 caches the full path: a hit walks nothing, and still has to
         // stamp the leaf's current namespace version on the reply.
         let sm = sm(0, true);
-        let uuid = ClientUuid(3);
+        let uuid = ClientUuid::generate();
         for cmd in [
             IndexCmd::RenamePrepare {
                 src_pid: InodeId(3),
-                src_name: Arc::from("c"),
+                src_name: Name::new("c"),
                 uuid,
                 src_path: p("/a/b/c"),
             },
             IndexCmd::RenameCommit {
                 src_pid: InodeId(3),
-                src_name: Arc::from("c"),
+                src_name: Name::new("c"),
                 dst_pid: InodeId(2),
-                dst_name: Arc::from("moved"),
+                dst_name: Name::new("moved"),
                 uuid,
                 src_path: p("/a/b/c"),
             },
@@ -649,12 +648,12 @@ mod tests {
     #[test]
     fn rename_abort_releases_lock_and_removal() {
         let sm = sm(3, true);
-        let uuid = ClientUuid(4);
+        let uuid = ClientUuid::generate();
         sm.apply(
             0,
             &IndexCmd::RenamePrepare {
                 src_pid: InodeId(3),
-                src_name: Arc::from("c"),
+                src_name: Name::new("c"),
                 uuid,
                 src_path: p("/a/b/c"),
             },
@@ -663,7 +662,7 @@ mod tests {
             0,
             &IndexCmd::RenameAbort {
                 src_pid: InodeId(3),
-                src_name: Arc::from("c"),
+                src_name: Name::new("c"),
                 uuid,
                 src_path: p("/a/b/c"),
             },
@@ -683,7 +682,7 @@ mod tests {
             0,
             &IndexCmd::RemoveDir {
                 pid: InodeId(3),
-                name: Arc::from("c"),
+                name: Name::new("c"),
                 path: p("/a/b/c"),
             },
         );
@@ -703,8 +702,8 @@ mod tests {
             0,
             &IndexCmd::RenamePrepare {
                 src_pid: InodeId(3),
-                src_name: Arc::from("c"),
-                uuid: ClientUuid(7),
+                src_name: Name::new("c"),
+                uuid: ClientUuid::generate(),
                 src_path: p("/a/b/c"),
             },
         );

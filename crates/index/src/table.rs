@@ -4,14 +4,15 @@ use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
 
 use mantle_types::snapshot::{SnapshotReader, SnapshotWriter};
-use mantle_types::{ClientUuid, InodeId, Permission};
+use mantle_types::{ClientUuid, InodeId, Name, Permission};
 
-/// Access metadata of one directory, as stored on the IndexNode.
+/// Access metadata of one directory, as stored on the IndexNode (32 bytes).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndexEntry {
     /// The directory's id.
@@ -40,7 +41,7 @@ trait KeyParts {
 struct Key {
     hash: u64,
     pid: InodeId,
-    name: Box<str>,
+    name: Name,
 }
 
 struct Probe<'a> {
@@ -170,7 +171,7 @@ impl IndexTable {
         let key = Key {
             hash,
             pid,
-            name: name.into(),
+            name: Name::new(name),
         };
         let prev = stripe.write().insert(key, entry);
         if prev.is_none() {
@@ -231,8 +232,8 @@ impl IndexTable {
     /// Every entry, sorted by `(pid, name)` — the deterministic iteration
     /// order snapshot serialization requires (two replicas that applied the
     /// same log prefix must produce byte-identical images).
-    fn sorted_entries(&self) -> Vec<(InodeId, Box<str>, IndexEntry)> {
-        let mut all: Vec<(InodeId, Box<str>, IndexEntry)> = self
+    fn sorted_entries(&self) -> Vec<(InodeId, Name, IndexEntry)> {
+        let mut all: Vec<(InodeId, Name, IndexEntry)> = self
             .stripes
             .iter()
             .flat_map(|s| {
@@ -242,7 +243,7 @@ impl IndexTable {
                     .collect::<Vec<_>>()
             })
             .collect();
-        all.sort_by(|a, b| (a.0, &*a.1).cmp(&(b.0, &*b.1)));
+        all.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         all
     }
 
@@ -259,7 +260,7 @@ impl IndexTable {
             match e.lock {
                 Some(uuid) => {
                     w.u8(1);
-                    w.u128(uuid.0);
+                    w.u64(uuid.0.get());
                 }
                 None => w.u8(0),
             }
@@ -276,7 +277,7 @@ impl IndexTable {
                 id: InodeId(r.u64()),
                 permission: Permission(r.u16()),
                 version: r.u64(),
-                lock: (r.u8() == 1).then(|| ClientUuid(r.u128())),
+                lock: (r.u8() == 1).then(|| ClientUuid(NonZeroU64::new(r.u64()).expect("nonzero"))),
             };
             self.insert(pid, &name, entry);
         }
@@ -362,8 +363,8 @@ mod tests {
     fn lock_bit_semantics() {
         let t = IndexTable::new();
         t.insert(ROOT_ID, "d", entry(5));
-        let u1 = mantle_types::ClientUuid(1);
-        let u2 = mantle_types::ClientUuid(2);
+        let u1 = ClientUuid::generate();
+        let u2 = ClientUuid::generate();
         assert!(t.try_lock(ROOT_ID, "d", u1));
         // Re-entry by the same uuid succeeds (proxy failover retry).
         assert!(t.try_lock(ROOT_ID, "d", u1));
@@ -381,7 +382,7 @@ mod tests {
     #[test]
     fn lock_on_missing_entry_fails() {
         let t = IndexTable::new();
-        assert!(!t.try_lock(ROOT_ID, "ghost", mantle_types::ClientUuid(1)));
+        assert!(!t.try_lock(ROOT_ID, "ghost", ClientUuid::generate()));
     }
 
     #[test]

@@ -2,10 +2,8 @@
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
 
-use mantle_types::record::ATTR_ROW_NAME;
-use mantle_types::{InodeId, TxnId};
+use mantle_types::{InodeId, Name, TxnId};
 
 /// Composite primary key of a metadata row: `(pid, name, ts)`.
 ///
@@ -18,8 +16,9 @@ use mantle_types::{InodeId, TxnId};
 pub struct RowKey {
     /// Parent directory id.
     pub pid: InodeId,
-    /// Entry name (or the reserved `/_ATTR` for attribute/delta rows).
-    pub name: Arc<str>,
+    /// Entry name (or the reserved `/_ATTR` for attribute/delta rows),
+    /// inline when short.
+    pub name: Name,
     /// Transaction timestamp; zero for base rows.
     pub ts: TxnId,
 }
@@ -79,23 +78,9 @@ pub trait KeyParts {
         let RowKeyView { pid, name, ts } = self.view();
         RowKey {
             pid,
-            name: intern_name(name),
+            name: Name::new(name),
             ts,
         }
-    }
-}
-
-/// The owned form of a key's name. This is the one place `mantle_store`
-/// knows the schema's reserved attribute-row name: every owned `/_ATTR` key
-/// of the process — built by the schema, decoded from a checkpoint image or
-/// entered into a lock table from a view — shares one `Arc<str>`, so making
-/// one is a refcount, not a copy. Any other name is copied.
-fn intern_name(name: &str) -> Arc<str> {
-    static ATTR_NAME: OnceLock<Arc<str>> = OnceLock::new();
-    if name == ATTR_ROW_NAME {
-        ATTR_NAME.get_or_init(|| Arc::from(ATTR_ROW_NAME)).clone()
-    } else {
-        Arc::from(name)
     }
 }
 

@@ -9,12 +9,24 @@ use mantle_types::{InodeId, TxnId};
 use proptest::prelude::*;
 
 /// Parts of a key from the corners of the order: the empty name, names
-/// that sort before `/_ATTR`, a prefix pair, a multi-byte name; the base
-/// timestamp, the first delta and the last.
+/// that sort before `/_ATTR`, a prefix pair, a multi-byte name, names of
+/// exactly the inline capacity (22 bytes) and past it, one a prefix of the
+/// other; the base timestamp, the first delta and the last.
 fn arb_parts() -> impl Strategy<Value = (u64, &'static str, u64)> {
     (
         prop::sample::select(vec![0, 1, 2, u64::MAX]),
-        prop::sample::select(vec!["", "-x", "/_ATTR", "a", "ab", "é"]),
+        prop::sample::select(vec![
+            "",
+            "-x",
+            "/_ATTR",
+            "a",
+            "ab",
+            "é",
+            "abcdefghijklmnopqrstuv",
+            "abcdefghijklmnopqrstuvw",
+            "abcdefghijklmnopqrstu-",
+            "abcdefghijklmnopqrstuv-part-00000.parquet",
+        ]),
         prop::sample::select(vec![0, 1, u64::MAX]),
     )
 }

@@ -7,10 +7,8 @@
 //! single-row writes, [`TafDb::bulk_apply`](crate::TafDb::bulk_apply) as a
 //! free load. The order inside a recipe is the transaction's lock order.
 
-use std::sync::Arc;
-
 use mantle_store::RowKey;
-use mantle_types::{AttrDelta, DirAttrMeta, InodeId, ObjectMeta, Permission, TxnId};
+use mantle_types::{AttrDelta, DirAttrMeta, InodeId, Name, ObjectMeta, Permission, TxnId};
 
 use crate::schema::{attr_key, entry_key, Row};
 use crate::txn::TxnOp;
@@ -26,7 +24,7 @@ pub fn root(root: InodeId) -> [TxnOp; 1] {
 /// `mkdir`: the entry under `pid`, the new directory's attribute row, and
 /// the parent's link and entry counts. Directory recipes take names owned,
 /// for their keys to share with Mantle's IndexNode commands.
-pub fn mkdir(pid: InodeId, name: Arc<str>, id: InodeId, now: u64) -> [TxnOp; 3] {
+pub fn mkdir(pid: InodeId, name: Name, id: InodeId, now: u64) -> [TxnOp; 3] {
     [
         TxnOp::InsertUnique {
             key: shared_entry_key(pid, name),
@@ -50,7 +48,7 @@ pub fn mkdir(pid: InodeId, name: Arc<str>, id: InodeId, now: u64) -> [TxnOp; 3] 
 /// goes first: its exclusive lock excludes creations while `ExpectEmptyDir`
 /// looks. (A relaxed front-end checks emptiness itself and leaves that op
 /// out — it has no single-row form.)
-pub fn rmdir(pid: InodeId, name: Arc<str>, dir: InodeId, now: u64) -> [TxnOp; 4] {
+pub fn rmdir(pid: InodeId, name: Name, dir: InodeId, now: u64) -> [TxnOp; 4] {
     [
         TxnOp::Delete { key: attr_key(dir) },
         TxnOp::ExpectEmptyDir { dir },
@@ -96,8 +94,8 @@ pub fn delete(pid: InodeId, name: &str, now: u64) -> [TxnOp; 2] {
 /// (each a `(parent, name)`) with its permission, in the first `n` of `(ops,
 /// n)`. Within one parent the counts stand and only its mtime moves.
 pub fn rename(
-    src: (InodeId, Arc<str>),
-    dst: (InodeId, Arc<str>),
+    src: (InodeId, Name),
+    dst: (InodeId, Name),
     id: InodeId,
     permission: Permission,
     now: u64,
@@ -121,8 +119,8 @@ pub fn rename(
     (ops, if within { 3 } else { 4 })
 }
 
-/// An entry key that shares its owned name.
-fn shared_entry_key(pid: InodeId, name: Arc<str>) -> RowKey {
+/// An entry key that keeps its owned name (shared, when long).
+fn shared_entry_key(pid: InodeId, name: Name) -> RowKey {
     RowKey {
         pid,
         name,

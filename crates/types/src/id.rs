@@ -1,6 +1,7 @@
 //! Identifiers used across the metadata service.
 
 use std::fmt;
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
@@ -97,19 +98,20 @@ impl TxnId {
 /// When a proxy fails mid-operation, the client resubmits the request with
 /// the same uuid; lock owners are compared against it so a retry re-enters
 /// locks held by the failed attempt instead of deadlocking.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub struct ClientUuid(pub u128);
+///
+/// Nonzero, so a rename lock bit (`Option<ClientUuid>`) takes 8 bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct ClientUuid(pub NonZeroU64);
 
 static UUID_COUNTER: AtomicU64 = AtomicU64::new(1);
 
 impl ClientUuid {
-    /// Generates a process-unique request id.
-    ///
-    /// A counter tagged with the thread id stands in for a real UUIDv4; the
-    /// recovery protocol only needs uniqueness within the cluster.
+    /// Generates a process-unique request id: a process counter, starting
+    /// at 1, stands in for a real UUIDv4; the recovery protocol only needs
+    /// uniqueness within the cluster.
     pub fn generate() -> Self {
-        let c = UUID_COUNTER.fetch_add(1, Ordering::Relaxed) as u128;
-        ClientUuid(c << 32 | 0x6d61_6e74) // Low bits spell "mant".
+        let c = UUID_COUNTER.fetch_add(1, Ordering::Relaxed);
+        ClientUuid(NonZeroU64::new(c).expect("the counter starts at 1 and does not wrap"))
     }
 }
 

@@ -6,6 +6,8 @@
 //!
 //! * [`id`] — identifiers for directories, objects, transactions and client
 //!   requests.
+//! * [`Name`] — an owned entry name, stored inline when short, as every
+//!   key and command holds one.
 //! * [`MetaPath`] — normalized hierarchical paths with the prefix and
 //!   truncation operations the IndexNode needs (§5.1.1).
 //! * [`perm::Permission`] — permission masks and the Lazy-Hybrid style
@@ -31,6 +33,7 @@ pub mod ctx;
 pub mod error;
 pub mod hist;
 pub mod id;
+pub mod name;
 pub mod path;
 pub mod perm;
 pub mod record;
@@ -46,6 +49,7 @@ pub use config::{
 pub use ctx::RequestCtx;
 pub use error::{MetaError, Result};
 pub use id::{ClientUuid, InodeId, TxnId, ROOT_ID, ROOT_PARENT_ID};
+pub use name::Name;
 pub use path::MetaPath;
 pub use perm::Permission;
 pub use record::{

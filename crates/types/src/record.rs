@@ -4,7 +4,8 @@
 //! resolution and rename coordination need: parent id, name, own id,
 //! permission, rename-lock bit) and *attribute metadata* (everything else:
 //! timestamps, link counts, owner). TafDB stores both; the IndexNode stores
-//! only the access part, roughly 80 bytes per directory.
+//! only the access part: a 72-byte slot per directory, about 100 bytes with
+//! its hash map's free slots, the name inline when it is 22 bytes or less.
 
 use serde::{Deserialize, Serialize};
 

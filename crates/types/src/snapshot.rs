@@ -31,11 +31,6 @@ impl SnapshotWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u128`.
-    pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends an `i64`.
     pub fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -98,11 +93,6 @@ impl<'a> SnapshotReader<'a> {
     /// Reads a `u64`.
     pub fn u64(&mut self) -> u64 {
         u64::from_le_bytes(self.take(8).try_into().expect("8 bytes"))
-    }
-
-    /// Reads a `u128`.
-    pub fn u128(&mut self) -> u128 {
-        u128::from_le_bytes(self.take(16).try_into().expect("16 bytes"))
     }
 
     /// Reads an `i64`.
@@ -185,7 +175,6 @@ mod tests {
     fn round_trips_every_primitive() {
         let mut w = SnapshotWriter::new();
         w.u64(7);
-        w.u128(1 << 100);
         w.i64(-42);
         w.u32(9);
         w.u16(3);
@@ -195,7 +184,6 @@ mod tests {
         let img = w.finish();
         let mut r = SnapshotReader::new(&img);
         assert_eq!(r.u64(), 7);
-        assert_eq!(r.u128(), 1 << 100);
         assert_eq!(r.i64(), -42);
         assert_eq!(r.u32(), 9);
         assert_eq!(r.u16(), 3);

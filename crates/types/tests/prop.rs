@@ -1,11 +1,12 @@
-//! Property tests over paths, permissions and histograms.
+//! Property tests over paths, stored names, permissions and histograms.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 use mantle_types::hist::Histogram;
-use mantle_types::{MetaPath, Permission};
+use mantle_types::{MetaPath, Name, Permission};
 use proptest::prelude::*;
 
 /// Component names: bytes that sort below `/` (space, `+`, `-`, `.`),
@@ -65,10 +66,36 @@ fn view_of(names: &[String], tail: &[String], how: usize) -> MetaPath {
     }
 }
 
-fn hash_of(path: &MetaPath) -> u64 {
+fn hash_of(value: &(impl Hash + ?Sized)) -> u64 {
     let mut h = DefaultHasher::new();
-    path.hash(&mut h);
+    value.hash(&mut h);
     h.finish()
+}
+
+/// Names on both sides of the inline capacity (22 bytes): lengths 0, 21,
+/// 22, 23 and 200, a two- and a three-byte character straddling byte 22,
+/// and one that ends exactly on it — each with one character optionally
+/// replaced, so two draws often share a long prefix.
+fn arb_stored_name() -> impl Strategy<Value = String> {
+    let a = |n: usize| "a".repeat(n);
+    let corpus = vec![
+        String::new(),
+        a(21),
+        a(22),
+        a(23),
+        a(200),
+        a(21) + "é",
+        a(20) + "日",
+        a(20) + "é",
+        a(21) + "b",
+        a(199) + "b",
+    ];
+    (prop::sample::select(corpus), 0usize..201, any::<bool>()).prop_map(|(name, at, flip)| {
+        name.chars()
+            .enumerate()
+            .map(|(i, c)| if flip && i == at { 'b' } else { c })
+            .collect()
+    })
 }
 
 /// Checks `path` against the component list it must stand for.
@@ -88,6 +115,21 @@ fn check_against_model(path: &MetaPath, model: &[String]) -> Result<(), TestCase
 }
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A stored name is its text: it derefs, orders, compares, hashes and
+    /// debug-prints exactly as that `&str` does, inline or shared.
+    #[test]
+    fn a_name_behaves_as_its_text(a in arb_stored_name(), b in arb_stored_name()) {
+        let (na, nb) = (Name::new(&a), Name::new(&b));
+        prop_assert_eq!(&*na, a.as_str());
+        prop_assert_eq!(&na.clone(), &na);
+        prop_assert_eq!(na.cmp(&nb), a.cmp(&b));
+        prop_assert_eq!(na == nb, a == b);
+        prop_assert_eq!(hash_of(&na), hash_of(a.as_str()));
+        prop_assert_eq!(format!("{na:?}"), format!("{a:?}"));
+        // `Borrow<str>`: a map of names is probed by text.
+        prop_assert!(HashSet::from([na]).contains(a.as_str()));
+    }
 
     /// Display → parse is the identity.
     #[test]

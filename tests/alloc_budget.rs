@@ -5,14 +5,15 @@
 //! their key. A TafDB read adds its owned reply and nothing else (the
 //! engines are probed through borrowed key views and lend each row in
 //! place, so a check or a fold copies nothing and a listing copies each
-//! entry's name once); a mutation adds the keys its ops carry and the rows
-//! it stores, and nothing more: not a plan (the steps are held inline and
-//! name the ops), not a second copy of a name (an object row keeps its
-//! name in its key only; a directory's Raft proposal shares its entry
-//! key's name, a rename's its grant's), not a row list for rmdir's
-//! attribute sweep (the engine deletes the range in place), and not a
-//! `Vec` for the Raft quorum (counted in place). The counts are exact, so
-//! the budgets hold on any host; `benchmark/` reports the same numbers as
+//! entry's name once); a mutation adds the rows it stores, and nothing
+//! more: not its keys (a name of up to 22 bytes lives inline in the key or
+//! command that stores it, and a longer one is one shared block), not a
+//! plan (the steps are held inline and name the ops), not a row list for
+//! rmdir's attribute sweep (the engine deletes the range in place), and not
+//! a `Vec` for the Raft quorum (counted in place). What is stored keeps no
+//! block per name either: an `IndexTable` or a B-tree of N1's directories
+//! holds its own tables and nodes. The counts are exact, so the budgets
+//! hold on any host; `benchmark/` reports the same numbers as
 //! `allocs_per_op` and `core.op.*_allocs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -20,7 +21,7 @@ use std::cell::Cell;
 
 use mantle::core::PathLeaseConfig;
 use mantle::prelude::*;
-use mantle::types::BulkLoad;
+use mantle::types::{BulkLoad, InodeId, ROOT_ID};
 
 thread_local! {
     // Const-initialised plain integers: no lazy init and no destructor, so
@@ -28,11 +29,13 @@ thread_local! {
     static COUNT: Cell<u64> = const { Cell::new(0) };
     /// Blocks this thread allocated minus blocks it freed.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Counts the calling thread's heap requests and live blocks; tests run on
-/// threads of their own, so they do not see each other or the cluster's
-/// background threads.
+/// Counts the calling thread's heap requests, live blocks and live bytes;
+/// tests run on threads of their own, so they do not see each other or the
+/// cluster's background threads.
 struct Counting;
 
 fn note() {
@@ -41,8 +44,9 @@ fn note() {
     let _ = COUNT.try_with(|c| c.set(c.get() + 1));
 }
 
-fn live(delta: i64) {
-    let _ = LIVE.try_with(|c| c.set(c.get() + delta));
+fn live(blocks: i64, bytes: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + blocks));
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
 }
 
 // SAFETY: every method forwards to `System` with the caller's own
@@ -50,26 +54,27 @@ fn live(delta: i64) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note();
-        live(1);
+        live(1, layout.size() as i64);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note();
-        live(1);
+        live(1, layout.size() as i64);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note();
+        live(0, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        live(-1);
+        live(-1, -(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -235,11 +240,11 @@ fn create_delete_pair_budget() {
         c.create(p, 7, ctx)?;
         c.delete(p, ctx)
     });
-    // Parse and the two ops' keys (mvcc: the chain). A committed delete
-    // reads no row back to learn what it removed, and its type check
-    // copies nothing out of the row it reads.
+    // Parse (mvcc: the chain): the two ops' keys hold the name inline. A
+    // committed delete reads no row back to learn what it removed, and its
+    // type check copies nothing out of the row it reads.
     assert!(
-        allocs <= per_engine(&c, 3, 4),
+        allocs <= per_engine(&c, 1, 2),
         "parse + create + delete: {allocs} allocations"
     );
 }
@@ -252,10 +257,10 @@ fn create_budget() {
         |p, ctx| c.create(p, 7, ctx),
         |p, ctx| c.delete(p, ctx).unwrap(),
     );
-    // Parse and key; mvcc: the chain. The stored row keeps the name in its
-    // key only, so it holds no second copy.
+    // Parse; mvcc: the chain. The stored row keeps the name in its key
+    // only, and the key holds it inline.
     assert!(
-        allocs <= per_engine(&c, 2, 3),
+        allocs <= per_engine(&c, 1, 2),
         "parse + create: {allocs} allocations"
     );
 }
@@ -268,8 +273,9 @@ fn delete_budget() {
         |p, ctx| c.delete(p, ctx),
         |p, ctx| c.create(p, 7, ctx).map(drop).unwrap(),
     );
-    // Parse, key: the type check reads the row in place.
-    assert!(allocs <= 2, "parse + delete: {allocs} allocations");
+    // Parse: the key holds the name inline and the type check reads the
+    // row in place.
+    assert!(allocs <= 1, "parse + delete: {allocs} allocations");
 }
 
 #[test]
@@ -280,11 +286,11 @@ fn mkdir_budget() {
         |p, ctx| c.mkdir(p, ctx),
         |p, ctx| c.rmdir(p, ctx).unwrap(),
     );
-    // Parse and entry key, which the IndexNode proposal shares; the new
-    // directory's attribute key opens a lock-table stripe now and then;
-    // mvcc: two chains.
+    // Parse; the entry key and the IndexNode proposal hold the name inline,
+    // and a fresh key opens a lock-table stripe now and then; mvcc: two
+    // chains.
     assert!(
-        allocs <= per_engine(&c, 3, 5),
+        allocs <= per_engine(&c, 2, 4),
         "parse + mkdir: {allocs} allocations"
     );
 }
@@ -302,7 +308,7 @@ fn rmdir_budget() {
     );
     // As mkdir, on both engines: the attribute rows go in one in-place
     // range delete, and mvcc's tombstones land in chains that exist.
-    assert!(allocs <= 3, "parse + rmdir: {allocs} allocations");
+    assert!(allocs <= 2, "parse + rmdir: {allocs} allocations");
 }
 
 #[test]
@@ -317,10 +323,10 @@ fn rename_dir_budget() {
         |p, ctx| c.rename_dir(p, &to, ctx),
         |p, ctx| c.rename_dir(&to, p, ctx).unwrap(),
     );
-    // Parse, the source name (the grant's) and the destination name; the
-    // keys and the commit proposal share them. mvcc: the new entry's chain.
+    // Parse; the grant, the keys and the commit proposal hold both names
+    // inline. mvcc: the new entry's chain.
     assert!(
-        allocs <= per_engine(&c, 3, 4),
+        allocs <= per_engine(&c, 1, 2),
         "parse + rename_dir: {allocs} allocations"
     );
 }
@@ -328,9 +334,9 @@ fn rename_dir_budget() {
 /// One iteration of the benchmark's `dir_mutate` workload on a default
 /// cluster — mkdir, lookup, a rename to another parent, dirstat of that
 /// parent, rmdir, each op parsing its own path — pinned as one sum, so the
-/// claimed workload has a tier-1 floor. Its warm steady state is 10
-/// (btree): each fresh name also opens a lock-table stripe now and then,
-/// which is what lifts the worst case.
+/// claimed workload has a tier-1 floor. Six of its allocations are the
+/// parses; the rest come with the fresh names each iteration stores (btree:
+/// 6 to 9 per iteration over the pinned run, mostly 9).
 #[test]
 fn dir_mutate_iteration_budget() {
     let c = cluster(PathLeaseConfig::default());
@@ -352,10 +358,10 @@ fn dir_mutate_iteration_budget() {
         iteration(i);
     }
     let worst = (64..320).map(iteration).max().unwrap();
-    // Six parses (the rename's two), mkdir's and rmdir's entry keys, the
-    // rename's two names; up to three stripes; mvcc: three chains.
+    // Six parses (the rename's two) and up to three stripes; mvcc: three
+    // chains.
     assert!(
-        worst <= per_engine(&c, 13, 16),
+        worst <= per_engine(&c, 9, 12),
         "one dir_mutate iteration: {worst} allocations"
     );
 }
@@ -383,10 +389,10 @@ fn refused_rmdir_of_a_large_directory_allocates_a_small_constant() {
             Err(MetaError::NotEmpty(_)) => Ok(()),
             other => panic!("rmdir of a populated directory: {other:?}"),
         });
-        // Parse, the entry key and the error's text: the one row read is
-        // seen in place.
+        // Parse and the error's text: the entry key holds its name inline,
+        // and the one row read is seen in place.
         assert!(
-            allocs <= 3,
+            allocs <= 2,
             "{}: refused rmdir: {allocs} allocations",
             engine.name()
         );
@@ -435,4 +441,123 @@ fn listing_allocates_the_names_it_returns() {
             engine.name()
         );
     }
+}
+
+/// The stored layouts the namespace's memory is made of: an `IndexEntry`
+/// (its rename lock is an 8-byte `Option<ClientUuid>`), a TafDB row key
+/// and the name both keep inline.
+#[test]
+fn stored_layouts_are_pinned() {
+    use std::mem::size_of;
+    assert_eq!(size_of::<mantle::index::IndexEntry>(), 32);
+    assert_eq!(size_of::<mantle::store::RowKey>(), 40);
+    assert_eq!(size_of::<mantle::types::Name>(), 24);
+}
+
+/// The benchmark's read namespace N1: 95,572 directories over nine levels
+/// (fan-out 4·4·4·4·4·4·2·2·4), each named `<level letter><sibling><3 hex
+/// digits>`, five bytes. `(pid, name, id)`, parents before children.
+fn n1_dirs() -> Vec<(InodeId, String, InodeId)> {
+    const FANOUT: [u64; 9] = [4, 4, 4, 4, 4, 4, 2, 2, 4];
+    let (mut dirs, mut level, mut next) = (Vec::new(), vec![ROOT_ID], 2);
+    for (depth, fanout) in FANOUT.into_iter().enumerate() {
+        let letter = char::from(b'a' + depth as u8);
+        let mut below = Vec::new();
+        for pid in level {
+            for i in 0..fanout {
+                let name = format!("{letter}{i}{:03x}", (next * 0x9e37) & 0xfff);
+                dirs.push((pid, name, InodeId(next)));
+                below.push(InodeId(next));
+                next += 1;
+            }
+        }
+        level = below;
+    }
+    dirs
+}
+
+/// What `build` leaves allocated on this thread: its value, live blocks
+/// and live bytes.
+fn kept<T>(build: impl FnOnce() -> T) -> (T, i64, i64) {
+    let (blocks, bytes) = (LIVE.with(Cell::get), LIVE_BYTES.with(Cell::get));
+    let value = build();
+    let blocks = LIVE.with(Cell::get) - blocks;
+    (value, blocks, LIVE_BYTES.with(Cell::get) - bytes)
+}
+
+/// One replica's IndexTable holding N1 keeps its 64 stripe tables and the
+/// stripe list, not a block per name: a short name lives in its key.
+#[test]
+fn index_table_keeps_no_block_per_name() {
+    use mantle::index::{IndexEntry, IndexTable};
+
+    let dirs = n1_dirs();
+    assert_eq!(dirs.len(), 95_572);
+    let (table, blocks, bytes) = kept(|| {
+        let table = IndexTable::new();
+        for (pid, name, id) in &dirs {
+            let entry = IndexEntry {
+                id: *id,
+                permission: Permission::ALL,
+                lock: None,
+                version: 1,
+            };
+            table.insert(*pid, name, entry);
+        }
+        table
+    });
+    assert_eq!(table.len(), dirs.len());
+    assert!(blocks <= 65, "{blocks} live blocks");
+    let per_dir = bytes as f64 / dirs.len() as f64;
+    assert!(per_dir <= 101.0, "{per_dir:.1} live bytes per directory");
+}
+
+/// The same for the btree engine's rows: its tree nodes, and no block per
+/// stored key.
+#[test]
+fn btree_engine_keeps_no_block_per_name() {
+    use mantle::tafdb::{entry_key, EngineKind, Row};
+
+    let dirs = n1_dirs();
+    let (engine, blocks, _) = kept(|| {
+        let engine = EngineKind::Btree.build::<Row>();
+        for (pid, name, id) in &dirs {
+            let row = Row::DirAccess {
+                id: *id,
+                permission: Permission::ALL,
+            };
+            engine.put(entry_key(*pid, name), row);
+        }
+        engine
+    });
+    assert_eq!(engine.len(), dirs.len());
+    assert!(
+        blocks < dirs.len() as i64 / 4,
+        "{blocks} live blocks for {} rows",
+        dirs.len()
+    );
+}
+
+/// A name longer than the inline capacity costs one shared block, so
+/// `create` and `mkdir` of a 40-byte name make exactly one allocation more
+/// than a short name's (DESIGN.md §4.12).
+#[test]
+fn long_names_allocate_as_before() {
+    let c = cluster(PathLeaseConfig::default());
+    let long = format!("{DIR}/{}", "n".repeat(40));
+    let create = worst_allocs_undone(
+        &long,
+        |p, ctx| c.create(p, 7, ctx),
+        |p, ctx| c.delete(p, ctx).unwrap(),
+    );
+    let mkdir = worst_allocs_undone(
+        &long,
+        |p, ctx| c.mkdir(p, ctx),
+        |p, ctx| c.rmdir(p, ctx).unwrap(),
+    );
+    assert_eq!(
+        (create, mkdir),
+        (per_engine(&c, 2, 3), per_engine(&c, 3, 5)),
+        "parse + (create, mkdir) of a 40-byte name"
+    );
 }

@@ -21,7 +21,9 @@ clippy:
 # range transform (`update_range`) outside the engines and the compactor
 # (a range delete is `StorageEngine::delete_range`), no `Arc<str>` or
 # `Box<str>` under crates/*/src outside mantle_types' `Name` and `MetaPath`
-# (a stored name is a `Name`, DESIGN.md §4.12), and no
+# (a stored name is a `Name`, DESIGN.md §4.12), no `StorageEngine<Row>` or
+# `build::<Row>` under crates/*/src outside crates/engine/src (a shard
+# stores a `StoredRow`, DESIGN.md §4.12), and no
 # per-level permission walk, spelled-out refusal, leaf split or rename
 # precheck outside crates/types/src/resolve.rs (DESIGN.md §4.3); no
 # thread::scope / flight::op_scope / trace::start in a workload or figure

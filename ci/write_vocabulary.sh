@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The side-door bans behind "one write vocabulary into TafDB", "one table
 # plane" (DESIGN.md §4.3), "reads lend", "range deletes copy nothing" and
-# "names live in their keys" (DESIGN.md §4.12). All seven fail the build:
+# "names live in their keys" and "a shard stores one form" (DESIGN.md
+# §4.12). All eight fail the build:
 #   1. `raw_put` appears in no file under crates/*/src, crates/*/tests,
 #      src/, tests/ or examples/ outside crates/tafdb/src: front-ends write
 #      rows through an executor, and tests seed rows through the loader's
@@ -27,6 +28,10 @@
 #   7. `Arc<str>` and `Box<str>` appear in non-test source (cut as in 2)
 #      under crates/*/src only in crates/types/src/{name,path}.rs: a key or
 #      command stores its name as a `mantle_types::Name`, inline when short.
+#   8. `StorageEngine<Row>` and `build::<Row>` appear in non-test source (cut
+#      as in 2) under crates/*/src only in crates/engine/src: a TafDB shard
+#      stores a `StoredRow`; `Row` remains an engine value only for the
+#      benchmark's bare engines and the engine tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,6 +75,12 @@ stored_names=$(find crates -path 'crates/*/src/*' -name '*.rs' \
         /#\[cfg\(test\)\]/ { counting = 0 }
         counting && /(Arc|Box)<str>/ { print FILENAME ":" FNR ": " $0 }')
 
+row_engines=$(find crates -path 'crates/*/src/*' -name '*.rs' -not -path 'crates/engine/src/*' -print0 |
+    xargs -0 awk '
+        FNR == 1 { counting = 1 }
+        /#\[cfg\(test\)\]/ { counting = 0 }
+        counting && /StorageEngine<Row>|build::<Row>/ { print FILENAME ":" FNR ": " $0 }')
+
 status=0
 if [ -n "$raw_put" ]; then
     echo "raw_put outside crates/tafdb/src (use TafDb::bulk_apply or an executor):"
@@ -106,5 +117,10 @@ if [ -n "$stored_names" ]; then
     echo "$stored_names"
     status=1
 fi
-[ "$status" -eq 0 ] && echo "write vocabulary, table plane, lending reads, in-place range deletes, stored names OK"
+if [ -n "$row_engines" ]; then
+    echo "an engine of Row outside crates/engine/src (a shard stores mantle_tafdb::StoredRow):"
+    echo "$row_engines"
+    status=1
+fi
+[ "$status" -eq 0 ] && echo "write vocabulary, table plane, lending reads, in-place range deletes, stored names, stored rows OK"
 exit "$status"

@@ -85,14 +85,12 @@ fn main() {
             // hot shard's queueing amplification under the full measured
             // round — a lower action threshold (with the range budget to
             // match) converges the map flat enough to survive it. The
-            // wall-timed background thread stays OFF (`dynamic_shards:
-            // false`): the harness drives `rebalance_once` ticks itself,
-            // so controller activity is deterministic and the measured
-            // round really does run against a frozen map.
+            // harness drives `rebalance_once` ticks itself, so controller
+            // activity is deterministic and the measured round really does
+            // run against a frozen map.
             config.db.placement = PlacementConfig {
                 imbalance_threshold: 1.15,
                 max_ranges: 128,
-                ..PlacementConfig::default()
             };
         }
         let sut = SystemUnderTest::mantle(config);

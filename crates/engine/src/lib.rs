@@ -41,8 +41,9 @@ pub use mvcc::MvccEngine;
 pub trait EngineValue: Clone + Send + Sync + 'static {
     /// Appends this value (tag + payload) to a checkpoint image.
     fn encode(&self, w: &mut SnapshotWriter);
-    /// Reads one value written by [`EngineValue::encode`].
-    fn decode(r: &mut SnapshotReader<'_>) -> Self;
+    /// Reads one value written by [`EngineValue::encode`]; `None` — never a
+    /// panic — on an unknown tag or a payload the image is too short for.
+    fn decode(r: &mut SnapshotReader<'_>) -> Option<Self>;
 }
 
 /// One mutation of an atomic write batch.
@@ -234,46 +235,34 @@ pub fn encode_image<V: EngineValue>(rows: &[(RowKey, V)]) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.u64(rows.len() as u64);
     for (k, v) in rows {
-        write_key(&mut w, k);
+        w.u64(k.pid.0);
+        w.str(&k.name);
+        w.u64(k.ts.0);
         v.encode(&mut w);
     }
     frame(w.finish())
 }
 
 /// Decodes a framed checkpoint image; `None` on checksum failure (a torn
-/// write).
+/// write) and on any image [`encode_image`] would not have written — a
+/// row count the payload cannot hold, an undecodable row, trailing bytes.
 pub fn decode_image<V: EngineValue>(framed: &[u8]) -> Option<Vec<(RowKey, V)>> {
-    let image = unframe(framed)?;
-    let mut r = SnapshotReader::new(image);
-    let n = r.u64() as usize;
-    let mut rows = Vec::with_capacity(n);
+    let mut r = SnapshotReader::new(unframe(framed)?);
+    let n = usize::try_from(r.checked(8, SnapshotReader::u64)?).ok()?;
+    // A key takes at least 24 bytes: a hostile count reserves only those.
+    let mut rows = Vec::with_capacity(n.min(r.remaining() / 24));
     for _ in 0..n {
-        let k = read_key(&mut r);
-        let v = V::decode(&mut r);
-        rows.push((k, v));
+        let pid = InodeId(r.checked(8, SnapshotReader::u64)?);
+        let name = r.checked_str()?;
+        let ts = TxnId(r.checked(8, SnapshotReader::u64)?);
+        rows.push((RowKey::delta(pid, &name, ts), V::decode(&mut r)?));
     }
-    Some(rows)
+    r.is_empty().then_some(rows)
 }
 
 /// Number of rows in a framed checkpoint image (cheap: reads the header).
 pub fn image_row_count(framed: &[u8]) -> Option<u64> {
-    let image = unframe(framed)?;
-    Some(SnapshotReader::new(image).u64())
-}
-
-/// Appends a row key to a checkpoint image.
-pub fn write_key(w: &mut SnapshotWriter, key: &RowKey) {
-    w.u64(key.pid.0);
-    w.str(&key.name);
-    w.u64(key.ts.0);
-}
-
-/// Reads a row key written by [`write_key`].
-pub fn read_key(r: &mut SnapshotReader<'_>) -> RowKey {
-    let pid = InodeId(r.u64());
-    let name = r.str();
-    let ts = TxnId(r.u64());
-    RowKey::delta(pid, &name, ts)
+    SnapshotReader::new(unframe(framed)?).checked(8, SnapshotReader::u64)
 }
 
 /// The first key of directory `pid`'s successor: the exclusive upper bound
@@ -384,8 +373,8 @@ mod tests {
         fn encode(&self, w: &mut SnapshotWriter) {
             w.u64(*self);
         }
-        fn decode(r: &mut SnapshotReader<'_>) -> Self {
-            r.u64()
+        fn decode(r: &mut SnapshotReader<'_>) -> Option<Self> {
+            r.checked(8, SnapshotReader::u64)
         }
     }
 

@@ -9,7 +9,7 @@
 //! - `crate::exec` — transaction grouping, the single-shard fast path,
 //!   and two-phase commit;
 //! - `crate::migrate` — the placement plane: splits, merges, online
-//!   range migration over checkpoint images, and the controller tick.
+//!   range migration over checkpoint images, and the rebalancing tick.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::{Bound, ControlFlow};
@@ -35,7 +35,7 @@ use mantle_types::{
 };
 
 use crate::metrics::DbMetrics;
-use crate::schema::{attr_view, Row};
+use crate::schema::{attr_view, Row, StoredRow};
 use crate::shard::Shard;
 use crate::shardmap::{place_of, ShardMap};
 
@@ -65,8 +65,8 @@ pub struct TafDbOptions {
     pub group_commit: bool,
     /// Transparent retries for retryable (conflict) errors.
     pub max_txn_retries: u32,
-    /// Placement controller: dynamic shard splitting and load balancing.
-    /// Off by default — routing then stays equivalent to the fixed hash.
+    /// Thresholds of [`TafDb::rebalance_once`], the placement tick a caller
+    /// drives: until one runs, routing stays equivalent to the fixed hash.
     pub placement: PlacementConfig,
 }
 
@@ -122,14 +122,13 @@ pub struct TafDb {
     /// holding it exclusively; a compactor sweep runs under a shared hold
     /// or not at all, so it never meets a migration's uncommitted copies.
     pub(crate) migration_lock: RwLock<()>,
-    /// Previous controller tick's cumulative per-shard busy nanos.
+    /// Previous rebalancing tick's cumulative per-shard busy nanos.
     pub(crate) last_busy: Mutex<Vec<u64>>,
     oracle: AtomicU64,
     pub(crate) config: SimConfig,
     pub(crate) opts: TafDbOptions,
     shutdown: Arc<AtomicBool>,
     compactor: Mutex<Option<std::thread::JoinHandle<()>>>,
-    controller: Mutex<Option<std::thread::JoinHandle<()>>>,
     pub(crate) metrics: DbMetrics,
     pub(crate) faults: FaultSlot,
 }
@@ -138,14 +137,13 @@ impl TafDb {
     /// Builds a database with `opts.n_shards` shards (each backed by a
     /// fresh `opts.engine` storage engine) and bootstraps the namespace
     /// root's attribute row. A background compactor thread folds delta
-    /// records until the database is dropped; with
-    /// `opts.placement.dynamic_shards` a placement-controller thread
-    /// rebalances the shard map as well.
+    /// records until the database is dropped; the shard map moves only when
+    /// a caller ticks [`TafDb::rebalance_once`].
     pub fn new(config: SimConfig, opts: TafDbOptions) -> Arc<Self> {
         assert!(opts.n_shards >= 1);
         let shards = (0..opts.n_shards)
             .map(|i| Shard {
-                engine: opts.engine.build::<Row>(),
+                engine: opts.engine.build::<StoredRow>(),
                 locks: LockManager::new(1024),
                 latches: LatchTable::new(1024),
                 wal: GroupCommitWal::new_scoped(config, opts.group_commit, "tafdb"),
@@ -171,7 +169,6 @@ impl TafDb {
             opts,
             shutdown: Arc::new(AtomicBool::new(false)),
             compactor: Mutex::new(None),
-            controller: Mutex::new(None),
             metrics: DbMetrics::new(opts.n_shards),
             faults: FaultSlot::new(),
         });
@@ -200,24 +197,6 @@ impl TafDb {
             .expect("spawn compactor");
         *db.compactor.lock() = Some(handle);
 
-        if opts.placement.dynamic_shards {
-            let weak: Weak<TafDb> = Arc::downgrade(&db);
-            let shutdown = Arc::clone(&db.shutdown);
-            // Wall time: the controller is a control-plane loop, not part
-            // of the simulated data path.
-            let tick = Duration::from_millis(10);
-            let handle = std::thread::Builder::new()
-                .name("tafdb-controller".into())
-                .spawn(move || {
-                    while !shutdown.load(Ordering::Acquire) {
-                        std::thread::sleep(tick);
-                        let Some(db) = weak.upgrade() else { return };
-                        db.rebalance_once();
-                    }
-                })
-                .expect("spawn controller");
-            *db.controller.lock() = Some(handle);
-        }
         db
     }
 
@@ -308,7 +287,10 @@ impl TafDb {
     /// Reads a row directly (tests, diagnostics, and a bulk loader's
     /// does-this-directory-exist probe).
     pub fn raw_get(&self, key: &dyn KeyParts) -> Option<Row> {
-        self.shards[self.owner_of(key)].engine.get(key)
+        self.shards[self.owner_of(key)]
+            .engine
+            .get(key)
+            .map(|s| s.row(key.view().pid))
     }
 
     /// Total rows across shards.
@@ -351,15 +333,12 @@ impl TafDb {
 impl Drop for TafDb {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
-        for slot in [&self.compactor, &self.controller] {
-            if let Some(h) = slot.lock().take() {
-                // Background threads briefly hold a strong reference; if the
-                // final drop happens on one of them, joining would
-                // self-deadlock.
-                if h.thread().id() != std::thread::current().id() {
-                    h.thread().unpark();
-                    let _ = h.join();
-                }
+        if let Some(h) = self.compactor.lock().take() {
+            // The compactor briefly holds a strong reference; if the final
+            // drop happens on it, joining would self-deadlock.
+            if h.thread().id() != std::thread::current().id() {
+                h.thread().unpark();
+                let _ = h.join();
             }
         }
     }

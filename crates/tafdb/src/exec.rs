@@ -20,7 +20,7 @@ use mantle_types::{InodeId, MetaError, RequestCtx, Result, RetryClass, TxnId};
 
 use crate::db::TafDb;
 use crate::plan::{Extras, How, Step, Steps};
-use crate::schema::{attr_view, delta_key, delta_view, Row};
+use crate::schema::{attr_view, delta_key, delta_view, StoredRow};
 use crate::shard::{InFlight, Shard};
 use crate::shardmap::{dir_region, place_of, ShardMap};
 use crate::txn::{Prepared, TxnOp};
@@ -300,7 +300,7 @@ impl TafDb {
             (How::Plain, TxnOp::SetPermission { key, .. }) => {
                 lock(key, LockMode::Exclusive)?;
                 match shard.engine.get(key) {
-                    Some(Row::DirAccess { .. }) => {}
+                    Some(StoredRow::DirAccess { .. }) => {}
                     Some(_) => return Err(MetaError::NotADirectory(key.name.to_string())),
                     None => return Err(MetaError::NotFound(key.name.to_string())),
                 }
@@ -409,7 +409,7 @@ impl TafDb {
         let shard = &self.shards[step.shard];
         match (step.how, &t.ops[step.op]) {
             (How::Plain, TxnOp::InsertUnique { key, row } | TxnOp::Put { key, row }) => {
-                shard.engine.put(key.clone(), row.clone());
+                shard.engine.put(key.clone(), row.into());
             }
             (How::Plain, TxnOp::Delete { key }) => {
                 Self::delete_with_deltas(shard, key);
@@ -422,19 +422,18 @@ impl TafDb {
             }
             (How::Plain, TxnOp::SetPermission { key, permission }) => {
                 // Only the mask: whatever id the (locked) row holds stays.
+                let permission = *permission;
                 shard.engine.update(key, &mut |cur| match cur {
-                    Some(Row::DirAccess { id, .. }) => {
-                        let row = Row::DirAccess {
-                            id: *id,
-                            permission: *permission,
-                        };
-                        (Some(row), true)
+                    Some(&StoredRow::DirAccess { id, .. }) => {
+                        (Some(StoredRow::DirAccess { id, permission }), true)
                     }
-                    other => (other.cloned(), true),
+                    other => (other.copied(), true),
                 });
             }
             (How::Hot, TxnOp::AttrUpdate { dir, delta }) => {
-                shard.engine.put(delta_key(*dir, t.txn), Row::Delta(*delta));
+                shard
+                    .engine
+                    .put(delta_key(*dir, t.txn), StoredRow::Delta(*delta));
                 shard.delta_dirs.lock().insert(*dir);
                 self.metrics.delta_appends.inc();
             }
@@ -553,7 +552,7 @@ impl TafDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{entry_key, TafDbOptions};
+    use crate::{entry_key, Row, TafDbOptions};
     use mantle_types::{Permission, SimConfig};
 
     /// What a failed prepare releases is re-derived from its steps: a

@@ -59,6 +59,6 @@ pub mod txn;
 pub use db::{DbCounters, TafDb, TafDbOptions};
 pub use front::Front;
 pub use mantle_engine::EngineKind;
-pub use schema::{attr_key, attr_view, entry_key, entry_view, Row};
+pub use schema::{attr_key, attr_view, entry_key, entry_view, Row, StoredRow};
 pub use shardmap::{dir_region, place_of, ShardMap};
 pub use txn::{Prepared, TxnOp};

@@ -23,7 +23,7 @@ use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{InodeId, MetaError, Result, TxnId};
 
 use crate::db::TafDb;
-use crate::schema::Row;
+use crate::schema::StoredRow;
 use crate::shard::Shard;
 use crate::shardmap::{place_of, DIR_REGION_SPAN};
 
@@ -199,7 +199,7 @@ impl TafDb {
             let p = place_of(k);
             start <= p && p <= end
         });
-        let rows: Vec<(RowKey, Row)> =
+        let rows: Vec<(RowKey, StoredRow)> =
             mantle_engine::decode_image(&image).expect("freshly encoded image");
         let keys: Vec<RowKey> = rows.iter().map(|(k, _)| k.clone()).collect();
 
@@ -209,7 +209,7 @@ impl TafDb {
             tgt.engine.apply(
                 chunk
                     .iter()
-                    .map(|(k, v)| WriteOp::Put(k.clone(), v.clone()))
+                    .map(|(k, v)| WriteOp::Put(k.clone(), *v))
                     .collect(),
             );
             tgt.wal.append();

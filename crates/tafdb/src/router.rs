@@ -15,7 +15,7 @@ use mantle_types::{
 };
 
 use crate::db::TafDb;
-use crate::schema::{attr_view, entry_view, Row};
+use crate::schema::{attr_view, entry_view, Row, StoredRow};
 use crate::shard::Shard;
 use crate::shardmap::{dir_region, place_of, ShardMap};
 
@@ -90,7 +90,8 @@ impl TafDb {
 
     /// The one entry-read loop: one RPC to the owning shard (with its own
     /// round trip, or as one leg of a caller-paid fan-out), re-routed while
-    /// the shard map moves underneath it. `project` sees the row in place
+    /// the shard map moves underneath it. `project` sees the row, projected
+    /// on the stack from the 40-byte copy of its stored form the read takes,
     /// and makes what the caller keeps; `None` when there is no row.
     fn entry_rpc<T>(
         &self,
@@ -105,11 +106,7 @@ impl TafDb {
         loop {
             let (owner, _) = self.route(place);
             let shard = &self.shards[owner];
-            let get = || {
-                let mut out = None;
-                shard.engine.get_with(&key, &mut |r| out = Some(project(r)));
-                out
-            };
+            let get = || shard.engine.get(&key).map(|s| project(&s.row(pid)));
             let row = if own_round_trip {
                 shard.node.try_rpc_named(stats, "get_entry", get)?
             } else {
@@ -204,11 +201,12 @@ impl TafDb {
         name: &str,
         stats: &mut RequestCtx,
     ) -> Result<ObjectMeta> {
-        let found = self.read_entry(pid, name, stats, |row| {
-            row.as_object().map(|o| ObjectMeta {
+        let found = self.read_entry(pid, name, stats, |row| match row {
+            Row::Object(o) => Some(ObjectMeta {
                 name: name.to_owned(),
                 ..*o
-            })
+            }),
+            _ => None,
         })?;
         object_or(found, name)
     }
@@ -220,7 +218,9 @@ impl TafDb {
     ///
     /// As [`TafDb::get_object`].
     pub fn expect_object(&self, pid: InodeId, name: &str, stats: &mut RequestCtx) -> Result<()> {
-        let found = self.read_entry(pid, name, stats, |row| row.as_object().map(drop))?;
+        let found = self.read_entry(pid, name, stats, |row| {
+            matches!(row, Row::Object(_)).then_some(())
+        })?;
         object_or(found, name)
     }
 
@@ -285,9 +285,9 @@ impl TafDb {
             let mut rows = 0;
             shard.attr_rows(dir, &mut |_, row| {
                 rows += 1;
-                match row {
-                    Row::DirAttr(a) => *base = Some(a.clone()),
-                    Row::Delta(d) => pending.merge(d),
+                match row.row(dir) {
+                    Row::DirAttr(a) => *base = Some(a),
+                    Row::Delta(d) => pending.merge(&d),
                     _ => {}
                 }
                 ControlFlow::Continue(())
@@ -323,9 +323,9 @@ impl TafDb {
         shard.engine.scan(lo, Bound::Excluded(&end), &mut |k, row| {
             rows += 1;
             let (kind, id) = match row {
-                Row::DirAccess { id, .. } => (EntryKind::Dir, *id),
-                Row::Object(o) => (EntryKind::Object, o.id),
-                Row::DirAttr(_) | Row::Delta(_) => return ControlFlow::Continue(()),
+                StoredRow::DirAccess { id, .. } => (EntryKind::Dir, *id),
+                StoredRow::Object { id, .. } => (EntryKind::Object, *id),
+                _ => return ControlFlow::Continue(()),
             };
             if taken == limit {
                 *more = true;

@@ -1,7 +1,9 @@
 //! The MetaTable schema (Figure 2 / Figure 8).
 
+use mantle_engine::EngineValue;
 use mantle_store::{KeyParts, RowKey, RowKeyView};
 use mantle_types::record::ATTR_ROW_NAME;
+use mantle_types::snapshot::{SnapshotReader, SnapshotWriter};
 use mantle_types::{AttrDelta, DirAttrMeta, InodeId, ObjectMeta, Permission, TxnId};
 
 /// One MetaTable row.
@@ -21,24 +23,6 @@ pub enum Row {
     Delta(AttrDelta),
     /// An object's metadata row: key `(pid, name, 0)`.
     Object(ObjectMeta),
-}
-
-impl Row {
-    /// The attribute payload of a `DirAttr` row.
-    pub fn as_dir_attr(&self) -> Option<&DirAttrMeta> {
-        match self {
-            Row::DirAttr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// The object payload of an `Object` row.
-    pub fn as_object(&self) -> Option<&ObjectMeta> {
-        match self {
-            Row::Object(o) => Some(o),
-            _ => None,
-        }
-    }
 }
 
 /// Key of the entry row of `name` under directory `pid`.
@@ -73,12 +57,108 @@ pub fn delta_view(dir: InodeId, ts: TxnId) -> RowKeyView<'static> {
     RowKeyView::delta(dir, ATTR_ROW_NAME, ts)
 }
 
-/// [`Row`]'s checkpoint-image codec (DESIGN.md §4.11): a tag byte plus
-/// the variant payload, in a fixed layout so two engines holding the same
-/// rows produce byte-identical images regardless of internal structure.
-impl mantle_engine::EngineValue for Row {
-    fn encode(&self, w: &mut mantle_types::snapshot::SnapshotWriter) {
+/// How a shard stores a [`Row`] (DESIGN.md §4.12): only what the row's key
+/// does not already say, in 40 bytes. An object keeps neither its `pid` nor
+/// its name — both are its key's (DESIGN.md §4.3) — and the attribute
+/// fields sit flat beside the tag: a nested `DirAttrMeta`, 40 bytes with its
+/// tail padding, would make every stored row 48. A row converts where it
+/// enters an engine ([`StoredRow::from`]) and readers project it back from
+/// its key ([`StoredRow::row`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StoredRow {
+    /// [`Row::DirAccess`].
+    DirAccess { id: InodeId, permission: Permission },
+    /// [`Row::DirAttr`], flat.
+    DirAttr {
+        nlink: i64,
+        entries: i64,
+        ctime: u64,
+        mtime: u64,
+        owner: u32,
+    },
+    /// [`Row::Delta`].
+    Delta(AttrDelta),
+    /// [`Row::Object`] without its key's `pid` and name.
+    Object {
+        id: InodeId,
+        size: u64,
+        blob: u64,
+        ctime: u64,
+        permission: Permission,
+    },
+}
+
+impl From<&Row> for StoredRow {
+    fn from(row: &Row) -> Self {
+        match *row {
+            Row::DirAccess { id, permission } => StoredRow::DirAccess { id, permission },
+            Row::DirAttr(ref a) => StoredRow::DirAttr {
+                nlink: a.nlink,
+                entries: a.entries,
+                ctime: a.ctime,
+                mtime: a.mtime,
+                owner: a.owner,
+            },
+            Row::Delta(d) => StoredRow::Delta(d),
+            Row::Object(ref o) => StoredRow::Object {
+                id: o.id,
+                size: o.size,
+                blob: o.blob,
+                ctime: o.ctime,
+                permission: o.permission,
+            },
+        }
+    }
+}
+
+impl StoredRow {
+    /// The row stored under a key of parent `pid`, without allocating: an
+    /// object's `pid` is the key's and its name is empty.
+    pub fn row(self, pid: InodeId) -> Row {
         match self {
+            StoredRow::DirAccess { id, permission } => Row::DirAccess { id, permission },
+            StoredRow::DirAttr {
+                nlink,
+                entries,
+                ctime,
+                mtime,
+                owner,
+            } => Row::DirAttr(DirAttrMeta {
+                nlink,
+                entries,
+                ctime,
+                mtime,
+                owner,
+            }),
+            StoredRow::Delta(d) => Row::Delta(d),
+            StoredRow::Object {
+                id,
+                size,
+                blob,
+                ctime,
+                permission,
+            } => Row::Object(ObjectMeta {
+                pid,
+                name: String::new(),
+                id,
+                size,
+                blob,
+                ctime,
+                permission,
+            }),
+        }
+    }
+}
+
+/// What follows each [`StoredRow`] tag in a checkpoint image, in bytes.
+const PAYLOAD_BYTES: [usize; 4] = [10, 36, 24, 34];
+
+/// The checkpoint-image codec of a shard (DESIGN.md §4.11): a tag byte plus
+/// the variant's fields, in a fixed layout so two engines holding the same
+/// rows produce byte-identical images regardless of internal structure.
+impl EngineValue for StoredRow {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        match self.row(InodeId(0)) {
             Row::DirAccess { id, permission } => {
                 w.u8(0);
                 w.u64(id.0);
@@ -100,8 +180,6 @@ impl mantle_engine::EngineValue for Row {
             }
             Row::Object(o) => {
                 w.u8(3);
-                w.u64(o.pid.0);
-                w.str(&o.name);
                 w.u64(o.id.0);
                 w.u64(o.size);
                 w.u64(o.blob);
@@ -111,47 +189,52 @@ impl mantle_engine::EngineValue for Row {
         }
     }
 
-    fn decode(r: &mut mantle_types::snapshot::SnapshotReader<'_>) -> Self {
-        match r.u8() {
-            0 => Row::DirAccess {
+    fn decode(r: &mut SnapshotReader<'_>) -> Option<Self> {
+        let tag = r.checked(1, SnapshotReader::u8)?;
+        let width = *PAYLOAD_BYTES.get(usize::from(tag))?;
+        r.checked(width, |r| match tag {
+            0 => StoredRow::DirAccess {
                 id: InodeId(r.u64()),
                 permission: Permission(r.u16()),
             },
-            1 => Row::DirAttr(DirAttrMeta {
+            1 => StoredRow::DirAttr {
                 nlink: r.i64(),
                 entries: r.i64(),
                 ctime: r.u64(),
                 mtime: r.u64(),
                 owner: r.u32(),
-            }),
-            2 => Row::Delta(AttrDelta::new(r.i64(), r.i64(), r.u64())),
-            3 => Row::Object(ObjectMeta {
-                pid: InodeId(r.u64()),
-                name: r.str(),
+            },
+            2 => StoredRow::Delta(AttrDelta::new(r.i64(), r.i64(), r.u64())),
+            _ => StoredRow::Object {
                 id: InodeId(r.u64()),
                 size: r.u64(),
                 blob: r.u64(),
                 ctime: r.u64(),
                 permission: Permission(r.u16()),
-            }),
-            tag => unreachable!("unknown row tag {tag} in checkpoint image"),
-        }
+            },
+        })
     }
 }
 
-/// Serializes one `(key, row)` pair into a shard checkpoint image.
-pub fn write_row(w: &mut mantle_types::snapshot::SnapshotWriter, key: &RowKey, row: &Row) {
-    use mantle_engine::EngineValue as _;
-    mantle_engine::write_key(w, key);
-    row.encode(w);
-}
+/// A [`Row`] outside a shard (the benchmark's bare engines, the engine
+/// tests) encodes as its [`StoredRow`], an object's `pid` and name after.
+impl EngineValue for Row {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        StoredRow::from(self).encode(w);
+        if let Row::Object(o) = self {
+            w.u64(o.pid.0);
+            w.str(&o.name);
+        }
+    }
 
-/// Reads one `(key, row)` pair written by [`write_row`].
-pub fn read_row(r: &mut mantle_types::snapshot::SnapshotReader<'_>) -> (RowKey, Row) {
-    use mantle_engine::EngineValue as _;
-    let key = mantle_engine::read_key(r);
-    let row = Row::decode(r);
-    (key, row)
+    fn decode(r: &mut SnapshotReader<'_>) -> Option<Self> {
+        let mut row = StoredRow::decode(r)?.row(InodeId(0));
+        if let Row::Object(o) = &mut row {
+            o.pid = InodeId(r.checked(8, SnapshotReader::u64)?);
+            o.name = r.checked_str()?;
+        }
+        Some(row)
+    }
 }
 
 #[cfg(test)]
@@ -171,7 +254,6 @@ mod tests {
 
     #[test]
     fn row_codec_round_trips() {
-        use mantle_types::snapshot::{SnapshotReader, SnapshotWriter};
         let rows = vec![
             (
                 entry_key(InodeId(1), "a"),
@@ -190,30 +272,26 @@ mod tests {
                 Row::Object(ObjectMeta::new(InodeId(1), "obj", InodeId(3), 10, 4, 2)),
             ),
         ];
-        let mut w = SnapshotWriter::new();
-        for (k, row) in &rows {
-            write_row(&mut w, k, row);
-        }
-        let img = w.finish();
-        let mut r = SnapshotReader::new(&img);
-        for (k, row) in &rows {
-            let (k2, row2) = read_row(&mut r);
-            assert_eq!(&k2, k);
-            assert_eq!(&row2, row);
-        }
-        assert!(r.is_empty());
+        let image = mantle_engine::encode_image(&rows);
+        assert_eq!(mantle_engine::decode_image::<Row>(&image), Some(rows));
     }
 
     #[test]
-    fn row_accessors() {
-        let access = Row::DirAccess {
-            id: InodeId(3),
-            permission: Permission::ALL,
-        };
-        assert!(access.as_dir_attr().is_none());
-        assert!(access.as_object().is_none());
-
-        let attr = Row::DirAttr(DirAttrMeta::new(1, 0));
-        assert!(attr.as_dir_attr().is_some());
+    fn payload_widths_match_the_encoder() {
+        let rows = [
+            Row::DirAccess {
+                id: InodeId(2),
+                permission: Permission::ALL,
+            },
+            Row::DirAttr(DirAttrMeta::new(5, 1)),
+            Row::Delta(AttrDelta::dir_linked(7)),
+            Row::Object(ObjectMeta::new(InodeId(1), "", InodeId(3), 10, 4, 2)),
+        ];
+        for (tag, row) in rows.iter().enumerate() {
+            let mut w = SnapshotWriter::new();
+            StoredRow::from(row).encode(&mut w);
+            let bytes = w.finish();
+            assert_eq!((bytes[0], bytes.len() - 1), (tag as u8, PAYLOAD_BYTES[tag]));
+        }
     }
 }

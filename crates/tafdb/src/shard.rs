@@ -25,7 +25,7 @@ use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{AttrDelta, InodeId, MetaError, RequestCtx, Result, TxnId};
 
 use crate::db::{TafDb, TafDbOptions};
-use crate::schema::{attr_key, attr_view, Row};
+use crate::schema::{attr_key, attr_view, Row, StoredRow};
 use crate::shardmap::place_of;
 use crate::txn::TxnOp;
 
@@ -41,10 +41,11 @@ pub(crate) struct HotState {
 }
 
 pub(crate) struct Shard {
-    /// The pluggable row organisation (DESIGN.md §4.12). Everything below
-    /// the trait — structure, versioning, scan consistency — is the
-    /// engine's business; everything above stays in this runtime.
-    pub(crate) engine: Arc<dyn StorageEngine<Row>>,
+    /// The pluggable row organisation (DESIGN.md §4.12), holding each row
+    /// in its stored form. Everything below the trait — structure,
+    /// versioning, scan consistency — is the engine's business; everything
+    /// above stays in this runtime.
+    pub(crate) engine: Arc<dyn StorageEngine<StoredRow>>,
     pub(crate) locks: LockManager,
     pub(crate) latches: LatchTable,
     pub(crate) wal: GroupCommitWal,
@@ -101,7 +102,7 @@ impl Shard {
 
     /// Visits `dir`'s attribute row and delta records on this shard, in
     /// place and in timestamp order.
-    pub(crate) fn attr_rows(&self, dir: InodeId, f: &mut ScanFn<'_, Row>) {
+    pub(crate) fn attr_rows(&self, dir: InodeId, f: &mut ScanFn<'_, StoredRow>) {
         let last = versions_end(dir, ATTR_ROW_NAME);
         self.engine
             .scan(Bound::Included(&attr_view(dir)), Bound::Included(&last), f);
@@ -131,14 +132,14 @@ impl Shard {
     /// Merges `delta` into `dir`'s base attribute row in place; `false`
     /// (and no write) when the row is not there.
     pub(crate) fn merge_attr(&self, dir: InodeId, delta: &AttrDelta) -> bool {
-        self.engine.update(&attr_view(dir), &mut |cur| match cur {
-            Some(Row::DirAttr(a)) => {
-                let mut merged = a.clone();
-                merged.apply_delta(delta);
-                (Some(Row::DirAttr(merged)), true)
-            }
-            other => (other.cloned(), false),
-        })
+        self.engine
+            .update(&attr_view(dir), &mut |cur| match cur.map(|s| s.row(dir)) {
+                Some(Row::DirAttr(mut attrs)) => {
+                    attrs.apply_delta(delta);
+                    (Some(StoredRow::from(&Row::DirAttr(attrs))), true)
+                }
+                _ => (cur.copied(), false),
+            })
     }
 }
 
@@ -183,7 +184,7 @@ impl TafDb {
         match op {
             TxnOp::InsertUnique { key, row } => {
                 self.routed_write(stats, "insert_row", place_of(key), None, |shard| {
-                    if shard.engine.put_if_absent(key.clone(), row.clone()) {
+                    if shard.engine.put_if_absent(key.clone(), row.into()) {
                         Ok(())
                     } else {
                         Err(MetaError::AlreadyExists(key.name.to_string()))
@@ -192,7 +193,7 @@ impl TafDb {
             }
             TxnOp::Put { key, row } => {
                 self.routed_write(stats, "insert_row", place_of(key), None, |shard| {
-                    shard.engine.put(key.clone(), row.clone());
+                    shard.engine.put(key.clone(), row.into());
                     Ok(())
                 })
             }
@@ -267,7 +268,9 @@ impl TafDb {
         for op in ops {
             match op {
                 TxnOp::InsertUnique { key, row } | TxnOp::Put { key, row } => {
-                    self.shards[self.owner_of(&key)].engine.put(key, row);
+                    self.shards[self.owner_of(&key)]
+                        .engine
+                        .put(key, (&row).into());
                 }
                 TxnOp::AttrUpdate { dir, delta } => {
                     self.shards[self.owner_of(&attr_view(dir))].merge_attr(dir, &delta);
@@ -333,7 +336,7 @@ impl TafDb {
                     let deltas: Vec<(RowKey, AttrDelta)> = rows
                         .iter()
                         .filter_map(|(k, v)| match v {
-                            Row::Delta(d) if k.ts != TxnId::BASE => Some((k.clone(), *d)),
+                            StoredRow::Delta(d) if k.ts != TxnId::BASE => Some((k.clone(), *d)),
                             _ => None,
                         })
                         .collect();
@@ -342,7 +345,7 @@ impl TafDb {
                         let Some(Row::DirAttr(mut attrs)) = rows
                             .iter()
                             .find(|(k, _)| k == &base)
-                            .map(|(_, v)| v.clone())
+                            .map(|(_, v)| v.row(dir))
                         else {
                             return Vec::new();
                         };
@@ -353,7 +356,7 @@ impl TafDb {
                             attrs.apply_delta(d);
                         }
                         folded = deltas.len();
-                        let mut ops = vec![WriteOp::Put(base, Row::DirAttr(attrs))];
+                        let mut ops = vec![WriteOp::Put(base, (&Row::DirAttr(attrs)).into())];
                         ops.extend(deltas.iter().map(|(k, _)| WriteOp::Delete(k.clone())));
                         ops
                     } else {
@@ -368,7 +371,8 @@ impl TafDb {
                             sum.merge(d);
                         }
                         folded = deltas.len() - 1;
-                        let mut ops = vec![WriteOp::Put(deltas[0].0.clone(), Row::Delta(sum))];
+                        let first = deltas[0].0.clone();
+                        let mut ops = vec![WriteOp::Put(first, StoredRow::Delta(sum))];
                         ops.extend(deltas[1..].iter().map(|(k, _)| WriteOp::Delete(k.clone())));
                         ops
                     }

@@ -123,11 +123,6 @@ impl RangeEntry {
     pub fn hot_place(&self) -> u64 {
         self.hot_place.load(Ordering::Relaxed)
     }
-
-    /// Whether `place` falls inside this range.
-    pub fn contains(&self, place: u64) -> bool {
-        self.start <= place && place <= self.end
-    }
 }
 
 /// An immutable routing table: sorted, contiguous, total over `u64`.
@@ -226,12 +221,6 @@ impl ShardMap {
             let seen = covering[..i].iter().any(|p| p.shard == r.shard);
             (!seen).then_some(r.shard)
         })
-    }
-
-    /// Whether `[start, end]` is owned by more than one shard.
-    pub fn is_split(&self, start: u64, end: u64) -> bool {
-        let i = self.range_index(start);
-        !self.ranges[i].contains(end)
     }
 
     /// A new map (epoch + 1) with range `idx` split at `at`: `[start, at-1]`
@@ -369,7 +358,6 @@ mod tests {
             let (s, e) = dir_region(InodeId(pid));
             assert_eq!(m.owner(s), m.owner(e), "pid {pid} region spans shards");
             assert!(m.owners_of(s, e).eq([m.owner(s)]));
-            assert!(!m.is_split(s, e));
         }
     }
 

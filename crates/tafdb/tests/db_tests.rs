@@ -811,29 +811,31 @@ fn object_rows_round_trip_without_a_stored_name() {
 }
 
 /// A shard image of objects created through the recipe holds each name
-/// once, in its key: decoded, every object row's `name` is empty.
+/// once, in its key: a shard stores a row as a `StoredRow`, which has no
+/// name or `pid` to hold, and projected back from its key every object row
+/// names the key's parent and has an empty `name`.
 #[test]
 fn object_images_carry_no_row_names() {
-    use mantle_tafdb::recipe;
+    use mantle_tafdb::{recipe, StoredRow};
 
     const N: u64 = 64;
     for engine in ENGINES {
-        let store = engine.build::<Row>();
+        let store = engine.build::<StoredRow>();
         for i in 0..N {
             let [insert, _] = recipe::create(ROOT_ID, &format!("o{i}"), InodeId(100 + i), 1, 0, i);
             let TxnOp::InsertUnique { key, row } = insert else {
                 unreachable!("create's first op inserts the object row")
             };
-            store.put(key, row);
+            store.put(key, StoredRow::from(&row));
         }
-        let rows = mantle_engine::decode_image::<Row>(&store.checkpoint()).unwrap();
+        let rows = mantle_engine::decode_image::<StoredRow>(&store.checkpoint()).unwrap();
         assert_eq!(rows.len() as u64, N);
-        for (key, row) in rows {
-            let Row::Object(o) = row else {
+        for (key, stored) in rows {
+            let Row::Object(o) = stored.row(key.pid) else {
                 panic!("{}: {key:?} is not an object row", engine.name())
             };
             assert!(key.name.starts_with('o'));
-            assert!(o.name.is_empty(), "{}: {key:?} stores {o:?}", engine.name());
+            assert_eq!((o.pid, o.name.as_str()), (ROOT_ID, ""), "{}", engine.name());
         }
     }
 }

@@ -32,13 +32,16 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use mantle_engine::{
-    decode_image, dir_end, scan_dir, scan_versions, versions_end, EngineKind, KeyBound,
-    StorageEngine, WriteOp,
+    decode_image, dir_end, encode_image, scan_dir, scan_versions, versions_end, EngineKind,
+    KeyBound, StorageEngine, WriteOp,
 };
 use mantle_store::{KeyParts, RowKey, RowKeyView};
-use mantle_tafdb::Row;
+use mantle_tafdb::{recipe, Row, StoredRow, TafDb, TafDbOptions, TxnOp};
 use mantle_types::record::ATTR_ROW_NAME;
-use mantle_types::{AttrDelta, DirAttrMeta, InodeId, TxnId};
+use mantle_types::snapshot::frame;
+use mantle_types::{
+    AttrDelta, DirAttrMeta, InodeId, ObjectMeta, Permission, RequestCtx, SimConfig, TxnId, ROOT_ID,
+};
 
 const ENGINES: [EngineKind; 2] = [EngineKind::Btree, EngineKind::Mvcc];
 
@@ -64,7 +67,12 @@ fn arb_row() -> impl Strategy<Value = Row> {
         })),
         (0u64..99).prop_map(|id| Row::DirAccess {
             id: InodeId(id),
-            permission: mantle_types::Permission::ALL,
+            permission: Permission::ALL,
+        }),
+        // A bare engine of `Row` keeps what an object row says about its
+        // parent and name, even where they disagree with its key.
+        (0u64..5, prop::sample::select(SIBLINGS.to_vec()), 0u64..99).prop_map(|(pid, name, id)| {
+            Row::Object(ObjectMeta::new(InodeId(pid), name, InodeId(id), 7, 1, 2))
         }),
     ]
 }
@@ -436,6 +444,85 @@ fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseErro
     Ok(engine.checkpoint())
 }
 
+/// How a hostile image is made from a well-formed payload.
+#[derive(Clone, Debug)]
+enum Hostile {
+    /// The payload as written.
+    Intact,
+    /// Cut short after this many bytes (modulo its length).
+    Truncated(usize),
+    /// One byte (at this offset, modulo the length) replaced.
+    Overwritten(usize, u8),
+    /// The row count replaced, the rows left as they were.
+    Count(u64),
+    /// Bytes that never were an image.
+    Noise(Vec<u8>),
+}
+
+fn arb_hostile() -> impl Strategy<Value = Hostile> {
+    prop_oneof![
+        Just(Hostile::Intact),
+        (0usize..4096).prop_map(Hostile::Truncated),
+        (0usize..4096, any::<u8>()).prop_map(|(at, b)| Hostile::Overwritten(at, b)),
+        prop::sample::select(vec![0, 1, 13, 1 << 40, u64::MAX]).prop_map(Hostile::Count),
+        prop::collection::vec(any::<u8>(), 0..96).prop_map(Hostile::Noise),
+    ]
+}
+
+/// `payload` made hostile, then framed with a valid checksum: a checksum
+/// guards against torn writes, not against a bad writer.
+fn hostile_frame(mut payload: Vec<u8>, how: &Hostile) -> Vec<u8> {
+    match how {
+        Hostile::Intact => {}
+        Hostile::Truncated(at) => payload.truncate(at % payload.len()),
+        Hostile::Overwritten(at, b) => {
+            let at = at % payload.len();
+            payload[at] = *b;
+        }
+        Hostile::Count(n) => payload[..8].copy_from_slice(&n.to_le_bytes()),
+        Hostile::Noise(bytes) => payload = bytes.clone(),
+    }
+    frame(payload)
+}
+
+/// What a checkpoint image decodes to is `None` — never for an `intact`
+/// one — or rows that encode back to exactly the image: the decoder accepts
+/// only what the encoder writes, and never panics.
+fn none_or_round_trip<V: mantle_engine::EngineValue + PartialEq + std::fmt::Debug>(
+    framed: &[u8],
+    intact: bool,
+) -> Result<(), TestCaseError> {
+    match decode_image::<V>(framed) {
+        Some(rows) => prop_assert_eq!(encode_image(&rows), framed.to_vec()),
+        None => prop_assert!(!intact, "an intact image was refused"),
+    }
+    Ok(())
+}
+
+proptest! {
+    // Cheap cases, and enough of them for an overwrite to land on a row's
+    // tag byte.
+    #![proptest_config(ProptestConfig::with_cases(2_048))]
+
+    /// Framed payloads that are truncated, overwritten, miscounted or
+    /// noise decode to `None` or round-trip, as `Row`s and as the form a
+    /// shard stores.
+    #[test]
+    fn hostile_images_decode_to_none_or_round_trip(
+        rows in prop::collection::vec((arb_key(), arb_row()), 0..8),
+        how in arb_hostile(),
+    ) {
+        let unframed = |image: Vec<u8>| image[16..].to_vec();
+        let intact = matches!(how, Hostile::Intact);
+        let image = unframed(encode_image(&rows));
+        none_or_round_trip::<Row>(&hostile_frame(image, &how), intact)?;
+        let stored: Vec<(RowKey, StoredRow)> =
+            rows.iter().map(|(k, r)| (k.clone(), StoredRow::from(r))).collect();
+        let image = unframed(encode_image(&stored));
+        none_or_round_trip::<StoredRow>(&hostile_frame(image, &how), intact)?;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -463,7 +550,7 @@ proptest! {
         let name_of = |i: usize| format!("n{i:05}");
         let row = |i: usize| Row::DirAccess {
             id: InodeId(i as u64),
-            permission: mantle_types::Permission::ALL,
+            permission: Permission::ALL,
         };
         let model: BTreeMap<RowKey, Row> = (0..n)
             .map(|i| (RowKey::base(InodeId(1), &name_of(i)), row(i)))
@@ -513,4 +600,112 @@ proptest! {
             );
         }
     }
+}
+
+/// Every row a recipe builds comes back from its stored form unchanged,
+/// projected from its own key.
+#[test]
+fn stored_rows_project_back_to_every_recipe_row() {
+    let (pid, dir, now) = (InodeId(3), InodeId(4), 9);
+    let (rename, _) = recipe::rename(
+        (pid, "a".into()),
+        (dir, "b".into()),
+        InodeId(5),
+        Permission::READ,
+        now,
+    );
+    let ops: Vec<TxnOp> = [
+        &recipe::root(pid)[..],
+        &recipe::mkdir(pid, "d".into(), dir, now),
+        &recipe::rmdir(pid, "d".into(), dir, now),
+        &recipe::create(dir, "o", InodeId(6), 4_096, 11, now),
+        &recipe::delete(dir, "o", now),
+        &rename,
+        &recipe::setattr(pid, "d", Permission::READ),
+    ]
+    .concat();
+    let mut rows = 0;
+    for op in &ops {
+        if let TxnOp::InsertUnique { key, row } | TxnOp::Put { key, row } = op {
+            assert_eq!(&StoredRow::from(row).row(key.pid), row, "{key:?}");
+            rows += 1;
+        }
+    }
+    assert_eq!(rows, 5, "root, mkdir's two rows, create's and rename's");
+}
+
+/// An object row keeps only what its key does not say: one that carries a
+/// name, or a `pid` other than its key's, comes back with the key's `pid`
+/// and an empty name.
+#[test]
+fn stored_objects_take_their_parent_from_the_key_and_keep_no_name() {
+    let row = Row::Object(ObjectMeta::new(InodeId(9), "x", InodeId(6), 10, 4, 2));
+    let key = RowKey::base(InodeId(1), "x");
+    let Row::Object(back) = StoredRow::from(&row).row(key.pid) else {
+        panic!("an object row projects to an object row")
+    };
+    let want = ObjectMeta::new(InodeId(1), "", InodeId(6), 10, 4, 2);
+    assert_eq!(back, want);
+}
+
+/// A namespace loaded through `bulk_apply` and then changed through
+/// transactions reads the same on both engines, before and after every
+/// shard is checkpointed and restored: what the loader stores and what a
+/// transaction stores are one form.
+#[test]
+fn load_then_operate_agrees_on_both_engines() {
+    let (d, s) = (InodeId(10), InodeId(11));
+    let mut seen = Vec::new();
+    for engine in ENGINES {
+        let db = TafDb::new(
+            SimConfig::instant(),
+            TafDbOptions {
+                engine,
+                ..TafDbOptions::default()
+            },
+        );
+        db.bulk_apply(recipe::mkdir(ROOT_ID, "d".into(), d, 1));
+        db.bulk_apply(recipe::mkdir(d, "s".into(), s, 1));
+        for i in 0..10 {
+            let name = format!("o{i}");
+            db.bulk_apply(recipe::create(d, &name, InodeId(100 + i), i, 7, 2));
+        }
+        let ctx = &mut RequestCtx::new();
+        let mut run = |ops: &[TxnOp]| db.execute(ops, ctx).unwrap();
+        run(&recipe::create(d, "new", InodeId(200), 5, 0, 3));
+        run(&recipe::delete(d, "o3", 4));
+        run(&recipe::rmdir(d, "s".into(), s, 5));
+        run(&recipe::setattr(ROOT_ID, "d", Permission::READ));
+        let read = || {
+            let ctx = &mut RequestCtx::new();
+            let object = db.get_object(d, "o7", ctx).unwrap();
+            let attrs = db.dir_stat(d, ctx).unwrap();
+            let step = db.resolve_step(ROOT_ID, "d", ctx).unwrap();
+            let names: Vec<String> = db
+                .readdir(d, ctx)
+                .unwrap()
+                .into_iter()
+                .map(|e| e.name)
+                .collect();
+            (object, attrs, step, names, db.total_rows())
+        };
+        let loaded = read();
+        let (object, attrs, step, names, _) = &loaded;
+        assert_eq!(object, &ObjectMeta::new(d, "o7", InodeId(107), 7, 7, 2));
+        assert_eq!((attrs.nlink, attrs.entries, attrs.mtime), (2, 10, 5));
+        assert_eq!(step, &(d, Permission::READ));
+        assert_eq!(names.len(), 10);
+        assert!(names.iter().all(|n| n != "o3" && n != "s"));
+        let (_, failed) = db.checkpoint_all();
+        assert!(failed.is_empty());
+        assert!((0..db.n_shards()).all(|i| db.restore_shard(i)));
+        assert_eq!(
+            read(),
+            loaded,
+            "{}: restored shards read differently",
+            engine.name()
+        );
+        seen.push(loaded);
+    }
+    assert_eq!(seen[0], seen[1], "the engines disagree");
 }

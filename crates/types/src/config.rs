@@ -24,42 +24,27 @@ use serde::{Deserialize, Serialize};
 /// from this constant so tests and figures cannot silently diverge.
 pub const SCALED_DB_SHARDS: usize = 8;
 
-/// Knobs of the TafDB placement controller (dynamic shard management).
-///
-/// With `dynamic_shards` off (the default) the shard map stays at its
-/// initial uniform range partition and routing is bit-identical to the
-/// historical fixed hash — every existing latency pin and RPC-count test
-/// is unaffected. Turning it on starts a background controller thread that
-/// splits hot ranges, migrates them to the least-loaded shard and merges
-/// cold neighbours (DESIGN.md §5.6).
+/// Knobs of TafDB's placement tick, `TafDb::rebalance_once` (dynamic shard
+/// management), which a caller drives: Fig 19a′ ticks it between warmup
+/// chunks. Until a tick runs, the shard map stays at its initial uniform
+/// range partition and routing is bit-identical to the historical fixed
+/// hash. A tick splits hot ranges, migrates them to the least-loaded shard
+/// and merges cold neighbours (DESIGN.md §5.6).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PlacementConfig {
-    /// Run the background placement controller (split/merge/migrate).
-    pub dynamic_shards: bool,
-    /// Max/mean shard busy-time ratio above which the controller acts on
-    /// the hottest shard.
+    /// Max/mean shard busy-time ratio above which a tick acts on the
+    /// hottest shard.
     pub imbalance_threshold: f64,
-    /// Upper bound on shard-map ranges; beyond it the controller prefers
-    /// merging cold neighbours over further splits.
+    /// Upper bound on shard-map ranges; beyond it a tick prefers merging
+    /// cold neighbours over further splits.
     pub max_ranges: usize,
 }
 
 impl Default for PlacementConfig {
     fn default() -> Self {
         PlacementConfig {
-            dynamic_shards: false,
             imbalance_threshold: 1.5,
             max_ranges: 64,
-        }
-    }
-}
-
-impl PlacementConfig {
-    /// Placement with the background controller enabled.
-    pub fn dynamic() -> Self {
-        PlacementConfig {
-            dynamic_shards: true,
-            ..PlacementConfig::default()
         }
     }
 }

@@ -72,7 +72,8 @@ impl SnapshotWriter {
 /// Reads a snapshot image produced by [`SnapshotWriter`].
 ///
 /// Readers only ever see checksum-validated frames (see [`unframe`]), so
-/// truncation here is a logic error and panics.
+/// truncation here is a logic error and panics; a decoder that must survive
+/// a hostile image reads through [`Self::checked`] and [`Self::checked_str`].
 pub struct SnapshotReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -117,8 +118,15 @@ impl<'a> SnapshotReader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> String {
-        let n = self.u64() as usize;
-        String::from_utf8(self.take(n).to_vec()).expect("snapshot strings are UTF-8")
+        self.checked_str()
+            .expect("snapshot strings are whole UTF-8")
+    }
+
+    /// Reads a length-prefixed UTF-8 string; `None` when the image is too
+    /// short for it or its bytes are not UTF-8.
+    pub fn checked_str(&mut self) -> Option<String> {
+        let n = usize::try_from(self.checked(8, Self::u64)?).ok()?;
+        String::from_utf8(self.checked(n, |r| r.take(n))?.to_vec()).ok()
     }
 
     /// Reads length-prefixed raw bytes.
@@ -127,9 +135,21 @@ impl<'a> SnapshotReader<'a> {
         self.take(n)
     }
 
+    /// What `read` makes of the next `n` bytes, or `None`, reading nothing,
+    /// when fewer remain: how a decoder of untrusted images reads a group of
+    /// fixed-width fields.
+    pub fn checked<T>(&mut self, n: usize, read: impl FnOnce(&mut Self) -> T) -> Option<T> {
+        (self.remaining() >= n).then(|| read(self))
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
     /// Whether the whole image has been consumed.
     pub fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
+        self.remaining() == 0
     }
 }
 
@@ -191,6 +211,26 @@ mod tests {
         assert_eq!(r.str(), "héllo");
         assert_eq!(r.bytes(), &[1, 2, 3]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn checked_strings_refuse_short_and_non_utf8_images() {
+        let mut w = SnapshotWriter::new();
+        w.str("abc");
+        let img = w.finish();
+        for cut in 0..img.len() {
+            assert_eq!(SnapshotReader::new(&img[..cut]).checked_str(), None);
+        }
+        assert_eq!(
+            SnapshotReader::new(&img).checked_str().as_deref(),
+            Some("abc")
+        );
+        let mut bad = img.clone();
+        bad[8] = 0xff;
+        assert_eq!(SnapshotReader::new(&bad).checked_str(), None);
+        let mut huge = img;
+        huge[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(SnapshotReader::new(&huge).checked_str(), None);
     }
 
     #[test]

@@ -444,14 +444,15 @@ fn listing_allocates_the_names_it_returns() {
 }
 
 /// The stored layouts the namespace's memory is made of: an `IndexEntry`
-/// (its rename lock is an 8-byte `Option<ClientUuid>`), a TafDB row key
-/// and the name both keep inline.
+/// (its rename lock is an 8-byte `Option<ClientUuid>`), a TafDB row key,
+/// the name both keep inline, and the form a TafDB shard stores a row in.
 #[test]
 fn stored_layouts_are_pinned() {
     use std::mem::size_of;
     assert_eq!(size_of::<mantle::index::IndexEntry>(), 32);
     assert_eq!(size_of::<mantle::store::RowKey>(), 40);
     assert_eq!(size_of::<mantle::types::Name>(), 24);
+    assert_eq!(size_of::<mantle::tafdb::StoredRow>(), 40);
 }
 
 /// The benchmark's read namespace N1: 95,572 directories over nine levels
@@ -560,4 +561,39 @@ fn long_names_allocate_as_before() {
         (per_engine(&c, 2, 3), per_engine(&c, 3, 5)),
         "parse + (create, mkdir) of a 40-byte name"
     );
+}
+
+/// A TafDB holding N1, bulk-loaded as the benchmark loads it: every
+/// directory is an entry row under its parent plus an attribute row of its
+/// own, 191,144 rows over eight shards. A stored row is its 40-byte key
+/// beside a 40-byte `StoredRow` (DESIGN.md §4.12); the rest of what a row
+/// costs is tree slack, as ascending bulk inserts leave leaves about half
+/// full, and on mvcc each row's version chain. Measured 151.4 B per row on
+/// btree and 314.1 on mvcc (210.0 and 442.1 while shards stored `Row`).
+#[test]
+fn tafdb_rows_cost_their_measured_bytes() {
+    use mantle::tafdb::{recipe, EngineKind, TafDb, TafDbOptions};
+
+    let dirs = n1_dirs();
+    for (engine, budget) in [(EngineKind::Btree, 152.0), (EngineKind::Mvcc, 315.0)] {
+        let opts = TafDbOptions {
+            engine,
+            ..TafDbOptions::default()
+        };
+        let db = TafDb::new(SimConfig::instant(), opts);
+        let before = db.total_rows();
+        let (_, _, bytes) = kept(|| {
+            for (pid, name, id) in &dirs {
+                db.bulk_apply(recipe::mkdir(*pid, name.as_str().into(), *id, 0));
+            }
+        });
+        let rows = db.total_rows() - before;
+        assert_eq!(rows, 2 * dirs.len());
+        let per_row = bytes as f64 / rows as f64;
+        assert!(
+            per_row <= budget,
+            "{}: {per_row:.1} live bytes per row",
+            engine.name()
+        );
+    }
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The side-door bans behind "one write vocabulary into TafDB", "one table
 # plane" (DESIGN.md §4.3), "reads lend", "range deletes copy nothing" and
-# "names live in their keys" and "a shard stores one form" (DESIGN.md
-# §4.12). All eight fail the build:
+# "names live in their keys", "a shard stores one form" (DESIGN.md §4.12)
+# and "TafDB runs no thread" (DESIGN.md §4.4). All nine fail the build:
 #   1. `raw_put` appears in no file under crates/*/src, crates/*/tests,
 #      src/, tests/ or examples/ outside crates/tafdb/src: front-ends write
 #      rows through an executor, and tests seed rows through the loader's
@@ -23,8 +23,8 @@
 #      in the engine's visitor).
 #   6. the copying range transform `update_range(` / `update_versions(`
 #      appears in non-test source (cut as in 2) only under crates/engine/src
-#      and inside `compact_once` in crates/tafdb/src/shard.rs: a range that
-#      is only deleted goes through `StorageEngine::delete_range`.
+#      and inside the delta fold (`fn fold`) in crates/tafdb/src/shard.rs: a
+#      range that is only deleted goes through `StorageEngine::delete_range`.
 #   7. `Arc<str>` and `Box<str>` appear in non-test source (cut as in 2)
 #      under crates/*/src only in crates/types/src/{name,path}.rs: a key or
 #      command stores its name as a `mantle_types::Name`, inline when short.
@@ -32,6 +32,10 @@
 #      as in 2) under crates/*/src only in crates/engine/src: a TafDB shard
 #      stores a `StoredRow`; `Row` remains an engine value only for the
 #      benchmark's bare engines and the engine tests.
+#   9. `thread::spawn` and `thread::Builder` appear in non-test source (cut
+#      as in 2) under crates/tafdb/src nowhere: delta records fold on the
+#      append that reaches the bound, and the placement tick is driven by
+#      its caller.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,7 +68,7 @@ range_transform=$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
         /#\[cfg\(test\)\]/ { counting = 0 }
         match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
         counting && /(update_range|update_versions)\(/ &&
-            !(FILENAME == "crates/tafdb/src/shard.rs" && fn == "compact_once") {
+            !(FILENAME == "crates/tafdb/src/shard.rs" && fn == "fold") {
             print FILENAME ":" FNR ": " $0
         }')
 
@@ -80,6 +84,12 @@ row_engines=$(find crates -path 'crates/*/src/*' -name '*.rs' -not -path 'crates
         FNR == 1 { counting = 1 }
         /#\[cfg\(test\)\]/ { counting = 0 }
         counting && /StorageEngine<Row>|build::<Row>/ { print FILENAME ":" FNR ": " $0 }')
+
+tafdb_threads=$(find crates/tafdb/src -name '*.rs' -print0 |
+    xargs -0 awk '
+        FNR == 1 { counting = 1 }
+        /#\[cfg\(test\)\]/ { counting = 0 }
+        counting && /thread::(spawn|Builder)/ { print FILENAME ":" FNR ": " $0 }')
 
 status=0
 if [ -n "$raw_put" ]; then
@@ -108,7 +118,7 @@ if [ -n "$retired" ]; then
     status=1
 fi
 if [ -n "$range_transform" ]; then
-    echo "copying range transform outside the engines and compact_once (delete with StorageEngine::delete_range):"
+    echo "copying range transform outside the engines and the delta fold (delete with StorageEngine::delete_range):"
     echo "$range_transform"
     status=1
 fi
@@ -122,5 +132,10 @@ if [ -n "$row_engines" ]; then
     echo "$row_engines"
     status=1
 fi
-[ "$status" -eq 0 ] && echo "write vocabulary, table plane, lending reads, in-place range deletes, stored names, stored rows OK"
+if [ -n "$tafdb_threads" ]; then
+    echo "a thread spawned in crates/tafdb/src (fold on the append, let the caller tick):"
+    echo "$tafdb_threads"
+    status=1
+fi
+[ "$status" -eq 0 ] && echo "write vocabulary, table plane, lending reads, in-place range deletes, stored names, stored rows, threadless TafDB OK"
 exit "$status"

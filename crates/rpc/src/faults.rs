@@ -807,8 +807,8 @@ pub fn current_caller() -> String {
 }
 
 /// Sets the current thread's fault-plane identity for the guard's
-/// lifetime. Server-side threads (Raft replicators, TafDB compactors)
-/// use this so partitions between *servers* don't require client help.
+/// lifetime. Server-side threads (Raft replicators) use this so
+/// partitions between *servers* don't require client help.
 pub fn as_node(name: &str) -> CallerGuard {
     let prev = CALLER.with(|c| c.borrow_mut().replace(name.to_string()));
     CallerGuard { prev }

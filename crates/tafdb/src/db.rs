@@ -11,10 +11,10 @@
 //! - `crate::migrate` — the placement plane: splits, merges, online
 //!   range migration over checkpoint images, and the rebalancing tick.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
@@ -59,8 +59,6 @@ pub struct TafDbOptions {
     pub hot_window: Duration,
     /// How long a directory stays in delta mode after its last use.
     pub hot_ttl: Duration,
-    /// Period of the background delta compactor.
-    pub compact_interval: Duration,
     /// Share WAL fsyncs across concurrent commits.
     pub group_commit: bool,
     /// Transparent retries for retryable (conflict) errors.
@@ -79,7 +77,6 @@ impl Default for TafDbOptions {
             delta_abort_threshold: 3,
             hot_window: Duration::from_millis(100),
             hot_ttl: Duration::from_secs(2),
-            compact_interval: Duration::from_millis(20),
             group_commit: true,
             max_txn_retries: 10_000,
             placement: PlacementConfig::default(),
@@ -119,16 +116,14 @@ pub struct TafDb {
     pub(crate) shards: Vec<Shard>,
     pub(crate) map: RwLock<Arc<ShardMap>>,
     /// Serializes every shard-map mutation (split/merge/migrate), each
-    /// holding it exclusively; a compactor sweep runs under a shared hold
-    /// or not at all, so it never meets a migration's uncommitted copies.
+    /// holding it exclusively; a delta fold runs under a shared hold or not
+    /// at all, so it never meets a migration's uncommitted copies.
     pub(crate) migration_lock: RwLock<()>,
     /// Previous rebalancing tick's cumulative per-shard busy nanos.
     pub(crate) last_busy: Mutex<Vec<u64>>,
     oracle: AtomicU64,
     pub(crate) config: SimConfig,
     pub(crate) opts: TafDbOptions,
-    shutdown: Arc<AtomicBool>,
-    compactor: Mutex<Option<std::thread::JoinHandle<()>>>,
     pub(crate) metrics: DbMetrics,
     pub(crate) faults: FaultSlot,
 }
@@ -136,9 +131,10 @@ pub struct TafDb {
 impl TafDb {
     /// Builds a database with `opts.n_shards` shards (each backed by a
     /// fresh `opts.engine` storage engine) and bootstraps the namespace
-    /// root's attribute row. A background compactor thread folds delta
-    /// records until the database is dropped; the shard map moves only when
-    /// a caller ticks [`TafDb::rebalance_once`].
+    /// root's attribute row. The database runs no thread of its own: a
+    /// directory's delta records fold on the append that brings their count
+    /// on a shard to a fixed bound, and the shard map moves only when a
+    /// caller ticks [`TafDb::rebalance_once`].
     pub fn new(config: SimConfig, opts: TafDbOptions) -> Arc<Self> {
         assert!(opts.n_shards >= 1);
         let shards = (0..opts.n_shards)
@@ -152,7 +148,7 @@ impl TafDb {
                     config.db_node_permits,
                     config,
                 )),
-                delta_dirs: Mutex::new(HashSet::new()),
+                delta_dirs: Mutex::new(HashMap::new()),
                 hot: Mutex::new(HashMap::new()),
                 in_flight: AtomicU64::new(0),
                 mig_active: AtomicBool::new(false),
@@ -167,36 +163,10 @@ impl TafDb {
             oracle: AtomicU64::new(1),
             config,
             opts,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            compactor: Mutex::new(None),
             metrics: DbMetrics::new(opts.n_shards),
             faults: FaultSlot::new(),
         });
         db.bulk_apply(crate::recipe::root(ROOT_ID));
-
-        let weak: Weak<TafDb> = Arc::downgrade(&db);
-        let shutdown = Arc::clone(&db.shutdown);
-        let interval = opts.compact_interval;
-        let handle = std::thread::Builder::new()
-            .name("tafdb-compactor".into())
-            .spawn(move || {
-                // Parked, not slept, so that `Drop` can wake it: a long
-                // interval must not stall shutdown.
-                let mut next = Instant::now() + interval;
-                while !shutdown.load(Ordering::Acquire) {
-                    let now = Instant::now();
-                    if now < next {
-                        std::thread::park_timeout(next - now);
-                        continue;
-                    }
-                    next = now + interval;
-                    let Some(db) = weak.upgrade() else { return };
-                    db.compact_once();
-                }
-            })
-            .expect("spawn compactor");
-        *db.compactor.lock() = Some(handle);
-
         db
     }
 
@@ -327,19 +297,5 @@ impl TafDb {
             ControlFlow::Continue(())
         });
         n
-    }
-}
-
-impl Drop for TafDb {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.compactor.lock().take() {
-            // The compactor briefly holds a strong reference; if the final
-            // drop happens on it, joining would self-deadlock.
-            if h.thread().id() != std::thread::current().id() {
-                h.thread().unpark();
-                let _ = h.join();
-            }
-        }
     }
 }

@@ -434,8 +434,8 @@ impl TafDb {
                 shard
                     .engine
                     .put(delta_key(*dir, t.txn), StoredRow::Delta(*delta));
-                shard.delta_dirs.lock().insert(*dir);
                 self.metrics.delta_appends.inc();
+                self.count_delta(step.shard, *dir);
             }
             (How::Purge, TxnOp::Delete { key }) => Self::purge_deltas(shard, key.pid),
             _ => return false,

@@ -11,8 +11,9 @@
 //!   contention behaviour the paper measures (§3.2, Figure 4b);
 //! * **delta records** (§5.2.1) — under sustained contention on a
 //!   directory's attribute row, in-place updates are replaced by
-//!   conflict-free appends keyed `(dir, "/_ATTR", ts_txn)`; a background
-//!   compactor folds them into the base row under a shared latch;
+//!   conflict-free appends keyed `(dir, "/_ATTR", ts_txn)`; the append that
+//!   brings a directory's count on a shard to a fixed bound folds them into
+//!   the base row under a shared latch (TafDB runs no thread of its own);
 //! * **one write vocabulary, three executors** — a front-end describes a
 //!   mutation as the [`TxnOp`]s of a [`recipe`] and picks how they run:
 //!   [`TafDb::execute`] (one transaction), [`TafDb::execute_relaxed`] (§6.1's
@@ -22,10 +23,11 @@
 //!   into — object create/delete/stat, `dirstat`, listings, the bulk
 //!   loader — is written once for every system, in [`front`];
 //! * **dynamic shard splitting** (§5.3) — an epoch-versioned, range-
-//!   partitioned [`ShardMap`] replaces the fixed `pid` hash; a placement
-//!   controller observes per-shard busy time, splits hot ranges (down to
-//!   *within* a single hot directory), migrates them to cold shards under a
-//!   short write quiescence, and merges cold neighbours back. Stale routing
+//!   partitioned [`ShardMap`] replaces the fixed `pid` hash; the placement
+//!   tick a caller drives ([`TafDb::rebalance_once`]) observes per-shard
+//!   busy time, splits hot ranges (down to *within* a single hot
+//!   directory), migrates them to cold shards under a short write
+//!   quiescence, and merges cold neighbours back. Stale routing
 //!   snapshots are rejected with `MetaError::StaleRoute` and retried after
 //!   a map refresh;
 //! * **pluggable storage engines** (DESIGN.md §4.12) — each shard's row

@@ -12,7 +12,6 @@
 //! the target; the `split_prepare`/`split_commit` fault hooks exercise
 //! exactly those windows.
 
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -24,7 +23,7 @@ use mantle_types::{InodeId, MetaError, Result, TxnId};
 
 use crate::db::TafDb;
 use crate::schema::StoredRow;
-use crate::shard::Shard;
+use crate::shard::{count_deltas, Shard};
 use crate::shardmap::{place_of, DIR_REGION_SPAN};
 
 /// Narrowest range the controller will split further (placement-key span).
@@ -233,18 +232,10 @@ impl TafDb {
             });
         }
 
-        // Register moved delta records with the target's compactor (only on
-        // the commit path — an abort must leave no staged state behind).
-        let moved_delta_dirs: HashSet<InodeId> = rows
-            .iter()
-            .filter(|(k, _)| k.ts != TxnId::BASE && k.name.as_ref() == ATTR_ROW_NAME)
-            .map(|(k, _)| k.pid)
-            .collect();
-        if !moved_delta_dirs.is_empty() {
-            tgt.delta_dirs
-                .lock()
-                .extend(moved_delta_dirs.iter().copied());
-        }
+        // Count moved delta records into the target's registry (only on the
+        // commit path — an abort must leave no staged state behind); the
+        // source's counts run ahead of its rows until its next fold.
+        count_deltas(&mut tgt.delta_dirs.lock(), &rows);
 
         // Hand over contention state for directories whose base attribute
         // row moved (delta-mode decisions consult the base owner).

@@ -6,10 +6,10 @@
 //! (RPC cost modeling and admission), contention tracking for delta-mode
 //! activation, and the migration marker. This module also owns the
 //! engine-facing write plumbing — applying prepared writes, the
-//! delta-dragging delete, compaction folds, and checkpoint/restore — plus
+//! delta-dragging delete, delta folds, and checkpoint/restore — plus
 //! the relaxed single-row executor and the bulk loader's.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,6 +28,10 @@ use crate::db::{TafDb, TafDbOptions};
 use crate::schema::{attr_key, attr_view, Row, StoredRow};
 use crate::shardmap::place_of;
 use crate::txn::TxnOp;
+
+/// Delta records of one directory on one shard at which the append that
+/// brings the count there folds them (§5.2.1).
+const FOLD_AT: u32 = 64;
 
 // Contention tracking is cross-thread shared state, so it stays on wall
 // time: per-thread virtual timestamps from different writers are not
@@ -50,8 +54,9 @@ pub(crate) struct Shard {
     pub(crate) latches: LatchTable,
     pub(crate) wal: GroupCommitWal,
     pub(crate) node: Arc<SimNode>,
-    /// Directories with (possibly) outstanding delta records on this shard.
-    pub(crate) delta_dirs: Mutex<HashSet<InodeId>>,
+    /// Delta records per directory on this shard, counted as they are
+    /// appended: the count may run ahead of the rows, never behind them.
+    pub(crate) delta_dirs: Mutex<HashMap<InodeId, u32>>,
     /// Contention tracker for selective delta activation (kept on the shard
     /// owning the directory's base attribute row; migrations move it).
     pub(crate) hot: Mutex<HashMap<InodeId, HotState>>,
@@ -140,6 +145,15 @@ impl Shard {
                 }
                 _ => (cur.copied(), false),
             })
+    }
+}
+
+/// Adds the delta records among `rows` to a shard's registry counts.
+pub(crate) fn count_deltas(reg: &mut HashMap<InodeId, u32>, rows: &[(RowKey, StoredRow)]) {
+    for (k, _) in rows {
+        if k.ts != TxnId::BASE && k.name.as_ref() == ATTR_ROW_NAME {
+            *reg.entry(k.pid).or_default() += 1;
+        }
     }
 }
 
@@ -292,101 +306,130 @@ impl TafDb {
     }
 
     /// Deletes `key`; when it is an attribute row, its directory's delta
-    /// records *on this shard* go with it (under the compaction latch).
-    /// Returns whether the base row existed.
+    /// records *on this shard* and its contention state go with it (under
+    /// the compaction latch). Returns whether the base row existed.
     pub(crate) fn delete_with_deltas(shard: &Shard, key: &RowKey) -> bool {
         if key.name.as_ref() != ATTR_ROW_NAME {
             return shard.engine.delete(key);
         }
         let _latch = shard.latches.exclusive(&key.pid.raw());
         shard.delta_dirs.lock().remove(&key.pid);
+        shard.hot.lock().remove(&key.pid);
         shard.drop_attr_rows(key.pid, Bound::Included(key))
     }
 
     // --- compaction --------------------------------------------------------
 
-    /// One compactor sweep: on the shard owning a directory's base
-    /// attribute row, folds outstanding delta records into it (§5.2.1); on
-    /// other owners of a split region, coalesces local delta records into
-    /// the earliest local one so garbage stays bounded without a
-    /// cross-shard write. Public so tests and benches can force a
-    /// deterministic fold.
+    /// Counts the delta record of `dir` just appended on shard `i`. The
+    /// append that brings the count to [`FOLD_AT`] folds them itself: real
+    /// cost on that op, no modeled time, as the paper's background
+    /// compactor charges no client. A fold skipped for a migration is
+    /// retried by the next append.
+    pub(crate) fn count_delta(&self, i: usize, dir: InodeId) {
+        let n = {
+            let mut reg = self.shards[i].delta_dirs.lock();
+            let n = reg.entry(dir).or_default();
+            *n += 1;
+            *n
+        };
+        if n >= FOLD_AT {
+            if let Some(_no_migration) = self.migration_lock.try_read() {
+                self.fold(i, dir);
+            }
+        }
+    }
+
+    /// One sweep folding every registered directory on every shard; none
+    /// while a migration holds the migration lock. Public so tests and
+    /// benches can force a deterministic fold.
     pub fn compact_once(&self) {
-        // A range migration stages uncommitted copies on its target and
-        // deletes them by key if it aborts: delta records summed out of (or
-        // into) a staged copy here would survive that abort. Migrations
-        // hold this lock exclusively from before the first staged row to
-        // the map swap, so a sweep runs between migrations or not at all
-        // (the next tick retries); sweeps share it among themselves.
         let Some(_no_migration) = self.migration_lock.try_read() else {
             return;
         };
-        for (shard_idx, shard) in self.shards.iter().enumerate() {
-            let dirs: Vec<InodeId> = shard.delta_dirs.lock().iter().copied().collect();
+        for (i, shard) in self.shards.iter().enumerate() {
+            let dirs: Vec<InodeId> = shard.delta_dirs.lock().keys().copied().collect();
             for dir in dirs {
-                let owns_base = self.map.read().owner(place_of(&attr_view(dir))) == shard_idx;
-                // Shared latch: deletion of the directory is excluded while
-                // folding, but concurrent delta appends proceed.
-                let _latch = shard.latches.shared(&dir.raw());
-                let mut folded = 0usize;
-                let (first, last) = (attr_view(dir), versions_end(dir, ATTR_ROW_NAME));
-                let (lo, hi): (KeyBound, KeyBound) =
-                    (Bound::Included(&first), Bound::Included(&last));
-                shard.engine.update_range(lo, hi, &mut |rows| {
-                    let deltas: Vec<(RowKey, AttrDelta)> = rows
-                        .iter()
-                        .filter_map(|(k, v)| match v {
-                            StoredRow::Delta(d) if k.ts != TxnId::BASE => Some((k.clone(), *d)),
-                            _ => None,
-                        })
-                        .collect();
-                    if owns_base {
-                        let base = attr_key(dir);
-                        let Some(Row::DirAttr(mut attrs)) = rows
-                            .iter()
-                            .find(|(k, _)| k == &base)
-                            .map(|(_, v)| v.row(dir))
-                        else {
-                            return Vec::new();
-                        };
-                        if deltas.is_empty() {
-                            return Vec::new();
-                        }
-                        for (_, d) in &deltas {
-                            attrs.apply_delta(d);
-                        }
-                        folded = deltas.len();
-                        let mut ops = vec![WriteOp::Put(base, (&Row::DirAttr(attrs)).into())];
-                        ops.extend(deltas.iter().map(|(k, _)| WriteOp::Delete(k.clone())));
-                        ops
-                    } else {
-                        // Base row lives elsewhere: coalesce into the first
-                        // local delta (its key already routes here, so the
-                        // placement invariant holds).
-                        if deltas.len() <= 1 {
-                            return Vec::new();
-                        }
-                        let mut sum = deltas[0].1;
-                        for (_, d) in &deltas[1..] {
-                            sum.merge(d);
-                        }
-                        folded = deltas.len() - 1;
-                        let first = deltas[0].0.clone();
-                        let mut ops = vec![WriteOp::Put(first, StoredRow::Delta(sum))];
-                        ops.extend(deltas[1..].iter().map(|(k, _)| WriteOp::Delete(k.clone())));
-                        ops
-                    }
-                });
-                if folded > 0 {
-                    self.metrics.compactions.inc();
-                }
-                // Deregister only if no deltas snuck in after the fold.
-                let mut reg = shard.delta_dirs.lock();
-                if shard.deltas(dir) == 0 {
-                    reg.remove(&dir);
-                }
+                self.fold(i, dir);
             }
         }
+    }
+
+    /// Folds `dir`'s delta records on shard `i` (§5.2.1): on the owner of
+    /// the base attribute row into that row; on another owner of a split
+    /// region into the earliest local record, so garbage stays bounded
+    /// without a cross-shard write. Then recounts the registry.
+    ///
+    /// The caller holds `migration_lock` shared. A range migration stages
+    /// uncommitted copies on its target and deletes them by key if it
+    /// aborts: delta records summed out of (or into) a staged copy would
+    /// survive that abort. Migrations hold the lock exclusively from before
+    /// the first staged row to the map swap, so a fold runs between
+    /// migrations or not at all.
+    fn fold(&self, i: usize, dir: InodeId) {
+        let shard = &self.shards[i];
+        let owns_base = self.map.read().owner(place_of(&attr_view(dir))) == i;
+        // Shared latch: deletion of the directory is excluded while
+        // folding, but concurrent delta appends proceed.
+        let _latch = shard.latches.shared(&dir.raw());
+        let mut folded = 0usize;
+        let (first, last) = (attr_view(dir), versions_end(dir, ATTR_ROW_NAME));
+        let (lo, hi): (KeyBound, KeyBound) = (Bound::Included(&first), Bound::Included(&last));
+        shard.engine.update_range(lo, hi, &mut |rows| {
+            let deltas: Vec<(RowKey, AttrDelta)> = rows
+                .iter()
+                .filter_map(|(k, v)| match v {
+                    StoredRow::Delta(d) if k.ts != TxnId::BASE => Some((k.clone(), *d)),
+                    _ => None,
+                })
+                .collect();
+            if owns_base {
+                let base = attr_key(dir);
+                let Some(Row::DirAttr(mut attrs)) = rows
+                    .iter()
+                    .find(|(k, _)| k == &base)
+                    .map(|(_, v)| v.row(dir))
+                else {
+                    return Vec::new();
+                };
+                if deltas.is_empty() {
+                    return Vec::new();
+                }
+                for (_, d) in &deltas {
+                    attrs.apply_delta(d);
+                }
+                folded = deltas.len();
+                let mut ops = vec![WriteOp::Put(base, (&Row::DirAttr(attrs)).into())];
+                ops.extend(deltas.iter().map(|(k, _)| WriteOp::Delete(k.clone())));
+                ops
+            } else {
+                // Base row lives elsewhere: coalesce into the first local
+                // delta (its key already routes here, so the placement
+                // invariant holds).
+                if deltas.len() <= 1 {
+                    return Vec::new();
+                }
+                let mut sum = deltas[0].1;
+                for (_, d) in &deltas[1..] {
+                    sum.merge(d);
+                }
+                folded = deltas.len() - 1;
+                let first = deltas[0].0.clone();
+                let mut ops = vec![WriteOp::Put(first, StoredRow::Delta(sum))];
+                ops.extend(deltas[1..].iter().map(|(k, _)| WriteOp::Delete(k.clone())));
+                ops
+            }
+        });
+        if folded > 0 {
+            self.metrics.compactions.inc();
+        }
+        // An append counts itself after its row lands, so the rows left
+        // here include every append counted so far: the count may run
+        // ahead of them afterwards, never behind.
+        let mut reg = shard.delta_dirs.lock();
+        match shard.deltas(dir) {
+            0 => reg.remove(&dir),
+            left => reg.insert(dir, u32::try_from(left).unwrap_or(u32::MAX)),
+        };
     }
 
     // --- checkpoint / restore ----------------------------------------------
@@ -449,7 +492,7 @@ impl TafDb {
     }
 
     /// Restores shard `i` from its latest known-good checkpoint, replacing
-    /// the live rows and rebuilding the delta-record registry from the
+    /// the live rows and recounting the delta-record registry from the
     /// restored keys. Returns `false` (leaving the shard untouched) when no
     /// checkpoint exists or the image fails checksum validation (a torn
     /// write) — the caller falls back to full WAL replay.
@@ -462,12 +505,9 @@ impl TafDb {
             self.metrics.checkpoint_aborts.inc();
             return false;
         };
-        let dirs: HashSet<InodeId> = rows
-            .iter()
-            .filter(|(k, _)| k.ts != TxnId::BASE && k.name.as_ref() == ATTR_ROW_NAME)
-            .map(|(k, _)| k.pid)
-            .collect();
-        *shard.delta_dirs.lock() = dirs;
+        let mut reg = shard.delta_dirs.lock();
+        reg.clear();
+        count_deltas(&mut reg, &rows);
         mantle_obs::flight::annotate_with(|| format!("tafdb:checkpoint_restore shard={i}"));
         true
     }
@@ -478,7 +518,7 @@ mod tests {
     use super::*;
     use crate::recipe;
     use crate::shardmap::{dir_region, DIR_REGION_SPAN};
-    use mantle_types::SimConfig;
+    use mantle_types::{SimConfig, ROOT_ID};
 
     /// A migration's target holds uncommitted copies until the map swap,
     /// and an abort deletes them by key: a sweep that summed them with the
@@ -487,14 +527,7 @@ mod tests {
     /// as `migrate_range` holds it.
     #[test]
     fn compaction_stands_aside_while_a_migration_holds_the_lock() {
-        let db = TafDb::new(
-            SimConfig::instant(),
-            TafDbOptions {
-                // Only this test's own sweeps run.
-                compact_interval: std::time::Duration::from_secs(3600),
-                ..TafDbOptions::default()
-            },
-        );
+        let db = TafDb::new(SimConfig::instant(), TafDbOptions::default());
         let dir = InodeId(77);
         db.bulk_apply(recipe::root(dir));
         let (rs, _) = dir_region(dir);
@@ -513,7 +546,7 @@ mod tests {
         let holders = db
             .shards
             .iter()
-            .filter(|s| s.delta_dirs.lock().contains(&dir))
+            .filter(|s| s.delta_dirs.lock().contains_key(&dir))
             .count();
         assert_eq!(holders, 2, "delta records on both owners");
         let (pending, compactions) = (db.pending_deltas(dir), db.counters().compactions);
@@ -529,5 +562,22 @@ mod tests {
         assert_eq!(db.counters().compactions, compactions + 2);
         // The base owner folded its share away; the other owner's became one.
         assert_eq!(db.pending_deltas(dir), 1);
+    }
+
+    /// An rmdir takes its directory's contention state with it: inode ids
+    /// are never reused, so an entry left behind would never be read again.
+    #[test]
+    fn rmdir_drops_the_directory_hot_state() {
+        let db = TafDb::new(SimConfig::instant(), TafDbOptions::default());
+        let (dir, name) = (InodeId(77), mantle_types::Name::from("d"));
+        let mut ctx = RequestCtx::new();
+        db.execute(&recipe::mkdir(ROOT_ID, name.clone(), dir, 1), &mut ctx)
+            .unwrap();
+        db.force_hot(dir);
+        let holds = |db: &TafDb| db.shards.iter().any(|s| s.hot.lock().contains_key(&dir));
+        assert!(holds(&db));
+        db.execute(&recipe::rmdir(ROOT_ID, name, dir, 2), &mut ctx)
+            .unwrap();
+        assert!(!holds(&db), "hot state outlived its directory");
     }
 }

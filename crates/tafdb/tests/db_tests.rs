@@ -251,10 +251,8 @@ fn contend_on_held_attr_row(
         delta_records,
         delta_abort_threshold: 2,
         max_txn_retries: 10,
-        // The abort window and the compactor run on real time; keep both
-        // out of the staging.
+        // The abort window runs on real time; keep it out of the staging.
         hot_window: std::time::Duration::from_secs(3600),
-        compact_interval: std::time::Duration::from_secs(3600),
         ..TafDbOptions::default()
     });
     let mut holder_ctx = RequestCtx::new();
@@ -306,6 +304,42 @@ fn contention_activates_delta_records_and_compaction_folds() {
     assert_eq!(db.pending_deltas(ROOT_ID), 0);
     assert_eq!(db.dir_stat(ROOT_ID, &mut stats).unwrap().entries, 6);
     assert_eq!(db.counters().compactions, 1);
+}
+
+/// The count at which a directory's delta records on a shard fold (the
+/// crate's private `FOLD_AT`).
+const FOLD_AT: usize = 64;
+
+/// Delta records fold on the append that brings their count to the bound,
+/// on the appending thread: ten bounds' worth of hot updates leave fewer
+/// than the bound pending after every op, a dirstat that never drifts, and
+/// exactly ten folds, whatever the host's scheduling.
+#[test]
+fn delta_records_fold_on_the_append_that_reaches_the_bound() {
+    for engine in ENGINES {
+        let db = db_with(TafDbOptions {
+            engine,
+            ..TafDbOptions::default()
+        });
+        let dir = InodeId(70);
+        put(&db, attr_key(dir), Row::DirAttr(DirAttrMeta::new(0, 0)));
+        db.force_hot(dir);
+        let mut stats = RequestCtx::new();
+        for i in 1..=10 * FOLD_AT as i64 {
+            let bump = TxnOp::AttrUpdate {
+                dir,
+                delta: AttrDelta::entry_added(i as u64),
+            };
+            db.execute(&[bump], &mut stats).unwrap();
+            let pending = db.pending_deltas(dir);
+            assert!(pending < FOLD_AT, "{}: {pending} pending", engine.name());
+            assert_eq!(db.dir_stat(dir, &mut stats).unwrap().entries, i);
+        }
+        let counters = db.counters();
+        assert_eq!(counters.delta_appends, 10 * FOLD_AT as u64);
+        assert_eq!(counters.inplace_updates, 0);
+        assert_eq!(counters.compactions, 10, "{}", engine.name());
+    }
 }
 
 #[test]

@@ -205,8 +205,8 @@ fn zeroed_profile_injects_nothing() {
 }
 
 /// Builds a quiet TafDB whose only fault-roll consumer is the test thread:
-/// with `delta_records` off the background compactor finds no delta
-/// directories and performs no RPCs, so it cannot perturb the roll order.
+/// TafDB runs no thread of its own, and with `delta_records` off no op
+/// appends a delta record, so no op folds any either.
 fn deterministic_db() -> Arc<TafDb> {
     let opts = TafDbOptions {
         n_shards: 4,

@@ -308,14 +308,18 @@ fn commit_storm_is_atomic_on_mantle_and_dbtable() {
     });
 }
 
-/// Delta records under contention never lose an update even while the
-/// compactor folds concurrently.
+/// Delta records under contention never lose an update while explicit
+/// sweeps race the folds that appends run themselves, and those folds keep
+/// what is pending below the bound on every owner of the region.
 #[test]
 fn delta_records_and_compactor_race_safely() {
+    const FOLD_AT: usize = 64; // the crate's private fold bound
     let cluster = MantleCluster::build(SimConfig::instant(), 4);
     let svc = cluster.service();
     let mut stats = RequestCtx::new();
     svc.mkdir(&p("/hot"), &mut stats).unwrap();
+    let hot = cluster.lookup(&p("/hot"), &mut stats).unwrap().id;
+    cluster.db().force_hot(hot);
     std::thread::scope(|s| {
         for t in 0..6 {
             let svc = &svc;
@@ -339,6 +343,9 @@ fn delta_records_and_compactor_race_safely() {
     let st = svc.dirstat(&p("/hot"), &mut stats).unwrap();
     assert_eq!(st.attrs.entries, 300);
     assert_eq!(st.attrs.nlink, 302);
+    let (rs, re) = mantle::tafdb::dir_region(hot);
+    let owners = cluster.db().shard_map().owners_of(rs, re).count();
+    assert!(cluster.db().pending_deltas(hot) < FOLD_AT * owners);
     cluster.db().compact_once();
     assert_eq!(
         svc.dirstat(&p("/hot"), &mut stats).unwrap().attrs.entries,

@@ -63,8 +63,6 @@ fn hot_directory_with_pending_deltas_still_fills_its_first_page() {
     ] {
         let mut config = MantleConfig::with_sim(SimConfig::instant(), 4);
         config.db.engine = engine;
-        // No background fold: the deltas must still be pending at the list.
-        config.db.compact_interval = std::time::Duration::from_secs(3600);
         let cluster = MantleCluster::with_config(config);
         fill(&*cluster, LIMIT + 10);
         let mut stats = RequestCtx::new();

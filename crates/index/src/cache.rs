@@ -159,14 +159,14 @@ impl TopDirPathCache {
     }
 
     fn entry_bytes(prefix: &MetaPath) -> usize {
-        // What one entry keeps: the key's text (`/` + name per component)
-        // in a buffer of its own with its two reference counts, and a
-        // hash-map slot holding the key (buffer pointer, visible length,
-        // depth) and the cached value. The Figure 18 memory axis.
+        // What one entry keeps: a hash-map slot holding the key and the
+        // cached value, and, for a key too long to hold its text inline,
+        // that text (`/` + name per component) in a buffer of its own with
+        // its two reference counts. The Figure 18 memory axis.
         let text = prefix.components().map(|c| 1 + c.len()).sum::<usize>();
-        let buffer_header = 2 * std::mem::size_of::<usize>();
-        let slot = std::mem::size_of::<(MetaPath, CachedPrefix)>();
-        text + buffer_header + slot
+        let shared = usize::from(text > MetaPath::INLINE_CAP);
+        shared * (text + 2 * std::mem::size_of::<usize>())
+            + std::mem::size_of::<(MetaPath, CachedPrefix)>()
     }
 
     /// Statistics snapshot.
@@ -263,15 +263,16 @@ mod tests {
         assert_eq!(c.stats().entries, 0);
         assert!(full > 0);
 
-        // A prefix filled from a view of a resolved path is stored (and
-        // accounted) at its own size: the leaf components die with the
-        // caller's path.
-        let resolved = p("/dir0/a/b/c/some-long-leaf-name");
+        // A prefix filled from a shared view of a resolved path (one too
+        // long to be held inline) is stored (and accounted) at its own
+        // size: the leaf components die with the caller's path.
+        let dir = format!("/{}", "d".repeat(MetaPath::INLINE_CAP));
+        let resolved = p(&format!("{dir}/a/b/c/some-long-leaf-name"));
         let view = resolved.truncate_leaf(4).unwrap();
         c.try_fill(view.clone(), v(1), || true);
         assert_eq!(
             c.stats().bytes,
-            TopDirPathCache::entry_bytes(&p("/dir0")),
+            TopDirPathCache::entry_bytes(&p(&dir)),
             "accounting describes the stored key, not the caller's buffer"
         );
         assert!(!view.is_compact());
@@ -279,6 +280,6 @@ mod tests {
             c.map.read().keys().all(MetaPath::is_compact),
             "a cached prefix must not keep the resolved path's leaf alive"
         );
-        assert!(c.get(&p("/dir0")).is_some());
+        assert!(c.get(&p(&dir)).is_some());
     }
 }

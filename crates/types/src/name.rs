@@ -20,40 +20,63 @@ pub const INLINE_CAP: usize = 22;
 #[derive(Clone)]
 pub struct Name(Repr);
 
-/// Private, so that [`Name::new`] is the only maker of an inline name.
 #[derive(Clone)]
 enum Repr {
-    Inline { len: u8, bytes: [u8; INLINE_CAP] },
+    Inline(InlineStr<INLINE_CAP>),
     Shared(Arc<str>),
+}
+
+/// Up to `N` (at most 255) bytes of text held in place: the inline arm of
+/// a [`Name`] and of a [`MetaPath`](crate::MetaPath).
+#[derive(Clone, Copy)]
+pub(crate) struct InlineStr<const N: usize> {
+    len: u8,
+    bytes: [u8; N],
+}
+
+impl<const N: usize> InlineStr<N> {
+    /// `parts` joined, or `None` when they come to more than `N` bytes.
+    #[inline]
+    pub(crate) fn concat<'a>(parts: impl IntoIterator<Item = &'a str>) -> Option<Self> {
+        let (mut bytes, mut len) = ([0; N], 0);
+        for part in parts {
+            let end = len + part.len();
+            bytes.get_mut(len..end)?.copy_from_slice(part.as_bytes());
+            len = end;
+        }
+        Some(InlineStr {
+            len: u8::try_from(len).ok()?,
+            bytes,
+        })
+    }
+
+    /// The text. Runs on every key comparison, so it does not re-validate
+    /// UTF-8.
+    #[inline]
+    pub(crate) fn as_str(&self) -> &str {
+        let bytes = &self.bytes[..usize::from(self.len)];
+        // SAFETY: `concat` is the only constructor (the fields are private
+        // to this module and nothing here mutates them), and it fills
+        // `bytes[..len]` with whole `&str`s one after another, so they are
+        // valid UTF-8.
+        unsafe { std::str::from_utf8_unchecked(bytes) }
+    }
 }
 
 impl Name {
     /// Stores `name`: inline when it fits, else in one new shared block.
     pub fn new(name: &str) -> Self {
-        if name.len() <= INLINE_CAP {
-            let mut bytes = [0; INLINE_CAP];
-            bytes[..name.len()].copy_from_slice(name.as_bytes());
-            // Lossless: the length is at most `INLINE_CAP`.
-            let len = name.len() as u8;
-            Name(Repr::Inline { len, bytes })
-        } else {
-            Name(Repr::Shared(Arc::from(name)))
+        match InlineStr::concat([name]) {
+            Some(text) => Name(Repr::Inline(text)),
+            None => Name(Repr::Shared(Arc::from(name))),
         }
     }
 
-    /// The name's text. Runs on every key comparison, so it does not
-    /// re-validate UTF-8.
+    /// The name's text.
     #[inline]
     pub fn as_str(&self) -> &str {
         match &self.0 {
-            Repr::Inline { len, bytes } => {
-                let bytes = &bytes[..usize::from(*len)];
-                // SAFETY: `Name::new` is the only constructor of `Inline`
-                // (`Repr` is private to this module and nothing here mutates
-                // one), and it copies `bytes[..len]` whole from a `&str`, so
-                // they are valid UTF-8.
-                unsafe { std::str::from_utf8_unchecked(bytes) }
-            }
+            Repr::Inline(text) => text.as_str(),
             Repr::Shared(name) => name,
         }
     }
@@ -127,7 +150,7 @@ mod tests {
 
     #[test]
     fn short_names_are_inline_and_long_ones_shared() {
-        let inline = |s: &str| matches!(Name::new(s).0, Repr::Inline { .. });
+        let inline = |s: &str| matches!(Name::new(s).0, Repr::Inline(_));
         assert!(inline("") && inline("/_ATTR") && inline(&"x".repeat(INLINE_CAP)));
         assert!(!inline(&"x".repeat(INLINE_CAP + 1)));
         let long = Name::new(&"y".repeat(40));

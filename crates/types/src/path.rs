@@ -11,36 +11,50 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::error::{MetaError, Result};
+use crate::name::InlineStr;
 
 /// A normalized, absolute path inside a namespace.
 ///
-/// The normalized text (`/a/b/c`; the root is the empty string) is stored
-/// once in a reference-counted buffer, and a path is a *visible prefix* of
-/// that buffer: [`parent`], [`prefix`], [`truncate_leaf`] and `clone` share
-/// the buffer and allocate nothing. Three invariants follow from that
-/// (DESIGN.md §4.15):
+/// The normalized text (`/a/b/c`; the root is the empty string) is held
+/// inline when it is at most [`INLINE_CAP`](MetaPath::INLINE_CAP) bytes,
+/// so making, viewing and cloning such a path allocates nothing. A longer
+/// text is stored once in a reference-counted buffer, and a path is a
+/// *visible prefix* of that buffer: [`parent`], [`prefix`],
+/// [`truncate_leaf`] and `clone` share the buffer while the prefix is
+/// longer than the inline capacity, and copy it inline once it fits.
+/// Three invariants follow (DESIGN.md §4.15):
 ///
 /// * equality and hashing are over the visible bytes only, so a prefix view
-///   and an independently parsed equal path are the same map key;
+///   and an independently parsed equal path are the same map key, inline
+///   or shared;
 /// * ordering is byte order over the visible text with `/` ranked below
 ///   every other byte, which is component-wise order (`/a/b` < `/a-x`,
 ///   though `-` sorts below `/` as a plain byte);
-/// * a view keeps its whole buffer alive — long-lived holders of a prefix
-///   copy it out with [`compact`].
+/// * an inline view is a copy, but a shared view keeps its whole buffer
+///   alive — long-lived holders of a prefix copy it out with [`compact`].
 ///
 /// [`parent`]: MetaPath::parent
 /// [`prefix`]: MetaPath::prefix
 /// [`truncate_leaf`]: MetaPath::truncate_leaf
 /// [`compact`]: MetaPath::compact
 #[derive(Clone)]
-pub struct MetaPath {
-    /// Normalized text of this path or of a path underneath it.
-    buf: Arc<str>,
-    /// Visible bytes: `buf[..len]` is this path. Always 0 or the end of a
-    /// component.
-    len: usize,
-    /// Components in `buf[..len]`.
-    depth: usize,
+pub struct MetaPath(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The whole text, when it fits. At most 38 components fit, so the
+    /// depth fits a byte.
+    Inline {
+        text: InlineStr<{ MetaPath::INLINE_CAP }>,
+        depth: u8,
+    },
+    /// `buf[..len]` (longer than the inline capacity, ending a component)
+    /// of the text of this path or of one under it.
+    Shared {
+        buf: Arc<str>,
+        len: usize,
+        depth: usize,
+    },
 }
 
 /// The separator as a predicate: components are a few bytes long, and for
@@ -78,17 +92,41 @@ fn check_component(name: &str) -> std::result::Result<(), &'static str> {
 }
 
 impl MetaPath {
+    /// The longest path text held inline: what fits beside the length, the
+    /// depth and the variant tag in 80 bytes.
+    pub const INLINE_CAP: usize = 77;
+
     /// The root path `/`.
     pub fn root() -> Self {
-        MetaPath {
-            buf: Arc::from(""),
-            len: 0,
-            depth: 0,
-        }
+        MetaPath::new("", 0)
     }
 
-    /// Parses an absolute path, normalizing redundant slashes. Already
-    /// normalized input costs one allocation.
+    /// The path `text` (`depth` components): inline when it fits, else in
+    /// one new shared buffer.
+    fn new(text: &str, depth: usize) -> MetaPath {
+        MetaPath::concat([text], depth).unwrap_or_else(|| {
+            let (buf, len) = (Arc::from(text), text.len());
+            MetaPath(Repr::Shared { buf, len, depth })
+        })
+    }
+
+    /// `parts` joined (`depth` components): inline when they fit, else in
+    /// one new shared buffer.
+    fn joined<'a>(parts: impl IntoIterator<Item = &'a str> + Clone, depth: usize) -> MetaPath {
+        MetaPath::concat(parts.clone(), depth)
+            .unwrap_or_else(|| MetaPath::new(&parts.into_iter().collect::<String>(), depth))
+    }
+
+    /// `parts` joined as an inline path, or `None` when they do not fit.
+    fn concat<'a>(parts: impl IntoIterator<Item = &'a str>, depth: usize) -> Option<MetaPath> {
+        // A text that fits holds at most 38 components, so this refuses none.
+        let depth = u8::try_from(depth).ok()?;
+        InlineStr::concat(parts).map(|text| MetaPath(Repr::Inline { text, depth }))
+    }
+
+    /// Parses an absolute path, normalizing redundant slashes. A path whose
+    /// normalized text fits in [`INLINE_CAP`](MetaPath::INLINE_CAP) bytes
+    /// costs no allocation; longer, already normalized input costs one.
     ///
     /// # Errors
     ///
@@ -109,40 +147,47 @@ impl MetaPath {
         }
         // Every empty part (`//`, a trailing slash, the bare root) is a
         // separator the normalized text does not have.
-        let buf = if len == s.len() {
-            Arc::from(s)
+        Ok(if len == s.len() {
+            MetaPath::new(s, depth)
         } else {
-            Arc::from(parts().flat_map(|part| ["/", part]).collect::<String>())
-        };
-        Ok(MetaPath { buf, len, depth })
+            MetaPath::joined(parts().flat_map(|part| ["/", part]), depth)
+        })
     }
 
     /// The visible normalized text; empty for the root.
     #[inline]
     fn as_str(&self) -> &str {
-        &self.buf[..self.len]
+        match &self.0 {
+            Repr::Inline { text, .. } => text.as_str(),
+            Repr::Shared { buf, len, .. } => &buf[..*len],
+        }
     }
 
-    /// The first `len` bytes (`depth` components) of this path, sharing
-    /// its buffer.
+    /// The first `len` bytes (`depth` components) of this path: a copy when
+    /// they fit inline, else a view sharing its buffer.
     fn view(&self, len: usize, depth: usize) -> MetaPath {
-        MetaPath {
-            buf: Arc::clone(&self.buf),
-            len,
-            depth,
+        match &self.0 {
+            Repr::Shared { buf, .. } if len > MetaPath::INLINE_CAP => {
+                let buf = Arc::clone(buf);
+                MetaPath(Repr::Shared { buf, len, depth })
+            }
+            _ => MetaPath::new(&self.as_str()[..len], depth),
         }
     }
 
     /// Number of components; the root has depth 0.
     #[inline]
     pub fn depth(&self) -> usize {
-        self.depth
+        match self.0 {
+            Repr::Inline { depth, .. } => usize::from(depth),
+            Repr::Shared { depth, .. } => depth,
+        }
     }
 
     /// Whether this is the root path.
     #[inline]
     pub fn is_root(&self) -> bool {
-        self.len == 0
+        self.as_str().is_empty()
     }
 
     /// The final component, if any.
@@ -154,7 +199,7 @@ impl MetaPath {
     /// The parent path; `None` for the root.
     pub fn parent(&self) -> Option<MetaPath> {
         let slash = self.as_str().rfind(is_separator)?;
-        Some(self.view(slash, self.depth - 1))
+        Some(self.view(slash, self.depth() - 1))
     }
 
     /// Iterates over the components from the root downwards.
@@ -176,34 +221,31 @@ impl MetaPath {
     /// `/A/C`. Returns `None` when the path is not deeper than `k` (such
     /// paths are never cached).
     pub fn truncate_leaf(&self, k: usize) -> Option<MetaPath> {
-        if self.depth <= k {
+        if self.depth() <= k {
             return None;
         }
         let len = match k {
-            0 => self.len,
+            0 => self.as_str().len(),
             _ => self.as_str().rmatch_indices(is_separator).nth(k - 1)?.0,
         };
-        Some(self.view(len, self.depth - k))
+        Some(self.view(len, self.depth() - k))
     }
 
-    /// Whether this path's buffer holds nothing beyond it (it is not a
-    /// view of a longer path).
+    /// Whether this path keeps nothing beyond it alive: it is inline, or
+    /// its buffer is not that of a longer path.
     pub fn is_compact(&self) -> bool {
-        self.len == self.buf.len()
+        !matches!(&self.0, Repr::Shared { buf, len, .. } if *len < buf.len())
     }
 
-    /// This path in a buffer of exactly its own size: `self` when it
-    /// already is one, a copy when it is a view of a longer path. What a
-    /// long-lived holder (a cache key) stores, so that it does not keep the
-    /// components below it alive.
+    /// This path holding exactly its own text: `self` when it already does,
+    /// a copy when it is a shared view of a longer path. What a long-lived
+    /// holder (a cache key) stores, so that it does not keep the components
+    /// below it alive.
     pub fn compact(&self) -> MetaPath {
         if self.is_compact() {
             return self.clone();
         }
-        MetaPath {
-            buf: Arc::from(self.as_str()),
-            ..*self
-        }
+        MetaPath::new(self.as_str(), self.depth())
     }
 
     /// Whether `self` is a (non-strict) prefix of `other`.
@@ -218,7 +260,7 @@ impl MetaPath {
 
     /// Whether `self` is a *strict* ancestor of `other`.
     pub fn is_ancestor_of(&self, other: &MetaPath) -> bool {
-        self.len < other.len && self.is_prefix_of(other)
+        self.as_str().len() < other.as_str().len() && self.is_prefix_of(other)
     }
 
     /// Appends a component, returning the child path.
@@ -231,11 +273,7 @@ impl MetaPath {
         if let Err(why) = check_component(name) {
             panic!("MetaPath::child({name:?}): {why}");
         }
-        MetaPath {
-            buf: Arc::from([self.as_str(), "/", name].concat()),
-            len: self.len + 1 + name.len(),
-            depth: self.depth + 1,
-        }
+        MetaPath::joined([self.as_str(), "/", name], self.depth() + 1)
     }
 
     /// Depth of the least common ancestor of two paths.
@@ -257,12 +295,9 @@ impl MetaPath {
         if !src.is_prefix_of(self) {
             return None;
         }
-        let below = &self.as_str()[src.len..];
-        Some(MetaPath {
-            buf: Arc::from([dst.as_str(), below].concat()),
-            len: dst.len + below.len(),
-            depth: dst.depth + self.depth - src.depth,
-        })
+        let below = &self.as_str()[src.as_str().len()..];
+        let depth = dst.depth() + self.depth() - src.depth();
+        Some(MetaPath::joined([dst.as_str(), below], depth))
     }
 }
 
@@ -474,17 +509,39 @@ mod tests {
         assert!(p("/a/b/c").prefix(1).is_ancestor_of(&p("/a/b")));
     }
 
+    fn shared(path: &MetaPath) -> Option<&Arc<str>> {
+        match &path.0 {
+            Repr::Shared { buf, .. } => Some(buf),
+            Repr::Inline { .. } => None,
+        }
+    }
+
+    #[test]
+    fn short_paths_are_inline_and_views_under_the_cap_copies() {
+        let cap = MetaPath::INLINE_CAP;
+        assert!(shared(&p(&format!("/{}", "x".repeat(cap - 1)))).is_none());
+        let full = p(&format!("/{}/{}/y", "x".repeat(cap - 1), "x".repeat(cap)));
+        let long = full.parent().unwrap();
+        assert!(Arc::ptr_eq(shared(&long).unwrap(), shared(&full).unwrap()));
+        assert!(shared(&long.parent().unwrap()).is_none());
+        assert!(shared(&full.prefix(1)).is_none() && full.prefix(1).is_compact());
+    }
+
     #[test]
     fn compact_drops_the_hidden_tail() {
-        let full = p("/A/C/E/G/H");
-        let view = full.truncate_leaf(3).unwrap();
-        assert!(Arc::ptr_eq(&view.buf, &full.buf));
+        let seg = "x".repeat(40);
+        let full = p(&format!("/{seg}/{seg}/{seg}/{seg}"));
+        let view = full.truncate_leaf(2).unwrap();
+        assert!(Arc::ptr_eq(shared(&view).unwrap(), shared(&full).unwrap()));
         assert!(!view.is_compact());
         let compact = view.compact();
         assert_eq!(compact, view);
-        assert_eq!(&*compact.buf, "/A/C");
+        assert_eq!(&**shared(&compact).unwrap(), format!("/{seg}/{seg}"));
         // Already right-sized: shared, not copied.
         assert!(full.is_compact());
-        assert!(Arc::ptr_eq(&full.compact().buf, &full.buf));
+        assert!(Arc::ptr_eq(
+            shared(&full.compact()).unwrap(),
+            shared(&full).unwrap()
+        ));
     }
 }

@@ -98,6 +98,52 @@ fn arb_stored_name() -> impl Strategy<Value = String> {
     })
 }
 
+/// Component lists whose text is the path inline capacity less one, the
+/// capacity, one more, or any length up to 200 bytes: short names from
+/// [`arb_names`], then one filler name that brings the text to that length,
+/// ending in a one-, two- or three-byte character (when there is room).
+fn arb_boundary_names() -> impl Strategy<Value = Vec<String>> {
+    let cap = MetaPath::INLINE_CAP;
+    let last = prop::sample::select(vec!["x", "é", "日"]);
+    (arb_names(6), 0usize..4, 0usize..201, last).prop_map(move |(mut names, pick, any, last)| {
+        let length = [cap - 1, cap, cap + 1].get(pick).copied().unwrap_or(any);
+        let text: usize = names.iter().map(|name| 1 + name.len()).sum();
+        // The filler's bytes after its slash.
+        let room = length.saturating_sub(text + 1);
+        if room >= last.len() {
+            names.push("x".repeat(room - last.len()) + last);
+        } else if room > 0 {
+            names.push("x".repeat(room));
+        }
+        names
+    })
+}
+
+/// Arbitrary text: separator runs, refused components (`.`, `..`,
+/// `_ATTR`), multi-byte characters and long runs, up to about 200 bytes,
+/// absolute or not.
+fn arb_hostile_text() -> impl Strategy<Value = String> {
+    let tokens = [
+        "/",
+        "/",
+        "//",
+        "///",
+        ".",
+        "..",
+        "_ATTR",
+        "a",
+        "-",
+        "é",
+        "日本",
+        "xxxxxxxxxxxxxxxx",
+    ];
+    (
+        prop::sample::select(vec!["/", "/", "/", ""]),
+        prop::collection::vec(prop::sample::select(tokens.to_vec()), 0..40),
+    )
+        .prop_map(|(lead, tokens)| lead.to_string() + &tokens.concat())
+}
+
 /// Checks `path` against the component list it must stand for.
 fn check_against_model(path: &MetaPath, model: &[String]) -> Result<(), TestCaseError> {
     prop_assert_eq!(path.components().collect::<Vec<_>>(), model);
@@ -264,6 +310,52 @@ proptest! {
         if a == b {
             prop_assert_eq!(hash_of(&a), hash_of(&b));
         }
+    }
+
+    /// `parse` of any text never panics: it refuses a relative path or a
+    /// refused component, and otherwise stands for the text's non-empty
+    /// components, re-parsing from its display to the same path and depth.
+    #[test]
+    fn parse_survives_hostile_text(text in arb_hostile_text()) {
+        let model: Vec<String> = text.split('/').filter(|c| !c.is_empty()).map(String::from).collect();
+        let refused = ["." , "..", "_ATTR"];
+        match MetaPath::parse(&text) {
+            Ok(path) => {
+                prop_assert!(text.starts_with('/'));
+                check_against_model(&path, &model)?;
+                let reparsed = MetaPath::parse(&path.to_string()).unwrap();
+                prop_assert_eq!(reparsed.depth(), path.depth());
+                prop_assert_eq!(reparsed, path);
+            }
+            Err(_) => prop_assert!(
+                !text.starts_with('/') || model.iter().any(|c| refused.contains(&c.as_str()))
+            ),
+        }
+    }
+
+    /// Across the inline capacity, a path is its text: whole paths, views
+    /// of a longer path that fall either side of the capacity, paths grown
+    /// by `child` and moved by `rebase` all equal, hash like and order like
+    /// a fresh parse, and `compact` gives a compact equal path.
+    #[test]
+    fn paths_across_the_inline_capacity(names in arb_boundary_names(), tail in arb_boundary_names(),
+                                        n in 0usize..10, how in 0usize..3) {
+        let whole = [names.clone(), tail.clone()].concat();
+        check_against_model(&parse_names(&whole), &whole)?;
+        let view = view_of(&names, &tail, how);
+        check_against_model(&view, &names)?;
+        check_against_model(&view.prefix(n), &names[..n.min(names.len())])?;
+
+        let mut grown = view.clone();
+        for name in &tail {
+            grown = grown.child(name);
+        }
+        check_against_model(&grown, &whole)?;
+        let dst = view_of(&tail, &names, how + 1);
+        let moved = parse_names(&whole).rebase(&view, &dst).expect("a prefix");
+        check_against_model(&moved, &[tail.clone(), tail.clone()].concat())?;
+        prop_assert_eq!(view.cmp(&dst), names.cmp(&tail));
+        prop_assert_eq!(view == dst, names == tail);
     }
 
     /// Permission aggregation is monotone: adding masks never grants more.

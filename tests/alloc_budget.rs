@@ -1,8 +1,8 @@
 //! Allocation budgets of the read path and of each mutation.
 //!
-//! One normalized-path parse is one allocation, and resolution adds none:
-//! prefixes are views of the parsed buffer and `IndexTable` probes borrow
-//! their key. A TafDB read adds its owned reply and nothing else (the
+//! A path of up to 77 bytes parses into no heap block, and resolution adds
+//! none: such a path and its prefixes hold their text inline (DESIGN.md
+//! §4.15) and `IndexTable` probes borrow their key. A TafDB read adds its owned reply and nothing else (the
 //! engines are probed through borrowed key views and lend each row in
 //! place, so a check or a fold copies nothing and a listing copies each
 //! entry's name once); a mutation adds the rows it stores, and nothing
@@ -136,18 +136,33 @@ fn per_engine(c: &MantleCluster, btree: u64, mvcc: u64) -> u64 {
     }
 }
 
+/// The longest path the benchmark parses: an N1 leaf directory (nine
+/// six-byte components) and `mixed_objects`' `c<client>_<serial>` object
+/// name, 66 bytes. Neither it nor its parent costs a heap request.
 #[test]
-fn lookup_depth9_allocates_only_the_parse() {
+fn a_workload_path_parses_into_no_heap_block() {
+    let text = "/a0f3c/b1e0d/c2b71/d3a09/e0c44/f1d2e/g07b1/h1c3d/i3aa0/c1_12345678";
+    assert_eq!(text.len(), 66);
+    let before = COUNT.with(Cell::get);
+    let path = MetaPath::parse(text).unwrap();
+    let parent = path.parent().unwrap();
+    assert_eq!(COUNT.with(Cell::get) - before, 0);
+    assert_eq!((path.depth(), parent.depth()), (10, 9));
+}
+
+#[test]
+fn lookup_depth9_allocates_nothing() {
     let c = cluster(PathLeaseConfig::default());
     let allocs = worst_allocs(DIR, |p, ctx| c.lookup(p, ctx));
-    assert!(allocs <= 2, "parse + lookup: {allocs} allocations");
+    assert!(allocs == 0, "parse + lookup: {allocs} allocations");
 }
 
 #[test]
 fn objstat_depth10_budget() {
     let c = cluster(PathLeaseConfig::default());
     let allocs = worst_allocs(OBJECT, |p, ctx| c.objstat(p, ctx));
-    assert!(allocs <= 2, "parse + objstat: {allocs} allocations");
+    // The reply's name.
+    assert!(allocs <= 1, "parse + objstat: {allocs} allocations");
 }
 
 #[test]
@@ -155,14 +170,14 @@ fn dirstat_budget() {
     let c = cluster(PathLeaseConfig::default());
     let allocs = worst_allocs(DIR, |p, ctx| c.dirstat(p, ctx));
     // The base row and its deltas fold in the engine's visitor.
-    assert!(allocs <= 1, "parse + dirstat: {allocs} allocations");
+    assert!(allocs == 0, "parse + dirstat: {allocs} allocations");
 }
 
 #[test]
 fn path_lease_hit_budget() {
     let c = cluster(PathLeaseConfig::enabled());
     let allocs = worst_allocs(DIR, |p, ctx| c.lookup(p, ctx));
-    assert!(allocs <= 1, "parse + leased lookup: {allocs} allocations");
+    assert!(allocs == 0, "parse + leased lookup: {allocs} allocations");
     assert!(c.path_cache_stats().hits >= 256, "the lookups were hits");
 }
 
@@ -176,7 +191,7 @@ fn lookup_allocs(c: &MantleCluster, text: &str) -> u64 {
 }
 
 /// A lease cache held full: a hit relinks the LRU list and a fill reuses
-/// the slot its eviction freed, so neither adds to the parse, and what
+/// the slot its eviction freed, so neither allocates, and what
 /// the cache keeps does not grow with how many paths it has seen. The
 /// names are scattered through path order, as the benchmark's Zipf draws
 /// are; fills in ascending path order would split the mirror's last B-tree
@@ -205,7 +220,7 @@ fn full_lease_cache_budgets() {
     let hits = (0..2 * CAPACITY).map(|i| lookup_allocs(&c, &dir(i % CAPACITY)));
     let worst = hits.max().unwrap();
     assert!(
-        worst <= 1,
+        worst == 0,
         "parse + hit in a full cache: {worst} allocations"
     );
 
@@ -223,7 +238,7 @@ fn full_lease_cache_budgets() {
     assert_eq!(stats.entries, CAPACITY);
     let mean = fills as f64 / FRESH as f64;
     assert!(
-        mean <= 1.1,
+        mean <= 0.1,
         "parse + fill that evicts: {mean:.3} allocations"
     );
     assert!(
@@ -240,11 +255,11 @@ fn create_delete_pair_budget() {
         c.create(p, 7, ctx)?;
         c.delete(p, ctx)
     });
-    // Parse (mvcc: the chain): the two ops' keys hold the name inline. A
-    // committed delete reads no row back to learn what it removed, and its
-    // type check copies nothing out of the row it reads.
+    // mvcc: the chain. The two ops' keys hold the name inline, a committed
+    // delete reads no row back to learn what it removed, and its type check
+    // copies nothing out of the row it reads.
     assert!(
-        allocs <= per_engine(&c, 1, 2),
+        allocs <= per_engine(&c, 0, 1),
         "parse + create + delete: {allocs} allocations"
     );
 }
@@ -257,10 +272,10 @@ fn create_budget() {
         |p, ctx| c.create(p, 7, ctx),
         |p, ctx| c.delete(p, ctx).unwrap(),
     );
-    // Parse; mvcc: the chain. The stored row keeps the name in its key
-    // only, and the key holds it inline.
+    // mvcc: the chain. The stored row keeps the name in its key only, and
+    // the key holds it inline.
     assert!(
-        allocs <= per_engine(&c, 1, 2),
+        allocs <= per_engine(&c, 0, 1),
         "parse + create: {allocs} allocations"
     );
 }
@@ -273,9 +288,9 @@ fn delete_budget() {
         |p, ctx| c.delete(p, ctx),
         |p, ctx| c.create(p, 7, ctx).map(drop).unwrap(),
     );
-    // Parse: the key holds the name inline and the type check reads the
-    // row in place.
-    assert!(allocs <= 1, "parse + delete: {allocs} allocations");
+    // The key holds the name inline and the type check reads the row in
+    // place.
+    assert!(allocs == 0, "parse + delete: {allocs} allocations");
 }
 
 #[test]
@@ -286,11 +301,10 @@ fn mkdir_budget() {
         |p, ctx| c.mkdir(p, ctx),
         |p, ctx| c.rmdir(p, ctx).unwrap(),
     );
-    // Parse; the entry key and the IndexNode proposal hold the name inline,
-    // and a fresh key opens a lock-table stripe now and then; mvcc: two
-    // chains.
+    // The entry key and the IndexNode proposal hold the name inline, and a
+    // fresh key opens a lock-table stripe now and then; mvcc: two chains.
     assert!(
-        allocs <= per_engine(&c, 2, 4),
+        allocs <= per_engine(&c, 1, 3),
         "parse + mkdir: {allocs} allocations"
     );
 }
@@ -308,7 +322,7 @@ fn rmdir_budget() {
     );
     // As mkdir, on both engines: the attribute rows go in one in-place
     // range delete, and mvcc's tombstones land in chains that exist.
-    assert!(allocs <= 2, "parse + rmdir: {allocs} allocations");
+    assert!(allocs <= 1, "parse + rmdir: {allocs} allocations");
 }
 
 #[test]
@@ -323,10 +337,10 @@ fn rename_dir_budget() {
         |p, ctx| c.rename_dir(p, &to, ctx),
         |p, ctx| c.rename_dir(&to, p, ctx).unwrap(),
     );
-    // Parse; the grant, the keys and the commit proposal hold both names
-    // inline. mvcc: the new entry's chain.
+    // The grant, the keys and the commit proposal hold both names inline.
+    // mvcc: the new entry's chain.
     assert!(
-        allocs <= per_engine(&c, 1, 2),
+        allocs <= per_engine(&c, 0, 1),
         "parse + rename_dir: {allocs} allocations"
     );
 }
@@ -334,9 +348,8 @@ fn rename_dir_budget() {
 /// One iteration of the benchmark's `dir_mutate` workload on a default
 /// cluster — mkdir, lookup, a rename to another parent, dirstat of that
 /// parent, rmdir, each op parsing its own path — pinned as one sum, so the
-/// claimed workload has a tier-1 floor. Six of its allocations are the
-/// parses; the rest come with the fresh names each iteration stores (btree:
-/// 6 to 9 per iteration over the pinned run, mostly 9).
+/// claimed workload has a tier-1 floor. The six parses allocate nothing;
+/// what is left comes with the fresh names each iteration stores.
 #[test]
 fn dir_mutate_iteration_budget() {
     let c = cluster(PathLeaseConfig::default());
@@ -358,10 +371,9 @@ fn dir_mutate_iteration_budget() {
         iteration(i);
     }
     let worst = (64..320).map(iteration).max().unwrap();
-    // Six parses (the rename's two) and up to three stripes; mvcc: three
-    // chains.
+    // Up to three stripes; mvcc: three chains.
     assert!(
-        worst <= per_engine(&c, 9, 12),
+        worst <= per_engine(&c, 3, 6),
         "one dir_mutate iteration: {worst} allocations"
     );
 }
@@ -389,10 +401,10 @@ fn refused_rmdir_of_a_large_directory_allocates_a_small_constant() {
             Err(MetaError::NotEmpty(_)) => Ok(()),
             other => panic!("rmdir of a populated directory: {other:?}"),
         });
-        // Parse and the error's text: the entry key holds its name inline,
-        // and the one row read is seen in place.
+        // The error's text: the entry key holds its name inline, and the
+        // one row read is seen in place.
         assert!(
-            allocs <= 2,
+            allocs <= 1,
             "{}: refused rmdir: {allocs} allocations",
             engine.name()
         );
@@ -401,8 +413,8 @@ fn refused_rmdir_of_a_large_directory_allocates_a_small_constant() {
 
 /// A listing copies out each entry's name and nothing else: the engine
 /// lends every row to the page scan, so there is no row list between them
-/// and no second copy of a name. What is left is the parse and the reply
-/// `Vec` doubling as it fills (nine steps to 1,000 entries, six to 100).
+/// and no second copy of a name. What is left is the reply `Vec` doubling
+/// as it fills (nine steps to 1,000 entries, six to 100).
 #[test]
 fn listing_allocates_the_names_it_returns() {
     use mantle::tafdb::{EngineKind, TafDbOptions};
@@ -426,7 +438,7 @@ fn listing_allocates_the_names_it_returns() {
             Ok(())
         });
         assert!(
-            readdir <= entries as u64 + 10,
+            readdir <= entries as u64 + 9,
             "{}: parse + readdir of {entries}: {readdir} allocations",
             engine.name()
         );
@@ -436,7 +448,7 @@ fn listing_allocates_the_names_it_returns() {
             Ok(())
         });
         assert!(
-            list <= 107,
+            list <= 106,
             "{}: parse + list of 100: {list} allocations",
             engine.name()
         );
@@ -445,7 +457,8 @@ fn listing_allocates_the_names_it_returns() {
 
 /// The stored layouts the namespace's memory is made of: an `IndexEntry`
 /// (its rename lock is an 8-byte `Option<ClientUuid>`), a TafDB row key,
-/// the name both keep inline, and the form a TafDB shard stores a row in.
+/// the name both keep inline, and the form a TafDB shard stores a row in;
+/// and a path, 77 bytes of text inline, which cache keys are.
 #[test]
 fn stored_layouts_are_pinned() {
     use std::mem::size_of;
@@ -453,6 +466,7 @@ fn stored_layouts_are_pinned() {
     assert_eq!(size_of::<mantle::store::RowKey>(), 40);
     assert_eq!(size_of::<mantle::types::Name>(), 24);
     assert_eq!(size_of::<mantle::tafdb::StoredRow>(), 40);
+    assert_eq!(size_of::<MetaPath>(), 80);
 }
 
 /// The benchmark's read namespace N1: 95,572 directories over nine levels
@@ -541,7 +555,8 @@ fn btree_engine_keeps_no_block_per_name() {
 
 /// A name longer than the inline capacity costs one shared block, so
 /// `create` and `mkdir` of a 40-byte name make exactly one allocation more
-/// than a short name's (DESIGN.md §4.12).
+/// than a short name's (DESIGN.md §4.12). Its 68-byte path parses inline:
+/// each pin dropped by exactly that parse when paths went inline.
 #[test]
 fn long_names_allocate_as_before() {
     let c = cluster(PathLeaseConfig::default());
@@ -558,7 +573,7 @@ fn long_names_allocate_as_before() {
     );
     assert_eq!(
         (create, mkdir),
-        (per_engine(&c, 2, 3), per_engine(&c, 3, 5)),
+        (per_engine(&c, 1, 2), per_engine(&c, 2, 4)),
         "parse + (create, mkdir) of a 40-byte name"
     );
 }

@@ -2,7 +2,8 @@
 # The side-door bans behind "one write vocabulary into TafDB", "one table
 # plane" (DESIGN.md §4.3), "reads lend", "range deletes copy nothing" and
 # "names live in their keys", "a shard stores one form" (DESIGN.md §4.12)
-# and "TafDB runs no thread" (DESIGN.md §4.4). All nine fail the build:
+# "TafDB runs no thread" (DESIGN.md §4.4) and "loads come through one door"
+# (DESIGN.md §4.12 "Packed loads"). All ten fail the build:
 #   1. `raw_put` appears in no file under crates/*/src, crates/*/tests,
 #      src/, tests/ or examples/ outside crates/tafdb/src: front-ends write
 #      rows through an executor, and tests seed rows through the loader's
@@ -36,6 +37,10 @@
 #      as in 2) under crates/tafdb/src nowhere: delta records fold on the
 #      append that reaches the bound, and the placement tick is driven by
 #      its caller.
+#  10. the engine loader `.load_row(` is called in non-test source (cut as
+#      in 2) under crates/, src/ and examples/ only inside `fn bulk_apply` in
+#      crates/tafdb/src/shard.rs: a live write never goes through the door
+#      that lets btree keep a row in its packed nodes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -91,6 +96,16 @@ tafdb_threads=$(find crates/tafdb/src -name '*.rs' -print0 |
         /#\[cfg\(test\)\]/ { counting = 0 }
         counting && /thread::(spawn|Builder)/ { print FILENAME ":" FNR ": " $0 }')
 
+loader=$(find crates src examples -name '*.rs' -not -path '*/tests/*' -print0 |
+    xargs -0 awk '
+        FNR == 1 { counting = 1; fn = "" }
+        /#\[cfg\(test\)\]/ { counting = 0 }
+        match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        counting && /\.load_row\(/ &&
+            !(FILENAME == "crates/tafdb/src/shard.rs" && fn == "bulk_apply") {
+            print FILENAME ":" FNR ": " $0
+        }')
+
 status=0
 if [ -n "$raw_put" ]; then
     echo "raw_put outside crates/tafdb/src (use TafDb::bulk_apply or an executor):"
@@ -137,5 +152,10 @@ if [ -n "$tafdb_threads" ]; then
     echo "$tafdb_threads"
     status=1
 fi
-[ "$status" -eq 0 ] && echo "write vocabulary, table plane, lending reads, in-place range deletes, stored names, stored rows, threadless TafDB OK"
+if [ -n "$loader" ]; then
+    echo "the engine loader called outside TafDb::bulk_apply (a live write goes through put):"
+    echo "$loader"
+    status=1
+fi
+[ "$status" -eq 0 ] && echo "write vocabulary, table plane, lending reads, in-place range deletes, stored names, stored rows, threadless TafDB, one loader OK"
 exit "$status"

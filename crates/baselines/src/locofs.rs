@@ -269,7 +269,8 @@ impl StateMachine for LocoSm {
     fn restore(&self, image: &[u8]) {
         use mantle_types::snapshot::SnapshotReader;
         let mut r = SnapshotReader::new(image);
-        self.table.decode(&mut r);
+        self.table
+            .replace(IndexTable::decode(&mut r).expect("a LocoSm image holds a table"));
         let mut attrs = HashMap::new();
         for _ in 0..r.u64() {
             let id = InodeId(r.u64());

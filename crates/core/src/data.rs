@@ -6,7 +6,6 @@
 //! one device-latency injection per access. Object *contents* are not
 //! materialized — experiments only need the timing and the size bookkeeping.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -17,7 +16,7 @@ use mantle_types::{MetaError, RequestCtx, Result, SimConfig};
 /// A pool of simulated data servers.
 pub struct DataService {
     nodes: Vec<SimNode>,
-    blobs: Mutex<HashMap<u64, u64>>,
+    blobs: Mutex<Blobs>,
     next_blob: AtomicU64,
     rr: AtomicU64,
     config: SimConfig,
@@ -31,7 +30,7 @@ impl DataService {
             nodes: (0..n_nodes)
                 .map(|i| SimNode::new(format!("data{i}"), config.db_node_permits, config))
                 .collect(),
-            blobs: Mutex::new(HashMap::new()),
+            blobs: Mutex::default(),
             next_blob: AtomicU64::new(1),
             rr: AtomicU64::new(0),
             config,
@@ -76,8 +75,7 @@ impl DataService {
             mantle_rpc::device_access(&self.config);
             self.blobs
                 .lock()
-                .get(&blob)
-                .copied()
+                .get(blob)
                 .ok_or_else(|| MetaError::NotFound(format!("blob {blob}")))
         })?
     }
@@ -91,7 +89,7 @@ impl DataService {
     pub fn delete(&self, blob: u64, stats: &mut RequestCtx) -> Result<()> {
         self.node().try_rpc_named(stats, "data_delete", || {
             mantle_rpc::device_access(&self.config);
-            self.blobs.lock().remove(&blob);
+            self.blobs.lock().remove(blob);
         })
     }
 
@@ -104,12 +102,46 @@ impl DataService {
 
     /// Number of stored blobs.
     pub fn len(&self) -> usize {
-        self.blobs.lock().len()
+        self.blobs.lock().len
     }
 
     /// Whether no blobs are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Blob sizes indexed by handle: handles count up from 1, so the table is
+/// dense. A handle never written or since deleted holds [`Blobs::NONE`], so
+/// no blob can be `u64::MAX` bytes.
+#[derive(Default)]
+struct Blobs {
+    sizes: Vec<u64>,
+    len: usize,
+}
+
+impl Blobs {
+    const NONE: u64 = u64::MAX;
+
+    fn get(&self, blob: u64) -> Option<u64> {
+        let size = self.sizes.get(usize::try_from(blob).ok()?);
+        size.copied().filter(|&size| size != Self::NONE)
+    }
+
+    fn insert(&mut self, blob: u64, size: u64) {
+        let at = blob as usize;
+        if at >= self.sizes.len() {
+            self.sizes.resize(at + 1, Self::NONE);
+        }
+        self.len += usize::from(self.sizes[at] == Self::NONE);
+        self.sizes[at] = size;
+    }
+
+    fn remove(&mut self, blob: u64) {
+        if self.get(blob).is_some() {
+            self.sizes[blob as usize] = Self::NONE;
+            self.len -= 1;
+        }
     }
 }
 

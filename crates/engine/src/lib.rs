@@ -116,6 +116,14 @@ pub trait StorageEngine<V: EngineValue>: Send + Sync {
     /// Inserts or replaces a row, returning the previous value.
     fn put(&self, key: RowKey, value: V) -> Option<V>;
 
+    /// Loads a row as [`Self::put`] writes it, for a bulk load: an engine
+    /// may keep loaded rows apart from what live writes create (btree packs
+    /// them into full nodes, DESIGN.md §4.12). `TafDb::bulk_apply` is its
+    /// only caller (`ci/write_vocabulary.sh` check 10).
+    fn load_row(&self, key: RowKey, value: V) {
+        self.put(key, value);
+    }
+
     /// Inserts a row only if absent; returns `false` (without writing)
     /// when the key already exists.
     fn put_if_absent(&self, key: RowKey, value: V) -> bool;

@@ -138,11 +138,26 @@ pub struct IndexSm {
     root: InodeId,
 }
 
+/// A decoded snapshot image: the table's entries and the in-flight markers.
+type Image = (Vec<(InodeId, Name, IndexEntry)>, Vec<MetaPath>);
+
 impl IndexSm {
     /// Creates an empty state machine. `k`/`cache_enabled` configure the
     /// TopDirPathCache (§5.1.1).
     pub fn new(config: SimConfig, k: usize, cache_enabled: bool) -> Self {
         Self::with_root(config, k, cache_enabled, ROOT_ID)
+    }
+
+    /// What a snapshot image holds, or `None` — never a panic — when it is
+    /// not exactly what [`StateMachine::snapshot`] writes.
+    fn decode(image: &[u8]) -> Option<Image> {
+        use mantle_types::snapshot::SnapshotReader;
+        let mut r = SnapshotReader::new(image);
+        let entries = IndexTable::decode(&mut r)?;
+        let paths = (0..r.checked(8, SnapshotReader::u64)?)
+            .map(|_| MetaPath::parse(&r.checked_str()?).ok())
+            .collect::<Option<Vec<_>>>()?;
+        r.is_empty().then_some((entries, paths))
     }
 
     /// Creates a state machine whose walks start at `root` instead of the
@@ -389,21 +404,22 @@ impl StateMachine for IndexSm {
         w.finish()
     }
 
+    /// Installs an image only once all of it has decoded: a bad one
+    /// leaves the state machine untouched.
     fn restore(&self, image: &[u8]) {
-        use mantle_types::snapshot::SnapshotReader;
-        let mut r = SnapshotReader::new(image);
-        self.table.decode(&mut r);
+        let Some((entries, paths)) = Self::decode(image) else {
+            return;
+        };
+        self.table.replace(entries);
         for p in self.removal.snapshot() {
             self.removal.remove(&p);
         }
         // The TopDirPathCache is derived state: dropping it entirely is
         // always safe (misses refill it, from the table restored above).
         self.cache.invalidate_subtree(&MetaPath::root());
-        for _ in 0..r.u64() {
-            let p = MetaPath::parse(&r.str()).expect("snapshot paths parse");
+        for p in paths {
             self.removal.insert(p);
         }
-        debug_assert!(r.is_empty(), "trailing bytes in IndexSm snapshot");
     }
 }
 
@@ -718,6 +734,40 @@ mod tests {
         assert!(b.table.is_locked(InodeId(3), "c"));
         assert!(b.removal.conflicts_with(&p("/a/b/c/d")));
         assert_eq!(b.resolve(&p("/a/b")).result.unwrap().id, InodeId(3));
+    }
+
+    proptest::proptest! {
+        /// A truncated image is refused and random bytes are refused or
+        /// installed whole: whatever `restore` does not install leaves the
+        /// state machine as it was, and nothing panics.
+        #[test]
+        fn hostile_images_leave_the_state_untouched(
+            cut in 0usize..4096,
+            at in 0usize..4096,
+            byte in proptest::prelude::any::<u8>(),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            let a = sm(3, true);
+            a.apply(0, &IndexCmd::RenamePrepare {
+                src_pid: InodeId(3),
+                src_name: Name::new("c"),
+                uuid: ClientUuid::generate(),
+                src_path: p("/a/b/c"),
+            });
+            let img = a.snapshot();
+            let mut flipped = img.clone();
+            flipped[at % img.len()] = byte;
+            let truncated = &img[..cut % img.len()];
+            proptest::prop_assert!(IndexSm::decode(truncated).is_none());
+            for image in [truncated, &flipped, &noise] {
+                let b = sm(2, true);
+                let before = b.snapshot();
+                b.restore(image);
+                if IndexSm::decode(image).is_none() {
+                    proptest::prop_assert_eq!(b.snapshot(), before);
+                }
+            }
+        }
     }
 
     #[test]

@@ -267,18 +267,38 @@ impl IndexTable {
         }
     }
 
-    /// Replaces the table's contents with what [`IndexTable::encode`] wrote.
-    pub fn decode(&self, r: &mut SnapshotReader<'_>) {
-        self.clear();
-        for _ in 0..r.u64() {
-            let pid = InodeId(r.u64());
-            let name = r.str();
-            let entry = IndexEntry {
-                id: InodeId(r.u64()),
-                permission: Permission(r.u16()),
-                version: r.u64(),
-                lock: (r.u8() == 1).then(|| ClientUuid(NonZeroU64::new(r.u64()).expect("nonzero"))),
+    /// Reads the entries [`IndexTable::encode`] wrote; `None` — never a
+    /// panic — when the image is too short for them or a lock byte is
+    /// neither 0 nor a 1 followed by a nonzero holder.
+    pub fn decode(r: &mut SnapshotReader<'_>) -> Option<Vec<(InodeId, Name, IndexEntry)>> {
+        let mut entries = Vec::new();
+        for _ in 0..r.checked(8, SnapshotReader::u64)? {
+            let pid = InodeId(r.checked(8, SnapshotReader::u64)?);
+            let name = Name::new(&r.checked_str()?);
+            let (id, permission, version) = r.checked(18, |r| (r.u64(), r.u16(), r.u64()))?;
+            let lock = match r.checked(1, SnapshotReader::u8)? {
+                0 => None,
+                1 => Some(
+                    r.checked(8, SnapshotReader::u64)
+                        .and_then(NonZeroU64::new)?,
+                ),
+                _ => return None,
             };
+            let entry = IndexEntry {
+                id: InodeId(id),
+                permission: Permission(permission),
+                version,
+                lock: lock.map(ClientUuid),
+            };
+            entries.push((pid, name, entry));
+        }
+        Some(entries)
+    }
+
+    /// Replaces the table's contents with `entries`.
+    pub fn replace(&self, entries: Vec<(InodeId, Name, IndexEntry)>) {
+        self.clear();
+        for (pid, name, entry) in entries {
             self.insert(pid, &name, entry);
         }
     }

@@ -122,6 +122,10 @@ pub struct TafDb {
     /// Previous rebalancing tick's cumulative per-shard busy nanos.
     pub(crate) last_busy: Mutex<Vec<u64>>,
     oracle: AtomicU64,
+    /// Bumped (`Release`) by every committed write, relaxed write and shard
+    /// restore, after or before the write; read (`Acquire`) by a bulk
+    /// loader to tell whether rows it remembers may have changed.
+    pub(crate) live_writes: AtomicU64,
     pub(crate) config: SimConfig,
     pub(crate) opts: TafDbOptions,
     pub(crate) metrics: DbMetrics,
@@ -161,6 +165,7 @@ impl TafDb {
             migration_lock: RwLock::new(()),
             last_busy: Mutex::new(vec![0; opts.n_shards]),
             oracle: AtomicU64::new(1),
+            live_writes: AtomicU64::new(0),
             config,
             opts,
             metrics: DbMetrics::new(opts.n_shards),

@@ -451,6 +451,7 @@ impl TafDb {
             wrote |= self.apply_step(t, *step);
         }
         if wrote {
+            self.live_writes.fetch_add(1, Ordering::Release);
             self.shards[group[0].shard].wal.append();
         }
         self.unlock_steps(t, group, extras);

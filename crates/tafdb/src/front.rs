@@ -13,6 +13,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use mantle_types::{
     id::IdAllocator, DirEntry, DirStat, InodeId, MetaPath, ObjectMeta, Permission, Phase,
     RequestCtx, ResolvedPath, Result,
@@ -34,6 +36,18 @@ pub struct Front {
     ids: Arc<IdAllocator>,
     clock: AtomicU64,
     run: Executor,
+    walked: Mutex<Walked>,
+}
+
+/// The directory ids on the path the last [`Front::bulk_dir`] walked: a
+/// load resumes below the deepest ancestor it shares with that path, while
+/// the table has seen no live write since the walk. (A load is set-up work:
+/// one that runs concurrently with live writes may miss one of them.)
+struct Walked {
+    live_writes: u64,
+    root: InodeId,
+    path: MetaPath,
+    ids: Vec<InodeId>,
 }
 
 impl Front {
@@ -45,6 +59,12 @@ impl Front {
             ids,
             clock: AtomicU64::new(1),
             run,
+            walked: Mutex::new(Walked {
+                live_writes: 0,
+                root: InodeId(0),
+                path: MetaPath::root(),
+                ids: Vec::new(),
+            }),
         }
     }
 
@@ -158,8 +178,14 @@ impl Front {
         path: &MetaPath,
         mut new_dir: impl FnMut(InodeId, &str, usize) -> InodeId,
     ) -> InodeId {
-        let mut pid = root;
-        for (depth, comp) in path.components().enumerate() {
+        let mut walked = self.walked.lock();
+        let live_writes = self.db.live_writes.load(Ordering::Acquire);
+        let valid = (walked.live_writes, walked.root) == (live_writes, root);
+        let shared = walked.path.components().zip(path.components());
+        let kept = shared.take_while(|(a, b)| valid && a == b).count();
+        walked.ids.truncate(kept);
+        let mut pid = walked.ids.last().copied().unwrap_or(root);
+        for (depth, comp) in path.components().enumerate().skip(kept) {
             match self.db.raw_get(&entry_view(pid, comp)) {
                 Some(Row::DirAccess { id, .. }) => pid = id,
                 Some(_) => panic!("bulk_dir crosses an object at {}", path.prefix(depth + 1)),
@@ -170,7 +196,9 @@ impl Front {
                     pid = id;
                 }
             }
+            walked.ids.push(pid);
         }
+        (walked.live_writes, walked.root, walked.path) = (live_writes, root, path.clone());
         pid
     }
 

@@ -195,6 +195,7 @@ impl TafDb {
     /// One relaxed write under its RPC name (the names the baselines'
     /// traces and the chaos fault sites have always seen).
     fn write_relaxed(&self, op: &TxnOp, stats: &mut RequestCtx) -> Result<()> {
+        self.live_writes.fetch_add(1, Ordering::Release);
         match op {
             TxnOp::InsertUnique { key, row } => {
                 self.routed_write(stats, "insert_row", place_of(key), None, |shard| {
@@ -284,7 +285,7 @@ impl TafDb {
                 TxnOp::InsertUnique { key, row } | TxnOp::Put { key, row } => {
                     self.shards[self.owner_of(&key)]
                         .engine
-                        .put(key, (&row).into());
+                        .load_row(key, (&row).into());
                 }
                 TxnOp::AttrUpdate { dir, delta } => {
                     self.shards[self.owner_of(&attr_view(dir))].merge_attr(dir, &delta);
@@ -505,6 +506,7 @@ impl TafDb {
             self.metrics.checkpoint_aborts.inc();
             return false;
         };
+        self.live_writes.fetch_add(1, Ordering::Release);
         let mut reg = shard.delta_dirs.lock();
         reg.clear();
         count_deltas(&mut reg, &rows);

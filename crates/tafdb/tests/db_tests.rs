@@ -873,3 +873,56 @@ fn object_images_carry_no_row_names() {
         }
     }
 }
+
+/// `Front::bulk_dir` resumes below the ancestors its last walk shared with
+/// the new path, but only while the table has seen no live write: after a
+/// live `rmdir`, and after a live rename of a remembered directory, a load
+/// of the same path makes a new directory there, and the objects loaded
+/// before and after land under the directories that hold them now.
+#[test]
+fn bulk_dir_walks_again_after_a_live_write() {
+    use mantle_tafdb::{recipe, Front};
+    use mantle_types::{id::IdAllocator, MetaPath};
+
+    let db = db();
+    let ids = Arc::new(IdAllocator::new());
+    let front = Front::new(Arc::clone(&db), ids, TafDb::execute_relaxed);
+    let path = MetaPath::parse("/a/b/c").unwrap();
+    let made = std::cell::Cell::new(0);
+    let load = || {
+        front.bulk_dir(ROOT_ID, &path, |_, _, _| {
+            made.set(made.get() + 1);
+            front.alloc()
+        })
+    };
+    let ctx = &mut RequestCtx::new();
+    let entry = |pid, name| match db.raw_get(&entry_key(pid, name)) {
+        Some(Row::DirAccess { id, .. }) => Some(id),
+        _ => None,
+    };
+
+    let c1 = load();
+    assert_eq!(
+        (load(), made.get()),
+        (c1, 3),
+        "a repeated load walks nothing"
+    );
+    let a = entry(ROOT_ID, "a").unwrap();
+    let b = entry(a, "b").unwrap();
+    db.execute(&recipe::rmdir(b, "c".into(), c1, 9), ctx)
+        .unwrap();
+
+    let c2 = load();
+    assert_ne!(c2, c1, "the removed directory is made again");
+    assert_eq!((entry(b, "c"), made.get()), (Some(c2), 4));
+    front.bulk_object(c2, "o", 1, 0);
+    let (rename, _) = recipe::rename((b, "c".into()), (a, "moved".into()), c2, Permission::ALL, 9);
+    db.execute(&rename, ctx).unwrap();
+
+    let c3 = load();
+    assert_ne!(c3, c2, "the renamed directory is not reused");
+    front.bulk_object(c3, "p", 1, 0);
+    assert_eq!((entry(a, "moved"), entry(b, "c")), (Some(c2), Some(c3)));
+    assert!(db.get_object(c2, "o", ctx).is_ok() && db.get_object(c2, "p", ctx).is_err());
+    assert!(db.get_object(c3, "p", ctx).is_ok() && db.get_object(c3, "o", ctx).is_err());
+}

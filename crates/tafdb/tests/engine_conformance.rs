@@ -24,6 +24,11 @@
 //! directory's `/_ATTR` base row and end inside or past the version range,
 //! and the names ` z`, `-x` and `.y` sort just below `/_ATTR`, so a sweep
 //! that took a sibling entry with the version range would show here.
+//!
+//! Loads (`load_row`, `TafDb::bulk_apply`'s door) are in the same mix: each
+//! brings more rows than btree's 1,024-row merge step, beside and among the
+//! live ops' keys, so btree's packed, staged and fresh maps all hold rows
+//! that every live op then reads, overwrites, sweeps and checkpoints.
 
 use std::collections::BTreeMap;
 use std::ops::{Bound, ControlFlow};
@@ -105,6 +110,27 @@ enum Op {
     },
     /// checkpoint → restore onto the same engine must round-trip.
     CheckpointRestore,
+    /// Rows through the loader's door, `load_row`: these, then
+    /// [`LOAD_FILL`] filler rows under `pid` named by `tag`, so three loads
+    /// merge btree's staged rows into its packed ones at least three times.
+    Load(Vec<(RowKey, Row)>, u64, u8),
+}
+
+/// Filler rows per [`Op::Load`]: more than btree's 1,024-row merge step.
+const LOAD_FILL: usize = 1_100;
+
+/// Filler row `i` of a load: even ones sort just below `/_ATTR`, inside a
+/// range delete from the `-x` sibling, odd ones past the `ab` entry.
+fn filler(pid: u64, tag: u8, i: usize) -> (RowKey, Row) {
+    let name = match i % 2 {
+        0 => format!("-x{tag}{i:04}"),
+        _ => format!("f{tag}{i:04}"),
+    };
+    let row = Row::DirAccess {
+        id: InodeId(i as u64),
+        permission: Permission::ALL,
+    };
+    (RowKey::base(InodeId(pid), &name), row)
 }
 
 /// Where a range delete starts, around `(pid, /_ATTR)`.
@@ -161,6 +187,16 @@ fn borrowed(b: &Bound<RowKey>) -> KeyBound<'_> {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
+    let load = (
+        prop::collection::vec((arb_key(), arb_row()), 0..6),
+        0u64..5,
+        0u8..4,
+    )
+        .prop_map(|(rows, pid, tag)| Op::Load(rows, pid, tag));
+    prop_oneof![8 => arb_live_op(), 1 => load]
+}
+
+fn arb_live_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (arb_key(), arb_row()).prop_map(|(k, v)| Op::Put(k, v)),
         (arb_key(), arb_row()).prop_map(|(k, v)| Op::PutIfAbsent(k, v)),
@@ -412,6 +448,13 @@ fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseErro
                     "{}: scan",
                     name
                 );
+            }
+            Op::Load(rows, pid, tag) => {
+                let fill = (0..LOAD_FILL).map(|i| filler(*pid, *tag, i));
+                for (k, v) in rows.iter().cloned().chain(fill) {
+                    engine.load_row(k.clone(), v.clone());
+                    model.insert(k, v);
+                }
             }
             Op::CheckpointRestore => {
                 let image = engine.checkpoint();
